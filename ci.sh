@@ -5,6 +5,11 @@
 # single-threaded and dominate wall-clock, so racing them buys nothing.
 set -eux
 
+# The flockbench sweeps below write their JSON here, not over the tracked
+# BENCH_PR*.json snapshots: a CI run leaves `git status` clean.
+benchdir=$(mktemp -d)
+trap 'rm -rf "$benchdir"' EXIT
+
 go vet ./...
 go build ./...
 go test ./...
@@ -46,24 +51,24 @@ go test -run 'TestCounterOverheadGate|TestHotPathNoAlloc' -count=1 ./internal/te
 # — a shard that never sheds or retries proves nothing) and drain every
 # node to zero leases; (3) the flockbench goodput sweep must hold the
 # overload-chaos point within 20% of the no-fault plateau (no
-# congestion collapse) while regenerating BENCH_PR6.json.
+# congestion collapse).
 go test -run 'TestOverload|TestDedup|TestHedged|TestDrain|TestBreaker' -count=1 ./internal/core
 out=$(go run ./cmd/flockload -overload 4 -retry 6 -workers 2 -threads 8 -dur 500ms -faults seed=6,rc-loss=0.01)
 echo "$out"
 echo "$out" | grep -Eq 'resilience +rejected=[1-9]'
 echo "$out" | grep -Eq ' retries=[1-9]'
 echo "$out" | grep -q 'leases=0'
-bench=$(go run ./cmd/flockbench -run overload -json BENCH_PR6.json)
+bench=$(go run ./cmd/flockbench -run overload -json "$benchdir/overload.json")
 echo "$bench"
 echo "$bench" | awk '/chaos-goodput/ { found=1; r=$2; sub(/ratio=/,"",r); if (r+0 < 0.80) { print "chaos goodput ratio " r " below 0.80 gate"; exit 1 } } END { exit found ? 0 : 1 }'
 
 # Pipelining shard (ISSUE 7). Two gates on the unified completion path:
 # (1) the flockbench depth sweep must show the async pipeline actually
-# pipelining — depth-8 goodput at least 1.5× depth-1 — while regenerating
-# BENCH_PR7.json; (2) the echo exchange must still meet the allocation
-# ceiling with the pending-call table on the hot path (the sync gate above
-# already ran; re-run it here so this shard stands alone in a sharded CI).
-pbench=$(go run ./cmd/flockbench -run pipeline -json BENCH_PR7.json)
+# pipelining — depth-8 goodput at least 1.5× depth-1; (2) the echo exchange
+# must still meet the allocation ceiling with the pending-call table on the
+# hot path (the sync gate above already ran; re-run it here so this shard
+# stands alone in a sharded CI).
+pbench=$(go run ./cmd/flockbench -run pipeline -json "$benchdir/pipeline.json")
 echo "$pbench"
 echo "$pbench" | awk '/pipeline-goodput/ { found=1; r=$2; sub(/ratio=/,"",r); if (r+0 < 1.50) { print "pipeline goodput ratio " r " below 1.50 gate"; exit 1 } } END { exit found ? 0 : 1 }'
 go test -run TestEchoAllocRegressionGate -count=1 .
@@ -77,15 +82,15 @@ go test -run TestEchoAllocRegressionGate -count=1 .
 # dropped; (3) a live flockload cluster run must complete its mid-window
 # migrations and drain every node to zero leases; (4) the flockbench
 # scaling sweep must show aggregate KV goodput at 4 members at least
-# 2.5× 1 member while regenerating BENCH_PR8.json. The stale-shard-serve
-# mutant is covered by the flockmut run above.
+# 2.5× 1 member. The stale-shard-serve mutant is covered by the flockmut
+# run above.
 go test -run TestMigrationChaosLinearizable -count=1 ./internal/cluster
 go test -run 'TestCluster|TestMigrationScheduleShape' -count=1 ./internal/check
 cout=$(go run ./cmd/flockload -cluster 4 -shards 16 -threads 8 -dur 1s)
 echo "$cout"
 echo "$cout" | grep -Eq 'membership +live=4/4 moves=2'
 echo "$cout" | grep -q 'leases=0'
-cbench=$(go run ./cmd/flockbench -run cluster -json BENCH_PR8.json)
+cbench=$(go run ./cmd/flockbench -run cluster -json "$benchdir/cluster.json")
 echo "$cbench"
 echo "$cbench" | awk '/cluster-goodput/ { found=1; r=$2; sub(/ratio=/,"",r); if (r+0 < 2.50) { print "cluster goodput ratio " r " below 2.50 gate"; exit 1 } } END { exit found ? 0 : 1 }'
 
@@ -105,10 +110,9 @@ echo "$cbench" | awk '/cluster-goodput/ { found=1; r=$2; sub(/ratio=/,"",r); if 
 # batched replication forwards, and drain every node to zero leases;
 # (4) the flockbench replication sweep must hold R=2 put goodput above
 # 0.5x unreplicated (group commit amortizes the backup fan-out; PR 9's
-# per-put sync forward priced the same point at ~0.2) while
-# regenerating BENCH_PR10.json; (5) internal/cluster holds the same
-# 70% coverage floor as internal/core. The premature-ack mutants are
-# covered by the flockmut run above.
+# per-put sync forward priced the same point at ~0.2); (5)
+# internal/cluster holds the same 70% coverage floor as internal/core.
+# The premature-ack mutants are covered by the flockmut run above.
 go test -run 'TestFailoverPreservesAckedWrites|TestReplicatedPutReachesBackups|TestReplicationEpochFence|TestGroupCommit|TestReplicateTypedErrors|TestCutBatch|TestReplFrame' -count=1 ./internal/cluster
 go test -run 'TestClusterReplica|TestReplica' -count=1 ./internal/check
 rout=$(go run ./cmd/flockload -cluster 4 -shards 16 -replicas 2 -threads 8 -dur 1s)
@@ -117,7 +121,7 @@ echo "$rout" | grep -Eq 'failover +victim=n[0-9]+ shards=[1-9][0-9]* promoted=[1
 echo "$rout" | grep -Eq 'replication replicas=2 forwards=[1-9]'
 echo "$rout" | grep -Eq 'batches=[1-9]'
 echo "$rout" | grep -q 'leases=0'
-rbench=$(go run ./cmd/flockbench -run replication -json BENCH_PR10.json)
+rbench=$(go run ./cmd/flockbench -run replication -json "$benchdir/replication.json")
 echo "$rbench"
 echo "$rbench" | awk '/replication-goodput/ { found=1; r=$2; sub(/ratio=/,"",r); if (r+0 < 0.5) { print "replication goodput ratio " r " below 0.5 gate"; exit 1 } } END { exit found ? 0 : 1 }'
 ccov=$(go test -count=1 -cover ./internal/cluster | awk '{for (i=1;i<=NF;i++) if ($i=="coverage:") print $(i+1)}' | tr -d '%')

@@ -28,9 +28,9 @@ import (
 // fence judges each batch under the view that admitted its writes.
 
 // ReplTuning tunes the group-commit flush policy, doorbell-batching
-// style: a frame flushes when it reaches FlushEntries (or FlushBytes),
-// when an epoch boundary forces a cut, or when the first waiter has
-// been parked FlushDelay. Zero FlushDelay is natural batching — flush
+// style: a frame flushes when it reaches FlushEntries, when an epoch
+// boundary forces a cut, or when the first waiter has been parked
+// FlushDelay. Zero FlushDelay is natural batching — flush
 // as soon as the forwarder is free, so an idle stream adds no latency
 // and a busy one coalesces whatever queued behind the in-flight frame.
 // Set it before traffic, like the Service budgets.
@@ -38,8 +38,6 @@ type ReplTuning struct {
 	// FlushEntries caps entries per frame. 0 → 64; clamped to what
 	// MaxPayload and the wire format allow.
 	FlushEntries int
-	// FlushBytes caps frame bytes (0 → no extra cap beyond MaxPayload).
-	FlushBytes int
 	// FlushDelay bounds how long the oldest queued put waits for
 	// companions. 0 → natural batching only.
 	FlushDelay time.Duration
@@ -182,11 +180,6 @@ func (s *Service) replTuning() (maxEntries int, delay time.Duration, depth int) 
 	maxEntries = t.FlushEntries
 	if maxEntries <= 0 {
 		maxEntries = 64
-	}
-	if t.FlushBytes > 0 {
-		if byBytes := (t.FlushBytes - replHeaderLen) / wireEntryLen; byBytes < maxEntries {
-			maxEntries = byBytes
-		}
 	}
 	if wire := (s.node.Options().MaxPayload - replHeaderLen) / wireEntryLen; maxEntries > wire {
 		maxEntries = wire

@@ -64,12 +64,9 @@ func (t *Thread) SendBatch(ops []BatchOp, opts CallOptions) ([]*Pending, error) 
 	for i, op := range ops {
 		p := new(Pending)
 		t.newPending(p, op.RPCID, op.Payload, opts, true) //nolint:errcheck // payload validated above
-		rec := t.pend.get()
-		t.seq++
-		rec.seq = t.seq
-		depth := t.pend.register(rec)
+		var depth int
+		p.rec, depth = t.pend.register()
 		c.node.pipeDepth.Observe(uint64(depth))
-		p.rec = rec
 		p.started = now
 		nodes[i] = t.batchNode(op, p)
 		pends[i] = p
@@ -147,24 +144,10 @@ func (t *Thread) SendBatch(ops []BatchOp, opts CallOptions) ([]*Pending, error) 
 		idx = redo
 	}
 
-	// Arm the in-flight state of every op that made it onto the wire,
-	// mirroring startAttempt's post-submit bookkeeping.
 	for _, p := range pends {
-		if p.phase == pendDone {
-			continue
+		if p.phase != pendDone {
+			p.armAttempt() // made it onto the wire
 		}
-		if p.attemptWait > 0 {
-			p.aDeadline = time.Now().Add(p.attemptWait)
-			if !p.deadline.IsZero() && p.aDeadline.After(p.deadline) {
-				p.aDeadline = p.deadline
-			}
-		}
-		if p.resilient && p.hedge > 0 {
-			if at := time.Now().Add(p.hedge); p.aDeadline.IsZero() || at.Before(p.aDeadline) {
-				p.hedgeAt = at
-			}
-		}
-		p.phase = pendInflight
 	}
 	return pends, nil
 }

@@ -52,14 +52,18 @@ const (
 	tagMask   uint64 = 0xff << tagShift
 )
 
+// memSeqMask selects the sequence bits of a memory-op WRID: the low 28 of
+// the operation's sequence ID (pendingTable.complete widens them back).
+const memSeqMask = 1<<28 - 1
+
 // memWRID packs a memory-op completion identity: tag | threadID | seq.
 func memWRID(threadID uint32, seq uint64) uint64 {
-	return tagMem | uint64(threadID)<<28 | (seq & ((1 << 28) - 1))
+	return tagMem | uint64(threadID)<<28 | seq&memSeqMask
 }
 
 // memWRThread recovers the thread ID from a memory-op WRID.
 func memWRThread(wrid uint64) uint32 {
-	return uint32(wrid>>28) & ((1 << 28) - 1)
+	return uint32(wrid>>28) & (1<<28 - 1)
 }
 
 // Conn is the connection handle (§3): the client side of a FLock
@@ -192,11 +196,11 @@ func (n *Node) Connect(remote fabric.NodeID) (*Conn, error) {
 		node:        n,
 		remote:      remote,
 		threads:     make(map[uint32]*Thread),
-		retryBudget: resilience.NewBudget(n.opts.RetryBudgetRatio, n.opts.RetryBudgetBurst),
+		retryBudget: resilience.NewBudget(DefaultRetryBudgetRatio, n.opts.RetryBudgetBurst),
 	}
 	if n.opts.BreakerThreshold > 0 {
 		c.breaker = resilience.NewBreaker(
-			n.opts.BreakerThreshold, n.opts.BreakerCooldown, n.opts.BreakerProbes, nil)
+			n.opts.BreakerThreshold, n.opts.BreakerCooldown, DefaultBreakerProbes, nil)
 	}
 	args := connectArgs{clientNode: n.id}
 	for i := 0; i < n.opts.QPsPerConn; i++ {
@@ -334,9 +338,8 @@ func (c *Conn) Close() {
 }
 
 // fail marks the connection fatally failed and releases every waiter with
-// a typed poison response: all pending-call records (whatever QP they rode)
-// are completed with the closure, mailbox waiters get a wakeup on the
-// response channel, and parked memory operations a QP-error status. The
+// a typed poison response: all pending-call records (whatever QP they
+// rode, RPC or memory operation) are completed with the closure. The
 // cause is recorded before the failed flag is published, so closedErr
 // never observes the flag without it.
 func (c *Conn) fail(err error) {
@@ -345,25 +348,8 @@ func (c *Conn) fail(err error) {
 	if c.failed.Swap(true) {
 		return
 	}
-	poison := Response{Status: StatusConnClosed, err: err}
 	for _, t := range c.snapshotThreads() {
-		for _, rec := range t.pend.failMatching(-1, poison) {
-			select {
-			case t.respCh <- poison:
-			default:
-			}
-			t.pend.put(rec)
-		}
-		// Wake RecvRes blockers with no pending record (the pre-table
-		// contract: closure always surfaces on the response channel).
-		select {
-		case t.respCh <- poison:
-		default:
-		}
-		select {
-		case t.memCh <- rnic.StatusQPError:
-		default:
-		}
+		t.pend.failMatching(-1, Response{Status: StatusConnClosed, err: err})
 	}
 }
 

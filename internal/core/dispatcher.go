@@ -111,8 +111,6 @@ func (n *Node) clientDispatch() {
 // the close-time drain); a miss means the attempt was abandoned — the
 // response is stale and its reference dropped right here, which is the
 // whole stale-response policy (no per-caller drop heuristics remain).
-// Mailbox records (the SendRPC/RecvRes surface) are delivered into the
-// thread's response channel instead.
 func (c *Conn) deliverResponse(it *decodedItem, mbuf *mem.Buf) {
 	t := c.thread(it.meta.threadID)
 	if t == nil {
@@ -128,61 +126,32 @@ func (c *Conn) deliverResponse(it *decodedItem, mbuf *mem.Buf) {
 		buf:    mbuf,
 		trace:  c.node.trace,
 	}
-	rec, mailbox := t.pend.complete(it.meta.seqID, r)
-	if rec == nil {
+	if !t.pend.complete(it.meta.seqID, wholeSeq, r) {
 		c.node.metrics.staleDrops.Add(1)
 		r.Release()
-		return
 	}
-	if !mailbox {
-		return // token sent under the table lock; the waiter owns r now
-	}
-	// The dispatcher must never block on a mailbox: a RecvRes caller that
-	// walked away stops draining, and its late responses would otherwise
-	// fill the channel and wedge delivery for every other thread on the
-	// node. A full mailbox holds only abandoned responses (a thread has at
-	// most RespWindow live operations), so the oldest entry is evicted to
-	// make room for the fresh one — and its buffer lease recycled.
-	for i := 0; i < 2; i++ {
-		select {
-		case t.respCh <- r:
-			t.pend.put(rec)
-			return
-		default:
-		}
-		select {
-		case ev := <-t.respCh:
-			ev.Release()
-		default:
-		}
-	}
-	// Still full (a concurrent poisoner keeps winning the slot): drop the
-	// response; the caller's deadline retry re-issues the request.
-	r.Release()
-	t.pend.put(rec)
 }
 
 // routeSendCompletion demultiplexes one send-side completion by wr_id tag
-// (§6): memory operations to their thread, head refreshes to the producer
-// cache. Error completions are classified: a QP failure (retry
+// (§6): memory operations to their completion record, head refreshes to
+// the producer cache. Error completions are classified: a QP failure (retry
 // exhaustion, flush) triggers the recycle path, anything else — a
 // protocol-level error that a fresh QP would just reproduce — fails the
 // connection.
 func (c *Conn) routeSendCompletion(q *connQP, comp rnic.Completion) {
 	switch comp.WRID & tagMask {
 	case tagMem:
+		// Resolve the record before breaking the QP, so the operation's
+		// own completion is not counted stale behind the poison burst it
+		// triggers. A miss is a completion for an operation whose waiter
+		// gave up (deadline) or was already poisoned: dropped, like a
+		// stale response.
+		if t := c.thread(memWRThread(comp.WRID)); t != nil &&
+			!t.pend.complete(comp.WRID, memSeqMask, Response{err: statusError(comp.Status)}) {
+			c.node.metrics.staleDrops.Add(1)
+		}
 		if qpFailureStatus(comp.Status) {
 			c.markBroken(q)
-		}
-		t := c.thread(memWRThread(comp.WRID))
-		if t == nil {
-			return
-		}
-		// Non-blocking: at most one memory op waits per thread, and a full
-		// slot means a wakeup (completion or poison) is already pending.
-		select {
-		case t.memCh <- comp.Status:
-		default:
 		}
 	case tagFresh:
 		if comp.Status == rnic.StatusOK {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"flock/internal/fabric"
+	"flock/internal/rnic"
 )
 
 // These tests inject faults and drive the scheduler edge paths that the
@@ -41,32 +42,53 @@ func TestRingGarbageIsNotConsumed(t *testing.T) {
 	// Write garbage into a response ring directly: a length field without
 	// matching canaries must never be decoded into a response; the
 	// connection keeps working for real traffic afterwards.
+	const blockID = 2
+	release := make(chan struct{})
 	tc := newTestCluster(t, 1, Options{QPsPerConn: 1}, Options{QPsPerConn: 1})
 	registerEcho(tc.server)
+	tc.server.RegisterHandler(blockID, func(req []byte) []byte {
+		<-release
+		return req
+	})
 	conn, _ := tc.clients[0].Connect(0)
 	th := conn.RegisterThread()
 
-	// Corrupt untouched space far ahead of the ring head with a bogus
-	// "message" whose canaries mismatch.
+	// Park a real call, so the garbage has a live completion record to hit.
+	p, err := th.CallAsync(blockID, []byte("parked"), CallOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Corrupt the ring head with a bogus "message" that answers the parked
+	// call but whose canaries mismatch.
 	q := conn.qps[0]
 	garbage := make([]byte, 64)
 	putHeader(garbage, header{totalLen: 64, count: 1, canary: 0xABCD})
+	putItemMetaV1(garbage[headerBytes:], itemMeta{threadID: th.ID(), seqID: p.rec.seq, rpcID: blockID})
 	putLE64(garbage[56:], 0x9999) // trailing canary differs
 	if err := q.respRing.WriteAt(garbage, 0); err != nil {
 		t.Fatal(err)
 	}
 	// The dispatcher polls this position first; with mismatched canaries
-	// it must treat the message as incomplete forever and deliver nothing.
+	// it must treat the message as incomplete forever: the record stays
+	// unresolved and nothing is even dropped as stale.
 	time.Sleep(5 * time.Millisecond)
-	select {
-	case r := <-th.respCh:
-		t.Fatalf("garbage decoded into response: %+v", r)
-	default:
+	if p.Done() {
+		t.Fatalf("garbage decoded into a response: %+v %v", p.resp, p.err)
+	}
+	if n := tc.clients[0].metrics.staleDrops.Load(); n != 0 {
+		t.Fatalf("garbage decoded into %d stale responses", n)
 	}
 	// Clean the injected bytes (as if the write never happened); real
-	// traffic then flows.
+	// traffic then flows, the parked call's own response first.
 	if err := q.respRing.WriteAt(make([]byte, 64), 0); err != nil {
 		t.Fatal(err)
+	}
+	close(release)
+	if r, err := p.Wait(); err != nil || !bytes.Equal(r.Data, []byte("parked")) {
+		t.Fatalf("parked call after corruption: %v %q", err, r.Data)
+	} else {
+		r.Release()
 	}
 	resp, err := th.Call(echoID, []byte("after-corruption"))
 	if err != nil || !bytes.Equal(resp.Data, []byte("after-corruption")) {
@@ -228,6 +250,42 @@ func TestMemoryOpErrorSurfaces(t *testing.T) {
 	}
 	if _, ok := err.(*OpError); !ok {
 		t.Fatalf("error type %T: %v", err, err)
+	}
+}
+
+// TestStaleMemCompletionDropped pins the wr_id demultiplexing of memory
+// operations (§6): a send completion names its operation by sequence ID,
+// so the late completion of an earlier operation — one whose waiter gave
+// up on it — is dropped as stale instead of resolving whatever the thread
+// has in flight now.
+func TestStaleMemCompletionDropped(t *testing.T) {
+	tc := newTestCluster(t, 1, Options{QPsPerConn: 1}, Options{QPsPerConn: 1})
+	conn, _ := tc.clients[0].Connect(0)
+	th := conn.RegisterThread()
+	region, _ := conn.AttachMemRegion(64)
+	src := []byte("its own data")
+	if err := th.Write(region, 0, src); err != nil { // the thread's sequence ID 1
+		t.Fatal(err)
+	}
+
+	// As the Read below takes leadership — registered and parked, not yet
+	// posted — a failed completion arrives under the Write's sequence ID.
+	var once sync.Once
+	leaderStallHook = func(c *Conn, q *connQP) {
+		once.Do(func() {
+			c.routeSendCompletion(q, rnic.Completion{WRID: memWRID(th.ID(), 1), Status: rnic.StatusRemoteAccess})
+		})
+	}
+	defer func() { leaderStallHook = nil }()
+	dst := make([]byte, len(src))
+	if err := th.Read(region, 0, dst); err != nil {
+		t.Fatalf("Read resolved by another operation's completion: %v", err)
+	}
+	if !bytes.Equal(dst, src) {
+		t.Fatalf("Read returned %q, want %q", dst, src)
+	}
+	if n := tc.clients[0].metrics.staleDrops.Load(); n != 1 {
+		t.Fatalf("stale_drops = %d, want exactly the injected completion", n)
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 )
 
 // TestMain is the pool leak gate: after every test in the package has run
-// — including the chaos and fault suites, whose QP recycles, mailbox
-// evictions and deadline abandonments exercise every lease hand-off path —
+// — including the chaos and fault suites, whose QP recycles, stale drops
+// and deadline abandonments exercise every lease hand-off path —
 // the default pool must report zero outstanding leases. A nonzero count
 // means some path lost track of a buffer: the lease either leaked (held
 // forever) or was dropped without Release (won't recycle). Both regress

@@ -293,8 +293,8 @@ type Node struct {
 	conns     []*Conn
 	connsSnap atomic.Value // []*Conn snapshot for the dispatch loop
 	allConns  []*Conn      // every conn ever opened, kept for the
-	// Close-time mailbox drain (Conn.Close prunes conns but leases may
-	// still sit in closed handles' mailboxes)
+	// Close-time lease drain (Conn.Close prunes conns but completed,
+	// unclaimed records may still sit in closed handles' tables)
 	clientState atomic.Bool // client goroutines started
 
 	// Named regions exported for remote one-sided access.
@@ -664,7 +664,8 @@ func (n *Node) runHooks(hooks *[]func()) {
 func (n *Node) Draining() bool { return n.draining.Load() }
 
 // quiescent reports zero in-flight work on both roles: no admitted
-// server-side requests and no outstanding client-side RPCs on any thread.
+// server-side requests and no outstanding client-side operations on any
+// thread.
 func (n *Node) quiescent() bool {
 	if n.inflight.Load() != 0 {
 		return false
@@ -679,11 +680,11 @@ func (n *Node) quiescent() bool {
 	return true
 }
 
-// drainLeases recycles pooled buffers still parked in mailboxes and the
-// worker channel at shutdown. It runs after wg.Wait — dispatchers and
-// workers are gone, so nothing refills what it drains. Application threads
-// may still race a concurrent RecvRes; the channel hands each Response to
-// exactly one receiver, so no lease is released twice.
+// drainLeases recycles pooled buffers still parked in pending-call tables
+// and the worker channel at shutdown. It runs after wg.Wait — dispatchers
+// and workers are gone, so nothing refills what it drains. Application
+// threads may still race a concurrent wait; a record's token goes to
+// exactly one taker, so no lease is released twice.
 func (n *Node) drainLeases() {
 	n.connMu.Lock()
 	all := make([]*Conn, len(n.allConns))
@@ -691,16 +692,8 @@ func (n *Node) drainLeases() {
 	n.connMu.Unlock()
 	for _, c := range all {
 		for _, t := range c.snapshotThreads() {
-			for more := true; more; {
-				select {
-				case r := <-t.respCh:
-					r.Release()
-				default:
-					more = false
-				}
-			}
-			// Completed pending-table records no waiter claimed still hold
-			// their response leases; unwaited Pendings park here.
+			// Completed records no waiter claimed still hold their
+			// response leases; unwaited Pendings park here.
 			t.pend.drain()
 		}
 	}

@@ -36,8 +36,6 @@ const (
 	// leader batch of maximum payloads still fits twice in the default
 	// ring (the geometry NewNode validates).
 	DefaultMaxPayload = 16 << 10
-	// DefaultRespWindow bounds outstanding responses buffered per thread.
-	DefaultRespWindow = 64
 	// DefaultSignalEvery applies selective signaling (§7): one signaled
 	// write per this many posted messages.
 	DefaultSignalEvery = 16
@@ -64,9 +62,9 @@ const (
 	// inbound connection caches for retry dedup.
 	DefaultDedupWindow = 1024
 	// DefaultPipelineDepth caps in-flight calls per thread on the async
-	// path (CallAsync / SendBatch): deep enough for full doorbell
-	// coalescing, bounded so an unchecked submitter cannot grow the
-	// pending-call table without limit.
+	// path (CallAsync / SendBatch / SendRPC): deep enough for full
+	// doorbell coalescing, bounded so an unchecked submitter cannot grow
+	// the pending-call table without limit.
 	DefaultPipelineDepth = 64
 	// DefaultRetryBaseBackoff / DefaultRetryMaxBackoff bound the
 	// exponential full-jitter retry backoff.
@@ -104,8 +102,6 @@ type Options struct {
 	RingBytes int
 	// MaxPayload bounds a single request or response payload. Default 16 KiB.
 	MaxPayload int
-	// RespWindow bounds buffered responses per thread. Default 64.
-	RespWindow int
 	// SignalEvery is the selective-signaling period. 1 signals every
 	// message. Default 16.
 	SignalEvery int
@@ -176,11 +172,8 @@ type Options struct {
 	// RetryMaxBackoff caps the exponential backoff growth. Zero means
 	// DefaultRetryMaxBackoff.
 	RetryMaxBackoff time.Duration
-	// RetryBudgetRatio is how many retry tokens each successful first
-	// attempt earns. Zero means DefaultRetryBudgetRatio; negative earns
-	// nothing (the initial burst is the whole budget).
-	RetryBudgetRatio float64
-	// RetryBudgetBurst is the retry budget's bucket size (it starts full).
+	// RetryBudgetBurst is the retry budget's bucket size (it starts full;
+	// each clean first attempt refills DefaultRetryBudgetRatio of a token).
 	// Zero means DefaultRetryBudgetBurst.
 	RetryBudgetBurst int
 	// HedgeDelay, when positive, arms hedged requests on the resilient
@@ -194,16 +187,15 @@ type Options struct {
 	// disables the breaker.
 	BreakerThreshold int
 	// BreakerCooldown is how long an open breaker waits before admitting
-	// half-open probes. Zero means DefaultBreakerCooldown.
+	// DefaultBreakerProbes half-open trial requests. Zero means
+	// DefaultBreakerCooldown.
 	BreakerCooldown time.Duration
-	// BreakerProbes is how many trial requests a half-open breaker admits.
-	// Zero means DefaultBreakerProbes.
-	BreakerProbes int
 	// PipelineDepth caps a thread's in-flight calls on the asynchronous
 	// path: CallAsync and SendBatch block while the pending-call table is
-	// at this depth. Zero means DefaultPipelineDepth; negative disables
-	// the cap. Synchronous calls are unaffected (they hold at most a
-	// hedged pair in flight).
+	// at this depth, and SendRPC keeps at most this many calls waiting for
+	// RecvRes (one more cancels the oldest). Zero means
+	// DefaultPipelineDepth; negative disables the cap. Synchronous calls
+	// are unaffected (they hold at most a hedged pair in flight).
 	PipelineDepth int
 }
 
@@ -226,9 +218,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxPayload <= 0 {
 		o.MaxPayload = DefaultMaxPayload
-	}
-	if o.RespWindow <= 0 {
-		o.RespWindow = DefaultRespWindow
 	}
 	if o.SignalEvery <= 0 {
 		o.SignalEvery = DefaultSignalEvery
@@ -260,17 +249,11 @@ func (o Options) withDefaults() Options {
 	if o.RetryMaxBackoff == 0 {
 		o.RetryMaxBackoff = DefaultRetryMaxBackoff
 	}
-	if o.RetryBudgetRatio == 0 {
-		o.RetryBudgetRatio = DefaultRetryBudgetRatio
-	}
 	if o.RetryBudgetBurst == 0 {
 		o.RetryBudgetBurst = DefaultRetryBudgetBurst
 	}
 	if o.BreakerCooldown == 0 {
 		o.BreakerCooldown = DefaultBreakerCooldown
-	}
-	if o.BreakerProbes == 0 {
-		o.BreakerProbes = DefaultBreakerProbes
 	}
 	if o.PipelineDepth == 0 {
 		o.PipelineDepth = DefaultPipelineDepth

@@ -109,29 +109,27 @@ func TestDedupSingleExecution(t *testing.T) {
 		t.Fatal(err)
 	}
 	th := conn.RegisterThread()
-	deadline := time.Now().Add(chaosDeadline)
 	const key = 42
+	// keyed submits one single-attempt copy of the request under the
+	// shared idempotency key and returns its future and sequence ID.
+	keyed := func() (*Pending, uint64) {
+		p := &Pending{t: th, rpcID: countID, payload: []byte("dup"), attempts: 1,
+			idemKey: key, deadline: time.Now().Add(chaosDeadline)}
+		if p.startAttempt(true); p.phase == pendDone {
+			t.Fatal(p.err)
+		}
+		return p, p.rec.seq
+	}
 
-	seqA, err := th.sendRPCKey(countID, []byte("dup"), deadline, key)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pA, seqA := keyed()
 	<-entered // the original is executing and holds the dedup reservation
-	seqB, err := th.sendRPCKey(countID, []byte("dup"), deadline, key)
-	if err != nil {
-		t.Fatal(err)
+	pB, _ := keyed()
+	if _, err := pB.Wait(); err != ErrOverloaded {
+		t.Fatalf("racing duplicate: %v, want the StatusOverloaded NACK as ErrOverloaded", err)
 	}
-	rB, err := th.RecvRes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rB.Seq != seqB || rB.Status != StatusOverloaded {
-		t.Fatalf("racing duplicate: seq=%d status=%d, want seq=%d StatusOverloaded", rB.Seq, rB.Status, seqB)
-	}
-	rB.Release()
 
 	close(release)
-	rA, err := th.RecvRes()
+	rA, err := pA.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +139,8 @@ func TestDedupSingleExecution(t *testing.T) {
 	want := append([]byte(nil), rA.Data...)
 	rA.Release()
 
-	seqC, err := th.sendRPCKey(countID, []byte("dup"), time.Now().Add(chaosDeadline), key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rC, err := th.RecvRes()
+	pC, seqC := keyed()
+	rC, err := pC.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,9 +198,9 @@ func TestHedgedRequestWins(t *testing.T) {
 		t.Fatalf("hedges=%d won=%d, want 1/1", m.Hedges, m.HedgesWon)
 	}
 
-	// Wait for the straggler's response to land in the mailbox, then sweep
-	// it with a plain call — its recv loop drops stale responses — so the
-	// lease is back in the pool before the leak gate runs.
+	// Let the straggler's response arrive behind a plain call — the
+	// dispatcher drops it as stale — so the lease is back in the pool
+	// before the leak gate runs.
 	waitFor(t, "straggler response delivery", func() bool { return th.Outstanding() == 0 })
 	if err := callDrop(th, laggyID, []byte("sweep")); err != nil {
 		t.Fatalf("sweep call: %v", err)

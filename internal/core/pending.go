@@ -9,16 +9,17 @@ import (
 	"flock/internal/resilience"
 )
 
-// This file is the unified client completion path: a per-thread
-// pending-call table in which every submitted RPC owns a completion record
-// the dispatcher completes directly by sequence ID, and one attempt engine
-// (Pending) that every public entry point — Call, CallWithDeadline,
-// CallOpts, CallAsync, SendBatch — parameterizes instead of reimplementing.
-// The table replaces the old per-thread response channel scan: responses
-// are routed to their exact caller, so synchronous and asynchronous calls
-// interleave freely on one thread, stale responses are dropped at the
-// dispatcher (no per-caller drop heuristics), and recovery poisons exactly
-// the records riding a broken QP instead of a thread-wide counter's worth.
+// This file is the client completion path, the only one: a per-thread
+// pending-call table in which every submitted operation — RPC or one-sided
+// memory op — owns a completion record the dispatcher completes directly
+// by sequence ID, and one attempt engine (Pending) that every entry point —
+// Call, CallWithDeadline, CallOpts, CallAsync, SendBatch, SendRPC/RecvRes,
+// Read/Write/FetchAdd/CompareSwap — parameterizes instead of
+// reimplementing. Completions are routed to their exact caller, so
+// synchronous, asynchronous and memory operations interleave freely on one
+// thread, stale completions are dropped at the dispatcher (no per-caller
+// drop heuristics), and recovery poisons exactly the records riding a
+// broken QP.
 //
 // Ownership protocol. A record lives in the table from registration until
 // exactly one party removes it:
@@ -34,10 +35,6 @@ import (
 //   - Close-time draining walks the tables and releases responses whose
 //     tokens no waiter has claimed, so leases held by unwaited Pendings
 //     never outlive the node.
-//
-// Records for the legacy SendRPC/RecvRes surface are flagged mailbox: the
-// completer removes them itself and delivers into the thread's response
-// channel, keeping that API's ordering contract intact.
 
 // callRec is one entry in a thread's pending-call table: the completion
 // future for a single submitted attempt.
@@ -48,10 +45,7 @@ type callRec struct {
 	// recovery reads it under the lock, hence atomic.
 	qp   atomic.Int32
 	done bool // completed; resp valid and token sent (guarded by table mu)
-	// mailbox routes completion into the thread's legacy response channel
-	// (SendRPC/RecvRes) instead of the token protocol.
-	mailbox bool
-	resp    Response
+	resp Response
 	// ch carries the completion token. Capacity one and reused across
 	// recycles; the ownership protocol guarantees at most one send per
 	// table residence and that it is drained before reuse.
@@ -69,6 +63,10 @@ type pendingTable struct {
 	mu   sync.Mutex
 	recs map[uint64]*callRec
 	free *callRec
+	// seq is the newest sequence ID handed out. The table assigns them, in
+	// order and under mu, so a completer holding only an ID's low bits (a
+	// memory-op WRID) can recover the full ID from it.
+	seq uint64
 	// inflight counts registered-but-not-completed records. It is the
 	// successor of the old per-thread outstanding counter: pickQP's
 	// migration rule, Drain quiescence, and the pipeline-depth gate all
@@ -78,49 +76,38 @@ type pendingTable struct {
 	inflight atomic.Int32
 }
 
-// get returns a record ready to register, recycling from the freelist.
-func (p *pendingTable) get() *callRec {
+// register publishes a record (recycled from the freelist) under the next
+// sequence ID and returns it with the table depth after insertion (the
+// pipeline-depth sample).
+func (p *pendingTable) register() (*callRec, int) {
 	p.mu.Lock()
 	r := p.free
 	if r != nil {
 		p.free = r.next
 		r.next = nil
-	}
-	p.mu.Unlock()
-	if r == nil {
+	} else {
 		r = &callRec{ch: make(chan struct{}, 1)}
 	}
 	r.qp.Store(-1)
 	r.done = false
-	r.mailbox = false
 	select {
 	case <-r.ch:
 		panic("flock: recycled callRec holds a stale completion token")
 	default:
 	}
-	return r
-}
-
-// register inserts rec under its sequence ID and returns the table depth
-// after insertion (the pipeline-depth sample).
-func (p *pendingTable) register(rec *callRec) int {
-	p.mu.Lock()
-	p.recs[rec.seq] = rec
+	p.seq++
+	r.seq = p.seq
+	p.recs[r.seq] = r
 	d := p.inflight.Add(1)
 	p.mu.Unlock()
-	return int(d)
+	return r, int(d)
 }
 
 // depth reports the number of in-flight (uncompleted) records.
 func (p *pendingTable) depth() int { return int(p.inflight.Load()) }
 
-// put returns an unused (never-registered or already-removed) record to
-// the freelist.
-func (p *pendingTable) put(rec *callRec) {
-	p.mu.Lock()
-	p.recycleLocked(rec)
-	p.mu.Unlock()
-}
+// wholeSeq is complete's mask for a sequence ID that arrived untruncated.
+const wholeSeq = ^uint64(0)
 
 // recycleLocked pushes rec onto the freelist; caller holds mu.
 func (p *pendingTable) recycleLocked(rec *callRec) {
@@ -130,29 +117,29 @@ func (p *pendingTable) recycleLocked(rec *callRec) {
 }
 
 // complete resolves the record registered under seq with r. It reports
-// whether a record was found (a miss means the response is stale — its
-// attempt was abandoned — and the caller drops it). Mailbox records are
-// removed and returned for channel delivery; table records are marked done
-// with the token sent under the lock, so any later observer holding the
-// lock sees the token as already present.
-func (p *pendingTable) complete(seq uint64, r Response) (rec *callRec, mailbox bool) {
+// whether a record was found (a miss means the completion is stale — its
+// attempt was abandoned — and the caller drops it). The record is marked
+// done with the token sent under the lock, so any later observer holding
+// the lock sees the token as already present.
+//
+// mask says how many low bits of seq the caller actually has: wholeSeq for
+// a response off the wire, memSeqMask for a memory-op WRID. IDs are
+// assigned in order and the table is shallow, so the ID meant is the
+// newest assigned one ending in those bits.
+func (p *pendingTable) complete(seq, mask uint64, r Response) bool {
 	p.mu.Lock()
-	rec = p.recs[seq]
+	seq = p.seq - (p.seq-seq)&mask
+	rec := p.recs[seq]
 	if rec == nil || rec.done {
 		p.mu.Unlock()
-		return nil, false
+		return false
 	}
 	p.inflight.Add(-1)
-	if rec.mailbox {
-		delete(p.recs, seq)
-		p.mu.Unlock()
-		return rec, true
-	}
 	rec.done = true
 	rec.resp = r
 	rec.ch <- struct{}{}
 	p.mu.Unlock()
-	return rec, false
+	return true
 }
 
 // takeDone removes a record whose token the caller just consumed and
@@ -191,28 +178,21 @@ func (p *pendingTable) abandon(rec *callRec) {
 }
 
 // failMatching completes every record riding QP qp (all records when qp is
-// negative) with the poison response r. Mailbox records are returned for
-// channel delivery outside the lock. This is how recovery's poison burst
+// negative) with the poison response r. This is how recovery's poison burst
 // is sized from the table: exactly the in-flight attempts on the broken
 // QP, not a thread-wide counter that may have drifted.
-func (p *pendingTable) failMatching(qp int32, r Response) (mailbox []*callRec) {
+func (p *pendingTable) failMatching(qp int32, r Response) {
 	p.mu.Lock()
-	for seq, rec := range p.recs {
+	for _, rec := range p.recs {
 		if rec.done || (qp >= 0 && rec.qp.Load() != qp) {
 			continue
 		}
 		p.inflight.Add(-1)
-		if rec.mailbox {
-			delete(p.recs, seq)
-			mailbox = append(mailbox, rec)
-			continue
-		}
 		rec.done = true
 		rec.resp = r
 		rec.ch <- struct{}{}
 	}
 	p.mu.Unlock()
-	return mailbox
 }
 
 // drain releases the pooled leases of completed records no waiter has
@@ -238,10 +218,11 @@ func (p *pendingTable) drain() {
 	p.mu.Unlock()
 }
 
-// Pending is one in-flight call: the future returned by CallAsync and
-// SendBatch, and the engine every synchronous wrapper drives to completion
-// on its own stack. A Pending is owned by the goroutine that created it;
-// Wait, Done and Cancel must not be called concurrently.
+// Pending is one in-flight operation: the future returned by CallAsync and
+// SendBatch, and the engine every synchronous wrapper — the memory
+// operations included — drives to completion on its own stack. A Pending
+// is owned by the goroutine that created it; Wait, Done and Cancel must not
+// be called concurrently.
 //
 // The engine runs the full resilient attempt loop of CallOpts — attempt
 // deadlines, hedged copies, full-jitter backoff spent against the
@@ -254,6 +235,8 @@ type Pending struct {
 	t       *Thread
 	rpcID   uint32
 	payload []byte
+	kind    opKind // opMem: the work request waits in the thread's memWR slot
+	size    int    // bytes moved, for the thread scheduler's statistics
 
 	// Plan (fixed at creation).
 	attempts  int           // total attempt cap; legacy deadline mode uses MaxInt
@@ -271,7 +254,7 @@ type Pending struct {
 	retryAt     time.Time     // backoff gate before the next attempt
 	rec         *callRec      // primary in-flight attempt
 	recB        *callRec      // hedged copy, nil unless armed
-	started     time.Time     // submission time of attempt zero (latency probe)
+	started     time.Time     // submission time of an RPC's attempt zero (latency probe)
 	lastErr     error
 	timer       *time.Timer
 	resp        Response
@@ -295,7 +278,7 @@ const (
 func (t *Thread) newPending(p *Pending, rpcID uint32, payload []byte, opts CallOptions, resilient bool) error {
 	c := t.conn
 	o := &c.node.opts
-	*p = Pending{t: t, rpcID: rpcID, payload: payload, resilient: resilient}
+	*p = Pending{t: t, rpcID: rpcID, payload: payload, size: len(payload), resilient: resilient}
 	if len(payload) > o.MaxPayload {
 		p.fail(ErrPayloadTooLarge)
 		return ErrPayloadTooLarge
@@ -434,12 +417,13 @@ func (p *Pending) startAttempt(block bool) bool {
 		}
 		p.retryAt = time.Time{}
 	}
-	t := p.t
-	rec := t.pend.get()
-	if p.attempt == 0 {
+	if p.attempt == 0 && p.kind == opRPC {
+		// The latency probe times RPCs only: a memory operation is over in
+		// a few microseconds, and two clock reads are a tenth of that.
 		p.started = time.Now()
 	}
-	if _, err := t.sendAttempt(p.rpcID, p.payload, p.deadline, p.idemKey, rec); err != nil {
+	rec, err := p.t.sendAttempt(p)
+	if err != nil {
 		// Submission failures are terminal: draining/closed are fatal by
 		// definition, and a submit loop that outlived the whole-call
 		// deadline has no budget left to retry in.
@@ -447,22 +431,26 @@ func (p *Pending) startAttempt(block bool) bool {
 		return true
 	}
 	p.rec = rec
+	p.armAttempt()
+	return true
+}
+
+// armAttempt starts the clocks of the attempt just submitted as p.rec: its
+// response deadline and, on the resilient plan, its hedge point.
+func (p *Pending) armAttempt() {
+	p.aDeadline, p.hedgeAt = time.Time{}, time.Time{}
 	if p.attemptWait > 0 {
 		p.aDeadline = time.Now().Add(p.attemptWait)
 		if !p.deadline.IsZero() && p.aDeadline.After(p.deadline) {
 			p.aDeadline = p.deadline
 		}
-	} else {
-		p.aDeadline = time.Time{}
 	}
-	p.hedgeAt = time.Time{}
 	if p.resilient && p.hedge > 0 {
 		if at := time.Now().Add(p.hedge); p.aDeadline.IsZero() || at.Before(p.aDeadline) {
 			p.hedgeAt = at
 		}
 	}
 	p.phase = pendInflight
-	return true
 }
 
 // awaitAttempt waits for the in-flight attempt to resolve: a completion
@@ -475,17 +463,21 @@ func (p *Pending) awaitAttempt(block bool) bool {
 		if p.recB != nil {
 			bch = p.recB.ch
 		}
-		// Fast path: a token is already there.
-		select {
-		case <-p.rec.ch:
-			return p.onToken(false)
-		case <-bch:
-			return p.onToken(true)
-		default:
-		}
 		wake := p.aDeadline
 		if !p.hedgeAt.IsZero() && (wake.IsZero() || p.hedgeAt.Before(wake)) {
 			wake = p.hedgeAt
+		}
+		if !block || !wake.IsZero() {
+			// A token already there beats a wake time already past (and
+			// spares arming the timer). An unbounded blocking wait has no
+			// such race: its select below takes the token just the same.
+			select {
+			case <-p.rec.ch:
+				return p.onToken(false)
+			case <-bch:
+				return p.onToken(true)
+			default:
+			}
 		}
 		if !block {
 			if wake.IsZero() || time.Now().Before(wake) {
@@ -567,14 +559,13 @@ func (p *Pending) onClosed() bool {
 // idempotency key — the server's dedup window keeps the pair
 // exactly-once) and disarms the hedge point.
 func (p *Pending) armHedge() {
-	t := p.t
 	p.hedgeAt = time.Time{}
-	rec := t.pend.get()
-	if _, err := t.sendAttempt(p.rpcID, p.payload, p.deadline, p.idemKey, rec); err != nil {
+	rec, err := p.t.sendAttempt(p)
+	if err != nil {
 		return // best effort; the primary copy is still in flight
 	}
 	p.recB = rec
-	t.conn.node.metrics.hedges.Add(1)
+	p.t.conn.node.metrics.hedges.Add(1)
 }
 
 // onToken consumes a completion: hedged reports which copy resolved.
@@ -628,7 +619,9 @@ func (p *Pending) onToken(hedged bool) bool {
 			c.retryBudget.OnSuccess()
 		}
 	}
-	c.node.completionNS.Observe(uint64(time.Since(p.started)))
+	if p.kind == opRPC {
+		c.node.completionNS.Observe(uint64(time.Since(p.started)))
+	}
 	p.finish(r)
 	return true
 }

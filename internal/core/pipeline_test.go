@@ -15,16 +15,17 @@ import (
 // Tests for the unified completion path (ISSUE 7): the per-thread
 // pending-call table, asynchronous calls (CallAsync/SendBatch) with full
 // resilience parity, deep pipelining, and the regressions the refactor
-// fixes by construction — the RecvRes close-race drain and the lost
-// inflight decrement when recovery races an abandoned attempt. The
+// fixes by construction — RecvRes after close and the lost inflight
+// decrement when recovery races an abandoned attempt. The
 // package leak gate (TestMain) asserts zero outstanding leases after
 // every test here.
 
-// TestRecvResCloseDrainSkipsPoison pins the close-drain contract: a
-// response buffer holding [QP poison, real response] at node closure must
-// surface the real response (and its pooled lease) to the caller, and
-// report closure only once the buffer holds nothing real.
-func TestRecvResCloseDrainSkipsPoison(t *testing.T) {
+// TestRecvResReturnsCompletedAfterClose pins the close contract of the
+// SendRPC/RecvRes adapter: a response that completed before the handle
+// closed is still returned (with its pooled lease) by a RecvRes issued
+// after the close, and closure is reported only once nothing completed is
+// left.
+func TestRecvResReturnsCompletedAfterClose(t *testing.T) {
 	tc := newTestCluster(t, 1, Options{}, Options{})
 	registerEcho(tc.server)
 	conn, err := tc.clients[0].Connect(0)
@@ -33,24 +34,130 @@ func TestRecvResCloseDrainSkipsPoison(t *testing.T) {
 	}
 	th := conn.RegisterThread()
 
-	// A recovery poison lands ahead of a delivered response in the
-	// mailbox, the ordering the pre-table drain lost responses to.
-	th.respCh <- Response{err: ErrQPBroken}
 	if _, err := th.SendRPC(echoID, []byte("survivor")); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "echo delivery behind the poison", func() bool { return len(th.respCh) == 2 })
+	waitFor(t, "echo completion", func() bool { return th.Outstanding() == 0 })
+	conn.Close()
 
-	r, err := th.recvDrainClosed()
+	r, err := th.RecvRes()
 	if err != nil {
-		t.Fatalf("close drain surfaced %v before the buffered real response", err)
+		t.Fatalf("close surfaced %v before the completed response", err)
 	}
 	if !bytes.Equal(r.Data, []byte("survivor")) {
-		t.Fatalf("close drain returned %q, want the real echo", r.Data)
+		t.Fatalf("RecvRes after close returned %q, want the real echo", r.Data)
 	}
 	r.Release()
-	if _, err := th.recvDrainClosed(); err != ErrClosed {
+	if _, err := th.RecvRes(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("drained-empty close path: %v, want ErrClosed", err)
+	}
+}
+
+// TestSendRecvAdapter pins the SendRPC/RecvRes contract over the Pending
+// engine, one case per clause of the two methods' godoc.
+func TestSendRecvAdapter(t *testing.T) {
+	const gateID = 24
+	send := func(t *testing.T, th *Thread, rpcID uint32, msg string) uint64 {
+		t.Helper()
+		seq, err := th.SendRPC(rpcID, []byte(msg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return seq
+	}
+	// recv expects the next response to answer seq with msg.
+	recv := func(t *testing.T, th *Thread, seq uint64, msg string) {
+		t.Helper()
+		r, err := th.RecvRes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Seq != seq || string(r.Data) != msg {
+			t.Fatalf("RecvRes returned seq %d %q, want seq %d %q", r.Seq, r.Data, seq, msg)
+		}
+		r.Release()
+	}
+	cases := []struct {
+		name string
+		opts Options
+		// run drives the case; opening gate lets the gateID handler return.
+		run func(t *testing.T, tc *testCluster, th *Thread, gate chan struct{})
+	}{
+		{
+			name: "submission-order",
+			run: func(t *testing.T, tc *testCluster, th *Thread, gate chan struct{}) {
+				a := send(t, th, gateID, "a")
+				b := send(t, th, echoID, "b")
+				c := send(t, th, echoID, "c")
+				waitFor(t, "b and c to complete ahead of a", func() bool { return th.Outstanding() == 1 })
+				close(gate)
+				recv(t, th, a, "a")
+				recv(t, th, b, "b")
+				recv(t, th, c, "c")
+			},
+		},
+		{
+			name: "overflow-cancels-oldest",
+			opts: Options{PipelineDepth: 2},
+			run: func(t *testing.T, tc *testCluster, th *Thread, gate chan struct{}) {
+				send(t, th, echoID, "evicted")
+				waitFor(t, "the first response (and its lease) to arrive", func() bool { return th.Outstanding() == 0 })
+				b := send(t, th, echoID, "b")
+				c := send(t, th, echoID, "c") // third unreceived call at depth 2
+				recv(t, th, b, "b")
+				recv(t, th, c, "c")
+				if n := awaitLeaseDrain(5 * time.Second); n != 0 {
+					t.Fatalf("%d leases outstanding: the evicted response was not released", n)
+				}
+			},
+		},
+		{
+			name: "qp-poison-attributed",
+			run: func(t *testing.T, tc *testCluster, th *Thread, gate chan struct{}) {
+				send(t, th, gateID, "lost")
+				th.conn.failInflight(th.conn.qps[0], ErrQPBroken)
+				b := send(t, th, echoID, "b")
+				if _, err := th.RecvRes(); err != ErrQPBroken {
+					t.Fatalf("poisoned request: %v, want ErrQPBroken", err)
+				}
+				recv(t, th, b, "b")
+				close(gate)
+				waitFor(t, "the poisoned request's late response to be dropped", func() bool {
+					return tc.clients[0].metrics.staleDrops.Load() == 1
+				})
+			},
+		},
+		{
+			name: "empty-recv-unblocks-on-close",
+			run: func(t *testing.T, tc *testCluster, th *Thread, gate chan struct{}) {
+				got := make(chan error, 1)
+				go func() { got <- recvDrop(th) }()
+				time.Sleep(2 * time.Millisecond)
+				th.conn.Close()
+				if err := <-got; !errors.Is(err, ErrConnClosed) {
+					t.Fatalf("RecvRes after Close: %v, want ErrConnClosed", err)
+				}
+			},
+		},
+	}
+	for _, tcase := range cases {
+		tcase := tcase
+		t.Run(tcase.name, func(t *testing.T) {
+			opts := tcase.opts
+			opts.QPsPerConn = 1
+			tc := newTestCluster(t, 1, Options{QPsPerConn: 1, Workers: 2}, opts)
+			registerEcho(tc.server)
+			gate := make(chan struct{})
+			tc.server.RegisterHandler(gateID, func(req []byte) []byte {
+				<-gate
+				return append([]byte(nil), req...)
+			})
+			conn, err := tc.clients[0].Connect(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tcase.run(t, tc, conn.RegisterThread(), gate)
+		})
 	}
 }
 

@@ -66,29 +66,13 @@ func (c *Conn) markBroken(q *connQP) {
 }
 
 // failInflight releases threads whose operations were riding the broken
-// QP: every pending-call record whose attempt was pushed on it is
-// completed with a poison response carrying err — the poison burst is
-// sized from the table itself, so it hits exactly the in-flight attempts
-// on this QP and nothing else — and a waiting memory operation gets a
-// QP-error status. Mailbox (SendRPC/RecvRes) records deliver their poison
-// into the response channel best-effort non-blocking: a thread with a
-// full mailbox has work to drain and is not parked.
+// QP: every pending-call record whose attempt — RPC or memory operation —
+// was pushed on it is completed with a poison response carrying err. The
+// poison burst is sized from the table itself, so it hits exactly the
+// in-flight attempts on this QP and nothing else.
 func (c *Conn) failInflight(q *connQP, err error) {
 	for _, t := range c.snapshotThreads() {
-		for _, rec := range t.pend.failMatching(int32(q.idx), Response{err: err}) {
-			select {
-			case t.respCh <- Response{err: err}:
-			default:
-			}
-			t.pend.put(rec)
-		}
-		if t.curQP.Load() != int32(q.idx) {
-			continue
-		}
-		select {
-		case t.memCh <- rnic.StatusQPError:
-		default:
-		}
+		t.pend.failMatching(int32(q.idx), Response{err: err})
 	}
 }
 

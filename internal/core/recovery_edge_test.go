@@ -182,8 +182,8 @@ func TestRecoveryEdgeCases(t *testing.T) {
 					t.Skip("no deadline ever expired; timing too coarse on this machine")
 				}
 				slow.Store(false)
-				// Healthy again: the abandoned responses drained through
-				// the mailbox-drop path without wedging the thread.
+				// Healthy again: the abandoned responses were dropped as
+				// stale without wedging the thread.
 				callUntilOK(t, th, []byte("dl-post"))
 				if m := tc.clients[0].Metrics(); m.RPCTimeouts == 0 {
 					t.Error("timeouts observed by the caller but not counted")

@@ -41,14 +41,7 @@ type CallOptions struct {
 // completion engine on the caller's stack, so it interleaves freely with
 // outstanding CallAsync/SendBatch requests on the same thread.
 func (t *Thread) CallOpts(rpcID uint32, payload []byte, opts CallOptions) (Response, error) {
-	if !t.conn.breaker.Allow() {
-		return Response{}, ErrCircuitOpen
-	}
-	var p Pending
-	if err := t.newPending(&p, rpcID, payload, opts, true); err != nil {
-		return Response{}, err
-	}
-	return p.Wait()
+	return t.call(rpcID, payload, opts, true)
 }
 
 // CallAsync submits a resilient call without waiting and returns its

@@ -23,13 +23,18 @@ type Thread struct {
 	id   uint32
 	rng  *stats.RNG
 
-	seq     uint64
 	idemSeq uint64 // idempotency-key counter for the resilient path
 	// pend is the thread's pending-call table: one completion record per
-	// submitted RPC, resolved directly by sequence ID (see pending.go).
-	pend   pendingTable
-	respCh chan Response
-	memCh  chan rnic.Status
+	// submitted operation, resolved directly by sequence ID (see pending.go).
+	pend pendingTable
+	// unreceived holds the SendRPC calls RecvRes has not returned yet,
+	// oldest first.
+	unreceived []*Pending
+	// A thread runs one memory operation at a time: memWR is its work
+	// request (parked here, already on the heap, so that submitting it
+	// allocates nothing beyond the queue node) and scratch is the local
+	// region its data lands in.
+	memWR   rnic.SendWR
 	scratch *rnic.MemRegion
 
 	assigned atomic.Int32 // scheduler-written QP index
@@ -69,7 +74,8 @@ type Response struct {
 	trace *telemetry.TraceRing
 
 	// err marks a poison response injected by recovery paths (ErrQPBroken,
-	// ErrConnClosed) rather than a response off the wire.
+	// ErrConnClosed) rather than a response off the wire, or carries a
+	// memory operation's unsuccessful completion status (see statusError).
 	err error
 }
 
@@ -106,8 +112,6 @@ func (c *Conn) RegisterThread() *Thread {
 		conn:    c,
 		id:      id,
 		rng:     stats.NewRNG(c.node.opts.Seed*0x9E3779B9 + uint64(id) + uint64(c.remote)<<32 + 1),
-		respCh:  make(chan Response, c.node.opts.RespWindow),
-		memCh:   make(chan rnic.Status, 1),
 		scratch: scratch,
 		median:  stats.NewRunningMedian(32),
 	}
@@ -204,81 +208,98 @@ func (t *Thread) takeStat() (ThreadStat, bool) {
 }
 
 // SendRPC submits an RPC request (fl_send_rpc) and returns its sequence
-// ID. The request is coalesced with concurrent threads' requests via
-// FLock synchronization; the response arrives through RecvRes. SendRPC
-// registers a mailbox-mode completion record, so its responses keep
-// flowing through the thread's response channel while table-routed calls
-// (Call, CallAsync, SendBatch) interleave freely on the same thread.
+// ID; the response arrives through RecvRes with the same ID in
+// Response.Seq. The request is coalesced with concurrent threads' requests
+// via FLock synchronization. The pair is a thin adapter over the Pending
+// engine: SendRPC submits a single-attempt call with no deadline and no
+// idempotency key (never retried, so the returned ID is the ID on the
+// wire) and queues it for RecvRes. At most Options.PipelineDepth calls
+// wait there; one more cancels the oldest, whose late response is dropped
+// as stale. Table-routed calls (Call, CallAsync, SendBatch) and memory
+// operations interleave freely on the same thread.
 func (t *Thread) SendRPC(rpcID uint32, payload []byte) (uint64, error) {
-	return t.sendRPCKey(rpcID, payload, time.Time{}, 0)
-}
-
-// sendRPCKey is SendRPC with a submit-loop deadline and an idempotency key
-// in the wire metadata.
-func (t *Thread) sendRPCKey(rpcID uint32, payload []byte, deadline time.Time, idemKey uint64) (uint64, error) {
 	if len(payload) > t.conn.node.opts.MaxPayload {
 		return 0, ErrPayloadTooLarge
 	}
-	rec := t.pend.get()
-	rec.mailbox = true
-	return t.sendAttempt(rpcID, payload, deadline, idemKey, rec)
+	p := &Pending{t: t, rpcID: rpcID, payload: payload, size: len(payload), attempts: 1}
+	p.startAttempt(true)
+	if p.phase == pendDone {
+		return 0, p.err
+	}
+	if limit := t.conn.node.opts.PipelineDepth; limit > 0 && len(t.unreceived) >= limit {
+		t.popUnreceived().Cancel()
+	}
+	t.unreceived = append(t.unreceived, p)
+	return p.rec.seq, nil
 }
 
-// sendAttempt registers rec in the pending-call table and submits one
-// attempt carrying idemKey in the wire metadata (a nonzero key marks the
-// request dedup-safe on the server). The optional deadline bounds the
-// submit retry loop (migrations, follower timeouts). On failure the record
-// is removed again — or, if a completer raced the failing submit, its
-// response lease is recycled — so no error path leaks a table entry.
-func (t *Thread) sendAttempt(rpcID uint32, payload []byte, deadline time.Time, idemKey uint64, rec *callRec) (uint64, error) {
+// popUnreceived removes and returns the oldest SendRPC call RecvRes has
+// not returned. The queue is shifted down in place, so steady-state
+// SendRPC/RecvRes traffic never reallocates it.
+func (t *Thread) popUnreceived() *Pending {
+	p := t.unreceived[0]
+	last := copy(t.unreceived, t.unreceived[1:])
+	t.unreceived[last] = nil
+	t.unreceived = t.unreceived[:last]
+	return p
+}
+
+// sendAttempt registers a record in the pending-call table and submits one
+// attempt of p — an RPC carrying p.idemKey in the wire metadata (a nonzero
+// key marks the request dedup-safe on the server), or the thread's parked
+// memWR as a one-sided memory operation. It is the only submit loop: every
+// single operation a thread issues reaches a QP's combining queue through
+// here (SendBatch pushes whole chains of nodes instead). p.deadline, when
+// set, bounds the retry loop (migrations, follower timeouts). On failure
+// the record is removed again — or, if a completer raced the failing
+// submit, its response lease is recycled — so no error path leaks a table
+// entry.
+func (t *Thread) sendAttempt(p *Pending) (*callRec, error) {
 	c := t.conn
 	if c.node.draining.Load() {
-		t.pend.put(rec)
-		return 0, ErrDraining
+		return nil, ErrDraining
 	}
 	if c.isClosed() {
-		err := c.closedErr()
-		t.pend.put(rec)
-		return 0, err
+		return nil, c.closedErr()
 	}
-	t.seq++
-	seq := t.seq
-	rec.seq = seq
-	depth := t.pend.register(rec)
+	rec, depth := t.pend.register()
 	c.node.pipeDepth.Observe(uint64(depth))
 	for i := 0; ; i++ {
 		q := t.pickQP()
 		rec.qp.Store(int32(q.idx))
-		c.node.trace.Record(telemetry.EvEnqueue, q.idx, t.id, seq, uint64(len(payload)))
+		c.node.trace.Record(telemetry.EvEnqueue, q.idx, t.id, rec.seq, uint64(p.size))
 		n := &tcqNode{
-			kind:     opRPC,
-			rpcID:    rpcID,
-			seqID:    seq,
+			kind:     p.kind,
+			rpcID:    p.rpcID,
+			seqID:    rec.seq,
 			threadID: t.id,
-			idemKey:  idemKey,
-			payload:  payload,
+			idemKey:  p.idemKey,
+			payload:  p.payload,
+		}
+		if p.kind == opMem {
+			n.wr = t.memWR
 		}
 		switch c.submit(t, q, n) {
 		case stateSent:
 			t.avoidQP = -1
-			t.recordStat(len(payload))
-			return seq, nil
+			t.recordStat(p.size)
+			return rec, nil
 		case stateTimedOut:
 			// Our leader stalled before claiming us: re-elect on another
 			// QP if one exists.
 			t.avoidQP = int32(q.idx)
 			fallthrough
 		case stateMigrate:
-			if !deadline.IsZero() && time.Now().After(deadline) {
+			if !p.deadline.IsZero() && time.Now().After(p.deadline) {
 				t.pend.abandon(rec)
-				return 0, ErrTimeout
+				return nil, ErrTimeout
 			}
 			idleBackoff(i)
 			continue // re-read assignment and retry (§5.2)
 		default:
 			err := c.closedErr()
 			t.pend.abandon(rec)
-			return 0, err
+			return nil, err
 		}
 	}
 }
@@ -309,72 +330,51 @@ func pushbackErr(status uint32) error {
 	return nil
 }
 
-// RecvRes blocks until the next RPC response for this thread arrives
-// (fl_recv_res). Responses may arrive in any order when multiple requests
-// are outstanding; match them by Response.Seq. Poison responses injected
-// by recovery surface as typed errors: ErrQPBroken for in-flight requests
-// lost to a broken QP (retry at the caller's discretion), ErrConnClosed
-// when the handle is closed.
+// RecvRes returns the response to the oldest SendRPC call not yet received
+// (fl_recv_res), blocking until it completes. Responses therefore come back
+// in submission order, each carrying its request's sequence ID in
+// Response.Seq, and a failure is the failure of that particular request,
+// typed as Pending.Wait types it: ErrQPBroken for a request lost to a
+// broken QP (retry at the caller's discretion), ErrOverloaded / ErrDraining
+// for server pushback, ErrConnClosed when the handle failed. Callers that
+// want responses in completion order use CallAsync and poll Pending.Done.
+// With nothing outstanding RecvRes parks until the handle closes and
+// reports why.
 func (t *Thread) RecvRes() (Response, error) {
-	select {
-	case r := <-t.respCh:
-		if r.err != nil {
-			return Response{}, r.err
+	if len(t.unreceived) == 0 {
+		for i := 0; !t.conn.isClosed(); i++ {
+			idleBackoff(i)
 		}
-		if r.Status == StatusConnClosed {
-			return Response{}, ErrConnClosed
-		}
-		return r, nil
-	case <-t.conn.closedCh():
-		return t.recvDrainClosed()
+		return Response{}, t.conn.closedErr()
 	}
+	return t.popUnreceived().Wait()
 }
 
-// recvDrainClosed is RecvRes's closed-node path: drain everything already
-// delivered before reporting closure. Poison and closed-markers carry no
-// payload, but real responses in the buffer hold pooled leases — return
-// the first real one to the caller and let the rest surface on later
-// RecvRes calls. Without the loop a buffer holding [poison, real] would
-// lose the real response behind a single drained poison.
-func (t *Thread) recvDrainClosed() (Response, error) {
-	for {
-		select {
-		case r := <-t.respCh:
-			if r.err != nil {
-				if r.err == ErrQPBroken {
-					// Recovery poison racing close; keep draining for a
-					// real buffered response before surfacing closure.
-					continue
-				}
-				return Response{}, r.err
-			}
-			if r.Status == StatusConnClosed {
-				continue
-			}
-			return r, nil
-		default:
-			return Response{}, ErrClosed
-		}
+// call builds one call's plan on the caller's stack and waits it out: the
+// engine behind every synchronous RPC wrapper. Options.RetryMaxAttempts
+// promotes the legacy plans to the resilient one.
+func (t *Thread) call(rpcID uint32, payload []byte, opts CallOptions, resilient bool) (Response, error) {
+	resilient = resilient || t.conn.node.opts.RetryMaxAttempts > 0
+	if resilient && !t.conn.breaker.Allow() {
+		return Response{}, ErrCircuitOpen
 	}
+	var p Pending
+	if err := t.newPending(&p, rpcID, payload, opts, resilient); err != nil {
+		return Response{}, err
+	}
+	return p.Wait()
 }
 
-// Call is the synchronous convenience wrapper around the unified
-// completion engine: submit one request, wait for its completion record.
-// When Options.RPCTimeout is set it behaves as CallWithDeadline with that
+// Call is the synchronous convenience wrapper around the completion
+// engine: submit one request, wait for its completion record. When
+// Options.RPCTimeout is set it behaves as CallWithDeadline with that
 // budget; when Options.RetryMaxAttempts is set it routes through the
 // resilient CallOpts path. Call may be freely interleaved with
 // outstanding CallAsync/SendBatch requests on the same thread — every
 // request owns a completion record resolved by sequence ID, so responses
 // can never be misdelivered between waiters.
 func (t *Thread) Call(rpcID uint32, payload []byte) (Response, error) {
-	if t.conn.node.opts.RetryMaxAttempts > 0 {
-		return t.CallOpts(rpcID, payload, CallOptions{})
-	}
-	var p Pending
-	if err := t.newPending(&p, rpcID, payload, CallOptions{}, false); err != nil {
-		return Response{}, err
-	}
-	return p.Wait()
+	return t.call(rpcID, payload, CallOptions{}, false)
 }
 
 // CallWithDeadline is Call bounded by a total time budget. Attempts whose
@@ -389,85 +389,24 @@ func (t *Thread) Call(rpcID uint32, payload []byte) (Response, error) {
 // abandoned attempts land on completion records the waiter has already
 // walked away from, so the caller sees exactly one response.
 func (t *Thread) CallWithDeadline(rpcID uint32, payload []byte, budget time.Duration) (Response, error) {
-	if t.conn.node.opts.RetryMaxAttempts > 0 {
-		return t.CallOpts(rpcID, payload, CallOptions{Budget: budget})
-	}
-	if budget <= 0 {
-		return t.Call(rpcID, payload)
-	}
-	var p Pending
-	if err := t.newPending(&p, rpcID, payload, CallOptions{Budget: budget}, false); err != nil {
-		return Response{}, err
-	}
-	return p.Wait()
+	return t.call(rpcID, payload, CallOptions{Budget: max(budget, 0)}, false)
 }
 
 // memOp runs one one-sided operation through FLock synchronization and
-// waits for its completion (§6). With Options.RPCTimeout set, the
-// completion wait is bounded and expiry returns ErrTimeout.
-func (t *Thread) memOp(wr rnic.SendWR, size int) (rnic.Status, error) {
-	if t.conn.node.draining.Load() {
-		return rnic.StatusQPError, ErrDraining
-	}
-	if t.conn.isClosed() {
-		return rnic.StatusQPError, t.conn.closedErr()
-	}
-	// Drain a stale wakeup left over from a poisoned earlier operation (the
-	// channel has capacity one and recovery sends are non-blocking, so a
-	// leftover token would satisfy this op's wait prematurely).
-	select {
-	case <-t.memCh:
-	default:
-	}
-	t.seq++
-	var deadline time.Time
+// waits for its completion (§6): a single-attempt plan over the same
+// record, submit loop and wait as an RPC — never retried, since an atomic
+// that timed out may still have executed. With Options.RPCTimeout set the
+// wait is bounded and expiry returns ErrTimeout. size is the byte count
+// the thread scheduler sees.
+func (t *Thread) memOp(wr rnic.SendWR, size int) error {
+	t.memWR = wr
+	p := Pending{t: t, kind: opMem, size: size, attempts: 1}
 	if to := t.conn.node.opts.RPCTimeout; to > 0 {
-		deadline = time.Now().Add(to)
+		p.deadline = time.Now().Add(to)
+		p.attemptWait = to
 	}
-	for i := 0; ; i++ {
-		q := t.pickQP()
-		n := &tcqNode{
-			kind:     opMem,
-			seqID:    t.seq,
-			threadID: t.id,
-			wr:       wr,
-		}
-		switch t.conn.submit(t, q, n) {
-		case stateSent:
-			t.avoidQP = -1
-			t.recordStat(size)
-			if deadline.IsZero() {
-				select {
-				case st := <-t.memCh:
-					return st, nil
-				case <-t.conn.closedCh():
-					return rnic.StatusQPError, t.conn.closedErr()
-				}
-			}
-			timer := time.NewTimer(time.Until(deadline))
-			defer timer.Stop()
-			select {
-			case st := <-t.memCh:
-				return st, nil
-			case <-timer.C:
-				t.conn.noteTimeout(q)
-				return rnic.StatusQPError, ErrTimeout
-			case <-t.conn.closedCh():
-				return rnic.StatusQPError, t.conn.closedErr()
-			}
-		case stateTimedOut:
-			t.avoidQP = int32(q.idx)
-			fallthrough
-		case stateMigrate:
-			if !deadline.IsZero() && time.Now().After(deadline) {
-				return rnic.StatusQPError, ErrTimeout
-			}
-			idleBackoff(i)
-			continue
-		default:
-			return rnic.StatusQPError, t.conn.closedErr()
-		}
-	}
+	_, err := p.Wait()
+	return err
 }
 
 // Read performs a one-sided RDMA read of len(dst) bytes from the remote
@@ -476,15 +415,11 @@ func (t *Thread) Read(r *RemoteRegion, off int, dst []byte) error {
 	if t.scratch == nil || len(dst) > t.scratch.Len() {
 		return ErrReadTooLarge
 	}
-	st, err := t.memOp(rnic.SendWR{
+	if err := t.memOp(rnic.SendWR{
 		Op: rnic.OpRead, LocalMR: t.scratch, LocalOff: 0, LocalLen: len(dst),
 		RKey: r.rkey, RemoteOff: off,
-	}, len(dst))
-	if err != nil {
+	}, len(dst)); err != nil {
 		return err
-	}
-	if st != rnic.StatusOK {
-		return statusError(st)
 	}
 	return t.scratch.ReadAt(dst, 0)
 }
@@ -492,17 +427,10 @@ func (t *Thread) Read(r *RemoteRegion, off int, dst []byte) error {
 // Write performs a one-sided RDMA write of src to the remote region at
 // off (fl_write).
 func (t *Thread) Write(r *RemoteRegion, off int, src []byte) error {
-	st, err := t.memOp(rnic.SendWR{
+	return t.memOp(rnic.SendWR{
 		Op: rnic.OpWrite, Inline: src,
 		RKey: r.rkey, RemoteOff: off,
 	}, len(src))
-	if err != nil {
-		return err
-	}
-	if st != rnic.StatusOK {
-		return statusError(st)
-	}
-	return nil
 }
 
 // FetchAdd atomically adds delta to the 64-bit word at off in the remote
@@ -511,15 +439,11 @@ func (t *Thread) FetchAdd(r *RemoteRegion, off int, delta uint64) (uint64, error
 	if t.scratch == nil {
 		return 0, ErrClosed
 	}
-	st, err := t.memOp(rnic.SendWR{
+	if err := t.memOp(rnic.SendWR{
 		Op: rnic.OpFetchAdd, LocalMR: t.scratch, LocalOff: 0,
 		RKey: r.rkey, RemoteOff: off, CompareAdd: delta,
-	}, 8)
-	if err != nil {
+	}, 8); err != nil {
 		return 0, err
-	}
-	if st != rnic.StatusOK {
-		return 0, statusError(st)
 	}
 	return t.scratch.Load64(0), nil
 }
@@ -531,25 +455,25 @@ func (t *Thread) CompareSwap(r *RemoteRegion, off int, expect, swap uint64) (uin
 	if t.scratch == nil {
 		return 0, ErrClosed
 	}
-	st, err := t.memOp(rnic.SendWR{
+	if err := t.memOp(rnic.SendWR{
 		Op: rnic.OpCmpSwap, LocalMR: t.scratch, LocalOff: 0,
 		RKey: r.rkey, RemoteOff: off, CompareAdd: expect, Swap: swap,
-	}, 8)
-	if err != nil {
+	}, 8); err != nil {
 		return 0, err
-	}
-	if st != rnic.StatusOK {
-		return 0, statusError(st)
 	}
 	return t.scratch.Load64(0), nil
 }
 
-// statusError converts a completion status to an error. QP-failure
-// statuses map to ErrQPBroken — the operation was lost to a broken QP
-// (now recycling in the background) and may be retried; other statuses
-// are protocol errors wrapped in OpError.
+// statusError converts a memory operation's completion status to the
+// error its waiter returns, nil for success. QP-failure statuses map to
+// ErrQPBroken — the operation was lost to a broken QP (now recycling in
+// the background) and may be retried; other statuses are protocol errors
+// wrapped in OpError.
 func statusError(st rnic.Status) error {
-	if qpFailureStatus(st) {
+	switch {
+	case st == rnic.StatusOK:
+		return nil
+	case qpFailureStatus(st):
 		return ErrQPBroken
 	}
 	return &OpError{Status: st}

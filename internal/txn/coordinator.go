@@ -3,8 +3,11 @@ package txn
 import (
 	"encoding/binary"
 	"fmt"
+	"time"
 
 	"flock/internal/kvstore"
+	"flock/internal/resilience"
+	"flock/internal/stats"
 	"flock/internal/workload"
 )
 
@@ -26,6 +29,7 @@ type Transport interface {
 type Coordinator struct {
 	cfg Config
 	tr  Transport
+	rng *stats.RNG // retry jitter
 
 	// Commits and Aborts count outcomes.
 	Commits uint64
@@ -34,7 +38,7 @@ type Coordinator struct {
 
 // NewCoordinator builds a coordinator over a transport.
 func NewCoordinator(cfg Config, tr Transport) *Coordinator {
-	return &Coordinator{cfg: cfg.WithDefaults(), tr: tr}
+	return &Coordinator{cfg: cfg.WithDefaults(), tr: tr, rng: stats.NewRNG(uint64(time.Now().UnixNano()))}
 }
 
 // partitionSets groups a transaction's keys by partition.
@@ -246,8 +250,15 @@ func (c *Coordinator) abort(ps partitionSets, lockedParts []int) {
 	c.Aborts++
 }
 
-// RunRetry runs t, retrying OCC aborts up to maxRetries; it returns the
-// number of attempts made and the final error (nil on commit).
+// retryBackoff paces RunRetry. An OCC abort means another coordinator
+// holds a lock; retried back to back, a whole retry budget can be spent
+// while that holder is off-CPU. The first retries sleep microseconds —
+// little more than a yield — and later ones up to a millisecond.
+var retryBackoff = resilience.Backoff{Base: time.Microsecond, Cap: time.Millisecond}
+
+// RunRetry runs t, retrying OCC aborts up to maxRetries with jittered
+// backoff; it returns the number of attempts made and the final error (nil
+// on commit).
 func (c *Coordinator) RunRetry(t *workload.Txn, maxRetries int) (int, error) {
 	for attempt := 1; ; attempt++ {
 		err := c.Run(t)
@@ -257,6 +268,7 @@ func (c *Coordinator) RunRetry(t *workload.Txn, maxRetries int) (int, error) {
 		if err != ErrAborted || attempt > maxRetries {
 			return attempt, err
 		}
+		time.Sleep(retryBackoff.Delay(attempt-1, c.rng))
 	}
 }
 

@@ -330,7 +330,14 @@ func TestFlockTxnConcurrentInvariant(t *testing.T) {
 				return
 			}
 			co := NewCoordinator(fc.cfg, tr)
+			// Added on every exit: a coordinator that gives up must not
+			// also make the balance check below misreport lost updates.
 			var localSum uint64
+			defer func() {
+				mu.Lock()
+				committedSum += localSum
+				mu.Unlock()
+			}()
 			for i := 0; i < perCoord; i++ {
 				k1 := uint64((g*7 + i) % len(keys))
 				k2 := uint64((g*13 + i*3) % len(keys))
@@ -344,9 +351,6 @@ func TestFlockTxnConcurrentInvariant(t *testing.T) {
 				}
 				localSum += 2 // two keys, +1 each
 			}
-			mu.Lock()
-			committedSum += localSum
-			mu.Unlock()
 		}(g)
 	}
 	wg.Wait()
