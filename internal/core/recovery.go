@@ -11,8 +11,8 @@ import (
 // shared QPs broke — retry-budget exhaustion, flushed work requests, or a
 // stall-guard trip — fails the in-flight operations on it with typed
 // errors, and recycles the QP in the background: the rnic queue pairs on
-// both ends are destroyed (flushing any straggling work requests still in
-// the device pipelines) and re-created, the rings are zeroed, and the
+// both ends are destroyed (flushing any straggling work requests still
+// queued on the devices) and re-created, the rings are zeroed, and the
 // credit state is re-bootstrapped. The memory regions and rkeys survive the
 // recycle; only the queue pairs and the ring positions are new. A QP that
 // breaks more than Options.FlapThreshold times is quarantined instead —
@@ -160,6 +160,11 @@ func (c *Conn) recycleQP(q *connQP) {
 	q.ctrl.Store64(ctrlActiveOff, 1)
 	q.qp = qp
 	n.metrics.recycles.Add(1)
+	// Only now may the server end write again: a response (or a scheduler
+	// control write) that landed before the zeroing above would have been
+	// wiped with the server's ring tail already past it, and every later
+	// response on this QP would sit where the consumer never looks.
+	rnode.recycleResume(reply.serverQPN)
 	// Release edge: republish the recycled state to leaders and the
 	// dispatcher.
 	q.broken.Store(false)
@@ -219,8 +224,9 @@ type recycleReply struct {
 // recycleAccept is the server side of a QP recycle: destroy the broken
 // server QP, build a fresh one on the scheduler's shared recv CQ, zero the
 // request ring, rewind both ring positions, and restore the credit
-// bootstrap. Runs on the client's recycle goroutine (the in-process
-// stand-in for an out-of-band reconnect exchange).
+// bootstrap. The rebuilt end stays quiet until recycleResume. Runs on the
+// client's recycle goroutine (the in-process stand-in for an out-of-band
+// reconnect exchange).
 func (n *Node) recycleAccept(a recycleArgs) (recycleReply, error) {
 	if !n.Serving() {
 		return recycleReply{}, ErrNotServing
@@ -267,8 +273,18 @@ func (n *Node) recycleAccept(a recycleArgs) (recycleReply, error) {
 	n.rebuildQPNIndexLocked()
 	n.sconnMu.Unlock()
 	n.metrics.recycles.Add(1)
-	sqp.broken.Store(false)
+	// The server end stays broken — its ring not polled, responses of the
+	// QP's previous life dropped, no control writes — until the client has
+	// rebuilt its own end and calls recycleResume.
 	return recycleReply{serverQPN: qp.QPN()}, nil
+}
+
+// recycleResume is the second half of the recycle handshake: the client's
+// end is rebuilt, so the server end built by recycleAccept goes live.
+func (n *Node) recycleResume(serverQPN int) {
+	if sqp := n.byQPN.Load().(map[int]*serverQP)[serverQPN]; sqp != nil {
+		sqp.broken.Store(false)
+	}
 }
 
 // quarantineServerQP retires the server end of a client-quarantined QP so

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"flock/internal/fabric"
+	"flock/internal/rnic"
 )
 
 // Table-driven edge cases for recovery.go: each scenario forces one of
@@ -187,6 +188,43 @@ func TestRecoveryEdgeCases(t *testing.T) {
 				callUntilOK(t, th, []byte("dl-post"))
 				if m := tc.clients[0].Metrics(); m.RPCTimeouts == 0 {
 					t.Error("timeouts observed by the caller but not counted")
+				}
+			},
+		},
+		{
+			// The recycle handshake has two halves. Between them the
+			// client zeroes its response ring, so a response the server
+			// writes in that gap — a worker finishing a request of the
+			// QP's previous life — would be wiped with the server's ring
+			// tail already past it, and the QP would look healthy and
+			// never deliver again. The server half is driven by hand
+			// here: the rebuilt end must write nothing until resumed.
+			name: "server-end-quiet-until-client-rebuilt",
+			opts: Options{QPsPerConn: 1},
+			run: func(t *testing.T, tc *testCluster, conn *Conn) {
+				client := tc.clients[0]
+				callUntilOK(t, conn.RegisterThread(), []byte("warm"))
+				_, peerQPN := conn.qps[0].qp.Peer()
+				sqp := tc.server.byQPN.Load().(map[int]*serverQP)[peerQPN]
+				qp, err := client.dev.CreateQP(rnic.RC, client.dev.CreateCQ(), client.dev.CreateCQ())
+				if err != nil {
+					t.Fatal(err)
+				}
+				reply, err := tc.server.recycleAccept(recycleArgs{
+					clientNode: client.id, oldServerQPN: peerQPN, newClientQPN: qp.QPN(),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				late := []respOut{nackOut(itemMeta{threadID: 1 << 20}, StatusOverloaded)}
+				tc.server.flushResponses(sqp, late)
+				if tail := sqp.respProd.tail; tail != 0 {
+					t.Fatalf("server wrote %d response bytes before the client rebuilt its end", tail)
+				}
+				tc.server.recycleResume(reply.serverQPN)
+				tc.server.flushResponses(sqp, late)
+				if sqp.respProd.tail == 0 {
+					t.Fatal("server end still quiet after recycleResume")
 				}
 			},
 		},

@@ -113,7 +113,16 @@ type ringConsumer struct {
 	publishOff int
 
 	items []decodedItem // reusable decode scratch, overwritten per poll
+
+	// emptyAt is the region version (rnic.MemRegion.Version) the last poll
+	// read before it found no complete message at head, or noVersion. While
+	// the region still has that version nothing has been written since, so
+	// a poll is that one comparison. Only the polling goroutine touches it.
+	emptyAt uint64
 }
+
+// noVersion is an emptyAt no region reaches: the next poll looks.
+const noVersion = ^uint64(0)
 
 // newRingConsumer builds a consumer over mr[base : base+size].
 func newRingConsumer(mr *rnic.MemRegion, base, size int, publishMR *rnic.MemRegion, publishOff int) *ringConsumer {
@@ -123,6 +132,7 @@ func newRingConsumer(mr *rnic.MemRegion, base, size int, publishMR *rnic.MemRegi
 		size:       size,
 		publishMR:  publishMR,
 		publishOff: publishOff,
+		emptyAt:    noVersion,
 	}
 }
 
@@ -134,6 +144,7 @@ func (c *ringConsumer) consumed() uint64 { return c.head.Load() }
 // excluded the polling dispatcher first.
 func (c *ringConsumer) reset() {
 	c.head.Store(0)
+	c.emptyAt = noVersion // what was empty was the old head position
 	c.publish()
 }
 
@@ -146,6 +157,23 @@ func (c *ringConsumer) reset() {
 // Incomplete messages — header visible but trailing canary not yet placed —
 // are left untouched for the next poll, exactly the §4.1 protocol.
 func (c *ringConsumer) poll() (header, []decodedItem, *mem.Buf, bool) {
+	// The version is read before the ring is looked at, so a write the look
+	// misses leaves the region at a later version than the one remembered.
+	// poll's own writes (zeroing, a consumed wrap marker) move it too, which
+	// only costs the next poll a look.
+	ver := c.mr.Version()
+	if ver == c.emptyAt {
+		return header{}, nil, nil, false
+	}
+	h, items, mbuf, ok := c.look()
+	if !ok {
+		c.emptyAt = ver
+	}
+	return h, items, mbuf, ok
+}
+
+// look examines the head position for one complete message; see poll.
+func (c *ringConsumer) look() (header, []decodedItem, *mem.Buf, bool) {
 	off := int(c.head.Load()) % c.size
 	word := c.mr.Load64(c.base + off)
 	totalLen := uint32(word)

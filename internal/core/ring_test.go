@@ -174,6 +174,64 @@ func TestRingIncompleteMessageNotConsumed(t *testing.T) {
 	}
 }
 
+// TestRingPollSeesWritesBetweenPolls pins the contract of the version gate:
+// an empty poll may be answered from the remembered region version, but a
+// message — or the rest of one — written between two polls is seen by the
+// second, and reset() forgets what the old head position looked like.
+func TestRingPollSeesWritesBetweenPolls(t *testing.T) {
+	rp := newRingPair(t, 4096)
+	mustPoll := func(what string) {
+		t.Helper()
+		_, _, b, ok := rp.cons.poll()
+		if !ok {
+			t.Fatalf("%s: message not seen", what)
+		}
+		b.Release()
+	}
+	mustBeEmpty := func(what string) {
+		t.Helper()
+		if _, _, _, ok := rp.cons.poll(); ok {
+			t.Fatalf("%s: phantom message", what)
+		}
+	}
+
+	// Two empty polls: the second is answered by the gate.
+	mustBeEmpty("fresh ring")
+	mustBeEmpty("fresh ring, gated")
+	if rp.cons.emptyAt != rp.dst.Version() {
+		t.Fatal("an empty poll did not arm the version gate")
+	}
+	rp.produce(t, 11, []byte("after two empty polls"))
+	mustPoll("whole message between polls")
+
+	// A torn message: the gate arms on the incomplete look and must open
+	// again when the trailing canary lands.
+	msg := buildMessage([]itemMeta{{}}, [][]byte{[]byte("torn")}, 13, 0)
+	res, _ := rp.prod.reserve(len(msg))
+	rp.prod.staging.WriteAt(msg, res.msgOff) //nolint:errcheck
+	rp.shuttle(res.msgOff, len(msg)-trailerBytes)
+	mustBeEmpty("torn message")
+	mustBeEmpty("torn message, gated")
+	rp.shuttle(res.msgOff+len(msg)-trailerBytes, trailerBytes)
+	mustPoll("tail of a torn message between polls")
+
+	// A recycled producer restarts at offset zero and may get there before
+	// the consumer is reset. The consumer's last look, at its old head, saw
+	// nothing, and nothing is written after it — the gate is armed — yet
+	// the poll right after reset() must look at offset zero.
+	if rp.cons.consumed() == 0 {
+		t.Fatal("test needs a head away from zero")
+	}
+	rp.prod.reset()
+	rp.produce(t, 17, []byte("at zero before the consumer rewinds"))
+	mustBeEmpty("old head position")
+	rp.cons.reset()
+	mustPoll("message at zero right after reset")
+	mustBeEmpty("drained")
+	rp.produce(t, 19, []byte("and the one after"))
+	mustPoll("message after a reset and an empty poll")
+}
+
 func TestRingManyLaps(t *testing.T) {
 	const size = 1024
 	rp := newRingPair(t, size)

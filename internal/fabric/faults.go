@@ -170,7 +170,7 @@ func (f *Fabric) FaultCounters() FaultStats {
 // FaultRC judges one transmission attempt of an RC work request from src
 // (source queue pair qpn) to dst. It returns whether the attempt is lost —
 // forcing the requester NIC to retransmit — and any injected delay the
-// pipeline should stall for. Link-down windows, random loss, and detected
+// requester NIC should hold the work request for. Link-down windows, random loss, and detected
 // corruption (RC CRCs turn corruption into loss) all count as drops.
 func (f *Fabric) FaultRC(src, dst NodeID, qpn int) (drop bool, delay time.Duration) {
 	f.mu.Lock()

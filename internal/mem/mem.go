@@ -83,7 +83,7 @@ type Pool struct {
 	classes     [classes]freeList
 	outstanding atomic.Int64
 	// gets and hits are telemetry counters (sharded, padded) because every
-	// dispatcher, server thread, and the device pipeline bump them on each
+	// dispatcher, server thread, and device processing unit bump them on each
 	// lease — a single atomic here bounces one cache line across all of
 	// them.
 	gets telemetry.Counter

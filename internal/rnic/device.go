@@ -2,8 +2,11 @@ package rnic
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"flock/internal/fabric"
 )
@@ -20,11 +23,11 @@ type Config struct {
 	// CQDepth is the default depth for completion queues created by this
 	// device. Zero means 4096.
 	CQDepth int
-	// RNRRetries bounds how many times the pipeline re-attempts a send
-	// that finds no receive buffer on an RC responder before completing
-	// with StatusRNRExceeded. Zero means 1000.
+	// RNRRetries bounds how many times the device re-attempts a send that
+	// finds no receive buffer on an RC responder before completing with
+	// StatusRNRExceeded. Zero means 1000.
 	RNRRetries int
-	// RCRetries bounds how many times the pipeline retransmits an RC work
+	// RCRetries bounds how many times the device retransmits an RC work
 	// request whose transmission the fabric faults (loss, corruption,
 	// link-down) before completing it with StatusRetryExceeded and moving
 	// the QP to the error state — the IBTA transport retry counter. Zero
@@ -34,14 +37,23 @@ type Config struct {
 }
 
 // Counters aggregates device activity. All fields are written atomically by
-// the pipeline and may be read at any time via Device.Stats.
+// whichever goroutine is executing work requests and may be read at any
+// time via Device.Stats.
 type Counters struct {
 	// Doorbells counts PostSend calls — MMIO writes on real hardware.
 	Doorbells uint64
 	// WorkRequests counts posted send-queue WRs.
 	WorkRequests uint64
-	// Processed counts WRs the pipeline has executed.
+	// Processed counts WRs the device has executed to a terminal state.
 	Processed uint64
+	// ForeignDoorbells counts doorbells served by a goroutine other than
+	// the one that rang them: the ringer found the processing unit busy and
+	// left its QP queued (flat combining on the NIC model).
+	ForeignDoorbells uint64
+	// DeferredRings counts waits turned into a re-ring: a WR that met an
+	// unready receiver, an injected RC delay or a retransmit backoff stayed
+	// at the head of its QP while a timer rang the doorbell again.
+	DeferredRings uint64
 	// CacheHits and CacheMisses count connection-context cache accesses
 	// on this device, both requester- and responder-side; CacheEvictions
 	// counts contexts pushed out by capacity pressure (each eviction is a
@@ -93,6 +105,8 @@ func (c *Counters) snapshot() Counters {
 		Doorbells:             atomic.LoadUint64(&c.Doorbells),
 		WorkRequests:          atomic.LoadUint64(&c.WorkRequests),
 		Processed:             atomic.LoadUint64(&c.Processed),
+		ForeignDoorbells:      atomic.LoadUint64(&c.ForeignDoorbells),
+		DeferredRings:         atomic.LoadUint64(&c.DeferredRings),
 		CacheHits:             atomic.LoadUint64(&c.CacheHits),
 		CacheMisses:           atomic.LoadUint64(&c.CacheMisses),
 		CacheEvictions:        atomic.LoadUint64(&c.CacheEvictions),
@@ -113,10 +127,13 @@ func (c *Counters) snapshot() Counters {
 	}
 }
 
-// Device is one software RNIC attached to a fabric node. Its single
-// pipeline goroutine executes work requests in doorbell order, mirroring
-// the serialized processing unit of real NIC hardware; per-QP send
-// ordering follows from it.
+// Device is one software RNIC attached to a fabric node. It owns no
+// goroutine: whichever goroutine rings a doorbell becomes the processing
+// unit if there is none, and executes rung QPs' work requests in doorbell
+// order; a ringer that finds the unit busy leaves its QP queued for it (see
+// "Execution model" in the package comment). One unit at a time is the
+// serialized processing unit of real NIC hardware; per-QP send ordering
+// follows from it.
 type Device struct {
 	cfg   Config
 	fab   *fabric.Fabric
@@ -127,22 +144,33 @@ type Device struct {
 	mrs     map[uint32]*MemRegion
 	nextQPN int
 	nextKey uint32
+	closed  atomic.Bool // set under mu
 
-	work     chan *QP
-	closed   chan struct{}
-	wg       sync.WaitGroup
-	inflight int64 // WRs posted but not yet fully executed
+	// The doorbell queue: rung QPs in doorbell order, linked through
+	// QP.dbNext. A QP is on it at most once (QP.ringing).
+	dbMu   sync.Mutex
+	dbHead *QP
+	dbTail *QP
+	rung   atomic.Int32 // length of the doorbell queue
+
+	// unit is true while some goroutine is the processing unit. Taking it
+	// with a CAS and giving it up with a store orders one unit's writes
+	// before the next one's reads.
+	unit atomic.Bool
+	// inflight counts QPs whose doorbell is outstanding: queued, in service,
+	// or waiting out a deferred re-ring.
+	inflight atomic.Int64
 
 	// drainScratch stages one batch of WRs popped from a QP send queue.
-	// It is touched only by the pipeline goroutine, so reusing it across
-	// drain rounds is race-free and saves one allocation per round.
+	// Only the processing unit touches it, so reusing it across drain
+	// rounds is race-free and saves one allocation per round.
 	drainScratch [drainBudget]SendWR
 
 	counters Counters
 }
 
-// NewDevice creates a device, registers it on the fabric, and starts its
-// pipeline. Close must be called to stop the pipeline.
+// NewDevice creates a device and registers it on the fabric. Close detaches
+// it and releases what abandoned work requests still own.
 func NewDevice(fab *fabric.Fabric, cfg Config) (*Device, error) {
 	if cfg.RNRRetries <= 0 {
 		cfg.RNRRetries = 1000
@@ -161,14 +189,10 @@ func NewDevice(fab *fabric.Fabric, cfg Config) (*Device, error) {
 		mrs:     make(map[uint32]*MemRegion),
 		nextQPN: 1,
 		nextKey: 1,
-		work:    make(chan *QP, 4096),
-		closed:  make(chan struct{}),
 	}
 	if err := fab.Register(d); err != nil {
 		return nil, err
 	}
-	d.wg.Add(1)
-	go d.pipeline()
 	return d, nil
 }
 
@@ -193,33 +217,40 @@ func (d *Device) CacheStats() (hits, misses uint64, resident int) {
 	return h, m, d.cache.len()
 }
 
-// Close stops the pipeline and detaches from the fabric. Posted but
-// unprocessed WRs are abandoned.
+// Close detaches the device from the fabric. Posted but unprocessed WRs are
+// abandoned; the pool leases they own are released. Posts that race with
+// Close either return ErrDeviceClosed, leaving the caller its lease, or are
+// accepted and swept here.
 func (d *Device) Close() {
 	d.mu.Lock()
-	select {
-	case <-d.closed:
+	if d.closed.Load() {
 		d.mu.Unlock()
 		return
-	default:
 	}
-	close(d.closed)
-	d.mu.Unlock()
-	d.wg.Wait()
-	d.fab.Unregister(d.cfg.Node)
-
-	// The pipeline is gone; release pool leases owned by WRs it never got
-	// to, so abandoning work at shutdown cannot leak buffers.
-	d.mu.Lock()
+	d.closed.Store(true)
 	qps := make([]*QP, 0, len(d.qps))
 	for _, q := range d.qps {
 		qps = append(qps, q)
 	}
 	d.mu.Unlock()
+
+	// Take the unit role for good: the current unit leaves at its next
+	// doorbell boundary, and nobody executes a WR while the send queues are
+	// swept below or ever after.
+	for !d.unit.CompareAndSwap(false, true) {
+		runtime.Gosched()
+	}
+	d.fab.Unregister(d.cfg.Node)
+
 	for _, q := range qps {
+		// PostSend checks closed under q.mu, so a post either landed before
+		// this sweep took the lock or fails without enqueueing.
 		q.mu.Lock()
 		sends := q.sendq
 		q.sendq = nil
+		if q.timer != nil {
+			q.timer.Stop()
+		}
 		q.mu.Unlock()
 		for i := range sends {
 			if sends[i].Pooled != nil {
@@ -241,10 +272,8 @@ func (d *Device) CreateQP(t Transport, sendCQ, recvCQ *CQ) (*QP, error) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	select {
-	case <-d.closed:
+	if d.closed.Load() {
 		return nil, ErrDeviceClosed
-	default:
 	}
 	q := &QP{
 		dev:       d,
@@ -295,20 +324,20 @@ func (d *Device) RegisterMR(size int, perms Perm) (*MemRegion, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("rnic: RegisterMR size %d", size)
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	select {
-	case <-d.closed:
-		return nil, ErrDeviceClosed
-	default:
-	}
+	// Allocate and zero the buffer before taking mu: lookupMR and QPByNumber
+	// take it for every responder-side WR, and a lazy dial registers
+	// megabyte rings while traffic flows.
 	mr := &MemRegion{
 		buf:   make([]byte, size),
-		lkey:  d.nextKey,
-		rkey:  d.nextKey,
 		perms: perms,
 		node:  int(d.cfg.Node),
 	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed.Load() {
+		return nil, ErrDeviceClosed
+	}
+	mr.lkey, mr.rkey = d.nextKey, d.nextKey
 	d.nextKey++
 	d.mrs[mr.rkey] = mr
 	return mr, nil
@@ -348,66 +377,136 @@ func ConnectPair(a, b *Device, t Transport) (*QP, *QP, error) {
 	return qa, qb, nil
 }
 
-// ring notifies the pipeline that q has pending work.
-func (d *Device) ring(q *QP) error {
-	atomic.AddInt64(&d.inflight, 1)
-	select {
-	case d.work <- q:
-		return nil
-	case <-d.closed:
-		atomic.AddInt64(&d.inflight, -1)
-		return ErrDeviceClosed
+// ring puts q on the doorbell queue and serves the queue on the calling
+// goroutine unless some other goroutine already does. It never blocks and
+// never waits: the work a ringer does is bounded by drainBudget of its own
+// WRs plus stintBudget foreign ones.
+func (d *Device) ring(q *QP) {
+	d.pushDoorbell(q)
+	d.serve(q)
+}
+
+// pushDoorbell appends q to the doorbell queue.
+func (d *Device) pushDoorbell(q *QP) {
+	d.dbMu.Lock()
+	if d.dbTail == nil {
+		d.dbHead = q
+	} else {
+		d.dbTail.dbNext = q
 	}
+	d.dbTail = q
+	d.rung.Add(1)
+	d.dbMu.Unlock()
+}
+
+// popDoorbell removes the oldest rung QP, nil if there is none.
+func (d *Device) popDoorbell() *QP {
+	d.dbMu.Lock()
+	q := d.dbHead
+	if q != nil {
+		d.dbHead, q.dbNext = q.dbNext, nil
+		if d.dbHead == nil {
+			d.dbTail = nil
+		}
+		d.rung.Add(-1)
+	}
+	d.dbMu.Unlock()
+	return q
 }
 
 // Quiesce returns once every posted WR has been executed. It is a test and
 // benchmark aid; applications rely on completions instead.
 func (d *Device) Quiesce() {
-	for atomic.LoadInt64(&d.inflight) != 0 {
-		select {
-		case <-d.closed:
-			return
-		default:
-		}
+	for d.inflight.Load() != 0 && !d.closed.Load() {
+		runtime.Gosched() // the unit may be any goroutine, this CPU's next one included
 	}
 }
 
-// pipeline is the device's processing unit: it drains QP send queues in
-// doorbell order.
-func (d *Device) pipeline() {
-	defer d.wg.Done()
-	for {
-		select {
-		case q := <-d.work:
-			d.drain(q)
-			atomic.AddInt64(&d.inflight, -1)
-		case <-d.closed:
-			return
-		}
-	}
-}
-
-// drainBudget bounds how many WRs the pipeline executes from one QP before
-// arbitrating to the next pending QP, as NIC hardware round-robins WQE
+// drainBudget bounds how many WRs the unit executes from one QP before
+// arbitrating to the next rung QP, as NIC hardware round-robins WQE
 // processing across queue pairs. Without it one deep send queue could
 // starve every other connection.
 const drainBudget = 16
 
-// drain executes q's queued WRs until its send queue is observed empty or
-// the fairness budget is spent; in the latter case the QP is re-queued
-// behind the other pending doorbells.
-func (d *Device) drain(q *QP) {
-	spent := 0
+// stintBudget bounds how many WRs a ringer executes after one visit to its
+// own QP before it passes the unit role on: a poster (a TCQ leader, a
+// response flusher) must get back to its own work however busy the device
+// is.
+const stintBudget = 2 * drainBudget
+
+// serve makes the calling goroutine the processing unit, if there is none,
+// and executes rung doorbells in order. own is the QP the caller rang, nil
+// for a relief goroutine, which has no work of its own and serves until the
+// queue is empty.
+//
+// No doorbell is lost: a ringer queues its QP before it tries for the role,
+// and the unit looks at the queue again after giving the role up, so
+// whichever of the two comes second sees the other.
+func (d *Device) serve(own *QP) {
+	for d.rung.Load() != 0 && !d.closed.Load() {
+		if !d.unit.CompareAndSwap(false, true) {
+			return // the unit will reach our QP
+		}
+		relieve := d.stint(own)
+		d.unit.Store(false)
+		if relieve {
+			go d.serve(nil)
+			return
+		}
+	}
+}
+
+// stint drains rung QPs until the doorbell queue is empty, the device
+// closes, or — for a ringer — stintBudget WRs beyond the first visit to its
+// own QP have been executed with work still queued, which it reports so
+// that serve can pass the role to a relief goroutine. The caller holds the
+// unit role.
+func (d *Device) stint(own *QP) (relieve bool) {
+	ownServed := false
+	spent := 0 // WRs executed beyond the first visit to own
+	for !d.closed.Load() {
+		q := d.popDoorbell()
+		if q == nil {
+			return false
+		}
+		n := d.drain(q)
+		if q != own {
+			d.counters.add(&d.counters.ForeignDoorbells, 1)
+		} else if !ownServed {
+			ownServed = true
+			continue
+		}
+		spent += n
+		if own != nil && spent >= stintBudget && d.rung.Load() != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// drain executes up to drainBudget of q's queued WRs and returns how many
+// reached a terminal state. It ends in one of three ways: the send queue is
+// observed empty and the doorbell is retired; the budget is spent and q
+// goes behind the other rung QPs; or the WR at the head has to wait and q
+// is parked until its timer rings it again (deferRing).
+func (d *Device) drain(q *QP) int {
+	done := 0
 	for {
 		q.mu.Lock()
 		if len(q.sendq) == 0 {
 			q.ringing = false
 			q.mu.Unlock()
-			return
+			d.inflight.Add(-1)
+			return done
+		}
+		if done == drainBudget {
+			q.mu.Unlock()
+			d.pushDoorbell(q)
+			return done
 		}
 		n := len(q.sendq)
-		if spent+n > drainBudget {
-			n = drainBudget - spent
+		if done+n > drainBudget {
+			n = drainBudget - done
 		}
 		batch := d.drainScratch[:n]
 		copy(batch, q.sendq)
@@ -415,23 +514,41 @@ func (d *Device) drain(q *QP) {
 		q.sendq = q.sendq[:rem]
 		q.mu.Unlock()
 
-		for i := range batch {
-			d.execute(q, &batch[i])
+		for i := 0; i < n; {
+			if wait := d.execute(q, &batch[i]); wait > 0 {
+				if d.deferRing(q, batch[i:], wait) {
+					return done
+				}
+				continue // the QP broke meanwhile: execute again flushes the WR
+			}
 			d.counters.add(&d.counters.Processed, 1)
 			batch[i] = SendWR{} // drop payload references until the next round
-		}
-		spent += n
-		if spent >= drainBudget {
-			// Budget exhausted: hand the pipeline to the next QP if the
-			// work channel has room, else keep going ourselves.
-			atomic.AddInt64(&d.inflight, 1)
-			select {
-			case d.work <- q:
-				return
-			default:
-				atomic.AddInt64(&d.inflight, -1)
-				spent = 0
-			}
+			i++
+			done++
 		}
 	}
+}
+
+// deferRing turns a wait into a re-ring: the unexecuted WRs go back to the
+// front of q's send queue, q stays marked ringing so that later posts queue
+// behind them without a doorbell, and a timer rings q again after wait. The
+// unit moves on to the next rung QP at once — a stall is per QP, as on
+// hardware. It reports false, leaving everything as it was, if q entered the
+// error state while its head WR was executing.
+func (d *Device) deferRing(q *QP, rest []SendWR, wait time.Duration) bool {
+	q.mu.Lock()
+	if q.state == qpError {
+		q.mu.Unlock()
+		return false
+	}
+	q.sendq = slices.Insert(q.sendq, 0, rest...)
+	if q.timer == nil {
+		q.timer = time.AfterFunc(wait, func() { d.ring(q) })
+	} else {
+		q.timer.Reset(wait)
+	}
+	q.mu.Unlock()
+	clear(rest) // the scratch copies: drop their payload references
+	d.counters.add(&d.counters.DeferredRings, 1)
+	return true
 }

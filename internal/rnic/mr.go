@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // MemRegion is a registered memory region (MR). Registration hands the
@@ -25,7 +26,19 @@ type MemRegion struct {
 	rkey  uint32
 	perms Perm
 	node  int
+
+	// version counts the writes applied to buf, host and NIC alike, one per
+	// chunk. It is bumped under mu after the bytes are in place.
+	version atomic.Uint64
 }
+
+// Version returns the number of writes applied to the region so far. A
+// poller that looked at the region and found nothing, having read Version
+// first, need not look again until Version moves: a write that its look
+// could have missed is counted after the value it read. This is the
+// software stand-in for the cache line a polling core keeps until the NIC's
+// DMA invalidates it.
+func (mr *MemRegion) Version() uint64 { return mr.version.Load() }
 
 // Len returns the size of the region in bytes.
 func (mr *MemRegion) Len() int { return len(mr.buf) }
@@ -65,6 +78,7 @@ func (mr *MemRegion) WriteAt(src []byte, off int) error {
 	}
 	mr.mu.Lock()
 	copy(mr.buf[off:], src)
+	mr.version.Add(1)
 	mr.mu.Unlock()
 	return nil
 }
@@ -83,6 +97,7 @@ func (mr *MemRegion) Load64(off int) uint64 {
 func (mr *MemRegion) Store64(off int, v uint64) {
 	mr.mu.Lock()
 	binary.LittleEndian.PutUint64(mr.buf[off:off+8], v)
+	mr.version.Add(1)
 	mr.mu.Unlock()
 }
 
@@ -96,6 +111,7 @@ func (mr *MemRegion) dmaWriteChunked(src []byte, off, mtu int) {
 		}
 		mr.mu.Lock()
 		copy(mr.buf[off:], src[:n])
+		mr.version.Add(1)
 		mr.mu.Unlock()
 		src = src[n:]
 		off += n
@@ -137,5 +153,6 @@ func (mr *MemRegion) atomic64(off int, fn func(old uint64) (new uint64)) (uint64
 	defer mr.mu.Unlock()
 	old := binary.LittleEndian.Uint64(mr.buf[off : off+8])
 	binary.LittleEndian.PutUint64(mr.buf[off:off+8], fn(old))
+	mr.version.Add(1)
 	return old, nil
 }

@@ -1,38 +1,74 @@
 package rnic
 
 import (
-	"runtime"
 	"time"
 
 	"flock/internal/fabric"
 	"flock/internal/mem"
 )
 
-// execute runs one work request on the device pipeline. It models the
-// requester NIC touching its own connection context, the wire transfer,
-// and the responder NIC touching its context and performing DMA against
-// the target memory region.
-func (d *Device) execute(q *QP, wr *SendWR) {
-	// Every path through execute is terminal for the WR, so the pooled
-	// Inline lease (if the poster transferred one) dies here.
-	if wr.Pooled != nil {
-		defer func() {
-			wr.Pooled.Release()
-			wr.Pooled = nil
-		}()
+// wrProgress is how far the WR at the head of a send queue has got. A WR
+// that has to wait gives the processing unit back and is entered again when
+// its QP is re-rung; what must not happen twice is recorded here. The zero
+// value is a WR not yet started.
+type wrProgress struct {
+	charged  bool // requester context touched, first transmission charged
+	sent     bool // an RC transmission got through the fabric
+	attempts int  // RC transmissions the fabric faulted
+	rnr      int  // deliveries that found the receiver not ready
+}
+
+// The waits of a stalled WR. They are lower bounds: a re-ring is a timer.
+const (
+	// rnrBackoff is the pause before retrying a delivery that found no
+	// receive buffer (the RNR NAK timer).
+	rnrBackoff = 10 * time.Microsecond
+	// rcBackoffMaxShift caps the exponential retransmit backoff,
+	// 1 µs << attempt, at 64 µs.
+	rcBackoffMaxShift = 6
+)
+
+// statusRNR is advance's verdict for a delivery that found no receive buffer
+// on a connected responder. It never reaches a completion queue.
+const statusRNR Status = -1
+
+// execute advances the WR at the head of q as far as it will go. It returns
+// zero when the WR reached a terminal state — completed or flushed — and
+// otherwise how long the WR has to wait before execute is called on it
+// again. It never sleeps.
+func (d *Device) execute(q *QP, wr *SendWR) (wait time.Duration) {
+	status, byteLen, wait := d.advance(q, wr)
+	if wait > 0 {
+		return wait
 	}
-	// A QP that entered the error state while this WR sat in the pipeline
+	q.head = wrProgress{}
+	// The WR is terminal, so the pooled Inline lease (if the poster
+	// transferred one) dies here.
+	if wr.Pooled != nil {
+		wr.Pooled.Release()
+		wr.Pooled = nil
+	}
+	d.complete(q, wr, status, byteLen)
+	if status != StatusOK && status != StatusWRFlush && q.transport != UD {
+		// Fatal completions move connected QPs to the error state, like
+		// hardware; queued WRs behind the failure flush.
+		q.enterError()
+	}
+	return 0
+}
+
+// advance models the requester NIC touching its own connection context, the
+// wire transfer, and the responder NIC touching its context and performing
+// DMA against the target memory region. It returns either the WR's
+// completion status and byte count, or a positive wait.
+func (d *Device) advance(q *QP, wr *SendWR) (Status, int, time.Duration) {
+	// A QP that entered the error state while this WR was staged or stalled
 	// flushes it unexecuted, exactly as enterError does for still-queued
 	// WRs.
 	if q.transport != UD && q.InError() {
 		d.counters.add(&d.counters.WRFlushed, 1)
-		d.complete(q, wr, StatusWRFlush, 0)
-		return
+		return StatusWRFlush, 0, 0
 	}
-
-	// Requester-side connection-context access (UD uses one context for
-	// all peers — that is precisely its scalability advantage, §2.2).
-	d.cacheAccess(int(d.cfg.Node), q.qpn)
 
 	var dstNode, dstQPN int
 	if q.transport == UD {
@@ -40,61 +76,66 @@ func (d *Device) execute(q *QP, wr *SendWR) {
 	} else {
 		dstNode, dstQPN = q.Peer()
 	}
-
-	payload, pbuf := d.gatherPayload(q, wr)
-	if pbuf != nil {
-		defer pbuf.Release()
-	}
+	dst := fabric.NodeID(dstNode)
 
 	// Wire accounting. Reads move the payload in the response direction;
 	// everything else in the request direction. Atomics move 8 bytes each
 	// way; we charge the request direction.
-	txBytes := len(payload)
+	txBytes := q.payloadLen(wr)
 	switch wr.Op {
 	case OpRead:
 		txBytes = 0 // request is header-only; response accounted below
 	case OpFetchAdd, OpCmpSwap:
 		txBytes = 8
 	}
-	pkts := d.fab.ChargeTX(d.cfg.Node, fabric.NodeID(dstNode), txBytes)
-	d.counters.add(&d.counters.PacketsTX, uint64(pkts))
-	d.counters.add(&d.counters.BytesTX, uint64(txBytes))
+	st := &q.head
+	if !st.charged {
+		st.charged = true
+		// Requester-side connection-context access (UD uses one context for
+		// all peers — that is precisely its scalability advantage, §2.2).
+		d.cacheAccess(int(d.cfg.Node), q.qpn)
+		d.chargeTX(dst, txBytes)
+	}
 
 	// UD wire loss: the sender still sees a successful completion — UD
 	// has no acknowledgements (Table 1).
-	if q.transport == UD {
-		if d.fab.DropUD(d.cfg.Node, fabric.NodeID(dstNode)) {
-			d.counters.add(&d.counters.UDDropsWire, 1)
-			d.complete(q, wr, StatusOK, len(payload))
-			return
-		}
-		// UD has no end-to-end integrity check: injected corruption is
-		// delivered.
-		if mangled, ok := d.fab.MangleUD(d.cfg.Node, fabric.NodeID(dstNode), payload); ok {
-			d.counters.add(&d.counters.UDCorrupted, 1)
-			payload = mangled
-		}
+	if q.transport == UD && d.fab.DropUD(d.cfg.Node, dst) {
+		d.counters.add(&d.counters.UDDropsWire, 1)
+		return StatusOK, q.payloadLen(wr), 0
 	}
 
 	// RC reliability: retransmit faulted attempts with exponential backoff
 	// until the retry budget runs out, then complete in error and break the
 	// QP, flushing everything behind this WR.
-	if q.transport == RC {
-		if !d.transmitRC(q, fabric.NodeID(dstNode), txBytes) {
+	if q.transport == RC && !st.sent {
+		wait, ok := d.transmitRC(q, dst, txBytes)
+		if wait > 0 {
+			return 0, 0, wait
+		}
+		if !ok {
 			d.counters.add(&d.counters.RCRetryExhausted, 1)
-			d.complete(q, wr, StatusRetryExceeded, 0)
-			q.enterError()
-			return
+			return StatusRetryExceeded, 0, 0
 		}
 	}
 
-	peer, ok := d.fab.Lookup(fabric.NodeID(dstNode)).(*Device)
-	if peer == nil || !ok {
-		d.complete(q, wr, StatusRemoteAccess, 0)
-		if q.transport != UD {
-			q.enterError()
+	// The payload is gathered per delivery attempt, as a NIC reads it from
+	// host memory again for each retransmission.
+	payload, pbuf := d.gatherPayload(q, wr)
+	if pbuf != nil {
+		defer pbuf.Release()
+	}
+	if q.transport == UD {
+		// UD has no end-to-end integrity check: injected corruption is
+		// delivered.
+		if mangled, ok := d.fab.MangleUD(d.cfg.Node, dst, payload); ok {
+			d.counters.add(&d.counters.UDCorrupted, 1)
+			payload = mangled
 		}
-		return
+	}
+
+	peer, ok := d.fab.Lookup(dst).(*Device)
+	if peer == nil || !ok {
+		return StatusRemoteAccess, 0, 0
 	}
 
 	// Responder-side connection-context access: the server NIC in a high
@@ -114,49 +155,53 @@ func (d *Device) execute(q *QP, wr *SendWR) {
 	case OpFetchAdd, OpCmpSwap:
 		status = d.execAtomic(peer, wr)
 	}
-
-	if status != StatusOK && q.transport != UD {
-		// Fatal completions move connected QPs to the error state, like
-		// hardware; queued WRs behind the failure flush.
-		defer q.enterError()
+	if status == statusRNR {
+		// Receiver-not-ready flow control: nothing was placed; try the
+		// delivery again later, RNRRetries times at most.
+		d.counters.add(&d.counters.RNRWaits, 1)
+		if st.rnr++; st.rnr < d.cfg.RNRRetries {
+			return 0, 0, rnrBackoff
+		}
+		status = StatusRNRExceeded
 	}
-	d.complete(q, wr, status, byteLen)
+	return status, byteLen, 0
+}
+
+// chargeTX accounts one transmission of txBytes to dst on the fabric and in
+// the device counters.
+func (d *Device) chargeTX(dst fabric.NodeID, txBytes int) {
+	pkts := d.fab.ChargeTX(d.cfg.Node, dst, txBytes)
+	d.counters.add(&d.counters.PacketsTX, uint64(pkts))
+	d.counters.add(&d.counters.BytesTX, uint64(txBytes))
 }
 
 // transmitRC models the requester side of RC reliability: each wire
 // attempt may be faulted by the fabric (random loss, detected corruption,
 // a link-down window); lost attempts are retransmitted with exponential
 // backoff up to Config.RCRetries. Retransmissions re-charge the wire. It
-// returns false when the retry budget is exhausted or the device closes.
-func (d *Device) transmitRC(q *QP, dst fabric.NodeID, txBytes int) bool {
-	for attempt := 0; ; attempt++ {
+// returns a positive wait when the WR must pause — an injected delay, a
+// backoff, or both — and otherwise whether a transmission got through; false
+// means the retry budget is exhausted.
+func (d *Device) transmitRC(q *QP, dst fabric.NodeID, txBytes int) (wait time.Duration, ok bool) {
+	st := &q.head
+	for {
 		drop, delay := d.fab.FaultRC(d.cfg.Node, dst, q.qpn)
-		if delay > 0 {
-			time.Sleep(delay)
-		}
 		if !drop {
-			return true
+			st.sent = true
+			return delay, true
 		}
-		if attempt >= d.cfg.RCRetries {
-			return false
+		if st.attempts >= d.cfg.RCRetries {
+			return 0, false
 		}
 		d.counters.add(&d.counters.RCRetransmits, 1)
-		pkts := d.fab.ChargeTX(d.cfg.Node, dst, txBytes)
-		d.counters.add(&d.counters.PacketsTX, uint64(pkts))
-		d.counters.add(&d.counters.BytesTX, uint64(txBytes))
-		if attempt < 2 {
-			runtime.Gosched()
-		} else {
-			back := time.Microsecond << uint(attempt)
-			if back > 64*time.Microsecond {
-				back = 64 * time.Microsecond
-			}
-			time.Sleep(back)
+		d.chargeTX(dst, txBytes)
+		// The first two retransmissions go out at once; later ones back off.
+		if st.attempts >= 2 {
+			delay += time.Microsecond << min(st.attempts, rcBackoffMaxShift)
 		}
-		select {
-		case <-d.closed:
-			return false
-		default:
+		st.attempts++
+		if delay > 0 {
+			return delay, false
 		}
 	}
 }
@@ -201,7 +246,8 @@ func (d *Device) gatherPayload(q *QP, wr *SendWR) ([]byte, *mem.Buf) {
 
 // execWrite places payload into the responder's region. Write-with-imm
 // additionally consumes a receive WQE on the destination QP and delivers a
-// receive completion carrying the immediate.
+// receive completion carrying the immediate; it takes the WQE before it
+// places anything, so that a receiver-not-ready retry never places twice.
 func (d *Device) execWrite(peer *Device, dstQPN int, wr *SendWR, payload []byte) Status {
 	mr := peer.lookupMR(wr.RKey)
 	if mr == nil || mr.perms&PermRemoteWrite == 0 {
@@ -210,30 +256,32 @@ func (d *Device) execWrite(peer *Device, dstQPN int, wr *SendWR, payload []byte)
 	if err := mr.checkRange(wr.RemoteOff, len(payload)); err != nil {
 		return StatusRemoteAccess
 	}
-	mr.dmaWriteChunked(payload, wr.RemoteOff, d.fab.MTU())
-
-	if wr.Op == OpWriteImm {
-		dq := peer.QPByNumber(dstQPN)
-		if dq == nil {
-			return StatusRemoteAccess
-		}
-		rwr, ok := d.waitRecv(dq)
-		if !ok {
-			return StatusRNRExceeded
-		}
-		peer.counters.add(&peer.counters.CompletionsDelivered, 1)
-		dq.recvCQ.push(Completion{
-			WRID:     rwr.WRID,
-			Status:   StatusOK,
-			Opcode:   OpRecv,
-			ByteLen:  len(payload),
-			Imm:      wr.Imm,
-			ImmValid: true,
-			QPN:      dq.qpn,
-			SrcNode:  int(d.cfg.Node),
-			SrcQPN:   wr.sourceQPN(),
-		})
+	if wr.Op != OpWriteImm {
+		mr.dmaWriteChunked(payload, wr.RemoteOff, d.fab.MTU())
+		return StatusOK
 	}
+
+	dq := peer.QPByNumber(dstQPN)
+	if dq == nil {
+		return StatusRemoteAccess
+	}
+	rwr, ok := dq.popRecv()
+	if !ok {
+		return statusRNR
+	}
+	mr.dmaWriteChunked(payload, wr.RemoteOff, d.fab.MTU())
+	peer.counters.add(&peer.counters.CompletionsDelivered, 1)
+	dq.recvCQ.push(Completion{
+		WRID:     rwr.WRID,
+		Status:   StatusOK,
+		Opcode:   OpRecv,
+		ByteLen:  len(payload),
+		Imm:      wr.Imm,
+		ImmValid: true,
+		QPN:      dq.qpn,
+		SrcNode:  int(d.cfg.Node),
+		SrcQPN:   wr.sourceQPN(),
+	})
 	return StatusOK
 }
 
@@ -279,11 +327,8 @@ func (d *Device) execSend(q *QP, peer *Device, dstQPN int, wr *SendWR, payload [
 			peer.counters.add(&peer.counters.UDDropsNoRecv, 1)
 			return StatusOK
 		}
-	} else {
-		rwr, ok = d.waitRecv(dq)
-		if !ok {
-			return StatusRNRExceeded
-		}
+	} else if rwr, ok = dq.popRecv(); !ok {
+		return statusRNR
 	}
 	if len(payload) > rwr.Len {
 		if q.transport == UD {
@@ -347,30 +392,6 @@ func (d *Device) execAtomic(peer *Device, wr *SendWR) Status {
 		return StatusRemoteAccess
 	}
 	return StatusOK
-}
-
-// waitRecv pops a receive buffer from dq, retrying while the responder is
-// not ready (RC receiver-not-ready flow control). Each retry yields the
-// processor; the stall is real head-of-line blocking for the pipeline,
-// as on hardware.
-func (d *Device) waitRecv(dq *QP) (RecvWR, bool) {
-	for attempt := 0; attempt < d.cfg.RNRRetries; attempt++ {
-		if rwr, ok := dq.popRecv(); ok {
-			return rwr, true
-		}
-		d.counters.add(&d.counters.RNRWaits, 1)
-		if attempt < 64 {
-			runtime.Gosched()
-		} else {
-			time.Sleep(10 * time.Microsecond)
-		}
-		select {
-		case <-d.closed:
-			return RecvWR{}, false
-		default:
-		}
-	}
-	return RecvWR{}, false
 }
 
 // complete delivers (or suppresses) the requester-side completion for wr.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"flock/internal/mem"
 )
@@ -54,11 +55,12 @@ type SendWR struct {
 
 	// Pooled transfers ownership of the Inline buffer's pool lease to the
 	// device: PostSend is asynchronous, so a caller staging Inline bytes in
-	// a pooled buffer cannot release it when PostSend returns — the
-	// pipeline reads Inline later. The device releases the lease when the
-	// WR reaches a terminal state (executed, flushed on QP error, or
-	// abandoned at Close). If PostSend returns an error, nothing was
-	// enqueued and the lease stays with the caller.
+	// a pooled buffer cannot release it when PostSend returns — the WR may
+	// still be queued behind a busy processing unit or a stalled head. The
+	// device releases the lease when the WR reaches a terminal state
+	// (executed, flushed on QP error, or abandoned at Close). If PostSend
+	// returns an error, nothing was enqueued and the lease stays with the
+	// caller.
 	Pooled *mem.Buf
 }
 
@@ -114,7 +116,11 @@ type QP struct {
 	peerQPN  int
 	sendq    []SendWR
 	recvq    []RecvWR
-	ringing  bool // a doorbell for this QP is in flight
+	ringing  bool        // a doorbell for this QP is outstanding
+	timer    *time.Timer // re-rings a stalled QP; made on its first stall
+
+	dbNext *QP        // next rung QP on the device's doorbell queue (Device.dbMu)
+	head   wrProgress // the head WR's progress across re-rings; the unit's
 
 	sendCQ *CQ
 	recvCQ *CQ
@@ -217,6 +223,12 @@ func (q *QP) payloadLen(wr *SendWR) int {
 // doorbell once. The single doorbell per call is the MMIO economy FLock's
 // leader exploits by linking followers' work requests into one post (§6):
 // Device.Counters.Doorbells counts calls, not WRs.
+//
+// PostSend never blocks. If the device has no processing unit the caller
+// becomes it and, as a rule, has executed its own WRs by the time PostSend
+// returns; otherwise the WRs are left for the unit. A WR that has to wait
+// (unready receiver, injected delay, retransmit backoff) does so off the
+// caller's goroutine. Either way the outcome arrives as a completion.
 func (q *QP) PostSend(wrs ...SendWR) error {
 	if len(wrs) == 0 {
 		return nil
@@ -226,7 +238,14 @@ func (q *QP) PostSend(wrs ...SendWR) error {
 			return err
 		}
 	}
+	d := q.dev
 	q.mu.Lock()
+	// Checked under q.mu, which Close's sweep of this send queue takes after
+	// setting closed: a WR is either swept or never enqueued.
+	if d.closed.Load() {
+		q.mu.Unlock()
+		return ErrDeviceClosed
+	}
 	switch q.state {
 	case qpError:
 		q.mu.Unlock()
@@ -241,13 +260,14 @@ func (q *QP) PostSend(wrs ...SendWR) error {
 	ring := !q.ringing
 	if ring {
 		q.ringing = true
+		d.inflight.Add(1)
 	}
 	q.mu.Unlock()
 
-	q.dev.counters.add(&q.dev.counters.Doorbells, 1)
-	q.dev.counters.add(&q.dev.counters.WorkRequests, uint64(len(wrs)))
+	d.counters.add(&d.counters.Doorbells, 1)
+	d.counters.add(&d.counters.WorkRequests, uint64(len(wrs)))
 	if ring {
-		return q.dev.ring(q)
+		d.ring(q)
 	}
 	return nil
 }

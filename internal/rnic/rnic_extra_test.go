@@ -9,7 +9,7 @@ import (
 	"flock/internal/fabric"
 )
 
-// Additional substrate coverage: UC semantics, CQ sharing, pipeline
+// Additional substrate coverage: UC semantics, CQ sharing, drain
 // fairness, and concurrent atomic correctness.
 
 func TestUCWriteAndSend(t *testing.T) {
@@ -78,8 +78,8 @@ func TestSharedCQAcrossQPs(t *testing.T) {
 	}
 	// All four immediates land on the one shared CQ, each naming its QP.
 	// Drain against a time deadline, yielding between polls: an
-	// iteration-count spin can burn its whole budget before the device
-	// pipeline goroutine is ever scheduled on a small GOMAXPROCS.
+	// iteration-count spin can burn its whole budget before a goroutine
+	// serving the device is ever scheduled on a small GOMAXPROCS.
 	seen := map[int]bool{}
 	var buf [8]Completion
 	deadline := time.Now().Add(5 * time.Second)

@@ -8,8 +8,8 @@ import (
 
 // PublishTelemetry registers snapshot-time views of the device's counters
 // under prefix (e.g. "rnic."). The device's hot-path accounting is
-// untouched — the pipeline keeps writing its own atomics and the registry
-// reads them when a snapshot is taken.
+// untouched — the processing unit keeps writing its own atomics and the
+// registry reads them when a snapshot is taken.
 func (d *Device) PublishTelemetry(reg *telemetry.Registry, prefix string) {
 	cf := func(name string, f *uint64) {
 		reg.CounterFunc(prefix+name, func() uint64 { return atomic.LoadUint64(f) })
@@ -18,6 +18,8 @@ func (d *Device) PublishTelemetry(reg *telemetry.Registry, prefix string) {
 	cf("doorbells", &c.Doorbells)
 	cf("work_requests", &c.WorkRequests)
 	cf("processed", &c.Processed)
+	cf("foreign_doorbells", &c.ForeignDoorbells)
+	cf("deferred_rings", &c.DeferredRings)
 	cf("cache_hits", &c.CacheHits)
 	cf("cache_misses", &c.CacheMisses)
 	cf("pcie_fetch_ns", &c.PCIeFetchNanos)

@@ -21,8 +21,45 @@
 //     observes partially-placed messages and the canary check is
 //     load-bearing.
 //
-// Each Device runs a single pipeline goroutine that drains QP send queues
-// in doorbell order, mirroring the serialized processing unit of a NIC.
+// # Execution model
+//
+// A Device owns no goroutine. Posting is what the paper prices it as — a
+// doorbell, not a hand-off to another thread (§6) — so the work a doorbell
+// starts runs to completion on the goroutine that rang it:
+//
+//   - Who runs a WR. QP.PostSend appends to the QP's send queue and, if the
+//     QP has no doorbell outstanding, puts the QP on the device's doorbell
+//     queue. The ringer then tries to become the device's processing unit
+//     (one CAS). If it wins it executes rung QPs in doorbell order, at most
+//     drainBudget WRs per visit to a QP, until the queue is empty; having
+//     given the role up it looks at the queue once more, so a doorbell rung
+//     in between is not lost. If it loses, the unit is some other ringer,
+//     which will reach the queued QP: the NIC is a combining lock (§4.2
+//     applied to the model itself). There is one unit at a time, so WRs of
+//     one QP execute in post order and completions of one QP arrive in
+//     order. A ringer is not captured: after its own doorbell it serves at
+//     most stintBudget further WRs and then, if work remains, passes the
+//     role to a transient goroutine that exits when the queue is empty.
+//
+//   - Why PostSend cannot block. Nothing the unit does waits. The three
+//     waits a WR can need — an RC responder with no receive buffer posted, an
+//     injected RC delay, a retransmit backoff — are deferred re-rings: the
+//     WR goes back to the head of its send queue with its attempt counters
+//     (QP.head), the QP stays marked as rung so that later posts line up
+//     behind it without a doorbell, and a timer rings the QP again. The
+//     poster gets its goroutine back at once and learns the outcome from
+//     the completion queue, as with hardware.
+//
+//   - A stall is per QP. While one QP waits the unit serves the others;
+//     only WRs behind the stalled one on the same QP are held, which is
+//     RC's ordering and nothing more.
+//
+// Polling is priced the same way: CQ.Poll on an empty queue is one atomic
+// load, and MemRegion.Version lets a ring poller skip looking at memory
+// nobody has written since it last looked.
+//
+// Close takes the unit role for good — waiting for the current unit to
+// leave at its next doorbell — before it releases what abandoned WRs own.
 package rnic
 
 import "fmt"

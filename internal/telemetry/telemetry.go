@@ -26,8 +26,8 @@ import (
 
 // shardCount is the number of padded cells a Counter stripes over. Eight
 // covers the concurrency of the hot paths that share one counter (leaders
-// on different QPs, dispatchers, the device pipeline) without bloating the
-// many mostly-single-writer counters.
+// on different QPs, dispatchers, the devices' processing units) without
+// bloating the many mostly-single-writer counters.
 const shardCount = 8
 
 // pad64 is one counter cell padded to a cache line so concurrent writers
