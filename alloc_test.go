@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"flock"
+	"flock/internal/loadgen"
 )
 
 // allocCeiling is the allowed allocations per echo Call+Release.
@@ -20,25 +21,12 @@ import (
 const allocCeiling = 8
 
 func TestEchoAllocRegressionGate(t *testing.T) {
-	net := flock.NewNetwork(flock.FabricConfig{})
-	defer net.Close()
-	server, err := net.NewNode(1, flock.Options{}, 0)
+	star, err := loadgen.NewStar(flock.Options{}, flock.Options{}, 1, 0, loadgen.Echo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	server.RegisterHandler(1, func(req []byte) []byte { return req })
-	if err := server.Serve(); err != nil {
-		t.Fatal(err)
-	}
-	client, err := net.NewNode(2, flock.Options{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn, err := client.Connect(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	th := conn.RegisterThread()
+	defer star.Close()
+	th := star.Conns[0].RegisterThread()
 	payload := make([]byte, 64)
 
 	// Warm the pool free lists and the connection's scratch buffers so the

@@ -18,6 +18,7 @@ import (
 	"flock/internal/baseline/lockshare"
 	"flock/internal/fabric"
 	"flock/internal/kvstore"
+	"flock/internal/loadgen"
 	"flock/internal/model"
 	"flock/internal/rnic"
 )
@@ -155,27 +156,15 @@ func BenchmarkFig18(b *testing.B) {
 
 // --- Live-library microbenchmarks -----------------------------------------
 
-// liveCluster builds a real server+client pair for the live benches.
+// liveCluster builds a real server+client pair for the live benches: the
+// echo star the load tools measure on, with one client.
 func liveCluster(b *testing.B, opts flock.Options) (*flock.Node, *flock.Conn, func()) {
 	b.Helper()
-	net := flock.NewNetwork(flock.FabricConfig{})
-	server, err := net.NewNode(1, opts, 0)
+	star, err := loadgen.NewStar(opts, opts, 1, 0, loadgen.Echo)
 	if err != nil {
 		b.Fatal(err)
 	}
-	server.RegisterHandler(1, func(req []byte) []byte { return req })
-	if err := server.Serve(); err != nil {
-		b.Fatal(err)
-	}
-	client, err := net.NewNode(2, opts, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	conn, err := client.Connect(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return server, conn, net.Close
+	return star.Server, star.Conns[0], star.Close
 }
 
 // BenchmarkLiveRPCEcho measures the live library's synchronous echo path.
@@ -186,9 +175,11 @@ func BenchmarkLiveRPCEcho(b *testing.B) {
 	payload := make([]byte, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := th.Call(1, payload); err != nil {
+		r, err := th.Call(1, payload)
+		if err != nil {
 			b.Fatal(err)
 		}
+		r.Release()
 	}
 }
 
@@ -203,9 +194,11 @@ func BenchmarkLiveRPCEchoParallel(b *testing.B) {
 		mu.Unlock()
 		payload := make([]byte, 64)
 		for pb.Next() {
-			if _, err := th.Call(1, payload); err != nil {
+			r, err := th.Call(1, payload)
+			if err != nil {
 				b.Fatal(err)
 			}
+			r.Release()
 		}
 	})
 	b.StopTimer()
@@ -271,10 +264,12 @@ func BenchmarkTCQVsSpinlock(b *testing.B) {
 				defer wg.Done()
 				payload := make([]byte, 64)
 				for j := 0; j < per; j++ {
-					if _, err := th.Call(1, payload); err != nil {
+					r, err := th.Call(1, payload)
+					if err != nil {
 						b.Error(err)
 						return
 					}
+					r.Release()
 				}
 			}(ths[i])
 		}

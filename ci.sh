@@ -10,10 +10,26 @@ set -eux
 benchdir=$(mktemp -d)
 trap 'rm -rf "$benchdir"' EXIT
 
+# ratio_gate <label> <min> [warn] reads a flockbench report on stdin and
+# checks its "<label>-goodput ratio=R ..." line: the line must be there and
+# R must be at least <min>. With "warn", a low ratio prints a warning
+# instead of failing; a missing line fails either way.
+ratio_gate() {
+	awk -v label="$1" -v min="$2" -v warn="${3:-}" '
+		index($0, label "-goodput ratio=") == 1 {
+			found = 1; r = $2; sub(/ratio=/, "", r)
+			if (r + 0 < min + 0) {
+				if (warn != "") print "WARNING: " label " goodput ratio " r " below " min " (not gated, see above)"
+				else { print label " goodput ratio " r " below " min " gate"; bad = 1 }
+			}
+		}
+		END { exit (found && !bad) ? 0 : 1 }'
+}
+
 go vet ./...
 go build ./...
 go test ./...
-go test -race ./internal/core ./internal/rnic ./internal/mem ./internal/telemetry ./internal/check ./internal/cluster
+go test -race ./internal/loadgen ./internal/core ./internal/rnic ./internal/mem ./internal/telemetry ./internal/check ./internal/cluster
 # The software RNIC has no goroutine of its own (PR 14): whichever goroutine
 # rings a doorbell may execute anybody's work requests. The three tests that
 # cross posters, pollers, stalled QPs and Close on one device are repeated,
@@ -56,14 +72,18 @@ go test -run 'TestCounterOverheadGate|TestHotPathNoAlloc' -count=1 ./internal/te
 # — a shard that never sheds or retries proves nothing) and drain every
 # node to zero leases; (3) the flockbench goodput sweep must hold the
 # overload-chaos point within 20% of the no-fault plateau (no
-# congestion collapse). Gate (3) only WARNS: until PR 14 the awk below
+# congestion collapse). Gate (3) only WARNS: until PR 14 its awk
 # could not fail (its `exit 1` ran the END rule, whose `exit found ? 0 : 1`
 # replaced the status), and now that it can, the sweep turns out to be
 # bimodal on this class of host at the parent commit and the change alike —
 # five runs each: 1.00 0.96 0.95 0.98 0.03 and 0.97 1.00 0.96 0.93 0.04
 # (PR 13 saw 0.00-0.70). A gate that fails one run in five on unchanged
 # code teaches people to rerun CI; a missing chaos-goodput line still
-# fails. Make it fail on the ratio again once the low mode is explained.
+# fails. Since PR 15 a low-mode run says what it is — flockbench prints
+# "WARNING: N of N workers retired early: flock: connection closed" for
+# each collapsed point: deadline expiries strike QPs until the client's
+# whole handle is quarantined (EXPERIMENTS.md "PR 15"). Make it fail on the
+# ratio again once that is fixed or the experiment rides it out.
 go test -run 'TestOverload|TestDedup|TestHedged|TestDrain|TestBreaker' -count=1 ./internal/core
 out=$(go run ./cmd/flockload -overload 4 -retry 6 -workers 2 -threads 8 -dur 500ms -faults seed=6,rc-loss=0.01)
 echo "$out"
@@ -72,7 +92,7 @@ echo "$out" | grep -Eq ' retries=[1-9]'
 echo "$out" | grep -q 'leases=0'
 bench=$(go run ./cmd/flockbench -run overload -json "$benchdir/overload.json")
 echo "$bench"
-echo "$bench" | awk '/chaos-goodput/ { found=1; r=$2; sub(/ratio=/,"",r); if (r+0 < 0.80) print "WARNING: chaos goodput ratio " r " below 0.80 (not gated, see above)" } END { exit found ? 0 : 1 }'
+echo "$bench" | ratio_gate chaos 0.80 warn
 
 # Pipelining shard (ISSUE 7). Two gates on the unified completion path:
 # (1) the flockbench depth sweep must show the async pipeline actually
@@ -82,7 +102,7 @@ echo "$bench" | awk '/chaos-goodput/ { found=1; r=$2; sub(/ratio=/,"",r); if (r+
 # stands alone in a sharded CI).
 pbench=$(go run ./cmd/flockbench -run pipeline -json "$benchdir/pipeline.json")
 echo "$pbench"
-echo "$pbench" | awk '/pipeline-goodput/ { found=1; r=$2; sub(/ratio=/,"",r); if (r+0 < 1.50) { print "pipeline goodput ratio " r " below 1.50 gate"; bad=1 } } END { exit (found && !bad) ? 0 : 1 }'
+echo "$pbench" | ratio_gate pipeline 1.50
 go test -run TestEchoAllocRegressionGate -count=1 .
 
 # Cluster shard (ISSUE 8). Four gates on the cluster layer: (1) the live
@@ -104,7 +124,7 @@ echo "$cout" | grep -Eq 'membership +live=4/4 moves=2'
 echo "$cout" | grep -q 'leases=0'
 cbench=$(go run ./cmd/flockbench -run cluster -json "$benchdir/cluster.json")
 echo "$cbench"
-echo "$cbench" | awk '/cluster-goodput/ { found=1; r=$2; sub(/ratio=/,"",r); if (r+0 < 2.50) { print "cluster goodput ratio " r " below 2.50 gate"; bad=1 } } END { exit (found && !bad) ? 0 : 1 }'
+echo "$cbench" | ratio_gate cluster 2.50
 
 # Replication shard (ISSUEs 9 + 10). Five gates on group-commit
 # primary–backup replication: (1) the live failover and group-commit
@@ -135,9 +155,25 @@ echo "$rout" | grep -Eq 'batches=[1-9]'
 echo "$rout" | grep -q 'leases=0'
 rbench=$(go run ./cmd/flockbench -run replication -json "$benchdir/replication.json")
 echo "$rbench"
-echo "$rbench" | awk '/replication-goodput/ { found=1; r=$2; sub(/ratio=/,"",r); if (r+0 < 0.5) { print "replication goodput ratio " r " below 0.5 gate"; bad=1 } } END { exit (found && !bad) ? 0 : 1 }'
+echo "$rbench" | ratio_gate replication 0.5
 ccov=$(go test -count=1 -cover ./internal/cluster | awk '{for (i=1;i<=NF;i++) if ($i=="coverage:") print $(i+1)}' | tr -d '%')
 awk -v c="$ccov" 'BEGIN { if (c+0 < 70.0) { print "internal/cluster coverage " c "% below 70% floor"; exit 1 } }'
+
+# Live-experiment smoke (ISSUE 15). The four flockbench experiments on the
+# live library that no gate above runs share one closed-loop driver
+# (internal/loadgen) with the gated ones, but nothing else would notice if
+# one of them broke. Each must exit zero (set -e covers the assignment),
+# print no retired-worker warning — a worker that met an unexpected error —
+# and report a nonzero rate on every data row (second column).
+for exp in ablation-credits ablation-signal ablation-udcoalesce sync-micro; do
+	smoke=$(go run ./cmd/flockbench -run "$exp" -quick)
+	echo "$smoke"
+	if echo "$smoke" | grep -q 'workers retired early'; then
+		echo "$exp: workers retired early"
+		exit 1
+	fi
+	echo "$smoke" | awk '$2 ~ /^[0-9.]+x?$/ { rows++; if ($2 + 0 == 0) { print "zero rate: " $0; bad = 1 } } END { exit (rows && !bad) ? 0 : 1 }'
+done
 
 # One-iteration benchmark smoke: every benchmark must still build and run
 # (catches bit-rot in the bench harness without paying full measurement

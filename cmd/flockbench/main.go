@@ -10,18 +10,18 @@
 //
 // Figure experiments run on the deterministic discrete-event models in
 // internal/model; table-1, the sync microbenchmark, and the credit/
-// signaling ablations run on the real concurrent library. Output is one
-// row per data point, aligned for diffing against EXPERIMENTS.md.
+// signaling ablations run on the real concurrent library, every timed one
+// of them under the one closed-loop driver in internal/loadgen. Output is
+// one row per data point, aligned for diffing against EXPERIMENTS.md.
 package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"flock/internal/baseline/lockshare"
@@ -29,8 +29,10 @@ import (
 	"flock/internal/cluster"
 	"flock/internal/core"
 	"flock/internal/fabric"
+	"flock/internal/loadgen"
 	"flock/internal/model"
 	"flock/internal/rnic"
+	"flock/internal/telemetry"
 )
 
 // experiment is one runnable unit.
@@ -103,25 +105,24 @@ var csvSink *os.File
 
 // benchRecord is one machine-readable data point for -json. Figure rows
 // carry figure/series/x straight from the model row; live-library
-// experiments attach the telemetry snapshot of the run that produced them.
+// experiments attach the telemetry delta of the window that produced them.
 type benchRecord struct {
-	Experiment string             `json:"experiment"`
-	Figure     string             `json:"figure,omitempty"`
-	Series     string             `json:"series,omitempty"`
-	X          float64            `json:"x"`
-	Metrics    map[string]float64 `json:"metrics"`
-	Telemetry  json.RawMessage    `json:"telemetry,omitempty"`
+	Experiment string              `json:"experiment"`
+	Figure     string              `json:"figure,omitempty"`
+	Series     string              `json:"series,omitempty"`
+	X          float64             `json:"x"`
+	Metrics    map[string]float64  `json:"metrics"`
+	Telemetry  *telemetry.Snapshot `json:"telemetry,omitempty"`
 }
 
 // jsonOut accumulates benchRecords across experiments; main writes the
 // document once at exit. cur is only written from the sequential main
 // loop; the mutex covers record emission from experiment bodies.
 var jsonOut struct {
-	enabled       bool
-	cur           string
-	mu            sync.Mutex
-	records       []benchRecord
-	lastTelemetry json.RawMessage
+	enabled bool
+	cur     string
+	mu      sync.Mutex
+	records []benchRecord
 }
 
 // emitRecord appends one data point, stamping the current experiment.
@@ -144,30 +145,6 @@ func emitModelRow(r model.Row) {
 			"degree": r.Degree, "cpu": r.CPU,
 		},
 	})
-}
-
-// stashTelemetry records the telemetry snapshot of a just-finished live
-// run; the caller's next emitRecord picks it up via takeTelemetry.
-func stashTelemetry(nw *core.Network) {
-	if !jsonOut.enabled {
-		return
-	}
-	b, err := json.Marshal(nw.TelemetrySnapshot())
-	if err != nil {
-		return
-	}
-	jsonOut.mu.Lock()
-	jsonOut.lastTelemetry = b
-	jsonOut.mu.Unlock()
-}
-
-// takeTelemetry returns and clears the stashed snapshot.
-func takeTelemetry() json.RawMessage {
-	jsonOut.mu.Lock()
-	defer jsonOut.mu.Unlock()
-	b := jsonOut.lastTelemetry
-	jsonOut.lastTelemetry = nil
-	return b
 }
 
 // writeJSONOut writes the accumulated records as one JSON document.
@@ -261,157 +238,135 @@ func runTable1(bool) {
 	}
 }
 
-// liveEchoThroughput runs the real library: nClients client nodes × nThreads
-// goroutines of 64-byte echo against one server for the wall duration.
-func liveEchoThroughput(opts core.Options, nClients, nThreads, window int, dur time.Duration) (mops float64, m core.NodeMetrics) {
-	nw := core.NewNetwork(fabric.Config{})
-	defer nw.Close()
-	server, err := nw.NewNode(0, opts, 0)
+// must unwraps a constructor's result: a live experiment whose topology
+// does not build has nothing to report.
+func must[T any](v T, err error) T {
 	if err != nil {
 		panic(err)
 	}
-	server.RegisterHandler(1, func(req []byte) []byte { return req })
-	server.Serve()
-
-	var ops atomic.Uint64
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for c := 0; c < nClients; c++ {
-		client, err := nw.NewNode(fabric.NodeID(c+1), opts, 0)
-		if err != nil {
-			panic(err)
-		}
-		conn, err := client.Connect(0)
-		if err != nil {
-			panic(err)
-		}
-		for t := 0; t < nThreads; t++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				th := conn.RegisterThread()
-				payload := make([]byte, 64)
-				batch := make([]core.BatchOp, window)
-				for k := range batch {
-					batch[k] = core.BatchOp{RPCID: 1, Payload: payload}
-				}
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					// One combining-queue entry for the whole window: the
-					// claiming leader coalesces it under a single doorbell.
-					pends, err := th.SendBatch(batch, core.CallOptions{})
-					if err != nil {
-						return
-					}
-					for _, p := range pends {
-						r, err := p.Wait()
-						if err != nil {
-							return
-						}
-						r.Release()
-						ops.Add(1)
-					}
-				}
-			}()
-		}
-	}
-	// Warm up, reset, measure.
-	time.Sleep(dur / 4)
-	ops.Store(0)
-	start := time.Now()
-	time.Sleep(dur)
-	measured := ops.Load()
-	elapsed := time.Since(start)
-	close(stop)
-	wg.Wait()
-	stashTelemetry(nw)
-	return float64(measured) / elapsed.Seconds() / 1e6, server.Metrics()
+	return v
 }
 
-// runCreditAblation sweeps the per-QP credit budget C on the live library.
-func runCreditAblation(quick bool) {
-	dur := 800 * time.Millisecond
-	if quick {
-		dur = 200 * time.Millisecond
+// measure runs one point of a live experiment under the shared driver
+// (internal/loadgen: warm-up, window, measured elapsed, telemetry delta of
+// the window). A worker that met an unexpected error lowers the rate, so
+// it is reported here rather than absorbed.
+func measure(nw *core.Network, workers int, window time.Duration, setup loadgen.Setup) loadgen.Result {
+	res := loadgen.Measure(nw, workers, window, setup)
+	if res.Retired > 0 {
+		fmt.Printf(loadgen.RetiredWarning, res.Retired, workers, res.Err)
 	}
+	return res
+}
+
+// windowOf is an experiment's measurement window: full, or short with -quick.
+func windowOf(quick bool, full, short time.Duration) time.Duration {
+	if quick {
+		return short
+	}
+	return full
+}
+
+// emitLive emits one measured point of a live experiment together with the
+// telemetry delta of the window that produced it.
+func emitLive(series string, x float64, res loadgen.Result, metrics map[string]float64) {
+	emitRecord(benchRecord{Series: series, X: x, Metrics: metrics, Telemetry: &res.Telemetry})
+}
+
+// syncEcho sets up a worker that owns one thread on conn and keeps one
+// synchronous echo of payload outstanding.
+func syncEcho(conn *core.Conn, payload []byte) loadgen.Setup {
+	return func(*loadgen.Worker) loadgen.Step {
+		th := conn.RegisterThread()
+		return func() (int, error) {
+			r, err := th.Call(1, payload)
+			if err != nil {
+				return 0, err
+			}
+			r.Release()
+			return 1, nil
+		}
+	}
+}
+
+// slowEcho is the echo handler with an emulated wall-clock service time.
+func slowEcho(service time.Duration) core.Handler {
+	return func(req []byte) []byte {
+		time.Sleep(service)
+		return req
+	}
+}
+
+// runCreditAblation sweeps the per-QP credit budget C on the live library:
+// 2 client nodes × 8 threads, each thread keeping a window of 8 64-byte
+// echoes in flight.
+func runCreditAblation(quick bool) {
+	dur := windowOf(quick, 800*time.Millisecond, 200*time.Millisecond)
+	const nClients, nThreads, depth = 2, 8, 8
 	fmt.Println("C      Mops   renewals  degree")
 	for _, credits := range []int{4, 8, 16, 32, 64, 128} {
 		opts := core.Options{Credits: credits, QPsPerConn: 2}
-		mops, m := liveEchoThroughput(opts, 2, 8, 8, dur)
+		star := must(loadgen.NewStar(opts, opts, nClients, 0, loadgen.Echo))
+		res := measure(star.Net, nClients*nThreads, dur, func(w *loadgen.Worker) loadgen.Step {
+			// At C=4 a leader's credit wait now and then outlasts StallTimeout
+			// and breaks its QP (one run in fifteen); the library recycles it
+			// and the worker re-offers instead of leaving the population.
+			w.Tolerate(core.ErrQPBroken)
+			th := star.Conns[w.Index/nThreads].RegisterThread()
+			payload := make([]byte, 64)
+			batch := make([]core.BatchOp, depth)
+			for k := range batch {
+				batch[k] = core.BatchOp{RPCID: 1, Payload: payload}
+			}
+			return func() (int, error) {
+				// One combining-queue entry for the whole window: the
+				// claiming leader coalesces it under a single doorbell.
+				pends, err := th.SendBatch(batch, core.CallOptions{})
+				if err != nil {
+					return 0, err
+				}
+				for i, p := range pends {
+					r, err := p.Wait()
+					if err != nil {
+						return i, err
+					}
+					r.Release()
+				}
+				return len(pends), nil
+			}
+		})
+		star.Close()
+		c := res.Telemetry.Counters
+		mops, renewals := res.Rate()/1e6, c["node0.core.credit_renewals"]
 		degree := 0.0
-		if m.MsgsIn > 0 {
-			degree = float64(m.ItemsIn) / float64(m.MsgsIn)
+		if msgs := c["node0.core.msgs_in"]; msgs > 0 {
+			degree = float64(c["node0.core.items_in"]) / float64(msgs)
 		}
-		fmt.Printf("%-6d %6.3f %9d %7.2f\n", credits, mops, m.CreditRenewals, degree)
-		emitRecord(benchRecord{
-			Series: "credits", X: float64(credits),
-			Metrics: map[string]float64{
-				"mops": mops, "renewals": float64(m.CreditRenewals), "degree": degree,
-			},
-			Telemetry: takeTelemetry(),
+		fmt.Printf("%-6d %6.3f %9d %7.2f\n", credits, mops, renewals, degree)
+		emitLive("credits", float64(credits), res, map[string]float64{
+			"mops": mops, "renewals": float64(renewals), "degree": degree,
 		})
 	}
 }
 
 // runSignalAblation sweeps the selective-signaling period on the live
-// library, showing the completion-DMA savings of §7.
+// library, showing the completion-DMA savings of §7: 8 threads of
+// synchronous echo on one shared QP.
 func runSignalAblation(quick bool) {
-	dur := 800 * time.Millisecond
-	if quick {
-		dur = 200 * time.Millisecond
-	}
+	dur := windowOf(quick, 800*time.Millisecond, 200*time.Millisecond)
 	fmt.Println("signalEvery  Mops   (completions suppressed vs delivered on client NIC)")
 	for _, every := range []int{1, 4, 16, 64} {
-		nw := core.NewNetwork(fabric.Config{})
 		opts := core.Options{SignalEvery: every, QPsPerConn: 1}
-		server, _ := nw.NewNode(0, opts, 0)
-		server.RegisterHandler(1, func(req []byte) []byte { return req })
-		server.Serve()
-		client, _ := nw.NewNode(1, opts, 0)
-		conn, _ := client.Connect(0)
-		var ops atomic.Uint64
-		var wg sync.WaitGroup
-		stop := make(chan struct{})
-		for t := 0; t < 8; t++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				th := conn.RegisterThread()
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					r, err := th.Call(1, []byte("signal-sweep"))
-					if err != nil {
-						return
-					}
-					r.Release()
-					ops.Add(1)
-				}
-			}()
-		}
-		time.Sleep(dur)
-		close(stop)
-		wg.Wait()
-		st := client.Device().Stats()
-		fmt.Printf("%-12d %6.3f  suppressed=%d delivered=%d\n",
-			every, float64(ops.Load())/dur.Seconds()/1e6,
-			st.CompletionsSuppressed, st.CompletionsDelivered)
-		emitRecord(benchRecord{
-			Series: "signal_every", X: float64(every),
-			Metrics: map[string]float64{
-				"mops":       float64(ops.Load()) / dur.Seconds() / 1e6,
-				"suppressed": float64(st.CompletionsSuppressed),
-				"delivered":  float64(st.CompletionsDelivered),
-			},
+		star := must(loadgen.NewStar(opts, opts, 1, 0, loadgen.Echo))
+		res := measure(star.Net, 8, dur, syncEcho(star.Conns[0], []byte("signal-sweep")))
+		star.Close()
+		c := res.Telemetry.Counters
+		mops := res.Rate() / 1e6
+		suppressed, delivered := c["node1.rnic.completions_suppressed"], c["node1.rnic.completions_delivered"]
+		fmt.Printf("%-12d %6.3f  suppressed=%d delivered=%d\n", every, mops, suppressed, delivered)
+		emitLive("signal_every", float64(every), res, map[string]float64{
+			"mops": mops, "suppressed": float64(suppressed), "delivered": float64(delivered),
 		})
-		nw.Close()
 	}
 }
 
@@ -482,7 +437,10 @@ func runUDCoalesceAblation(quick bool) {
 //   - naive: no admission control; clients time out and immediately
 //     re-offer the same work. Once the queue outgrows the deadline the
 //     server burns its whole capacity on requests whose callers already
-//     gave up — congestion collapse.
+//     gave up — congestion collapse. (Read this series with the
+//     retired-worker warning next to it: every expiry also strikes a QP,
+//     and past saturation the client's whole handle is quarantined and
+//     fails within tens of milliseconds — EXPERIMENTS.md "PR 15".)
 //   - resilient: AdmissionLimit bounds the admitted queue (excess is a
 //     cheap wire NACK, no handler execution) and client retries are
 //     budgeted with full-jitter backoff, so retry pressure
@@ -497,110 +455,67 @@ func runUDCoalesceAblation(quick bool) {
 // admission limit are sized so that admitted work always clears the
 // 20ms/4 per-attempt window regardless.
 func runOverloadSweep(quick bool) {
-	dur := 600 * time.Millisecond
-	if quick {
-		dur = 200 * time.Millisecond
-	}
+	dur := windowOf(quick, 600*time.Millisecond, 200*time.Millisecond)
 	const serviceTime = time.Millisecond
 	loads := []int{2, 8, 32, 64}
 	if quick {
 		loads = []int{2, 32, 64}
 	}
-	run := func(threads int, resilient bool, plan *fabric.FaultPlan) (gops float64, sm, cm core.NodeMetrics) {
-		nw := core.NewNetwork(fabric.Config{})
-		defer nw.Close()
-		nw.Fabric().SetFaultPlan(plan)
+	run := func(threads int, resilient bool, plan *fabric.FaultPlan) loadgen.Result {
 		sOpts := core.Options{Workers: 2}
 		cOpts := core.Options{RPCTimeout: 20 * time.Millisecond}
 		if resilient {
 			sOpts.AdmissionLimit = 8
 			cOpts.RetryMaxAttempts = 4
 		}
-		server, err := nw.NewNode(0, sOpts, 0)
-		if err != nil {
-			panic(err)
-		}
-		server.RegisterHandler(1, func(req []byte) []byte {
-			time.Sleep(serviceTime)
-			return req
-		})
-		server.Serve()
-		client, err := nw.NewNode(1, cOpts, 0)
-		if err != nil {
-			panic(err)
-		}
-		conn, err := client.Connect(0)
-		if err != nil {
-			panic(err)
-		}
-		var ok atomic.Uint64
-		var wg sync.WaitGroup
-		stop := make(chan struct{})
-		for t := 0; t < threads; t++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				th := conn.RegisterThread()
-				buf := make([]byte, 64)
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					var r core.Response
-					var err error
-					if resilient {
-						r, err = th.CallOpts(1, buf, core.CallOptions{})
-					} else {
-						r, err = th.Call(1, buf)
-					}
-					if err == nil {
-						r.Release()
-						ok.Add(1)
-						continue
-					}
-					// Both series re-offer failed work immediately — the
-					// collapse-vs-survival difference must come from the
-					// library, not from a polite benchmark loop.
-					if !errors.Is(err, core.ErrTimeout) && !errors.Is(err, core.ErrQPBroken) &&
-						!errors.Is(err, core.ErrOverloaded) {
-						return
-					}
+		star := must(loadgen.NewStar(sOpts, cOpts, 1, 0, slowEcho(serviceTime)))
+		defer star.Close()
+		star.Net.Fabric().SetFaultPlan(plan)
+		return measure(star.Net, threads, dur, func(w *loadgen.Worker) loadgen.Step {
+			// Both series re-offer failed work immediately — the
+			// collapse-vs-survival difference must come from the
+			// library, not from a polite benchmark loop.
+			w.Tolerate(core.ErrTimeout, core.ErrQPBroken, core.ErrOverloaded)
+			th := star.Conns[0].RegisterThread()
+			buf := make([]byte, 64)
+			return func() (int, error) {
+				var r core.Response
+				var err error
+				if resilient {
+					r, err = th.CallOpts(1, buf, core.CallOptions{})
+				} else {
+					r, err = th.Call(1, buf)
 				}
-			}()
-		}
-		start := time.Now()
-		time.Sleep(dur)
-		measured := ok.Load()
-		elapsed := time.Since(start)
-		close(stop)
-		wg.Wait()
-		stashTelemetry(nw)
-		return float64(measured) / elapsed.Seconds(), server.Metrics(), client.Metrics()
+				if err != nil {
+					return 0, err
+				}
+				r.Release()
+				return 1, nil
+			}
+		})
+	}
+	// The side columns come from the same window as the rate: rejects on
+	// the server, retries and refused retries on the client.
+	side := func(res loadgen.Result) (rejected, retries, exhausted uint64) {
+		c := res.Telemetry.Counters
+		return c["node0.core.rpc_rejected"], c["node1.core.retries"], c["node1.core.retry_budget_exhausted"]
 	}
 
 	fmt.Println("threads  naive(ops/s)  resilient(ops/s)  rejected  retries  budget-exhausted")
 	var plateau float64
 	for _, threads := range loads {
-		naive, _, _ := run(threads, false, nil)
-		res, sm, cm := run(threads, true, nil)
-		if res > plateau {
-			plateau = res
+		naive := run(threads, false, nil)
+		res := run(threads, true, nil)
+		if res.Rate() > plateau {
+			plateau = res.Rate()
 		}
+		rejected, retries, exhausted := side(res)
 		fmt.Printf("%-8d %12.0f %17.0f %9d %8d %17d\n",
-			threads, naive, res, sm.RPCRejected, cm.Retries, cm.RetryBudgetExhausted)
-		emitRecord(benchRecord{
-			Series: "naive", X: float64(threads),
-			Metrics: map[string]float64{"goodput_ops_s": naive},
-		})
-		emitRecord(benchRecord{
-			Series: "resilient", X: float64(threads),
-			Metrics: map[string]float64{
-				"goodput_ops_s": res, "rejected": float64(sm.RPCRejected),
-				"retries": float64(cm.Retries), "budget_exhausted": float64(cm.RetryBudgetExhausted),
-			},
-			Telemetry: takeTelemetry(),
+			threads, naive.Rate(), res.Rate(), rejected, retries, exhausted)
+		emitLive("naive", float64(threads), naive, map[string]float64{"goodput_ops_s": naive.Rate()})
+		emitLive("resilient", float64(threads), res, map[string]float64{
+			"goodput_ops_s": res.Rate(), "rejected": float64(rejected),
+			"retries": float64(retries), "budget_exhausted": float64(exhausted),
 		})
 	}
 
@@ -608,18 +523,15 @@ func runOverloadSweep(quick bool) {
 	// library's recovery (timeout-driven recycle) plus the resilience
 	// layer must hold goodput near the no-fault plateau.
 	chaosThreads := loads[len(loads)-1]
-	chaos, sm, cm := run(chaosThreads, true, &fabric.FaultPlan{Seed: 6, RCLossProb: 0.01})
-	ratio := chaos / plateau
+	chaos := run(chaosThreads, true, &fabric.FaultPlan{Seed: 6, RCLossProb: 0.01})
+	rejected, retries, exhausted := side(chaos)
+	ratio := chaos.Rate() / plateau
 	fmt.Printf("chaos    %12s %17.0f %9d %8d %17d  (rc-loss=1%%)\n",
-		"-", chaos, sm.RPCRejected, cm.Retries, cm.RetryBudgetExhausted)
+		"-", chaos.Rate(), rejected, retries, exhausted)
 	fmt.Printf("chaos-goodput ratio=%.2f of no-fault plateau (%.0f ops/s, gate >= 0.80)\n", ratio, plateau)
-	emitRecord(benchRecord{
-		Series: "chaos", X: float64(chaosThreads),
-		Metrics: map[string]float64{
-			"goodput_ops_s": chaos, "plateau_ops_s": plateau, "ratio": ratio,
-			"rejected": float64(sm.RPCRejected), "retries": float64(cm.Retries),
-		},
-		Telemetry: takeTelemetry(),
+	emitLive("chaos", float64(chaosThreads), chaos, map[string]float64{
+		"goodput_ops_s": chaos.Rate(), "plateau_ops_s": plateau, "ratio": ratio,
+		"rejected": float64(rejected), "retries": float64(retries),
 	})
 }
 
@@ -634,10 +546,7 @@ func runOverloadSweep(quick bool) {
 // container it lands at sleep granularity, which only widens the gap the
 // gate checks for.)
 func runPipelineSweep(quick bool) {
-	dur := 600 * time.Millisecond
-	if quick {
-		dur = 200 * time.Millisecond
-	}
+	dur := windowOf(quick, 600*time.Millisecond, 200*time.Millisecond)
 	const (
 		nThreads    = 4
 		serviceTime = 200 * time.Microsecond
@@ -648,113 +557,57 @@ func runPipelineSweep(quick bool) {
 	}
 
 	// depth == 0 selects the synchronous Call baseline.
-	run := func(depth int) float64 {
-		nw := core.NewNetwork(fabric.Config{})
-		defer nw.Close()
-		server, err := nw.NewNode(0, core.Options{Workers: 16}, 0)
-		if err != nil {
-			panic(err)
+	run := func(depth int) loadgen.Result {
+		star := must(loadgen.NewStar(core.Options{Workers: 16}, core.Options{}, 1, 0, slowEcho(serviceTime)))
+		defer star.Close()
+		if depth == 0 {
+			return measure(star.Net, nThreads, dur, syncEcho(star.Conns[0], make([]byte, 64)))
 		}
-		server.RegisterHandler(1, func(req []byte) []byte {
-			time.Sleep(serviceTime)
-			return req
+		return measure(star.Net, nThreads, dur, func(w *loadgen.Worker) loadgen.Step {
+			return loadgen.Pipelined(w, star.Conns[0].RegisterThread(), make([]byte, 64), depth)
 		})
-		server.Serve()
-		client, err := nw.NewNode(1, core.Options{}, 0)
-		if err != nil {
-			panic(err)
-		}
-		conn, err := client.Connect(0)
-		if err != nil {
-			panic(err)
-		}
-		var ok atomic.Uint64
-		var wg sync.WaitGroup
-		stop := make(chan struct{})
-		for t := 0; t < nThreads; t++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				th := conn.RegisterThread()
-				buf := make([]byte, 64)
-				if depth == 0 {
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						r, err := th.Call(1, buf)
-						if err != nil {
-							return
-						}
-						r.Release()
-						ok.Add(1)
-					}
-				}
-				var pend []*core.Pending
-				defer func() {
-					for _, p := range pend {
-						p.Cancel()
-					}
-				}()
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					for len(pend) < depth {
-						p, err := th.CallAsync(1, buf, core.CallOptions{})
-						if err != nil {
-							return
-						}
-						pend = append(pend, p)
-					}
-					p := pend[0]
-					pend = pend[:copy(pend, pend[1:])]
-					r, err := p.Wait()
-					if err != nil {
-						return
-					}
-					r.Release()
-					ok.Add(1)
-				}
-			}()
-		}
-		start := time.Now()
-		time.Sleep(dur)
-		measured := ok.Load()
-		elapsed := time.Since(start)
-		close(stop)
-		wg.Wait()
-		stashTelemetry(nw)
-		return float64(measured) / elapsed.Seconds()
 	}
 
 	fmt.Printf("%d goroutines, 64-byte echo, %v window per point\n", nThreads, dur)
 	fmt.Println("depth    goodput(ops/s)")
 	sync := run(0)
-	fmt.Printf("%-8s %14.0f\n", "sync", sync)
-	emitRecord(benchRecord{
-		Series: "sync-call", X: 1,
-		Metrics:   map[string]float64{"goodput_ops_s": sync},
-		Telemetry: takeTelemetry(),
-	})
+	fmt.Printf("%-8s %14.0f\n", "sync", sync.Rate())
+	emitLive("sync-call", 1, sync, map[string]float64{"goodput_ops_s": sync.Rate()})
 	byDepth := make(map[int]float64, len(depths))
 	for _, d := range depths {
-		g := run(d)
-		byDepth[d] = g
-		fmt.Printf("%-8d %14.0f\n", d, g)
-		emitRecord(benchRecord{
-			Series: "async", X: float64(d),
-			Metrics:   map[string]float64{"goodput_ops_s": g},
-			Telemetry: takeTelemetry(),
-		})
+		res := run(d)
+		byDepth[d] = res.Rate()
+		fmt.Printf("%-8d %14.0f\n", d, res.Rate())
+		emitLive("async", float64(d), res, map[string]float64{"goodput_ops_s": res.Rate()})
 	}
 	ratio := byDepth[8] / byDepth[1]
 	fmt.Printf("pipeline-goodput ratio=%.2f depth8/depth1 (depth8 %.0f ops/s, depth1 %.0f ops/s, gate >= 1.50)\n",
 		ratio, byDepth[8], byDepth[1])
+}
+
+// kvLoad measures nThreads router threads on kv. Each owns a disjoint
+// range of keysPerG keys and writes strictly increasing values — the KV's
+// non-decreasing value contract; with gets, every second op reads instead.
+func kvLoad(kv *loadgen.KV, nThreads, keysPerG int, gets bool, dur time.Duration) loadgen.Result {
+	return measure(kv.Net, nThreads, dur, func(w *loadgen.Worker) loadgen.Step {
+		rt := kv.Router.Thread()
+		base := uint64(w.Index * keysPerG)
+		i := 0
+		return func() (int, error) {
+			key := base + uint64(i%keysPerG)
+			var err error
+			if gets && i%2 == 1 {
+				_, _, err = rt.Get(key)
+			} else {
+				err = rt.Put(key, uint64(i+1))
+			}
+			i++
+			if err != nil {
+				return 0, err
+			}
+			return 1, nil
+		}
+	})
 }
 
 // runClusterScaling is ISSUE 8's cluster-size experiment on the live
@@ -770,10 +623,7 @@ func runPipelineSweep(quick bool) {
 // NICs rather than with a shared host CPU. The acceptance gate is
 // 4-member goodput ≥ 2.5× 1-member (BENCH_PR8.json carries the rows).
 func runClusterScaling(quick bool) {
-	dur := 600 * time.Millisecond
-	if quick {
-		dur = 250 * time.Millisecond
-	}
+	dur := windowOf(quick, 600*time.Millisecond, 250*time.Millisecond)
 	const (
 		serviceTime = time.Millisecond
 		shards      = 16
@@ -785,94 +635,22 @@ func runClusterScaling(quick bool) {
 		sizes = []int{1, 4}
 	}
 
-	run := func(nNodes int) (gops float64, redirects uint64) {
-		nw := core.NewNetwork(fabric.Config{})
-		defer nw.Close()
-		members := make([]fabric.NodeID, nNodes)
-		for i := range members {
-			members[i] = fabric.NodeID(i)
-		}
-		m, err := cluster.New(members, shards, 0)
-		if err != nil {
-			panic(err)
-		}
-		for _, id := range members {
-			node, err := nw.NewNode(id, core.Options{Workers: 2}, 0)
-			if err != nil {
-				panic(err)
-			}
-			svc, err := cluster.NewService(node, m, 0)
-			if err != nil {
-				panic(err)
-			}
-			svc.ServiceDelay = serviceTime
-			node.Serve()
-		}
-		client, err := nw.NewNode(100, core.Options{}, 0)
-		if err != nil {
-			panic(err)
-		}
-		router := cluster.NewRouter(client, m)
-		defer router.Close()
-
-		var ok atomic.Uint64
-		var wg sync.WaitGroup
-		stop := make(chan struct{})
-		for g := 0; g < nThreads; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				rt := router.Thread()
-				// Disjoint key range per goroutine with strictly increasing
-				// values — the KV's non-decreasing value contract.
-				base := uint64(g * keysPerG)
-				for i := 0; ; i++ {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					key := base + uint64(i%keysPerG)
-					var err error
-					if i%2 == 0 {
-						err = rt.Put(key, uint64(i+1))
-					} else {
-						_, _, err = rt.Get(key)
-					}
-					if err != nil {
-						return
-					}
-					ok.Add(1)
-				}
-			}(g)
-		}
-		// Warm up, reset, measure.
-		time.Sleep(dur / 4)
-		ok.Store(0)
-		start := time.Now()
-		time.Sleep(dur)
-		measured := ok.Load()
-		elapsed := time.Since(start)
-		close(stop)
-		wg.Wait()
-		stashTelemetry(nw)
-		return float64(measured) / elapsed.Seconds(), router.Redirects()
-	}
-
 	fmt.Printf("%d router threads, %d shards, ~%v emulated service/op, %v window per point\n",
 		nThreads, shards, serviceTime, dur)
 	fmt.Println("members  goodput(ops/s)  redirects")
 	bySize := make(map[int]float64, len(sizes))
 	for _, n := range sizes {
-		g, redirects := run(n)
-		bySize[n] = g
-		fmt.Printf("%-8d %14.0f %10d\n", n, g, redirects)
-		emitRecord(benchRecord{
-			Series: "cluster", X: float64(n),
-			Metrics: map[string]float64{
-				"goodput_ops_s": g, "redirects": float64(redirects),
-			},
-			Telemetry: takeTelemetry(),
+		kv := must(loadgen.NewKV(n, shards, 0, core.Options{Workers: 2}, core.Options{}))
+		for _, svc := range kv.Services {
+			svc.ServiceDelay = serviceTime
+		}
+		res := kvLoad(kv, nThreads, keysPerG, true, dur)
+		kv.Close()
+		redirects := res.Telemetry.Counters["node100.cluster.wrong_shard_redirects"]
+		bySize[n] = res.Rate()
+		fmt.Printf("%-8d %14.0f %10d\n", n, res.Rate(), redirects)
+		emitLive("cluster", float64(n), res, map[string]float64{
+			"goodput_ops_s": res.Rate(), "redirects": float64(redirects),
 		})
 	}
 	ratio := bySize[4] / bySize[1]
@@ -900,10 +678,7 @@ func runClusterScaling(quick bool) {
 // R=2 and sweeps FlushEntries to show the ratio is the batching's doing:
 // cap 1 reproduces the per-put forward, 8 and 64 open the window.
 func runReplicationSweep(quick bool) {
-	dur := 600 * time.Millisecond
-	if quick {
-		dur = 250 * time.Millisecond
-	}
+	dur := windowOf(quick, 600*time.Millisecond, 250*time.Millisecond)
 	const (
 		nNodes   = 4
 		shards   = 4
@@ -911,111 +686,53 @@ func runReplicationSweep(quick bool) {
 		keysPerG = 16
 		workers  = 40
 	)
-	tuned := cluster.ReplTuning{FlushEntries: 32, FlushDelay: 0, PipeDepth: 2}
+	tuned := cluster.ReplTuning{FlushEntries: 32, FlushDelay: 0}
 	factors := []int{0, 1, 2}
 	if quick {
 		factors = []int{0, 2}
 	}
 
-	run := func(replicas int, tuning cluster.ReplTuning) (gops float64, forwards, batches uint64, meanBatch float64) {
-		nw := core.NewNetwork(fabric.Config{})
-		defer nw.Close()
-		members := make([]fabric.NodeID, nNodes)
-		for i := range members {
-			members[i] = fabric.NodeID(i)
-		}
-		m, err := cluster.NewReplicated(members, shards, 0, replicas)
-		if err != nil {
-			panic(err)
-		}
-		var services []*cluster.Service
-		for _, id := range members {
-			node, err := nw.NewNode(id, core.Options{Workers: workers}, 0)
-			if err != nil {
-				panic(err)
-			}
-			svc, err := cluster.NewService(node, m, 0)
-			if err != nil {
-				panic(err)
-			}
+	// run measures one point and prints its row; the replication columns
+	// are the members' series summed over the window's telemetry delta.
+	run := func(label string, replicas int, tuning cluster.ReplTuning) (loadgen.Result, map[string]float64) {
+		kv := must(loadgen.NewKV(nNodes, shards, replicas, core.Options{Workers: workers}, core.Options{}))
+		for _, svc := range kv.Services {
 			svc.Repl = tuning
-			services = append(services, svc)
-			node.Serve()
 		}
-		client, err := nw.NewNode(100, core.Options{}, 0)
-		if err != nil {
-			panic(err)
+		res := kvLoad(kv, nThreads, keysPerG, false, dur)
+		kv.Close()
+		var forwards, batches uint64
+		for name, v := range res.Telemetry.Counters {
+			switch {
+			case strings.HasSuffix(name, ".cluster.replica_forwards"):
+				forwards += v
+			case strings.HasSuffix(name, ".cluster.repl_batches"):
+				batches += v
+			}
 		}
-		router := cluster.NewRouter(client, m)
-		defer router.Close()
-
-		var ok atomic.Uint64
-		var wg sync.WaitGroup
-		stop := make(chan struct{})
-		for g := 0; g < nThreads; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				rt := router.Thread()
-				// Disjoint key range per goroutine with strictly increasing
-				// values — the KV's non-decreasing value contract.
-				base := uint64(g * keysPerG)
-				for i := 0; ; i++ {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					if err := rt.Put(base+uint64(i%keysPerG), uint64(i+1)); err != nil {
-						return
-					}
-					ok.Add(1)
-				}
-			}(g)
+		var entries telemetry.HistSnapshot
+		for name, h := range res.Telemetry.Hists {
+			if strings.HasSuffix(name, ".cluster.repl_batch_entries") {
+				entries.Sum += h.Sum
+				entries.Count += h.Count
+			}
 		}
-		// Warm up, reset, measure.
-		time.Sleep(dur / 4)
-		ok.Store(0)
-		start := time.Now()
-		time.Sleep(dur)
-		measured := ok.Load()
-		elapsed := time.Since(start)
-		close(stop)
-		wg.Wait()
-		var entrySum, entryCount uint64
-		for _, svc := range services {
-			tl := svc.Node().Telemetry()
-			forwards += tl.Counter("cluster.replica_forwards").Load()
-			batches += tl.Counter("cluster.repl_batches").Load()
-			snap := tl.Hist("cluster.repl_batch_entries").Snapshot()
-			entrySum += snap.Sum
-			entryCount += snap.Count
+		fmt.Printf("%s %14.0f %9d %9d %14.1f\n", label, res.Rate(), forwards, batches, entries.Mean())
+		return res, map[string]float64{
+			"goodput_ops_s": res.Rate(), "forwards": float64(forwards),
+			"batches": float64(batches), "batch_mean": entries.Mean(),
 		}
-		if entryCount > 0 {
-			meanBatch = float64(entrySum) / float64(entryCount)
-		}
-		stashTelemetry(nw)
-		return float64(measured) / elapsed.Seconds(), forwards, batches, meanBatch
 	}
 
 	fmt.Printf("%d members, %d shards, %d put-only router threads, %v window per point\n",
 		nNodes, shards, nThreads, dur)
-	fmt.Printf("group-commit tuning: FlushEntries=%d FlushDelay=%v PipeDepth=%d\n",
-		tuned.FlushEntries, tuned.FlushDelay, tuned.PipeDepth)
+	fmt.Printf("group-commit tuning: FlushEntries=%d FlushDelay=%v\n", tuned.FlushEntries, tuned.FlushDelay)
 	fmt.Println("replicas  goodput(ops/s)  forwards   batches  entries/batch")
 	byR := make(map[int]float64, len(factors))
 	for _, r := range factors {
-		g, fwds, batches, mean := run(r, tuned)
-		byR[r] = g
-		fmt.Printf("%-9d %14.0f %9d %9d %14.1f\n", r, g, fwds, batches, mean)
-		emitRecord(benchRecord{
-			Series: "replication", X: float64(r),
-			Metrics: map[string]float64{
-				"goodput_ops_s": g, "forwards": float64(fwds),
-				"batches": float64(batches), "batch_mean": mean,
-			},
-			Telemetry: takeTelemetry(),
-		})
+		res, metrics := run(fmt.Sprintf("%-9d", r), r, tuned)
+		byR[r] = res.Rate()
+		emitLive("replication", float64(r), res, metrics)
 	}
 
 	// The batching dimension: R=2 fixed, flush cap swept. Entries=1 is
@@ -1028,17 +745,9 @@ func runReplicationSweep(quick bool) {
 	for _, c := range caps {
 		tn := tuned
 		tn.FlushEntries = c
-		g, fwds, batches, mean := run(2, tn)
-		fmt.Printf("%-10d %14.0f %9d %9d %14.1f\n", c, g, fwds, batches, mean)
-		emitRecord(benchRecord{
-			Series: "replication-batch", X: float64(c),
-			Metrics: map[string]float64{
-				"goodput_ops_s": g, "forwards": float64(fwds),
-				"batches": float64(batches), "batch_mean": mean,
-				"ratio_vs_r0": g / byR[0],
-			},
-			Telemetry: takeTelemetry(),
-		})
+		res, metrics := run(fmt.Sprintf("%-10d", c), 2, tn)
+		metrics["ratio_vs_r0"] = res.Rate() / byR[0]
+		emitLive("replication-batch", float64(c), res, metrics)
 	}
 
 	ratio := byR[2] / byR[0]
@@ -1051,105 +760,51 @@ func runReplicationSweep(quick bool) {
 		},
 	})
 }
+
+// runSyncMicro is the §1 claim on real goroutines: 8 threads of 64-byte
+// synchronous echo sharing one QP, through FLock's connection handle and
+// through the FaRM-style spinlock baseline. Both sides are the same driver
+// call; only the thread a worker registers differs.
 func runSyncMicro(quick bool) {
-	dur := time.Second
-	if quick {
-		dur = 250 * time.Millisecond
-	}
-	threads := 8
+	dur := windowOf(quick, time.Second, 250*time.Millisecond)
+	const threads = 8
 	fmt.Printf("%d goroutines sharing 1 QP, 64-byte echo, %v window\n", threads, dur)
+	buf := make([]byte, 64)
 
 	// FLock: one shared QP via the connection handle.
-	flockOps := func() float64 {
-		nw := core.NewNetwork(fabric.Config{})
-		defer nw.Close()
-		opts := core.Options{QPsPerConn: 1}
-		server, _ := nw.NewNode(0, opts, 0)
-		server.RegisterHandler(1, func(req []byte) []byte { return req })
-		server.Serve()
-		client, _ := nw.NewNode(1, opts, 0)
-		conn, _ := client.Connect(0)
-		var ops atomic.Uint64
-		var wg sync.WaitGroup
-		stop := make(chan struct{})
-		for t := 0; t < threads; t++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				th := conn.RegisterThread()
-				buf := make([]byte, 64)
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					r, err := th.Call(1, buf)
-					if err != nil {
-						return
-					}
-					r.Release()
-					ops.Add(1)
-				}
-			}()
-		}
-		time.Sleep(dur)
-		close(stop)
-		wg.Wait()
-		return float64(ops.Load()) / dur.Seconds()
-	}()
+	opts := core.Options{QPsPerConn: 1}
+	star := must(loadgen.NewStar(opts, opts, 1, 0, loadgen.Echo))
+	flock := measure(star.Net, threads, dur, syncEcho(star.Conns[0], buf))
+	star.Close()
 
-	// Spinlock sharing: the FaRM-style baseline with every thread on one QP.
-	lockOps := func() float64 {
-		fab := fabric.New(fabric.Config{})
-		sdev, _ := rnic.NewDevice(fab, rnic.Config{Node: 0})
-		cdev, _ := rnic.NewDevice(fab, rnic.Config{Node: 1})
-		defer sdev.Close()
-		defer cdev.Close()
-		cfg := lockshare.Config{ThreadsPerQP: threads, Spin: true}
-		srv := lockshare.NewServer(sdev, cfg)
-		defer srv.Close()
-		srv.RegisterHandler(1, func(req []byte) []byte { return req })
-		cl := lockshare.NewClient(cdev, cfg, srv)
-		var ops atomic.Uint64
-		var wg sync.WaitGroup
-		stop := make(chan struct{})
-		for t := 0; t < threads; t++ {
-			th, err := cl.RegisterThread()
-			if err != nil {
-				panic(err)
+	// Spinlock sharing: the FaRM-style baseline with every thread on one
+	// QP. It runs on bare devices, so it has no telemetry registry.
+	fab := fabric.New(fabric.Config{})
+	sdev := must(rnic.NewDevice(fab, rnic.Config{Node: 0}))
+	cdev := must(rnic.NewDevice(fab, rnic.Config{Node: 1}))
+	defer sdev.Close()
+	defer cdev.Close()
+	cfg := lockshare.Config{ThreadsPerQP: threads, Spin: true}
+	srv := lockshare.NewServer(sdev, cfg)
+	defer srv.Close()
+	srv.RegisterHandler(1, loadgen.Echo)
+	cl := lockshare.NewClient(cdev, cfg, srv)
+	lock := measure(nil, threads, dur, func(*loadgen.Worker) loadgen.Step {
+		th := must(cl.RegisterThread())
+		return func() (int, error) {
+			if _, err := th.Call(1, buf); err != nil {
+				return 0, err
 			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				buf := make([]byte, 64)
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					if _, err := th.Call(1, buf); err != nil {
-						return
-					}
-					ops.Add(1)
-				}
-			}()
+			return 1, nil
 		}
-		time.Sleep(dur)
-		close(stop)
-		wg.Wait()
-		return float64(ops.Load()) / dur.Seconds()
-	}()
+	})
 
-	fmt.Printf("flock-sync  %10.0f ops/s\n", flockOps)
-	fmt.Printf("spinlock    %10.0f ops/s\n", lockOps)
-	fmt.Printf("ratio       %10.2fx (paper: lock-based up to 2.3x slower)\n", flockOps/lockOps)
-	emitRecord(benchRecord{
-		Metrics: map[string]float64{
-			"flock_ops_per_s":    flockOps,
-			"spinlock_ops_per_s": lockOps,
-			"ratio":              flockOps / lockOps,
-		},
+	fmt.Printf("flock-sync  %10.0f ops/s\n", flock.Rate())
+	fmt.Printf("spinlock    %10.0f ops/s\n", lock.Rate())
+	fmt.Printf("ratio       %10.2fx (paper: lock-based up to 2.3x slower)\n", flock.Rate()/lock.Rate())
+	emitLive("", 0, flock, map[string]float64{
+		"flock_ops_per_s":    flock.Rate(),
+		"spinlock_ops_per_s": lock.Rate(),
+		"ratio":              flock.Rate() / lock.Rate(),
 	})
 }

@@ -1,7 +1,10 @@
 // Command flockload drives the live FLock library with a configurable
 // synthetic workload and reports throughput, latency percentiles, and the
 // coalescing/scheduling metrics the paper's evaluation revolves around.
-// It is the interactive counterpart to cmd/flockbench's scripted sweeps:
+// It is the interactive counterpart to cmd/flockbench's scripted sweeps,
+// and measures with the same closed-loop driver (internal/loadgen): the
+// workers warm up for a quarter of -dur, then the window opens, and the
+// throughput and latency lines cover the window only:
 //
 //	flockload -clients 2 -threads 8 -qps 2 -payload 64 -window 8 -dur 2s
 //	flockload -mem -payload 512            # one-sided read/write mix
@@ -39,7 +42,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"expvar"
 	"flag"
 	"fmt"
@@ -49,14 +51,12 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"flock"
 	"flock/internal/check"
+	"flock/internal/loadgen"
 	mempool "flock/internal/mem"
-	"flock/internal/stats"
 )
 
 func main() {
@@ -129,19 +129,13 @@ func main() {
 	clientOpts.RetryMaxAttempts = *retry
 	clientOpts.HedgeDelay = *hedge
 
-	net := flock.NewNetwork(flock.FabricConfig{})
-	defer net.Close()
-	if *faults != "" {
-		plan, err := flock.ParseFaultPlan(*faults)
-		if err != nil {
-			log.Fatal(err)
-		}
-		net.Fabric().SetFaultPlan(plan)
-	}
-	server, err := net.NewNode(0, serverOpts, *nicCache)
+	star, err := loadgen.NewStar(serverOpts, clientOpts, *clients, *nicCache, loadgen.Echo)
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer star.Close()
+	net, server := star.Net, star.Server
+	setFaults(net, *faults)
 	if *expvarAddr != "" {
 		expvar.Publish("flock", expvar.Func(func() interface{} {
 			return net.TelemetrySnapshot()
@@ -152,42 +146,12 @@ func main() {
 			}
 		}()
 	}
-	server.RegisterHandler(1, func(req []byte) []byte { return req })
-	if err := server.Serve(); err != nil {
-		log.Fatal(err)
-	}
-
-	type worker struct {
-		th     *flock.Thread
-		reg    *flock.RemoteRegion
-		hist   *stats.Hist
-		ops    uint64
-		failed uint64
-	}
-	var workersList []*worker
-	var clientNodes []*flock.Node
-	for c := 0; c < *clients; c++ {
-		client, err := net.NewNode(flock.NodeID(c+1), clientOpts, *nicCache)
-		if err != nil {
-			log.Fatal(err)
-		}
-		clientNodes = append(clientNodes, client)
-		conn, err := client.Connect(0)
-		if err != nil {
-			log.Fatal(err)
-		}
-		var region *flock.RemoteRegion
-		if *mem {
-			if region, err = conn.AttachMemRegion(1 << 20); err != nil {
+	regions := make([]*flock.RemoteRegion, *clients)
+	if *mem {
+		for c, conn := range star.Conns {
+			if regions[c], err = conn.AttachMemRegion(1 << 20); err != nil {
 				log.Fatal(err)
 			}
-		}
-		for t := 0; t < *threads; t++ {
-			workersList = append(workersList, &worker{
-				th:   conn.RegisterThread(),
-				reg:  region,
-				hist: stats.NewHist(),
-			})
 		}
 	}
 
@@ -205,162 +169,63 @@ func main() {
 		}
 	}
 
-	// MemStats baseline after setup: the deltas below isolate the steady
-	// state of the measurement window from node/connection construction.
-	var msBefore runtime.MemStats
-	runtime.ReadMemStats(&msBefore)
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	start := time.Now()
-	for _, w := range workersList {
-		wg.Add(1)
-		go func(w *worker) {
-			defer wg.Done()
-			buf := make([]byte, *payload)
-			if *mem {
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					t0 := time.Now()
-					var err error
-					if w.ops%2 == 0 {
-						err = w.th.Write(w.reg, int(w.ops)%1024, buf)
-					} else {
-						err = w.th.Read(w.reg, int(w.ops)%1024, buf)
-					}
-					if err != nil {
-						if errors.Is(err, flock.ErrTimeout) || errors.Is(err, flock.ErrQPBroken) {
-							w.failed++
-							continue
-						}
-						return
-					}
-					w.hist.Record(uint64(time.Since(t0).Nanoseconds()))
-					w.ops++
-				}
-			}
-			// Transient faults (deadline expiry, a QP breaking under the
-			// window, overload pushback, an open breaker) abandon the
-			// in-flight batch and keep driving; any other error is fatal
-			// for the worker.
-			transient := func(err error) bool {
-				return errors.Is(err, flock.ErrTimeout) || errors.Is(err, flock.ErrQPBroken) ||
-					errors.Is(err, flock.ErrOverloaded) || errors.Is(err, flock.ErrCircuitOpen)
-			}
-			if *retry > 0 || *hedge > 0 {
+	run := loadgen.Begin(net, *clients**threads, *dur, func(w *loadgen.Worker) loadgen.Step {
+		c := w.Index / *threads
+		th := star.Conns[c].RegisterThread()
+		buf := make([]byte, *payload)
+		// Transient faults (deadline expiry, a QP breaking under the
+		// window, overload pushback, an open breaker) fail the operation
+		// and the loop keeps driving; any other error retires the worker.
+		w.Tolerate(flock.ErrTimeout, flock.ErrQPBroken, flock.ErrOverloaded, flock.ErrCircuitOpen)
+		if !*mem && *retry == 0 && *hedge == 0 {
+			return loadgen.Pipelined(w, th, buf, *window)
+		}
+		i := 0
+		return func() (int, error) {
+			t0 := time.Now()
+			var err error
+			switch {
+			case !*mem:
 				// Resilient closed loop: CallOpts inherits the node's retry/
 				// hedge knobs, so backoff, budget accounting, idempotency
 				// keys, and hedges all happen inside the library. A call
 				// that still fails after its attempts counts once.
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					t0 := time.Now()
-					r, err := w.th.CallOpts(1, buf, flock.CallOptions{})
-					if err != nil {
-						if transient(err) {
-							w.failed++
-							continue
-						}
-						return
-					}
+				var r flock.Response
+				if r, err = th.CallOpts(1, buf, flock.CallOptions{}); err == nil {
 					r.Release()
-					w.hist.Record(uint64(time.Since(t0).Nanoseconds()))
-					w.ops++
 				}
+			case i%2 == 0:
+				err = th.Write(regions[c], i%1024, buf)
+			default:
+				err = th.Read(regions[c], i%1024, buf)
 			}
-			// Pipelined loop: keep `window` Pendings in flight and retire
-			// the oldest. Each Pending owns its completion record, so this
-			// is the supported interleaving pattern — no sequence matching.
-			type inflight struct {
-				p  *flock.Pending
-				at time.Time
+			if err != nil {
+				return 0, err
 			}
-			var pending []inflight
-			for {
-				select {
-				case <-stop:
-					for _, f := range pending {
-						f.p.Cancel()
-					}
-					return
-				default:
-				}
-				for len(pending) < *window {
-					p, err := w.th.CallAsync(1, buf, flock.CallOptions{})
-					if err != nil {
-						if transient(err) {
-							w.failed++
-							break
-						}
-						for _, f := range pending {
-							f.p.Cancel()
-						}
-						return
-					}
-					pending = append(pending, inflight{p: p, at: time.Now()})
-				}
-				if len(pending) == 0 {
-					continue
-				}
-				f := pending[0]
-				pending = pending[1:]
-				resp, err := f.p.Wait()
-				if err != nil {
-					if transient(err) {
-						w.failed++
-						continue
-					}
-					for _, rest := range pending {
-						rest.p.Cancel()
-					}
-					return
-				}
-				if resp.Status != 0 {
-					w.failed++
-				} else {
-					w.hist.Record(uint64(time.Since(f.at).Nanoseconds()))
-					w.ops++
-				}
-				resp.Release() // recycle the pooled response buffer
-			}
-		}(w)
-	}
+			w.Observe(time.Since(t0))
+			i++
+			return 1, nil
+		}
+	})
+	// The MemStats deltas bracket the window, so they isolate its steady
+	// state from node/connection construction and from warm-up.
+	var msBefore, msAfter runtime.MemStats
+	runtime.ReadMemStats(&msBefore)
 	time.Sleep(*dur)
-	close(stop)
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	var msAfter runtime.MemStats
 	runtime.ReadMemStats(&msAfter)
+	res := run.End()
 	if cpuProf != nil {
 		pprof.StopCPUProfile()
 		cpuProf.Close() //nolint:errcheck
 	}
 
-	all := stats.NewHist()
-	var totalOps uint64
-	for _, w := range workersList {
-		all.Merge(w.hist)
-		totalOps += w.ops
-	}
 	mode := "rpc"
 	if *mem {
 		mode = "mem"
 	}
 	fmt.Printf("mode=%s clients=%d threads=%d qps=%d payload=%dB window=%d\n",
 		mode, *clients, *threads, *qps, *payload, *window)
-	fmt.Printf("throughput  %.0f ops/s (%d ops in %v)\n",
-		float64(totalOps)/elapsed.Seconds(), totalOps, elapsed.Round(time.Millisecond))
-	fmt.Printf("latency     p50=%v p99=%v max=%v\n",
-		time.Duration(all.Median()), time.Duration(all.P99()), time.Duration(all.Max()))
+	reportWindow(res, *clients**threads)
 	m := server.Metrics()
 	if m.MsgsIn > 0 {
 		fmt.Printf("server      degree=%.2f msgs=%d renewals=%d deact=%d react=%d migrations=%d\n",
@@ -370,14 +235,14 @@ func main() {
 	st := server.Device().Stats()
 	fmt.Printf("server NIC  doorbells=%d wrs=%d pkts=%d suppressed-cqe=%d\n",
 		st.Doorbells, st.WorkRequests, st.PacketsTX, st.CompletionsSuppressed)
-	if totalOps > 0 {
+	if res.Ops > 0 {
 		// Process-wide deltas over the measurement window: allocation count
 		// and bytes per completed operation, plus GC cycles. These are the
 		// numbers the pooled hot path is meant to hold flat as load grows.
 		mallocs := msAfter.Mallocs - msBefore.Mallocs
 		heapB := msAfter.TotalAlloc - msBefore.TotalAlloc
 		fmt.Printf("memory      allocs/op=%.1f heap-bytes/op=%.0f gc-cycles=%d heap-live=%dKB\n",
-			float64(mallocs)/float64(totalOps), float64(heapB)/float64(totalOps),
+			float64(mallocs)/float64(res.Ops), float64(heapB)/float64(res.Ops),
 			msAfter.NumGC-msBefore.NumGC, msAfter.HeapAlloc/1024)
 	}
 	if *pprofDir != "" {
@@ -403,15 +268,11 @@ func main() {
 		fmt.Printf("pprof       wrote cpu/heap/mutex/block .pprof in %s\n", *pprofDir)
 	}
 	if *faults != "" {
-		var failed uint64
-		for _, w := range workersList {
-			failed += w.failed
-		}
 		fs := net.Fabric().FaultCounters()
 		fmt.Printf("faults      rc-dropped=%d link-down=%d corrupted=%d delayed=%d failed-ops=%d\n",
-			fs.RCDropped, fs.LinkDownDrops, fs.Corrupted, fs.RCDelayed, failed)
+			fs.RCDropped, fs.LinkDownDrops, fs.Corrupted, fs.RCDelayed, res.Failed)
 		var rec flock.NodeMetrics
-		for _, cn := range clientNodes {
+		for _, cn := range star.Clients {
 			cm := cn.Metrics()
 			rec.QPRecycles += cm.QPRecycles
 			rec.QPQuarantines += cm.QPQuarantines
@@ -423,7 +284,7 @@ func main() {
 	}
 	if resilient {
 		var cl flock.NodeMetrics
-		for _, cn := range clientNodes {
+		for _, cn := range star.Clients {
 			cm := cn.Metrics()
 			cl.Retries += cm.Retries
 			cl.RetryBudgetExhausted += cm.RetryBudgetExhausted
@@ -449,24 +310,59 @@ func main() {
 		// requests, zero outstanding client RPCs), and teardown must land
 		// the pooled-buffer ledger at exactly zero leases — the same
 		// invariant the package leak gate enforces on the test suite.
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		for _, cn := range clientNodes {
-			if err := cn.Drain(ctx); err != nil {
-				log.Fatalf("client drain: %v", err)
-			}
-		}
-		if err := server.Drain(ctx); err != nil {
-			log.Fatalf("server drain: %v", err)
-		}
-		net.Close()
-		if n := mempool.Default.Outstanding(); n != 0 {
-			log.Fatalf("lease leak: %d pooled buffers still outstanding after drain+close", n)
-		}
+		drainAll("client", star.Clients)
+		drainAll("server", []*flock.Node{server})
+		star.Close()
+		assertNoLeases()
 		fmt.Println("drain       server=ok clients=ok leases=0")
 	}
-	if totalOps == 0 {
+	if res.Ops == 0 {
 		os.Exit(1)
+	}
+}
+
+// setFaults installs the -faults plan on the fabric; no traffic has
+// flowed yet, so the plan's attempt counters start with the workload.
+func setFaults(net *flock.Network, spec string) {
+	if spec == "" {
+		return
+	}
+	plan, err := flock.ParseFaultPlan(spec)
+	if err != nil {
+		log.Fatal(err)
+	}
+	net.Fabric().SetFaultPlan(plan)
+}
+
+// reportWindow prints what the driver measured: the rate over the elapsed
+// time of the window (warm-up excluded), the merged latency histogram, and
+// any worker that retired on an unexpected error rather than hiding it in
+// the rate.
+func reportWindow(res loadgen.Result, workers int) {
+	fmt.Printf("throughput  %.0f ops/s (%d ops in %v)\n",
+		res.Rate(), res.Ops, res.Elapsed.Round(time.Millisecond))
+	fmt.Printf("latency     p50=%v p99=%v max=%v\n",
+		time.Duration(res.Lat.Median()), time.Duration(res.Lat.P99()), time.Duration(res.Lat.Max()))
+	if res.Retired > 0 {
+		fmt.Printf(loadgen.RetiredWarning, res.Retired, workers, res.Err)
+	}
+}
+
+// drainAll quiesces nodes; a node that cannot drain fails the run.
+func drainAll(role string, nodes []*flock.Node) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for _, n := range nodes {
+		if err := n.Drain(ctx); err != nil {
+			log.Fatalf("%s %d drain: %v", role, n.ID(), err)
+		}
+	}
+}
+
+// assertNoLeases is the epilogue's ledger check, after drain and close.
+func assertNoLeases() {
+	if n := mempool.Default.Outstanding(); n != 0 {
+		log.Fatalf("lease leak: %d pooled buffers still outstanding after drain+close", n)
 	}
 }
 
@@ -480,55 +376,24 @@ func main() {
 // shard primary drops off the fabric entirely, the detector walks it to
 // dead, and the coordinator promotes backups — the report then shows
 // detection + promotion timings and the replication counters. The
-// epilogue mirrors the resilient mode's: every node drains, the network
+// epilogue mirrors the resilient mode's: every node drains, the topology
 // closes, and the pooled-buffer ledger must be at exactly zero leases.
 // Returns the process exit code.
 func runCluster(nMembers, nShards, replicas, nThreads int, dur time.Duration, faults string) int {
-	net := flock.NewNetwork(flock.FabricConfig{})
-	defer net.Close()
-	if faults != "" {
-		plan, err := flock.ParseFaultPlan(faults)
-		if err != nil {
-			log.Fatal(err)
-		}
-		net.Fabric().SetFaultPlan(plan)
-	}
-	ids := make([]flock.NodeID, nMembers)
-	for i := range ids {
-		ids[i] = flock.NodeID(i)
-	}
-	m, err := flock.NewReplicatedShardMap(ids, nShards, 0, replicas)
-	if err != nil {
-		log.Fatal(err)
-	}
-	coord := flock.NewClusterCoordinator(m)
 	memberOpts := flock.Options{Workers: 2, RPCTimeout: 100 * time.Millisecond}
-	var memberNodes []*flock.Node
-	var services []*flock.ClusterService
-	for _, id := range ids {
-		node, err := net.NewNode(id, memberOpts, 0)
-		if err != nil {
-			log.Fatal(err)
-		}
-		svc, err := flock.NewClusterService(node, m, 0)
-		if err != nil {
-			log.Fatal(err)
-		}
-		coord.AddService(svc)
-		if err := node.Serve(); err != nil {
-			log.Fatal(err)
-		}
-		memberNodes = append(memberNodes, node)
-		services = append(services, svc)
-	}
-	client, err := net.NewNode(flock.NodeID(100), flock.Options{RPCTimeout: 100 * time.Millisecond}, 0)
+	kv, err := loadgen.NewKV(nMembers, nShards, replicas, memberOpts, flock.Options{RPCTimeout: 100 * time.Millisecond})
 	if err != nil {
 		log.Fatal(err)
+	}
+	net, client, router := kv.Net, kv.Client, kv.Router
+	setFaults(net, faults)
+	coord := flock.NewClusterCoordinator(kv.Map)
+	for _, svc := range kv.Services {
+		coord.AddService(svc)
 	}
 	// The router is deliberately NOT registered with the coordinator:
 	// it must discover each migration the production way — a WrongShard
 	// NACK carrying the newer map — so the redirect stats below are real.
-	router := flock.NewClusterRouter(client, m)
 	mship := flock.NewClusterMembership(router)
 	if replicas > 0 {
 		// Failover mode: the victim's shards have nobody left to NACK a
@@ -538,50 +403,38 @@ func runCluster(nMembers, nShards, replicas, nThreads int, dur time.Duration, fa
 		mship.ProbeTimeout = 100 * time.Millisecond
 	}
 
-	shardOps := make([]atomic.Uint64, nShards)
-	var okOps, failed atomic.Uint64
-	hists := make([]*stats.Hist, nThreads)
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	start := time.Now()
-	for g := 0; g < nThreads; g++ {
-		hists[g] = stats.NewHist()
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rt := router.Thread()
-			// Disjoint per-goroutine key range with strictly increasing
-			// values — the sharded KV's non-decreasing value contract.
-			base := uint64(g) * 64
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				key := base + uint64(i%64)
-				t0 := time.Now()
-				var err error
-				if i%2 == 0 {
-					err = rt.Put(key, uint64(i+1))
-				} else {
-					_, _, err = rt.Get(key)
-				}
-				if err != nil {
-					if errors.Is(err, flock.ErrTimeout) || errors.Is(err, flock.ErrQPBroken) ||
-						errors.Is(err, flock.ErrOverloaded) || errors.Is(err, flock.ErrNoRoute) ||
-						errors.Is(err, flock.ErrDraining) {
-						failed.Add(1)
-						continue
-					}
-					return
-				}
-				hists[g].Record(uint64(time.Since(t0).Nanoseconds()))
-				shardOps[router.Map().ShardOf(key)].Add(1)
-				okOps.Add(1)
+	// Per-shard op counts are kept per worker and summed for the report,
+	// so the measured path shares no counter.
+	shardOps := make([][]uint64, nThreads)
+	run := loadgen.Begin(net, nThreads, dur, func(w *loadgen.Worker) loadgen.Step {
+		w.Tolerate(flock.ErrTimeout, flock.ErrQPBroken, flock.ErrOverloaded, flock.ErrNoRoute, flock.ErrDraining)
+		rt := router.Thread()
+		mine := make([]uint64, nShards)
+		shardOps[w.Index] = mine
+		// Disjoint per-goroutine key range with strictly increasing
+		// values — the sharded KV's non-decreasing value contract.
+		base := uint64(w.Index) * 64
+		i := 0
+		return func() (int, error) {
+			key := base + uint64(i%64)
+			t0 := time.Now()
+			var err error
+			if i%2 == 0 {
+				err = rt.Put(key, uint64(i+1))
+			} else {
+				_, _, err = rt.Get(key)
 			}
-		}(g)
-	}
+			i++
+			if err != nil {
+				return 0, err
+			}
+			w.Observe(time.Since(t0))
+			if w.InWindow() {
+				mine[router.Map().ShardOf(key)]++
+			}
+			return 1, nil
+		}
+	})
 
 	// Mid-window event: with replicas, one shard primary drops off the
 	// fabric entirely and the cluster fails over; otherwise two live
@@ -601,12 +454,11 @@ func runCluster(nMembers, nShards, replicas, nThreads int, dur time.Duration, fa
 		victimShards = len(coord.Map().ShardsOwnedBy(victim))
 		fab := net.Fabric()
 		t0 := time.Now()
-		for _, id := range append([]flock.NodeID{client.ID()}, ids...) {
-			if id == victim {
-				continue
+		for _, peer := range append([]*flock.Node{client}, kv.Members...) {
+			if id := peer.ID(); id != victim {
+				fab.SetLinkDown(victim, id, true)
+				fab.SetLinkDown(id, victim, true)
 			}
-			fab.SetLinkDown(victim, id, true)
-			fab.SetLinkDown(id, victim, true)
 		}
 		for mship.State(victim) != flock.MemberDead {
 			if time.Since(t0) > 30*time.Second {
@@ -624,7 +476,7 @@ func runCluster(nMembers, nShards, replicas, nThreads int, dur time.Duration, fa
 	} else if nMembers > 1 {
 		for _, shard := range []int{0, 1} {
 			from := coord.Map().Owner(shard)
-			to := ids[(int(from)+1)%nMembers]
+			to := kv.Members[(int(from)+1)%nMembers].ID()
 			t0 := time.Now()
 			if err := coord.MigrateShard(shard, to); err != nil {
 				log.Printf("migration of shard %d failed: %v", shard, err)
@@ -634,24 +486,15 @@ func runCluster(nMembers, nShards, replicas, nThreads int, dur time.Duration, fa
 		}
 	}
 	time.Sleep(dur - dur/2)
-	close(stop)
-	wg.Wait()
-	elapsed := time.Since(start)
+	res := run.End()
 
 	mship.ProbeOnce()
 	live := mship.Live()
 
-	all := stats.NewHist()
-	for _, h := range hists {
-		all.Merge(h)
-	}
 	fmt.Printf("mode=cluster members=%d shards=%d threads=%d\n", nMembers, nShards, nThreads)
-	fmt.Printf("throughput  %.0f ops/s (%d ops in %v)\n",
-		float64(okOps.Load())/elapsed.Seconds(), okOps.Load(), elapsed.Round(time.Millisecond))
-	fmt.Printf("latency     p50=%v p99=%v max=%v\n",
-		time.Duration(all.Median()), time.Duration(all.P99()), time.Duration(all.Max()))
+	reportWindow(res, nThreads)
 	fmt.Printf("routing     redirects=%d failed=%d epoch=%d\n",
-		router.Redirects(), failed.Load(), router.Map().Epoch)
+		router.Redirects(), res.Failed, router.Map().Epoch)
 	// Per-shard routing stats: ops routed to each shard and its final
 	// owner, eight shards per line.
 	final := router.Map()
@@ -662,7 +505,11 @@ func runCluster(nMembers, nShards, replicas, nThreads int, dur time.Duration, fa
 			}
 			fmt.Printf("shard-ops  ")
 		}
-		fmt.Printf(" s%d=%d@n%d", s, shardOps[s].Load(), final.Owner(s))
+		var ops uint64
+		for _, mine := range shardOps {
+			ops += mine[s]
+		}
+		fmt.Printf(" s%d=%d@n%d", s, ops, final.Owner(s))
 	}
 	fmt.Println()
 	for _, mv := range moves {
@@ -672,7 +519,7 @@ func runCluster(nMembers, nShards, replicas, nThreads int, dur time.Duration, fa
 	if victim >= 0 {
 		var fwds, promos, batches, entrySum, entryCount uint64
 		var pendingLog int64
-		for _, svc := range services {
+		for _, svc := range kv.Services {
 			tl := svc.Node().Telemetry()
 			fwds += tl.Counter("cluster.replica_forwards").Load()
 			promos += tl.Counter("cluster.promotions").Load()
@@ -694,26 +541,12 @@ func runCluster(nMembers, nShards, replicas, nThreads int, dur time.Duration, fa
 	fmt.Printf("membership  live=%d/%d moves=%d\n", len(live), nMembers, len(moves))
 
 	// Epilogue: drain everything and land the lease ledger at zero.
-	router.Close()
-	for _, svc := range services {
-		svc.Close()
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := client.Drain(ctx); err != nil {
-		log.Fatalf("client drain: %v", err)
-	}
-	for _, node := range memberNodes {
-		if err := node.Drain(ctx); err != nil {
-			log.Fatalf("member %d drain: %v", node.ID(), err)
-		}
-	}
-	net.Close()
-	if n := mempool.Default.Outstanding(); n != 0 {
-		log.Fatalf("lease leak: %d pooled buffers still outstanding after drain+close", n)
-	}
+	drainAll("client", []*flock.Node{client})
+	drainAll("member", kv.Members)
+	kv.Close()
+	assertNoLeases()
 	fmt.Println("drain       members=ok client=ok leases=0")
-	if okOps.Load() == 0 {
+	if res.Ops == 0 {
 		return 1
 	}
 	return 0

@@ -129,8 +129,8 @@ type (
 	// migrations, rebalancing, route-around, and decommission.
 	ClusterCoordinator = cluster.Coordinator
 	// ReplTuning shapes the group-commit replication pipeline (flush
-	// entry cap, first-waiter flush deadline, in-flight frame depth);
-	// the zero value selects the defaults.
+	// entry cap, first-waiter flush deadline); the zero value selects the
+	// defaults.
 	ReplTuning = cluster.ReplTuning
 	// ReplError is the typed failure of one replication forward,
 	// carrying the backup and rejection status; it matches

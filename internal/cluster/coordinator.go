@@ -36,10 +36,10 @@ type Coordinator struct {
 	services map[fabric.NodeID]*Service
 	routers  []*Router
 	cur      *ShardMap
-
-	// CopyDeadline bounds one shard's snapshot copy (default 10s).
-	CopyDeadline time.Duration
 }
+
+// copyDeadline bounds one shard's snapshot copy.
+const copyDeadline = 10 * time.Second
 
 // NewCoordinator builds a coordinator over the initial map.
 func NewCoordinator(initial *ShardMap) *Coordinator {
@@ -70,14 +70,6 @@ func (c *Coordinator) publish(m *ShardMap) {
 	}
 }
 
-func (c *Coordinator) copyDeadline() time.Time {
-	d := c.CopyDeadline
-	if d <= 0 {
-		d = 10 * time.Second
-	}
-	return time.Now().Add(d)
-}
-
 // MigrateShard moves one shard from its current owner to `to`,
 // copying the data live. The coordinator must not be called
 // concurrently with itself.
@@ -101,7 +93,7 @@ func (c *Coordinator) MigrateShard(shard int, to fabric.NodeID) error {
 	}
 	c.publish(pendingMap)
 
-	if err := src.CopyShard(shard, c.copyDeadline()); err != nil {
+	if err := src.CopyShard(shard, time.Now().Add(copyDeadline)); err != nil {
 		// Abort: drop the pending entry, keep ownership at the source.
 		revert := pendingMap.Clone()
 		revert.Epoch++
@@ -177,7 +169,7 @@ func (c *Coordinator) Repair(live []fabric.NodeID) (int, error) {
 				return recruited, fmt.Errorf("cluster: no service for primary %d", primary)
 			}
 			c.publish(next)
-			if err := src.CopyShardTo(shard, cand, c.copyDeadline()); err != nil {
+			if err := src.CopyShardTo(shard, cand, time.Now().Add(copyDeadline)); err != nil {
 				return recruited, err
 			}
 			recruited++

@@ -298,6 +298,15 @@ func max64(a, b uint64) uint64 {
 	return b
 }
 
+// commitTo drives one put through the group-commit path — the per-(shard,
+// backup) log, its forwarder and a batch ack, which is what every
+// replicated put ships on — to a single backup, and returns the commit's
+// outcome.
+func commitTo(s *Service, backup fabric.NodeID, epoch uint64, shard int, key, val uint64) error {
+	op := s.stageCommit(epoch, shard, key, val, []fabric.NodeID{backup})
+	return s.awaitCommit(key, op)
+}
+
 // TestReplicationEpochFence: a deposed primary's forward (stale epoch)
 // is NACKed WrongShard with the newer map rather than absorbed — the
 // fence that keeps a slow pre-failover primary from resurrecting
@@ -312,7 +321,7 @@ func TestReplicationEpochFence(t *testing.T) {
 	newer.Epoch += 5
 	lc.services[backup].InstallMap(newer)
 	// A forward stamped with the old epoch must be fenced.
-	if err := lc.services[m.Owner(shard)].replicate(backup, m.Epoch, shard, 1, 1); err == nil {
+	if err := commitTo(lc.services[m.Owner(shard)], backup, m.Epoch, shard, 1, 1); err == nil {
 		t.Fatal("stale-epoch forward accepted by a newer backup")
 	}
 	// The fence taught the sender: its map is now the newer one.
@@ -320,7 +329,7 @@ func TestReplicationEpochFence(t *testing.T) {
 		t.Fatalf("sender epoch after fence = %d, want %d", got, newer.Epoch)
 	}
 	// At the fenced sender's new epoch, the forward lands.
-	if err := lc.services[m.Owner(shard)].replicate(backup, newer.Epoch, shard, 1, 1); err != nil {
+	if err := commitTo(lc.services[m.Owner(shard)], backup, newer.Epoch, shard, 1, 1); err != nil {
 		t.Fatalf("current-epoch forward rejected: %v", err)
 	}
 }

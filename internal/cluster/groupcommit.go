@@ -41,9 +41,10 @@ type ReplTuning struct {
 	// FlushDelay bounds how long the oldest queued put waits for
 	// companions. 0 → natural batching only.
 	FlushDelay time.Duration
-	// PipeDepth caps in-flight frames per backup stream. 0 → 2.
-	PipeDepth int
 }
+
+// replPipeDepth caps in-flight frames per backup stream.
+const replPipeDepth = 2
 
 // replBatchAttempts is the retry cap for one frame: with a Budget set,
 // the Pending plan spreads budget/4 per attempt, so 4 attempts spend
@@ -62,9 +63,10 @@ var (
 	errReplCommit  = errors.New("cluster: replication commit timed out")
 )
 
-// ReplError is the typed outcome of one backup's refusal: which backup,
-// the status it answered (0 for transport failures), and a sentinel or
-// transport cause for errors.Is/As.
+// ReplError is the typed outcome of one backup's refusal (or, for a
+// dual-write forward, the migration target's): which node, the status it
+// answered (0 for transport failures), and a sentinel or transport cause
+// for errors.Is/As.
 type ReplError struct {
 	Backup fabric.NodeID
 	Status uint32
@@ -175,7 +177,7 @@ func cutBatch(queue []*replOp, maxEntries int, delay time.Duration, firstAt, now
 }
 
 // replTuning resolves the knobs against wire and payload limits.
-func (s *Service) replTuning() (maxEntries int, delay time.Duration, depth int) {
+func (s *Service) replTuning() (maxEntries int, delay time.Duration) {
 	t := s.Repl
 	maxEntries = t.FlushEntries
 	if maxEntries <= 0 {
@@ -190,12 +192,7 @@ func (s *Service) replTuning() (maxEntries int, delay time.Duration, depth int) 
 	if maxEntries < 1 {
 		maxEntries = 1
 	}
-	delay = t.FlushDelay
-	depth = t.PipeDepth
-	if depth <= 0 {
-		depth = 2
-	}
-	return maxEntries, delay, depth
+	return maxEntries, t.FlushDelay
 }
 
 // commitWait bounds one put's park on its group commit: worst case the
@@ -203,8 +200,8 @@ func (s *Service) replTuning() (maxEntries int, delay time.Duration, depth int) 
 // its own. It is a backstop against a wedged stream, not the normal
 // resolution path.
 func (s *Service) commitWait() time.Duration {
-	_, delay, depth := s.replTuning()
-	return delay + time.Duration(depth+2)*s.budget(s.ForwardBudget)
+	_, delay := s.replTuning()
+	return delay + time.Duration(replPipeDepth+2)*s.budget(s.ForwardBudget)
 }
 
 // stageCommit registers one put in the per-key pending index and
@@ -412,7 +409,7 @@ func (st *replStream) run() {
 			fly = fly[1:]
 		}
 
-		maxEntries, delay, depth := s.replTuning()
+		maxEntries, delay := s.replTuning()
 		st.mu.Lock()
 		if st.stopped {
 			queued := st.queue
@@ -445,7 +442,7 @@ func (st *replStream) run() {
 
 		if n > 0 {
 			s.logPending.Add(-int64(n))
-			if len(fly) >= depth {
+			if len(fly) >= replPipeDepth {
 				// Pipeline full: retire the oldest frame before this one.
 				complete(fly[0])
 				fly = fly[1:]

@@ -252,6 +252,15 @@ func TestGroupCommitFlushDeadlineSingleWaiter(t *testing.T) {
 	m := lc.coord.Map()
 	shard := 0
 	key := shardKeys(m, shard, 1)[0]
+	primary, backup := m.Owner(shard), m.BackupsOf(shard)[0]
+	// Dial the primary→backup link up front. Dialed lazily inside the put
+	// (sixteen 1 MiB rings) it eats the margin between the flush delay and
+	// the router's first per-attempt wait on a busy box, and the retry that
+	// provokes stages a second op — 2 of 80 fresh-process runs failed that
+	// way before this line, at this PR's parent commit too.
+	if _, err := lc.services[primary].link(backup); err != nil {
+		t.Fatal(err)
+	}
 	rt := lc.router.Thread()
 	start := time.Now()
 	if err := rt.Put(key, 1); err != nil {
@@ -260,7 +269,6 @@ func TestGroupCommitFlushDeadlineSingleWaiter(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < delay/2 {
 		t.Fatalf("put acked after %v; the %v flush deadline cannot have gated it", elapsed, delay)
 	}
-	primary, backup := m.Owner(shard), m.BackupsOf(shard)[0]
 	if pf, bf := lc.services[primary].ShardFingerprint(shard), lc.services[backup].ShardFingerprint(shard); pf != bf {
 		t.Fatalf("primary fingerprint %#x != backup fingerprint %#x", pf, bf)
 	}
@@ -283,9 +291,9 @@ func TestReplicateTypedErrors(t *testing.T) {
 	newer := m.Clone()
 	newer.Epoch += 5
 	lc.services[backup].InstallMap(newer)
-	err := lc.services[primary].replicate(backup, m.Epoch, shard, 1, 1)
+	err := commitTo(lc.services[primary], backup, m.Epoch, shard, 1, 1)
 	if !errors.Is(err, ErrReplicaFenced) {
-		t.Fatalf("stale-epoch replicate error = %v, want ErrReplicaFenced", err)
+		t.Fatalf("stale-epoch commit error = %v, want ErrReplicaFenced", err)
 	}
 	var re *ReplError
 	if !errors.As(err, &re) {
@@ -295,15 +303,31 @@ func TestReplicateTypedErrors(t *testing.T) {
 		t.Fatalf("fence ReplError = %+v, want backup %d status %d", re, backup, core.StatusWrongShard)
 	}
 
+	// A dual-write forward refused by its target — here a member that is
+	// neither the shard's owner, its backup nor a migration target — is a
+	// typed NACK naming that member, not a bare string.
+	var bystander fabric.NodeID
+	for _, id := range m.Members {
+		if id != primary && id != backup {
+			bystander = id
+		}
+	}
+	err = lc.services[primary].forward(bystander, shard, 1, 1)
+	re = nil
+	if !errors.Is(err, ErrReplicaNACK) || !errors.As(err, &re) ||
+		re.Backup != bystander || re.Status != core.StatusWrongShard {
+		t.Fatalf("refused forward error = %v, want ErrReplicaNACK from %d with status %d", err, bystander, core.StatusWrongShard)
+	}
+
 	// Transport failure: the backup is unreachable, so the error wraps
 	// the transport cause, not a fence.
 	fab := lc.nw.Fabric()
 	fab.SetLinkDown(primary, backup, true)
 	fab.SetLinkDown(backup, primary, true)
 	lc.services[primary].ForwardBudget = 50 * time.Millisecond
-	err = lc.services[primary].replicate(backup, newer.Epoch, shard, 2, 2)
+	err = commitTo(lc.services[primary], backup, newer.Epoch, shard, 2, 2)
 	if err == nil {
-		t.Fatal("replicate to an unreachable backup succeeded")
+		t.Fatal("commit to an unreachable backup succeeded")
 	}
 	if errors.Is(err, ErrReplicaFenced) || errors.Is(err, ErrReplicaNACK) {
 		t.Fatalf("transport failure misclassified as a protocol NACK: %v", err)

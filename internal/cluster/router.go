@@ -18,6 +18,9 @@ import (
 // landing on the shard's owner.
 var ErrNoRoute = errors.New("cluster: no route to shard owner")
 
+// maxRedirects bounds one call's redirect loop.
+const maxRedirects = 10
+
 // Router is the shard-aware client: one flock Conn per member, calls
 // routed by key through the current shard map. It self-corrects from
 // two signals — the epoch piggybacked on every OK reply (stale? fetch
@@ -38,10 +41,8 @@ type Router struct {
 	memMu      sync.Mutex
 	membership *Membership
 
-	// CallBudget bounds one routed attempt (default 250ms);
-	// MaxRedirects bounds the redirect loop (default 10).
-	CallBudget   time.Duration
-	MaxRedirects int
+	// CallBudget bounds one routed attempt (default 250ms).
+	CallBudget time.Duration
 
 	redirects *telemetry.Counter
 }
@@ -132,13 +133,6 @@ func (r *Router) callBudget() time.Duration {
 	return 250 * time.Millisecond
 }
 
-func (r *Router) maxRedirects() int {
-	if r.MaxRedirects > 0 {
-		return r.MaxRedirects
-	}
-	return 10
-}
-
 // Close closes the router's member connections.
 func (r *Router) Close() {
 	r.mu.Lock()
@@ -183,7 +177,7 @@ func (rt *RouterThread) thread(id fabric.NodeID) (*core.Thread, error) {
 // prefix already stripped.
 func (rt *RouterThread) Call(rpcID uint32, key uint64, payload []byte) (core.Response, error) {
 	var lastErr error
-	for attempt := 0; attempt < rt.r.maxRedirects(); attempt++ {
+	for attempt := 0; attempt < maxRedirects; attempt++ {
 		if attempt > 0 {
 			// A redirect storm usually means a handoff is propagating;
 			// yield briefly instead of hammering.

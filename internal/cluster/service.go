@@ -48,9 +48,8 @@ type Service struct {
 	// count (worker-seconds) rather than with how fast one host can spin.
 	ServiceDelay time.Duration
 
-	// Repl tunes the group-commit replication pipeline (flush policy and
-	// in-flight depth per backup stream). Set before traffic, like the
-	// budgets above; see ReplTuning.
+	// Repl tunes the group-commit replication pipeline's flush policy. Set
+	// before traffic, like the budgets above; see ReplTuning.
 	Repl ReplTuning
 
 	// streams holds the per-(shard, backup) replication logs and their
@@ -405,26 +404,6 @@ func (s *Service) classifyReplicaResp(to fabric.NodeID, resp core.Response, err 
 	}
 }
 
-// replicate sends one guarded apply to a backup and waits for its ack —
-// the synchronous single-entry path the group-commit forwarder
-// generalizes (both emit the identical FRP1 wire image; this one stays
-// as the direct probe used by fence tests and repair checks).
-func (s *Service) replicate(to fabric.NodeID, epoch uint64, shard int, key, val uint64) error {
-	link, err := s.link(to)
-	if err != nil {
-		return err
-	}
-	f := leaseReplFrame(epoch, shard, 1)
-	f.add(key, val)
-	resp, err := link.call(RPCReplicate, f.payload(), s.budget(s.ForwardBudget))
-	f.release()
-	if err = s.classifyReplicaResp(to, resp, err); err != nil {
-		return err
-	}
-	s.replFwds.Inc()
-	return nil
-}
-
 // forward dual-writes one key to the migration target as a chunk of one.
 func (s *Service) forward(to fabric.NodeID, shard int, key, val uint64) error {
 	link, err := s.link(to)
@@ -440,7 +419,7 @@ func (s *Service) forward(to fabric.NodeID, shard int, key, val uint64) error {
 	}
 	defer resp.Release()
 	if resp.Status != core.StatusOK {
-		return fmt.Errorf("cluster: forward NACK status %d", resp.Status)
+		return &ReplError{Backup: to, Status: resp.Status, Err: ErrReplicaNACK}
 	}
 	return nil
 }

@@ -62,10 +62,10 @@ func TestRingGarbageIsNotConsumed(t *testing.T) {
 	// Corrupt the ring head with a bogus "message" that answers the parked
 	// call but whose canaries mismatch.
 	q := conn.qps[0]
-	garbage := make([]byte, 64)
-	putHeader(garbage, header{totalLen: 64, count: 1, canary: 0xABCD})
-	putItemMetaV1(garbage[headerBytes:], itemMeta{threadID: th.ID(), seqID: p.rec.seq, rpcID: blockID})
-	putLE64(garbage[56:], 0x9999) // trailing canary differs
+	garbage := make([]byte, msgSpace([]int{0}))
+	putHeader(garbage, header{totalLen: uint32(len(garbage)), count: 1, canary: 0xABCD, flags: flagItemMetaV2})
+	putItemMeta(garbage[headerBytes:], itemMeta{threadID: th.ID(), seqID: p.rec.seq, rpcID: blockID})
+	putLE64(garbage[len(garbage)-trailerBytes:], 0x9999) // trailing canary differs
 	if err := q.respRing.WriteAt(garbage, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestRingGarbageIsNotConsumed(t *testing.T) {
 	}
 	// Clean the injected bytes (as if the write never happened); real
 	// traffic then flows, the parked call's own response first.
-	if err := q.respRing.WriteAt(make([]byte, 64), 0); err != nil {
+	if err := q.respRing.WriteAt(make([]byte, len(garbage)), 0); err != nil {
 		t.Fatal(err)
 	}
 	close(release)

@@ -13,14 +13,14 @@ import (
 //	  +8  canary    uint64  random, repeated at the end of the message
 //	  +16 piggyHead uint64  sender's consumed head of the opposite ring
 //	  +24 credit    uint32  responses: credit grant delta for this QP
-//	  +28 flags     uint32  reserved
+//	  +28 flags     uint32  flagItemMetaV2 must be set; the rest reserved
 //	item (32 B metadata, then payload padded to 8 B):
 //	  +0  size     uint32  payload bytes
 //	  +4  threadID uint32
 //	  +8  seqID    uint64  thread-local monotonically increasing (§4.1)
 //	  +16 rpcID    uint32  handler ID (requests) / echoed (responses)
 //	  +20 status   uint32  response status
-//	  +24 idemKey  uint64  idempotency key; 0 = not idempotent (v2 only)
+//	  +24 idemKey  uint64  idempotency key; 0 = not idempotent
 //	trailer (8 B): canary uint64
 //
 // The receiver polls the first word at its Head; a nonzero totalLen with
@@ -29,17 +29,15 @@ import (
 // totalLen of wrapMarker tells the receiver the producer wrapped to offset
 // zero.
 //
-// Item-metadata versioning: the original format carried 24-byte metadata
-// without idemKey. Encoders now always emit the 32-byte v2 layout and set
-// flagItemMetaV2 in the header; the decoder accepts both, selecting the
-// metadata width from the flag, so frames captured from (or produced by)
-// the v1 format still decode.
+// There is one item-metadata layout. Every encoder sets flagItemMetaV2 in
+// the header, and a frame without it (the 24-byte layout that predates
+// idemKey, which nothing in this system can emit) is rejected like any
+// other malformed input.
 const (
-	headerBytes     = 32
-	itemMetaV1Bytes = 24 // legacy metadata layout, no idemKey
-	itemMetaBytes   = 32 // v2 metadata layout, emitted by this version
-	trailerBytes    = 8
-	wrapMarker      = ^uint32(0)
+	headerBytes   = 32
+	itemMetaBytes = 32
+	trailerBytes  = 8
+	wrapMarker    = ^uint32(0)
 
 	// flagItemMetaV2 in header.flags marks 32-byte item metadata.
 	flagItemMetaV2 uint32 = 1 << 0
@@ -100,10 +98,10 @@ type itemMeta struct {
 	seqID    uint64
 	rpcID    uint32
 	status   uint32
-	idemKey  uint64 // zero on frames decoded from the v1 layout
+	idemKey  uint64
 }
 
-// putItemMeta encodes m into b (len >= itemMetaBytes) in the v2 layout.
+// putItemMeta encodes m into b (len >= itemMetaBytes).
 func putItemMeta(b []byte, m itemMeta) {
 	binary.LittleEndian.PutUint32(b[0:], m.size)
 	binary.LittleEndian.PutUint32(b[4:], m.threadID)
@@ -113,31 +111,15 @@ func putItemMeta(b []byte, m itemMeta) {
 	binary.LittleEndian.PutUint64(b[24:], m.idemKey)
 }
 
-// putItemMetaV1 encodes m into b (len >= itemMetaV1Bytes) in the legacy
-// layout, dropping idemKey. Kept for old/new frame-compatibility tests.
-func putItemMetaV1(b []byte, m itemMeta) {
-	binary.LittleEndian.PutUint32(b[0:], m.size)
-	binary.LittleEndian.PutUint32(b[4:], m.threadID)
-	binary.LittleEndian.PutUint64(b[8:], m.seqID)
-	binary.LittleEndian.PutUint32(b[16:], m.rpcID)
-	binary.LittleEndian.PutUint32(b[20:], m.status)
-}
-
-// getItemMeta decodes v2 per-item metadata from b.
+// getItemMeta decodes per-item metadata from b.
 func getItemMeta(b []byte) itemMeta {
-	m := getItemMetaV1(b)
-	m.idemKey = binary.LittleEndian.Uint64(b[24:])
-	return m
-}
-
-// getItemMetaV1 decodes legacy per-item metadata from b; idemKey is zero.
-func getItemMetaV1(b []byte) itemMeta {
 	return itemMeta{
 		size:     binary.LittleEndian.Uint32(b[0:]),
 		threadID: binary.LittleEndian.Uint32(b[4:]),
 		seqID:    binary.LittleEndian.Uint64(b[8:]),
 		rpcID:    binary.LittleEndian.Uint32(b[16:]),
 		status:   binary.LittleEndian.Uint32(b[20:]),
+		idemKey:  binary.LittleEndian.Uint64(b[24:]),
 	}
 }
 
@@ -170,25 +152,17 @@ func decodeMessageInto(buf []byte, items []decodedItem) (header, []decodedItem, 
 	if tail != h.canary {
 		return header{}, nil, fmt.Errorf("core: canary mismatch")
 	}
-	// The header flag selects the item-metadata width: v2 frames carry the
-	// 32-byte layout with idemKey, v1 frames the legacy 24-byte one.
-	metaBytes := itemMetaV1Bytes
-	if h.flags&flagItemMetaV2 != 0 {
-		metaBytes = itemMetaBytes
+	if h.flags&flagItemMetaV2 == 0 {
+		return header{}, nil, fmt.Errorf("core: frame without the item-metadata flag (flags %#x)", h.flags)
 	}
 	items = items[:0]
 	off := headerBytes
 	for i := uint32(0); i < h.count; i++ {
-		if off+metaBytes > len(buf)-trailerBytes {
+		if off+itemMetaBytes > len(buf)-trailerBytes {
 			return header{}, nil, fmt.Errorf("core: item %d metadata overruns message", i)
 		}
-		var m itemMeta
-		if metaBytes == itemMetaBytes {
-			m = getItemMeta(buf[off:])
-		} else {
-			m = getItemMetaV1(buf[off:])
-		}
-		off += metaBytes
+		m := getItemMeta(buf[off:])
+		off += itemMetaBytes
 		end := off + pad8(int(m.size))
 		if int(m.size) > pad8(int(m.size)) || end > len(buf)-trailerBytes {
 			return header{}, nil, fmt.Errorf("core: item %d payload overruns message", i)

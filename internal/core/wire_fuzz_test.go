@@ -17,9 +17,8 @@ import (
 //
 // The targets assert three properties: the decoder never panics on
 // arbitrary bytes (it guards a ring the remote side writes), encode→decode
-// is the identity for every representable value, and v1 frames (24-byte
-// item metadata, no idempotency key) keep decoding next to the v2 layout
-// this version emits.
+// is the identity for every representable value, and a frame without the
+// item-metadata flag — the retired 24-byte layout included — is rejected.
 
 // encodeTestMessage builds a valid v2 message from payloads using the
 // production encode helpers, mirroring the leader's staging layout.
@@ -51,10 +50,12 @@ func encodeTestMessage(h header, payloads [][]byte) []byte {
 	return buf
 }
 
-// encodeTestMessageV1 builds the same message in the legacy v1 layout:
-// 24-byte item metadata, flag clear. Retired encoders produced exactly
-// this; the decoder must keep accepting it.
+// encodeTestMessageV1 builds the same message in the retired layout:
+// 24-byte item metadata (no idemKey), flag clear. Nothing in the system
+// emits it any more; it is kept here, spelled out by hand, as the negative
+// seed the decoder must reject.
 func encodeTestMessageV1(h header, payloads [][]byte) []byte {
+	const itemMetaV1Bytes = 24
 	msgLen := headerBytes + trailerBytes
 	for _, p := range payloads {
 		msgLen += itemMetaV1Bytes + pad8(len(p))
@@ -66,13 +67,10 @@ func encodeTestMessageV1(h header, payloads [][]byte) []byte {
 	putHeader(buf, h)
 	off := headerBytes
 	for i, p := range payloads {
-		putItemMetaV1(buf[off:], itemMeta{
-			size:     uint32(len(p)),
-			threadID: uint32(i),
-			seqID:    uint64(i) * 7,
-			rpcID:    uint32(i) + 1,
-			status:   0,
-		})
+		binary.LittleEndian.PutUint32(buf[off:], uint32(len(p))) // size
+		binary.LittleEndian.PutUint32(buf[off+4:], uint32(i))    // threadID
+		binary.LittleEndian.PutUint64(buf[off+8:], uint64(i)*7)  // seqID
+		binary.LittleEndian.PutUint32(buf[off+16:], uint32(i)+1) // rpcID; status stays 0
 		off += itemMetaV1Bytes
 		copy(buf[off:], p)
 		off += pad8(len(p))
@@ -87,7 +85,7 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add(encodeTestMessage(header{canary: 0xfeedface}, [][]byte{[]byte("hello")}))
 	f.Add(encodeTestMessage(header{canary: 1, piggyHead: 42, credit: 3},
 		[][]byte{nil, []byte("x"), bytes.Repeat([]byte{0xab}, 100)}))
-	// Legacy v1 frames must stay decodable.
+	// Frames in the retired v1 layout: negative seeds.
 	f.Add(encodeTestMessageV1(header{canary: 0xfeedface}, [][]byte{[]byte("hello")}))
 	f.Add(encodeTestMessageV1(header{canary: 5, piggyHead: 9},
 		[][]byte{nil, []byte("legacy")}))
@@ -100,8 +98,7 @@ func FuzzDecodeMessage(f *testing.F) {
 	bad := append([]byte(nil), m...)
 	bad[4] = 200 // count no longer matches the items present
 	f.Add(bad)
-	// A v2 frame whose flag was stripped: the decoder re-parses the bytes
-	// as v1 metadata and must reject or mis-see it without panicking.
+	// A valid frame whose flag was stripped: rejected, without panicking.
 	stripped := append([]byte(nil), m...)
 	binary.LittleEndian.PutUint32(stripped[28:], 0)
 	f.Add(stripped)
@@ -115,15 +112,15 @@ func FuzzDecodeMessage(f *testing.F) {
 		if int(h.totalLen) != len(data) {
 			t.Fatalf("accepted totalLen %d for %d bytes", h.totalLen, len(data))
 		}
+		if h.flags&flagItemMetaV2 == 0 {
+			t.Fatalf("accepted a frame without the item-metadata flag (flags %#x)", h.flags)
+		}
 		if uint32(len(items)) != h.count {
 			t.Fatalf("returned %d items, header says %d", len(items), h.count)
 		}
 		for i, it := range items {
 			if int(it.meta.size) != len(it.data) {
 				t.Fatalf("item %d: meta size %d, data %d", i, it.meta.size, len(it.data))
-			}
-			if h.flags&flagItemMetaV2 == 0 && it.meta.idemKey != 0 {
-				t.Fatalf("item %d: v1 frame decoded a nonzero idemKey %d", i, it.meta.idemKey)
 			}
 		}
 		// Decoding is deterministic, and the reuse path agrees with the
@@ -171,28 +168,15 @@ func FuzzMessageRoundTrip(f *testing.F) {
 			}
 		}
 
-		// Old/new frame compatibility: the v1 encoding of the same items
-		// must decode to identical metadata and payloads, idemKey aside.
+		// The same items in the retired layout, and the valid frame with
+		// its flag stripped, are both rejected without panic.
 		buf1 := encodeTestMessageV1(header{canary: canary, piggyHead: piggyHead, credit: credit}, payloads)
-		h1, items1, err := decodeMessage(buf1)
-		if err != nil {
-			t.Fatalf("valid v1 message rejected: %v", err)
+		if _, _, err := decodeMessage(buf1); err == nil {
+			t.Fatal("frame in the retired 24-byte layout accepted")
 		}
-		if h1.canary != canary || h1.piggyHead != piggyHead || h1.credit != credit {
-			t.Fatalf("v1 header fields changed: %+v", h1)
-		}
-		if len(items1) != len(items) {
-			t.Fatalf("v1 decoded %d items, v2 %d", len(items1), len(items))
-		}
-		for i := range items {
-			m2, m1 := items[i].meta, items1[i].meta
-			m2.idemKey = 0
-			if m1 != m2 {
-				t.Fatalf("item %d meta diverged across layouts: v1 %+v, v2 %+v", i, m1, items[i].meta)
-			}
-			if !bytes.Equal(items1[i].data, items[i].data) {
-				t.Fatalf("item %d payload diverged across layouts", i)
-			}
+		binary.LittleEndian.PutUint32(buf[28:], h.flags&^flagItemMetaV2)
+		if _, _, err := decodeMessage(buf); err == nil {
+			t.Fatal("frame with the item-metadata flag stripped accepted")
 		}
 	})
 }
@@ -225,9 +209,8 @@ func FuzzItemMetaRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzItemMetaV2RoundTrip covers the full v2 metadata including the
-// idempotency key and the v1 truncation relationship: dropping the key is
-// exactly what the legacy layout encodes.
+// FuzzItemMetaV2RoundTrip covers the full metadata including the
+// idempotency key.
 func FuzzItemMetaV2RoundTrip(f *testing.F) {
 	f.Add(uint32(8), uint32(3), uint64(77), uint32(1), uint32(4), uint64(0xabcdef))
 	f.Add(^uint32(0), ^uint32(0), ^uint64(0), ^uint32(0), ^uint32(0), ^uint64(0))
@@ -239,13 +222,6 @@ func FuzzItemMetaV2RoundTrip(f *testing.F) {
 		putItemMeta(buf[:], in)
 		if out := getItemMeta(buf[:]); out != in {
 			t.Fatalf("v2 item meta round trip: %+v != %+v", out, in)
-		}
-		var buf1 [itemMetaV1Bytes]byte
-		putItemMetaV1(buf1[:], in)
-		want := in
-		want.idemKey = 0
-		if out := getItemMetaV1(buf1[:]); out != want {
-			t.Fatalf("v1 item meta round trip: %+v != %+v", out, want)
 		}
 	})
 }

@@ -93,7 +93,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 
 	badLen := append([]byte(nil), good...)
-	putHeader(badLen, header{totalLen: uint32(len(badLen) + 8), count: 1, canary: 99})
+	putHeader(badLen, header{totalLen: uint32(len(badLen) + 8), count: 1, canary: 99, flags: flagItemMetaV2})
 	if _, _, err := decodeMessage(badLen); err == nil {
 		t.Error("wrong totalLen accepted")
 	}
@@ -106,7 +106,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 
 	// count larger than items present.
 	badCount := append([]byte(nil), good...)
-	putHeader(badCount, header{totalLen: uint32(len(badCount)), count: 50, canary: 99})
+	putHeader(badCount, header{totalLen: uint32(len(badCount)), count: 50, canary: 99, flags: flagItemMetaV2})
 	if _, _, err := decodeMessage(badCount); err == nil {
 		t.Error("overrunning count accepted")
 	}
@@ -159,47 +159,29 @@ func TestItemMetaEncoding(t *testing.T) {
 	}
 }
 
-func TestItemMetaV1Compat(t *testing.T) {
-	// A v1 frame (flag clear, 24-byte metadata) must decode to the same
-	// items as its v2 counterpart, with idemKey zeroed.
+// TestUnflaggedFrameRejected: there is one item-metadata layout, and a
+// frame whose header does not carry its flag is malformed input — whether
+// it is an otherwise valid frame with the flag stripped or a frame in the
+// retired 24-byte layout.
+func TestUnflaggedFrameRejected(t *testing.T) {
 	items := []itemMeta{
 		{threadID: 1, seqID: 10, rpcID: 7, idemKey: 99},
 		{threadID: 2, seqID: 20, rpcID: 8, status: 3, idemKey: 100},
 	}
 	payloads := [][]byte{[]byte("legacy"), []byte("frame")}
-	msgLen := headerBytes + trailerBytes
-	for i := range payloads {
-		msgLen += itemMetaV1Bytes + pad8(len(payloads[i]))
+	good := buildMessage(items, payloads, 7, 0)
+	if _, _, err := decodeMessage(good); err != nil {
+		t.Fatalf("flagged frame rejected: %v", err)
 	}
-	buf := make([]byte, msgLen)
-	putHeader(buf, header{totalLen: uint32(msgLen), count: uint32(len(items)), canary: 7})
-	off := headerBytes
-	for i := range items {
-		m := items[i]
-		m.size = uint32(len(payloads[i]))
-		putItemMetaV1(buf[off:], m)
-		copy(buf[off+itemMetaV1Bytes:], payloads[i])
-		off += itemMetaV1Bytes + pad8(len(payloads[i]))
+	stripped := append([]byte(nil), good...)
+	h := getHeader(stripped)
+	h.flags = 0
+	putHeader(stripped, h)
+	if _, got, err := decodeMessage(stripped); err == nil {
+		t.Errorf("frame with the flag stripped decoded into %d items", len(got))
 	}
-	putLE64(buf[msgLen-trailerBytes:], 7)
-
-	h, got, err := decodeMessage(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.flags&flagItemMetaV2 != 0 {
-		t.Fatalf("v1 frame decoded with v2 flag: %+v", h)
-	}
-	for i, it := range got {
-		if it.meta.idemKey != 0 {
-			t.Fatalf("item %d: v1 decode produced idemKey %d", i, it.meta.idemKey)
-		}
-		if it.meta.threadID != items[i].threadID || it.meta.seqID != items[i].seqID ||
-			it.meta.rpcID != items[i].rpcID || it.meta.status != items[i].status {
-			t.Fatalf("item %d meta: %+v", i, it.meta)
-		}
-		if !bytes.Equal(it.data, payloads[i]) {
-			t.Fatalf("item %d data: %q", i, it.data)
-		}
+	legacy := encodeTestMessageV1(header{canary: 7}, payloads)
+	if _, got, err := decodeMessage(legacy); err == nil {
+		t.Errorf("24-byte-metadata frame decoded into %d items", len(got))
 	}
 }
