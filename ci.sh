@@ -5,8 +5,8 @@
 # single-threaded and dominate wall-clock, so racing them buys nothing.
 set -eux
 
-# The flockbench sweeps below write their JSON here, not over the tracked
-# BENCH_PR*.json snapshots: a CI run leaves `git status` clean.
+# The flockbench sweeps below write their JSON here, not into the checkout:
+# a CI run leaves `git status` clean.
 benchdir=$(mktemp -d)
 trap 'rm -rf "$benchdir"' EXIT
 
@@ -26,6 +26,22 @@ ratio_gate() {
 		END { exit (found && !bad) ? 0 : 1 }'
 }
 
+# gate <go test arguments>: every `go test -run <regex>` gate below goes
+# through here. `go test -run` exits 0 when the regex matches nothing, so a
+# renamed or moved test would drop out of its gate without a sound; the
+# function fails on go test's "no tests to run" in any package it was given.
+gate() {
+	if ! gate_out=$(go test "$@" 2>&1); then
+		echo "$gate_out"
+		return 1
+	fi
+	echo "$gate_out"
+	if echo "$gate_out" | grep -q 'no tests to run'; then
+		echo "gate matched no tests: go test $*"
+		return 1
+	fi
+}
+
 go vet ./...
 go build ./...
 go test ./...
@@ -34,14 +50,14 @@ go test -race ./internal/loadgen ./internal/core ./internal/rnic ./internal/mem 
 # rings a doorbell may execute anybody's work requests. The three tests that
 # cross posters, pollers, stalled QPs and Close on one device are repeated,
 # because one interleaving per run proves little.
-go test -race -count=10 -run 'TestPostSendNeverBlocks|TestDoorbellStress|TestCloseDuringDrain' ./internal/rnic
+gate -race -count=10 -run 'TestPostSendNeverBlocks|TestDoorbellStress|TestCloseDuringDrain' ./internal/rnic
 
 # Mutation self-test: rebuild the schedule explorer with the eight
 # known-bad protocol variants (flockmut build tag) and assert the
 # linearizability checker flags every one of them — the premature-ack
 # mutants (ack-before-replicate, ack-before-batch-durable) run in the
-# replica simulator, the rest in the combining-path and cluster
-# simulators. This is the gate that proves
+# replica simulator's kill pool, stale-shard-serve in its move pool, the
+# rest in the combining-path simulator. This is the gate that proves
 # the harness can actually see bugs — a checker that passes the
 # mutants is itself broken.
 go test -tags flockmut -race ./internal/check
@@ -56,13 +72,13 @@ awk -v c="$cov" 'BEGIN { if (c+0 < 70.0) { print "internal/core coverage " c "% 
 # measured 2 allocs/op echo exchange (ceiling enforced by the test),
 # with telemetry registered and publishing — observability is not
 # allowed to cost the hot path allocations.
-go test -run TestEchoAllocRegressionGate -count=1 .
+gate -run TestEchoAllocRegressionGate -count=1 .
 
 # Telemetry-overhead gate: a counter increment stays in the
 # tens-of-nanoseconds range (measured ~9ns, gated at 50ns for CI noise)
 # and every hot-path telemetry op — counter inc, gauge set, histogram
 # observe, disabled trace record — is allocation-free.
-go test -run 'TestCounterOverheadGate|TestHotPathNoAlloc' -count=1 ./internal/telemetry
+gate -run 'TestCounterOverheadGate|TestHotPathNoAlloc' -count=1 ./internal/telemetry
 
 # Overload-chaos shard (ISSUE 6). Three gates: (1) the seeded
 # overload/dedup/drain/breaker tests run under the package leak gate,
@@ -84,7 +100,7 @@ go test -run 'TestCounterOverheadGate|TestHotPathNoAlloc' -count=1 ./internal/te
 # each collapsed point: deadline expiries strike QPs until the client's
 # whole handle is quarantined (EXPERIMENTS.md "PR 15"). Make it fail on the
 # ratio again once that is fixed or the experiment rides it out.
-go test -run 'TestOverload|TestDedup|TestHedged|TestDrain|TestBreaker' -count=1 ./internal/core
+gate -run 'TestOverload|TestDedup|TestHedged|TestDrain|TestBreaker' -count=1 ./internal/core
 out=$(go run ./cmd/flockload -overload 4 -retry 6 -workers 2 -threads 8 -dur 500ms -faults seed=6,rc-loss=0.01)
 echo "$out"
 echo "$out" | grep -Eq 'resilience +rejected=[1-9]'
@@ -103,21 +119,24 @@ echo "$bench" | ratio_gate chaos 0.80 warn
 pbench=$(go run ./cmd/flockbench -run pipeline -json "$benchdir/pipeline.json")
 echo "$pbench"
 echo "$pbench" | ratio_gate pipeline 1.50
-go test -run TestEchoAllocRegressionGate -count=1 .
+gate -run TestEchoAllocRegressionGate -count=1 .
 
-# Cluster shard (ISSUE 8). Four gates on the cluster layer: (1) the live
-# migration-chaos test — concurrent clients, live shard moves, a flapping
-# fabric — must stay linearizable under the package leak gate; (2) the
-# check-package cluster simulator must hold 250 seeded schedules (node
-# flaps + stretched handoffs across live migrations) linearizable, with
-# vacuity asserts that shards actually moved and messages actually
-# dropped; (3) a live flockload cluster run must complete its mid-window
-# migrations and drain every node to zero leases; (4) the flockbench
-# scaling sweep must show aggregate KV goodput at 4 members at least
-# 2.5× 1 member. The stale-shard-serve mutant is covered by the flockmut
-# run above.
-go test -run TestMigrationChaosLinearizable -count=1 ./internal/cluster
-go test -run 'TestCluster|TestMigrationScheduleShape' -count=1 ./internal/check
+# Cluster shard (ISSUEs 8 + 16). Four gates on the cluster layer: (1) the
+# live migration-chaos test — concurrent clients, live shard moves
+# (recruit the target as a backup, copy, hand off), a flapping fabric —
+# must stay linearizable under the package leak gate; (2) the replica
+# simulator's move pool must hold 250 seeded schedules (a guaranteed flap
+# of the source, further flaps, stretched handoffs, across two planned
+# moves) against the strict register model, with vacuity asserts that
+# shards actually moved, clients were actually redirected and flap windows
+# actually dropped messages, and its kill pool must hold 250 more over the
+# same moving world (a member dying mid-move); (3) a live flockload cluster
+# run must complete its mid-window migrations and drain every node to zero
+# leases; (4) the flockbench scaling sweep must show aggregate KV goodput
+# at 4 members at least 2.5× 1 member. The stale-shard-serve mutant is
+# covered by the flockmut run above.
+gate -run TestMigrationChaosLinearizable -count=1 ./internal/cluster
+gate -run 'TestClusterMigrationLinearizable|TestClusterKillDuringMoveLinearizable|TestClusterRunDeterministic|TestClusterQuiescentRun|TestMigrationScheduleShape' -count=1 ./internal/check
 cout=$(go run ./cmd/flockload -cluster 4 -shards 16 -threads 8 -dur 1s)
 echo "$cout"
 echo "$cout" | grep -Eq 'membership +live=4/4 moves=2'
@@ -129,9 +148,11 @@ echo "$cbench" | ratio_gate cluster 2.50
 # Replication shard (ISSUEs 9 + 10). Five gates on group-commit
 # primary–backup replication: (1) the live failover and group-commit
 # suites — concurrent writers, a shard primary killed mid-traffic,
-# backups promoted on an epoch bump, batches cut on epoch and death
-# boundaries, reads gated on uncommitted puts — must keep every
-# acknowledged write readable, the whole history linearizable, and
+# backups promoted on an epoch bump, a source or a recruit killed in the
+# middle of a move, a recruit installed only once no request of the old
+# view is in flight and dropped again when its copy fails, batches cut on
+# epoch and death boundaries, reads gated on uncommitted puts — must keep
+# every acknowledged write readable, the whole history linearizable, and
 # replicas fingerprint-identical, under the package leak gate; (2) the
 # check-package replica simulator must hold 250 seeded schedules
 # (guaranteed mid-horizon primary kill + flaps) against the strict
@@ -145,8 +166,8 @@ echo "$cbench" | ratio_gate cluster 2.50
 # per-put sync forward priced the same point at ~0.2); (5)
 # internal/cluster holds the same 70% coverage floor as internal/core.
 # The premature-ack mutants are covered by the flockmut run above.
-go test -run 'TestFailoverPreservesAckedWrites|TestReplicatedPutReachesBackups|TestReplicationEpochFence|TestGroupCommit|TestReplicateTypedErrors|TestCutBatch|TestReplFrame' -count=1 ./internal/cluster
-go test -run 'TestClusterReplica|TestReplica' -count=1 ./internal/check
+gate -run 'TestFailoverPreservesAckedWrites|TestMemberDiesMidMove|TestRecruitInstallWaitsOutInFlightRequests|TestRepairDropsRecruitWhenCopyFails|TestReplicatedPutReachesBackups|TestReplicationEpochFence|TestGroupCommit|TestReplicateTypedErrors|TestCutBatch|TestReplFrame' -count=1 ./internal/cluster
+gate -run 'TestClusterReplica|TestReplica' -count=1 ./internal/check
 rout=$(go run ./cmd/flockload -cluster 4 -shards 16 -replicas 2 -threads 8 -dur 1s)
 echo "$rout"
 echo "$rout" | grep -Eq 'failover +victim=n[0-9]+ shards=[1-9][0-9]* promoted=[1-9]'

@@ -621,7 +621,7 @@ func kvLoad(kv *loadgen.KV, nThreads, keysPerG int, gets bool, dur time.Duration
 // aggregate capacity is worker-seconds — it scales with member count
 // even on a 1-CPU container, exactly as RDMA-side capacity scales with
 // NICs rather than with a shared host CPU. The acceptance gate is
-// 4-member goodput ≥ 2.5× 1-member (BENCH_PR8.json carries the rows).
+// 4-member goodput ≥ 2.5× 1-member (ci.sh gates the ratio line).
 func runClusterScaling(quick bool) {
 	dur := windowOf(quick, 600*time.Millisecond, 250*time.Millisecond)
 	const (
@@ -672,9 +672,9 @@ func runClusterScaling(quick bool) {
 // (internal/cluster/groupcommit.go), so the fan-out cost is amortized
 // across whatever queued inside the flush window — the paper's flocking
 // discipline applied to the replica plane. The goodput ratio R=2/R=0 is
-// the price tag on durability; BENCH_PR10.json carries the rows and the
-// CI gate holds the ratio above 0.5 (PR 9's per-put sync forward
-// measured ~0.2 on the same 1-CPU container). A second dimension pins
+// the price tag on durability; the CI gate holds the ratio above 0.5
+// (PR 9's per-put sync forward measured ~0.2 on the same 1-CPU
+// container). A second dimension pins
 // R=2 and sweeps FlushEntries to show the ratio is the batching's doing:
 // cap 1 reproduces the per-put forward, 8 and 64 open the window.
 func runReplicationSweep(quick bool) {

@@ -107,15 +107,20 @@ type (
 )
 
 // Cluster-layer types re-exported from internal/cluster: versioned shard
-// placement, the epoch-routing client, membership, and live migration.
+// placement, the epoch-routing client, membership, replication, and live
+// shard moves.
 type (
 	// ShardMap is the versioned shard→member placement (consistent
 	// hashing over virtual nodes, epoch-stamped, wire-encodable).
 	ShardMap = cluster.ShardMap
-	// ShardMigration is one pending shard move recorded in a ShardMap.
+	// ShardMigration is one planned shard move, as ShardMap.PlanRebalance
+	// lists them. A move in progress is not recorded in the map: its
+	// target is one more backup of the shard until the handoff.
 	ShardMigration = cluster.Migration
-	// ClusterService is the member-side sharded KV plus migration
-	// machinery (dual-write forwarding, snapshot copy, atomic handoff).
+	// ClusterService is the member-side sharded KV: per-shard stores,
+	// group-commit replication to each shard's backups, and the snapshot
+	// copy that fills a recruited backup. The coordinator composes every
+	// placement change — repair, move, failover — from those.
 	ClusterService = cluster.Service
 	// ClusterRouter is the shard-aware client: it routes by its cached
 	// map and self-corrects from epoch piggybacks and WrongShard NACKs.
@@ -252,8 +257,9 @@ func NewReplicatedShardMap(members []NodeID, shards, vnodes, replicas int) (*Sha
 // of a StatusWrongShard NACK or an RPCMap reply).
 func DecodeShardMap(b []byte) (*ShardMap, error) { return cluster.DecodeShardMap(b) }
 
-// NewClusterService stands the sharded KV + migration machinery up on a
-// member node. The node must run with Options.Workers > 0.
+// NewClusterService stands the sharded KV up on a member node. The node
+// must run with Options.Workers > 0: a put's handler parks until its
+// group commit resolves.
 func NewClusterService(node *Node, m *ShardMap, storeCap int) (*ClusterService, error) {
 	return cluster.NewService(node, m, storeCap)
 }

@@ -41,18 +41,19 @@ const (
 	// it — the canonical ScheduleFromSeed pool is frozen so existing
 	// seeds stay replayable.
 	PerturbServiceInflate
-	// PerturbNodeFlap takes one cluster member off the network for Dur
+	// PerturbNodeFlap takes one replica-sim member off the network for Dur
 	// (every message to or from it is dropped), then brings it back — a
-	// crash-recover or link flap against the cluster sim's membership and
-	// migration machinery. QP carries the member index. Only
-	// MigrationScheduleFromSeed derives it; the TCQ pools stay frozen.
+	// crash-recover or link flap against replication, failover and a
+	// move's copy. QP carries the member index. Only the two replica-sim
+	// derivations produce it; the TCQ pools stay frozen.
 	PerturbNodeFlap
-	// PerturbHandoffDelay stretches the cluster sim's handoff window by
-	// Dur: the gap between the migration source adopting the handoff
-	// epoch (and starting to NACK) and the target learning it. Requests
-	// bounce between the two views for the whole window — the redirect
-	// storm the router's bounded retry loop must survive. Only
-	// MigrationScheduleFromSeed derives it.
+	// PerturbHandoffDelay stretches one view change's propagation by Dur:
+	// the gap between the member that installs a handoff or failover view
+	// first (and starts to NACK or serve under it) and the others
+	// learning it. After a planned handoff requests bounce between the
+	// two views for the whole window — the redirect storm the router's
+	// bounded retry loop must survive. Only the two replica-sim
+	// derivations produce it.
 	PerturbHandoffDelay
 	// PerturbPrimaryKill permanently silences one replica-sim member from
 	// At on — a crash with no recovery, the failure synchronous
@@ -274,15 +275,17 @@ type RunReport struct {
 	// retries or never dedups proved nothing.
 	Retried   int
 	DedupHits int
-	// Migrations counts shard handoffs completed during the run, and
-	// Redirects counts wrong-shard bounces clients absorbed — the
-	// vacuity signals for the cluster suite: a sweep where no shard
-	// moved (or no client ever chased a moved shard) proved nothing
-	// about migration. FlapDrops counts messages dropped by node-flap
-	// perturbation windows. All three are zero outside the cluster sim.
-	Migrations int
-	Redirects  int
-	FlapDrops  int
+	// Migrations counts planned shard handoffs completed during the run,
+	// MovesDropped the moves a failover cut short, and Redirects the
+	// wrong-shard bounces clients absorbed — the vacuity signals for the
+	// move suite: a sweep where no shard moved (or no client ever chased
+	// a moved shard) proved nothing about migration. FlapDrops counts
+	// messages dropped by node-flap windows and dead members. All are
+	// zero outside the replica sim.
+	Migrations   int
+	MovesDropped int
+	Redirects    int
+	FlapDrops    int
 	// Pipelined counts ops issued while their thread already had one in
 	// flight — the vacuity signal for the pipelining suite: a sweep that
 	// never overlapped two ops of one thread proved nothing about the
@@ -351,13 +354,13 @@ type ExploreResult struct {
 	Retried   int
 	DedupHits int
 	Pipelined int
-	// Migrations, Redirects, and FlapDrops are summed over cluster-suite
-	// sweeps (zero for the TCQ suites).
-	Migrations int
-	Redirects  int
-	FlapDrops  int
-	// Failovers, Forwards, Batches, and MultiBatches are summed over
-	// replica-suite sweeps (zero everywhere else).
+	// Migrations, MovesDropped, Redirects, FlapDrops, Failovers, Forwards,
+	// Batches, and MultiBatches are summed over replica-sim sweeps (zero
+	// for the TCQ suites).
+	Migrations   int
+	MovesDropped int
+	Redirects    int
+	FlapDrops    int
 	Failovers    int
 	Forwards     int
 	Batches      int

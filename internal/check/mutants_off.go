@@ -46,8 +46,8 @@ const (
 	// the migration bug the single-authority rule (serve only what your
 	// own map assigns you) exists to prevent. Reads at the stale source
 	// miss the target's writes, and puts that land there are
-	// acknowledged but never reach the new owner. Only the cluster
-	// schedule pool can catch it: the TCQ sims have no shards to move.
+	// acknowledged but never reach the new owner. Only the replica
+	// simulator's move pool can catch it: nothing else moves a shard.
 	MutStaleShardServe
 	// MutAckBeforeReplicate: a replicated primary acknowledges a put as
 	// soon as the local apply lands, replicating to backups lazily — the

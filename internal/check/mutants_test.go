@@ -39,19 +39,19 @@ func TestMutantsAreCaught(t *testing.T) {
 			// the overload schedules; the misroute mutant only bites when a
 			// thread has two ops in flight, so it gets the pipeline
 			// schedules; the stale-shard mutant only bites when a shard
-			// migrates, so it gets the cluster simulator; the premature-ack
-			// mutants (before-replicate and before-batch-durable) only bite
-			// when a primary dies mid-replication, so they get the replica
-			// simulator; the combining-path mutants keep the canonical pool.
+			// moves, so it gets the replica simulator's move pool; the
+			// premature-ack mutants (before-replicate and
+			// before-batch-durable) only bite when a primary dies
+			// mid-replication, so they get its kill pool; the
+			// combining-path mutants keep the canonical pool.
 			var res ExploreResult
 			var replay func(Schedule) bool
-			if mut == MutStaleShardServe {
-				ccfg := ClusterSimConfig{}
-				res = ExploreCluster(ccfg, mut, 1, mutantSeeds, MigrationScheduleFromSeed)
-				replay = func(s Schedule) bool { return RunClusterSchedule(ccfg, s, mut).Failed() }
-			} else if mut == MutAckBeforeReplicate || mut == MutAckBeforeBatchDurable {
-				rcfg := ReplicaSimConfig{}
-				res = ExploreReplica(rcfg, mut, 1, mutantSeeds, ReplicaScheduleFromSeed)
+			if mut == MutStaleShardServe || mut == MutAckBeforeReplicate || mut == MutAckBeforeBatchDurable {
+				rcfg, derive := ReplicaSimConfig{}, ReplicaScheduleFromSeed
+				if mut == MutStaleShardServe {
+					rcfg, derive = moveCfg(), MigrationScheduleFromSeed
+				}
+				res = ExploreReplica(rcfg, mut, 1, mutantSeeds, derive)
 				replay = func(s Schedule) bool { return RunReplicaSchedule(rcfg, s, mut).Failed() }
 			} else {
 				cfg := exploreCfg(mutantWorkload(mut))

@@ -2,21 +2,28 @@ package check
 
 import (
 	"fmt"
+	"sort"
 
 	"flock/internal/sim"
 )
 
-// The replica simulator: a deterministic, RPC-level model of per-shard
-// primary–backup replication (internal/cluster with Replicas > 0),
-// driven by the same seed-derived schedule machinery as the other
-// pools. It models exactly the interleavings that matter for the
-// durability promise a synchronous-replication ACK makes — the apply →
-// forward → backup-ack → client-ack chain, a primary killed anywhere
-// inside it, and the epoch-bump promotion that follows — and nothing
-// below: the wire is a flat latency plus drop windows.
+// The replica simulator: a deterministic, RPC-level model of the cluster
+// layer (internal/cluster) — epoch-stamped shard maps, redirect-following
+// clients, per-shard primary–backup replication, failover, and planned
+// shard moves — driven by the same seed-derived schedule machinery as
+// the other pools. It models exactly the interleavings that matter for
+// the durability promise a synchronous-replication ACK makes — the apply
+// → forward → backup-ack → client-ack chain, a primary killed anywhere
+// inside it, the epoch-bump promotion that follows, and a shard changing
+// primary on purpose while traffic flows — and nothing below: the wire
+// is a flat latency plus drop windows.
 //
 // The protocol rules mirror the real service:
 //
+//   - Single authority: a shard is served by exactly the node whose own
+//     map lists it as primary. The MutStaleShardServe mutant breaks this
+//     (a node keeps serving every shard it ever owned) and only shows
+//     when a shard moves.
 //   - Group-commit ACK rule: a put is acknowledged only after the key's
 //     current entry is applied at every backup the primary's own map
 //     lists for the shard. Acked therefore implies every backup holds
@@ -36,10 +43,24 @@ import (
 //   - Pending re-evaluation: a primary blocked on a dead backup's ack
 //     is released when it installs a map that no longer lists that
 //     backup — the liveness half of the ACK rule.
+//   - A planned move is a recruit followed by a promotion, as in
+//     Coordinator.MigrateShard: the world publishes a view with the
+//     target appended to the shard's backups, the primary installing it
+//     first, so every put admitted from then on owes the target an ack;
+//     the primary copies a snapshot of its entries and memo to the
+//     target in reliable chunks; when the last chunk is acked it stops
+//     admitting the shard (arrivals park, as on the real shard lock),
+//     waits for its pending puts on the shard to resolve, and installs
+//     the handoff view, from which moment it NACKs WrongShard; the new
+//     primary installs after the install gap — stretched by handoff-
+//     delay perturbations, the window in which nobody serves and clients
+//     bounce — and bystanders later still. A move whose source or target
+//     dies is dropped by the failover that follows: the recruit leaves
+//     the backup set again, and nothing else knew of the move.
 //   - Exactly-once: applied put op-IDs go into a per-shard memo that
-//     rides every replication forward, so a retry of an applied-but-
-//     unacked put is deduplicated on whichever replica serves it after
-//     the failover. A memo hit still re-runs the ACK rule against the
+//     rides every replication forward and every snapshot, so a retry of
+//     an applied-but-unacked put is deduplicated on whichever replica
+//     serves it after a failover or a move. A memo hit still re-runs the ACK rule against the
 //     key's current entry before replying — replying from the memo
 //     alone would promise durability a second failover could break.
 //
@@ -76,6 +97,13 @@ const (
 	// replicaMaxBatch caps entries per simulated forward frame (the
 	// FlushEntries knob's stand-in).
 	replicaMaxBatch = 8
+	// replicaMoveShard is the shard the planned moves move. Its initial
+	// primary is node 0, which is why MigrationScheduleFromSeed's
+	// guaranteed flap targets node 0: the flap hits the copy path, not
+	// just client traffic.
+	replicaMoveShard = 0
+	// replicaSnapshotChunk is the entry count of one snapshot chunk.
+	replicaSnapshotChunk = 4
 )
 
 // ReplicaSimConfig sizes one simulated replicated-cluster run. Zero
@@ -88,6 +116,7 @@ type ReplicaSimConfig struct {
 	OpsPerClient int // sequential ops per client (default 40)
 	Keys         int // key-space size (default 12)
 	Attempts     int // attempts per op before it goes pending (default 6)
+	Migrations   int // planned moves of replicaMoveShard spread over the horizon (default none)
 
 	// Echo switches the workload to stateless echo ops checked against
 	// the per-op EchoModel (default: kv puts/gets against RegisterModel).
@@ -184,6 +213,39 @@ func ReplicaScheduleFromSeed(seed uint64, cfg ReplicaSimConfig) Schedule {
 	return s
 }
 
+// MigrationScheduleFromSeed derives the move-suite schedule for a seed:
+// one guaranteed flap of the moved shard's initial source (node 0, so the
+// copy path itself rides through an outage) plus 0–4 further node flaps
+// and handoff delays, and no kills. Its own derivation, its own salt.
+func MigrationScheduleFromSeed(seed uint64, cfg ReplicaSimConfig) Schedule {
+	cfg = cfg.withDefaults()
+	rng := newScheduleRNG(seed ^ 0x0F10CCC105E4D5EE)
+	horizon := replicaHorizon(cfg)
+	at := cfg.AttemptTimeout
+	flap := func(node int) Perturbation {
+		return Perturbation{
+			Kind: PerturbNodeFlap,
+			At:   sim.Time(rng.Uint64n(uint64(horizon) + 1)),
+			QP:   node,
+			Dur:  at/2 + sim.Time(rng.Uint64n(uint64(at)*3)),
+		}
+	}
+	s := Schedule{Seed: seed, Perturbs: []Perturbation{flap(replicaMoveShard % cfg.Nodes)}}
+	n := rng.Intn(5)
+	for i := 0; i < n; i++ {
+		if rng.Intn(2) == 0 {
+			s.Perturbs = append(s.Perturbs, flap(rng.Intn(cfg.Nodes)))
+		} else {
+			s.Perturbs = append(s.Perturbs, Perturbation{
+				Kind: PerturbHandoffDelay,
+				At:   sim.Time(rng.Uint64n(uint64(horizon) + 1)),
+				Dur:  sim.Time(rng.Uint64n(uint64(at)*2) + 1),
+			})
+		}
+	}
+	return s
+}
+
 // replicaView is one immutable epoch-stamped map: table[s] is the
 // primary (-1: dark, every replica died), backups[s] its backup set.
 type replicaView struct {
@@ -201,10 +263,28 @@ func (v *replicaView) hasBackup(s, id int) bool {
 	return false
 }
 
+// next returns the view one epoch on in which shard s has the given
+// primary and backups and every other shard is as it was.
+func (v *replicaView) next(s, primary int, backups []int) *replicaView {
+	nv := &replicaView{
+		epoch:   v.epoch + 1,
+		table:   append([]int(nil), v.table...),
+		backups: append([][]int(nil), v.backups...),
+	}
+	nv.table[s], nv.backups[s] = primary, backups
+	return nv
+}
+
 // replicaEntry is one key's value with its per-key write version; the
 // version orders a key's writes across replicas so reordered or
 // retransmitted forwards cannot regress a backup.
 type replicaEntry struct{ val, ver uint64 }
+
+// clusterOpID uniquely names a client op; doubles as the put value so
+// every written value is globally distinct (sharper for the checker).
+func clusterOpID(client, idx int) uint64 {
+	return uint64(client+1)<<32 | uint64(idx+1)
+}
 
 // replicaPend is one put blocked on the sync-forward ACK rule: the
 // entry being replicated and the backups whose acks are still owed.
@@ -231,8 +311,12 @@ type replicaWorld struct {
 	handoffs []Perturbation // install-delay perturbs, consumed in At order
 
 	curView *replicaView
+	// move is the planned move in progress (one at a time), nil otherwise.
+	move *replicaMove
 
 	failovers    int
+	migrations   int
+	movesDropped int
 	forwards     int
 	redirects    int
 	flapDrops    int
@@ -247,10 +331,16 @@ type replicaNode struct {
 	id   int
 	view *replicaView
 
-	data    []map[uint64]replicaEntry
-	memo    []map[uint64]struct{}
-	pend    map[uint64]*replicaPend
-	streams map[replicaStreamKey]*replicaStream
+	data      []map[uint64]replicaEntry
+	memo      []map[uint64]struct{}
+	everOwned []bool
+	pend      map[uint64]*replicaPend
+	streams   map[replicaStreamKey]*replicaStream
+
+	// closing is the shard this node is handing over (-1: none): its copy
+	// is complete and arrivals for it park until the handoff view is in.
+	closing int
+	parked  []func()
 }
 
 type replicaClient struct {
@@ -297,15 +387,17 @@ func newReplicaWorld(cfg ReplicaSimConfig, sched Schedule, mut Mutation) *replic
 
 	for i := 0; i < cfg.Nodes; i++ {
 		n := &replicaNode{
-			w: w, id: i, view: w.curView,
-			data:    make([]map[uint64]replicaEntry, cfg.Shards),
-			memo:    make([]map[uint64]struct{}, cfg.Shards),
-			pend:    make(map[uint64]*replicaPend),
-			streams: make(map[replicaStreamKey]*replicaStream),
+			w: w, id: i, view: w.curView, closing: -1,
+			data:      make([]map[uint64]replicaEntry, cfg.Shards),
+			memo:      make([]map[uint64]struct{}, cfg.Shards),
+			everOwned: make([]bool, cfg.Shards),
+			pend:      make(map[uint64]*replicaPend),
+			streams:   make(map[replicaStreamKey]*replicaStream),
 		}
 		for s := range n.data {
 			n.data[s] = make(map[uint64]replicaEntry)
 			n.memo[s] = make(map[uint64]struct{})
+			n.everOwned[s] = table[s] == i
 		}
 		w.nodes = append(w.nodes, n)
 	}
@@ -323,6 +415,15 @@ func newReplicaWorld(cfg ReplicaSimConfig, sched Schedule, mut Mutation) *replic
 		}
 		w.clients = append(w.clients, cl)
 		w.eng.At(sim.Time(rng.Uint64n(uint64(4*sim.Microsecond))), cl.next)
+	}
+
+	// Planned moves, drawn after everything else so a run without them
+	// replays exactly as it did before they existed.
+	horizon := replicaHorizon(cfg)
+	for j := 0; j < cfg.Migrations; j++ {
+		at := horizon*sim.Time(j+1)/sim.Time(cfg.Migrations+1) +
+			sim.Time(rng.Uint64n(uint64(horizon/10)+1))
+		w.eng.At(at, w.startMove)
 	}
 	return w
 }
@@ -401,6 +502,13 @@ func (w *replicaWorld) failOver() {
 		return
 	}
 	nv := &replicaView{epoch: old.epoch + 1, table: table, backups: backups}
+	if mv := w.move; mv != nil && (w.dead[mv.src.id] || w.dead[mv.dst]) {
+		// The copy cannot finish: the move is off and the recruit is no
+		// backup (MigrateShard fails and drops it before FailOver runs).
+		nv.backups[mv.shard] = dropInt(nv.backups[mv.shard], mv.dst)
+		mv.src.closing, w.move = -1, nil
+		w.movesDropped++
+	}
 	w.curView = nv
 	for s, p := range nv.table {
 		if p >= 0 && old.table[s] != p {
@@ -428,6 +536,170 @@ func (w *replicaWorld) consumeInstallDelay() sim.Time {
 		}
 	}
 	return 0
+}
+
+// --- planned move (the world stands in for Coordinator.MigrateShard) ---
+
+// replicaMove is one planned move in progress.
+type replicaMove struct {
+	shard     int
+	src       *replicaNode
+	dst       int
+	chunksOut int // snapshot chunks not yet acked
+}
+
+func dropInt(ids []int, id int) []int {
+	var keep []int
+	for _, b := range ids {
+		if b != id {
+			keep = append(keep, b)
+		}
+	}
+	return keep
+}
+
+// startMove begins moving replicaMoveShard to the next live node outside
+// its replica set: the recruit view goes to the primary at once and to
+// the others after the install gap, and the primary starts its snapshot
+// in the same event, so every entry is either in the snapshot or was
+// admitted under the recruit view and owes the target an ack. One move at
+// a time, and the source must hold the authoritative view first.
+func (w *replicaWorld) startMove() {
+	s := replicaMoveShard
+	v := w.curView
+	src := v.table[s]
+	if src < 0 {
+		return // dark shard: nothing to move
+	}
+	if w.move != nil || w.dead[src] || w.nodes[src].view != v {
+		w.eng.After(replicaRetransmit, w.startMove)
+		return
+	}
+	dst := -1
+	for i := 1; i < w.cfg.Nodes && dst < 0; i++ {
+		if c := (src + i) % w.cfg.Nodes; !w.dead[c] && !v.hasBackup(s, c) {
+			dst = c
+		}
+	}
+	if dst < 0 {
+		return // every live node is already a replica
+	}
+	nv := v.next(s, src, append(append([]int(nil), v.backups[s]...), dst))
+	w.curView = nv
+	mv := &replicaMove{shard: s, src: w.nodes[src], dst: dst}
+	w.move = mv
+	mv.src.install(nv)
+	for _, n := range w.nodes {
+		if n != mv.src && !w.dead[n.id] {
+			other := n
+			w.eng.After(w.cfg.InstallGap, func() { other.install(nv) })
+		}
+	}
+	mv.src.sendSnapshot(mv)
+}
+
+// sendSnapshot copies the shard's entries and dedup memo to the recruit
+// in reliable chunks: each is retransmitted until its ack lands (flap
+// windows just stretch the copy) or the move is dropped.
+func (n *replicaNode) sendSnapshot(mv *replicaMove) {
+	s := mv.shard
+	// Deterministic snapshot: map iteration order is random, so sort.
+	keys := make([]uint64, 0, len(n.data[s]))
+	for k := range n.data[s] {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	memo := make([]uint64, 0, len(n.memo[s]))
+	for id := range n.memo[s] {
+		memo = append(memo, id)
+	}
+	sort.Slice(memo, func(i, j int) bool { return memo[i] < memo[j] })
+
+	type chunk struct {
+		keys    []uint64
+		entries []replicaEntry
+		memo    []uint64
+	}
+	chunks := []chunk{{memo: memo}} // an empty shard still does the handshake
+	for i, k := range keys {
+		if i > 0 && i%replicaSnapshotChunk == 0 {
+			chunks = append(chunks, chunk{})
+		}
+		c := &chunks[len(chunks)-1]
+		c.keys, c.entries = append(c.keys, k), append(c.entries, n.data[s][k])
+	}
+	mv.chunksOut = len(chunks)
+	w := n.w
+	for _, c := range chunks {
+		c, acked := c, false
+		var xmit func()
+		xmit = func() {
+			if acked || w.move != mv {
+				return
+			}
+			w.send(n.id, mv.dst, func() {
+				dst := w.nodes[mv.dst]
+				for i, k := range c.keys {
+					dst.absorb(s, k, c.entries[i], 0)
+				}
+				for _, id := range c.memo {
+					dst.memo[s][id] = struct{}{}
+				}
+				w.send(mv.dst, n.id, func() {
+					if acked || w.move != mv {
+						return
+					}
+					acked = true
+					if mv.chunksOut--; mv.chunksOut == 0 {
+						// Copy complete: stop admitting the shard; the
+						// handoff follows once its pending puts resolved.
+						n.closing = s
+						n.tryHandoff()
+					}
+				})
+			})
+			w.eng.After(replicaRetransmit, xmit)
+		}
+		xmit()
+	}
+}
+
+// tryHandoff runs when the copy completes and whenever a pending put of
+// the closing shard resolves. With none left, everything this node ever
+// acknowledged for the shard is on the target, and it installs the
+// handoff view: target primary, itself out of the replica set. The target
+// installs after the install gap plus any matured handoff delay; until
+// then nobody serves the shard and clients bounce on WrongShard.
+func (n *replicaNode) tryHandoff() {
+	w := n.w
+	mv := w.move
+	if mv == nil || mv.src != n || n.closing != mv.shard {
+		return
+	}
+	for _, rec := range n.pend {
+		if rec.shard == mv.shard {
+			return
+		}
+	}
+	hv := w.curView.next(mv.shard, mv.dst, dropInt(w.curView.backups[mv.shard], mv.dst))
+	w.curView, w.move = hv, nil // the next move waits for its source, the target, to install hv
+	w.migrations++
+	n.closing = -1
+	n.install(hv)
+	for _, admit := range n.parked {
+		admit()
+	}
+	n.parked = nil
+	gap := w.cfg.InstallGap + w.consumeInstallDelay()
+	for _, o := range w.nodes {
+		other, after := o, 2*gap
+		if o.id == mv.dst {
+			after = gap
+		}
+		if o != n && !w.dead[o.id] {
+			w.eng.After(after, func() { other.install(hv) })
+		}
+	}
 }
 
 // --- client ---
@@ -515,14 +787,26 @@ func (c *replicaClient) onWrongShard(idx, attempt int, in KVIn, v *replicaView) 
 
 // serves reports whether this node is the shard's primary per its own
 // map — the single-authority rule, unchanged by replication (backups
-// hold data but never serve clients directly).
-func (n *replicaNode) serves(s int) bool { return n.view.table[s] == n.id }
+// hold data but never serve clients directly). The stale-serve mutant
+// keeps answering for every shard the node ever owned — the handoff bug
+// the rule exists to prevent.
+func (n *replicaNode) serves(s int) bool {
+	if n.view.table[s] == n.id {
+		return true
+	}
+	return mutantOn(n.w.mut, MutStaleShardServe) && n.everOwned[s]
+}
 
 func (n *replicaNode) install(v *replicaView) {
 	if v.epoch <= n.view.epoch {
 		return
 	}
 	n.view = v
+	for s, p := range v.table {
+		if p == n.id {
+			n.everOwned[s] = true
+		}
+	}
 	// Re-evaluate every blocked put: backups the new map no longer lists
 	// for the shard owe no ack.
 	for opID, rec := range n.pend {
@@ -537,6 +821,12 @@ func (n *replicaNode) install(v *replicaView) {
 
 func (n *replicaNode) handle(c *replicaClient, idx, attempt int, in KVIn, opID uint64) {
 	s := int(in.Key) % n.w.cfg.Shards
+	if s == n.closing {
+		// Handing the shard over: the request waits, as on the real shard
+		// lock, and is answered under the handoff view.
+		n.parked = append(n.parked, func() { n.handle(c, idx, attempt, in, opID) })
+		return
+	}
 	v := n.view
 	if !n.serves(s) {
 		n.w.send(n.id, -1, func() { c.onWrongShard(idx, attempt, in, v) })
@@ -659,6 +949,7 @@ func (n *replicaNode) maybeComplete(opID uint64, rec *replicaPend) {
 		fire()
 	}
 	rec.waiters = nil
+	n.tryHandoff()
 }
 
 // replicaStreamKey identifies one (shard, backup) replication log.
@@ -822,6 +1113,8 @@ func RunReplicaSchedule(cfg ReplicaSimConfig, sched Schedule, mut Mutation) RunR
 		Redirects:    w.redirects,
 		FlapDrops:    w.flapDrops,
 		Failovers:    w.failovers,
+		Migrations:   w.migrations,
+		MovesDropped: w.movesDropped,
 		Forwards:     w.forwards,
 		Batches:      w.batches,
 		MultiBatches: w.multiBatches,
@@ -829,8 +1122,9 @@ func RunReplicaSchedule(cfg ReplicaSimConfig, sched Schedule, mut Mutation) RunR
 }
 
 // ExploreReplica sweeps n seed-derived replica schedules, mirroring
-// ExploreCluster. Failovers/Forwards are summed so the gate can assert
-// the sweep actually promoted backups and replicated writes.
+// ExploreSchedules. Failovers, Migrations, Forwards and the rest are summed
+// so the gate can assert the sweep actually promoted backups, moved
+// shards and replicated writes.
 func ExploreReplica(cfg ReplicaSimConfig, mut Mutation, startSeed uint64, n int, derive func(uint64, ReplicaSimConfig) Schedule) ExploreResult {
 	var res ExploreResult
 	for i := 0; i < n; i++ {
@@ -843,6 +1137,8 @@ func ExploreReplica(cfg ReplicaSimConfig, mut Mutation, startSeed uint64, n int,
 		res.Redirects += rep.Redirects
 		res.FlapDrops += rep.FlapDrops
 		res.Failovers += rep.Failovers
+		res.Migrations += rep.Migrations
+		res.MovesDropped += rep.MovesDropped
 		res.Forwards += rep.Forwards
 		res.Batches += rep.Batches
 		res.MultiBatches += rep.MultiBatches

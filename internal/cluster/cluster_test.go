@@ -340,7 +340,6 @@ func TestMigrationChaosLinearizable(t *testing.T) {
 			{Src: 2, Dst: 0, DownAfter: 3, DownFor: 5, Repeat: true},
 		},
 	})
-	lc.services[0].CopyBudget = 30 * time.Millisecond
 	lc.services[0].ForwardBudget = 30 * time.Millisecond
 	lc.router.CallBudget = 100 * time.Millisecond
 

@@ -9,29 +9,34 @@ import (
 )
 
 // Coordinator drives placement changes: it owns the authoritative map,
-// executes the migration state machine against member Services, and
+// composes every change from two member-side primitives (install a map
+// under a shard's exclusive lock, copy a shard to a recruited backup), and
 // pushes new epochs to the services and any registered routers. It is
 // an in-process control plane — the paper's out-of-band configuration
 // service, like the Network bootstrap — while every byte of shard data
 // moves over the fault-injectable RPC fabric.
 //
-// Migration state machine for one shard (freeze → copy → forward →
-// handoff):
+// There is one way to make another member hold a shard, and a move is
+// that followed by a promotion (recruit → copy → handoff):
 //
-//  1. publish epoch E+1 with the move in Pending (dual-write window
-//     opens conceptually; routers may learn early, ownership unchanged)
-//  2. source BeginMigration: forwards every subsequent put to the
-//     target (chunk-of-one RPCMigrate, guarded apply)
-//  3. source CopyShard: snapshot scan streamed as bulk chunks; retried
-//     through fault windows
-//  4. handoff: source CompleteMigration installs epoch E+2 (Table flips
-//     to target) atomically with forward-off under the shard's lock —
-//     from that instant the source NACKs WrongShard with the new map —
-//     then the target and remaining members install E+2
+//  1. recruit: epoch E+1 adds the target to the shard's backup set
+//     (WithBackup). The primary installs it under the shard's exclusive
+//     lock — every put it admits from then on is group-committed to the
+//     target before it is acknowledged, and no put admitted under E is
+//     still in flight — then everyone else hears of it.
+//  2. copy: the primary streams its snapshot to the target in FRP1
+//     frames, retried through fault windows. If it fails, epoch E+2 drops
+//     the recruit again (WithoutBackup) and the move is off.
+//  3. handoff: epoch E+2 makes the target primary (WithHandoff). The old
+//     primary installs it first, again under the exclusive lock — from
+//     that instant it NACKs WrongShard with the new map, and everything
+//     it ever acknowledged is on the target — then everyone else does.
 //
-// Writes dual-applied in step 2-3 commute with snapshot chunks because
-// applies take the per-key maximum, so no ordering between scan and
-// forward matters.
+// Repair is step 1 + 2 for a shard short of backups; a move to a member
+// that is already a backup is step 3 alone. Snapshot frames and racing
+// replication batches commute because applies take the per-key maximum.
+// The source dying mid-move is an ordinary failover: nothing but the map
+// knows the move was happening.
 type Coordinator struct {
 	services map[fabric.NodeID]*Service
 	routers  []*Router
@@ -70,8 +75,35 @@ func (c *Coordinator) publish(m *ShardMap) {
 	}
 }
 
+// recruit makes `to` a backup of shard and fills it: the widened replica
+// set goes to the primary first, under the shard's exclusive lock, so
+// every write the snapshot scan can miss is one the replication stream
+// carries; then to everyone; then the snapshot is copied. If the copy
+// fails the recruit is dropped again under a new epoch — left in the
+// set, every later put on the shard would owe an ack to a member that
+// may be unreachable, until a failover pruned it.
+func (c *Coordinator) recruit(shard int, to fabric.NodeID) error {
+	primary := c.cur.Owner(shard)
+	src, ok := c.services[primary]
+	if !ok {
+		return fmt.Errorf("cluster: no service for primary %d", primary)
+	}
+	next, err := c.cur.WithBackup(shard, to)
+	if err != nil {
+		return err
+	}
+	src.installUnder(shard, next)
+	c.publish(next)
+	if err := src.CopyShardTo(shard, to, time.Now().Add(copyDeadline)); err != nil {
+		c.publish(c.cur.WithoutBackup(shard, to))
+		return err
+	}
+	return nil
+}
+
 // MigrateShard moves one shard from its current owner to `to`,
-// copying the data live. The coordinator must not be called
+// copying the data live: recruit `to` as a backup (unless it is one
+// already), then hand the shard over. The coordinator must not be called
 // concurrently with itself.
 func (c *Coordinator) MigrateShard(shard int, to fabric.NodeID) error {
 	from := c.cur.Owner(shard)
@@ -85,29 +117,19 @@ func (c *Coordinator) MigrateShard(shard int, to fabric.NodeID) error {
 	if _, ok := c.services[to]; !ok {
 		return fmt.Errorf("cluster: no service for target %d", to)
 	}
-	mig := Migration{Shard: shard, From: from, To: to}
-	pendingMap := c.cur.WithPending(mig)
-
-	if err := src.BeginMigration(shard, to); err != nil {
-		return err
+	start := time.Now()
+	if !c.cur.IsBackup(shard, to) {
+		if err := c.recruit(shard, to); err != nil {
+			return err
+		}
 	}
-	c.publish(pendingMap)
-
-	if err := src.CopyShard(shard, time.Now().Add(copyDeadline)); err != nil {
-		// Abort: drop the pending entry, keep ownership at the source.
-		revert := pendingMap.Clone()
-		revert.Epoch++
-		revert.Pending = nil
-		src.AbortMigration(shard, revert)
-		c.publish(revert)
-		return err
-	}
-
-	handoff := pendingMap.WithHandoff(shard, to)
+	handoff := c.cur.WithHandoff(shard, to)
 	// Source first: it must stop serving (and start NACKing with the
 	// new map) before anyone else treats the target as the owner.
-	src.CompleteMigration(shard, handoff)
+	src.installUnder(shard, handoff)
 	c.publish(handoff)
+	src.moves.Inc()
+	src.migDur.Observe(uint64(time.Since(start).Nanoseconds()))
 	return nil
 }
 
@@ -117,8 +139,8 @@ func (c *Coordinator) MigrateShard(shard int, to fabric.NodeID) error {
 // sync-forward ACK rule bought), and the dead node is pruned from every
 // remaining backup set so primaries stop blocking on forwards to it.
 // Publication order mirrors MigrateShard's handoff: each new primary
-// Promotes first (install under the shard's exclusive lock), then the
-// map goes out to everyone else; in between, stale routers that still
+// installs first, under the shard's exclusive lock, then the map goes
+// out to everyone else; in between, stale routers that still
 // hit the dead node fail over via the detector path, and deposed-
 // primary forwards are fenced by the replication epoch check. Returns
 // how many shards changed primary.
@@ -132,7 +154,8 @@ func (c *Coordinator) FailOver(dead fabric.NodeID, live []fabric.NodeID) (int, e
 			continue
 		}
 		if svc, ok := c.services[owner]; ok {
-			svc.Promote(s, next)
+			svc.installUnder(s, next)
+			svc.promotions.Inc()
 		}
 	}
 	c.publish(next)
@@ -145,31 +168,18 @@ func (c *Coordinator) FailOver(dead fabric.NodeID, live []fabric.NodeID) (int, e
 	return promoted, nil
 }
 
-// Repair restores replication factor after a failover: for every shard
-// whose backup set is short of the map's replica count, it recruits the
-// next ring successor, publishes the widened replica set (so writes
-// start forwarding to the recruit immediately), then snapshot-streams
-// the shard into it. Guarded applies make the stream and the racing
-// forwards commute. Returns how many backups were recruited.
+// Repair restores replication factor after a failover: every shard
+// whose backup set is short of the map's replica count recruits the next
+// ring successor (see recruit). Returns how many backups were recruited.
 func (c *Coordinator) Repair(live []fabric.NodeID) (int, error) {
 	recruited := 0
 	for shard := 0; shard < c.cur.Shards; shard++ {
 		for len(c.cur.BackupsOf(shard)) < c.cur.Replicas {
-			primary := c.cur.Owner(shard)
 			cand := c.cur.ReplacementBackup(shard, live)
-			if cand == primary || cand < 0 {
+			if cand < 0 {
 				break // nobody left to recruit for this shard
 			}
-			next, err := c.cur.WithBackup(shard, cand)
-			if err != nil {
-				return recruited, err
-			}
-			src, ok := c.services[primary]
-			if !ok {
-				return recruited, fmt.Errorf("cluster: no service for primary %d", primary)
-			}
-			c.publish(next)
-			if err := src.CopyShardTo(shard, cand, time.Now().Add(copyDeadline)); err != nil {
+			if err := c.recruit(shard, cand); err != nil {
 				return recruited, err
 			}
 			recruited++

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -99,7 +100,6 @@ func TestFailoverPreservesAckedWrites(t *testing.T) {
 	lc.router.CallBudget = 200 * time.Millisecond
 	for _, svc := range lc.services {
 		svc.ForwardBudget = 200 * time.Millisecond
-		svc.CopyBudget = 200 * time.Millisecond
 	}
 	lc.mems.ProbeTimeout = 100 * time.Millisecond
 
@@ -332,4 +332,331 @@ func TestReplicationEpochFence(t *testing.T) {
 	if err := commitTo(lc.services[m.Owner(shard)], backup, newer.Epoch, shard, 1, 1); err != nil {
 		t.Fatalf("current-epoch forward rejected: %v", err)
 	}
+}
+
+// shortOneBackup drops shard's first backup from the published map, as a
+// failover that pruned it would have, and returns the member Repair will
+// recruit in its place.
+func shortOneBackup(t *testing.T, lc *liveCluster, shard int) fabric.NodeID {
+	t.Helper()
+	m := lc.coord.Map()
+	lc.coord.publish(m.WithoutBackup(shard, m.BackupsOf(shard)[0]))
+	recruit := lc.coord.Map().ReplacementBackup(shard, m.Members)
+	if recruit < 0 {
+		t.Fatal("nobody to recruit")
+	}
+	return recruit
+}
+
+// TestRecruitInstallWaitsOutInFlightRequests: the widened replica set
+// reaches the primary through the shard's exclusive lock. A put that
+// loaded the old map under the shard's read lock has staged to the old
+// backup set; were the recruit published around it, the put could apply
+// after the snapshot scan passed its key and never reach the recruit,
+// which the map would nonetheless call a full backup — an acknowledged
+// write a later promotion loses. The test holds the read lock as that put
+// would and requires the recruit to stay unpublished until it is released.
+func TestRecruitInstallWaitsOutInFlightRequests(t *testing.T) {
+	lc := newReplicatedCluster(t, 4, 8, 1, fabric.Config{})
+	shard := 0
+	m := lc.coord.Map()
+	primary := lc.services[m.Owner(shard)]
+	recruit := shortOneBackup(t, lc, shard)
+	before := primary.Map().Epoch
+
+	slot := primary.shards[shard]
+	slot.mu.RLock()
+	type result struct {
+		n   int
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		n, err := lc.coord.Repair(m.Members)
+		done <- result{n, err}
+	}()
+	// A Repair that does not wait finishes in a few milliseconds: a dial
+	// and the copy of an empty shard.
+	select {
+	case r := <-done:
+		slot.mu.RUnlock()
+		t.Fatalf("Repair returned (%d, %v) with a request of the old view still in flight", r.n, r.err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	if got := primary.Map(); got.Epoch != before || got.IsBackup(shard, recruit) {
+		slot.mu.RUnlock()
+		t.Fatalf("primary serves epoch %d (recruit listed: %v) while a request admitted under epoch %d is in flight",
+			got.Epoch, got.IsBackup(shard, recruit), before)
+	}
+	slot.mu.RUnlock()
+	r := <-done
+	if r.err != nil || r.n != 1 {
+		t.Fatalf("Repair = (%d, %v), want one recruit", r.n, r.err)
+	}
+	if !lc.coord.Map().IsBackup(shard, recruit) || !primary.Map().IsBackup(shard, recruit) {
+		t.Fatalf("recruit %d not in shard %d's backup set after Repair", recruit, shard)
+	}
+}
+
+// TestRepairDropsRecruitWhenCopyFails: the recruit becomes unreachable
+// from the primary part-way through its copy. Repair must fail, and must
+// not leave the widened replica set published: every later put on the
+// shard would owe an ack to the unreachable recruit and NACK until a
+// failover pruned it.
+func TestRepairDropsRecruitWhenCopyFails(t *testing.T) {
+	lc := newReplicatedCluster(t, 4, 8, 1, fabric.Config{})
+	lc.router.CallBudget = 200 * time.Millisecond
+	for _, svc := range lc.services {
+		svc.ForwardBudget = 30 * time.Millisecond
+	}
+	shard := 0
+	m := lc.coord.Map()
+	primary := m.Owner(shard)
+	recruit := shortOneBackup(t, lc, shard)
+	// Several frames' worth of keys, held by the primary alone.
+	rt := lc.router.Thread()
+	keys := shardKeys(m, shard, 700)
+	for _, k := range keys {
+		if err := rt.Put(k, 1); err != nil {
+			t.Fatalf("prefill put %d: %v", k, err)
+		}
+	}
+	// The primary→recruit link carries two transmissions, then stays down.
+	lc.nw.Fabric().SetFaultPlan(&fabric.FaultPlan{
+		Seed:  1,
+		Links: []fabric.LinkFault{{Src: primary, Dst: recruit, DownAfter: 2}},
+	})
+	n, err := lc.coord.Repair(m.Members)
+	if err == nil {
+		t.Fatalf("Repair recruited %d over a dead link without an error", n)
+	}
+	if got := lc.services[recruit].Keys(shard); got >= len(keys) {
+		t.Fatalf("recruit holds %d of %d keys: the copy was not interrupted", got, len(keys))
+	}
+	for _, view := range []*ShardMap{lc.coord.Map(), lc.services[primary].Map(), lc.services[recruit].Map()} {
+		if view.IsBackup(shard, recruit) {
+			t.Fatalf("epoch %d still lists the recruit %d whose copy failed (Repair: %v)", view.Epoch, recruit, err)
+		}
+	}
+	for _, k := range keys[:8] {
+		if err := rt.Put(k, 2); err != nil {
+			t.Fatalf("put %d after the failed recruit: %v", k, err)
+		}
+	}
+}
+
+// killMember takes a member off the network: every link to and from it,
+// the client's included, goes down for good.
+func killMember(lc *liveCluster, members []fabric.NodeID, victim fabric.NodeID) {
+	fab := lc.nw.Fabric()
+	for _, id := range append([]fabric.NodeID{testClientID}, members...) {
+		if id != victim {
+			fab.SetLinkDown(victim, id, true)
+			fab.SetLinkDown(id, victim, true)
+		}
+	}
+}
+
+// TestMemberDiesMidMove is the double fault: a shard is being moved —
+// its target recruited as a backup, the snapshot copy part-way through —
+// when a second thing goes wrong. The move holds no state outside the
+// map, so either way it is an ordinary abort followed, if it was the
+// source that died, by an ordinary failover:
+//
+//   - source dies: MigrateShard fails having dropped the recruit, FailOver
+//     promotes a backup that was complete before the move (never the
+//     half-copied recruit), every acknowledged write is readable, the
+//     history is linearizable, and after Repair the replicas converge;
+//   - recruit dies: MigrateShard fails having dropped the recruit and the
+//     shard keeps serving from its original replica set.
+//
+// R=2 on five members, three recorded writers and a reader throughout, the
+// shard prefilled to several snapshot frames. The source→recruit link
+// carries two transmissions and then stays down, so the copy has started
+// and cannot finish before the kill lands, whenever that is.
+func TestMemberDiesMidMove(t *testing.T) {
+	for _, killSource := range []bool{true, false} {
+		name := "recruit dies"
+		if killSource {
+			name = "source dies"
+		}
+		t.Run(name, func(t *testing.T) { memberDiesMidMove(t, killSource) })
+	}
+}
+
+func memberDiesMidMove(t *testing.T, killSource bool) {
+	lc := newReplicatedCluster(t, 5, 8, 2, fabric.Config{})
+	lc.coord.AddRouter(lc.router)
+	lc.router.CallBudget = 200 * time.Millisecond
+	for _, svc := range lc.services {
+		svc.ForwardBudget = 100 * time.Millisecond
+	}
+	lc.mems.ProbeTimeout = 100 * time.Millisecond
+
+	m0 := lc.coord.Map()
+	shard := 0
+	source, standing := m0.Owner(shard), m0.BackupsOf(shard)
+	recruit := m0.ReplacementBackup(shard, m0.Members)
+	if len(standing) != 2 || recruit < 0 {
+		t.Fatalf("shard %d: backups %v, recruit %d", shard, standing, recruit)
+	}
+
+	// Several frames' worth of keys in the moving shard, disjoint from the
+	// checked working set below.
+	rt := lc.router.Thread()
+	filled := 0
+	for key := uint64(1 << 20); filled < 700; key++ {
+		if m0.ShardOf(key) != shard {
+			continue
+		}
+		if err := rt.Put(key, 1); err != nil {
+			t.Fatalf("prefill put: %v", err)
+		}
+		filled++
+	}
+
+	// Working set: half the keys in the moving shard. Every key gets one
+	// recorded acked write before anything goes wrong.
+	const writers, keysEach = 3, 4
+	keys := append(shardKeys(m0, shard, writers*keysEach/2), shardKeys(m0, shard+1, writers*keysEach/2)...)
+	rec := check.NewRecorder()
+	for _, k := range keys {
+		call := rec.Begin()
+		if err := rt.Put(k, 1); err != nil {
+			t.Fatalf("first put %d: %v", k, err)
+		}
+		rec.End(writers+1, call, check.KVIn{Key: k, Put: true, Val: 1}, nil)
+	}
+	var stop atomic.Bool
+	acked := make([]uint64, len(keys)) // last acked val per key index; single writer each
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rt := lc.router.Thread()
+			for i := 1; !stop.Load(); i++ {
+				ki := (w + writers*i) % len(keys) // writer w owns the indices ≡ w mod writers
+				key, val := keys[ki], uint64(i+1)
+				call := rec.Begin()
+				if err := rt.Put(key, val); err != nil {
+					rec.EndPending(w, call, check.KVIn{Key: key, Put: true, Val: val})
+					continue
+				}
+				rec.End(w, call, check.KVIn{Key: key, Put: true, Val: val}, nil)
+				acked[ki] = val
+			}
+		}(w)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rt := lc.router.Thread()
+		for i := 0; !stop.Load(); i++ {
+			key := keys[i%len(keys)]
+			call := rec.Begin()
+			v, ok, err := rt.Get(key)
+			if err != nil {
+				rec.EndPending(writers, call, check.KVIn{Key: key})
+				continue
+			}
+			rec.End(writers, call, check.KVIn{Key: key}, check.KVOut{Val: v, Found: ok})
+		}
+	}()
+	defer func() {
+		stop.Store(true)
+		wg.Wait()
+	}()
+
+	lc.nw.Fabric().SetFaultPlan(&fabric.FaultPlan{
+		Seed:  2,
+		Links: []fabric.LinkFault{{Src: source, Dst: recruit, DownAfter: 2}},
+	})
+	moved := make(chan error, 1)
+	go func() { moved <- lc.coord.MigrateShard(shard, recruit) }()
+	// The source serving under the recruit's epoch means the copy is next.
+	for deadline := time.Now().Add(5 * time.Second); !lc.services[source].Map().IsBackup(shard, recruit); {
+		if time.Now().After(deadline) {
+			t.Fatal("the move never recruited its target")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	victim := recruit
+	if killSource {
+		victim = source
+	}
+	killMember(lc, m0.Members, victim)
+	if err := <-moved; err == nil {
+		t.Fatal("MigrateShard completed a move whose copy could not finish")
+	}
+	m := lc.coord.Map()
+	if m.Owner(shard) != source || !reflect.DeepEqual(m.BackupsOf(shard), standing) {
+		t.Fatalf("after the aborted move shard %d is owned by %d with backups %v; want %d with %v",
+			shard, m.Owner(shard), m.BackupsOf(shard), source, standing)
+	}
+	if got, all := lc.services[recruit].Keys(shard), lc.services[source].Keys(shard); got >= all {
+		t.Fatalf("recruit holds %d of %d keys: the copy was not interrupted", got, all)
+	}
+
+	deadline := time.Now().Add(10 * time.Second)
+	for lc.mems.State(victim) != resilience.MemberDead || len(lc.mems.Live()) != len(m0.Members)-1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("detector never settled: victim %v, live %v", lc.mems.State(victim), lc.mems.Live())
+		}
+		lc.mems.ProbeOnce()
+	}
+	promoted, err := lc.coord.FailOver(victim, lc.mems.Live())
+	if err != nil {
+		t.Fatalf("failover: %v", err)
+	}
+	m = lc.coord.Map()
+	if killSource {
+		if want := len(m0.ShardsOwnedBy(source)); promoted != want {
+			t.Fatalf("promoted %d shards, the source owned %d", promoted, want)
+		}
+		if m.Owner(shard) != standing[0] {
+			t.Fatalf("shard %d failed over to %d; want its first standing backup %d (recruit was %d)",
+				shard, m.Owner(shard), standing[0], recruit)
+		}
+	} else if m.Owner(shard) != source || !reflect.DeepEqual(m.BackupsOf(shard), standing) {
+		t.Fatalf("pruning the dead recruit changed shard %d's replica set: owner %d backups %v",
+			shard, m.Owner(shard), m.BackupsOf(shard))
+	}
+
+	// Traffic keeps flowing on the new map for a while, then stops.
+	time.Sleep(100 * time.Millisecond)
+	stop.Store(true)
+	wg.Wait()
+
+	for ki, k := range keys {
+		v, ok, err := rt.Get(k)
+		if err != nil || !ok {
+			t.Fatalf("get %d afterwards = (%v, %v)", k, ok, err)
+		}
+		if want := max64(acked[ki], 1); v < want {
+			t.Fatalf("key %d reads %d; %d was acknowledged", k, v, want)
+		}
+	}
+	if res := check.Check(check.MonotonicKVModel(), rec.History()); !res.Ok {
+		t.Fatalf("history not linearizable across a member's death mid-move:\n%s", res)
+	}
+
+	// Settle every key with a fresh acked write (an unacknowledged one may
+	// sit on some replicas only), restore R, and the replicas must be
+	// content-identical shard by shard.
+	for _, k := range keys {
+		if err := rt.Put(k, 1<<20|k); err != nil {
+			t.Fatalf("settle put %d: %v", k, err)
+		}
+	}
+	if _, err := lc.coord.Repair(lc.mems.Live()); err != nil {
+		t.Fatalf("repair: %v", err)
+	}
+	m = lc.coord.Map()
+	for s := 0; s < m.Shards; s++ {
+		if got := len(m.BackupsOf(s)); got != m.Replicas {
+			t.Fatalf("shard %d has %d backups after repair, want %d", s, got, m.Replicas)
+		}
+	}
+	assertReplicasConverged(t, lc, m)
 }

@@ -6,17 +6,15 @@ import (
 	"flock/internal/mem"
 )
 
-// wireFrame is a pooled, header-stamped wire frame of fixed-size
-// 16-byte (key, val) entries — the shape shared by migration chunks and
-// FRP1 replica forwards. The header is written once at lease time; the
-// entry count is stamped into the header by payload(), so a frame can be
-// filled, sent, reset and refilled (the snapshot streamer's loop)
-// without re-deriving the header. The lease is the caller's to release.
+// wireFrame is a pooled FRP1 replica-forward frame being filled. The
+// magic and shard are written once at lease time; the entry count is
+// stamped by payload() and the epoch can be re-stamped, so a frame can be
+// filled, sent, reset and refilled (the snapshot streamer's loop) and
+// re-sent under a newer map without re-deriving the header. The lease is
+// the caller's to release.
 type wireFrame struct {
-	buf     *mem.Buf
-	header  int // entry region starts here
-	countAt int // offset of the u32 entry count within the header
-	n       int
+	buf *mem.Buf
+	n   int
 }
 
 const wireEntryLen = 16
@@ -24,7 +22,7 @@ const wireEntryLen = 16
 // add appends one entry. The caller is responsible for staying within
 // the entry capacity the frame was leased for.
 func (f *wireFrame) add(key, val uint64) {
-	off := f.header + f.n*wireEntryLen
+	off := replHeaderLen + f.n*wireEntryLen
 	b := f.buf.Data()
 	binary.LittleEndian.PutUint64(b[off:off+8], key)
 	binary.LittleEndian.PutUint64(b[off+8:off+16], val)
@@ -35,8 +33,13 @@ func (f *wireFrame) add(key, val uint64) {
 // aliases the pooled buffer: it is valid until reset or release.
 func (f *wireFrame) payload() []byte {
 	b := f.buf.Data()
-	binary.LittleEndian.PutUint32(b[f.countAt:f.countAt+4], uint32(f.n))
-	return b[:f.header+f.n*wireEntryLen]
+	binary.LittleEndian.PutUint32(b[16:20], uint32(f.n))
+	return b[:replHeaderLen+f.n*wireEntryLen]
+}
+
+// stampEpoch rewrites the sender's map epoch in the header.
+func (f *wireFrame) stampEpoch(epoch uint64) {
+	binary.LittleEndian.PutUint64(f.buf.Data()[4:12], epoch)
 }
 
 // reset empties the frame for refilling; the header stays stamped.
@@ -48,24 +51,15 @@ func (f *wireFrame) release() {
 	f.buf = nil
 }
 
-// leaseChunkFrame leases a migration-chunk frame (RPCMigrate wire
-// format: shard u32, count u32, entries) sized for maxEntries.
-func leaseChunkFrame(shard, maxEntries int) *wireFrame {
-	buf := mem.Get(chunkHeaderLen + maxEntries*chunkEntryLen)
-	binary.LittleEndian.PutUint32(buf.Data()[0:4], uint32(shard))
-	return &wireFrame{buf: buf, header: chunkHeaderLen, countAt: 4}
-}
-
 // leaseReplFrame leases an FRP1 replica-forward frame (magic, epoch u64,
 // shard u32, count u32, entries) sized for maxEntries. A filled frame's
 // payload is byte-identical to AppendReplicaForward over the same
-// entries — the group-commit path and the single-entry PR 9 path share
-// one wire image.
+// entries.
 func leaseReplFrame(epoch uint64, shard, maxEntries int) *wireFrame {
-	buf := mem.Get(ReplicaForwardSize(maxEntries))
-	b := buf.Data()
+	f := &wireFrame{buf: mem.Get(ReplicaForwardSize(maxEntries))}
+	b := f.buf.Data()
 	binary.LittleEndian.PutUint32(b[0:4], replMagic)
-	binary.LittleEndian.PutUint64(b[4:12], epoch)
 	binary.LittleEndian.PutUint32(b[12:16], uint32(shard))
-	return &wireFrame{buf: buf, header: replHeaderLen, countAt: 16}
+	f.stampEpoch(epoch)
+	return f
 }

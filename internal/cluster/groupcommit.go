@@ -63,10 +63,10 @@ var (
 	errReplCommit  = errors.New("cluster: replication commit timed out")
 )
 
-// ReplError is the typed outcome of one backup's refusal (or, for a
-// dual-write forward, the migration target's): which node, the status it
-// answered (0 for transport failures), and a sentinel or transport cause
-// for errors.Is/As.
+// ReplError is the typed outcome of one backup's refusal of a frame,
+// replication batch or snapshot: which node, the status it answered (0
+// for transport failures), and a sentinel or transport cause for
+// errors.Is/As.
 type ReplError struct {
 	Backup fabric.NodeID
 	Status uint32

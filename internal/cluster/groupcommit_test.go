@@ -303,20 +303,27 @@ func TestReplicateTypedErrors(t *testing.T) {
 		t.Fatalf("fence ReplError = %+v, want backup %d status %d", re, backup, core.StatusWrongShard)
 	}
 
-	// A dual-write forward refused by its target — here a member that is
-	// neither the shard's owner, its backup nor a migration target — is a
-	// typed NACK naming that member, not a bare string.
+	// A snapshot frame refused by its target — here a member that holds
+	// the sender's map and is not in the shard's replica set under it — is
+	// a typed NACK naming that member, not a bare string.
 	var bystander fabric.NodeID
 	for _, id := range m.Members {
 		if id != primary && id != backup {
 			bystander = id
 		}
 	}
-	err = lc.services[primary].forward(bystander, shard, 1, 1)
+	lc.services[bystander].InstallMap(newer)
+	if _, err := lc.services[primary].shards[shard].store.UpdateMax64(1, 1); err != nil {
+		t.Fatal(err)
+	}
+	err = lc.services[primary].CopyShardTo(shard, bystander, time.Now().Add(20*time.Millisecond))
 	re = nil
-	if !errors.Is(err, ErrReplicaNACK) || !errors.As(err, &re) ||
+	if !errors.Is(err, ErrReplicaFenced) || !errors.As(err, &re) ||
 		re.Backup != bystander || re.Status != core.StatusWrongShard {
-		t.Fatalf("refused forward error = %v, want ErrReplicaNACK from %d with status %d", err, bystander, core.StatusWrongShard)
+		t.Fatalf("refused snapshot frame error = %v, want ErrReplicaFenced from %d with status %d", err, bystander, core.StatusWrongShard)
+	}
+	if got := lc.services[bystander].Keys(shard); got != 0 {
+		t.Fatalf("bystander applied %d entries of a frame it refused", got)
 	}
 
 	// Transport failure: the backup is unreachable, so the error wraps
@@ -347,33 +354,50 @@ func TestReplicateTypedErrors(t *testing.T) {
 // a client a value no backup holds. The get here lands mid-window and
 // must be held until the flush deadline resolves the put.
 func TestGroupCommitReadGate(t *testing.T) {
-	const delay = 60 * time.Millisecond
+	// The flush window is wide against anything the scheduler does to this
+	// goroutine: the read below must start inside it and is required to
+	// have been held for a quarter of it.
+	const delay = 300 * time.Millisecond
 	lc := newGroupCommitCluster(t, 3, 4, 1, 6)
+	lc.router.CallBudget = 10 * delay // a put or a gated get takes the whole window
 	for _, svc := range lc.services {
 		svc.Repl = ReplTuning{FlushDelay: delay}
 	}
 	m := lc.coord.Map()
 	shard := 0
-	primary := m.Owner(shard)
-	key := shardKeys(m, shard, 1)[0]
-	empty := lc.services[primary].ShardFingerprint(shard)
+	primary := lc.services[m.Owner(shard)]
+	keys := shardKeys(m, shard, 2)
+	key := keys[0]
+	rt := lc.router.Thread()
+	// A put to another key of the shard first: it pays the two lazy dials
+	// (router → primary, primary → backup, sixteen 1 MiB rings each), which
+	// took 3–36 ms under -race and are not what this test times.
+	if err := rt.Put(keys[1], 1); err != nil {
+		t.Fatalf("warm-up put: %v", err)
+	}
 
-	putStart := time.Now()
 	putDone := make(chan error, 1)
 	go func() {
 		rt := lc.router.Thread()
 		putDone <- rt.Put(key, 7)
 	}()
-	// Wait until the put has applied locally (fingerprint moved) but its
-	// batch is still gathering, then read the key.
-	for lc.services[primary].ShardFingerprint(shard) == empty {
-		if time.Since(putStart) > delay/2 {
+	// Wait until the put is in the pending index and applied locally — its
+	// batch is then gathering — and read the key.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		_, applied := primary.shards[shard].store.Value64(key)
+		if applied && len(primary.pendingOps(key)) > 0 {
+			break
+		}
+		select {
+		case err := <-putDone:
+			t.Fatalf("put resolved (%v) before it was seen staged and applied", err)
+		default:
+		}
+		if time.Now().After(deadline) {
 			t.Fatal("put never applied locally")
 		}
-		time.Sleep(time.Millisecond)
 	}
 	readStart := time.Now()
-	rt := lc.router.Thread()
 	v, found, err := rt.Get(key)
 	gated := time.Since(readStart)
 	if err != nil || !found || v != 7 {
@@ -385,7 +409,7 @@ func TestGroupCommitReadGate(t *testing.T) {
 	if err := <-putDone; err != nil {
 		t.Fatalf("put: %v", err)
 	}
-	if got := lc.services[primary].Node().Telemetry().Counter("cluster.read_gate_waits").Load(); got == 0 {
+	if got := primary.Node().Telemetry().Counter("cluster.read_gate_waits").Load(); got == 0 {
 		t.Fatal("read_gate_waits counter never moved although the get was gated")
 	}
 }

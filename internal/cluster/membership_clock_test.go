@@ -12,11 +12,22 @@ import (
 )
 
 // scriptedProbe is a Probe transport for virtual-clock tests: per-member
-// health toggled by the test, no RPCs, no deadlines, no wall time.
+// health toggled by the test, no RPCs, no deadlines, no wall time. It
+// counts probe rounds: a round is counted when its probe of `last`, the
+// member ProbeOnce visits last, returns — by then every earlier member of
+// the round has been probed and its detector updated.
 type scriptedProbe struct {
-	mu   sync.Mutex
-	down map[fabric.NodeID]bool
-	drng map[fabric.NodeID]bool
+	mu     sync.Mutex
+	down   map[fabric.NodeID]bool
+	drng   map[fabric.NodeID]bool
+	last   fabric.NodeID
+	rounds int
+}
+
+func (p *scriptedProbe) roundsDone() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.rounds
 }
 
 func (p *scriptedProbe) set(id fabric.NodeID, down bool) {
@@ -28,6 +39,9 @@ func (p *scriptedProbe) set(id fabric.NodeID, down bool) {
 func (p *scriptedProbe) probe(id fabric.NodeID) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if id == p.last {
+		p.rounds++
+	}
 	if p.down[id] {
 		return errors.New("scripted: down")
 	}
@@ -43,24 +57,34 @@ func (p *scriptedProbe) probe(id fabric.NodeID) error {
 // real seconds on a wall ticker happens in zero wall time, bit-identical
 // under -race.
 //
-// SimClock's delivery contract makes the assertions deterministic: each
-// tick's send blocks until the consumer goroutine accepts it, and the
-// consumer only returns to its select after ProbeOnce completes — so
-// after Advance delivers N+1 ticks, at least N full probe rounds have
-// finished. Advancing one tick beyond the round count needed is all the
-// slack the test ever takes.
+// The escalation is asserted on an exact number of missed rounds. Ticks
+// come only from Advance and each tick's send blocks until the consumer
+// goroutine accepts it, so Advance(n intervals) starts exactly n rounds;
+// advance then waits until the nth has probed its last member. The script
+// is flipped, and state read, only for members 0 and 1, which every round
+// is done with by then — member 2 is the round marker and stays healthy —
+// and no further round can start before the next Advance. (The earlier
+// form advanced n+1 ticks to be sure n rounds had finished; between a
+// flip and the assertion after it 2 to 4 rounds could then miss, and 4 is
+// DeadAfter: "after 2 missed rounds: dead, want suspect", 2 of 40 runs
+// under -race on a loaded box.)
 func TestMembershipEscalatesOnVirtualClock(t *testing.T) {
 	lc := newLiveCluster(t, 3, 8, fabric.Config{})
-	probe := &scriptedProbe{down: map[fabric.NodeID]bool{}, drng: map[fabric.NodeID]bool{}}
+	probe := &scriptedProbe{down: map[fabric.NodeID]bool{}, drng: map[fabric.NodeID]bool{}, last: 2}
 	clk := NewSimClock()
 	lc.mems.Clock = clk
 	lc.mems.Probe = probe.probe
 
 	const interval = 50 * time.Millisecond
 	advance := func(rounds int) {
-		// One extra tick so every counted round's ProbeOnce has finished
-		// (the +1th tick cannot be accepted before it does).
-		clk.Advance(time.Duration(rounds+1) * interval)
+		t.Helper()
+		want := probe.roundsDone() + rounds
+		clk.Advance(time.Duration(rounds) * interval)
+		for deadline := time.Now().Add(10 * time.Second); probe.roundsDone() != want; time.Sleep(100 * time.Microsecond) {
+			if got := probe.roundsDone(); got > want || time.Now().After(deadline) {
+				t.Fatalf("%d probe rounds done, want exactly %d", got, want)
+			}
+		}
 	}
 	lc.mems.Start(interval)
 	defer lc.mems.Stop()
@@ -86,10 +110,10 @@ func TestMembershipEscalatesOnVirtualClock(t *testing.T) {
 
 	// Draining pushback is not death.
 	probe.mu.Lock()
-	probe.drng[2] = true
+	probe.drng[0] = true
 	probe.mu.Unlock()
 	advance(1)
-	if st := lc.mems.State(2); st != resilience.MemberDraining {
+	if st := lc.mems.State(0); st != resilience.MemberDraining {
 		t.Fatalf("draining member probes as %v", st)
 	}
 

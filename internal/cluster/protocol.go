@@ -14,17 +14,15 @@ const (
 	// OK replies carry the epoch prefix; a mis-routed request is NACKed
 	// with StatusWrongShard and the server's encoded map as payload.
 	RPCKV = 0xC2
-	// RPCMigrate applies a bulk chunk of key/value pairs with guarded
-	// (take-the-max) semantics. Request: shard(4) n(4) then n × key(8)
-	// val(8). Used both for snapshot copy and for dual-written forwards
-	// (a chunk of one). Reply is the epoch prefix.
-	RPCMigrate = 0xC3
 	// RPCMap fetches the member's current encoded shard map. Empty
 	// request; the reply is the map itself (which carries its epoch), no
 	// prefix.
 	RPCMap = 0xC4
 	// RPCReplicate is the primary→backup replication forward: an FRP1
-	// frame (see wire.go) applied with guarded take-the-max semantics.
+	// frame (see wire.go) applied with guarded take-the-max semantics. It
+	// is the only RPC that writes entries into another member's store:
+	// group-commit batches and the snapshot frames of a recruit's copy
+	// are both FRP1.
 	// The OK reply is a ReplicaAck; a backup whose map says the sender is
 	// no longer a replica of the shard NACKs StatusWrongShard with its
 	// newer encoded map, fencing deposed primaries.
@@ -61,9 +59,3 @@ func decodeKVReq(b []byte) (op byte, key, val uint64, ok bool) {
 	}
 	return b[0], binary.LittleEndian.Uint64(b[1:9]), binary.LittleEndian.Uint64(b[9:17]), true
 }
-
-// chunk layout constants for RPCMigrate.
-const (
-	chunkHeaderLen = 8  // shard(4) n(4)
-	chunkEntryLen  = 16 // key(8) val(8)
-)

@@ -15,20 +15,22 @@ import (
 )
 
 // Service is the member-side half of the cluster layer: a sharded KV
-// served out of per-shard kvstore partitions, plus the migration
-// machinery that lets the coordinator move a shard to another member
-// while both keep serving.
+// served out of per-shard kvstore partitions, replicated to each shard's
+// backups before a put is acknowledged, plus the two primitives the
+// coordinator builds every placement change from — install a map with no
+// request of one shard in flight, and copy a shard's snapshot to a
+// recruited backup.
 //
 // Value contract: values are single 8-byte little-endian words and each
 // key's value sequence must be non-decreasing (clients encode a
 // per-key version/sequence into the value). That is what makes every
 // write path a guarded take-the-max apply, which in turn makes snapshot
-// chunks, dual-written forwards and client retries commute — the
-// property live migration leans on instead of a distributed lock.
+// frames, replication batches and client retries commute — the property
+// a live move leans on instead of a distributed lock.
 type Service struct {
 	node *core.Node
 
-	// mu orders map installs and migration state transitions.
+	// mu orders map installs.
 	mu  sync.Mutex
 	cur atomic.Pointer[ShardMap]
 
@@ -37,10 +39,9 @@ type Service struct {
 	fwdMu sync.Mutex
 	fwd   map[fabric.NodeID]*fwdLink
 
-	// ForwardBudget bounds one dual-write forward RPC; CopyBudget bounds
-	// one snapshot chunk RPC. Zero means 250ms.
+	// ForwardBudget bounds one frame to a backup, replication batch or
+	// snapshot alike. Zero means 250ms.
 	ForwardBudget time.Duration
-	CopyBudget    time.Duration
 
 	// ServiceDelay, when positive, makes every KV op consume that much
 	// wall-clock before it is served — an emulated per-op service cost
@@ -78,19 +79,15 @@ type Service struct {
 // shardSlot is one shard's serving state on this member.
 type shardSlot struct {
 	// mu is held shared by every request touching the shard and
-	// exclusively by migration state transitions, so a transition
-	// (copying on/off, handoff) waits out in-flight requests and no
-	// request straddles it.
-	mu      sync.RWMutex
-	store   *kvstore.Store
-	copying bool
-	target  fabric.NodeID
-	started time.Time
+	// exclusively by installUnder, so a change of the shard's replica set
+	// or primary waits out in-flight requests and no request straddles it.
+	mu    sync.RWMutex
+	store *kvstore.Store
 }
 
-// fwdLink is a client connection to a migration target with a free list
-// of threads, since forwards run concurrently on worker goroutines and
-// a core.Thread is single-goroutine.
+// fwdLink is a client connection to a peer member with a free list of
+// threads, since copies may run concurrently and a core.Thread is
+// single-goroutine.
 type fwdLink struct {
 	conn *core.Conn
 	mu   sync.Mutex
@@ -119,11 +116,13 @@ func (f *fwdLink) call(rpcID uint32, payload []byte, budget time.Duration) (core
 // every shard in m (a member must be able to receive any shard later),
 // the RPC handlers, and the cluster telemetry series on the node's
 // registry. storeCap is the per-shard slot capacity (0 → 1024). The
-// node must run with Workers > 0: dual-write forwards issue RPCs from
-// inside a handler, which deadlocks a dispatcher-executed setup.
+// node must run with Workers > 0: a put's handler parks until its group
+// commit resolves, and a dispatcher parked there could not serve the
+// peer's RPCReplicate that the commit of a put in the other direction
+// waits for.
 func NewService(node *core.Node, m *ShardMap, storeCap int) (*Service, error) {
 	if node.Options().Workers <= 0 {
-		return nil, errors.New("cluster: service node needs Options.Workers > 0 (forwards call RPCs from handlers)")
+		return nil, errors.New("cluster: service node needs Options.Workers > 0 (put handlers park on their group commit)")
 	}
 	if storeCap <= 0 {
 		storeCap = 1024
@@ -152,15 +151,14 @@ func NewService(node *core.Node, m *ShardMap, storeCap int) (*Service, error) {
 		s.shards[i] = &shardSlot{store: st}
 	}
 	s.cur.Store(m)
-	// KV and migrate ops run on the worker pool (they can block: nested
-	// replication forwards, emulated service time). Pings, map fetches,
-	// and replication applies take the inline dispatcher lane — they are
+	// KV ops run on the worker pool (they can block: group commit, the
+	// read gate, emulated service time). Pings, map fetches, and
+	// replication applies take the inline dispatcher lane — they are
 	// short, never issue RPCs of their own, and must stay responsive even
-	// when every worker is parked in a forward (otherwise replicated puts
+	// when every worker is parked on a commit (otherwise replicated puts
 	// across members deadlock the pools against each other, and probes
 	// time out exactly when the cluster is busiest).
 	node.RegisterStatusHandler(RPCKV, s.handleKV)
-	node.RegisterStatusHandler(RPCMigrate, s.handleMigrate)
 	node.RegisterInlineStatusHandler(RPCPing, s.handlePing)
 	node.RegisterInlineStatusHandler(RPCMap, s.handleMap)
 	node.RegisterInlineStatusHandler(RPCReplicate, s.handleReplicate)
@@ -177,10 +175,6 @@ func (s *Service) Map() *ShardMap { return s.cur.Load() }
 func (s *Service) InstallMap(m *ShardMap) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.installLocked(m)
-}
-
-func (s *Service) installLocked(m *ShardMap) bool {
 	if cur := s.cur.Load(); cur != nil && m.Epoch <= cur.Epoch {
 		return false
 	}
@@ -214,7 +208,7 @@ func (s *Service) handleKV(req []byte) ([]byte, uint32) {
 	}
 	if d := s.ServiceDelay; d > 0 {
 		// Burn the emulated service time before taking the shard lock so
-		// migration transitions never wait behind it.
+		// installUnder never waits behind it.
 		time.Sleep(d)
 	}
 	m := s.cur.Load()
@@ -222,8 +216,9 @@ func (s *Service) handleKV(req []byte) ([]byte, uint32) {
 	slot := s.shards[shard]
 	slot.mu.RLock()
 	defer slot.mu.RUnlock()
-	// Re-load under the slot lock: handoff swaps the map while holding
-	// it exclusively, so ownership and copying state are read together.
+	// Re-load under the slot lock: installUnder swaps the map while
+	// holding it exclusively, so the map read here — owner and backup
+	// set — is the one this request is served under from start to finish.
 	m = s.cur.Load()
 	if m.Table[shard] != s.node.ID() {
 		return s.wrongShard(m)
@@ -259,9 +254,10 @@ func (s *Service) handleKV(req []byte) ([]byte, uint32) {
 	case OpPut:
 		// Group-commit replication: the ACK below is a durability promise —
 		// the write must survive this node's death — so every backup must
-		// hold it first. The put joins the per-(shard, backup) replication
-		// logs and parks until the batch carrying it commits on every
-		// backup (see groupcommit.go). On any failure the whole batch
+		// hold it first — a move's recruited target included, it is in
+		// BackupsOf like any other. The put joins the per-(shard, backup)
+		// replication logs and parks until the batch carrying it commits on
+		// every backup (see groupcommit.go). On any failure the whole batch
 		// NACKs and the clients retry; a backup that already applied just
 		// no-ops the retry (guarded apply). A WrongShard NACK from a
 		// backup installed its newer map before the batch failed, so the
@@ -280,19 +276,6 @@ func (s *Service) handleKV(req []byte) ([]byte, uint32) {
 			}
 			return nil, core.StatusOverloaded
 		}
-		if slot.copying {
-			// Dual-write: the shard is mid-copy, so the target must see
-			// this write even if the snapshot scan already passed the key.
-			// The local apply above happened first — if the forward fails
-			// we NACK so the client retries, and at-least-once is absorbed
-			// by the guarded apply.
-			if err := s.forward(slot.target, shard, key, val); err != nil {
-				if op != nil {
-					s.awaitCommit(key, op)
-				}
-				return nil, core.StatusOverloaded
-			}
-		}
 		if op != nil {
 			if err := s.awaitCommit(key, op); err != nil {
 				return nil, core.StatusOverloaded
@@ -303,47 +286,9 @@ func (s *Service) handleKV(req []byte) ([]byte, uint32) {
 	return nil, core.StatusNoHandler
 }
 
-// handleMigrate applies a guarded bulk chunk. It is authorized when
-// this node is the shard's pending-migration target or its owner —
-// late duplicate chunks after handoff still land (and no-op).
-func (s *Service) handleMigrate(req []byte) ([]byte, uint32) {
-	if len(req) < chunkHeaderLen {
-		return nil, core.StatusNoHandler
-	}
-	shard := int(binary.LittleEndian.Uint32(req[0:4]))
-	n := int(binary.LittleEndian.Uint32(req[4:8]))
-	if shard < 0 || n < 0 || len(req) != chunkHeaderLen+n*chunkEntryLen {
-		return nil, core.StatusNoHandler
-	}
-	m := s.cur.Load()
-	if shard >= m.Shards {
-		return nil, core.StatusNoHandler
-	}
-	authorized := m.Table[shard] == s.node.ID() || m.IsBackup(shard, s.node.ID())
-	for _, p := range m.Pending {
-		if p.Shard == shard && p.To == s.node.ID() {
-			authorized = true
-		}
-	}
-	if !authorized {
-		return s.wrongShard(m)
-	}
-	slot := s.shards[shard]
-	slot.mu.RLock()
-	defer slot.mu.RUnlock()
-	for i := 0; i < n; i++ {
-		off := chunkHeaderLen + i*chunkEntryLen
-		key := binary.LittleEndian.Uint64(req[off : off+8])
-		val := binary.LittleEndian.Uint64(req[off+8 : off+16])
-		if _, err := slot.store.UpdateMax64(key, val); err != nil {
-			return nil, core.StatusOverloaded
-		}
-	}
-	return appendEpoch(nil, s.cur.Load().Epoch), core.StatusOK
-}
-
-// handleReplicate is the backup half of synchronous replication. The
-// epoch on the frame is the fence: a frame older than our map means the
+// handleReplicate is the backup half of synchronous replication, and
+// the receiving half of a recruit's snapshot copy. The epoch on the frame
+// is the fence: a frame older than our map means the
 // sender kept serving past a failover (a deposed primary), and instead
 // of silently absorbing its writes we NACK WrongShard with the newer
 // map so it self-corrects exactly like a stale router. A frame at or
@@ -404,26 +349,6 @@ func (s *Service) classifyReplicaResp(to fabric.NodeID, resp core.Response, err 
 	}
 }
 
-// forward dual-writes one key to the migration target as a chunk of one.
-func (s *Service) forward(to fabric.NodeID, shard int, key, val uint64) error {
-	link, err := s.link(to)
-	if err != nil {
-		return err
-	}
-	f := leaseChunkFrame(shard, 1)
-	f.add(key, val)
-	resp, err := link.call(RPCMigrate, f.payload(), s.budget(s.ForwardBudget))
-	f.release()
-	if err != nil {
-		return err
-	}
-	defer resp.Release()
-	if resp.Status != core.StatusOK {
-		return &ReplError{Backup: to, Status: resp.Status, Err: ErrReplicaNACK}
-	}
-	return nil
-}
-
 func (s *Service) link(to fabric.NodeID) (*fwdLink, error) {
 	s.fwdMu.Lock()
 	defer s.fwdMu.Unlock()
@@ -439,148 +364,74 @@ func (s *Service) link(to fabric.NodeID) (*fwdLink, error) {
 	return l, nil
 }
 
-// BeginMigration turns on dual-write forwarding for shard towards `to`.
-// The coordinator calls it after publishing the pending-migration epoch
-// and before the snapshot copy, so every write from here on reaches the
-// target by forward or by scan.
-func (s *Service) BeginMigration(shard int, to fabric.NodeID) error {
-	if _, err := s.link(to); err != nil {
-		return err
-	}
+// installUnder adopts m (if newer) while holding shard's lock
+// exclusively: every request on the shard that loaded the previous map
+// has replied — its group commit resolved — before the call returns, and
+// every later one is served, or NACKed WrongShard, under m. It is the one
+// way a shard's replica set or primary changes on the member that serves
+// it: a recruit is installed this way so that no put staged to the old
+// backup set can apply after the snapshot scan passed its key; a handoff,
+// so that every acknowledged put is on the new primary before anyone
+// routes to it; a failover promotion, so that the new primary never
+// answers one request under two views.
+func (s *Service) installUnder(shard int, m *ShardMap) {
 	slot := s.shards[shard]
 	slot.mu.Lock()
-	defer slot.mu.Unlock()
-	if slot.copying {
-		return fmt.Errorf("cluster: shard %d already migrating", shard)
-	}
-	slot.copying = true
-	slot.target = to
-	slot.started = time.Now()
-	return nil
+	s.InstallMap(m)
+	slot.mu.Unlock()
 }
 
-// CopyShard streams the shard's snapshot to the target in bounded
-// chunks built in pooled buffers. Each chunk send retries until
-// deadline — the fault plans this runs under flap links mid-copy.
-func (s *Service) CopyShard(shard int, deadline time.Time) error {
-	slot := s.shards[shard]
-	slot.mu.RLock()
-	to, copying := slot.target, slot.copying
-	slot.mu.RUnlock()
-	if !copying {
-		return fmt.Errorf("cluster: shard %d not migrating", shard)
-	}
-	return s.streamShard(shard, to, deadline)
-}
-
-// CopyShardTo snapshot-streams a shard to an explicit target without
-// touching migration state. Repair uses it to seed a freshly recruited
-// backup: the backup is already published in the replica set, so writes
-// racing the scan reach it by replication forward, and the guarded
-// apply makes scan-vs-forward order irrelevant.
+// CopyShardTo streams the shard's snapshot to `to`, which the caller has
+// already made a backup of the shard (Coordinator.recruit): writes racing
+// the scan reach it on the replication stream, and the guarded apply
+// makes scan-vs-stream order irrelevant. The snapshot rides FRP1 frames
+// built in one pooled buffer and stamped with this member's map epoch.
+// Each frame is retried until deadline — the fault plans this runs under
+// flap links mid-copy — and a fenced frame is re-sent under the newer map
+// the NACK carried, for as long as that map still makes this member the
+// shard's primary. A connection handle or node that has closed ends the
+// copy at once: nothing sent on it again can arrive.
 func (s *Service) CopyShardTo(shard int, to fabric.NodeID, deadline time.Time) error {
-	return s.streamShard(shard, to, deadline)
-}
-
-func (s *Service) streamShard(shard int, to fabric.NodeID, deadline time.Time) error {
-	slot := s.shards[shard]
 	link, err := s.link(to)
 	if err != nil {
 		return err
 	}
-	// Chunk geometry: stay well under MaxPayload.
-	maxEntries := (s.node.Options().MaxPayload - chunkHeaderLen) / chunkEntryLen
-	if maxEntries > 256 {
-		maxEntries = 256
-	}
-	f := leaseChunkFrame(shard, maxEntries)
+	maxEntries := min(256, (s.node.Options().MaxPayload-replHeaderLen)/wireEntryLen)
+	f := leaseReplFrame(0, shard, maxEntries)
 	defer f.release()
 	flush := func() error {
 		if f.n == 0 {
 			return nil
 		}
-		payload := f.payload()
 		for {
-			resp, err := link.call(RPCMigrate, payload, s.budget(s.CopyBudget))
-			if err == nil {
-				st := resp.Status
-				resp.Release()
-				if st == core.StatusOK {
-					f.reset()
-					return nil
-				}
-				err = fmt.Errorf("cluster: chunk NACK status %d", st)
+			m := s.cur.Load()
+			if m.Table[shard] != s.node.ID() {
+				return fmt.Errorf("cluster: shard %d copy abandoned: n%d is no longer its primary", shard, s.node.ID())
 			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("cluster: shard %d copy timed out: %w", shard, err)
+			f.stampEpoch(m.Epoch)
+			resp, err := link.call(RPCReplicate, f.payload(), s.budget(s.ForwardBudget))
+			if err = s.classifyReplicaResp(to, resp, err); err == nil {
+				f.reset()
+				return nil
+			}
+			if errors.Is(err, core.ErrClosed) || time.Now().After(deadline) {
+				return fmt.Errorf("cluster: shard %d copy failed: %w", shard, err)
 			}
 			time.Sleep(2 * time.Millisecond)
 		}
 	}
 	var scanErr error
-	slot.store.Scan(func(key uint64, val []byte) bool {
+	s.shards[shard].store.Scan(func(key uint64, val []byte) bool {
 		f.add(key, binary.LittleEndian.Uint64(val[:8]))
 		if f.n == maxEntries {
-			if scanErr = flush(); scanErr != nil {
-				return false
-			}
+			scanErr = flush()
 		}
-		return true
+		return scanErr == nil
 	})
 	if scanErr != nil {
 		return scanErr
 	}
 	return flush()
-}
-
-// CompleteMigration atomically installs the handoff map and stops
-// forwarding: it takes the slot exclusively, so every in-flight request
-// (including its dual-write forward) finishes first, and every later
-// request sees the new map and NACKs WrongShard. It records the
-// migration's duration and bumps cluster.shard_moves.
-func (s *Service) CompleteMigration(shard int, handoff *ShardMap) {
-	slot := s.shards[shard]
-	slot.mu.Lock()
-	s.mu.Lock()
-	s.installLocked(handoff)
-	s.mu.Unlock()
-	wasCopying := slot.copying
-	slot.copying = false
-	started := slot.started
-	slot.mu.Unlock()
-	if wasCopying {
-		s.moves.Inc()
-		s.migDur.Observe(uint64(time.Since(started).Nanoseconds()))
-	}
-}
-
-// Promote installs the failover map on the shard's new primary through
-// the same exclusive-slot handoff CompleteMigration uses: in-flight
-// requests finish under the old view, everything later serves (or
-// fences) under the new epoch. It also clears any dual-write state
-// pointed at the dead node — a migration whose source died is moot —
-// and bumps cluster.promotions.
-func (s *Service) Promote(shard int, failover *ShardMap) {
-	slot := s.shards[shard]
-	slot.mu.Lock()
-	s.mu.Lock()
-	s.installLocked(failover)
-	s.mu.Unlock()
-	slot.copying = false
-	slot.mu.Unlock()
-	s.promotions.Inc()
-}
-
-// AbortMigration turns dual-write off without a handoff (the map with
-// the pending entry dropped is installed by the coordinator).
-func (s *Service) AbortMigration(shard int, revert *ShardMap) {
-	slot := s.shards[shard]
-	slot.mu.Lock()
-	s.mu.Lock()
-	s.installLocked(revert)
-	s.mu.Unlock()
-	slot.copying = false
-	slot.mu.Unlock()
 }
 
 // Keys returns how many keys shard holds locally (test/observability).

@@ -21,10 +21,9 @@ import (
 	"flock/internal/fabric"
 )
 
-// Migration is one pending shard move recorded in the map: while it is
-// in Pending, From still owns the shard (Table[Shard] == From) but
-// dual-writes to To; the handoff epoch flips Table[Shard] to To and
-// drops the entry.
+// Migration is one planned shard move, as PlanRebalance lists them. A
+// move in progress needs no record of its own in the map: its target is
+// one more backup of the shard until the handoff epoch makes it primary.
 type Migration struct {
 	Shard int
 	From  fabric.NodeID
@@ -44,9 +43,9 @@ type ShardMap struct {
 	// VNodes is the number of virtual ring points per member used by the
 	// consistent-hash placement (more vnodes → smoother balance).
 	VNodes int
-	// Replicas is the configured backup count per shard (R). Zero means
-	// an unreplicated map — Backups is nil and the wire encoding is the
-	// original FSM1 layout.
+	// Replicas is the configured backup count per shard (R), the size
+	// Repair restores a shard's backup set to. Zero is an unreplicated
+	// map. Surgery on one shard's replica set never changes it.
 	Replicas int
 	// Members is the known member set, sorted by NodeID. Membership in
 	// this list does not imply liveness — routing consults the failure
@@ -57,13 +56,12 @@ type ShardMap struct {
 	// per handoff and old maps decode to exactly the placement they
 	// described.
 	Table []fabric.NodeID
-	// Backups maps shard → its backup replica set (at most Replicas
-	// members, distinct from the primary and each other). nil when
-	// Replicas == 0; individual shards may hold fewer than Replicas
-	// backups after a failover until a Repair recruits replacements.
+	// Backups maps shard → its backup set (members distinct from the
+	// primary and each other), one entry per shard, nil for a shard with
+	// none. A shard may hold fewer than Replicas backups after a failover
+	// until a Repair recruits replacements, and one more while it is
+	// being moved: the move's target is recruited as a backup first.
 	Backups [][]fabric.NodeID
-	// Pending lists in-flight migrations (dual-write windows).
-	Pending []Migration
 }
 
 // DefaultVNodes is the ring-point count per member when the caller
@@ -106,9 +104,7 @@ func NewReplicated(members []fabric.NodeID, shards, vnodes, replicas int) (*Shar
 	}
 	m := &ShardMap{Epoch: 1, Shards: shards, VNodes: vnodes, Replicas: replicas, Members: ms}
 	m.Table = m.DesiredTable(ms)
-	if replicas > 0 {
-		m.Backups = m.DesiredBackups(ms, m.Table)
-	}
+	m.Backups = m.DesiredBackups(ms, m.Table)
 	return m, nil
 }
 
@@ -126,14 +122,9 @@ func (m *ShardMap) OwnerOfKey(key uint64) fabric.NodeID {
 	return m.Table[m.ShardOf(key)]
 }
 
-// BackupsOf returns shard's backup set (nil when unreplicated). The
+// BackupsOf returns shard's backup set (nil when it has none). The
 // returned slice is the map's own — callers must not mutate it.
-func (m *ShardMap) BackupsOf(shard int) []fabric.NodeID {
-	if m.Backups == nil {
-		return nil
-	}
-	return m.Backups[shard]
-}
+func (m *ShardMap) BackupsOf(shard int) []fabric.NodeID { return m.Backups[shard] }
 
 // ReplicaSet returns shard's full replica set, primary first.
 func (m *ShardMap) ReplicaSet(shard int) []fabric.NodeID {
@@ -177,14 +168,9 @@ func (m *ShardMap) Clone() *ShardMap {
 	c := *m
 	c.Members = append([]fabric.NodeID(nil), m.Members...)
 	c.Table = append([]fabric.NodeID(nil), m.Table...)
-	c.Pending = append([]Migration(nil), m.Pending...)
-	if m.Backups != nil {
-		c.Backups = make([][]fabric.NodeID, len(m.Backups))
-		for s, bs := range m.Backups {
-			if bs != nil {
-				c.Backups[s] = append([]fabric.NodeID(nil), bs...)
-			}
-		}
+	c.Backups = make([][]fabric.NodeID, len(m.Backups))
+	for s, bs := range m.Backups {
+		c.Backups[s] = append([]fabric.NodeID(nil), bs...) // nil stays nil
 	}
 	return &c
 }
@@ -287,54 +273,31 @@ func (m *ShardMap) DesiredBackups(candidates []fabric.NodeID, table []fabric.Nod
 
 // PlanRebalance diffs the current Table against the ring placement over
 // the live candidate set and returns the migrations that would converge
-// them, ordered by shard. Shards already mid-migration are skipped.
+// them, ordered by shard.
 func (m *ShardMap) PlanRebalance(live []fabric.NodeID) []Migration {
 	if len(live) == 0 {
 		return nil
 	}
-	desired := m.DesiredTable(live)
-	pending := make(map[int]bool, len(m.Pending))
-	for _, p := range m.Pending {
-		pending[p.Shard] = true
-	}
 	var plan []Migration
-	for s, want := range desired {
-		cur := m.Table[s]
-		if cur == want || pending[s] {
-			continue
+	for s, want := range m.DesiredTable(live) {
+		if cur := m.Table[s]; cur != want {
+			plan = append(plan, Migration{Shard: s, From: cur, To: want})
 		}
-		plan = append(plan, Migration{Shard: s, From: cur, To: want})
 	}
 	return plan
 }
 
-// WithPending returns a new map (epoch+1) with mig recorded as pending.
-func (m *ShardMap) WithPending(mig Migration) *ShardMap {
-	c := m.Clone()
-	c.Epoch++
-	c.Pending = append(c.Pending, mig)
-	return c
-}
-
 // WithHandoff returns a new map (epoch+1) with shard's ownership
-// flipped to `to` and any pending entry for the shard dropped. If the
-// new primary was one of the shard's backups it leaves the backup set
-// (a member appears at most once in a replica set); the shard then runs
-// one backup short until a Repair recruits a replacement.
+// flipped to `to`. The new primary leaves the backup set (a member
+// appears at most once in a replica set): a target recruited for the
+// move takes the old primary's place and the set is its configured size
+// again; a handoff to a standing backup leaves the shard one backup
+// short until a Repair recruits a replacement.
 func (m *ShardMap) WithHandoff(shard int, to fabric.NodeID) *ShardMap {
 	c := m.Clone()
 	c.Epoch++
 	c.Table[shard] = to
-	if c.Backups != nil {
-		c.Backups[shard] = dropNode(c.Backups[shard], to)
-	}
-	keep := c.Pending[:0]
-	for _, p := range c.Pending {
-		if p.Shard != shard {
-			keep = append(keep, p)
-		}
-	}
-	c.Pending = keep
+	c.Backups[shard] = dropNode(c.Backups[shard], to)
 	return c
 }
 
@@ -353,24 +316,32 @@ func dropNode(ids []fabric.NodeID, id fabric.NodeID) []fabric.NodeID {
 	return keep
 }
 
-// WithBackup returns a new map (epoch+1) with `to` added to shard's
-// backup set. It is the map half of backup recruitment: once published,
-// the primary dual-writes every apply to the new backup, so the
-// subsequent snapshot copy only has to deliver the prefix.
+// WithBackup returns a new map (epoch+1) with `to` appended to shard's
+// backup set. It is the map half of recruitment: once the primary
+// serves under it, every put is replicated to the recruit before it is
+// acknowledged, so the snapshot copy that follows only has to deliver
+// the prefix. Recruits go last, so WithFailover's first-live-backup
+// rule prefers every backup that was complete before them. Replicas is
+// left alone: a move's target is one backup more than R for as long as
+// the move takes.
 func (m *ShardMap) WithBackup(shard int, to fabric.NodeID) (*ShardMap, error) {
-	if m.Table[shard] == to || m.IsBackup(shard, to) {
+	if m.IsReplica(shard, to) {
 		return nil, fmt.Errorf("cluster: %d already a replica of shard %d", to, shard)
 	}
 	c := m.Clone()
 	c.Epoch++
-	if c.Backups == nil {
-		c.Backups = make([][]fabric.NodeID, c.Shards)
-	}
-	if c.Replicas <= len(c.Backups[shard]) {
-		c.Replicas = len(c.Backups[shard]) + 1
-	}
 	c.Backups[shard] = append(c.Backups[shard], to)
 	return c, nil
+}
+
+// WithoutBackup returns a new map (epoch+1) with `id` dropped from
+// shard's backup set: a recruit whose copy failed is released again, so
+// the primary stops owing it acks.
+func (m *ShardMap) WithoutBackup(shard int, id fabric.NodeID) *ShardMap {
+	c := m.Clone()
+	c.Epoch++
+	c.Backups[shard] = dropNode(c.Backups[shard], id)
+	return c
 }
 
 // ReplacementBackup picks the member Repair should recruit into shard's
@@ -407,9 +378,7 @@ func (m *ShardMap) WithFailover(dead fabric.NodeID, live []fabric.NodeID) (c *Sh
 	}
 	var desired []fabric.NodeID // lazily computed fallback placement
 	for s := 0; s < c.Shards; s++ {
-		if c.Backups != nil {
-			c.Backups[s] = dropNode(c.Backups[s], dead)
-		}
+		c.Backups[s] = dropNode(c.Backups[s], dead)
 		if c.Table[s] != dead {
 			continue
 		}

@@ -17,18 +17,17 @@ func TestShardMapConstructionEdges(t *testing.T) {
 		shards   int
 		replicas int
 		wantErr  bool
-		// post-conditions on success:
+		// post-condition on success:
 		wantReplicas int
-		nilBackups   bool
 	}{
 		{name: "empty member set", members: nil, shards: 8, wantErr: true},
 		{name: "zero shards", members: []fabric.NodeID{1}, shards: 0, wantErr: true},
 		{name: "duplicate member", members: []fabric.NodeID{2, 2}, shards: 8, wantErr: true},
 		{name: "negative replicas", members: []fabric.NodeID{1, 2}, shards: 8, replicas: -1, wantErr: true},
 		{name: "single member", members: []fabric.NodeID{7}, shards: 8,
-			wantReplicas: 0, nilBackups: true},
+			wantReplicas: 0},
 		{name: "single member clamps replicas", members: []fabric.NodeID{7}, shards: 8, replicas: 3,
-			wantReplicas: 0, nilBackups: true},
+			wantReplicas: 0},
 		{name: "replicas clamp to members-1", members: []fabric.NodeID{1, 2, 3}, shards: 8, replicas: 9,
 			wantReplicas: 2},
 		{name: "replicated pair", members: []fabric.NodeID{1, 2}, shards: 4, replicas: 1,
@@ -48,8 +47,8 @@ func TestShardMapConstructionEdges(t *testing.T) {
 			if m.Replicas != tc.wantReplicas {
 				t.Fatalf("Replicas = %d, want %d", m.Replicas, tc.wantReplicas)
 			}
-			if tc.nilBackups != (m.Backups == nil) {
-				t.Fatalf("Backups nil = %v, want %v", m.Backups == nil, tc.nilBackups)
+			if len(m.Backups) != m.Shards {
+				t.Fatalf("Backups has %d entries for %d shards", len(m.Backups), m.Shards)
 			}
 			for s := 0; s < m.Shards; s++ {
 				bs := m.BackupsOf(s)
@@ -68,8 +67,7 @@ func TestShardMapConstructionEdges(t *testing.T) {
 					seen[id] = true
 				}
 			}
-			// Round-trip: replicated maps ride FSM2, unreplicated FSM1 —
-			// both must decode back to themselves.
+			// Round-trip: replicated or not, a map decodes back to itself.
 			got, err := DecodeShardMap(m.Encode())
 			if err != nil {
 				t.Fatal(err)
@@ -108,11 +106,11 @@ func TestShardMapSingleMemberFailover(t *testing.T) {
 	}
 }
 
-// Lookup semantics through the pending dual-write window: while a
-// migration is pending the source still owns the shard (the NACK
-// authority), the handoff flips ownership in one epoch, and a promoted
-// backup leaves the backup set the instant it becomes primary.
-func TestShardMapPendingHandoffLookup(t *testing.T) {
+// Lookup semantics through a move: while the target is only recruited
+// the source still owns the shard (the NACK authority) and the target
+// counts as a backup, the handoff flips ownership in one epoch, and a
+// promoted backup leaves the backup set the instant it becomes primary.
+func TestShardMapRecruitHandoffLookup(t *testing.T) {
 	m, err := NewReplicated([]fabric.NodeID{0, 1, 2}, 8, 4, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +119,7 @@ func TestShardMapPendingHandoffLookup(t *testing.T) {
 	from := m.Owner(shard)
 	var to fabric.NodeID = -1
 	for _, id := range m.Members {
-		if id != from && !m.IsBackup(shard, id) {
+		if !m.IsReplica(shard, id) {
 			to = id
 			break
 		}
@@ -129,16 +127,20 @@ func TestShardMapPendingHandoffLookup(t *testing.T) {
 	if to < 0 {
 		t.Fatal("no third member outside the replica set")
 	}
-	p := m.WithPending(Migration{Shard: shard, From: from, To: to})
-	if p.Owner(shard) != from {
-		t.Fatalf("pending migration moved ownership early: %d", p.Owner(shard))
+	p, err := m.WithBackup(shard, to)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(p.Pending) != 1 || p.Pending[0].To != to {
-		t.Fatalf("pending entry wrong: %+v", p.Pending)
+	if p.Owner(shard) != from {
+		t.Fatalf("recruiting the target moved ownership early: %d", p.Owner(shard))
+	}
+	if bs := p.BackupsOf(shard); len(bs) != 2 || bs[1] != to {
+		t.Fatalf("recruit not appended last: %v", bs)
 	}
 	h := p.WithHandoff(shard, to)
-	if h.Owner(shard) != to || len(h.Pending) != 0 {
-		t.Fatalf("handoff: owner=%d pending=%v", h.Owner(shard), h.Pending)
+	if h.Owner(shard) != to || !reflect.DeepEqual(h.BackupsOf(shard), m.BackupsOf(shard)) {
+		t.Fatalf("handoff: owner=%d backups=%v, want owner %d over the standing backups %v",
+			h.Owner(shard), h.BackupsOf(shard), to, m.BackupsOf(shard))
 	}
 	// Handoff to one of the shard's own backups: the new primary must
 	// leave the backup set (a member appears at most once in a replica
@@ -151,6 +153,112 @@ func TestShardMapPendingHandoffLookup(t *testing.T) {
 	}
 	if len(hb.BackupsOf(shard)) != len(m.BackupsOf(shard))-1 {
 		t.Fatalf("backup set did not shrink: %v -> %v", m.BackupsOf(shard), hb.BackupsOf(shard))
+	}
+}
+
+// Replicas is the configured R whatever happens to one shard's replica
+// set: recruiting into an unreplicated map must not make it a replicated
+// one (Repair would then recruit for every other shard), a recruit on top
+// of a full set is one backup more than R, and dropping it again restores
+// the set. A dead primary is succeeded by a backup that stood before the
+// recruit, which is appended last.
+func TestRecruitKeepsConfiguredReplicas(t *testing.T) {
+	for _, replicas := range []int{0, 1} {
+		m, err := NewReplicated([]fabric.NodeID{0, 1, 2, 3}, 8, 4, replicas)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shard := 2
+		to := m.ReplacementBackup(shard, m.Members)
+		p, err := m.WithBackup(shard, to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Replicas != replicas {
+			t.Fatalf("R=%d: WithBackup rewrote Replicas to %d", replicas, p.Replicas)
+		}
+		if got := len(p.BackupsOf(shard)); got != replicas+1 {
+			t.Fatalf("R=%d: recruited shard has %d backups, want %d", replicas, got, replicas+1)
+		}
+		for s := 0; s < p.Shards; s++ {
+			if s != shard && len(p.BackupsOf(s)) != p.Replicas {
+				t.Fatalf("R=%d: shard %d reads as short of backups after a recruit elsewhere", replicas, s)
+			}
+		}
+		got, err := DecodeShardMap(p.Encode())
+		if err != nil {
+			t.Fatalf("R=%d: map with a recruit rejected: %v", replicas, err)
+		}
+		if !reflect.DeepEqual(got, p) {
+			t.Fatalf("R=%d: roundtrip mismatch:\n got %+v\nwant %+v", replicas, got, p)
+		}
+		if replicas > 0 {
+			next, promoted, _ := p.WithFailover(p.Owner(shard), p.Members)
+			if promoted == 0 || next.Owner(shard) != m.BackupsOf(shard)[0] {
+				t.Fatalf("failover promoted %d; want the standing backup %d, not the recruit %d",
+					next.Owner(shard), m.BackupsOf(shard)[0], to)
+			}
+		}
+		back := p.WithoutBackup(shard, to)
+		if back.Epoch != p.Epoch+1 || back.Replicas != replicas ||
+			!reflect.DeepEqual(back.Backups, m.Backups) || !reflect.DeepEqual(back.Table, m.Table) {
+			t.Fatalf("R=%d: WithoutBackup did not restore the placement: %+v", replicas, back)
+		}
+	}
+}
+
+// The decoder's bound on a replica set: at most members − 1 backups,
+// distinct, drawn from the members, never the primary — and not tied to
+// the configured R, which a move exceeds by one.
+func TestDecodeBackupSetBounds(t *testing.T) {
+	m, err := NewReplicated([]fabric.NodeID{0, 1, 2}, 2, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := m.Encode()
+	// Layout for 3 members, 2 shards: header 24, members 24, table 16,
+	// replicas u32 at 64, shard 0's count at 68 and its backup at 72.
+	const countAt, backupAt = 68, 72
+	if good[countAt] != 1 {
+		t.Fatalf("layout drifted: shard 0 backup count byte = %d", good[countAt])
+	}
+	mutate := func(f func(b []byte) []byte) []byte { return f(append([]byte(nil), good...)) }
+	other := func(not ...fabric.NodeID) byte {
+		for _, id := range m.Members {
+			taken := false
+			for _, n := range not {
+				taken = taken || n == id
+			}
+			if !taken {
+				return byte(id)
+			}
+		}
+		panic("no member left")
+	}
+	primary, backup := m.Owner(0), m.BackupsOf(0)[0]
+	third := other(primary, backup)
+	grow := func(b []byte, ids ...byte) []byte {
+		// Give shard 0 the backup set ids, keeping the rest of the frame.
+		out := append([]byte(nil), b[:countAt]...)
+		out = append(out, byte(len(ids)), 0, 0, 0)
+		for _, id := range ids {
+			out = append(out, id, 0, 0, 0, 0, 0, 0, 0)
+		}
+		return append(out, b[backupAt+8:]...)
+	}
+	if _, err := DecodeShardMap(grow(good, byte(backup), third)); err != nil {
+		t.Fatalf("two backups on an R=1 map (a move in progress) rejected: %v", err)
+	}
+	for name, b := range map[string][]byte{
+		"as many backups as members": grow(good, byte(backup), third, byte(primary)),
+		"backup is the primary":      mutate(func(b []byte) []byte { b[backupAt] = byte(primary); return b }),
+		"backup not a member":        mutate(func(b []byte) []byte { b[backupAt] = 9; return b }),
+		"duplicate backup":           grow(good, byte(backup), byte(backup)),
+		"count past the frame":       mutate(func(b []byte) []byte { b[countAt] = 2; return b }),
+	} {
+		if _, err := DecodeShardMap(b); !errors.Is(err, ErrBadMap) {
+			t.Fatalf("%s: err = %v, want ErrBadMap", name, err)
+		}
 	}
 }
 

@@ -95,17 +95,25 @@ func TestPlanRebalance(t *testing.T) {
 			t.Fatalf("move targets the removed member: %+v", mig)
 		}
 	}
-	// A shard already pending is not planned again.
-	p := m.WithPending(plan[0])
-	again := p.PlanRebalance([]fabric.NodeID{0, 1})
-	for _, mig := range again {
-		if mig.Shard == plan[0].Shard {
-			t.Fatalf("pending shard %d re-planned", mig.Shard)
-		}
+	// The plan is a diff of Table alone: a shard whose target is already
+	// recruited stays planned until its handoff, then drops out.
+	recruited, err := m.WithBackup(plan[0].Shard, plan[0].To)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again := recruited.PlanRebalance([]fabric.NodeID{0, 1}); !reflect.DeepEqual(again, plan) {
+		t.Fatalf("plan changed on recruit:\n got %+v\nwant %+v", again, plan)
+	}
+	moved := recruited.WithHandoff(plan[0].Shard, plan[0].To)
+	if again := moved.PlanRebalance([]fabric.NodeID{0, 1}); !reflect.DeepEqual(again, plan[1:]) {
+		t.Fatalf("plan after the first handoff:\n got %+v\nwant %+v", again, plan[1:])
 	}
 }
 
-func TestPendingAndHandoffEpochs(t *testing.T) {
+// A move is two epochs: the recruit epoch adds the target to the
+// shard's backup set and leaves ownership alone, the handoff epoch flips
+// ownership and takes the new primary out of the backup set again.
+func TestRecruitAndHandoffEpochs(t *testing.T) {
 	m := mustMap(t, []fabric.NodeID{0, 1}, 8, 4)
 	var shard int
 	for s := 0; s < m.Shards; s++ {
@@ -114,30 +122,38 @@ func TestPendingAndHandoffEpochs(t *testing.T) {
 			break
 		}
 	}
-	mig := Migration{Shard: shard, From: 0, To: 1}
-	p := m.WithPending(mig)
-	if p.Epoch != m.Epoch+1 || len(p.Pending) != 1 || p.Owner(shard) != 0 {
-		t.Fatalf("pending map wrong: epoch=%d pending=%v owner=%d", p.Epoch, p.Pending, p.Owner(shard))
+	p, err := m.WithBackup(shard, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Epoch != m.Epoch+1 || !p.IsBackup(shard, 1) || p.Owner(shard) != 0 {
+		t.Fatalf("recruit map wrong: epoch=%d backups=%v owner=%d", p.Epoch, p.BackupsOf(shard), p.Owner(shard))
 	}
 	h := p.WithHandoff(shard, 1)
-	if h.Epoch != p.Epoch+1 || len(h.Pending) != 0 || h.Owner(shard) != 1 {
-		t.Fatalf("handoff map wrong: epoch=%d pending=%v owner=%d", h.Epoch, h.Pending, h.Owner(shard))
+	if h.Epoch != p.Epoch+1 || len(h.BackupsOf(shard)) != 0 || h.Owner(shard) != 1 {
+		t.Fatalf("handoff map wrong: epoch=%d backups=%v owner=%d", h.Epoch, h.BackupsOf(shard), h.Owner(shard))
 	}
 	// Originals untouched (immutability).
-	if m.Owner(shard) != 0 || len(m.Pending) != 0 {
-		t.Fatal("WithPending/WithHandoff mutated the source map")
+	if m.Owner(shard) != 0 || len(m.BackupsOf(shard)) != 0 || p.Owner(shard) != 0 {
+		t.Fatal("WithBackup/WithHandoff mutated the source map")
 	}
 }
 
 func TestEncodeDecodeRoundtrip(t *testing.T) {
 	m := mustMap(t, []fabric.NodeID{0, 2, 5}, 16, 4)
-	m = m.WithPending(Migration{Shard: 3, From: m.Owner(3), To: 5})
+	// A move in progress: an unreplicated map carrying one recruit.
+	to := fabric.NodeID(5)
+	if m.Owner(3) == to {
+		to = 2
+	}
+	m, err := m.WithBackup(3, to)
+	if err != nil {
+		t.Fatal(err)
+	}
 	b := m.Encode()
 	if len(b) != m.EncodedSize() {
 		t.Fatalf("EncodedSize %d != len %d", m.EncodedSize(), len(b))
 	}
-	// WithPending may record From == To's owner; fix the pending entry to
-	// reference members so decode validation passes by construction.
 	got, err := DecodeShardMap(b)
 	if err != nil {
 		t.Fatal(err)
@@ -154,10 +170,12 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	m := mustMap(t, []fabric.NodeID{0, 1}, 8, 4)
 	good := m.Encode()
 	cases := map[string][]byte{
-		"empty":     {},
-		"bad magic": append([]byte{0, 0, 0, 0}, good[4:]...),
-		"truncated": good[:len(good)-3],
-		"padded":    append(append([]byte{}, good...), 0),
+		"empty":      {},
+		"bad magic":  append([]byte{0, 0, 0, 0}, good[4:]...),
+		"FSM1 magic": append([]byte("FSM1"), good[4:]...),
+		"FSM2 magic": append([]byte("FSM2"), good[4:]...),
+		"truncated":  good[:len(good)-3],
+		"padded":     append(append([]byte{}, good...), 0),
 	}
 	for name, b := range cases {
 		if _, err := DecodeShardMap(b); !errors.Is(err, ErrBadMap) {

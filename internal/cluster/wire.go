@@ -14,32 +14,25 @@ import (
 // DecodeShardMap must reject garbage with an error, never panic or
 // allocate absurdly.
 //
-// FSM1 (unreplicated, Replicas == 0):
+// There is one layout, and each map has exactly one encoding:
 //
-//	+0   magic    uint32  'F','S','M','1'
+//	+0   magic    uint32  'F','S','M','3'
 //	+4   epoch    uint64
 //	+12  shards   uint32
 //	+16  vnodes   uint32
 //	+20  nMembers uint32
 //	+24  members  nMembers × int64
 //	...  table    shards × int64 (primary per shard)
-//	...  nPending uint32
-//	...  pending  nPending × (shard uint32, from int64, to int64)
-//
-// FSM2 (replicated, Replicas >= 1) inserts the replica sets between the
-// table and the pending list:
-//
-//	...  replicas uint32  (R >= 1; an FSM2 frame with R == 0 is rejected
-//	                       so every map has exactly one canonical encoding)
+//	...  replicas uint32  (the configured R; 0 for an unreplicated map)
 //	...  backups  per shard: count uint32, count × int64
 //
-// Encode picks the layout from Replicas, so an unreplicated map still
-// produces byte-identical FSM1 frames and the pre-replication corpus
-// stays valid.
+// A shard's count is not bounded by R: the target of a move is carried as
+// one more backup until its handoff. The earlier layouts ('FSM1' with a
+// pending-migration list, 'FSM2' with replica sets ahead of that list) are
+// rejected by their magic.
 
 const (
-	wireMagic   = uint32('F') | uint32('S')<<8 | uint32('M')<<16 | uint32('1')<<24
-	wireMagicV2 = uint32('F') | uint32('S')<<8 | uint32('M')<<16 | uint32('2')<<24
+	wireMagic = uint32('F') | uint32('S')<<8 | uint32('M')<<16 | uint32('3')<<24
 
 	// Sanity bounds: anything larger is corruption, not configuration.
 	maxWireShards   = 1 << 16
@@ -53,26 +46,18 @@ var ErrBadMap = errors.New("cluster: malformed shard map")
 
 // EncodedSize returns the exact Encode output length.
 func (m *ShardMap) EncodedSize() int {
-	n := 24 + 8*len(m.Members) + 8*len(m.Table) + 4 + 20*len(m.Pending)
-	if m.Replicas > 0 {
-		n += 4 // replicas
-		for s := 0; s < m.Shards; s++ {
-			n += 4 + 8*len(m.BackupsOf(s))
-		}
+	n := 24 + 8*len(m.Members) + 8*len(m.Table) + 4
+	for s := 0; s < m.Shards; s++ {
+		n += 4 + 8*len(m.BackupsOf(s))
 	}
 	return n
 }
 
 // Encode serializes the map. The output is deterministic: equal maps
-// encode to equal bytes, and each map has exactly one encoding (FSM1
-// when unreplicated, FSM2 otherwise).
+// encode to equal bytes.
 func (m *ShardMap) Encode() []byte {
 	b := make([]byte, 0, m.EncodedSize())
-	magic := wireMagic
-	if m.Replicas > 0 {
-		magic = wireMagicV2
-	}
-	b = binary.LittleEndian.AppendUint32(b, magic)
+	b = binary.LittleEndian.AppendUint32(b, wireMagic)
 	b = binary.LittleEndian.AppendUint64(b, m.Epoch)
 	b = binary.LittleEndian.AppendUint32(b, uint32(m.Shards))
 	b = binary.LittleEndian.AppendUint32(b, uint32(m.VNodes))
@@ -83,21 +68,13 @@ func (m *ShardMap) Encode() []byte {
 	for _, id := range m.Table {
 		b = binary.LittleEndian.AppendUint64(b, uint64(id))
 	}
-	if m.Replicas > 0 {
-		b = binary.LittleEndian.AppendUint32(b, uint32(m.Replicas))
-		for s := 0; s < m.Shards; s++ {
-			bs := m.BackupsOf(s)
-			b = binary.LittleEndian.AppendUint32(b, uint32(len(bs)))
-			for _, id := range bs {
-				b = binary.LittleEndian.AppendUint64(b, uint64(id))
-			}
+	b = binary.LittleEndian.AppendUint32(b, uint32(m.Replicas))
+	for s := 0; s < m.Shards; s++ {
+		bs := m.BackupsOf(s)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(bs)))
+		for _, id := range bs {
+			b = binary.LittleEndian.AppendUint64(b, uint64(id))
 		}
-	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(m.Pending)))
-	for _, p := range m.Pending {
-		b = binary.LittleEndian.AppendUint32(b, uint32(p.Shard))
-		b = binary.LittleEndian.AppendUint64(b, uint64(p.From))
-		b = binary.LittleEndian.AppendUint64(b, uint64(p.To))
 	}
 	return b
 }
@@ -131,13 +108,11 @@ func (r *wireReader) u64() uint64 {
 
 // DecodeShardMap parses Encode output. It validates the magic, size
 // bounds, exact length, sorted-unique members, table owners drawn from
-// the member set, backup sets (bounded, distinct, never the primary),
-// and pending entries referencing valid shards and members — a map that
-// decodes is safe to route by.
+// the member set, and backup sets (at most members − 1 per shard,
+// distinct, never the primary) — a map that decodes is safe to route by.
 func DecodeShardMap(b []byte) (*ShardMap, error) {
 	r := &wireReader{b: b}
-	magic := r.u32()
-	if magic != wireMagic && magic != wireMagicV2 {
+	if r.u32() != wireMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadMap)
 	}
 	m := &ShardMap{Epoch: r.u64()}
@@ -148,7 +123,7 @@ func DecodeShardMap(b []byte) (*ShardMap, error) {
 		return nil, fmt.Errorf("%w: bad geometry", ErrBadMap)
 	}
 	// Bound the remaining length before allocating.
-	need := 8*int(nMembers) + 8*int(shards) + 4
+	need := 8*int(nMembers) + 8*int(shards) + 4 + 4*int(shards)
 	if len(b)-r.off < need {
 		return nil, fmt.Errorf("%w: truncated", ErrBadMap)
 	}
@@ -171,56 +146,37 @@ func DecodeShardMap(b []byte) (*ShardMap, error) {
 		}
 		m.Table[i] = id
 	}
-	if magic == wireMagicV2 {
-		replicas := r.u32()
-		if r.err || replicas == 0 || replicas > maxWireReplicas {
-			// An FSM2 frame with zero replicas would alias the FSM1
-			// encoding of the same map; reject so encoding stays canonical.
-			return nil, fmt.Errorf("%w: bad replica count", ErrBadMap)
-		}
-		m.Replicas = int(replicas)
-		m.Backups = make([][]fabric.NodeID, shards)
-		for s := 0; s < int(shards); s++ {
-			count := r.u32()
-			if r.err || count > replicas {
-				return nil, fmt.Errorf("%w: bad backup count", ErrBadMap)
-			}
-			if count == 0 {
-				continue
-			}
-			if len(b)-r.off < 8*int(count) {
-				return nil, fmt.Errorf("%w: truncated backups", ErrBadMap)
-			}
-			bs := make([]fabric.NodeID, count)
-			for i := range bs {
-				id := fabric.NodeID(r.u64())
-				if !memberSet[id] || id == m.Table[s] {
-					return nil, fmt.Errorf("%w: bad backup %d for shard %d", ErrBadMap, id, s)
-				}
-				for _, prev := range bs[:i] {
-					if prev == id {
-						return nil, fmt.Errorf("%w: duplicate backup %d for shard %d", ErrBadMap, id, s)
-					}
-				}
-				bs[i] = id
-			}
-			m.Backups[s] = bs
-		}
+	replicas := r.u32()
+	if replicas > maxWireReplicas {
+		return nil, fmt.Errorf("%w: bad replica count", ErrBadMap)
 	}
-	nPending := r.u32()
-	if r.err || nPending > shards {
-		return nil, fmt.Errorf("%w: bad pending count", ErrBadMap)
-	}
-	if nPending > 0 {
-		m.Pending = make([]Migration, nPending)
-		for i := range m.Pending {
-			s := r.u32()
-			from, to := fabric.NodeID(r.u64()), fabric.NodeID(r.u64())
-			if r.err || s >= shards || !memberSet[from] || !memberSet[to] {
-				return nil, fmt.Errorf("%w: bad pending entry", ErrBadMap)
-			}
-			m.Pending[i] = Migration{Shard: int(s), From: from, To: to}
+	m.Replicas = int(replicas)
+	m.Backups = make([][]fabric.NodeID, shards)
+	for s := range m.Backups {
+		count := r.u32()
+		if r.err || count >= nMembers {
+			return nil, fmt.Errorf("%w: bad backup count", ErrBadMap)
 		}
+		if count == 0 {
+			continue
+		}
+		if len(b)-r.off < 8*int(count) {
+			return nil, fmt.Errorf("%w: truncated backups", ErrBadMap)
+		}
+		bs := make([]fabric.NodeID, count)
+		for i := range bs {
+			id := fabric.NodeID(r.u64())
+			if !memberSet[id] || id == m.Table[s] {
+				return nil, fmt.Errorf("%w: bad backup %d for shard %d", ErrBadMap, id, s)
+			}
+			for _, prev := range bs[:i] {
+				if prev == id {
+					return nil, fmt.Errorf("%w: duplicate backup %d for shard %d", ErrBadMap, id, s)
+				}
+			}
+			bs[i] = id
+		}
+		m.Backups[s] = bs
 	}
 	if r.err || r.off != len(b) {
 		return nil, fmt.Errorf("%w: length mismatch", ErrBadMap)
@@ -233,8 +189,10 @@ func DecodeShardMap(b []byte) (*ShardMap, error) {
 // client only after every backup ACKed; the frame carries the sender's
 // map epoch so a deposed primary (one that kept serving past a
 // failover) is fenced with a WrongShard NACK instead of silently
-// diverging a backup. Like the shard map these bytes cross the
-// fault-injectable fabric, so both directions decode defensively.
+// diverging a backup. The snapshot that fills a freshly recruited backup
+// travels in the same frames under the same fence. Like the shard map
+// these bytes cross the fault-injectable fabric, so both directions
+// decode defensively.
 //
 // Forward (request):
 //

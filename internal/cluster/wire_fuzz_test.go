@@ -2,10 +2,13 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"flock/internal/fabric"
@@ -30,18 +33,26 @@ func fuzzSeedMap() *ShardMap {
 	return m
 }
 
-func fuzzSeedPendingMap() *ShardMap {
-	m := fuzzSeedMap()
-	return m.WithPending(Migration{Shard: 5, From: m.Owner(5), To: 2}).
-		WithPending(Migration{Shard: 1, From: m.Owner(1), To: 0})
+// fuzzSeedRecruitMap is a replicated map mid-move: every shard has its
+// one configured backup and shard 5 carries a recruit on top.
+func fuzzSeedRecruitMap() *ShardMap {
+	m, err := NewReplicated([]fabric.NodeID{0, 1, 2}, 8, 4, 1)
+	if err != nil {
+		panic(err)
+	}
+	m, err = m.WithBackup(5, m.ReplacementBackup(5, m.Members))
+	if err != nil {
+		panic(err)
+	}
+	return m
 }
 
 func FuzzDecodeShardMap(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(fuzzSeedMap().Encode())
-	f.Add(fuzzSeedPendingMap().Encode())
+	f.Add(fuzzSeedRecruitMap().Encode())
 	// Truncated and bit-flipped variants of a valid encoding.
-	good := fuzzSeedPendingMap().Encode()
+	good := fuzzSeedRecruitMap().Encode()
 	f.Add(good[:len(good)-5])
 	for _, i := range []int{0, 8, 20, 30, len(good) - 1} {
 		bad := append([]byte(nil), good...)
@@ -55,15 +66,17 @@ func FuzzDecodeShardMap(f *testing.F) {
 			return
 		}
 		// A decoded map is structurally routable...
-		if m.Shards != len(m.Table) {
-			t.Fatalf("accepted %d shards with %d table entries", m.Shards, len(m.Table))
+		if m.Shards != len(m.Table) || m.Shards != len(m.Backups) {
+			t.Fatalf("accepted %d shards with %d table entries and %d backup sets", m.Shards, len(m.Table), len(m.Backups))
 		}
 		for k := uint64(0); k < 32; k++ {
 			s := m.ShardOf(k)
 			if s < 0 || s >= m.Shards {
 				t.Fatalf("ShardOf out of range: %d", s)
 			}
-			_ = m.Owner(s)
+			if m.IsBackup(s, m.Owner(s)) {
+				t.Fatalf("shard %d: primary %d is also a backup", s, m.Owner(s))
+			}
 		}
 		// ...and the encoding is canonical: decode→encode gives the bytes
 		// back.
@@ -77,7 +90,7 @@ func FuzzShardMapRoundTrip(f *testing.F) {
 	f.Add(uint64(1), uint8(2), uint8(8), uint8(4), uint8(0))
 	f.Add(uint64(1<<40), uint8(5), uint8(32), uint8(16), uint8(3))
 	f.Add(^uint64(0), uint8(1), uint8(1), uint8(1), uint8(1))
-	f.Fuzz(func(t *testing.T, epoch uint64, nMembers, shards, vnodes, nPending uint8) {
+	f.Fuzz(func(t *testing.T, epoch uint64, nMembers, shards, vnodes, moving uint8) {
 		if nMembers == 0 || shards == 0 || vnodes == 0 {
 			return
 		}
@@ -85,21 +98,20 @@ func FuzzShardMapRoundTrip(f *testing.F) {
 		for i := range members {
 			members[i] = fabric.NodeID(i * 3)
 		}
-		m, err := New(members, int(shards), int(vnodes))
+		m, err := NewReplicated(members, int(shards), int(vnodes), int(moving)%3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.Epoch = epoch
-		// At most one pending migration per shard (the decoder enforces
-		// nPending <= shards).
-		pend := int(nPending)
-		if pend > m.Shards {
-			pend = m.Shards
+		// The first `moving` shards are mid-move: one recruit each on top
+		// of their configured backups, where a member is left to recruit.
+		for s := 0; s < int(moving) && s < m.Shards; s++ {
+			if to := m.ReplacementBackup(s, members); to >= 0 {
+				if m, err = m.WithBackup(s, to); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
-		for s := 0; s < pend; s++ {
-			m = m.WithPending(Migration{Shard: s, From: m.Owner(s), To: members[s%len(members)]})
-		}
-		m.Epoch = epoch // pin the epoch regardless of pending bumps
+		m.Epoch = epoch // pin the epoch regardless of recruit bumps
 		got, err := DecodeShardMap(m.Encode())
 		if err != nil {
 			t.Fatalf("valid map rejected: %v", err)
@@ -221,10 +233,10 @@ func FuzzReplicaForwardRoundTrip(f *testing.F) {
 // stays clean.
 func TestFuzzCorpusFresh(t *testing.T) {
 	entries := map[string][]byte{
-		"testdata/fuzz/FuzzDecodeShardMap/seed-basic": corpusBytes(
+		"testdata/fuzz/FuzzDecodeShardMap/seed-map": corpusBytes(
 			fuzzSeedMap().Encode()),
-		"testdata/fuzz/FuzzDecodeShardMap/seed-pending": corpusBytes(
-			fuzzSeedPendingMap().Encode()),
+		"testdata/fuzz/FuzzDecodeShardMap/seed-recruit": corpusBytes(
+			fuzzSeedRecruitMap().Encode()),
 		"testdata/fuzz/FuzzDecodeShardMap/seed-empty": corpusBytes(nil),
 		"testdata/fuzz/FuzzShardMapRoundTrip/seed-basic": []byte(
 			"go test fuzz v1\nuint64(1)\nbyte(2)\nbyte(8)\nbyte(4)\nbyte(0)\n"),
@@ -256,6 +268,34 @@ func TestFuzzCorpusFresh(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Errorf("seed corpus %s was stale; regenerated — commit the refresh", path)
+	}
+}
+
+// TestOldMapEncodingsRejected: FuzzDecodeShardMap's seed-basic and
+// seed-pending are frames of the previous layout ('FSM1', the second with
+// a pending-migration list). They stay in the corpus byte for byte as
+// negative seeds, so TestFuzzCorpusFresh does not regenerate them; what
+// they must do now is fail to decode.
+func TestOldMapEncodingsRejected(t *testing.T) {
+	for _, name := range []string{"seed-basic", "seed-pending"} {
+		raw, err := os.ReadFile(filepath.Join("testdata/fuzz/FuzzDecodeShardMap", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(string(raw), "\n")
+		if len(lines) < 2 || !strings.HasPrefix(lines[1], "[]byte(") {
+			t.Fatalf("%s: not a []byte corpus entry", name)
+		}
+		frame, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !strings.HasPrefix(frame, "FSM1") {
+			t.Fatalf("%s no longer holds an FSM1 frame", name)
+		}
+		if _, err := DecodeShardMap([]byte(frame)); !errors.Is(err, ErrBadMap) {
+			t.Fatalf("%s: old-layout frame decoded: err = %v", name, err)
+		}
 	}
 }
 

@@ -7,8 +7,6 @@
 // results are exact, fast, and independent of the build machine.
 package sim
 
-import "container/heap"
-
 // Time is virtual nanoseconds since simulation start.
 type Time uint64
 
@@ -27,24 +25,58 @@ type event struct {
 	fn  func()
 }
 
-// eventHeap orders events by (at, seq).
+// before is the event order: time, then FIFO among equal timestamps. It
+// is total (seq is unique), so any correct heap replays the same run.
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// eventHeap is a binary min-heap on a value slice. It is hand-written
+// because container/heap boxes every event into an interface on push and
+// on pop, an allocation each way in the inner loop of every model run.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h *eventHeap) push(ev event) {
+	q := append(*h, ev)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !q[i].before(&q[parent]) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
 	}
-	return h[i].seq < h[j].seq
+	*h = q
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q[n] = event{} // drop the closure so the backing array does not pin it
+	q = q[:n]
+	i := 0
+	for {
+		least, l, r := i, 2*i+1, 2*i+2
+		if l < n && q[l].before(&q[least]) {
+			least = l
+		}
+		if r < n && q[r].before(&q[least]) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		q[i], q[least] = q[least], q[i]
+		i = least
+	}
+	*h = q
+	return top
 }
 
 // Engine is the event loop. Not safe for concurrent use: models run on one
@@ -71,7 +103,7 @@ func (e *Engine) At(t Time, fn func()) {
 		t = e.now
 	}
 	e.seq++
-	heap.Push(&e.heap, event{at: t, seq: e.seq, fn: fn})
+	e.heap.push(event{at: t, seq: e.seq, fn: fn})
 }
 
 // After schedules fn d nanoseconds from now.
@@ -82,7 +114,7 @@ func (e *Engine) Step() bool {
 	if len(e.heap) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.heap).(event)
+	ev := e.heap.pop()
 	e.now = ev.at
 	e.nRun++
 	ev.fn()
@@ -113,7 +145,11 @@ type Resource struct {
 	eng   *Engine
 	units int
 	busy  int
+
+	// Waiters are a ring: qlen entries starting at queue[qhead].
 	queue []pending
+	qhead int
+	qlen  int
 
 	// Accounting for utilization reports.
 	busyTime Time
@@ -137,7 +173,7 @@ func NewResource(eng *Engine, units int) *Resource {
 func (r *Resource) Units() int { return r.units }
 
 // QueueLen returns the number of waiting requests.
-func (r *Resource) QueueLen() int { return len(r.queue) }
+func (r *Resource) QueueLen() int { return r.qlen }
 
 // Served returns how many requests completed service.
 func (r *Resource) Served() uint64 { return r.served }
@@ -152,7 +188,14 @@ func (r *Resource) Use(dur Time, done func()) {
 		r.start(dur, done)
 		return
 	}
-	r.queue = append(r.queue, pending{dur: dur, done: done})
+	if r.qlen == len(r.queue) {
+		grown := make([]pending, max(4, 2*len(r.queue)))
+		n := copy(grown, r.queue[r.qhead:])
+		copy(grown[n:], r.queue[:r.qhead])
+		r.queue, r.qhead = grown, 0
+	}
+	r.queue[(r.qhead+r.qlen)%len(r.queue)] = pending{dur: dur, done: done}
+	r.qlen++
 }
 
 // start begins service immediately.
@@ -162,10 +205,11 @@ func (r *Resource) start(dur Time, done func()) {
 	r.served++
 	r.eng.After(dur, func() {
 		r.busy--
-		if len(r.queue) > 0 {
-			p := r.queue[0]
-			copy(r.queue, r.queue[1:])
-			r.queue = r.queue[:len(r.queue)-1]
+		if r.qlen > 0 {
+			p := r.queue[r.qhead]
+			r.queue[r.qhead] = pending{}
+			r.qhead = (r.qhead + 1) % len(r.queue)
+			r.qlen--
 			r.start(p.dur, p.done)
 		}
 		if done != nil {

@@ -202,6 +202,98 @@ func TestMMQueueMatchesTheory(t *testing.T) {
 	}
 }
 
+// FIFO among equal timestamps must hold while the heap grows through many
+// reallocations and while events at other times are pushed and popped in
+// between: (at, seq) is the order every model figure's determinism rests on.
+func TestFIFOAmongEqualTimesAcrossGrowth(t *testing.T) {
+	e := New()
+	const perTime = 700 // several doublings of the heap's backing array
+	times := []Time{50, 10, 30}
+	got := map[Time][]int{}
+	for i := 0; i < perTime; i++ {
+		for _, at := range times {
+			at, i := at, i
+			e.At(at, func() {
+				got[at] = append(got[at], i)
+				if i%3 == 0 {
+					// Scheduling "now" from inside an event queues behind
+					// everything already due at this timestamp.
+					e.At(at, func() { got[at] = append(got[at], perTime+i) })
+				}
+			})
+		}
+	}
+	var clock []Time
+	for e.Step() {
+		clock = append(clock, e.Now())
+	}
+	for i := 1; i < len(clock); i++ {
+		if clock[i] < clock[i-1] {
+			t.Fatalf("clock ran backwards at event %d: %d after %d", i, clock[i], clock[i-1])
+		}
+	}
+	for _, at := range times {
+		seq := got[at]
+		if len(seq) != perTime+(perTime+2)/3 {
+			t.Fatalf("t=%d ran %d events, want %d", at, len(seq), perTime+(perTime+2)/3)
+		}
+		for i := 0; i < perTime; i++ {
+			if seq[i] != i {
+				t.Fatalf("t=%d: position %d ran event %d; equal timestamps must run in scheduling order", at, i, seq[i])
+			}
+		}
+		for i := perTime + 1; i < len(seq); i++ {
+			if seq[i] <= seq[i-1] {
+				t.Fatalf("t=%d: nested events out of order: %d then %d", at, seq[i-1], seq[i])
+			}
+		}
+	}
+}
+
+// A Resource's waiters leave in arrival order while arrivals and
+// completions interleave, so the queue's head walks round its storage many
+// times at a small, changing occupancy and grows in the middle of a lap.
+func TestResourceQueueWrapAround(t *testing.T) {
+	e := New()
+	r := NewResource(e, 1)
+	var order []int
+	next := 0
+	use := func() {
+		id := next
+		next++
+		r.Use(10, func() { order = append(order, id) })
+	}
+	// Three up front, then for a while two arrivals per completion (the
+	// queue grows while its head is mid-storage), then one per completion,
+	// then none.
+	for i := 0; i < 3; i++ {
+		use()
+	}
+	for i := 0; i < 40; i++ {
+		i := i
+		e.At(Time(10*i+5), func() {
+			use()
+			if i < 12 {
+				use()
+			}
+		})
+	}
+	e.At(200, func() {
+		if r.QueueLen() < 8 {
+			t.Errorf("queue holds %d waiters at t=200; the test wants it to have grown past its first allocation", r.QueueLen())
+		}
+	})
+	e.Drain()
+	if len(order) != next || r.QueueLen() != 0 || r.Served() != uint64(next) {
+		t.Fatalf("completed %d of %d, %d still queued, %d served", len(order), next, r.QueueLen(), r.Served())
+	}
+	for i, id := range order {
+		if id != i {
+			t.Fatalf("completion %d was request %d; FCFS broken", i, id)
+		}
+	}
+}
+
 func BenchmarkEngine(b *testing.B) {
 	e := New()
 	var pump func()
