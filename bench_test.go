@@ -287,7 +287,7 @@ func BenchmarkTCQVsSpinlock(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer cdev.Close()
-		cfg := lockshare.Config{ThreadsPerQP: threads, Spin: true}
+		cfg := lockshare.Config{ThreadsPerQP: threads}
 		srv := lockshare.NewServer(sdev, cfg)
 		defer srv.Close()
 		srv.RegisterHandler(1, func(req []byte) []byte { return req })

@@ -686,7 +686,7 @@ func runReplicationSweep(quick bool) {
 		keysPerG = 16
 		workers  = 40
 	)
-	tuned := cluster.ReplTuning{FlushEntries: 32, FlushDelay: 0}
+	tuned := cluster.ReplTuning{FlushEntries: 32}
 	factors := []int{0, 1, 2}
 	if quick {
 		factors = []int{0, 2}
@@ -726,7 +726,7 @@ func runReplicationSweep(quick bool) {
 
 	fmt.Printf("%d members, %d shards, %d put-only router threads, %v window per point\n",
 		nNodes, shards, nThreads, dur)
-	fmt.Printf("group-commit tuning: FlushEntries=%d FlushDelay=%v\n", tuned.FlushEntries, tuned.FlushDelay)
+	fmt.Printf("group-commit tuning: FlushEntries=%d (natural batching)\n", tuned.FlushEntries)
 	fmt.Println("replicas  goodput(ops/s)  forwards   batches  entries/batch")
 	byR := make(map[int]float64, len(factors))
 	for _, r := range factors {
@@ -784,7 +784,7 @@ func runSyncMicro(quick bool) {
 	cdev := must(rnic.NewDevice(fab, rnic.Config{Node: 1}))
 	defer sdev.Close()
 	defer cdev.Close()
-	cfg := lockshare.Config{ThreadsPerQP: threads, Spin: true}
+	cfg := lockshare.Config{ThreadsPerQP: threads}
 	srv := lockshare.NewServer(sdev, cfg)
 	defer srv.Close()
 	srv.RegisterHandler(1, loadgen.Echo)

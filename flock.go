@@ -69,6 +69,8 @@ type (
 	// RemoteRegion is server memory attached for one-sided operations.
 	RemoteRegion = core.RemoteRegion
 	// Options configures a node; the zero value uses paper defaults.
+	// Every field is one some tool, bench or example sets (DESIGN.md
+	// "Configuration surface").
 	Options = core.Options
 	// Handler processes one RPC request.
 	Handler = core.Handler
@@ -133,9 +135,8 @@ type (
 	// ClusterCoordinator is the in-process control plane driving
 	// migrations, rebalancing, route-around, and decommission.
 	ClusterCoordinator = cluster.Coordinator
-	// ReplTuning shapes the group-commit replication pipeline (flush
-	// entry cap, first-waiter flush deadline); the zero value selects the
-	// defaults.
+	// ReplTuning shapes the group-commit replication pipeline (the flush
+	// entry cap); the zero value selects the default.
 	ReplTuning = cluster.ReplTuning
 	// ReplError is the typed failure of one replication forward,
 	// carrying the backup and rejection status; it matches
@@ -157,7 +158,8 @@ const (
 var (
 	// ErrClosed reports an operation on a closed node or connection.
 	ErrClosed = core.ErrClosed
-	// ErrPayloadTooLarge reports a payload above Options.MaxPayload.
+	// ErrPayloadTooLarge reports a payload above the 16 KiB a single
+	// request or response may carry.
 	ErrPayloadTooLarge = core.ErrPayloadTooLarge
 	// ErrNotServing reports a Connect to a node that has not called Serve.
 	ErrNotServing = core.ErrNotServing

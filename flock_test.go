@@ -82,7 +82,7 @@ func TestPublicAPIErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	th := conn.RegisterThread()
-	if _, err := th.SendRPC(1, make([]byte, flock.Options{}.MaxPayload+1<<20)); err != flock.ErrPayloadTooLarge {
+	if _, err := th.SendRPC(1, make([]byte, 1<<20)); err != flock.ErrPayloadTooLarge {
 		t.Fatalf("oversized: %v", err)
 	}
 }

@@ -76,9 +76,6 @@ type Config struct {
 	RingBytes int
 	// MaxPayload bounds one request or response. Default 64 KiB.
 	MaxPayload int
-	// Spin selects a spinlock (true, as FaRM) or sync.Mutex (false) for
-	// QP sharing.
-	Spin bool
 }
 
 func (c Config) withDefaults() Config {
@@ -107,7 +104,7 @@ func (l *spinLock) Unlock() { l.v.Store(0) }
 
 // qpShare is one shared QP with its rings.
 type qpShare struct {
-	mu        sync.Locker
+	mu        spinLock
 	qp        *rnic.QP
 	reqMirror *rnic.MemRegion // local staging, mirrors server request ring
 	reqRKey   uint32
@@ -401,14 +398,8 @@ func (c *Client) newShare() (*qpShare, error) {
 	if err := qp.Connect(int(c.server.node), qpn); err != nil {
 		return nil, err
 	}
-	var mu sync.Locker
-	if c.cfg.Spin {
-		mu = &spinLock{}
-	} else {
-		mu = &sync.Mutex{}
-	}
 	return &qpShare{
-		mu: mu, qp: qp, reqMirror: reqMirror, reqRKey: reqRKey,
+		qp: qp, reqMirror: reqMirror, reqRKey: reqRKey,
 		respRing: respRing, slotBytes: slotBytes,
 	}, nil
 }

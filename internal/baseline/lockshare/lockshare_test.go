@@ -53,7 +53,7 @@ func TestNoSharingEcho(t *testing.T) {
 func TestSpinlockSharing(t *testing.T) {
 	for _, tpq := range []int{2, 4} {
 		t.Run(fmt.Sprintf("threads-per-qp-%d", tpq), func(t *testing.T) {
-			srv, cl := testSetup(t, Config{ThreadsPerQP: tpq, Spin: true})
+			srv, cl := testSetup(t, Config{ThreadsPerQP: tpq})
 			const nThreads = 8
 			const perThread = 150
 			var wg sync.WaitGroup

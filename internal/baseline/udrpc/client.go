@@ -66,7 +66,7 @@ func NewClientThread(dev *rnic.Device, cfg Config, serverNode int, serverQPN int
 		pending:  make(map[uint32]*pendingReq),
 		partials: make(map[uint32]*partial),
 	}
-	for j := 0; j < cfg.RecvDepth; j++ {
+	for j := 0; j < recvDepth; j++ {
 		mr, err := dev.RegisterMR(dev.Fabric().MTU(), 0)
 		if err != nil {
 			return nil, err

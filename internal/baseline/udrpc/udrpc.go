@@ -102,9 +102,6 @@ type Config struct {
 	// ServerQPs is the number of UD QPs (and dispatcher goroutines) a
 	// server runs; clients hash across them. Default 1.
 	ServerQPs int
-	// RecvDepth is the number of receive buffers kept posted per QP.
-	// Default 256.
-	RecvDepth int
 	// MaxPayload bounds a reassembled request or response. Default 64 KiB.
 	MaxPayload int
 	// RetransmitTimeout is the client's per-attempt response deadline.
@@ -122,9 +119,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.ServerQPs <= 0 {
 		c.ServerQPs = 1
-	}
-	if c.RecvDepth <= 0 {
-		c.RecvDepth = 256
 	}
 	if c.MaxPayload <= 0 {
 		c.MaxPayload = 64 << 10
@@ -197,6 +191,9 @@ type partial struct {
 	got   int
 }
 
+// recvDepth is the number of receive buffers kept posted per QP.
+const recvDepth = 256
+
 // recvSlot is one posted receive buffer.
 type recvSlot struct {
 	mr  *rnic.MemRegion
@@ -221,7 +218,7 @@ func NewServer(dev *rnic.Device, cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		slots := make([]*recvSlot, cfg.RecvDepth)
+		slots := make([]*recvSlot, recvDepth)
 		for j := range slots {
 			mr, err := dev.RegisterMR(dev.Fabric().MTU(), 0)
 			if err != nil {

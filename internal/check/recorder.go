@@ -53,11 +53,6 @@ func (r *Recorder) EndPending(clientID int, call int64, input interface{}) {
 	r.mu.Unlock()
 }
 
-// Drop discards an invocation that definitely did not execute (the send
-// itself failed before reaching the wire). It exists for symmetry and
-// documentation; nothing was recorded at Begin, so it is a no-op.
-func (r *Recorder) Drop() {}
-
 // Len reports how many operations have been recorded.
 func (r *Recorder) Len() int {
 	r.mu.Lock()

@@ -96,7 +96,7 @@ type SimConfig struct {
 	// arrived by then is abandoned and resubmitted under the same
 	// idempotency key. Zero disables attempt-level retries.
 	AttemptTimeout sim.Time
-	// Dedup models the server's dedup window (core's DedupWindow): each
+	// Dedup models the server's dedup window (core.DefaultDedupWindow): each
 	// op's first apply is memoized by idempotency key, and every later
 	// copy — a retry racing its original, or a retry after an ambiguous
 	// outcome — is answered from the memo without re-executing. With

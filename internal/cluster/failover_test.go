@@ -97,9 +97,9 @@ func TestFailoverPreservesAckedWrites(t *testing.T) {
 	// Budgets bound how long calls into the (soon-to-be) dead victim can
 	// hang; generous enough that healthy-path RPCs never trip them, even
 	// under the race detector's scheduling.
-	lc.router.CallBudget = 200 * time.Millisecond
+	lc.router.callBudget = 200 * time.Millisecond
 	for _, svc := range lc.services {
-		svc.ForwardBudget = 200 * time.Millisecond
+		svc.fwdBudget = 200 * time.Millisecond
 	}
 	lc.mems.ProbeTimeout = 100 * time.Millisecond
 
@@ -405,9 +405,9 @@ func TestRecruitInstallWaitsOutInFlightRequests(t *testing.T) {
 // failover pruned it.
 func TestRepairDropsRecruitWhenCopyFails(t *testing.T) {
 	lc := newReplicatedCluster(t, 4, 8, 1, fabric.Config{})
-	lc.router.CallBudget = 200 * time.Millisecond
+	lc.router.callBudget = 200 * time.Millisecond
 	for _, svc := range lc.services {
-		svc.ForwardBudget = 30 * time.Millisecond
+		svc.fwdBudget = 30 * time.Millisecond
 	}
 	shard := 0
 	m := lc.coord.Map()
@@ -487,9 +487,9 @@ func TestMemberDiesMidMove(t *testing.T) {
 func memberDiesMidMove(t *testing.T, killSource bool) {
 	lc := newReplicatedCluster(t, 5, 8, 2, fabric.Config{})
 	lc.coord.AddRouter(lc.router)
-	lc.router.CallBudget = 200 * time.Millisecond
+	lc.router.callBudget = 200 * time.Millisecond
 	for _, svc := range lc.services {
-		svc.ForwardBudget = 100 * time.Millisecond
+		svc.fwdBudget = 100 * time.Millisecond
 	}
 	lc.mems.ProbeTimeout = 100 * time.Millisecond
 

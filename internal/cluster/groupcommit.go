@@ -28,19 +28,19 @@ import (
 // fence judges each batch under the view that admitted its writes.
 
 // ReplTuning tunes the group-commit flush policy, doorbell-batching
-// style: a frame flushes when it reaches FlushEntries, when an epoch
-// boundary forces a cut, or when the first waiter has been parked
-// FlushDelay. Zero FlushDelay is natural batching — flush
-// as soon as the forwarder is free, so an idle stream adds no latency
-// and a busy one coalesces whatever queued behind the in-flight frame.
-// Set it before traffic, like the Service budgets.
+// style: a frame flushes when it reaches FlushEntries or when an epoch
+// boundary forces a cut, and otherwise as soon as the forwarder is free
+// (natural batching), so an idle stream adds no latency and a busy one
+// coalesces whatever queued behind the in-flight frame. Set it before
+// traffic.
 type ReplTuning struct {
-	// FlushEntries caps entries per frame. 0 → 64; clamped to what
-	// MaxPayload and the wire format allow.
+	// FlushEntries caps entries per frame. 0 → 64; clamped to what one
+	// payload holds (maxFrameEntries).
 	FlushEntries int
-	// FlushDelay bounds how long the oldest queued put waits for
-	// companions. 0 → natural batching only.
-	FlushDelay time.Duration
+	// flushDelay, which only this package's tests set, holds a frame
+	// short of FlushEntries until its oldest put has waited this long, so
+	// a test can pin what one frame carries.
+	flushDelay time.Duration
 }
 
 // replPipeDepth caps in-flight frames per backup stream.
@@ -176,23 +176,17 @@ func cutBatch(queue []*replOp, maxEntries int, delay time.Duration, firstAt, now
 	return 0, firstAt.Add(delay)
 }
 
-// replTuning resolves the knobs against wire and payload limits.
+// maxFrameEntries is how many entries fit one frame's payload — far fewer
+// than the wire format's own bound, maxWireReplEntries.
+const maxFrameEntries = (core.DefaultMaxPayload - replHeaderLen) / wireEntryLen
+
+// replTuning resolves the knobs against the frame's capacity.
 func (s *Service) replTuning() (maxEntries int, delay time.Duration) {
-	t := s.Repl
-	maxEntries = t.FlushEntries
+	maxEntries = s.Repl.FlushEntries
 	if maxEntries <= 0 {
 		maxEntries = 64
 	}
-	if wire := (s.node.Options().MaxPayload - replHeaderLen) / wireEntryLen; maxEntries > wire {
-		maxEntries = wire
-	}
-	if maxEntries > maxWireReplEntries {
-		maxEntries = maxWireReplEntries
-	}
-	if maxEntries < 1 {
-		maxEntries = 1
-	}
-	return maxEntries, t.FlushDelay
+	return min(maxEntries, maxFrameEntries), s.Repl.flushDelay
 }
 
 // commitWait bounds one put's park on its group commit: worst case the
@@ -201,7 +195,7 @@ func (s *Service) replTuning() (maxEntries int, delay time.Duration) {
 // resolution path.
 func (s *Service) commitWait() time.Duration {
 	_, delay := s.replTuning()
-	return delay + time.Duration(replPipeDepth+2)*s.budget(s.ForwardBudget)
+	return delay + time.Duration(replPipeDepth+2)*s.fwdBudget
 }
 
 // stageCommit registers one put in the per-key pending index and
@@ -390,7 +384,7 @@ func (st *replStream) run() {
 			frame.add(op.key, op.val)
 		}
 		p, err := th.CallAsync(RPCReplicate, frame.payload(), core.CallOptions{
-			Budget:      s.budget(s.ForwardBudget),
+			Budget:      s.fwdBudget,
 			MaxAttempts: replBatchAttempts,
 		})
 		if err != nil {

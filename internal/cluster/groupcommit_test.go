@@ -161,7 +161,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	const writers = 8
 	lc := newGroupCommitCluster(t, 3, 4, 1, writers+2)
 	for _, svc := range lc.services {
-		svc.Repl = ReplTuning{FlushDelay: 50 * time.Millisecond}
+		svc.Repl = ReplTuning{flushDelay: 50 * time.Millisecond}
 	}
 	m := lc.coord.Map()
 	shard := 0
@@ -212,8 +212,8 @@ func TestGroupCommitBackupDeathMidBatch(t *testing.T) {
 	shard := 0
 	primary, backup := m.Owner(shard), m.BackupsOf(shard)[0]
 	for _, svc := range lc.services {
-		svc.Repl = ReplTuning{FlushDelay: 60 * time.Millisecond}
-		svc.ForwardBudget = 100 * time.Millisecond
+		svc.Repl = ReplTuning{flushDelay: 60 * time.Millisecond}
+		svc.fwdBudget = 100 * time.Millisecond
 	}
 	keys := shardKeys(m, shard, writers)
 	var wg sync.WaitGroup
@@ -247,7 +247,7 @@ func TestGroupCommitFlushDeadlineSingleWaiter(t *testing.T) {
 	const delay = 40 * time.Millisecond
 	lc := newGroupCommitCluster(t, 3, 4, 1, 4)
 	for _, svc := range lc.services {
-		svc.Repl = ReplTuning{FlushDelay: delay}
+		svc.Repl = ReplTuning{flushDelay: delay}
 	}
 	m := lc.coord.Map()
 	shard := 0
@@ -331,7 +331,7 @@ func TestReplicateTypedErrors(t *testing.T) {
 	fab := lc.nw.Fabric()
 	fab.SetLinkDown(primary, backup, true)
 	fab.SetLinkDown(backup, primary, true)
-	lc.services[primary].ForwardBudget = 50 * time.Millisecond
+	lc.services[primary].fwdBudget = 50 * time.Millisecond
 	err = commitTo(lc.services[primary], backup, newer.Epoch, shard, 2, 2)
 	if err == nil {
 		t.Fatal("commit to an unreachable backup succeeded")
@@ -359,9 +359,9 @@ func TestGroupCommitReadGate(t *testing.T) {
 	// have been held for a quarter of it.
 	const delay = 300 * time.Millisecond
 	lc := newGroupCommitCluster(t, 3, 4, 1, 6)
-	lc.router.CallBudget = 10 * delay // a put or a gated get takes the whole window
+	lc.router.callBudget = 10 * delay // a put or a gated get takes the whole window
 	for _, svc := range lc.services {
-		svc.Repl = ReplTuning{FlushDelay: delay}
+		svc.Repl = ReplTuning{flushDelay: delay}
 	}
 	m := lc.coord.Map()
 	shard := 0

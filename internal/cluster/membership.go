@@ -15,35 +15,26 @@ import (
 // one lightweight ping RPC per member per probe round, fed into a
 // per-member resilience.Detector. A drain pushback (ErrDraining) marks
 // the member draining rather than suspect — it is healthy, just
-// refusing work. State transitions fan out to an optional OnChange
-// callback, which is where a coordinator hangs rebalancing.
+// refusing work.
 //
 // Probing is pull-based and explicit: ProbeOnce runs one deterministic
 // round (tests drive it tick by tick), Start runs rounds on a ticker.
 type Membership struct {
 	r *Router
 
-	// ProbeTimeout bounds one ping (default 50ms). SuspectAfter /
-	// DeadAfter configure every member's detector (zero → detector
-	// defaults).
+	// ProbeTimeout bounds one ping (default 50ms).
 	ProbeTimeout time.Duration
-	SuspectAfter int
-	DeadAfter    int
 
-	// Clock is the timebase Start ticks on (nil → wall clock). Tests
-	// inject a SimClock so suspect/dead escalation runs on virtual time.
-	Clock Clock
-
-	// Probe, when set before probing starts, replaces the RPC ping
-	// transport for a single member probe. A nil return counts as
-	// healthy, core.ErrDraining as draining, any other error as a miss.
-	// Virtual-clock tests use it to script link state without paying the
-	// RPC deadline wait a downed fabric link costs.
-	Probe func(id fabric.NodeID) error
-
-	// OnChange, when set before probing starts, is called (outside
-	// Membership's lock) for every member state transition.
-	OnChange func(id fabric.NodeID, state resilience.MemberState)
+	// Test hooks, set before probing starts. clock is the timebase Start
+	// ticks on (a SimClock runs suspect/dead escalation on virtual time).
+	// probeFn, when non-nil, replaces the RPC ping for a single member
+	// probe — nil counts as healthy, core.ErrDraining as draining, any
+	// other error as a miss — so a test scripts link state without paying
+	// the RPC deadline a downed fabric link costs. onChange, when non-nil,
+	// is called (outside Membership's lock) for every state transition.
+	clock    Clock
+	probeFn  func(id fabric.NodeID) error
+	onChange func(id fabric.NodeID, state resilience.MemberState)
 
 	mu      sync.Mutex
 	dets    map[fabric.NodeID]*resilience.Detector
@@ -63,13 +54,14 @@ type Membership struct {
 func NewMembership(r *Router) *Membership {
 	m := &Membership{
 		r:        r,
+		clock:    wallClock{},
 		dets:     make(map[fabric.NodeID]*resilience.Detector),
 		threads:  make(map[fabric.NodeID]*core.Thread),
 		stop:     make(chan struct{}),
 		suspects: r.Node().Telemetry().Counter("cluster.member_suspects"),
 	}
 	for _, id := range r.Map().Members {
-		m.dets[id] = &resilience.Detector{SuspectAfter: m.SuspectAfter, DeadAfter: m.DeadAfter}
+		m.dets[id] = new(resilience.Detector)
 	}
 	r.Node().Telemetry().GaugeFunc("cluster.live_members", func() int64 {
 		n := int64(0)
@@ -141,11 +133,11 @@ func (m *Membership) pingThread(id fabric.NodeID) (*core.Thread, error) {
 	return th, nil
 }
 
-// probe runs one member's health check: the injected Probe transport
-// when set, otherwise one RPCPing under the probe deadline.
+// probe runs one member's health check: the injected probeFn when set,
+// otherwise one RPCPing under the probe deadline.
 func (m *Membership) probe(id fabric.NodeID) error {
-	if m.Probe != nil {
-		return m.Probe(id)
+	if m.probeFn != nil {
+		return m.probeFn(id)
 	}
 	th, err := m.pingThread(id)
 	if err != nil {
@@ -183,7 +175,7 @@ func (m *Membership) ProbeOnce() map[fabric.NodeID]resilience.MemberState {
 		m.mu.Lock()
 		d := m.dets[id]
 		if d == nil {
-			d = &resilience.Detector{SuspectAfter: m.SuspectAfter, DeadAfter: m.DeadAfter}
+			d = new(resilience.Detector)
 			m.dets[id] = d
 		}
 		prev := d.State()
@@ -205,21 +197,16 @@ func (m *Membership) ProbeOnce() map[fabric.NodeID]resilience.MemberState {
 		}
 	}
 	for _, c := range changes {
-		if m.OnChange != nil {
-			m.OnChange(c.id, c.state)
+		if m.onChange != nil {
+			m.onChange(c.id, c.state)
 		}
 	}
 	return out
 }
 
-// Start probes on the given interval until Stop, ticking on m.Clock
-// (wall clock when nil).
+// Start probes on the given interval until Stop.
 func (m *Membership) Start(interval time.Duration) {
-	clk := m.Clock
-	if clk == nil {
-		clk = wallClock{}
-	}
-	ticks, stopTicks := clk.Ticker(interval)
+	ticks, stopTicks := m.clock.Ticker(interval)
 	m.wg.Add(1)
 	go func() {
 		defer m.wg.Done()

@@ -66,14 +66,14 @@ func (p *scriptedProbe) probe(id fabric.NodeID) error {
 // and no further round can start before the next Advance. (The earlier
 // form advanced n+1 ticks to be sure n rounds had finished; between a
 // flip and the assertion after it 2 to 4 rounds could then miss, and 4 is
-// DeadAfter: "after 2 missed rounds: dead, want suspect", 2 of 40 runs
+// the dead threshold: "after 2 missed rounds: dead, want suspect", 2 of 40 runs
 // under -race on a loaded box.)
 func TestMembershipEscalatesOnVirtualClock(t *testing.T) {
 	lc := newLiveCluster(t, 3, 8, fabric.Config{})
 	probe := &scriptedProbe{down: map[fabric.NodeID]bool{}, drng: map[fabric.NodeID]bool{}, last: 2}
 	clk := NewSimClock()
-	lc.mems.Clock = clk
-	lc.mems.Probe = probe.probe
+	lc.mems.clock = clk
+	lc.mems.probeFn = probe.probe
 
 	const interval = 50 * time.Millisecond
 	advance := func(rounds int) {
@@ -131,12 +131,12 @@ func TestMembershipOnChangeVirtualClock(t *testing.T) {
 	lc := newLiveCluster(t, 2, 8, fabric.Config{})
 	probe := &scriptedProbe{down: map[fabric.NodeID]bool{}, drng: map[fabric.NodeID]bool{}}
 	clk := NewSimClock()
-	lc.mems.Clock = clk
-	lc.mems.Probe = probe.probe
+	lc.mems.clock = clk
+	lc.mems.probeFn = probe.probe
 
 	var mu sync.Mutex
 	transitions := []resilience.MemberState{}
-	lc.mems.OnChange = func(id fabric.NodeID, st resilience.MemberState) {
+	lc.mems.onChange = func(id fabric.NodeID, st resilience.MemberState) {
 		if id != 1 {
 			return
 		}

@@ -25,10 +25,9 @@ const maxRedirects = 10
 // routed by key through the current shard map. It self-corrects from
 // two signals — the epoch piggybacked on every OK reply (stale? fetch
 // the map) and StatusWrongShard NACKs (which carry the newer map
-// inline). Per-destination circuit breaking and budgeted retries come
-// from the underlying core connections (the client node's
-// BreakerThreshold / RetryMaxAttempts options apply per member conn);
-// the router adds placement awareness and the failure detector on top.
+// inline). Budgeted retries come from the underlying core connections
+// (the client node's RetryMaxAttempts option applies per member conn); the
+// router adds placement awareness and the failure detector on top.
 type Router struct {
 	node *core.Node
 
@@ -41,8 +40,8 @@ type Router struct {
 	memMu      sync.Mutex
 	membership *Membership
 
-	// CallBudget bounds one routed attempt (default 250ms).
-	CallBudget time.Duration
+	// callBudget bounds one routed attempt. Tests shorten it before traffic.
+	callBudget time.Duration
 
 	redirects *telemetry.Counter
 }
@@ -52,9 +51,10 @@ type Router struct {
 // that is down at construction does not fail the router.
 func NewRouter(node *core.Node, initial *ShardMap) *Router {
 	r := &Router{
-		node:      node,
-		conns:     make(map[fabric.NodeID]*core.Conn),
-		redirects: node.Telemetry().Counter("cluster.wrong_shard_redirects"),
+		node:       node,
+		conns:      make(map[fabric.NodeID]*core.Conn),
+		callBudget: 250 * time.Millisecond,
+		redirects:  node.Telemetry().Counter("cluster.wrong_shard_redirects"),
 	}
 	r.cur.Store(initial)
 	return r
@@ -126,13 +126,6 @@ func (r *Router) memberState(id fabric.NodeID) resilience.MemberState {
 	return m.State(id)
 }
 
-func (r *Router) callBudget() time.Duration {
-	if r.CallBudget > 0 {
-		return r.CallBudget
-	}
-	return 250 * time.Millisecond
-}
-
 // Close closes the router's member connections.
 func (r *Router) Close() {
 	r.mu.Lock()
@@ -197,7 +190,7 @@ func (rt *RouterThread) Call(rpcID uint32, key uint64, payload []byte) (core.Res
 			lastErr = err
 			continue
 		}
-		resp, err := th.CallWithDeadline(rpcID, payload, rt.r.callBudget())
+		resp, err := th.CallWithDeadline(rpcID, payload, rt.r.callBudget)
 		if err != nil {
 			rt.noteErr(owner, err)
 			lastErr = err
@@ -252,7 +245,7 @@ func (rt *RouterThread) refreshFrom(id fabric.NodeID) bool {
 	if err != nil {
 		return false
 	}
-	resp, err := th.CallWithDeadline(RPCMap, nil, rt.r.callBudget())
+	resp, err := th.CallWithDeadline(RPCMap, nil, rt.r.callBudget)
 	if err != nil {
 		rt.noteErr(id, err)
 		return false

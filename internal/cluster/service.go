@@ -39,9 +39,9 @@ type Service struct {
 	fwdMu sync.Mutex
 	fwd   map[fabric.NodeID]*fwdLink
 
-	// ForwardBudget bounds one frame to a backup, replication batch or
-	// snapshot alike. Zero means 250ms.
-	ForwardBudget time.Duration
+	// fwdBudget bounds one frame to a backup, replication batch or
+	// snapshot alike. Tests shorten it before traffic.
+	fwdBudget time.Duration
 
 	// ServiceDelay, when positive, makes every KV op consume that much
 	// wall-clock before it is served — an emulated per-op service cost
@@ -50,7 +50,7 @@ type Service struct {
 	ServiceDelay time.Duration
 
 	// Repl tunes the group-commit replication pipeline's flush policy. Set
-	// before traffic, like the budgets above; see ReplTuning.
+	// before traffic; see ReplTuning.
 	Repl ReplTuning
 
 	// streams holds the per-(shard, backup) replication logs and their
@@ -129,6 +129,7 @@ func NewService(node *core.Node, m *ShardMap, storeCap int) (*Service, error) {
 	}
 	s := &Service{
 		node:         node,
+		fwdBudget:    250 * time.Millisecond,
 		shards:       make([]*shardSlot, m.Shards),
 		fwd:          make(map[fabric.NodeID]*fwdLink),
 		streams:      make(map[streamKey]*replStream),
@@ -180,13 +181,6 @@ func (s *Service) InstallMap(m *ShardMap) bool {
 	}
 	s.cur.Store(m)
 	return true
-}
-
-func (s *Service) budget(d time.Duration) time.Duration {
-	if d > 0 {
-		return d
-	}
-	return 250 * time.Millisecond
 }
 
 func (s *Service) wrongShard(m *ShardMap) ([]byte, uint32) {
@@ -396,7 +390,7 @@ func (s *Service) CopyShardTo(shard int, to fabric.NodeID, deadline time.Time) e
 	if err != nil {
 		return err
 	}
-	maxEntries := min(256, (s.node.Options().MaxPayload-replHeaderLen)/wireEntryLen)
+	maxEntries := min(256, maxFrameEntries)
 	f := leaseReplFrame(0, shard, maxEntries)
 	defer f.release()
 	flush := func() error {
@@ -409,7 +403,7 @@ func (s *Service) CopyShardTo(shard int, to fabric.NodeID, deadline time.Time) e
 				return fmt.Errorf("cluster: shard %d copy abandoned: n%d is no longer its primary", shard, s.node.ID())
 			}
 			f.stampEpoch(m.Epoch)
-			resp, err := link.call(RPCReplicate, f.payload(), s.budget(s.ForwardBudget))
+			resp, err := link.call(RPCReplicate, f.payload(), s.fwdBudget)
 			if err = s.classifyReplicaResp(to, resp, err); err == nil {
 				f.reset()
 				return nil

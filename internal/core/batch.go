@@ -32,8 +32,11 @@ type BatchOp struct {
 // submission (node closing, submit deadline) come back as already-resolved
 // Pendings — SendBatch itself errors only when nothing was submitted.
 //
-// The batch counts against Options.PipelineDepth in full: SendBatch blocks
-// until the thread's pending-call table has room for len(ops) more.
+// The batch counts against the pipeline depth (DefaultPipelineDepth) in
+// full: SendBatch blocks until the thread's pending-call table has room for
+// len(ops) more. A batch larger than the depth itself is admitted once the
+// table is empty — the depth bounds what is in flight ahead of a batch, not
+// the size of one.
 func (t *Thread) SendBatch(ops []BatchOp, opts CallOptions) ([]*Pending, error) {
 	if len(ops) == 0 {
 		return nil, nil
@@ -41,7 +44,7 @@ func (t *Thread) SendBatch(ops []BatchOp, opts CallOptions) ([]*Pending, error) 
 	c := t.conn
 	o := &c.node.opts
 	for _, op := range ops {
-		if len(op.Payload) > o.MaxPayload {
+		if len(op.Payload) > o.test.maxPayload {
 			return nil, ErrPayloadTooLarge
 		}
 	}
@@ -173,15 +176,13 @@ func (t *Thread) batchNode(op BatchOp, p *Pending) *tcqNode {
 // leader protocol right here — its claimed siblings (ours included) get
 // their verdicts from that run. The stall guard matches awaitVerdict: a
 // node stuck waiting past StallTimeout with no progress anywhere in the
-// chain is abandoned via the waiting→timedOut CAS.
+// chain is abandoned via the waiting→timedOut CAS. Batch nodes are
+// leaderCopies, so no leader ever asks one to copy (stateCopy).
 func (c *Conn) awaitBatch(th *Thread, q *connQP, chain []*tcqNode) []uint32 {
 	verdicts := make([]uint32, len(chain))
 	resolved := 0
 	stall := c.node.opts.StallTimeout
-	var deadline time.Time
-	if stall > 0 {
-		deadline = time.Now().Add(stall)
-	}
+	deadline := time.Now().Add(stall)
 	spins := 0
 	for resolved < len(chain) {
 		progressed := false
@@ -198,18 +199,8 @@ func (c *Conn) awaitBatch(th *Thread, q *connQP, chain []*tcqNode) []uint32 {
 				verdicts[i] = c.lead(th, q, n)
 				resolved++
 				progressed = true
-			case stateCopy:
-				// Not reachable from leaders honouring leaderCopies; kept
-				// for protocol completeness so a copy request can never
-				// wedge the batch.
-				if len(n.payload) > 0 {
-					q.reqStaging.WriteAt(n.payload, n.bufOff) //nolint:errcheck // leader sized the slot
-				}
-				n.copied.Store(1)
-				n.state.CompareAndSwap(stateCopy, stateClaimed)
-				progressed = true
 			case stateWaiting:
-				if stall > 0 && spins%256 == 0 && time.Now().After(deadline) &&
+				if spins%256 == 0 && time.Now().After(deadline) &&
 					n.state.CompareAndSwap(stateWaiting, stateTimedOut) {
 					verdicts[i] = stateTimedOut
 					resolved++
@@ -221,9 +212,7 @@ func (c *Conn) awaitBatch(th *Thread, q *connQP, chain []*tcqNode) []uint32 {
 			}
 		}
 		if progressed {
-			if stall > 0 {
-				deadline = time.Now().Add(stall)
-			}
+			deadline = time.Now().Add(stall)
 		} else {
 			spins++
 			runtime.Gosched()

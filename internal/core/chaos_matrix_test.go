@@ -95,11 +95,10 @@ func TestChaosMatrix(t *testing.T) {
 		t.Run(fmt.Sprintf("%s/seed=%d", c.name, c.seed), func(t *testing.T) {
 			sOpts := Options{QPsPerConn: 2}
 			cOpts := Options{
-				QPsPerConn:    2,
-				RPCTimeout:    100 * time.Millisecond,
-				StallTimeout:  10 * time.Millisecond,
-				FlapThreshold: -1,
-				RCRetries:     3,
+				QPsPerConn:   2,
+				RPCTimeout:   100 * time.Millisecond,
+				StallTimeout: 10 * time.Millisecond,
+				test:         testKnobs{flapThreshold: -1, rcRetries: 3},
 			}
 			tc := newTestCluster(t, 1, sOpts, cOpts)
 			registerEcho(tc.server)

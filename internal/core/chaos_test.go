@@ -165,11 +165,10 @@ func kvDrive(t *testing.T, th *Thread, key, rounds uint64) uint64 {
 func TestChaosRetryExhaustionRecycles(t *testing.T) {
 	sOpts := Options{QPsPerConn: 2}
 	cOpts := Options{
-		QPsPerConn:    2,
-		RPCTimeout:    100 * time.Millisecond,
-		StallTimeout:  10 * time.Millisecond,
-		FlapThreshold: -1, // this plan tests recycling; never quarantine
-		RCRetries:     3,
+		QPsPerConn:   2,
+		RPCTimeout:   100 * time.Millisecond,
+		StallTimeout: 10 * time.Millisecond,
+		test:         testKnobs{flapThreshold: -1, rcRetries: 3}, // this plan tests recycling; never quarantine
 	}
 	tc := newTestCluster(t, 1, sOpts, cOpts)
 	registerEcho(tc.server)
@@ -353,11 +352,10 @@ func qpnOfQP(q *connQP) (int, bool) {
 func TestChaosLinkFlapQuarantine(t *testing.T) {
 	sOpts := Options{QPsPerConn: 2}
 	cOpts := Options{
-		QPsPerConn:    2,
-		RPCTimeout:    100 * time.Millisecond,
-		StallTimeout:  10 * time.Millisecond,
-		FlapThreshold: 2,
-		RCRetries:     2,
+		QPsPerConn:   2,
+		RPCTimeout:   100 * time.Millisecond,
+		StallTimeout: 10 * time.Millisecond,
+		test:         testKnobs{flapThreshold: 2, rcRetries: 2},
 	}
 	tc := newTestCluster(t, 1, sOpts, cOpts)
 	registerEcho(tc.server)
@@ -449,7 +447,7 @@ func TestChaosLinkFlapQuarantine(t *testing.T) {
 		callUntilOK(t, th, []byte(fmt.Sprintf("degraded-%04d", i)))
 	}
 	m := client.Metrics()
-	if m.QPRecycles < uint64(cOpts.FlapThreshold) {
-		t.Fatalf("expected %d recycles before quarantine, got %d", cOpts.FlapThreshold, m.QPRecycles)
+	if m.QPRecycles < uint64(cOpts.test.flapThreshold) {
+		t.Fatalf("expected %d recycles before quarantine, got %d", cOpts.test.flapThreshold, m.QPRecycles)
 	}
 }

@@ -86,7 +86,7 @@ type Conn struct {
 
 	// retryBudget is the connection-wide token bucket gating retries on
 	// the resilient call path; breaker is the per-remote circuit breaker,
-	// nil unless Options.BreakerThreshold enables it.
+	// nil unless testKnobs.breakerThreshold arms it.
 	retryBudget *resilience.Budget
 	breaker     *resilience.Breaker
 }
@@ -133,7 +133,7 @@ type connQP struct {
 	// all of the QP's state once the leaders and polling counters drain to
 	// zero. Clearing broken is the release edge that republishes the
 	// recycled state. disabled marks a QP quarantined for good after
-	// breaking more than Options.FlapThreshold times.
+	// breaking more than DefaultFlapThreshold times.
 	broken   atomic.Bool
 	disabled atomic.Bool
 	leaders  atomic.Int32 // threads currently inside the leader path
@@ -196,11 +196,10 @@ func (n *Node) Connect(remote fabric.NodeID) (*Conn, error) {
 		node:        n,
 		remote:      remote,
 		threads:     make(map[uint32]*Thread),
-		retryBudget: resilience.NewBudget(DefaultRetryBudgetRatio, n.opts.RetryBudgetBurst),
+		retryBudget: resilience.NewBudget(DefaultRetryBudgetRatio, n.opts.test.retryBudgetBurst),
 	}
-	if n.opts.BreakerThreshold > 0 {
-		c.breaker = resilience.NewBreaker(
-			n.opts.BreakerThreshold, n.opts.BreakerCooldown, DefaultBreakerProbes, nil)
+	if k := n.opts.test; k.breakerThreshold > 0 {
+		c.breaker = resilience.NewBreaker(k.breakerThreshold, k.breakerCooldown, DefaultBreakerProbes, nil)
 	}
 	args := connectArgs{clientNode: n.id}
 	for i := 0; i < n.opts.QPsPerConn; i++ {
@@ -246,11 +245,11 @@ func (n *Node) newConnQP(c *Conn, idx int) (*connQP, error) {
 	if err != nil {
 		return nil, err
 	}
-	staging, err := n.dev.RegisterMR(n.opts.RingBytes, 0)
+	staging, err := n.dev.RegisterMR(n.opts.test.ringBytes, 0)
 	if err != nil {
 		return nil, err
 	}
-	respRing, err := n.dev.RegisterMR(n.opts.RingBytes, rnic.PermRemoteWrite|rnic.PermRemoteRead)
+	respRing, err := n.dev.RegisterMR(n.opts.test.ringBytes, rnic.PermRemoteWrite|rnic.PermRemoteRead)
 	if err != nil {
 		return nil, err
 	}
@@ -275,8 +274,8 @@ func (n *Node) newConnQP(c *Conn, idx int) (*connQP, error) {
 		// series (the per-QP view Figure 10's analysis wants).
 		degHist: n.tel.Hist(fmt.Sprintf("conn%d.qp%d.coalesce_degree", c.remote, idx)),
 	}
-	q.prod = &ringProducer{staging: staging, size: n.opts.RingBytes}
-	q.respCons = newRingConsumer(respRing, 0, n.opts.RingBytes, ctrl, ctrlRespHeadOff)
+	q.prod = &ringProducer{staging: staging, size: n.opts.test.ringBytes}
+	q.respCons = newRingConsumer(respRing, 0, n.opts.test.ringBytes, ctrl, ctrlRespHeadOff)
 	// Bootstrap: C credits (§5.1), QP active.
 	ctrl.Store64(ctrlGrantedOff, uint64(n.opts.Credits))
 	ctrl.Store64(ctrlActiveOff, 1)
@@ -451,14 +450,14 @@ func (c *Conn) AttachNamed(name string) (*RemoteRegion, error) {
 // maxMsgBytes is the largest coalesced message the options permit; rings
 // must hold at least two of them.
 func (o Options) maxMsgBytes() int {
-	return headerBytes + o.MaxBatch*(itemMetaBytes+pad8(o.MaxPayload)) + trailerBytes
+	return headerBytes + o.MaxBatch*(itemMetaBytes+pad8(o.test.maxPayload)) + trailerBytes
 }
 
 // validate checks option consistency for ring geometry.
 func (o Options) validate() error {
-	if o.RingBytes < 2*o.maxMsgBytes() {
-		return fmt.Errorf("flock: RingBytes %d cannot hold two max messages (%d); raise RingBytes or lower MaxBatch/MaxPayload",
-			o.RingBytes, o.maxMsgBytes())
+	if o.test.ringBytes < 2*o.maxMsgBytes() {
+		return fmt.Errorf("flock: a %d-byte ring cannot hold two max messages (%d); lower MaxBatch",
+			o.test.ringBytes, o.maxMsgBytes())
 	}
 	return nil
 }

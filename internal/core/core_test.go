@@ -106,7 +106,7 @@ func TestRPCEmptyAndLargePayload(t *testing.T) {
 	}
 	resp.Release()
 
-	big := make([]byte, tc.clients[0].Options().MaxPayload)
+	big := make([]byte, tc.clients[0].Options().test.maxPayload)
 	for i := range big {
 		big[i] = byte(i * 31)
 	}
@@ -119,7 +119,7 @@ func TestRPCEmptyAndLargePayload(t *testing.T) {
 	}
 	resp.Release()
 
-	if _, err := th.SendRPC(echoID, make([]byte, tc.clients[0].Options().MaxPayload+1)); err != ErrPayloadTooLarge {
+	if _, err := th.SendRPC(echoID, make([]byte, tc.clients[0].Options().test.maxPayload+1)); err != ErrPayloadTooLarge {
 		t.Fatalf("oversized payload: %v", err)
 	}
 }
@@ -304,7 +304,7 @@ func TestCreditRenewalFlows(t *testing.T) {
 
 func TestRingWrapUnderLoad(t *testing.T) {
 	// A tiny ring forces constant wrapping and head-refresh traffic.
-	opts := Options{RingBytes: 8192, MaxPayload: 512, MaxBatch: 4, QPsPerConn: 1}
+	opts := Options{MaxBatch: 4, QPsPerConn: 1, test: testKnobs{ringBytes: 8192, maxPayload: 512}}
 	tc := newTestCluster(t, 1, opts, opts)
 	registerEcho(tc.server)
 	conn, _ := tc.clients[0].Connect(0)
@@ -326,8 +326,8 @@ func TestRingWrapUnderLoad(t *testing.T) {
 func TestQPSchedulerDeactivatesUnderBudget(t *testing.T) {
 	// 4 clients × 4 QPs = 16 QPs against MaxActiveQPs = 8: after traffic
 	// flows, the scheduler must keep at most 8 active.
-	sOpts := Options{MaxActiveQPs: 8, QPsPerConn: 4, SchedInterval: time.Millisecond, Credits: 8}
-	cOpts := Options{QPsPerConn: 4, SchedInterval: time.Millisecond, Credits: 8}
+	sOpts := Options{MaxActiveQPs: 8, QPsPerConn: 4, Credits: 8}
+	cOpts := Options{QPsPerConn: 4, Credits: 8}
 	tc := newTestCluster(t, 4, sOpts, cOpts)
 	registerEcho(tc.server)
 
@@ -381,8 +381,8 @@ func TestQPSchedulerDeactivatesUnderBudget(t *testing.T) {
 }
 
 func TestAllQPsStayActiveUnderThreshold(t *testing.T) {
-	sOpts := Options{MaxActiveQPs: 64, QPsPerConn: 4, SchedInterval: time.Millisecond}
-	tc := newTestCluster(t, 2, sOpts, Options{QPsPerConn: 4, SchedInterval: time.Millisecond})
+	sOpts := Options{MaxActiveQPs: 64, QPsPerConn: 4}
+	tc := newTestCluster(t, 2, sOpts, Options{QPsPerConn: 4})
 	registerEcho(tc.server)
 	conn, _ := tc.clients[0].Connect(0)
 	th := conn.RegisterThread()
@@ -616,38 +616,6 @@ func TestSelectiveSignalingReducesCompletions(t *testing.T) {
 	}
 	if st.CompletionsSuppressed < st.CompletionsDelivered {
 		t.Logf("suppressed=%d delivered=%d", st.CompletionsSuppressed, st.CompletionsDelivered)
-	}
-}
-
-func TestDisabledSchedulers(t *testing.T) {
-	opts := Options{
-		DisableQPSched:     true,
-		DisableThreadSched: true,
-		QPsPerConn:         2,
-		MaxActiveQPs:       1, // would deactivate if the scheduler ran
-		SchedInterval:      time.Millisecond,
-	}
-	tc := newTestCluster(t, 1, opts, opts)
-	registerEcho(tc.server)
-	conn, _ := tc.clients[0].Connect(0)
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			th := conn.RegisterThread()
-			for j := 0; j < 200; j++ {
-				if err := callDrop(th, echoID, []byte("x")); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	time.Sleep(10 * time.Millisecond)
-	if got := len(conn.ActiveQPs()); got != 2 {
-		t.Fatalf("%d active QPs with scheduling disabled, want 2", got)
 	}
 }
 

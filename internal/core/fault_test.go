@@ -21,18 +21,16 @@ func TestOptionsValidation(t *testing.T) {
 	defer nw.Close()
 	// A ring too small for two maximum messages must be rejected.
 	_, err := nw.NewNode(1, Options{
-		RingBytes:  4096,
-		MaxBatch:   16,
-		MaxPayload: 64 << 10,
+		MaxBatch: 16,
+		test:     testKnobs{ringBytes: 4096, maxPayload: 64 << 10},
 	}, 0)
 	if err == nil {
 		t.Fatal("undersized ring accepted")
 	}
 	// The same geometry works once MaxBatch/MaxPayload shrink.
 	if _, err := nw.NewNode(2, Options{
-		RingBytes:  4096,
-		MaxBatch:   2,
-		MaxPayload: 256,
+		MaxBatch: 2,
+		test:     testKnobs{ringBytes: 4096, maxPayload: 256},
 	}, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +98,7 @@ func TestRingGarbageIsNotConsumed(t *testing.T) {
 func TestDeactivatedQPDeclinesAndMigrates(t *testing.T) {
 	// Force-deactivate one of two QPs the way the scheduler does (control
 	// write) and verify threads migrate and traffic continues.
-	tc := newTestCluster(t, 1, Options{QPsPerConn: 2, DisableQPSched: true}, Options{QPsPerConn: 2})
+	tc := newTestCluster(t, 1, Options{QPsPerConn: 2}, Options{QPsPerConn: 2})
 	registerEcho(tc.server)
 	conn, _ := tc.clients[0].Connect(0)
 	th := conn.RegisterThread()
@@ -131,8 +129,8 @@ func TestSchedulerReactivatesWhenLoadShifts(t *testing.T) {
 	// Two clients over-budget: run heavy traffic from client A only, let
 	// the scheduler skew QPs toward it, then shift all load to client B
 	// and verify B's active share recovers.
-	sOpts := Options{MaxActiveQPs: 4, QPsPerConn: 3, SchedInterval: time.Millisecond, Credits: 8}
-	cOpts := Options{QPsPerConn: 3, SchedInterval: time.Millisecond, Credits: 8}
+	sOpts := Options{MaxActiveQPs: 4, QPsPerConn: 3, Credits: 8}
+	cOpts := Options{QPsPerConn: 3, Credits: 8}
 	tc := newTestCluster(t, 2, sOpts, cOpts)
 	registerEcho(tc.server)
 	connA, _ := tc.clients[0].Connect(0)
@@ -290,7 +288,7 @@ func TestStaleMemCompletionDropped(t *testing.T) {
 }
 
 func TestReadLargerThanScratch(t *testing.T) {
-	tc := newTestCluster(t, 1, Options{MaxPayload: 128}, Options{MaxPayload: 128})
+	tc := newTestCluster(t, 1, Options{test: testKnobs{maxPayload: 128}}, Options{test: testKnobs{maxPayload: 128}})
 	conn, _ := tc.clients[0].Connect(0)
 	th := conn.RegisterThread()
 	region, _ := conn.AttachMemRegion(4096)
@@ -307,11 +305,10 @@ func TestConnCloseRacesInflightRPCs(t *testing.T) {
 	// failure — and the node must accept a fresh connection afterwards.
 	sOpts := Options{QPsPerConn: 2}
 	cOpts := Options{
-		QPsPerConn:    2,
-		RPCTimeout:    50 * time.Millisecond,
-		StallTimeout:  5 * time.Millisecond,
-		FlapThreshold: -1,
-		RCRetries:     2,
+		QPsPerConn:   2,
+		RPCTimeout:   50 * time.Millisecond,
+		StallTimeout: 5 * time.Millisecond,
+		test:         testKnobs{flapThreshold: -1, rcRetries: 2},
 	}
 	tc := newTestCluster(t, 1, sOpts, cOpts)
 	registerEcho(tc.server)
@@ -390,12 +387,11 @@ func TestCreditRenewalSurvivesLoss(t *testing.T) {
 	// that were lost with the old QP.
 	sOpts := Options{QPsPerConn: 2, Credits: 4}
 	cOpts := Options{
-		QPsPerConn:    2,
-		Credits:       4,
-		RPCTimeout:    100 * time.Millisecond,
-		StallTimeout:  10 * time.Millisecond,
-		FlapThreshold: -1,
-		RCRetries:     3,
+		QPsPerConn:   2,
+		Credits:      4,
+		RPCTimeout:   100 * time.Millisecond,
+		StallTimeout: 10 * time.Millisecond,
+		test:         testKnobs{flapThreshold: -1, rcRetries: 3},
 	}
 	tc := newTestCluster(t, 1, sOpts, cOpts)
 	registerEcho(tc.server)

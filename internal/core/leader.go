@@ -51,6 +51,15 @@ func (c *Conn) lead(th *Thread, q *connQP, own *tcqNode) uint32 {
 	return verdict
 }
 
+// leaderCopyMax is the largest follower payload the leader copies into
+// staging itself. The copy handshake of §4.2 (assign the slot, wait for the
+// follower to fill it) lets followers copy in parallel, which pays for
+// payloads that take longer to copy than two cache lines take to change
+// hands; below that the handshake is the cost, and where threads outnumber
+// processors each half of it is a trip through the scheduler. 256 bytes is
+// about where RDMA stacks stop inlining a payload into the work request.
+const leaderCopyMax = 256
+
 // processBatch coalesces the batch into one message plus linked memory
 // work requests and posts everything with a single doorbell. It returns
 // the verdict that applies to every node in the batch.
@@ -124,11 +133,12 @@ func (c *Conn) processBatch(th *Thread, q *connQP, batch []*tcqNode) uint32 {
 			q.reqStaging.WriteAt(metaBuf[:], cursor) //nolint:errcheck // reserved span
 			n.bufOff = cursor + itemMetaBytes
 			cursor += itemSpace(len(n.payload))
-			if n == batch[0] || n.leaderCopies {
+			if n == batch[0] || n.leaderCopies || len(n.payload) <= leaderCopyMax {
 				// Our own node, or a batch-submission node whose submitter
 				// polls a whole chain at once: the leader copies the payload
 				// itself — asking such a node's owner to copy could be asking
-				// this very goroutine, which is busy leading.
+				// this very goroutine, which is busy leading. A small payload
+				// it copies too: see leaderCopyMax.
 				if len(n.payload) > 0 {
 					q.reqStaging.WriteAt(n.payload, n.bufOff) //nolint:errcheck
 				}
@@ -217,11 +227,7 @@ func (c *Conn) postFailure(q *connQP, err error) uint32 {
 // end died stops granting, and the only way out is breaking the QP so the
 // recycle re-bootstraps credits on both ends.
 func (c *Conn) awaitCredits(q *connQP, need int) uint32 {
-	stall := c.node.opts.StallTimeout
-	var deadline time.Time
-	if stall > 0 {
-		deadline = time.Now().Add(stall)
-	}
+	deadline := time.Now().Add(c.node.opts.StallTimeout)
 	spins := 0
 	for {
 		granted := q.granted()
@@ -242,12 +248,10 @@ func (c *Conn) awaitCredits(q *connQP, need int) uint32 {
 				return c.postFailure(q, err)
 			}
 		}
-		if stall > 0 {
-			spins++
-			if spins%256 == 0 && time.Now().After(deadline) {
-				c.noteLeaderStall(q)
-				return stateMigrate
-			}
+		spins++
+		if spins%256 == 0 && time.Now().After(deadline) {
+			c.noteLeaderStall(q)
+			return stateMigrate
 		}
 		runtime.Gosched()
 	}
@@ -259,11 +263,7 @@ func (c *Conn) awaitCredits(q *connQP, need int) uint32 {
 // hole the strictly-in-order server consumer can never pass, so a full
 // ring that never drains means the QP needs a recycle.
 func (c *Conn) awaitSpace(q *connQP, msgLen int) (reservation, uint32) {
-	stall := c.node.opts.StallTimeout
-	var deadline time.Time
-	if stall > 0 {
-		deadline = time.Now().Add(stall)
-	}
+	deadline := time.Now().Add(c.node.opts.StallTimeout)
 	spins := 0
 	for {
 		res, ok := q.prod.reserve(msgLen)
@@ -277,12 +277,10 @@ func (c *Conn) awaitSpace(q *connQP, msgLen int) (reservation, uint32) {
 			return res, stateMigrate
 		}
 		c.requestHeadRefresh(q)
-		if stall > 0 {
-			spins++
-			if spins%256 == 0 && time.Now().After(deadline) {
-				c.noteLeaderStall(q)
-				return res, stateMigrate
-			}
+		spins++
+		if spins%256 == 0 && time.Now().After(deadline) {
+			c.noteLeaderStall(q)
+			return res, stateMigrate
 		}
 		runtime.Gosched()
 	}

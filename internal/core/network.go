@@ -17,7 +17,7 @@ import (
 // Errors surfaced by the public API.
 var (
 	ErrClosed          = errors.New("flock: node closed")
-	ErrPayloadTooLarge = errors.New("flock: payload exceeds MaxPayload")
+	ErrPayloadTooLarge = errors.New("flock: payload exceeds the maximum payload size")
 	ErrNotServing      = errors.New("flock: remote node is not serving")
 	ErrNoSuchNode      = errors.New("flock: no such node")
 	ErrReadTooLarge    = errors.New("flock: read larger than thread scratch region")
@@ -151,7 +151,7 @@ func (nw *Network) NewNode(id fabric.NodeID, opts Options, nicCacheSize int) (*N
 		return nil, err
 	}
 	dev, err := rnic.NewDevice(nw.fab, rnic.Config{
-		Node: id, CacheSize: nicCacheSize, RCRetries: opts.RCRetries,
+		Node: id, CacheSize: nicCacheSize, RCRetries: opts.test.rcRetries,
 	})
 	if err != nil {
 		return nil, err
@@ -212,7 +212,7 @@ type NodeMetrics struct {
 	// and server role combined).
 	QPRecycles uint64
 	// QPQuarantines counts QPs permanently retired after flapping past
-	// Options.FlapThreshold.
+	// DefaultFlapThreshold.
 	QPQuarantines uint64
 	// RPCTimeouts counts per-attempt RPC deadline expiries observed by
 	// CallWithDeadline / Call-with-RPCTimeout.
@@ -232,7 +232,8 @@ type NodeMetrics struct {
 	Retries              uint64
 	RetryBudgetExhausted uint64
 	// Hedges counts hedged request copies sent; HedgesWon counts calls
-	// where the hedge's response arrived first.
+	// whose result was the hedge copy's response, the original still
+	// unanswered.
 	Hedges    uint64
 	HedgesWon uint64
 	// DedupHits counts retried requests answered from the idempotent
@@ -270,14 +271,6 @@ type Node struct {
 	// the node into graceful-drain mode (admit nothing, finish everything).
 	inflight atomic.Int64
 	draining atomic.Bool
-
-	// Drain lifecycle hooks: observers (cluster membership, placement
-	// layers) notified when the node enters drain mode and when Resume
-	// re-opens it. Guarded by hookMu; hooks run synchronously on the
-	// Drain/Resume caller's goroutine, outside the lock.
-	hookMu      sync.Mutex
-	drainHooks  []func()
-	resumeHooks []func()
 
 	// Server role.
 	schedRCQ *rnic.CQ
@@ -596,9 +589,7 @@ func (n *Node) Close() {
 // after it returns, Close is safe and instant, or Resume re-opens the
 // node for traffic.
 func (n *Node) Drain(ctx context.Context) error {
-	if !n.draining.Swap(true) {
-		n.runHooks(&n.drainHooks)
-	}
+	n.draining.Store(true)
 	var done <-chan struct{}
 	if ctx != nil {
 		done = ctx.Done()
@@ -624,41 +615,7 @@ func (n *Node) Drain(ctx context.Context) error {
 }
 
 // Resume takes the node out of drain mode; it admits traffic again.
-func (n *Node) Resume() {
-	if n.draining.Swap(false) {
-		n.runHooks(&n.resumeHooks)
-	}
-}
-
-// OnDrain registers fn to run when the node enters drain mode (the first
-// Drain call of a drain episode). Cluster layers use it to advertise a
-// planned decommission so routers steer around the node before its shards
-// move.
-func (n *Node) OnDrain(fn func()) {
-	n.hookMu.Lock()
-	n.drainHooks = append(n.drainHooks, fn)
-	n.hookMu.Unlock()
-}
-
-// OnResume registers fn to run when Resume re-opens a drained node —
-// the rejoin signal membership layers key the give-shards-back rebalance
-// off.
-func (n *Node) OnResume(fn func()) {
-	n.hookMu.Lock()
-	n.resumeHooks = append(n.resumeHooks, fn)
-	n.hookMu.Unlock()
-}
-
-// runHooks snapshots and runs one hook list outside the lock.
-func (n *Node) runHooks(hooks *[]func()) {
-	n.hookMu.Lock()
-	fns := make([]func(), len(*hooks))
-	copy(fns, *hooks)
-	n.hookMu.Unlock()
-	for _, fn := range fns {
-		fn()
-	}
-}
+func (n *Node) Resume() { n.draining.Store(false) }
 
 // Draining reports whether the node is in drain mode.
 func (n *Node) Draining() bool { return n.draining.Load() }

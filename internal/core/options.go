@@ -19,7 +19,12 @@ package core
 
 import "time"
 
-// Default parameter values; each mirrors the paper where it specifies one.
+// Parameter values. Four mirror the paper: DefaultCredits is C and
+// DefaultMaxActiveQPs is MAX_AQP (both §5.1), DefaultMaxBatch is the
+// "bounded number of buffers" a leader coalesces (§4.2), DefaultSignalEvery
+// is the selective-signaling period (§7). The paper gives no number for the
+// rest; they are this implementation's, and those without an Options field
+// are not configurable.
 const (
 	// DefaultCredits is C in §5.1: each sender starts with C credits per
 	// QP and requests C more after consuming half.
@@ -77,13 +82,14 @@ const (
 	DefaultRetryBudgetRatio = 0.1
 	DefaultRetryBudgetBurst = 16
 	// DefaultBreakerCooldown / DefaultBreakerProbes parameterize the
-	// per-connection circuit breaker once BreakerThreshold enables it.
+	// per-connection circuit breaker.
 	DefaultBreakerCooldown = 100 * time.Millisecond
 	DefaultBreakerProbes   = 1
 )
 
 // Options configures a Node. The zero value is usable: every field falls
-// back to the defaults above.
+// back to the defaults above. Every field has a setter in a tool, a bench
+// or an example (knobs_test.go in the repository root enforces it).
 type Options struct {
 	// QPsPerConn is how many RC QPs a connection handle creates toward a
 	// remote node — the multiplexing width. The paper sizes it to the
@@ -98,30 +104,15 @@ type Options struct {
 	// MaxBatch bounds leader coalescing. Default 16. Setting it to 1
 	// disables coalescing (the Figure 10 ablation).
 	MaxBatch int
-	// RingBytes sizes each ring buffer. Default 1 MiB.
-	RingBytes int
-	// MaxPayload bounds a single request or response payload. Default 16 KiB.
-	MaxPayload int
 	// SignalEvery is the selective-signaling period. 1 signals every
 	// message. Default 16.
 	SignalEvery int
-	// SchedInterval is the scheduling period for both schedulers.
-	// Default 2ms.
-	SchedInterval time.Duration
 	// Dispatchers is the number of server-side request dispatcher
 	// goroutines. Default 1.
 	Dispatchers int
 	// Workers is the size of the server-side RPC worker pool. Zero runs
 	// handlers inline on the dispatcher (the paper supports both, §4.3).
 	Workers int
-	// DisableThreadSched turns off sender-side thread scheduling
-	// (Figure 11 ablation): threads keep their initial round-robin QP.
-	DisableThreadSched bool
-	// DisableQPSched turns off receiver-side QP scheduling: all QPs stay
-	// active and credits are granted unconditionally.
-	DisableQPSched bool
-	// Seed seeds per-node RNGs (canary generation, initial placement).
-	Seed uint64
 	// RPCTimeout is the default per-call deadline Thread.Call applies.
 	// Zero disables deadlines (legacy unbounded waits);
 	// Thread.CallWithDeadline always applies its explicit budget.
@@ -129,18 +120,8 @@ type Options struct {
 	// StallTimeout bounds how long a combining leader waits for credits or
 	// ring space, and how long a follower waits for a leader verdict,
 	// before the stall guard recovers (breaking the QP or re-electing on
-	// another). Zero means DefaultStallTimeout; negative disables the
-	// guard entirely.
+	// another). Default DefaultStallTimeout.
 	StallTimeout time.Duration
-	// FlapThreshold is how many times one QP may break and be recycled
-	// before the connection quarantines it instead (graceful degradation
-	// for repeatedly flapping links). Zero means DefaultFlapThreshold;
-	// negative recycles forever.
-	FlapThreshold int
-	// RCRetries is the RC retransmission budget handed to the NIC. Zero
-	// uses the NIC default (7). Only matters when the fabric carries a
-	// fault plan; a clean fabric never retransmits.
-	RCRetries int
 	// Trace enables the node's RPC-lifecycle trace ring at construction.
 	// Disabled (the default), every trace probe on the hot path is a
 	// single atomic load.
@@ -155,48 +136,50 @@ type Options struct {
 	// handler work runs — a cheap NACK instead of unbounded queueing.
 	// Zero disables admission control (legacy behavior).
 	AdmissionLimit int
-	// DedupWindow sizes the per-inbound-connection idempotent-response
-	// cache: a retried RPC whose original already executed gets the cached
-	// response instead of running twice. Zero means DefaultDedupWindow;
-	// negative disables dedup (idempotency keys are then ignored).
-	DedupWindow int
 	// RetryMaxAttempts > 0 routes Thread.Call and CallWithDeadline through
 	// the resilient client path: idempotency-keyed requests retried up to
 	// this many attempts total on retryable failures (timeout, broken QP,
 	// overload pushback), gated by the retry budget. Zero keeps the
 	// single-attempt legacy path.
 	RetryMaxAttempts int
-	// RetryBaseBackoff is the attempt-0 backoff ceiling (full jitter).
-	// Zero means DefaultRetryBaseBackoff; negative disables backoff.
-	RetryBaseBackoff time.Duration
-	// RetryMaxBackoff caps the exponential backoff growth. Zero means
-	// DefaultRetryMaxBackoff.
-	RetryMaxBackoff time.Duration
-	// RetryBudgetBurst is the retry budget's bucket size (it starts full;
-	// each clean first attempt refills DefaultRetryBudgetRatio of a token).
-	// Zero means DefaultRetryBudgetBurst.
-	RetryBudgetBurst int
 	// HedgeDelay, when positive, arms hedged requests on the resilient
 	// path: if no response arrives within the delay, a second copy of the
 	// request (same idempotency key — dedup keeps it single-execution) is
-	// sent and the first response wins. Zero disables hedging.
+	// sent. Zero disables hedging.
 	HedgeDelay time.Duration
-	// BreakerThreshold enables the per-connection circuit breaker: after
-	// this many consecutive failures the breaker opens and calls fail
-	// fast with ErrCircuitOpen until a cooldown probe succeeds. Zero
-	// disables the breaker.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker waits before admitting
-	// DefaultBreakerProbes half-open trial requests. Zero means
-	// DefaultBreakerCooldown.
-	BreakerCooldown time.Duration
-	// PipelineDepth caps a thread's in-flight calls on the asynchronous
-	// path: CallAsync and SendBatch block while the pending-call table is
-	// at this depth, and SendRPC keeps at most this many calls waiting for
-	// RecvRes (one more cancels the oldest). Zero means
-	// DefaultPipelineDepth; negative disables the cap. Synchronous calls
-	// are unaffected (they hold at most a hedged pair in flight).
-	PipelineDepth int
+
+	// test is filled by this package's tests only; see testKnobs.
+	test testKnobs
+}
+
+// testKnobs are values no tool, bench or example sets, which the package's
+// own tests still need in order to reach a behaviour the default takes too
+// long to reach: a ring small enough to wrap, a QP that flaps into
+// quarantine after two breaks, a NIC that gives up after two retransmits.
+// Zero fields take the Default… constants above, so every node outside this
+// package's tests runs on exactly those.
+type testKnobs struct {
+	// ringBytes sizes each ring buffer; maxPayload bounds one request or
+	// response payload.
+	ringBytes, maxPayload int
+	// flapThreshold is how many times one QP may break and be recycled
+	// before the connection quarantines it; negative recycles forever.
+	flapThreshold int
+	// rcRetries is the RC retransmission budget handed to the NIC; zero
+	// keeps the NIC's own default.
+	rcRetries int
+	// retryBudgetBurst is the retry budget's bucket size (it starts full;
+	// each clean first attempt refills DefaultRetryBudgetRatio of a token).
+	retryBudgetBurst int
+	// breakerThreshold > 0 arms the per-connection circuit breaker: after
+	// that many consecutive failures calls fail fast with ErrCircuitOpen
+	// until a probe succeeds after breakerCooldown. Nothing outside the
+	// tests arms it (ROADMAP 5(a) holds the decision).
+	breakerThreshold int
+	breakerCooldown  time.Duration
+	// pipelineDepth caps a thread's in-flight calls on the asynchronous
+	// path.
+	pipelineDepth int
 }
 
 // withDefaults returns a copy of o with zero fields replaced by defaults.
@@ -213,17 +196,8 @@ func (o Options) withDefaults() Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = DefaultMaxBatch
 	}
-	if o.RingBytes <= 0 {
-		o.RingBytes = DefaultRingBytes
-	}
-	if o.MaxPayload <= 0 {
-		o.MaxPayload = DefaultMaxPayload
-	}
 	if o.SignalEvery <= 0 {
 		o.SignalEvery = DefaultSignalEvery
-	}
-	if o.SchedInterval <= 0 {
-		o.SchedInterval = DefaultSchedInterval
 	}
 	if o.Dispatchers <= 0 {
 		o.Dispatchers = 1
@@ -231,32 +205,30 @@ func (o Options) withDefaults() Options {
 	if o.Workers < 0 {
 		o.Workers = 0
 	}
-	if o.StallTimeout == 0 {
+	if o.StallTimeout <= 0 {
 		o.StallTimeout = DefaultStallTimeout
-	}
-	if o.FlapThreshold == 0 {
-		o.FlapThreshold = DefaultFlapThreshold
 	}
 	if o.TraceSample <= 0 {
 		o.TraceSample = DefaultTraceSample
 	}
-	if o.DedupWindow == 0 {
-		o.DedupWindow = DefaultDedupWindow
+	k := &o.test
+	if k.ringBytes <= 0 {
+		k.ringBytes = DefaultRingBytes
 	}
-	if o.RetryBaseBackoff == 0 {
-		o.RetryBaseBackoff = DefaultRetryBaseBackoff
+	if k.maxPayload <= 0 {
+		k.maxPayload = DefaultMaxPayload
 	}
-	if o.RetryMaxBackoff == 0 {
-		o.RetryMaxBackoff = DefaultRetryMaxBackoff
+	if k.flapThreshold == 0 {
+		k.flapThreshold = DefaultFlapThreshold
 	}
-	if o.RetryBudgetBurst == 0 {
-		o.RetryBudgetBurst = DefaultRetryBudgetBurst
+	if k.retryBudgetBurst <= 0 {
+		k.retryBudgetBurst = DefaultRetryBudgetBurst
 	}
-	if o.BreakerCooldown == 0 {
-		o.BreakerCooldown = DefaultBreakerCooldown
+	if k.breakerCooldown <= 0 {
+		k.breakerCooldown = DefaultBreakerCooldown
 	}
-	if o.PipelineDepth == 0 {
-		o.PipelineDepth = DefaultPipelineDepth
+	if k.pipelineDepth <= 0 {
+		k.pipelineDepth = DefaultPipelineDepth
 	}
 	return o
 }

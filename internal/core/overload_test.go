@@ -160,17 +160,52 @@ func TestDedupSingleExecution(t *testing.T) {
 	}
 }
 
-// TestHedgedRequestWins arms a hedge against a laggy first copy: with the
-// dedup window disabled both copies execute, the fast hedge's response
-// wins the race, and the straggler is dropped as stale. The hedge metrics
-// must record exactly one hedge sent and won.
+// TestKeyOnlyWhenPlanCanDuplicate: a one-attempt, unhedged plan can never
+// put a second copy of its request on the wire, so it carries no
+// idempotency key and the server's dedup window stays empty; a plan that may
+// retry is keyed and leaves its entry.
+func TestKeyOnlyWhenPlanCanDuplicate(t *testing.T) {
+	tc := newTestCluster(t, 1, Options{}, Options{})
+	registerEcho(tc.server)
+	conn, err := tc.clients[0].Connect(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := conn.RegisterThread()
+	window := tc.server.snapshotSconns()[0].dedup
+	for _, c := range []struct {
+		opts CallOptions
+		want int
+	}{
+		{CallOptions{}, 0},
+		{CallOptions{MaxAttempts: 2}, 1},
+	} {
+		p, err := th.CallAsync(echoID, []byte("keyed?"), c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := p.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Release()
+		if got := window.Len(); got != c.want {
+			t.Fatalf("dedup window holds %d entries after CallAsync(%+v), want %d", got, c.opts, c.want)
+		}
+	}
+}
+
+// TestHedgedRequestWins arms a hedge against a laggy first copy. The dedup
+// window finds the original still executing and turns the hedge copy away
+// with a pushback; that retires the hedge copy only, and the call returns
+// the original's response: one execution, one hedge sent, none won.
 func TestHedgedRequestWins(t *testing.T) {
 	const laggyID = 12
 	var calls atomic.Uint64
-	tc := newTestCluster(t, 1, Options{Workers: 2, DedupWindow: -1}, Options{})
+	tc := newTestCluster(t, 1, Options{Workers: 2}, Options{})
 	tc.server.RegisterHandler(laggyID, func(req []byte) []byte {
 		if calls.Add(1) == 1 {
-			time.Sleep(40 * time.Millisecond) // only the first copy is slow
+			time.Sleep(40 * time.Millisecond) // a second execution would be fast
 		}
 		out := make([]byte, len(req))
 		copy(out, req)
@@ -194,16 +229,11 @@ func TestHedgedRequestWins(t *testing.T) {
 		t.Fatalf("hedged echo mismatch: %q != %q", r.Data, payload)
 	}
 	r.Release()
-	if m := tc.clients[0].Metrics(); m.Hedges != 1 || m.HedgesWon != 1 {
-		t.Fatalf("hedges=%d won=%d, want 1/1", m.Hedges, m.HedgesWon)
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("handler executed %d times, want exactly 1", n)
 	}
-
-	// Let the straggler's response arrive behind a plain call — the
-	// dispatcher drops it as stale — so the lease is back in the pool
-	// before the leak gate runs.
-	waitFor(t, "straggler response delivery", func() bool { return th.Outstanding() == 0 })
-	if err := callDrop(th, laggyID, []byte("sweep")); err != nil {
-		t.Fatalf("sweep call: %v", err)
+	if m := tc.clients[0].Metrics(); m.Hedges != 1 || m.HedgesWon != 0 {
+		t.Fatalf("hedges=%d won=%d, want 1/0", m.Hedges, m.HedgesWon)
 	}
 }
 
@@ -337,9 +367,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	cOpts := Options{
 		RetryMaxAttempts: 1,
 		RPCTimeout:       20 * time.Millisecond,
-		BreakerThreshold: 2,
-		BreakerCooldown:  100 * time.Millisecond,
-		FlapThreshold:    -1, // timeouts may break QPs; recycle, never retire
+		test:             testKnobs{breakerThreshold: 2, breakerCooldown: 100 * time.Millisecond, flapThreshold: -1}, // timeouts may break QPs; recycle, never retire
 	}
 	tc := newTestCluster(t, 1, Options{Workers: 1}, cOpts)
 	tc.server.RegisterHandler(flakyID, func(req []byte) []byte {
@@ -405,9 +433,7 @@ func TestOverloadChaos(t *testing.T) {
 	cOpts := Options{
 		RetryMaxAttempts: 6,
 		RPCTimeout:       250 * time.Millisecond,
-		RetryBaseBackoff: 100 * time.Microsecond,
-		RetryMaxBackoff:  2 * time.Millisecond,
-		FlapThreshold:    -1, // loss may break QPs; recycle, never retire
+		test:             testKnobs{flapThreshold: -1}, // loss may break QPs; recycle, never retire
 	}
 	tc := newTestCluster(t, 2, sOpts, cOpts)
 	registerEcho(tc.server)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -279,7 +280,7 @@ func (t *Thread) newPending(p *Pending, rpcID uint32, payload []byte, opts CallO
 	c := t.conn
 	o := &c.node.opts
 	*p = Pending{t: t, rpcID: rpcID, payload: payload, size: len(payload), resilient: resilient}
-	if len(payload) > o.MaxPayload {
+	if len(payload) > o.test.maxPayload {
 		p.fail(ErrPayloadTooLarge)
 		return ErrPayloadTooLarge
 	}
@@ -299,8 +300,13 @@ func (t *Thread) newPending(p *Pending, rpcID uint32, payload []byte, opts CallO
 		if p.hedge == 0 {
 			p.hedge = o.HedgeDelay
 		}
-		t.idemSeq++
-		p.idemKey = t.idemSeq
+		if p.attempts > 1 || p.hedge > 0 {
+			// Only a plan that can put a second copy of the request on the
+			// wire needs the server to recognise one: a one-attempt,
+			// unhedged call goes keyless and costs the dedup window nothing.
+			t.idemSeq++
+			p.idemKey = t.idemSeq
+		}
 		if p.attempts > 1 {
 			// The bounded per-attempt wait exists to drive resubmission (and
 			// strike dead server ends). A single-attempt plan with no budget
@@ -453,6 +459,29 @@ func (p *Pending) armAttempt() {
 	p.phase = pendInflight
 }
 
+// yieldEvery is how many responses in a row a thread may collect without
+// parking before it yields the processor once. A thread whose window is
+// deep enough that every wait finds its response already delivered never
+// enters the Go scheduler, so with fewer processors than busy goroutines it
+// keeps its P for a whole preemption quantum (10 ms) while the threads
+// queued behind it, and their calls in flight, stand still. The paper gives
+// each thread a core; this is what stands in for that. Measured on two
+// processors with two threads of window 8 on one QP (EXPERIMENTS.md, PR 17):
+// unbounded, a run's 100 ms windows split between a 70 us and a 35 us median
+// (one thread running alone, the other starved, p99 in the milliseconds) in
+// shares that differ from run to run; 4, 8 and 16 give one mode; 2 and 32
+// give two again.
+const yieldEvery = 8
+
+// noteUnparked counts a response collected without parking and yields once
+// every yieldEvery of them; parking resets the count.
+func (t *Thread) noteUnparked() {
+	if t.unparked++; t.unparked >= yieldEvery {
+		t.unparked = 0
+		runtime.Gosched()
+	}
+}
+
 // awaitAttempt waits for the in-flight attempt to resolve: a completion
 // token on either copy, the hedge arm point, or the attempt deadline. It
 // returns false when nothing is ready and block is false.
@@ -467,23 +496,23 @@ func (p *Pending) awaitAttempt(block bool) bool {
 		if !p.hedgeAt.IsZero() && (wake.IsZero() || p.hedgeAt.Before(wake)) {
 			wake = p.hedgeAt
 		}
-		if !block || !wake.IsZero() {
-			// A token already there beats a wake time already past (and
-			// spares arming the timer). An unbounded blocking wait has no
-			// such race: its select below takes the token just the same.
-			select {
-			case <-p.rec.ch:
-				return p.onToken(false)
-			case <-bch:
-				return p.onToken(true)
-			default:
-			}
+		// A token already there is collected without parking; it also beats
+		// a wake time already past and spares arming the timer.
+		select {
+		case <-p.rec.ch:
+			t.noteUnparked()
+			return p.onToken(false)
+		case <-bch:
+			t.noteUnparked()
+			return p.onToken(true)
+		default:
 		}
 		if !block {
 			if wake.IsZero() || time.Now().Before(wake) {
 				return false
 			}
 		} else if wake.IsZero() {
+			t.unparked = 0
 			select {
 			case <-p.rec.ch:
 				return p.onToken(false)
@@ -493,6 +522,7 @@ func (p *Pending) awaitAttempt(block bool) bool {
 				return p.onClosed()
 			}
 		} else {
+			t.unparked = 0
 			if p.timer == nil {
 				p.timer = time.NewTimer(time.Until(wake))
 			} else {
@@ -591,12 +621,17 @@ func (p *Pending) onToken(hedged bool) bool {
 		p.fail(r.err)
 		return true
 	}
-	if hedged {
-		c.node.metrics.hedgesWon.Add(1)
-	}
 	if perr := pushbackErr(r.Status); perr != nil {
 		r.Release()
-		p.abandonAttempts()
+		if !hedged {
+			p.rec, p.recB = p.recB, nil // a hedge copy in flight carries on as the attempt
+		}
+		if p.rec != nil {
+			// One copy of a hedged pair was pushed back while its twin is
+			// still in flight — the dedup window turns away the copy that
+			// finds the other executing. Only that copy is retired.
+			return true
+		}
 		if p.resilient && perr == ErrOverloaded {
 			// Admission pushback is retryable on the resilient plan; the
 			// breaker must not count it — the server is alive and shedding.
@@ -608,6 +643,9 @@ func (p *Pending) onToken(hedged bool) bool {
 	// Success. The losing hedge copy (or primary) is abandoned; its late
 	// response is dropped as stale.
 	p.abandonAttempts()
+	if hedged {
+		c.node.metrics.hedgesWon.Add(1)
+	}
 	if cur := t.curQP.Load(); cur >= 0 && int(cur) < len(c.qps) {
 		c.qps[cur].timeouts.Store(0) // healthy again
 	}
@@ -662,8 +700,7 @@ func (p *Pending) attemptFailed(err error) bool {
 			return true
 		}
 		c.node.metrics.retries.Add(1)
-		o := &c.node.opts
-		backoff := resilience.Backoff{Base: o.RetryBaseBackoff, Cap: o.RetryMaxBackoff}
+		backoff := resilience.Backoff{Base: DefaultRetryBaseBackoff, Cap: DefaultRetryMaxBackoff}
 		if d := backoff.Delay(p.attempt, t.rng); d > 0 {
 			if !p.deadline.IsZero() {
 				if remain := time.Until(p.deadline); d > remain {

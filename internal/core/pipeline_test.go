@@ -98,7 +98,7 @@ func TestSendRecvAdapter(t *testing.T) {
 		},
 		{
 			name: "overflow-cancels-oldest",
-			opts: Options{PipelineDepth: 2},
+			opts: Options{test: testKnobs{pipelineDepth: 2}},
 			run: func(t *testing.T, tc *testCluster, th *Thread, gate chan struct{}) {
 				send(t, th, echoID, "evicted")
 				waitFor(t, "the first response (and its lease) to arrive", func() bool { return th.Outstanding() == 0 })
@@ -195,6 +195,61 @@ func TestCallAsyncUnboundedWaitsOut(t *testing.T) {
 	r.Release()
 }
 
+// TestUnparkedRunYields pins the fairness rule of awaitAttempt: a response
+// collected without parking is counted, yieldEvery of them in a row start
+// the count over (the thread yielded), and so does a wait that parks.
+func TestUnparkedRunYields(t *testing.T) {
+	const slowID = 24
+	tc := newTestCluster(t, 1, Options{}, Options{})
+	registerEcho(tc.server)
+	tc.server.RegisterHandler(slowID, func(req []byte) []byte {
+		time.Sleep(2 * time.Millisecond)
+		return nil
+	})
+	conn, err := tc.clients[0].Connect(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := conn.RegisterThread()
+	ps := make([]*Pending, yieldEvery+1)
+	for i := range ps {
+		if ps[i], err = th.CallAsync(echoID, []byte("x"), CallOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for _, p := range ps {
+		for len(p.rec.ch) == 0 { // delivered = the record's token is in its channel
+			if time.Now().After(deadline) {
+				t.Fatal("responses not delivered")
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+	for i, p := range ps {
+		r, err := p.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Release()
+		if want := (i + 1) % yieldEvery; th.unparked != want {
+			t.Fatalf("after %d ready responses the count is %d, want %d", i+1, th.unparked, want)
+		}
+	}
+	p, err := th.CallAsync(slowID, nil, CallOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := p.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Release()
+	if th.unparked != 0 {
+		t.Fatalf("a wait that parked left the count at %d", th.unparked)
+	}
+}
+
 // TestOverloadAbandonAccountingRace is the lost-decrement regression: QP
 // poisoning (failInflight) racing deadline-abandoned attempts must leave
 // the pending-call table at exactly zero. Under the old per-thread
@@ -203,7 +258,7 @@ func TestCallAsyncUnboundedWaitsOut(t *testing.T) {
 // Outstanding above zero forever.
 func TestOverloadAbandonAccountingRace(t *testing.T) {
 	const slowID = 21
-	tc := newTestCluster(t, 1, Options{Workers: 2}, Options{QPsPerConn: 2, FlapThreshold: -1})
+	tc := newTestCluster(t, 1, Options{Workers: 2}, Options{QPsPerConn: 2, test: testKnobs{flapThreshold: -1}})
 	registerEcho(tc.server)
 	tc.server.RegisterHandler(slowID, func(req []byte) []byte {
 		time.Sleep(500 * time.Microsecond)
@@ -283,9 +338,7 @@ func TestCallInterleavesWithAsync(t *testing.T) {
 	cOpts := Options{
 		RetryMaxAttempts: 6,
 		RPCTimeout:       250 * time.Millisecond,
-		RetryBaseBackoff: 100 * time.Microsecond,
-		RetryMaxBackoff:  2 * time.Millisecond,
-		FlapThreshold:    -1, // loss may break QPs; recycle, never retire
+		test:             testKnobs{flapThreshold: -1}, // loss may break QPs; recycle, never retire
 	}
 	tc := newTestCluster(t, 1, sOpts, cOpts)
 	registerEcho(tc.server)
@@ -371,10 +424,7 @@ func TestDedupAsyncRetrySingleExecution(t *testing.T) {
 		// window between first-attempt expiry and first-execution completion
 		// can fit.
 		RetryMaxAttempts: 64,
-		RetryBudgetBurst: 64,
-		RetryBaseBackoff: 2 * time.Millisecond,
-		RetryMaxBackoff:  10 * time.Millisecond,
-		FlapThreshold:    -1,
+		test:             testKnobs{retryBudgetBurst: 64, flapThreshold: -1},
 	}
 	tc := newTestCluster(t, 1, Options{Workers: 2}, cOpts)
 	tc.server.RegisterHandler(countID, func(req []byte) []byte {
@@ -419,16 +469,17 @@ func TestDedupAsyncRetrySingleExecution(t *testing.T) {
 }
 
 // TestHedgedAsyncWins is the async parity check for hedging: a CallAsync
-// armed with a hedge delay against a laggy first copy must resolve with
-// the fast hedge's response and count the win, identically to the
+// armed with a hedge delay against a laggy first copy survives the dedup
+// window's pushback on the hedge copy and resolves with the original's
+// response — one execution, one hedge sent, none won — identically to the
 // synchronous CallOpts path.
 func TestHedgedAsyncWins(t *testing.T) {
 	const laggyID = 23
 	var calls atomic.Uint64
-	tc := newTestCluster(t, 1, Options{Workers: 2, DedupWindow: -1}, Options{})
+	tc := newTestCluster(t, 1, Options{Workers: 2}, Options{})
 	tc.server.RegisterHandler(laggyID, func(req []byte) []byte {
 		if calls.Add(1) == 1 {
-			time.Sleep(40 * time.Millisecond) // only the first copy is slow
+			time.Sleep(40 * time.Millisecond) // a second execution would be fast
 		}
 		out := make([]byte, len(req))
 		copy(out, req)
@@ -456,12 +507,12 @@ func TestHedgedAsyncWins(t *testing.T) {
 		t.Fatalf("hedged echo mismatch: %q != %q", r.Data, payload)
 	}
 	r.Release()
-	if m := tc.clients[0].Metrics(); m.Hedges != 1 || m.HedgesWon != 1 {
-		t.Fatalf("hedges=%d won=%d, want 1/1", m.Hedges, m.HedgesWon)
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("handler executed %d times, want exactly 1", n)
 	}
-	// The straggler's record was abandoned with the hedge win; its late
-	// response is dropped at the dispatcher with the lease released.
-	waitFor(t, "straggler response drop", func() bool { return th.Outstanding() == 0 })
+	if m := tc.clients[0].Metrics(); m.Hedges != 1 || m.HedgesWon != 0 {
+		t.Fatalf("hedges=%d won=%d, want 1/0", m.Hedges, m.HedgesWon)
+	}
 }
 
 // TestBreakerRefusesAsync trips the circuit breaker via the synchronous
@@ -473,9 +524,7 @@ func TestBreakerRefusesAsync(t *testing.T) {
 	cOpts := Options{
 		RetryMaxAttempts: 1,
 		RPCTimeout:       20 * time.Millisecond,
-		BreakerThreshold: 2,
-		BreakerCooldown:  10 * time.Second, // stays open for the whole test
-		FlapThreshold:    -1,
+		test:             testKnobs{breakerThreshold: 2, breakerCooldown: 10 * time.Second, flapThreshold: -1}, // stays open for the whole test
 	}
 	tc := newTestCluster(t, 1, Options{Workers: 1}, cOpts)
 	tc.server.RegisterHandler(flakyID, func(req []byte) []byte {
@@ -563,9 +612,7 @@ func TestSendBatchUnderChaos(t *testing.T) {
 	cOpts := Options{
 		RetryMaxAttempts: 6,
 		RPCTimeout:       250 * time.Millisecond,
-		RetryBaseBackoff: 100 * time.Microsecond,
-		RetryMaxBackoff:  2 * time.Millisecond,
-		FlapThreshold:    -1,
+		test:             testKnobs{flapThreshold: -1},
 	}
 	tc := newTestCluster(t, 1, Options{Workers: 4}, cOpts)
 	registerEcho(tc.server)
@@ -649,13 +696,52 @@ func TestDrainRefusesBatch(t *testing.T) {
 	r.Release()
 }
 
+// TestSendBatchLargerThanDepth: a batch with more ops than the pipeline
+// depth is admitted once the table is empty — waiting for room for all of
+// it would wait for something no completion can bring about.
+func TestSendBatchLargerThanDepth(t *testing.T) {
+	tc := newTestCluster(t, 1, Options{}, Options{test: testKnobs{pipelineDepth: 4}})
+	registerEcho(tc.server)
+	conn, err := tc.clients[0].Connect(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := conn.RegisterThread()
+	ops := make([]BatchOp, 5)
+	for i := range ops {
+		ops[i] = BatchOp{RPCID: echoID, Payload: []byte(fmt.Sprintf("big-%d", i))}
+	}
+	var pends []*Pending
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		pends, err = th.SendBatch(ops, CallOptions{})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("SendBatch of 5 ops against a pipeline depth of 4 never returned")
+	}
+	for i, p := range pends {
+		r, err := p.Wait()
+		if err != nil || !bytes.Equal(r.Data, ops[i].Payload) {
+			t.Fatalf("op %d: %v %q", i, err, r.Data)
+		}
+		r.Release()
+	}
+}
+
 // TestPipelineDepthGate pins the backpressure contract: with
-// Options.PipelineDepth set, the N+1th CallAsync blocks until an earlier
+// the pipeline depth set, the N+1th CallAsync blocks until an earlier
 // record completes, instead of growing the table without bound.
 func TestPipelineDepthGate(t *testing.T) {
 	const gateID = 25
 	release := make(chan struct{})
-	tc := newTestCluster(t, 1, Options{Workers: 8}, Options{PipelineDepth: 4})
+	tc := newTestCluster(t, 1, Options{Workers: 8}, Options{test: testKnobs{pipelineDepth: 4}})
 	tc.server.RegisterHandler(gateID, func(req []byte) []byte {
 		<-release
 		out := make([]byte, len(req))

@@ -17,7 +17,7 @@ import (
 // qpScheduler is the scheduler main loop.
 func (n *Node) qpScheduler() {
 	defer n.wg.Done()
-	ticker := time.NewTicker(n.opts.SchedInterval)
+	ticker := time.NewTicker(DefaultSchedInterval)
 	defer ticker.Stop()
 	var cqBuf [64]rnic.Completion
 	idle := 0
@@ -53,10 +53,10 @@ func (n *Node) qpScheduler() {
 }
 
 // handleRenewal processes one credit-renewal write-imm: record the
-// reported coalescing degree as QP utilization and, if the QP is active
-// (or scheduling is disabled), grant C more credits by writing the new
-// total into the client's control region. Declining — not granting — is
-// how the scheduler deactivates load from a QP (§5.1).
+// reported coalescing degree as QP utilization and, if the QP is active,
+// grant C more credits by writing the new total into the client's control
+// region. Declining — not granting — is how the scheduler deactivates load
+// from a QP (§5.1).
 func (n *Node) handleRenewal(sqp *serverQP, degree uint32) {
 	if !sqp.enter() {
 		return // under recycle; the renewal rides on a dead QP anyway
@@ -70,7 +70,7 @@ func (n *Node) handleRenewal(sqp *serverQP, degree uint32) {
 	if sqp.quarantined.Load() {
 		return // permanently declined
 	}
-	if !sqp.active.Load() && !n.opts.DisableQPSched {
+	if !sqp.active.Load() {
 		return // declined
 	}
 	grant := uint64(n.opts.Credits)
@@ -106,9 +106,6 @@ func (n *Node) writeClientCtrl(sqp *serverQP, off int, val uint64) {
 // activation changes by writing the per-QP active flags into client
 // control regions.
 func (n *Node) redistribute() {
-	if n.opts.DisableQPSched {
-		return
-	}
 	sconns := n.snapshotSconns()
 	if len(sconns) == 0 {
 		return

@@ -15,7 +15,7 @@ import (
 // queued on the devices) and re-created, the rings are zeroed, and the
 // credit state is re-bootstrapped. The memory regions and rkeys survive the
 // recycle; only the queue pairs and the ring positions are new. A QP that
-// breaks more than Options.FlapThreshold times is quarantined instead —
+// breaks more than DefaultFlapThreshold times is quarantined instead —
 // permanently retired so the thread scheduler and the receiver-side QP
 // scheduler redistribute its load (graceful degradation).
 //
@@ -104,7 +104,7 @@ func (c *Conn) noteLeaderStall(q *connQP) {
 func (c *Conn) recycleQP(q *connQP) {
 	n := c.node
 	defer n.wg.Done()
-	if strikes := int(q.breaks.Add(1)); n.opts.FlapThreshold > 0 && strikes > n.opts.FlapThreshold {
+	if strikes, flap := int(q.breaks.Add(1)), n.opts.test.flapThreshold; flap > 0 && strikes > flap {
 		c.quarantine(q)
 		return
 	}
@@ -170,11 +170,12 @@ func (c *Conn) recycleQP(q *connQP) {
 	q.broken.Store(false)
 }
 
-// quarantine permanently retires a QP that broke more than FlapThreshold
-// times. The broken flag stays set (the dispatcher keeps skipping it) and
-// disabled makes the retirement stick through active(). The server end is
-// told so its scheduler stops granting and redistributes the active-QP
-// budget. If no usable QP remains the connection is failed.
+// quarantine permanently retires a QP that broke more than
+// DefaultFlapThreshold times. The broken flag stays set (the dispatcher
+// keeps skipping it) and disabled makes the retirement stick through
+// active(). The server end is told so its scheduler stops granting and
+// redistributes the active-QP budget. If no usable QP remains the
+// connection is failed.
 func (c *Conn) quarantine(q *connQP) {
 	q.disabled.Store(true)
 	c.node.metrics.quarantines.Add(1)

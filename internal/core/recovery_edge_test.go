@@ -33,11 +33,10 @@ func TestRecoveryEdgeCases(t *testing.T) {
 			// still complete after migration/retry.
 			name: "qp-recycle-races-leader-handoff",
 			opts: Options{
-				QPsPerConn:    2,
-				RPCTimeout:    100 * time.Millisecond,
-				StallTimeout:  10 * time.Millisecond,
-				FlapThreshold: -1,
-				RCRetries:     2,
+				QPsPerConn:   2,
+				RPCTimeout:   100 * time.Millisecond,
+				StallTimeout: 10 * time.Millisecond,
+				test:         testKnobs{flapThreshold: -1, rcRetries: 2},
 			},
 			run: func(t *testing.T, tc *testCluster, conn *Conn) {
 				leaderStallHook = func(c *Conn, q *connQP) { time.Sleep(50 * time.Microsecond) }
@@ -76,11 +75,10 @@ func TestRecoveryEdgeCases(t *testing.T) {
 			// keep serving, and the retirement must stick.
 			name: "flap-quarantine-expiry-during-inflight-combine",
 			opts: Options{
-				QPsPerConn:    2,
-				RPCTimeout:    100 * time.Millisecond,
-				StallTimeout:  10 * time.Millisecond,
-				FlapThreshold: 2,
-				RCRetries:     2,
+				QPsPerConn:   2,
+				RPCTimeout:   100 * time.Millisecond,
+				StallTimeout: 10 * time.Millisecond,
+				test:         testKnobs{flapThreshold: 2, rcRetries: 2},
 			},
 			run: func(t *testing.T, tc *testCluster, conn *Conn) {
 				client, fab := tc.clients[0], tc.net.Fabric()

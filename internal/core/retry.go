@@ -53,8 +53,9 @@ func (t *Thread) CallOpts(rpcID uint32, payload []byte, opts CallOptions) (Respo
 // response lease is reclaimed at close, but it never retries.
 //
 // Outstanding Pendings may be freely interleaved with Call/CallOpts/
-// SendRPC on the same thread. Submission respects Options.PipelineDepth:
-// when the thread's table is full, CallAsync blocks until a slot frees.
+// SendRPC on the same thread. Submission respects the pipeline depth
+// (DefaultPipelineDepth): when the thread's table is full, CallAsync blocks
+// until a slot frees.
 func (t *Thread) CallAsync(rpcID uint32, payload []byte, opts CallOptions) (*Pending, error) {
 	if !t.conn.breaker.Allow() {
 		return nil, ErrCircuitOpen
@@ -75,20 +76,20 @@ func (t *Thread) CallAsync(rpcID uint32, payload []byte, opts CallOptions) (*Pen
 }
 
 // gatePipeline blocks until the thread's pending-call table has room for
-// extra more submissions under Options.PipelineDepth. The wait spins with
-// the submit loop's backoff — depth-limited callers are by definition
-// waiting on their own earlier responses, which arrive on dispatcher
-// timescales.
+// extra more submissions under the pipeline depth — or is empty, which is
+// all the room a submission larger than the depth can ever get. The wait
+// spins with the submit loop's backoff — depth-limited callers are by
+// definition waiting on their own earlier responses, which arrive on
+// dispatcher timescales.
 func (t *Thread) gatePipeline(extra int) error {
-	limit := t.conn.node.opts.PipelineDepth
-	if limit <= 0 {
-		return nil
-	}
-	for i := 0; t.pend.depth()+extra > limit; i++ {
+	limit := t.conn.node.opts.test.pipelineDepth
+	for i := 0; ; i++ {
+		if d := t.pend.depth(); d == 0 || d+extra <= limit {
+			return nil
+		}
 		if t.conn.isClosed() {
 			return t.conn.closedErr()
 		}
 		idleBackoff(i)
 	}
-	return nil
 }

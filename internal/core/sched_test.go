@@ -113,11 +113,10 @@ func TestAssignThreadsProperty(t *testing.T) {
 // deactivations as it shifts active QPs toward the hot sender.
 func TestSchedulerObservabilityUnderSkew(t *testing.T) {
 	serverOpts := Options{
-		QPsPerConn:    4,
-		MaxActiveQPs:  4, // 8 QPs total across 2 conns → sharing forced
-		SchedInterval: time.Millisecond,
+		QPsPerConn:   4,
+		MaxActiveQPs: 4, // 8 QPs total across 2 conns → sharing forced
 	}
-	clientOpts := Options{QPsPerConn: 4, SchedInterval: time.Millisecond}
+	clientOpts := Options{QPsPerConn: 4}
 	tc := newTestCluster(t, 2, serverOpts, clientOpts)
 	registerEcho(tc.server)
 

@@ -26,7 +26,7 @@ type serverConn struct {
 	qps    []*serverQP
 	// dedup is the idempotent-response cache for this client: retried
 	// requests carrying a nonzero idempotency key whose original already
-	// executed are answered from here. Nil when Options.DedupWindow < 0.
+	// executed are answered from here.
 	dedup *resilience.DedupWindow
 }
 
@@ -126,10 +126,7 @@ func (n *Node) accept(args connectArgs) (connectReply, error) {
 		return connectReply{}, ErrClosed
 	default:
 	}
-	sc := &serverConn{node: n, sender: args.clientNode}
-	if n.opts.DedupWindow > 0 {
-		sc.dedup = resilience.NewDedupWindow(n.opts.DedupWindow)
-	}
+	sc := &serverConn{node: n, sender: args.clientNode, dedup: resilience.NewDedupWindow(DefaultDedupWindow)}
 	var reply connectReply
 
 	n.sconnMu.Lock()
@@ -143,7 +140,7 @@ func (n *Node) accept(args connectArgs) (connectReply, error) {
 		if err != nil {
 			return connectReply{}, err
 		}
-		reqRing, err := n.dev.RegisterMR(n.opts.RingBytes, rnic.PermRemoteWrite)
+		reqRing, err := n.dev.RegisterMR(n.opts.test.ringBytes, rnic.PermRemoteWrite)
 		if err != nil {
 			return connectReply{}, err
 		}
@@ -151,7 +148,7 @@ func (n *Node) accept(args connectArgs) (connectReply, error) {
 		if err != nil {
 			return connectReply{}, err
 		}
-		respStaging, err := n.dev.RegisterMR(n.opts.RingBytes, 0)
+		respStaging, err := n.dev.RegisterMR(n.opts.test.ringBytes, 0)
 		if err != nil {
 			return connectReply{}, err
 		}
@@ -174,14 +171,14 @@ func (n *Node) accept(args connectArgs) (connectReply, error) {
 			qp:             qp,
 			sender:         args.clientNode,
 			reqRing:        reqRing,
-			reqCons:        newRingConsumer(reqRing, 0, n.opts.RingBytes, serverCtrl, srvCtrlReqHeadOff),
+			reqCons:        newRingConsumer(reqRing, 0, n.opts.test.ringBytes, serverCtrl, srvCtrlReqHeadOff),
 			serverCtrl:     serverCtrl,
 			readback:       readback,
 			clientCtrlRKey: qa.clientCtrlRKey,
-			rng:            stats.NewRNG(n.opts.Seed + uint64(gidBase+i)*0x9E3779B9 + 7),
+			rng:            stats.NewRNG(uint64(gidBase+i)*0x9E3779B9 + 7),
 			granted:        uint64(n.opts.Credits),
 		}
-		sqp.respProd = &ringProducer{staging: respStaging, size: n.opts.RingBytes, rkey: qa.respRingRKey}
+		sqp.respProd = &ringProducer{staging: respStaging, size: n.opts.test.ringBytes, rkey: qa.respRingRKey}
 		sqp.active.Store(true)
 		sc.qps = append(sc.qps, sqp)
 		reply.qps = append(reply.qps, connectQPReply{
@@ -418,7 +415,7 @@ func (n *Node) execute(sc *serverConn, meta itemMeta, payload []byte) (out respO
 		idemKey:  meta.idemKey,
 		status:   StatusOK,
 	}
-	if meta.idemKey != 0 && sc != nil && sc.dedup != nil {
+	if meta.idemKey != 0 {
 		k := resilience.DedupKey{Thread: meta.threadID, Key: meta.idemKey}
 		res, verdict := sc.dedup.Begin(k)
 		switch verdict {
@@ -465,10 +462,10 @@ func (n *Node) flushResponses(sqp *serverQP, out []respOut) {
 	}
 	msgLen := headerBytes + trailerBytes
 	for i := range out {
-		if len(out[i].data) > n.opts.MaxPayload {
+		if len(out[i].data) > n.opts.test.maxPayload {
 			// Oversized handler response: truncate to keep ring geometry
 			// sound; the application bug is surfaced via status.
-			out[i].data = out[i].data[:n.opts.MaxPayload]
+			out[i].data = out[i].data[:n.opts.test.maxPayload]
 			out[i].meta.status = StatusHandlerPanic
 		}
 		msgLen += itemSpace(len(out[i].data))

@@ -168,15 +168,12 @@ func (q *tcq) handoff(last *tcqNode) {
 // awaitVerdict spins until a final verdict (sent/migrate/aborted) or a
 // leadership promotion, passing through the copy phase by copying the
 // payload into staging. A stateLeader return means the caller must run the
-// leader path for its own node. If stall > 0 and no leader has claimed the
-// node within that budget, the follower abandons it and returns
-// stateTimedOut — the caller re-submits a fresh node, preferably on
-// another QP (leader re-election around a stalled or descheduled leader).
+// leader path for its own node. If no leader has claimed the node within
+// stall, the follower abandons it and returns stateTimedOut — the caller
+// re-submits a fresh node, preferably on another QP (leader re-election
+// around a stalled or descheduled leader).
 func (n *tcqNode) awaitVerdict(staging *rnic.MemRegion, stall time.Duration) uint32 {
-	var deadline time.Time
-	if stall > 0 {
-		deadline = time.Now().Add(stall)
-	}
+	deadline := time.Now().Add(stall)
 	spins := 0
 	for {
 		switch s := n.state.Load(); s {
@@ -191,12 +188,10 @@ func (n *tcqNode) awaitVerdict(staging *rnic.MemRegion, stall time.Duration) uin
 			n.copied.Store(1)
 			n.state.CompareAndSwap(stateCopy, stateClaimed)
 		case stateWaiting:
-			if stall > 0 {
-				spins++
-				if spins%256 == 0 && time.Now().After(deadline) &&
-					n.state.CompareAndSwap(stateWaiting, stateTimedOut) {
-					return stateTimedOut
-				}
+			spins++
+			if spins%256 == 0 && time.Now().After(deadline) &&
+				n.state.CompareAndSwap(stateWaiting, stateTimedOut) {
+				return stateTimedOut
 			}
 		case stateClaimed:
 			// A leader owns the node; its waits are stall-bounded, so a

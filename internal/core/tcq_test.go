@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // White-box tests of the combining queue's queueing discipline, separate
@@ -29,7 +31,7 @@ func runTCQ(t *testing.T, nThreads, opsPerThread, maxBatch int) []int {
 				if !lead {
 					// Followers wait for a verdict or promotion (no
 					// staging region needed for opMem nodes).
-					if v := n.awaitVerdict(nil, 0); v != stateLeader {
+					if v := n.awaitVerdict(nil, time.Minute); v != stateLeader {
 						if v != stateSent {
 							t.Errorf("verdict %d", v)
 						}
@@ -156,7 +158,7 @@ func TestTCQCopyPhaseHandshake(t *testing.T) {
 
 	done := make(chan uint32, 1)
 	go func() {
-		done <- follower.awaitVerdict(nil, 0)
+		done <- follower.awaitVerdict(nil, time.Minute)
 	}()
 	// Leader assigns the copy phase and polls the flag.
 	follower.state.Store(stateCopy)
@@ -179,5 +181,64 @@ func TestTCQStressManyThreads(t *testing.T) {
 	}
 	if processed.Load() != 16*400 {
 		t.Fatalf("processed %d", processed.Load())
+	}
+}
+
+// TestCombineBothCopyArms forces a two-request combine on each side of
+// leaderCopyMax — a follower payload the leader copies itself, and one
+// byte more, which goes through the copy handshake — and checks that each
+// pair left as one message and came back intact.
+func TestCombineBothCopyArms(t *testing.T) {
+	tc := newTestCluster(t, 1, Options{}, Options{QPsPerConn: 1})
+	registerEcho(tc.server)
+	conn, err := tc.clients[0].Connect(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	threads := []*Thread{conn.RegisterThread(), conn.RegisterThread()}
+	defer func() { leaderStallHook = nil }()
+	for _, size := range []int{leaderCopyMax, leaderCopyMax + 1} {
+		// The first leader waits at the door until a second node is queued
+		// behind its own, so claimBatch takes both.
+		leading := make(chan struct{})
+		var once sync.Once
+		leaderStallHook = func(c *Conn, q *connQP) {
+			once.Do(func() {
+				own := q.tcq.tail.Load()
+				close(leading)
+				for q.tcq.tail.Load() == own {
+					time.Sleep(10 * time.Microsecond)
+				}
+			})
+		}
+		m := &tc.clients[0].metrics
+		msgs, items := m.msgsOut.Load(), m.itemsOut.Load()
+		var wg sync.WaitGroup
+		for i, th := range threads {
+			if i == 1 {
+				<-leading
+			}
+			payload := make([]byte, size)
+			for k := range payload {
+				payload[k] = byte(k + i)
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				r, err := th.Call(echoID, payload)
+				if err != nil {
+					t.Errorf("%d-byte call: %v", size, err)
+					return
+				}
+				if !bytes.Equal(r.Data, payload) {
+					t.Errorf("%d-byte call: reply differs from the request", size)
+				}
+				r.Release()
+			}()
+		}
+		wg.Wait()
+		if dm, di := m.msgsOut.Load()-msgs, m.itemsOut.Load()-items; dm != 1 || di != 2 {
+			t.Fatalf("%d-byte pair left as %d messages carrying %d requests, want 1 and 2", size, dm, di)
+		}
 	}
 }

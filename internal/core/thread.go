@@ -30,6 +30,9 @@ type Thread struct {
 	// unreceived holds the SendRPC calls RecvRes has not returned yet,
 	// oldest first.
 	unreceived []*Pending
+	// unparked counts the responses in a row that were already delivered
+	// when the thread came to collect them (see noteUnparked).
+	unparked int
 	// A thread runs one memory operation at a time: memWR is its work
 	// request (parked here, already on the heap, so that submitting it
 	// allocates nothing beyond the queue node) and scratch is the local
@@ -100,18 +103,14 @@ func (r *Response) Release() {
 // round-robin; the thread scheduler refines it from observed behaviour.
 func (c *Conn) RegisterThread() *Thread {
 	id := c.nextTID.Add(1) - 1
-	scratchLen := c.node.opts.MaxPayload
-	if scratchLen < 64 {
-		scratchLen = 64
-	}
-	scratch, err := c.node.dev.RegisterMR(scratchLen, 0)
+	scratch, err := c.node.dev.RegisterMR(max(c.node.opts.test.maxPayload, 64), 0)
 	if err != nil {
 		scratch = nil // node closing; ops will fail with ErrClosed
 	}
 	t := &Thread{
 		conn:    c,
 		id:      id,
-		rng:     stats.NewRNG(c.node.opts.Seed*0x9E3779B9 + uint64(id) + uint64(c.remote)<<32 + 1),
+		rng:     stats.NewRNG(uint64(id) + uint64(c.remote)<<32 + 1),
 		scratch: scratch,
 		median:  stats.NewRunningMedian(32),
 	}
@@ -213,12 +212,12 @@ func (t *Thread) takeStat() (ThreadStat, bool) {
 // via FLock synchronization. The pair is a thin adapter over the Pending
 // engine: SendRPC submits a single-attempt call with no deadline and no
 // idempotency key (never retried, so the returned ID is the ID on the
-// wire) and queues it for RecvRes. At most Options.PipelineDepth calls
+// wire) and queues it for RecvRes. At most DefaultPipelineDepth calls
 // wait there; one more cancels the oldest, whose late response is dropped
 // as stale. Table-routed calls (Call, CallAsync, SendBatch) and memory
 // operations interleave freely on the same thread.
 func (t *Thread) SendRPC(rpcID uint32, payload []byte) (uint64, error) {
-	if len(payload) > t.conn.node.opts.MaxPayload {
+	if len(payload) > t.conn.node.opts.test.maxPayload {
 		return 0, ErrPayloadTooLarge
 	}
 	p := &Pending{t: t, rpcID: rpcID, payload: payload, size: len(payload), attempts: 1}
@@ -226,7 +225,7 @@ func (t *Thread) SendRPC(rpcID uint32, payload []byte) (uint64, error) {
 	if p.phase == pendDone {
 		return 0, p.err
 	}
-	if limit := t.conn.node.opts.PipelineDepth; limit > 0 && len(t.unreceived) >= limit {
+	if len(t.unreceived) >= t.conn.node.opts.test.pipelineDepth {
 		t.popUnreceived().Cancel()
 	}
 	t.unreceived = append(t.unreceived, p)

@@ -79,7 +79,7 @@ func AssignThreads(threads []ThreadStat, activeQPs int) map[uint32]int {
 // threadScheduler is the client-side scheduler main loop.
 func (n *Node) threadScheduler() {
 	defer n.wg.Done()
-	ticker := time.NewTicker(n.opts.SchedInterval)
+	ticker := time.NewTicker(DefaultSchedInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -100,18 +100,6 @@ func (n *Node) scheduleConn(c *Conn) {
 		return // nothing usable; threads fall back to scanning
 	}
 	threads := c.snapshotThreads()
-	if n.opts.DisableThreadSched {
-		// Ablation mode (Figure 11 "without sender-side thread
-		// scheduling"): keep static assignments, only stepping threads
-		// off deactivated QPs.
-		for _, t := range threads {
-			cur := int(t.assigned.Load())
-			if cur < 0 || cur >= len(c.qps) || !c.qps[cur].active() {
-				t.assigned.Store(int32(active[int(t.id)%len(active)]))
-			}
-		}
-		return
-	}
 	var statted []ThreadStat
 	var idle []*Thread
 	byID := make(map[uint32]*Thread, len(threads))

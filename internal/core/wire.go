@@ -12,7 +12,7 @@ import (
 //	  +4  count     uint32  number of items
 //	  +8  canary    uint64  random, repeated at the end of the message
 //	  +16 piggyHead uint64  sender's consumed head of the opposite ring
-//	  +24 credit    uint32  responses: credit grant delta for this QP
+//	  +24 reserved  uint32  written as zero, ignored on receipt
 //	  +28 flags     uint32  flagItemMetaV2 must be set; the rest reserved
 //	item (32 B metadata, then payload padded to 8 B):
 //	  +0  size     uint32  payload bytes
@@ -43,16 +43,6 @@ const (
 	flagItemMetaV2 uint32 = 1 << 0
 )
 
-// msgSpace returns the on-ring footprint of a message with the given
-// payload sizes.
-func msgSpace(sizes []int) int {
-	n := headerBytes + trailerBytes
-	for _, s := range sizes {
-		n += itemMetaBytes + pad8(s)
-	}
-	return n
-}
-
 // itemSpace returns the footprint of one item.
 func itemSpace(payload int) int { return itemMetaBytes + pad8(payload) }
 
@@ -65,7 +55,6 @@ type header struct {
 	count     uint32
 	canary    uint64
 	piggyHead uint64
-	credit    uint32
 	flags     uint32
 }
 
@@ -75,7 +64,7 @@ func putHeader(b []byte, h header) {
 	binary.LittleEndian.PutUint32(b[4:], h.count)
 	binary.LittleEndian.PutUint64(b[8:], h.canary)
 	binary.LittleEndian.PutUint64(b[16:], h.piggyHead)
-	binary.LittleEndian.PutUint32(b[24:], h.credit)
+	binary.LittleEndian.PutUint32(b[24:], 0) // reserved
 	binary.LittleEndian.PutUint32(b[28:], h.flags)
 }
 
@@ -86,7 +75,6 @@ func getHeader(b []byte) header {
 		count:     binary.LittleEndian.Uint32(b[4:]),
 		canary:    binary.LittleEndian.Uint64(b[8:]),
 		piggyHead: binary.LittleEndian.Uint64(b[16:]),
-		credit:    binary.LittleEndian.Uint32(b[24:]),
 		flags:     binary.LittleEndian.Uint32(b[28:]),
 	}
 }
@@ -129,17 +117,12 @@ type decodedItem struct {
 	data []byte // slice of the decode buffer; copy before retaining
 }
 
-// decodeMessage validates and splits a complete message. buf must hold the
-// entire message (totalLen bytes). It returns the header and items, or an
-// error if the message is structurally corrupt. Canary validation is the
-// caller's business (the caller polls; decode assumes completeness).
-func decodeMessage(buf []byte) (header, []decodedItem, error) {
-	return decodeMessageInto(buf, nil)
-}
-
-// decodeMessageInto is decodeMessage appending into items[:0], so a
-// polling loop can reuse one item slice across messages instead of
-// allocating per poll.
+// decodeMessageInto validates and splits a complete message, appending
+// into items[:0] so a polling loop can reuse one item slice across messages
+// instead of allocating per poll. buf must hold the entire message
+// (totalLen bytes). It returns the header and items, or an error if the
+// message is structurally corrupt. Canary validation is the caller's
+// business (the caller polls; decode assumes completeness).
 func decodeMessageInto(buf []byte, items []decodedItem) (header, []decodedItem, error) {
 	if len(buf) < headerBytes+trailerBytes {
 		return header{}, nil, fmt.Errorf("core: message shorter than framing (%d)", len(buf))

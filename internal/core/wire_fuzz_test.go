@@ -83,8 +83,10 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(make([]byte, headerBytes+trailerBytes))
 	f.Add(encodeTestMessage(header{canary: 0xfeedface}, [][]byte{[]byte("hello")}))
-	f.Add(encodeTestMessage(header{canary: 1, piggyHead: 42, credit: 3},
-		[][]byte{nil, []byte("x"), bytes.Repeat([]byte{0xab}, 100)}))
+	reserved := encodeTestMessage(header{canary: 1, piggyHead: 42},
+		[][]byte{nil, []byte("x"), bytes.Repeat([]byte{0xab}, 100)})
+	binary.LittleEndian.PutUint32(reserved[24:], 3) // the reserved word is ignored on receipt
+	f.Add(reserved)
 	// Frames in the retired v1 layout: negative seeds.
 	f.Add(encodeTestMessageV1(header{canary: 0xfeedface}, [][]byte{[]byte("hello")}))
 	f.Add(encodeTestMessageV1(header{canary: 5, piggyHead: 9},
@@ -142,7 +144,7 @@ func FuzzMessageRoundTrip(f *testing.F) {
 	f.Add(uint64(1), uint64(0), uint32(0), []byte{})
 	f.Add(uint64(0), uint64(1<<40), uint32(1<<20), bytes.Repeat([]byte{0x5a}, 300))
 
-	f.Fuzz(func(t *testing.T, canary, piggyHead uint64, credit uint32, blob []byte) {
+	f.Fuzz(func(t *testing.T, canary, piggyHead uint64, reserved uint32, blob []byte) {
 		// Split the blob into up to 5 items (including empty ones) and
 		// round-trip the whole message.
 		var payloads [][]byte
@@ -151,12 +153,13 @@ func FuzzMessageRoundTrip(f *testing.F) {
 			payloads = append(payloads, blob[:n])
 			blob = blob[n:]
 		}
-		buf := encodeTestMessage(header{canary: canary, piggyHead: piggyHead, credit: credit}, payloads)
+		buf := encodeTestMessage(header{canary: canary, piggyHead: piggyHead}, payloads)
+		binary.LittleEndian.PutUint32(buf[24:], reserved) // ignored on receipt
 		h, items, err := decodeMessage(buf)
 		if err != nil {
 			t.Fatalf("valid message rejected: %v", err)
 		}
-		if h.canary != canary || h.piggyHead != piggyHead || h.credit != credit {
+		if h.canary != canary || h.piggyHead != piggyHead {
 			t.Fatalf("header fields changed: %+v", h)
 		}
 		if len(items) != len(payloads) {
@@ -170,7 +173,7 @@ func FuzzMessageRoundTrip(f *testing.F) {
 
 		// The same items in the retired layout, and the valid frame with
 		// its flag stripped, are both rejected without panic.
-		buf1 := encodeTestMessageV1(header{canary: canary, piggyHead: piggyHead, credit: credit}, payloads)
+		buf1 := encodeTestMessageV1(header{canary: canary, piggyHead: piggyHead}, payloads)
 		if _, _, err := decodeMessage(buf1); err == nil {
 			t.Fatal("frame in the retired 24-byte layout accepted")
 		}
@@ -185,11 +188,12 @@ func FuzzHeaderRoundTrip(f *testing.F) {
 	f.Add(uint32(64), uint32(1), uint64(0xfeedface), uint64(9), uint32(2), uint32(0))
 	f.Add(^uint32(0), ^uint32(0), ^uint64(0), ^uint64(0), ^uint32(0), ^uint32(0))
 	f.Add(uint32(72), uint32(1), uint64(3), uint64(0), uint32(0), flagItemMetaV2)
-	f.Fuzz(func(t *testing.T, totalLen, count uint32, canary, piggyHead uint64, credit, flags uint32) {
+	f.Fuzz(func(t *testing.T, totalLen, count uint32, canary, piggyHead uint64, reserved, flags uint32) {
 		in := header{totalLen: totalLen, count: count, canary: canary,
-			piggyHead: piggyHead, credit: credit, flags: flags}
+			piggyHead: piggyHead, flags: flags}
 		var buf [headerBytes]byte
 		putHeader(buf[:], in)
+		binary.LittleEndian.PutUint32(buf[24:], reserved) // ignored on receipt
 		if out := getHeader(buf[:]); out != in {
 			t.Fatalf("header round trip: %+v != %+v", out, in)
 		}

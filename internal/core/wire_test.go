@@ -6,6 +6,21 @@ import (
 	"testing/quick"
 )
 
+// msgSpace returns the on-ring footprint of a message with the given
+// payload sizes.
+func msgSpace(sizes []int) int {
+	n := headerBytes + trailerBytes
+	for _, s := range sizes {
+		n += itemSpace(s)
+	}
+	return n
+}
+
+// decodeMessage is decodeMessageInto with a fresh item slice.
+func decodeMessage(buf []byte) (header, []decodedItem, error) {
+	return decodeMessageInto(buf, nil)
+}
+
 // buildMessage encodes a full message the way the leader does, for tests.
 func buildMessage(items []itemMeta, payloads [][]byte, canary, piggy uint64) []byte {
 	msgLen := headerBytes + trailerBytes
@@ -143,7 +158,7 @@ func TestMsgSpace(t *testing.T) {
 
 func TestHeaderEncoding(t *testing.T) {
 	var b [headerBytes]byte
-	in := header{totalLen: 1000, count: 3, canary: ^uint64(0), piggyHead: 1 << 40, credit: 32, flags: 5}
+	in := header{totalLen: 1000, count: 3, canary: ^uint64(0), piggyHead: 1 << 40, flags: 5}
 	putHeader(b[:], in)
 	if out := getHeader(b[:]); out != in {
 		t.Fatalf("header round trip: %+v != %+v", out, in)

@@ -8,14 +8,16 @@ package resilience
 // rebalance, not the detector, is what takes time). It has no clock and
 // no goroutines, so membership tests drive it tick by tick.
 type Detector struct {
-	// SuspectAfter and DeadAfter are the consecutive-miss thresholds.
-	// Zero values fall back to 2 and 4.
-	SuspectAfter int
-	DeadAfter    int
-
 	misses int
 	state  MemberState
 }
+
+// The consecutive-miss thresholds: a member is suspect after suspectMisses
+// unanswered probes in a row and dead after deadMisses.
+const (
+	suspectMisses = 2
+	deadMisses    = 4
+)
 
 // MemberState is the detector's verdict on one member.
 type MemberState int32
@@ -48,20 +50,6 @@ func (s MemberState) String() string {
 	return "unknown"
 }
 
-func (d *Detector) thresholds() (suspect, dead int) {
-	suspect, dead = d.SuspectAfter, d.DeadAfter
-	if suspect <= 0 {
-		suspect = 2
-	}
-	if dead <= 0 {
-		dead = 4
-	}
-	if dead < suspect {
-		dead = suspect
-	}
-	return suspect, dead
-}
-
 // Observe feeds one probe outcome and returns the resulting state. A
 // success resets the miss count and revives even a dead member; a miss
 // advances the Live → Suspect → Dead walk.
@@ -72,11 +60,10 @@ func (d *Detector) Observe(ok bool) MemberState {
 		return d.state
 	}
 	d.misses++
-	suspect, dead := d.thresholds()
 	switch {
-	case d.misses >= dead:
+	case d.misses >= deadMisses:
 		d.state = MemberDead
-	case d.misses >= suspect:
+	case d.misses >= suspectMisses:
 		d.state = MemberSuspect
 	default:
 		d.state = MemberLive

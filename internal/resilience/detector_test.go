@@ -5,8 +5,6 @@ import "testing"
 func TestDetectorWalk(t *testing.T) {
 	cases := []struct {
 		name     string
-		suspect  int
-		dead     int
 		outcomes []bool
 		want     []MemberState
 	}{
@@ -27,24 +25,10 @@ func TestDetectorWalk(t *testing.T) {
 			want: []MemberState{MemberLive, MemberSuspect, MemberSuspect,
 				MemberDead, MemberLive},
 		},
-		{
-			name:     "custom thresholds",
-			suspect:  1,
-			dead:     2,
-			outcomes: []bool{false, false, false},
-			want:     []MemberState{MemberSuspect, MemberDead, MemberDead},
-		},
-		{
-			name:     "dead floor never below suspect",
-			suspect:  3,
-			dead:     1,
-			outcomes: []bool{false, false, false},
-			want:     []MemberState{MemberLive, MemberLive, MemberDead},
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			d := &Detector{SuspectAfter: tc.suspect, DeadAfter: tc.dead}
+			d := new(Detector)
 			for i, ok := range tc.outcomes {
 				if got := d.Observe(ok); got != tc.want[i] {
 					t.Fatalf("step %d: Observe(%v) = %v, want %v", i, ok, got, tc.want[i])

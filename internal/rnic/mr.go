@@ -19,8 +19,15 @@ import (
 // released in between, so a polling host observes the same
 // partially-placed messages it would see on real hardware. FLock's canary
 // framing (§4.1) depends on exactly that.
+//
+// The lock is a plain mutex, readers included. Every hold is one short
+// copy, and a reader-writer lock hands itself to goroutines that are not
+// running — an unlocking writer to the readers queued behind it, the last
+// of those back to the next writer — which, on a host with fewer processors
+// than pollers, puts a ring's producer and consumer into lockstep: one park
+// and one wake per word read or written.
 type MemRegion struct {
-	mu    sync.RWMutex
+	mu    sync.Mutex
 	buf   []byte
 	lkey  uint32
 	rkey  uint32
@@ -65,9 +72,9 @@ func (mr *MemRegion) ReadAt(dst []byte, off int) error {
 	if err := mr.checkRange(off, len(dst)); err != nil {
 		return err
 	}
-	mr.mu.RLock()
+	mr.mu.Lock()
 	copy(dst, mr.buf[off:])
-	mr.mu.RUnlock()
+	mr.mu.Unlock()
 	return nil
 }
 
@@ -87,9 +94,9 @@ func (mr *MemRegion) WriteAt(src []byte, off int) error {
 // polling primitive: FLock receivers poll ring-buffer control words with
 // it.
 func (mr *MemRegion) Load64(off int) uint64 {
-	mr.mu.RLock()
+	mr.mu.Lock()
 	v := binary.LittleEndian.Uint64(mr.buf[off : off+8])
-	mr.mu.RUnlock()
+	mr.mu.Unlock()
 	return v
 }
 
@@ -120,9 +127,9 @@ func (mr *MemRegion) dmaWriteChunked(src []byte, off, mtu int) {
 
 // dmaRead copies n bytes at off out of the region (requester-side read).
 func (mr *MemRegion) dmaRead(dst []byte, off int) {
-	mr.mu.RLock()
+	mr.mu.Lock()
 	copy(dst, mr.buf[off:off+len(dst)])
-	mr.mu.RUnlock()
+	mr.mu.Unlock()
 }
 
 // CAS64 atomically replaces the 64-bit word at off with new when it holds

@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -39,7 +40,7 @@ func bucketOf(v uint64) int {
 		return int(v)
 	}
 	// Position of the leading bit determines the octave.
-	exp := 63 - leadingZeros64(v)
+	exp := 63 - bits.LeadingZeros64(v)
 	shift := uint(exp - histSubBits)
 	sub := (v >> shift) & (histSub - 1)
 	idx := (exp-histSubBits+1)*histSub + int(sub)
@@ -58,34 +59,6 @@ func bucketLow(idx int) uint64 {
 	octave := idx/histSub - 1 + histSubBits
 	sub := uint64(idx % histSub)
 	return (1 << uint(octave)) + sub<<uint(octave-histSubBits)
-}
-
-func leadingZeros64(v uint64) int {
-	n := 0
-	if v <= 0x00000000FFFFFFFF {
-		n += 32
-		v <<= 32
-	}
-	if v <= 0x0000FFFFFFFFFFFF {
-		n += 16
-		v <<= 16
-	}
-	if v <= 0x00FFFFFFFFFFFFFF {
-		n += 8
-		v <<= 8
-	}
-	if v <= 0x0FFFFFFFFFFFFFFF {
-		n += 4
-		v <<= 4
-	}
-	if v <= 0x3FFFFFFFFFFFFFFF {
-		n += 2
-		v <<= 2
-	}
-	if v <= 0x7FFFFFFFFFFFFFFF {
-		n++
-	}
-	return n
 }
 
 // Record adds one observation of v nanoseconds.

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -123,7 +124,7 @@ func TestHistBucketRoundTrip(t *testing.T) {
 		// width of the bucket
 		var width uint64 = 1
 		if v >= histSub {
-			exp := 63 - leadingZeros64(v)
+			exp := 63 - bits.LeadingZeros64(v)
 			width = 1 << uint(exp-histSubBits)
 		}
 		return v-low < width

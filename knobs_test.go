@@ -1,0 +1,58 @@
+package flock_test
+
+// The knob gate: no option without a caller. Every exported field of the
+// configuration structs below must be set by something that ships or
+// measures — a tool under cmd/, the benchmark, an example, or the load
+// driver — because a value only a test can set lets the suite pass in a
+// configuration that never runs anywhere else. A field with no such setter
+// is deleted, made a constant, or moved behind an unexported in-package
+// test hook; it does not stay an option.
+
+import (
+	"os"
+	"path/filepath"
+	"reflect"
+	"regexp"
+	"strings"
+	"testing"
+
+	"flock"
+)
+
+func TestEveryKnobHasACaller(t *testing.T) {
+	var src []byte
+	for _, dir := range []string{"cmd", "bench", "examples", "internal/loadgen"} {
+		err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			b, err := os.ReadFile(path)
+			src = append(append(src, b...), '\n')
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, typ := range []reflect.Type{
+		reflect.TypeOf((*flock.Options)(nil)).Elem(),
+		reflect.TypeOf((*flock.ClusterService)(nil)).Elem(),
+		reflect.TypeOf((*flock.ReplTuning)(nil)).Elem(),
+		reflect.TypeOf((*flock.ClusterRouter)(nil)).Elem(),
+		reflect.TypeOf((*flock.ClusterMembership)(nil)).Elem(),
+	} {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if !f.IsExported() {
+				continue
+			}
+			// A composite-literal key or an assignment through a selector. A
+			// same-named field of another struct reads as a setter too; the
+			// gate can call a dead knob alive that way, never a live one dead.
+			set := regexp.MustCompile(`\b` + f.Name + `:|\.` + f.Name + `\s*=[^=]`)
+			if !set.Match(src) {
+				t.Errorf("%s.%s is set by nothing under cmd/, bench/, examples/ or internal/loadgen", typ, f.Name)
+			}
+		}
+	}
+}
