@@ -11,7 +11,6 @@
 //	flockload -threads 16 -no-coalesce     # MaxBatch=1 ablation, live
 //	flockload -faults rc-loss=0.01,flap=1  # lossy fabric + flapping QP
 //	flockload -overload 16 -retry 4        # admission control + budgeted retries
-//	flockload -retry 4 -hedge 2ms          # hedged requests for tail latency
 //
 // The -check flag switches to flockcheck mode: instead of driving load, it
 // runs the internal/check schedule explorer — seed-derived adversarial
@@ -75,7 +74,6 @@ func main() {
 		rpcTimeout = flag.Duration("rpc-timeout", 0, "per-RPC deadline (0 = none; implied 100ms when -faults is set)")
 		overload   = flag.Int("overload", 0, "server admission limit: excess requests are NACKed with ErrOverloaded (0 = unlimited)")
 		retry      = flag.Int("retry", 0, "client retry attempt cap: route calls through the resilient path with backoff + budget (0 = off)")
-		hedge      = flag.Duration("hedge", 0, "hedge delay: send a second request copy after this much silence (0 = off)")
 		pprofDir   = flag.String("pprof", "", "directory to write cpu/heap/mutex/block .pprof files into")
 		metrics    = flag.Bool("metrics", false, "dump the full telemetry snapshot as JSON after the run")
 		expvarAddr = flag.String("expvar", "", "serve the telemetry snapshot on this addr via expvar (e.g. :8080)")
@@ -119,15 +117,14 @@ func main() {
 		runtime.SetBlockProfileRate(int(time.Microsecond))
 	}
 	// resilient selects the overload-control epilogue (drain + metrics
-	// line) and, for -retry/-hedge, the closed-loop resilient call path.
-	resilient := *overload > 0 || *retry > 0 || *hedge > 0
+	// line) and, for -retry, the closed-loop resilient call path.
+	resilient := *overload > 0 || *retry > 0
 	if (*faults != "" || resilient) && opts.RPCTimeout == 0 {
 		opts.RPCTimeout = 100 * time.Millisecond
 	}
 	serverOpts, clientOpts := opts, opts
 	serverOpts.AdmissionLimit = *overload
 	clientOpts.RetryMaxAttempts = *retry
-	clientOpts.HedgeDelay = *hedge
 
 	star, err := loadgen.NewStar(serverOpts, clientOpts, *clients, *nicCache, loadgen.Echo)
 	if err != nil {
@@ -174,10 +171,10 @@ func main() {
 		th := star.Conns[c].RegisterThread()
 		buf := make([]byte, *payload)
 		// Transient faults (deadline expiry, a QP breaking under the
-		// window, overload pushback, an open breaker) fail the operation
-		// and the loop keeps driving; any other error retires the worker.
-		w.Tolerate(flock.ErrTimeout, flock.ErrQPBroken, flock.ErrOverloaded, flock.ErrCircuitOpen)
-		if !*mem && *retry == 0 && *hedge == 0 {
+		// window, overload pushback) fail the operation and the loop keeps
+		// driving; any other error retires the worker.
+		w.Tolerate(flock.ErrTimeout, flock.ErrQPBroken, flock.ErrOverloaded)
+		if !*mem && *retry == 0 {
 			return loadgen.Pipelined(w, th, buf, *window)
 		}
 		i := 0
@@ -186,10 +183,10 @@ func main() {
 			var err error
 			switch {
 			case !*mem:
-				// Resilient closed loop: CallOpts inherits the node's retry/
-				// hedge knobs, so backoff, budget accounting, idempotency
-				// keys, and hedges all happen inside the library. A call
-				// that still fails after its attempts counts once.
+				// Resilient closed loop: CallOpts inherits the node's retry
+				// cap, so backoff, budget accounting and idempotency keys
+				// all happen inside the library. A call that still fails
+				// after its attempts counts once.
 				var r flock.Response
 				if r, err = th.CallOpts(1, buf, flock.CallOptions{}); err == nil {
 					r.Release()
@@ -288,13 +285,10 @@ func main() {
 			cm := cn.Metrics()
 			cl.Retries += cm.Retries
 			cl.RetryBudgetExhausted += cm.RetryBudgetExhausted
-			cl.Hedges += cm.Hedges
-			cl.HedgesWon += cm.HedgesWon
-			cl.BreakerOpens += cm.BreakerOpens
 		}
-		fmt.Printf("resilience  rejected=%d draining=%d dedup-hits=%d credit-withheld=%d (server) retries=%d budget-exhausted=%d hedges=%d hedges-won=%d breaker-opens=%d (clients)\n",
+		fmt.Printf("resilience  rejected=%d draining=%d dedup-hits=%d credit-withheld=%d (server) retries=%d budget-exhausted=%d (clients)\n",
 			m.RPCRejected, m.RPCRejectedDraining, m.DedupHits, m.CreditWithheld,
-			cl.Retries, cl.RetryBudgetExhausted, cl.Hedges, cl.HedgesWon, cl.BreakerOpens)
+			cl.Retries, cl.RetryBudgetExhausted)
 	}
 	if *metrics {
 		snap := net.TelemetrySnapshot()

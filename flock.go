@@ -180,9 +180,6 @@ var (
 	// ErrDraining reports a draining node refusing new work; it does not
 	// wrap ErrClosed — retry on another node.
 	ErrDraining = core.ErrDraining
-	// ErrCircuitOpen reports a call refused locally by the connection's
-	// open circuit breaker.
-	ErrCircuitOpen = core.ErrCircuitOpen
 	// ErrCanceled reports a Pending canceled by its owner before
 	// completion; a late response is dropped as stale.
 	ErrCanceled = core.ErrCanceled

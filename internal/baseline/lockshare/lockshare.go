@@ -67,26 +67,27 @@ func pad8(n int) int { return (n + 7) &^ 7 }
 // Handler processes a request payload into a response payload.
 type Handler func(req []byte) []byte
 
-// Config tunes the baseline.
+// Config tunes the baseline. The unexported fields are set by this
+// package's tests only; every other endpoint runs on their defaults.
 type Config struct {
 	// ThreadsPerQP is the sharing degree: 1 reproduces the "no sharing"
 	// configuration; 2 or 4 the FaRM-like spinlock sharing of Figure 9.
 	ThreadsPerQP int
-	// RingBytes sizes each request/response ring. Default 1 MiB.
-	RingBytes int
-	// MaxPayload bounds one request or response. Default 64 KiB.
-	MaxPayload int
+	// ringBytes sizes each request/response ring. Default 1 MiB.
+	ringBytes int
+	// maxPayload bounds one request or response. Default 64 KiB.
+	maxPayload int
 }
 
 func (c Config) withDefaults() Config {
 	if c.ThreadsPerQP <= 0 {
 		c.ThreadsPerQP = 1
 	}
-	if c.RingBytes <= 0 {
-		c.RingBytes = 1 << 20
+	if c.ringBytes <= 0 {
+		c.ringBytes = 1 << 20
 	}
-	if c.MaxPayload <= 0 {
-		c.MaxPayload = 64 << 10
+	if c.maxPayload <= 0 {
+		c.maxPayload = 64 << 10
 	}
 	return c
 }
@@ -115,7 +116,7 @@ type qpShare struct {
 
 	// Per-thread response slots: the server writes thread t's response at
 	// slot t, so concurrent threads on one QP don't contend on response
-	// parsing. Slot size = MaxPayload + framing.
+	// parsing. Slot size = maxPayload + framing.
 	slotBytes int
 }
 
@@ -190,7 +191,7 @@ func (s *Server) accept(clientNode fabric.NodeID, clientQPN int, respRKey uint32
 	if err != nil {
 		return 0, 0, err
 	}
-	reqRing, err := s.dev.RegisterMR(s.cfg.RingBytes, rnic.PermRemoteWrite)
+	reqRing, err := s.dev.RegisterMR(s.cfg.ringBytes, rnic.PermRemoteWrite)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -204,7 +205,7 @@ func (s *Server) accept(clientNode fabric.NodeID, clientQPN int, respRKey uint32
 	s.mu.Lock()
 	s.qps = append(s.qps, &serverQP{
 		qp: qp, reqRing: reqRing, respRKey: respRKey,
-		respMirror: respMirror, slotBytes: slotBytes, ringBytes: s.cfg.RingBytes,
+		respMirror: respMirror, slotBytes: slotBytes, ringBytes: s.cfg.ringBytes,
 	})
 	s.mu.Unlock()
 	return qp.QPN(), reqRing.RKey(), nil
@@ -378,12 +379,12 @@ func (c *Client) RegisterThread() (*Thread, error) {
 
 // newShare builds one shared QP and its rings.
 func (c *Client) newShare() (*qpShare, error) {
-	slotBytes := pad8(c.cfg.MaxPayload) + hdrBytes + tailBytes + 16
+	slotBytes := pad8(c.cfg.maxPayload) + hdrBytes + tailBytes + 16
 	qp, err := c.dev.CreateQP(rnic.RC, c.dev.CreateCQ(), c.dev.CreateCQ())
 	if err != nil {
 		return nil, err
 	}
-	reqMirror, err := c.dev.RegisterMR(c.cfg.RingBytes, 0)
+	reqMirror, err := c.dev.RegisterMR(c.cfg.ringBytes, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -407,7 +408,7 @@ func (c *Client) newShare() (*qpShare, error) {
 // Call performs one synchronous RPC: stage the single-request message,
 // post it under the QP lock, then poll the thread's response slot.
 func (t *Thread) Call(rpcID uint32, payload []byte) ([]byte, error) {
-	if len(payload) > t.c.cfg.MaxPayload {
+	if len(payload) > t.c.cfg.maxPayload {
 		return nil, ErrTooBig
 	}
 	sh := t.share
@@ -418,12 +419,12 @@ func (t *Thread) Call(rpcID uint32, payload []byte) ([]byte, error) {
 	// Ring space: single-writer under the lock; consumed head is learned
 	// from response piggybacks.
 	for spin := 0; ; spin++ {
-		off := int(sh.tail) % t.c.cfg.RingBytes
+		off := int(sh.tail) % t.c.cfg.ringBytes
 		need := msgLen
-		if off+msgLen > t.c.cfg.RingBytes {
-			need += t.c.cfg.RingBytes - off
+		if off+msgLen > t.c.cfg.ringBytes {
+			need += t.c.cfg.ringBytes - off
 		}
-		if need <= t.c.cfg.RingBytes-int(sh.tail-sh.reqHead) {
+		if need <= t.c.cfg.ringBytes-int(sh.tail-sh.reqHead) {
 			break
 		}
 		if spin > 1_000_000 {
@@ -432,10 +433,10 @@ func (t *Thread) Call(rpcID uint32, payload []byte) ([]byte, error) {
 		}
 		runtime.Gosched() // wait for a response to piggyback the head
 	}
-	off := int(sh.tail) % t.c.cfg.RingBytes
+	off := int(sh.tail) % t.c.cfg.ringBytes
 	wrs := sh.wrScratch[:0]
-	if off+msgLen > t.c.cfg.RingBytes {
-		rem := t.c.cfg.RingBytes - off
+	if off+msgLen > t.c.cfg.ringBytes {
+		rem := t.c.cfg.ringBytes - off
 		var marker [8]byte
 		binary.LittleEndian.PutUint32(marker[:], ^uint32(0))
 		sh.reqMirror.WriteAt(marker[:], off) //nolint:errcheck

@@ -106,7 +106,7 @@ func TestQPCountMatchesSharingDegree(t *testing.T) {
 
 func TestRingWrapLongRun(t *testing.T) {
 	// Small ring forces wraps; payloads vary to exercise padding.
-	_, cl := testSetup(t, Config{ThreadsPerQP: 1, RingBytes: 4096, MaxPayload: 256})
+	_, cl := testSetup(t, Config{ThreadsPerQP: 1, ringBytes: 4096, maxPayload: 256})
 	th, err := cl.RegisterThread()
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +127,7 @@ func TestRingWrapLongRun(t *testing.T) {
 }
 
 func TestPayloadTooBig(t *testing.T) {
-	_, cl := testSetup(t, Config{ThreadsPerQP: 1, MaxPayload: 64})
+	_, cl := testSetup(t, Config{ThreadsPerQP: 1, maxPayload: 64})
 	th, _ := cl.RegisterThread()
 	if _, err := th.Call(1, make([]byte, 65)); err != ErrTooBig {
 		t.Fatalf("expected ErrTooBig, got %v", err)

@@ -98,7 +98,7 @@ func (c *ClientThread) Send(rpcID uint32, payload []byte) (uint32, error) {
 	if c.closed {
 		return 0, ErrClosed
 	}
-	if len(payload) > c.cfg.MaxPayload {
+	if len(payload) > c.cfg.maxPayload {
 		return 0, ErrTooBig
 	}
 	c.seq++
@@ -275,14 +275,14 @@ func (c *ClientThread) reassembleResp(h pktHeader, frag []byte) ([]byte, bool) {
 	return nil, false
 }
 
-// checkRetransmit resends timed-out requests; ErrTimeout after MaxRetries.
+// checkRetransmit resends timed-out requests; ErrTimeout after maxRetries.
 func (c *ClientThread) checkRetransmit() error {
 	now := time.Now()
 	for seq, p := range c.pending {
-		if now.Sub(p.sentAt) < c.cfg.RetransmitTimeout {
+		if now.Sub(p.sentAt) < c.cfg.retransmitTimeout {
 			continue
 		}
-		if p.attempts >= c.cfg.MaxRetries {
+		if p.attempts >= c.cfg.maxRetries {
 			delete(c.pending, seq)
 			return ErrTimeout
 		}

@@ -130,7 +130,7 @@ func TestCoalescingUnderLoss(t *testing.T) {
 	// everything (lost batches are re-served per request from the cache).
 	srv, ct, _ := coalesceSetup(t, fabric.Config{UDLossProb: 0.15, Seed: 5})
 	_ = srv
-	ct.cfg.RetransmitTimeout = 200 * time.Microsecond
+	ct.cfg.retransmitTimeout = 200 * time.Microsecond
 	const window, rounds = 8, 40
 	want := map[uint32][]byte{}
 	for r := 0; r < rounds; r++ {

@@ -97,18 +97,19 @@ func getPktHeader(b []byte) pktHeader {
 // Handler processes one request and returns the response payload.
 type Handler func(req []byte) []byte
 
-// Config tunes an endpoint.
+// Config tunes an endpoint. The unexported fields are set by this package's
+// tests only; every other endpoint runs on their defaults.
 type Config struct {
-	// ServerQPs is the number of UD QPs (and dispatcher goroutines) a
+	// serverQPs is the number of UD QPs (and dispatcher goroutines) a
 	// server runs; clients hash across them. Default 1.
-	ServerQPs int
-	// MaxPayload bounds a reassembled request or response. Default 64 KiB.
-	MaxPayload int
-	// RetransmitTimeout is the client's per-attempt response deadline.
+	serverQPs int
+	// maxPayload bounds a reassembled request or response. Default 64 KiB.
+	maxPayload int
+	// retransmitTimeout is the client's per-attempt response deadline.
 	// Default 1ms (the in-process fabric is fast; real eRPC uses ~5 RTTs).
-	RetransmitTimeout time.Duration
-	// MaxRetries bounds retransmissions before ErrTimeout. Default 50.
-	MaxRetries int
+	retransmitTimeout time.Duration
+	// maxRetries bounds retransmissions before ErrTimeout. Default 50.
+	maxRetries int
 	// CoalesceResponses batches the responses of one CQ poll that share a
 	// destination into single datagrams — the paper's §9 observation that
 	// FLock-style coalescing also reduces UD's per-packet CPU and wire
@@ -117,17 +118,17 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.ServerQPs <= 0 {
-		c.ServerQPs = 1
+	if c.serverQPs <= 0 {
+		c.serverQPs = 1
 	}
-	if c.MaxPayload <= 0 {
-		c.MaxPayload = 64 << 10
+	if c.maxPayload <= 0 {
+		c.maxPayload = 64 << 10
 	}
-	if c.RetransmitTimeout <= 0 {
-		c.RetransmitTimeout = time.Millisecond
+	if c.retransmitTimeout <= 0 {
+		c.retransmitTimeout = time.Millisecond
 	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 50
+	if c.maxRetries <= 0 {
+		c.maxRetries = 50
 	}
 	return c
 }
@@ -213,7 +214,7 @@ func NewServer(dev *rnic.Device, cfg Config) (*Server, error) {
 		done:       make(chan struct{}),
 	}
 	s.handlers.Store(map[uint32]Handler{})
-	for i := 0; i < cfg.ServerQPs; i++ {
+	for i := 0; i < cfg.serverQPs; i++ {
 		qp, err := dev.CreateQP(rnic.UD, dev.CreateCQ(), dev.CreateCQ())
 		if err != nil {
 			return nil, err
@@ -416,7 +417,7 @@ func (s *Server) handlePacket(pkt []byte, srcNode, srcQPN int) (pendingResp, boo
 		return pendingResp{}, false
 	}
 	h := getPktHeader(pkt)
-	if h.kind != kindRequest || int(h.totalLen) > s.cfg.MaxPayload {
+	if h.kind != kindRequest || int(h.totalLen) > s.cfg.maxPayload {
 		return pendingResp{}, false
 	}
 	dst := rnic.Address{Node: srcNode, QPN: srcQPN}

@@ -110,8 +110,8 @@ func TestOutstandingWindow(t *testing.T) {
 
 func TestRetransmissionRecoversLoss(t *testing.T) {
 	// 20% wire loss: software reliability must still deliver everything.
-	srv, cdev := testSetup(t, fabric.Config{UDLossProb: 0.2, Seed: 9}, Config{RetransmitTimeout: 200 * time.Microsecond})
-	ct, err := NewClientThread(cdev, Config{RetransmitTimeout: 200 * time.Microsecond}, int(srv.Node()), srv.QPNs()[0])
+	srv, cdev := testSetup(t, fabric.Config{UDLossProb: 0.2, Seed: 9}, Config{retransmitTimeout: 200 * time.Microsecond})
+	ct, err := NewClientThread(cdev, Config{retransmitTimeout: 200 * time.Microsecond}, int(srv.Node()), srv.QPNs()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,8 +133,8 @@ func TestRetransmissionRecoversLoss(t *testing.T) {
 
 func TestTotalLossTimesOut(t *testing.T) {
 	srv, cdev := testSetup(t, fabric.Config{UDLossProb: 1.0, Seed: 1},
-		Config{RetransmitTimeout: 50 * time.Microsecond, MaxRetries: 3})
-	ct, err := NewClientThread(cdev, Config{RetransmitTimeout: 50 * time.Microsecond, MaxRetries: 3},
+		Config{retransmitTimeout: 50 * time.Microsecond, maxRetries: 3})
+	ct, err := NewClientThread(cdev, Config{retransmitTimeout: 50 * time.Microsecond, maxRetries: 3},
 		int(srv.Node()), srv.QPNs()[0])
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +145,7 @@ func TestTotalLossTimesOut(t *testing.T) {
 }
 
 func TestManyClientThreads(t *testing.T) {
-	srv, cdev := testSetup(t, fabric.Config{}, Config{ServerQPs: 2})
+	srv, cdev := testSetup(t, fabric.Config{}, Config{serverQPs: 2})
 	qpns := srv.QPNs()
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -182,8 +182,8 @@ func TestManyClientThreads(t *testing.T) {
 }
 
 func TestPayloadTooBig(t *testing.T) {
-	srv, cdev := testSetup(t, fabric.Config{}, Config{MaxPayload: 128})
-	ct, err := NewClientThread(cdev, Config{MaxPayload: 128}, int(srv.Node()), srv.QPNs()[0])
+	srv, cdev := testSetup(t, fabric.Config{}, Config{maxPayload: 128})
+	ct, err := NewClientThread(cdev, Config{maxPayload: 128}, int(srv.Node()), srv.QPNs()[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -224,8 +224,8 @@ func TestMembershipDetectsDeathAndRevival(t *testing.T) {
 	}
 	fab.SetLinkDown(testClientID, 1, false)
 	fab.SetLinkDown(1, testClientID, false)
-	// Revival takes a few rounds: the conn's QPs recover and the breaker
-	// cools down before a ping gets through again.
+	// Revival takes a few rounds: the conn's QPs recover before a ping
+	// gets through again.
 	revived := false
 	for i := 0; i < 100 && !revived; i++ {
 		revived = lc.mems.ProbeOnce()[1] == resilience.MemberLive

@@ -13,8 +13,8 @@ import (
 // combining win of §4.2 made available to one thread, not just to threads
 // that happen to collide. Each request still gets its own completion
 // record and Pending future; after submission the batch's calls are
-// indistinguishable from CallAsync calls, with the same retry, hedging
-// and dedup behaviour at Wait time.
+// indistinguishable from CallAsync calls, with the same retry and dedup
+// behaviour at Wait time.
 
 // BatchOp is one request in a SendBatch submission.
 type BatchOp struct {
@@ -27,10 +27,10 @@ type BatchOp struct {
 
 // SendBatch submits every op in one combining-queue entry and returns a
 // Pending per op, index-aligned with ops. The batch rides the resilient
-// plan of CallOpts (opts semantics identical); breaker admission is
-// checked once for the whole batch. Ops that fail terminally during
-// submission (node closing, submit deadline) come back as already-resolved
-// Pendings — SendBatch itself errors only when nothing was submitted.
+// plan of CallOpts (opts semantics identical). Ops that fail terminally
+// during submission (node closing, submit deadline) come back as
+// already-resolved Pendings — SendBatch itself errors only when nothing was
+// submitted.
 //
 // The batch counts against the pipeline depth (DefaultPipelineDepth) in
 // full: SendBatch blocks until the thread's pending-call table has room for
@@ -53,9 +53,6 @@ func (t *Thread) SendBatch(ops []BatchOp, opts CallOptions) ([]*Pending, error) 
 	}
 	if c.isClosed() {
 		return nil, c.closedErr()
-	}
-	if !c.breaker.Allow() {
-		return nil, ErrCircuitOpen
 	}
 	if err := t.gatePipeline(len(ops)); err != nil {
 		return nil, err

@@ -85,10 +85,8 @@ type Conn struct {
 	failErr atomic.Pointer[error]
 
 	// retryBudget is the connection-wide token bucket gating retries on
-	// the resilient call path; breaker is the per-remote circuit breaker,
-	// nil unless testKnobs.breakerThreshold arms it.
+	// the resilient call path.
 	retryBudget *resilience.Budget
-	breaker     *resilience.Breaker
 }
 
 // connQP is the client end of one shared queue pair.
@@ -197,9 +195,6 @@ func (n *Node) Connect(remote fabric.NodeID) (*Conn, error) {
 		remote:      remote,
 		threads:     make(map[uint32]*Thread),
 		retryBudget: resilience.NewBudget(DefaultRetryBudgetRatio, n.opts.test.retryBudgetBurst),
-	}
-	if k := n.opts.test; k.breakerThreshold > 0 {
-		c.breaker = resilience.NewBreaker(k.breakerThreshold, k.breakerCooldown, DefaultBreakerProbes, nil)
 	}
 	args := connectArgs{clientNode: n.id}
 	for i := 0; i < n.opts.QPsPerConn; i++ {
@@ -357,14 +352,6 @@ func (c *Conn) thread(id uint32) *Thread {
 	c.threadMu.RLock()
 	defer c.threadMu.RUnlock()
 	return c.threads[id]
-}
-
-// breakerFailure records remote-failure evidence (attempt timeout, broken
-// QP) against the connection's circuit breaker, counting open transitions.
-func (c *Conn) breakerFailure() {
-	if c.breaker != nil && c.breaker.Failure() {
-		c.node.metrics.breakerOpens.Add(1)
-	}
 }
 
 // snapshotThreads copies the registered thread set.

@@ -9,7 +9,6 @@ import (
 
 	"flock/internal/fabric"
 	"flock/internal/mem"
-	"flock/internal/resilience"
 	"flock/internal/rnic"
 	"flock/internal/telemetry"
 )
@@ -46,10 +45,6 @@ var (
 	// the node is healthy, so callers should retry elsewhere rather than
 	// give up.
 	ErrDraining = errors.New("flock: node draining; request rejected")
-	// ErrCircuitOpen reports that the connection's circuit breaker is
-	// open: recent history says the remote is failing, so the call was
-	// refused locally without touching the wire.
-	ErrCircuitOpen = errors.New("flock: circuit breaker open")
 	// ErrCanceled reports that a Pending was canceled by its owner before
 	// completing. The request may still execute on the server; its
 	// response is dropped as stale.
@@ -231,22 +226,14 @@ type NodeMetrics struct {
 	// counts retries the token-bucket budget refused.
 	Retries              uint64
 	RetryBudgetExhausted uint64
-	// Hedges counts hedged request copies sent; HedgesWon counts calls
-	// whose result was the hedge copy's response, the original still
-	// unanswered.
-	Hedges    uint64
-	HedgesWon uint64
 	// DedupHits counts retried requests answered from the idempotent
 	// response cache instead of re-executing (server role).
 	DedupHits uint64
-	// BreakerOpens counts circuit-breaker closed/half-open → open
-	// transitions (client role).
-	BreakerOpens uint64
 	// CreditWithheld counts credits the watermark policy declined to grant
 	// while the server ran near its admission limit.
 	CreditWithheld uint64
 	// StaleDrops counts responses that arrived after their attempt was
-	// abandoned (deadline expiry, hedge loser, cancel) and were dropped at
+	// abandoned (deadline expiry, cancel) and were dropped at
 	// the dispatcher with their pooled lease recycled.
 	StaleDrops uint64
 }
@@ -305,8 +292,7 @@ type Node struct {
 		redistributions                             telemetry.Counter
 		rejected, drainRejected                     telemetry.Counter
 		retries, budgetExhausted                    telemetry.Counter
-		hedges, hedgesWon                           telemetry.Counter
-		dedupHits, breakerOpens, creditWithheld     telemetry.Counter
+		dedupHits, creditWithheld                   telemetry.Counter
 		staleDrops                                  telemetry.Counter
 	}
 
@@ -370,10 +356,7 @@ func (n *Node) publishTelemetry() {
 	cf("rpc_rejected_draining", &n.metrics.drainRejected)
 	cf("retries", &n.metrics.retries)
 	cf("retry_budget_exhausted", &n.metrics.budgetExhausted)
-	cf("hedges", &n.metrics.hedges)
-	cf("hedges_won", &n.metrics.hedgesWon)
 	cf("dedup_hits", &n.metrics.dedupHits)
-	cf("breaker_opens", &n.metrics.breakerOpens)
 	cf("credit_withheld", &n.metrics.creditWithheld)
 	cf("stale_drops", &n.metrics.staleDrops)
 
@@ -405,15 +388,6 @@ func (n *Node) publishTelemetry() {
 	})
 	n.tel.GaugeFunc("core.max_active_qps", func() int64 {
 		return int64(n.opts.MaxActiveQPs)
-	})
-	n.tel.GaugeFunc("core.breaker_open_conns", func() int64 {
-		var open int64
-		for _, c := range n.snapshotConns() {
-			if c.breaker != nil && c.breaker.State() != resilience.BreakerClosed {
-				open++
-			}
-		}
-		return open
 	})
 
 	n.dev.PublishTelemetry(n.tel, "rnic.")
@@ -456,10 +430,7 @@ func (n *Node) Metrics() NodeMetrics {
 		RPCRejectedDraining:  n.metrics.drainRejected.Load(),
 		Retries:              n.metrics.retries.Load(),
 		RetryBudgetExhausted: n.metrics.budgetExhausted.Load(),
-		Hedges:               n.metrics.hedges.Load(),
-		HedgesWon:            n.metrics.hedgesWon.Load(),
 		DedupHits:            n.metrics.dedupHits.Load(),
-		BreakerOpens:         n.metrics.breakerOpens.Load(),
 		CreditWithheld:       n.metrics.creditWithheld.Load(),
 		StaleDrops:           n.metrics.staleDrops.Load(),
 	}

@@ -81,10 +81,6 @@ const (
 	// overload instead of amplifying it.
 	DefaultRetryBudgetRatio = 0.1
 	DefaultRetryBudgetBurst = 16
-	// DefaultBreakerCooldown / DefaultBreakerProbes parameterize the
-	// per-connection circuit breaker.
-	DefaultBreakerCooldown = 100 * time.Millisecond
-	DefaultBreakerProbes   = 1
 )
 
 // Options configures a Node. The zero value is usable: every field falls
@@ -142,11 +138,6 @@ type Options struct {
 	// overload pushback), gated by the retry budget. Zero keeps the
 	// single-attempt legacy path.
 	RetryMaxAttempts int
-	// HedgeDelay, when positive, arms hedged requests on the resilient
-	// path: if no response arrives within the delay, a second copy of the
-	// request (same idempotency key — dedup keeps it single-execution) is
-	// sent. Zero disables hedging.
-	HedgeDelay time.Duration
 
 	// test is filled by this package's tests only; see testKnobs.
 	test testKnobs
@@ -171,12 +162,6 @@ type testKnobs struct {
 	// retryBudgetBurst is the retry budget's bucket size (it starts full;
 	// each clean first attempt refills DefaultRetryBudgetRatio of a token).
 	retryBudgetBurst int
-	// breakerThreshold > 0 arms the per-connection circuit breaker: after
-	// that many consecutive failures calls fail fast with ErrCircuitOpen
-	// until a probe succeeds after breakerCooldown. Nothing outside the
-	// tests arms it (ROADMAP 5(a) holds the decision).
-	breakerThreshold int
-	breakerCooldown  time.Duration
 	// pipelineDepth caps a thread's in-flight calls on the asynchronous
 	// path.
 	pipelineDepth int
@@ -223,9 +208,6 @@ func (o Options) withDefaults() Options {
 	}
 	if k.retryBudgetBurst <= 0 {
 		k.retryBudgetBurst = DefaultRetryBudgetBurst
-	}
-	if k.breakerCooldown <= 0 {
-		k.breakerCooldown = DefaultBreakerCooldown
 	}
 	if k.pipelineDepth <= 0 {
 		k.pipelineDepth = DefaultPipelineDepth

@@ -160,7 +160,7 @@ func TestDedupSingleExecution(t *testing.T) {
 	}
 }
 
-// TestKeyOnlyWhenPlanCanDuplicate: a one-attempt, unhedged plan can never
+// TestKeyOnlyWhenPlanCanDuplicate: a one-attempt plan can never
 // put a second copy of its request on the wire, so it carries no
 // idempotency key and the server's dedup window stays empty; a plan that may
 // retry is keyed and leaves its entry.
@@ -192,48 +192,6 @@ func TestKeyOnlyWhenPlanCanDuplicate(t *testing.T) {
 		if got := window.Len(); got != c.want {
 			t.Fatalf("dedup window holds %d entries after CallAsync(%+v), want %d", got, c.opts, c.want)
 		}
-	}
-}
-
-// TestHedgedRequestWins arms a hedge against a laggy first copy. The dedup
-// window finds the original still executing and turns the hedge copy away
-// with a pushback; that retires the hedge copy only, and the call returns
-// the original's response: one execution, one hedge sent, none won.
-func TestHedgedRequestWins(t *testing.T) {
-	const laggyID = 12
-	var calls atomic.Uint64
-	tc := newTestCluster(t, 1, Options{Workers: 2}, Options{})
-	tc.server.RegisterHandler(laggyID, func(req []byte) []byte {
-		if calls.Add(1) == 1 {
-			time.Sleep(40 * time.Millisecond) // a second execution would be fast
-		}
-		out := make([]byte, len(req))
-		copy(out, req)
-		return out
-	})
-	conn, err := tc.clients[0].Connect(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	th := conn.RegisterThread()
-
-	payload := []byte("hedge-me")
-	r, err := th.CallOpts(laggyID, payload, CallOptions{
-		Budget:     2 * time.Second,
-		HedgeDelay: 5 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(r.Data, payload) {
-		t.Fatalf("hedged echo mismatch: %q != %q", r.Data, payload)
-	}
-	r.Release()
-	if n := calls.Load(); n != 1 {
-		t.Fatalf("handler executed %d times, want exactly 1", n)
-	}
-	if m := tc.clients[0].Metrics(); m.Hedges != 1 || m.HedgesWon != 0 {
-		t.Fatalf("hedges=%d won=%d, want 1/0", m.Hedges, m.HedgesWon)
 	}
 }
 
@@ -354,70 +312,6 @@ func TestDrainingVsClosedErrors(t *testing.T) {
 	}
 	if !errors.Is(err, ErrClosed) || errors.Is(err, ErrDraining) {
 		t.Fatalf("closed-conn error taxonomy wrong: %v", err)
-	}
-}
-
-// TestBreakerOpensAndRecovers trips the per-connection circuit breaker
-// with consecutive attempt timeouts, asserts calls are then refused
-// locally with ErrCircuitOpen, and verifies the half-open probe closes it
-// again once the server recovers.
-func TestBreakerOpensAndRecovers(t *testing.T) {
-	const flakyID = 13
-	var slow atomic.Bool
-	cOpts := Options{
-		RetryMaxAttempts: 1,
-		RPCTimeout:       20 * time.Millisecond,
-		test:             testKnobs{breakerThreshold: 2, breakerCooldown: 100 * time.Millisecond, flapThreshold: -1}, // timeouts may break QPs; recycle, never retire
-	}
-	tc := newTestCluster(t, 1, Options{Workers: 1}, cOpts)
-	tc.server.RegisterHandler(flakyID, func(req []byte) []byte {
-		if slow.Load() {
-			time.Sleep(30 * time.Millisecond)
-		}
-		return []byte("pong")
-	})
-	conn, err := tc.clients[0].Connect(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	th := conn.RegisterThread()
-	if err := callDrop(th, flakyID, []byte("warm")); err != nil {
-		t.Fatal(err)
-	}
-
-	// Two consecutive per-attempt timeouts trip the breaker…
-	slow.Store(true)
-	for i := 0; i < 2; i++ {
-		if err := callDrop(th, flakyID, []byte("ping")); err != ErrTimeout {
-			t.Fatalf("slow call %d: %v, want ErrTimeout", i, err)
-		}
-	}
-	// …so the next call is refused locally, before touching the wire.
-	if err := callDrop(th, flakyID, []byte("ping")); err != ErrCircuitOpen {
-		t.Fatalf("call with open breaker: %v, want ErrCircuitOpen", err)
-	}
-
-	// Server healthy again: after the cooldown the half-open probe must
-	// succeed and close the breaker. Probes racing the cooldown or the
-	// still-busy server are expected; only success ends the wait.
-	slow.Store(false)
-	waitFor(t, "breaker to close via half-open probe", func() bool {
-		err := callDrop(th, flakyID, []byte("probe"))
-		if err == nil {
-			return true
-		}
-		if err != ErrCircuitOpen && err != ErrTimeout && err != ErrQPBroken {
-			t.Fatalf("probe: %v", err)
-		}
-		return false
-	})
-	for i := 0; i < 3; i++ {
-		if err := callDrop(th, flakyID, []byte("steady")); err != nil {
-			t.Fatalf("post-recovery call %d: %v", i, err)
-		}
-	}
-	if m := tc.clients[0].Metrics(); m.BreakerOpens == 0 {
-		t.Fatalf("breaker never recorded opening (metrics %+v)", m)
 	}
 }
 

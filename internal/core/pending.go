@@ -156,7 +156,7 @@ func (p *pendingTable) takeDone(rec *callRec) Response {
 }
 
 // abandon removes a record the waiter no longer wants (attempt deadline
-// expired, hedge loser, submit failure). If a completer got there first
+// expired, cancel, submit failure). If a completer got there first
 // the token is already in the channel — consume it and recycle the lease;
 // if the close-time drain got there even earlier the record is simply
 // gone and must not be recycled (the drain may still hold it).
@@ -226,9 +226,9 @@ func (p *pendingTable) drain() {
 // be called concurrently.
 //
 // The engine runs the full resilient attempt loop of CallOpts — attempt
-// deadlines, hedged copies, full-jitter backoff spent against the
-// connection retry budget, breaker bookkeeping, idempotency-keyed dedup —
-// at Wait time, in the waiting goroutine. Submitting is cheap and
+// deadlines, full-jitter backoff spent against the connection retry
+// budget, idempotency-keyed dedup — one attempt in flight at a time, at
+// Wait time, in the waiting goroutine. Submitting is cheap and
 // immediate; every retry decision happens when someone asks for the
 // result, so asynchronous callers inherit exactly the same resilience as
 // synchronous ones without a goroutine per call.
@@ -240,21 +240,18 @@ type Pending struct {
 	size    int    // bytes moved, for the thread scheduler's statistics
 
 	// Plan (fixed at creation).
-	attempts  int           // total attempt cap; legacy deadline mode uses MaxInt
-	deadline  time.Time     // whole-call budget; zero = unbounded
-	hedge     time.Duration // per-attempt hedge arm delay; <= 0 disabled
-	idemKey   uint64        // nonzero marks attempts dedup-safe on the server
-	resilient bool          // backoff / retry budget / breaker / hedging active
+	attempts  int       // total attempt cap; legacy deadline mode uses MaxInt
+	deadline  time.Time // whole-call budget; zero = unbounded
+	idemKey   uint64    // nonzero marks attempts dedup-safe on the server
+	resilient bool      // backoff / retry budget active
 
 	// Engine state.
 	phase       uint8
 	attempt     int
 	attemptWait time.Duration // current per-attempt wait; zero = unbounded
 	aDeadline   time.Time     // current attempt's response deadline
-	hedgeAt     time.Time     // when to arm the hedge copy; zero = unarmed/spent
 	retryAt     time.Time     // backoff gate before the next attempt
-	rec         *callRec      // primary in-flight attempt
-	recB        *callRec      // hedged copy, nil unless armed
+	rec         *callRec      // the in-flight attempt
 	started     time.Time     // submission time of an RPC's attempt zero (latency probe)
 	lastErr     error
 	timer       *time.Timer
@@ -271,11 +268,9 @@ const (
 )
 
 // newPending builds the engine state shared by every entry point.
-// resilient selects the CallOpts plan (retries, hedging, idempotency key);
+// resilient selects the CallOpts plan (capped retries, idempotency key);
 // otherwise the plan is the legacy one the wrapper encodes via
-// attempts/budget. Breaker admission is the caller's job — resilient entry
-// points check Allow() once per call (or once per batch) before building
-// plans, so a half-open breaker's probe quota is spent per user action.
+// attempts/budget.
 func (t *Thread) newPending(p *Pending, rpcID uint32, payload []byte, opts CallOptions, resilient bool) error {
 	c := t.conn
 	o := &c.node.opts
@@ -296,18 +291,12 @@ func (t *Thread) newPending(p *Pending, rpcID uint32, payload []byte, opts CallO
 		if p.attempts <= 0 {
 			p.attempts = 1
 		}
-		p.hedge = opts.HedgeDelay
-		if p.hedge == 0 {
-			p.hedge = o.HedgeDelay
-		}
-		if p.attempts > 1 || p.hedge > 0 {
+		if p.attempts > 1 {
 			// Only a plan that can put a second copy of the request on the
-			// wire needs the server to recognise one: a one-attempt,
-			// unhedged call goes keyless and costs the dedup window nothing.
+			// wire needs the server to recognise one: a one-attempt call
+			// goes keyless and costs the dedup window nothing.
 			t.idemSeq++
 			p.idemKey = t.idemSeq
-		}
-		if p.attempts > 1 {
 			// The bounded per-attempt wait exists to drive resubmission (and
 			// strike dead server ends). A single-attempt plan with no budget
 			// has nothing to resubmit, so it waits unbounded — parity with
@@ -325,9 +314,11 @@ func (t *Thread) newPending(p *Pending, rpcID uint32, payload []byte, opts CallO
 	}
 	if budget > 0 {
 		p.deadline = time.Now().Add(budget)
-		p.attemptWait = budget / 4
-		if p.attemptWait < time.Millisecond {
-			p.attemptWait = time.Millisecond
+		// Only a plan that can resubmit has a reason to carve the budget
+		// up; a one-attempt call waits all of it.
+		p.attemptWait = budget
+		if p.attempts > 1 {
+			p.attemptWait = max(budget/4, time.Millisecond)
 		}
 	}
 	return nil
@@ -346,7 +337,7 @@ func (p *Pending) finish(r Response) {
 }
 
 // Wait blocks until the call completes and returns its response or error.
-// It is where retries, hedges and backoff actually run; a Pending that is
+// It is where retries and backoff actually run; a Pending that is
 // never waited still completes (the dispatcher resolves its record) but
 // never retries. Wait may be called again after it returns; it keeps
 // returning the same outcome.
@@ -367,8 +358,8 @@ func (p *Pending) Wait() (Response, error) {
 }
 
 // Done polls the call without blocking, advancing any engine step that is
-// ready (arming a hedge, expiring an attempt, submitting a backed-off
-// retry). It reports whether Wait would return immediately.
+// ready (expiring an attempt, submitting a backed-off retry). It reports
+// whether Wait would return immediately.
 func (p *Pending) Done() bool {
 	for p.phase != pendDone {
 		var progressed bool
@@ -385,8 +376,8 @@ func (p *Pending) Done() bool {
 	return true
 }
 
-// Cancel abandons the call: in-flight attempt records are removed from the
-// table (late responses become stale drops) and any already-completed
+// Cancel abandons the call: the in-flight attempt's record is removed from
+// the table (a late response becomes a stale drop) and any already-completed
 // response lease is released. After Cancel, Wait returns ErrClosed-free
 // best effort: the canceled error. Cancel of a finished call releases
 // nothing and keeps the outcome.
@@ -394,19 +385,15 @@ func (p *Pending) Cancel() {
 	if p.phase == pendDone {
 		return
 	}
-	p.abandonAttempts()
+	p.abandonAttempt()
 	p.fail(ErrCanceled)
 }
 
-// abandonAttempts removes the in-flight attempt records.
-func (p *Pending) abandonAttempts() {
+// abandonAttempt removes the in-flight attempt's record, if there is one.
+func (p *Pending) abandonAttempt() {
 	if p.rec != nil {
 		p.t.pend.abandon(p.rec)
 		p.rec = nil
-	}
-	if p.recB != nil {
-		p.t.pend.abandon(p.recB)
-		p.recB = nil
 	}
 }
 
@@ -441,19 +428,14 @@ func (p *Pending) startAttempt(block bool) bool {
 	return true
 }
 
-// armAttempt starts the clocks of the attempt just submitted as p.rec: its
-// response deadline and, on the resilient plan, its hedge point.
+// armAttempt starts the clock of the attempt just submitted as p.rec: its
+// response deadline.
 func (p *Pending) armAttempt() {
-	p.aDeadline, p.hedgeAt = time.Time{}, time.Time{}
+	p.aDeadline = time.Time{}
 	if p.attemptWait > 0 {
 		p.aDeadline = time.Now().Add(p.attemptWait)
 		if !p.deadline.IsZero() && p.aDeadline.After(p.deadline) {
 			p.aDeadline = p.deadline
-		}
-	}
-	if p.resilient && p.hedge > 0 {
-		if at := time.Now().Add(p.hedge); p.aDeadline.IsZero() || at.Before(p.aDeadline) {
-			p.hedgeAt = at
 		}
 	}
 	p.phase = pendInflight
@@ -482,86 +464,62 @@ func (t *Thread) noteUnparked() {
 	}
 }
 
-// awaitAttempt waits for the in-flight attempt to resolve: a completion
-// token on either copy, the hedge arm point, or the attempt deadline. It
-// returns false when nothing is ready and block is false.
+// awaitAttempt waits for the in-flight attempt to resolve: its completion
+// token or the attempt deadline. It returns false when nothing is ready and
+// block is false.
 func (p *Pending) awaitAttempt(block bool) bool {
 	t := p.t
-	for {
-		var bch chan struct{}
-		if p.recB != nil {
-			bch = p.recB.ch
+	// A token already there is collected without parking; it also beats a
+	// deadline already past and spares arming the timer.
+	select {
+	case <-p.rec.ch:
+		t.noteUnparked()
+		return p.onToken()
+	default:
+	}
+	if !block {
+		if p.aDeadline.IsZero() || time.Now().Before(p.aDeadline) {
+			return false
 		}
-		wake := p.aDeadline
-		if !p.hedgeAt.IsZero() && (wake.IsZero() || p.hedgeAt.Before(wake)) {
-			wake = p.hedgeAt
-		}
-		// A token already there is collected without parking; it also beats
-		// a wake time already past and spares arming the timer.
+	} else if p.aDeadline.IsZero() {
+		t.unparked = 0
 		select {
 		case <-p.rec.ch:
-			t.noteUnparked()
-			return p.onToken(false)
-		case <-bch:
-			t.noteUnparked()
-			return p.onToken(true)
-		default:
+			return p.onToken()
+		case <-t.conn.closedCh():
+			return p.onClosed()
 		}
-		if !block {
-			if wake.IsZero() || time.Now().Before(wake) {
-				return false
-			}
-		} else if wake.IsZero() {
-			t.unparked = 0
-			select {
-			case <-p.rec.ch:
-				return p.onToken(false)
-			case <-bch:
-				return p.onToken(true)
-			case <-t.conn.closedCh():
-				return p.onClosed()
-			}
+	} else {
+		t.unparked = 0
+		if p.timer == nil {
+			p.timer = time.NewTimer(time.Until(p.aDeadline))
 		} else {
-			t.unparked = 0
-			if p.timer == nil {
-				p.timer = time.NewTimer(time.Until(wake))
-			} else {
-				if !p.timer.Stop() {
-					select {
-					case <-p.timer.C:
-					default:
-					}
+			if !p.timer.Stop() {
+				select {
+				case <-p.timer.C:
+				default:
 				}
-				p.timer.Reset(time.Until(wake))
 			}
-			select {
-			case <-p.rec.ch:
-				return p.onToken(false)
-			case <-bch:
-				return p.onToken(true)
-			case <-p.timer.C:
-			case <-t.conn.closedCh():
-				return p.onClosed()
-			}
+			p.timer.Reset(time.Until(p.aDeadline))
 		}
-		now := time.Now()
-		if !p.hedgeAt.IsZero() && !now.Before(p.hedgeAt) {
-			p.armHedge()
-			continue
-		}
-		if !p.aDeadline.IsZero() && !now.Before(p.aDeadline) {
-			// Attempt expired: abandon both copies (late responses become
-			// stale drops at the dispatcher) and strike the QP in use —
-			// repeated expiries are the only signal a dead server end
-			// gives, and enough of them break the QP for recycling.
-			p.abandonAttempts()
-			c := t.conn
-			if cur := t.curQP.Load(); cur >= 0 && int(cur) < len(c.qps) {
-				c.noteTimeout(c.qps[cur])
-			}
-			return p.attemptFailed(ErrTimeout)
+		select {
+		case <-p.rec.ch:
+			return p.onToken()
+		case <-p.timer.C:
+		case <-t.conn.closedCh():
+			return p.onClosed()
 		}
 	}
+	// Attempt expired: abandon it (a late response becomes a stale drop at
+	// the dispatcher) and strike the QP in use — repeated expiries are the
+	// only signal a dead server end gives, and enough of them break the QP
+	// for recycling.
+	p.abandonAttempt()
+	c := t.conn
+	if cur := t.curQP.Load(); cur >= 0 && int(cur) < len(c.qps) {
+		c.noteTimeout(c.qps[cur])
+	}
+	return p.attemptFailed(ErrTimeout)
 }
 
 // onClosed resolves the call when the node shut down mid-wait: a
@@ -570,47 +528,21 @@ func (p *Pending) awaitAttempt(block bool) bool {
 func (p *Pending) onClosed() bool {
 	select {
 	case <-p.rec.ch:
-		return p.onToken(false)
+		return p.onToken()
 	default:
 	}
-	if p.recB != nil {
-		select {
-		case <-p.recB.ch:
-			return p.onToken(true)
-		default:
-		}
-	}
-	p.abandonAttempts()
+	p.abandonAttempt()
 	p.fail(p.t.conn.closedErr())
 	return true
 }
 
-// armHedge submits the hedged second copy of the current attempt (same
-// idempotency key — the server's dedup window keeps the pair
-// exactly-once) and disarms the hedge point.
-func (p *Pending) armHedge() {
-	p.hedgeAt = time.Time{}
-	rec, err := p.t.sendAttempt(p)
-	if err != nil {
-		return // best effort; the primary copy is still in flight
-	}
-	p.recB = rec
-	p.t.conn.node.metrics.hedges.Add(1)
-}
-
-// onToken consumes a completion: hedged reports which copy resolved.
-func (p *Pending) onToken(hedged bool) bool {
+// onToken consumes the in-flight attempt's completion.
+func (p *Pending) onToken() bool {
 	t := p.t
 	c := t.conn
-	var rec *callRec
-	if hedged {
-		rec, p.recB = p.recB, nil
-	} else {
-		rec, p.rec = p.rec, nil
-	}
-	r := t.pend.takeDone(rec)
+	r := t.pend.takeDone(p.rec)
+	p.rec = nil
 	if r.err != nil {
-		p.abandonAttempts()
 		if r.err == ErrQPBroken {
 			return p.attemptFailed(ErrQPBroken)
 		}
@@ -623,39 +555,20 @@ func (p *Pending) onToken(hedged bool) bool {
 	}
 	if perr := pushbackErr(r.Status); perr != nil {
 		r.Release()
-		if !hedged {
-			p.rec, p.recB = p.recB, nil // a hedge copy in flight carries on as the attempt
-		}
-		if p.rec != nil {
-			// One copy of a hedged pair was pushed back while its twin is
-			// still in flight — the dedup window turns away the copy that
-			// finds the other executing. Only that copy is retired.
-			return true
-		}
 		if p.resilient && perr == ErrOverloaded {
-			// Admission pushback is retryable on the resilient plan; the
-			// breaker must not count it — the server is alive and shedding.
+			// Admission pushback is retryable on the resilient plan.
 			return p.attemptFailed(ErrOverloaded)
 		}
 		p.fail(perr)
 		return true
 	}
-	// Success. The losing hedge copy (or primary) is abandoned; its late
-	// response is dropped as stale.
-	p.abandonAttempts()
-	if hedged {
-		c.node.metrics.hedgesWon.Add(1)
-	}
 	if cur := t.curQP.Load(); cur >= 0 && int(cur) < len(c.qps) {
 		c.qps[cur].timeouts.Store(0) // healthy again
 	}
-	if p.resilient {
-		c.breaker.Success()
-		if p.attempt == 0 {
-			// Only clean first attempts earn budget: retries paying for
-			// retries would defeat the self-extinguishing property.
-			c.retryBudget.OnSuccess()
-		}
+	if p.resilient && p.attempt == 0 {
+		// Only clean first attempts earn budget: retries paying for
+		// retries would defeat the self-extinguishing property.
+		c.retryBudget.OnSuccess()
 	}
 	if p.kind == opRPC {
 		c.node.completionNS.Observe(uint64(time.Since(p.started)))
@@ -672,11 +585,6 @@ func (p *Pending) attemptFailed(err error) bool {
 	t := p.t
 	c := t.conn
 	p.lastErr = err
-	if p.resilient && err != ErrOverloaded {
-		// Timeouts and broken QPs are failure evidence; overload pushback
-		// means the server is alive and shedding.
-		c.breakerFailure()
-	}
 	if !p.resilient && err == ErrQPBroken {
 		// Legacy deadline semantics counted broken-QP attempt failures as
 		// timeout strikes (the QP is already broken, so only the counter

@@ -468,19 +468,18 @@ func TestDedupAsyncRetrySingleExecution(t *testing.T) {
 	waitFor(t, "straggler responses to resolve", func() bool { return th.Outstanding() == 0 })
 }
 
-// TestHedgedAsyncWins is the async parity check for hedging: a CallAsync
-// armed with a hedge delay against a laggy first copy survives the dedup
-// window's pushback on the hedge copy and resolves with the original's
-// response — one execution, one hedge sent, none won — identically to the
-// synchronous CallOpts path.
-func TestHedgedAsyncWins(t *testing.T) {
-	const laggyID = 23
-	var calls atomic.Uint64
+// TestOneAttemptWaitsWholeBudget: only a plan that can resubmit has a
+// reason to carve its budget into per-attempt waits. A one-attempt CallOpts
+// or CallAsync given 300 ms must wait out a 100 ms handler, and without a
+// single deadline strike against the QP. CallWithDeadline, which may
+// resubmit until the budget runs out, keeps its quarter slices and succeeds
+// on a later one.
+func TestOneAttemptWaitsWholeBudget(t *testing.T) {
+	const slowID = 24
+	const budget = 300 * time.Millisecond
 	tc := newTestCluster(t, 1, Options{Workers: 2}, Options{})
-	tc.server.RegisterHandler(laggyID, func(req []byte) []byte {
-		if calls.Add(1) == 1 {
-			time.Sleep(40 * time.Millisecond) // a second execution would be fast
-		}
+	tc.server.RegisterHandler(slowID, func(req []byte) []byte {
+		time.Sleep(100 * time.Millisecond) // past budget/4, well inside budget
 		out := make([]byte, len(req))
 		copy(out, req)
 		return out
@@ -490,71 +489,93 @@ func TestHedgedAsyncWins(t *testing.T) {
 		t.Fatal(err)
 	}
 	th := conn.RegisterThread()
+	payload := []byte("whole-budget")
+	check := func(how string, r Response, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v (timeouts=%d)", how, err, tc.clients[0].Metrics().RPCTimeouts)
+		}
+		if !bytes.Equal(r.Data, payload) {
+			t.Fatalf("%s: got %q", how, r.Data)
+		}
+		r.Release()
+	}
 
-	payload := []byte("hedge-async")
-	p, err := th.CallAsync(laggyID, payload, CallOptions{
-		Budget:     2 * time.Second,
-		HedgeDelay: 5 * time.Millisecond,
-	})
+	r, err := th.CallOpts(slowID, payload, CallOptions{Budget: budget})
+	check("CallOpts", r, err)
+	p, err := th.CallAsync(slowID, payload, CallOptions{Budget: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := p.Wait()
-	if err != nil {
-		t.Fatal(err)
+	r, err = p.Wait()
+	check("CallAsync+Wait", r, err)
+	if n := tc.clients[0].Metrics().RPCTimeouts; n != 0 {
+		t.Fatalf("one-attempt plans struck the QP %d times inside their budget", n)
 	}
-	if !bytes.Equal(r.Data, payload) {
-		t.Fatalf("hedged echo mismatch: %q != %q", r.Data, payload)
-	}
-	r.Release()
-	if n := calls.Load(); n != 1 {
-		t.Fatalf("handler executed %d times, want exactly 1", n)
-	}
-	if m := tc.clients[0].Metrics(); m.Hedges != 1 || m.HedgesWon != 0 {
-		t.Fatalf("hedges=%d won=%d, want 1/0", m.Hedges, m.HedgesWon)
-	}
+
+	r, err = th.CallWithDeadline(slowID, payload, budget)
+	check("CallWithDeadline", r, err)
+	waitFor(t, "straggler responses to resolve", func() bool { return th.Outstanding() == 0 })
 }
 
-// TestBreakerRefusesAsync trips the circuit breaker via the synchronous
-// path and asserts the async entry points share it: CallAsync and
-// SendBatch must refuse locally with ErrCircuitOpen, before any record is
-// registered or payload touched.
-func TestBreakerRefusesAsync(t *testing.T) {
-	const flakyID = 24
-	cOpts := Options{
-		RetryMaxAttempts: 1,
-		RPCTimeout:       20 * time.Millisecond,
-		test:             testKnobs{breakerThreshold: 2, breakerCooldown: 10 * time.Second, flapThreshold: -1}, // stays open for the whole test
-	}
-	tc := newTestCluster(t, 1, Options{Workers: 1}, cOpts)
-	tc.server.RegisterHandler(flakyID, func(req []byte) []byte {
-		time.Sleep(30 * time.Millisecond)
-		return []byte("pong")
+// TestAsyncRetryDrivenByDone drives a keyed CallAsync through an attempt
+// expiry and its retry with Done alone — the non-blocking arm of the
+// engine, which otherwise only the cluster's group-commit harvest loop
+// exercises. The handler's first execution is held until the first
+// attempt's wait has expired, so the retry is either turned away while the
+// original executes or served from the dedup window after it finished;
+// either way the call resolves with the one execution's bytes.
+func TestAsyncRetryDrivenByDone(t *testing.T) {
+	const countID = 25
+	var execs atomic.Uint64
+	release := make(chan struct{})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	tc := newTestCluster(t, 1, Options{Workers: 2}, Options{})
+	t.Cleanup(unblock) // before the nodes close: a held handler would hang them
+	tc.server.RegisterHandler(countID, func(req []byte) []byte {
+		n := execs.Add(1)
+		if n == 1 {
+			<-release
+		}
+		return []byte{byte(n)}
 	})
 	conn, err := tc.clients[0].Connect(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	th := conn.RegisterThread()
-	for i := 0; i < 2; i++ {
-		if err := callDrop(th, flakyID, []byte("trip")); err != ErrTimeout {
-			t.Fatalf("trip call %d: %v, want ErrTimeout", i, err)
-		}
-	}
 
-	if p, err := th.CallAsync(flakyID, []byte("x"), CallOptions{}); err != ErrCircuitOpen || p != nil {
-		t.Fatalf("CallAsync with open breaker: p=%v err=%v, want nil/ErrCircuitOpen", p, err)
+	// Budget/4 = 200 ms is the first attempt's wait.
+	p, err := th.CallAsync(countID, []byte("poll"), CallOptions{Budget: 800 * time.Millisecond, MaxAttempts: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
-	ops := []BatchOp{{RPCID: flakyID, Payload: []byte("a")}, {RPCID: flakyID, Payload: []byte("b")}}
-	if ps, err := th.SendBatch(ops, CallOptions{}); err != ErrCircuitOpen || ps != nil {
-		t.Fatalf("SendBatch with open breaker: ps=%v err=%v, want nil/ErrCircuitOpen", ps, err)
+	client := tc.clients[0]
+	waitFor(t, "the first attempt to expire", func() bool {
+		if p.Done() {
+			t.Fatal("call resolved while its only execution was still held")
+		}
+		return client.Metrics().Retries >= 1
+	})
+	// The abandoned attempt's response arriving as a stale drop says the
+	// first execution is over and its result is in the dedup window.
+	unblock()
+	waitFor(t, "the first execution's response", func() bool { return client.Metrics().StaleDrops >= 1 })
+	waitFor(t, "Done to report completion", p.Done)
+
+	r, err := p.Wait()
+	if err != nil {
+		t.Fatalf("Wait after Done: %v", err)
 	}
-	if th.Outstanding() != 0 {
-		t.Fatalf("refused async calls left %d records in the table", th.Outstanding())
+	if !bytes.Equal(r.Data, []byte{1}) {
+		t.Fatalf("got %v, want the one execution's bytes", r.Data)
 	}
-	// Wait out the slow handler's stragglers so the leak gate sees every
-	// lease home.
-	waitFor(t, "trip-call stragglers", func() bool { return th.Outstanding() == 0 })
+	r.Release()
+	if n := execs.Load(); n != 1 {
+		t.Fatalf("handler executed %d times, want exactly 1", n)
+	}
+	waitFor(t, "straggler responses to resolve", func() bool { return th.Outstanding() == 0 })
 }
 
 // TestSendBatchEcho submits one batch of distinct payloads and asserts

@@ -179,11 +179,6 @@ func (c *Conn) recycleQP(q *connQP) {
 func (c *Conn) quarantine(q *connQP) {
 	q.disabled.Store(true)
 	c.node.metrics.quarantines.Add(1)
-	// A flapping QP retired for good is stronger failure evidence than any
-	// single request outcome: trip the circuit breaker immediately.
-	if c.breaker != nil && c.breaker.ForceOpen() {
-		c.node.metrics.breakerOpens.Add(1)
-	}
 	_, peerQPN := q.qp.Peer()
 	if rnode := c.node.net.node(c.remote); rnode != nil {
 		rnode.quarantineServerQP(peerQPN)

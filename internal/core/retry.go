@@ -6,11 +6,10 @@ import (
 
 // This file is the resilient client call surface: retries with exponential
 // full-jitter backoff, gated by a per-connection token-bucket retry
-// budget and (when enabled) a circuit breaker, with optional hedged
-// requests. Every attempt of one call carries the same idempotency key,
-// so the server's dedup window keeps retried and hedged copies
-// exactly-once within it — a retry whose original executed gets the
-// cached response instead of a second execution.
+// budget, one attempt in flight at a time. Every attempt of a call that
+// may retry carries the same idempotency key, so the server's dedup window
+// keeps the copies exactly-once within it — a retry whose original
+// executed gets the cached response instead of a second execution.
 //
 // The attempt loop itself lives in pending.go (the unified completion
 // engine); CallOpts and CallAsync are plans over it. Options.
@@ -21,25 +20,22 @@ import (
 // CallOptions parameterizes one resilient call. Zero fields inherit the
 // node Options' retry knobs.
 type CallOptions struct {
-	// Budget bounds the whole call — attempts, backoff, and hedges
-	// included. Zero inherits Options.RPCTimeout; if that is zero too the
-	// call is bounded only by the attempt count.
+	// Budget bounds the whole call — attempts and backoff included. Zero
+	// inherits Options.RPCTimeout; if that is zero too the call is bounded
+	// only by the attempt count. A one-attempt call waits the whole budget
+	// for its response; a call that may retry starts at a quarter of it.
 	Budget time.Duration
 	// MaxAttempts is the total attempt cap (first try included). Zero
 	// inherits Options.RetryMaxAttempts; both zero means one attempt.
 	MaxAttempts int
-	// HedgeDelay arms a hedged second copy of the request after this much
-	// silence within an attempt. Zero inherits Options.HedgeDelay;
-	// negative disables hedging for this call.
-	HedgeDelay time.Duration
 }
 
 // CallOpts is the resilient synchronous call (§4.1 semantics plus
 // overload control): at-most MaxAttempts idempotency-keyed attempts with
-// full-jitter backoff, spent against the connection's retry budget, fast-
-// failed by the circuit breaker, optionally hedged. It drives the unified
-// completion engine on the caller's stack, so it interleaves freely with
-// outstanding CallAsync/SendBatch requests on the same thread.
+// full-jitter backoff, spent against the connection's retry budget. It
+// drives the unified completion engine on the caller's stack, so it
+// interleaves freely with outstanding CallAsync/SendBatch requests on the
+// same thread.
 func (t *Thread) CallOpts(rpcID uint32, payload []byte, opts CallOptions) (Response, error) {
 	return t.call(rpcID, payload, opts, true)
 }
@@ -47,19 +43,16 @@ func (t *Thread) CallOpts(rpcID uint32, payload []byte, opts CallOptions) (Respo
 // CallAsync submits a resilient call without waiting and returns its
 // Pending future. The first attempt is pushed into the TCQ before
 // CallAsync returns (so pipelined submissions coalesce under the leader's
-// doorbell); retries, hedging, backoff, budget and breaker bookkeeping —
-// the same plan CallOpts runs — execute inside Wait/Done in the caller's
-// goroutine. A Pending that is never waited still completes and its
-// response lease is reclaimed at close, but it never retries.
+// doorbell); retries, backoff and budget bookkeeping — the same plan
+// CallOpts runs — execute inside Wait/Done in the caller's goroutine. A
+// Pending that is never waited still completes and its response lease is
+// reclaimed at close, but it never retries.
 //
 // Outstanding Pendings may be freely interleaved with Call/CallOpts/
 // SendRPC on the same thread. Submission respects the pipeline depth
 // (DefaultPipelineDepth): when the thread's table is full, CallAsync blocks
 // until a slot frees.
 func (t *Thread) CallAsync(rpcID uint32, payload []byte, opts CallOptions) (*Pending, error) {
-	if !t.conn.breaker.Allow() {
-		return nil, ErrCircuitOpen
-	}
 	p := new(Pending)
 	if err := t.newPending(p, rpcID, payload, opts, true); err != nil {
 		return nil, err

@@ -354,9 +354,6 @@ func (t *Thread) RecvRes() (Response, error) {
 // promotes the legacy plans to the resilient one.
 func (t *Thread) call(rpcID uint32, payload []byte, opts CallOptions, resilient bool) (Response, error) {
 	resilient = resilient || t.conn.node.opts.RetryMaxAttempts > 0
-	if resilient && !t.conn.breaker.Allow() {
-		return Response{}, ErrCircuitOpen
-	}
 	var p Pending
 	if err := t.newPending(&p, rpcID, payload, opts, resilient); err != nil {
 		return Response{}, err

@@ -27,7 +27,7 @@ func Pipelined(w *Worker, th *core.Thread, payload []byte, depth int) Step {
 	return func() (int, error) {
 		// A submission that fails does not stop the oldest call in flight
 		// from being retired first: a worker that tolerates the error must
-		// not spin on a closed breaker with its window full.
+		// not spin on a refusing handle with its window full.
 		var submitErr error
 		for len(fly) < depth && submitErr == nil {
 			p, err := th.CallAsync(1, payload, core.CallOptions{})

@@ -1,13 +1,13 @@
 // Package resilience is the overload-control toolkit threaded through
 // internal/core: client-side retry policies (exponential backoff with full
-// jitter, token-bucket retry budgets, circuit breakers) and the
+// jitter, token-bucket retry budgets) and the
 // server-side idempotent-response dedup window that makes those retries
 // safe. Everything here is deterministic given a seeded RNG or an
 // injected clock, so the policies are unit-testable without wall time.
 //
 // The package deliberately knows nothing about QPs, rings, or the wire
 // format — core wires the policies into its paths and maps their outcomes
-// onto typed errors (ErrOverloaded, ErrDraining, ErrCircuitOpen).
+// onto typed errors (ErrOverloaded, ErrDraining).
 package resilience
 
 import (

@@ -115,156 +115,6 @@ func TestBudgetNilAndDegenerate(t *testing.T) {
 	}
 }
 
-// fakeClock is an injectable clock for deterministic breaker transitions.
-type fakeClock struct{ t time.Time }
-
-func (c *fakeClock) now() time.Time          { return c.t }
-func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
-
-func TestBreakerTransitions(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(0, 0)}
-	b := NewBreaker(3, 100*time.Millisecond, 1, clk.now)
-
-	if b.State() != BreakerClosed {
-		t.Fatalf("fresh breaker state = %v, want closed", b.State())
-	}
-	// Two failures: still closed.
-	for i := 0; i < 2; i++ {
-		if opened := b.Failure(); opened {
-			t.Fatalf("failure %d opened breaker below threshold", i+1)
-		}
-	}
-	if !b.Allow() {
-		t.Fatal("closed breaker refused a request")
-	}
-	// Third consecutive failure trips it.
-	if opened := b.Failure(); !opened {
-		t.Fatal("threshold failure did not report opening")
-	}
-	if b.State() != BreakerOpen {
-		t.Fatalf("state = %v, want open", b.State())
-	}
-	if b.Allow() {
-		t.Fatal("open breaker admitted a request before cooldown")
-	}
-
-	// Cooldown elapses: half-open, exactly one probe admitted.
-	clk.advance(100 * time.Millisecond)
-	if !b.Allow() {
-		t.Fatal("half-open breaker refused the probe")
-	}
-	if b.State() != BreakerHalfOpen {
-		t.Fatalf("state = %v, want half-open", b.State())
-	}
-	if b.Allow() {
-		t.Fatal("half-open breaker admitted a second probe (probes=1)")
-	}
-
-	// Probe succeeds: closed again, failure count reset.
-	b.Success()
-	if b.State() != BreakerClosed {
-		t.Fatalf("state after probe success = %v, want closed", b.State())
-	}
-	for i := 0; i < 2; i++ {
-		b.Failure()
-	}
-	if b.State() != BreakerClosed {
-		t.Fatal("failure count was not reset by recovery")
-	}
-}
-
-func TestBreakerProbeFailureReopens(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(0, 0)}
-	b := NewBreaker(1, 50*time.Millisecond, 1, clk.now)
-
-	b.Failure() // trips (threshold 1)
-	clk.advance(50 * time.Millisecond)
-	if !b.Allow() {
-		t.Fatal("probe refused")
-	}
-	if opened := b.Failure(); !opened {
-		t.Fatal("probe failure did not report re-opening")
-	}
-	if b.State() != BreakerOpen {
-		t.Fatalf("state = %v, want open after probe failure", b.State())
-	}
-	// Cooldown re-armed from the probe failure, not the original trip.
-	clk.advance(25 * time.Millisecond)
-	if b.Allow() {
-		t.Fatal("re-opened breaker admitted before re-armed cooldown elapsed")
-	}
-	clk.advance(25 * time.Millisecond)
-	if !b.Allow() {
-		t.Fatal("re-opened breaker never half-opened")
-	}
-}
-
-func TestBreakerSuccessResetsStreak(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(0, 0)}
-	b := NewBreaker(3, time.Second, 1, clk.now)
-	// Interleaved successes keep the consecutive count below threshold.
-	for i := 0; i < 10; i++ {
-		b.Failure()
-		b.Failure()
-		b.Success()
-	}
-	if b.State() != BreakerClosed {
-		t.Fatalf("state = %v, want closed: successes must reset the streak", b.State())
-	}
-}
-
-func TestBreakerForceOpen(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(0, 0)}
-	b := NewBreaker(100, time.Second, 1, clk.now)
-	if !b.ForceOpen() {
-		t.Fatal("ForceOpen on closed breaker returned false")
-	}
-	if b.ForceOpen() {
-		t.Fatal("ForceOpen on already-open breaker returned true")
-	}
-	if b.Allow() {
-		t.Fatal("force-opened breaker admitted a request")
-	}
-}
-
-func TestBreakerHealthEWMA(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(0, 0)}
-	b := NewBreaker(1000, time.Second, 1, clk.now)
-	if got := b.Health(); got != 1 {
-		t.Fatalf("fresh Health = %v, want 1", got)
-	}
-	b.Failure()
-	if got := b.Health(); got != 0 {
-		t.Fatalf("Health after first (failing) sample = %v, want 0", got)
-	}
-	prev := b.Health()
-	for i := 0; i < 50; i++ {
-		b.Success()
-		h := b.Health()
-		if h < prev {
-			t.Fatalf("Health fell (%v -> %v) on a success", prev, h)
-		}
-		prev = h
-	}
-	if prev < 0.7 {
-		t.Fatalf("Health after 50 successes = %v, want recovered above 0.7", prev)
-	}
-}
-
-func TestBreakerNil(t *testing.T) {
-	var b *Breaker
-	if !b.Allow() {
-		t.Fatal("nil breaker must allow")
-	}
-	b.Success()
-	if b.Failure() {
-		t.Fatal("nil breaker reported opening")
-	}
-	if b.State() != BreakerClosed || b.Health() != 1 {
-		t.Fatal("nil breaker must report closed/healthy")
-	}
-}
-
 func TestDedupWindowLifecycle(t *testing.T) {
 	w := NewDedupWindow(4)
 	k := DedupKey{Thread: 7, Key: 99}

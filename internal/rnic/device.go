@@ -11,7 +11,8 @@ import (
 	"flock/internal/fabric"
 )
 
-// Config configures a Device.
+// Config configures a Device. The unexported fields are set by this
+// package's tests only; every other device runs on their defaults.
 type Config struct {
 	// Node is the device's fabric address.
 	Node fabric.NodeID
@@ -20,13 +21,13 @@ type Config struct {
 	// ConnectX-5 sustains roughly a few hundred hot QPs before thrashing
 	// (peak at 176–704 QPs in Figure 2a); the DES calibrates to that.
 	CacheSize int
-	// CQDepth is the default depth for completion queues created by this
+	// cqDepth is the default depth for completion queues created by this
 	// device. Zero means 4096.
-	CQDepth int
-	// RNRRetries bounds how many times the device re-attempts a send that
+	cqDepth int
+	// rnrRetries bounds how many times the device re-attempts a send that
 	// finds no receive buffer on an RC responder before completing with
 	// StatusRNRExceeded. Zero means 1000.
-	RNRRetries int
+	rnrRetries int
 	// RCRetries bounds how many times the device retransmits an RC work
 	// request whose transmission the fabric faults (loss, corruption,
 	// link-down) before completing it with StatusRetryExceeded and moving
@@ -172,14 +173,14 @@ type Device struct {
 // NewDevice creates a device and registers it on the fabric. Close detaches
 // it and releases what abandoned work requests still own.
 func NewDevice(fab *fabric.Fabric, cfg Config) (*Device, error) {
-	if cfg.RNRRetries <= 0 {
-		cfg.RNRRetries = 1000
+	if cfg.rnrRetries <= 0 {
+		cfg.rnrRetries = 1000
 	}
 	if cfg.RCRetries <= 0 {
 		cfg.RCRetries = 7
 	}
-	if cfg.CQDepth <= 0 {
-		cfg.CQDepth = 4096
+	if cfg.cqDepth <= 0 {
+		cfg.cqDepth = 4096
 	}
 	d := &Device{
 		cfg:     cfg,
@@ -261,7 +262,7 @@ func (d *Device) Close() {
 }
 
 // CreateCQ makes a completion queue with the device default depth.
-func (d *Device) CreateCQ() *CQ { return NewCQ(d.cfg.CQDepth) }
+func (d *Device) CreateCQ() *CQ { return NewCQ(d.cfg.cqDepth) }
 
 // CreateQP creates a queue pair of the given transport bound to the two
 // completion queues (which may be the same). UD QPs are immediately ready;

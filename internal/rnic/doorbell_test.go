@@ -127,7 +127,7 @@ func TestDoorbellStress(t *testing.T) {
 		deep = 4 * drainBudget // one post that outlasts a ringer's stint
 	)
 	perQP := G * (N + deep)
-	d1, d2 := testPair(t, fabric.Config{}, Config{CQDepth: perQP}, Config{})
+	d1, d2 := testPair(t, fabric.Config{}, Config{cqDepth: perQP}, Config{})
 	remote, _ := d2.RegisterMR(4096, PermRemoteWrite)
 
 	type lane struct {

@@ -157,9 +157,9 @@ func (d *Device) advance(q *QP, wr *SendWR) (Status, int, time.Duration) {
 	}
 	if status == statusRNR {
 		// Receiver-not-ready flow control: nothing was placed; try the
-		// delivery again later, RNRRetries times at most.
+		// delivery again later, rnrRetries times at most.
 		d.counters.add(&d.counters.RNRWaits, 1)
-		if st.rnr++; st.rnr < d.cfg.RNRRetries {
+		if st.rnr++; st.rnr < d.cfg.rnrRetries {
 			return 0, 0, rnrBackoff
 		}
 		status = StatusRNRExceeded

@@ -363,7 +363,7 @@ func TestRCRNRRetrySucceeds(t *testing.T) {
 }
 
 func TestRCRNRExhaustionErrorsQP(t *testing.T) {
-	d1, d2 := testPair(t, fabric.Config{}, Config{RNRRetries: 3}, Config{})
+	d1, d2 := testPair(t, fabric.Config{}, Config{rnrRetries: 3}, Config{})
 	qa, _, _ := ConnectPair(d1, d2, RC)
 	if err := qa.PostSend(SendWR{WRID: 1, Op: OpSend, Inline: []byte("x"), Signaled: true}); err != nil {
 		t.Fatal(err)

@@ -105,7 +105,7 @@ func NewFlockTransportShared(conns []*core.Conn) (*FlockTransport, error) {
 // requests to the same server enter its combining queue together and
 // coalesce under one doorbell. Completion records route each response to
 // its exact request — no sequence-ID matching or out-of-order stash — and
-// the async path carries the node's full retry/hedge/dedup plan.
+// the async path carries the node's full retry/dedup plan.
 func (t *FlockTransport) CallMulti(servers []int, rpcID uint32, reqs [][]byte) ([][]byte, error) {
 	pends := make([]*core.Pending, len(servers))
 	fail := func(err error) error {

@@ -17,6 +17,8 @@ import (
 	"testing"
 
 	"flock"
+	"flock/internal/baseline/lockshare"
+	"flock/internal/baseline/udrpc"
 )
 
 func TestEveryKnobHasACaller(t *testing.T) {
@@ -34,12 +36,16 @@ func TestEveryKnobHasACaller(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// rnic.Config is not listed: what sets its exported fields (Node,
+	// CacheSize, RCRetries) is internal/core, outside the scanned trees.
 	for _, typ := range []reflect.Type{
 		reflect.TypeOf((*flock.Options)(nil)).Elem(),
 		reflect.TypeOf((*flock.ClusterService)(nil)).Elem(),
 		reflect.TypeOf((*flock.ReplTuning)(nil)).Elem(),
 		reflect.TypeOf((*flock.ClusterRouter)(nil)).Elem(),
 		reflect.TypeOf((*flock.ClusterMembership)(nil)).Elem(),
+		reflect.TypeOf((*udrpc.Config)(nil)).Elem(),
+		reflect.TypeOf((*lockshare.Config)(nil)).Elem(),
 	} {
 		for i := 0; i < typ.NumField(); i++ {
 			f := typ.Field(i)
