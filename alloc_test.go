@@ -8,6 +8,7 @@ package flock_test
 
 import (
 	"testing"
+	"time"
 
 	"flock"
 	"flock/internal/loadgen"
@@ -50,5 +51,72 @@ func TestEchoAllocRegressionGate(t *testing.T) {
 	if avg > allocCeiling {
 		t.Fatalf("allocation regression: %.2f allocs per echo exchange, ceiling %d — the pooled hot path is leaking allocations",
 			avg, allocCeiling)
+	}
+}
+
+// TestDeadlineCallAllocGate: a deadline is a field on the call's completion
+// record that a periodic sweep reads, not a timer, so bounding a call costs
+// no allocation — a CallWithDeadline echo allocates no more than the plain
+// Call echo measured beside it.
+func TestDeadlineCallAllocGate(t *testing.T) {
+	star, err := loadgen.NewStar(flock.Options{}, flock.Options{}, 1, 0, loadgen.Echo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer star.Close()
+	th := star.Conns[0].RegisterThread()
+	payload := make([]byte, 64)
+	plain := func() {
+		r, err := th.Call(1, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Release()
+	}
+	bounded := func() {
+		r, err := th.CallWithDeadline(1, payload, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Release()
+	}
+	for i := 0; i < 200; i++ {
+		plain()
+		bounded()
+	}
+	base := testing.AllocsPerRun(500, plain)
+	got := testing.AllocsPerRun(500, bounded)
+	t.Logf("echo allocs/op: Call %.2f, CallWithDeadline %.2f", base, got)
+	if got > base+0.5 {
+		t.Fatalf("CallWithDeadline allocates %.2f per echo against Call's %.2f: a deadline must not cost an allocation", got, base)
+	}
+}
+
+// replicatedPutAllocCeiling is the allowed process-wide allocations per
+// acknowledged put with two backups: router, primary, log, one frame to two
+// backups, their applies and acks, and the reply. Measured ≈ 15.
+const replicatedPutAllocCeiling = 24
+
+func TestReplicatedPutAllocGate(t *testing.T) {
+	kv, err := loadgen.NewKV(3, 2, 2, flock.Options{Workers: 4}, flock.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kv.Close()
+	rt := kv.Router.Thread()
+	val := uint64(0)
+	put := func() {
+		val++
+		if err := rt.Put(val%8, val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		put()
+	}
+	avg := testing.AllocsPerRun(500, put)
+	t.Logf("replicated put allocs/op: %.2f (ceiling %d)", avg, replicatedPutAllocCeiling)
+	if avg > replicatedPutAllocCeiling {
+		t.Fatalf("allocation regression: %.2f allocs per R=2 put, ceiling %d", avg, replicatedPutAllocCeiling)
 	}
 }

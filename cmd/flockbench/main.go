@@ -667,7 +667,7 @@ func runClusterScaling(quick bool) {
 // runReplicationSweep is ISSUE 10's group-commit replication
 // experiment on the live library: a fixed 4-member cluster, put-only
 // closed-loop traffic, replica factor swept over R = 0/1/2. Puts at
-// R > 0 ride the per-(shard, backup) replication logs and ack when the
+// R > 0 ride their shard's replication log and ack when the
 // multi-entry FRP1 batch carrying them is durable on every backup
 // (internal/cluster/groupcommit.go), so the fan-out cost is amortized
 // across whatever queued inside the flush window — the paper's flocking

@@ -72,7 +72,10 @@ type (
 	// Every field is one some tool, bench or example sets (DESIGN.md
 	// "Configuration surface").
 	Options = core.Options
-	// Handler processes one RPC request.
+	// Handler processes one RPC request and returns the response payload.
+	// It must not retain req past its return: req views a pooled receive
+	// buffer that is recycled as soon as the handlers of the message it
+	// arrived in have returned.
 	Handler = core.Handler
 	// NodeMetrics aggregates a node's activity counters.
 	NodeMetrics = core.NodeMetrics
@@ -257,8 +260,8 @@ func NewReplicatedShardMap(members []NodeID, shards, vnodes, replicas int) (*Sha
 func DecodeShardMap(b []byte) (*ShardMap, error) { return cluster.DecodeShardMap(b) }
 
 // NewClusterService stands the sharded KV up on a member node. The node
-// must run with Options.Workers > 0: a put's handler parks until its
-// group commit resolves.
+// must run with Options.Workers > 0: a KV handler can block on its shard's
+// lock, which the request dispatcher must never do.
 func NewClusterService(node *Node, m *ShardMap, storeCap int) (*ClusterService, error) {
 	return cluster.NewService(node, m, storeCap)
 }

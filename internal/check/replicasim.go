@@ -32,7 +32,10 @@ import (
 //     logs: puts gather for a flush window and one multi-entry frame
 //     carries them all (mirroring the real group-commit forwarder), so
 //     a kill can land between a put's enqueue and its batch's flush —
-//     the window the ack-before-batch-durable mutant exploits.
+//     the window the ack-before-batch-durable mutant exploits. (The real
+//     forwarder keeps one log per shard and sends each frame to every
+//     backup; independent per-backup logs admit every schedule that
+//     shared log can produce, and more, so the model stays as it is.)
 //   - Failure detection and failover: a killed node is noticed after a
 //     detect delay; the world (standing in for the coordinator) bumps
 //     the epoch, promotes each affected shard's first live backup, and

@@ -298,13 +298,27 @@ func max64(a, b uint64) uint64 {
 	return b
 }
 
-// commitTo drives one put through the group-commit path — the per-(shard,
-// backup) log, its forwarder and a batch ack, which is what every
-// replicated put ships on — to a single backup, and returns the commit's
-// outcome.
+// commitTo drives one put's frame through the forwarder's two steps —
+// submit (the frame built once and issued to the op's backup set) and await
+// (every backup's answer, classified), which is what every replicated put
+// ships on — to a single backup, and returns the frame's outcome.
 func commitTo(s *Service, backup fabric.NodeID, epoch uint64, shard int, key, val uint64) error {
-	op := s.stageCommit(epoch, shard, key, val, []fabric.NodeID{backup})
-	return s.awaitCommit(key, op)
+	l := &replLog{svc: s, shard: shard}
+	f := l.frameFor([]*replOp{{epoch: epoch, key: key, val: val, backups: []fabric.NodeID{backup}}})
+	l.submit(f)
+	return l.await(f)
+}
+
+// pendingOps snapshots the unresolved puts for a key on its shard's log.
+func (s *Service) pendingOps(key uint64) []*replOp {
+	l := &s.shards[s.Map().ShardOf(key)].log
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var ops []*replOp
+	for op := l.pend[key]; op != nil; op = op.nextKey {
+		ops = append(ops, op)
+	}
+	return ops
 }
 
 // TestReplicationEpochFence: a deposed primary's forward (stale epoch)

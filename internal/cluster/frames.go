@@ -56,10 +56,16 @@ func (f *wireFrame) release() {
 // payload is byte-identical to AppendReplicaForward over the same
 // entries.
 func leaseReplFrame(epoch uint64, shard, maxEntries int) *wireFrame {
-	f := &wireFrame{buf: mem.Get(ReplicaForwardSize(maxEntries))}
+	f := new(wireFrame)
+	f.lease(epoch, shard, maxEntries)
+	return f
+}
+
+// lease is leaseReplFrame into a frame the caller already has.
+func (f *wireFrame) lease(epoch uint64, shard, maxEntries int) {
+	*f = wireFrame{buf: mem.Get(ReplicaForwardSize(maxEntries))}
 	b := f.buf.Data()
 	binary.LittleEndian.PutUint32(b[0:4], replMagic)
 	binary.LittleEndian.PutUint32(b[12:16], uint32(shard))
 	f.stampEpoch(epoch)
-	return f
 }

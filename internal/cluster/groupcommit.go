@@ -4,35 +4,37 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"flock/internal/core"
 	"flock/internal/fabric"
 )
 
-// Group-commit replication: instead of one single-entry FRP1 frame per
-// put per backup (PR 9's sync forward, which priced R=2 at ~0.2× of
-// unreplicated goodput), primaries append puts to a per-(shard, backup)
-// replication log and a forwarder goroutine drains it into multi-entry
-// frames — the paper's flocking discipline applied to the replica
-// plane. Frames are issued through the async Pending engine so several
-// batches ride the wire per backup with bounded depth, and each put's
-// ACK resolves only when the batch carrying it is durable on every
-// backup: the durability promise is unchanged, only its granularity is.
+// Group-commit replication: a primary appends each put to its shard's
+// replication log and one forwarder goroutine per shard drains the log into
+// multi-entry FRP1 frames — the paper's flocking discipline applied to the
+// replica plane. A frame is built once and issued through the async Pending
+// engine to every backup of the epoch it was admitted under, a bounded number
+// of frames deep, and the forwarder's batch-ack arm is what answers the puts
+// a frame carried (and the gets gated on them) once every backup acked it: no
+// handler, worker or timer waits for a commit. The durability promise is per
+// put, its granularity per frame.
 //
-// Failure semantics are batch-granular: a failed or fenced batch NACKs
-// every put it carried (the client retries; guarded take-the-max applies
-// absorb the replay), and a frame never spans epochs — a put admitted
-// under a newer map is cut into its own frame, so the backup's epoch
-// fence judges each batch under the view that admitted its writes.
+// Failure semantics are batch-granular: a failed or fenced frame NACKs every
+// put it carried (the client retries; guarded take-the-max applies absorb the
+// replay; a fencing backup's newer map is installed first, so the retry is
+// served — or fenced — under it), and a frame never spans epochs — a put
+// admitted under a newer map is cut into its own frame, so the backup's epoch
+// fence judges each batch under the view that admitted its writes, and a
+// frame has one backup set. What bounds a put's wait is its frame's Budget ×
+// replBatchAttempts in the Pending engine, whose deadlines cost no timer
+// either (core's deadline sweep); there is no per-put backstop.
 
-// ReplTuning tunes the group-commit flush policy, doorbell-batching
-// style: a frame flushes when it reaches FlushEntries or when an epoch
-// boundary forces a cut, and otherwise as soon as the forwarder is free
-// (natural batching), so an idle stream adds no latency and a busy one
-// coalesces whatever queued behind the in-flight frame. Set it before
-// traffic.
+// ReplTuning tunes the group-commit flush policy, doorbell-batching style: a
+// frame flushes when it reaches FlushEntries or when an epoch boundary forces
+// a cut, and otherwise as soon as the forwarder is free (natural batching),
+// so an idle log adds no latency and a busy one coalesces whatever queued
+// behind the in-flight frame. Set it before traffic.
 type ReplTuning struct {
 	// FlushEntries caps entries per frame. 0 → 64; clamped to what one
 	// payload holds (maxFrameEntries).
@@ -43,7 +45,7 @@ type ReplTuning struct {
 	flushDelay time.Duration
 }
 
-// replPipeDepth caps in-flight frames per backup stream.
+// replPipeDepth caps in-flight frames per shard log.
 const replPipeDepth = 2
 
 // replBatchAttempts is the retry cap for one frame: with a Budget set,
@@ -59,14 +61,14 @@ var (
 	ErrReplicaFenced = errors.New("cluster: replica fence")
 	ErrReplicaNACK   = errors.New("cluster: replicate NACK")
 
-	errReplStopped = errors.New("cluster: replication stream stopped")
-	errReplCommit  = errors.New("cluster: replication commit timed out")
+	errReplStopped  = errors.New("cluster: replication log stopped")
+	errStoreFull    = errors.New("cluster: shard store full")
+	errHandlerPanic = errors.New("cluster: kv handler panicked")
 )
 
 // ReplError is the typed outcome of one backup's refusal of a frame,
-// replication batch or snapshot: which node, the status it answered (0
-// for transport failures), and a sentinel or transport cause for
-// errors.Is/As.
+// replication batch or snapshot: which node, the status it answered (0 for
+// transport failures), and a sentinel or transport cause for errors.Is/As.
 type ReplError struct {
 	Backup fabric.NodeID
 	Status uint32
@@ -79,86 +81,65 @@ func (e *ReplError) Error() string {
 
 func (e *ReplError) Unwrap() error { return e.Err }
 
-// replOp is one put riding the replication log: it resolves when every
-// backup's batch carrying it committed (ack) or any of them failed.
+// replOp is one put riding its shard's replication log, from staging until
+// the frame that carried it resolves: acked by every backup of the set the
+// put was admitted under, or failed.
 type replOp struct {
-	epoch     uint64
-	key, val  uint64
-	remaining atomic.Int32
+	epoch    uint64
+	key, val uint64
+	backups  []fabric.NodeID // the admitting map's own slice
+	reply    *core.Reply     // the put's answer, sent by whoever resolves it
 
-	mu     sync.Mutex
-	err    error
-	closed bool
-	done   chan struct{}
+	// Guarded by the log's mu: the next unresolved put on the same key, and
+	// the reads gated on this one.
+	nextKey *replOp
+	gets    []*gatedGet
 }
 
-func (o *replOp) ack() {
-	if o.remaining.Add(-1) > 0 {
-		return
-	}
-	o.mu.Lock()
-	if !o.closed {
-		o.closed = true
-		close(o.done)
-	}
-	o.mu.Unlock()
+// gatedGet is a read that observed a key with unresolved puts: it is
+// answered when the last of them resolves, with the value it read if all
+// committed and a NACK if any failed. waiting and failed are guarded by
+// the log's mu.
+type gatedGet struct {
+	reply   *core.Reply
+	epoch   uint64
+	val     uint64
+	found   bool
+	failed  bool
+	waiting int
 }
 
-// fail resolves the op immediately with the first error; a later ack or
-// fail from another stream's batch is a no-op.
-func (o *replOp) fail(err error) {
-	o.mu.Lock()
-	if !o.closed {
-		o.err = err
-		o.closed = true
-		close(o.done)
-	}
-	o.mu.Unlock()
-}
-
-func (o *replOp) waitCommit(limit time.Duration) error {
-	t := time.NewTimer(limit)
-	defer t.Stop()
-	select {
-	case <-o.done:
-		o.mu.Lock()
-		err := o.err
-		o.mu.Unlock()
-		return err
-	case <-t.C:
-		return errReplCommit
-	}
-}
-
-type streamKey struct {
-	shard int
-	to    fabric.NodeID
-}
-
-// replStream is one (shard, backup) replication log: an append queue
-// and the forwarder goroutine that drains it into FRP1 frames.
-type replStream struct {
+// replLog is one shard's replication log on its primary: the index of
+// unresolved puts per key (the read gate), the queue of puts not yet cut
+// into a frame, and the forwarder that drains it.
+type replLog struct {
 	svc   *Service
+	slot  *shardSlot
 	shard int
-	to    fabric.NodeID
 
 	mu      sync.Mutex
+	pend    map[uint64]*replOp // per key, linked through nextKey
 	queue   []*replOp
 	firstAt time.Time // enqueue time of queue[0] (flush-deadline anchor)
+	running bool      // the forwarder goroutine exists
 	stopped bool
 
 	kick chan struct{} // cap 1: queue went from empty/waiting to work
 	stop chan struct{}
+
+	// Forwarder-owned: a core.Thread per backup ever sent to, and frame
+	// records whose slices the next frame reuses.
+	threads map[fabric.NodeID]*core.Thread
+	spare   []*replFrame
 }
 
-// cutBatch decides the flush: given the queued ops, it returns how many
-// at the head flush now (0 = none), and when to re-evaluate if the
-// policy says wait. A frame carries one epoch, so the batch is the
-// longest same-epoch prefix up to maxEntries; it flushes immediately
-// when full, when an epoch boundary queues behind it (the boundary put
-// would otherwise wait a full delay for a frame it can never join), or
-// when the first waiter has aged past delay. delay <= 0 flushes
-// whatever is there — natural batching.
+// cutBatch decides the flush: given the queued ops, it returns how many at
+// the head flush now (0 = none), and when to re-evaluate if the policy says
+// wait. A frame carries one epoch, so the batch is the longest same-epoch
+// prefix up to maxEntries; it flushes immediately when full, when an epoch
+// boundary queues behind it (the boundary put would otherwise wait a full
+// delay for a frame it can never join), or when the first waiter has aged
+// past delay. delay <= 0 flushes whatever is there — natural batching.
 func cutBatch(queue []*replOp, maxEntries int, delay time.Duration, firstAt, now time.Time) (int, time.Time) {
 	if len(queue) == 0 {
 		return 0, time.Time{}
@@ -189,287 +170,297 @@ func (s *Service) replTuning() (maxEntries int, delay time.Duration) {
 	return min(maxEntries, maxFrameEntries), s.Repl.flushDelay
 }
 
-// commitWait bounds one put's park on its group commit: worst case the
-// op waits a flush delay plus a full pipeline of frame budgets ahead of
-// its own. It is a backstop against a wedged stream, not the normal
-// resolution path.
-func (s *Service) commitWait() time.Duration {
-	_, delay := s.replTuning()
-	return delay + time.Duration(replPipeDepth+2)*s.fwdBudget
+// stage puts op in the per-key index of unresolved puts. The handler stages
+// before it applies locally, which is what makes the read gate sound: any
+// read that observes the applied value finds the op in the index.
+func (l *replLog) stage(op *replOp) {
+	l.mu.Lock()
+	op.nextKey = l.pend[op.key]
+	l.pend[op.key] = op
+	l.mu.Unlock()
 }
 
-// stageCommit registers one put in the per-key pending index and
-// appends it to every backup's replication log. It returns immediately;
-// the caller applies locally and then parks in awaitCommit. Staging
-// before the local apply is what makes the read-side commit gate sound:
-// any read that observes the applied value is guaranteed to find the op
-// in the index. Any failed batch resolves the op immediately with that
-// batch's error.
-func (s *Service) stageCommit(epoch uint64, shard int, key, val uint64, backups []fabric.NodeID) *replOp {
-	op := &replOp{epoch: epoch, key: key, val: val, done: make(chan struct{})}
-	op.remaining.Store(int32(len(backups)))
-	s.pendMu.Lock()
-	s.pendPuts[key] = append(s.pendPuts[key], op)
-	s.pendMu.Unlock()
-	for _, b := range backups {
-		st, err := s.stream(shard, b)
-		if err != nil {
-			op.fail(err)
-			break
-		}
-		st.enqueue(op)
-	}
-	return op
-}
-
-// awaitCommit parks until a staged put's batches are durable on every
-// backup (or one failed), then drops it from the pending index so later
-// reads stop gating on it.
-func (s *Service) awaitCommit(key uint64, op *replOp) error {
-	err := op.waitCommit(s.commitWait())
-	s.pendMu.Lock()
-	list := s.pendPuts[key]
-	for i, o := range list {
-		if o == op {
-			list[i] = list[len(list)-1]
-			list[len(list)-1] = nil
-			list = list[:len(list)-1]
-			break
-		}
-	}
-	if len(list) == 0 {
-		delete(s.pendPuts, key)
-	} else {
-		s.pendPuts[key] = list
-	}
-	s.pendMu.Unlock()
-	return err
-}
-
-// pendingOps snapshots the unresolved puts for a key (nil for the vast
-// majority of reads — keys with no replication in flight).
-func (s *Service) pendingOps(key uint64) []*replOp {
-	s.pendMu.Lock()
-	list := s.pendPuts[key]
-	var ops []*replOp
-	if len(list) != 0 {
-		ops = append(ops, list...)
-	}
-	s.pendMu.Unlock()
-	return ops
-}
-
-// stream returns (lazily starting) the forwarder for (shard, to).
-func (s *Service) stream(shard int, to fabric.NodeID) (*replStream, error) {
-	s.streamMu.Lock()
-	defer s.streamMu.Unlock()
-	if s.streamsClosed {
-		return nil, errReplStopped
-	}
-	k := streamKey{shard: shard, to: to}
-	if st, ok := s.streams[k]; ok {
-		return st, nil
-	}
-	st := &replStream{
-		svc:   s,
-		shard: shard,
-		to:    to,
-		kick:  make(chan struct{}, 1),
-		stop:  make(chan struct{}),
-	}
-	s.streams[k] = st
-	s.streamWG.Add(1)
-	go st.run()
-	return st, nil
-}
-
-// closeStreams stops every forwarder and waits them out; queued ops
-// fail with errReplStopped, in-flight frames are completed (their
-// Pendings resolve within their budgets) so no lease outlives Close.
-func (s *Service) closeStreams() {
-	s.streamMu.Lock()
-	s.streamsClosed = true
-	streams := make([]*replStream, 0, len(s.streams))
-	for _, st := range s.streams {
-		streams = append(streams, st)
-	}
-	s.streamMu.Unlock()
-	for _, st := range streams {
-		st.mu.Lock()
-		if !st.stopped {
-			st.stopped = true
-			close(st.stop)
-		}
-		st.mu.Unlock()
-	}
-	s.streamWG.Wait()
-}
-
-func (st *replStream) enqueue(op *replOp) {
-	st.mu.Lock()
-	if st.stopped {
-		st.mu.Unlock()
-		op.fail(errReplStopped)
+// enqueue appends a staged, locally applied op to the log, starting the
+// forwarder on first use; from here the forwarder resolves it. On a stopped
+// log the op is resolved at once.
+func (l *replLog) enqueue(op *replOp) {
+	l.mu.Lock()
+	if l.stopped {
+		l.mu.Unlock()
+		l.resolve(op, errReplStopped)
 		return
 	}
-	if len(st.queue) == 0 {
-		st.firstAt = time.Now()
+	if !l.running {
+		l.running = true
+		l.svc.fwdWG.Add(1)
+		go l.run()
 	}
-	st.queue = append(st.queue, op)
-	st.mu.Unlock()
-	st.svc.logPending.Add(1)
+	if len(l.queue) == 0 {
+		l.firstAt = time.Now()
+	}
+	l.queue = append(l.queue, op)
+	l.mu.Unlock()
+	l.svc.logPending.Add(1)
 	select {
-	case st.kick <- struct{}{}:
+	case l.kick <- struct{}{}:
 	default:
 	}
 }
 
-// replBatch is one in-flight frame: its Pending, the leased frame (the
-// Pending retains the payload for retries, so the lease lives until
-// Wait returns), and the ops it carries.
-type replBatch struct {
-	p     *core.Pending
-	frame *wireFrame
-	ops   []*replOp
-	start time.Time
+// gate is the read side of the commit gate: if key has unresolved puts, the
+// get is registered on every one of them and gate reports true — the reply
+// is now owed by whoever resolves the last. A put staged after this call is
+// not waited on: the read linearizes at its observation point.
+func (l *replLog) gate(key uint64, r *core.Reply, epoch, val uint64, found bool) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	op := l.pend[key]
+	if op == nil {
+		return false
+	}
+	g := &gatedGet{reply: r, epoch: epoch, val: val, found: found}
+	for ; op != nil; op = op.nextKey {
+		op.gets = append(op.gets, g)
+		g.waiting++
+	}
+	return true
 }
 
-// run is the forwarder loop. Invariant: it never parks unboundedly
-// while frames are in flight — a leased frame is always either being
-// completed (Wait resolves within its budget) or waiting behind a
-// bounded flush timer — so the package leak gate can't be wedged by an
-// idle stream holding pool memory.
-func (st *replStream) run() {
-	s := st.svc
-	defer s.streamWG.Done()
-	var th *core.Thread
-	var fly []*replBatch
-
-	complete := func(b *replBatch) {
-		resp, err := b.p.Wait()
-		cerr := s.classifyReplicaResp(st.to, resp, err)
-		b.frame.release()
-		if cerr != nil {
-			for _, op := range b.ops {
-				op.fail(cerr)
-			}
-			return
+// resolve ends op's life: it leaves the index, its put is answered — OK
+// under the epoch that admitted it, or the retryable NACK — and so is every
+// gated get for which it was the last unresolved put. Each answer releases
+// the shard lock its request has held since admission.
+func (l *replLog) resolve(op *replOp, err error) {
+	var ready []*gatedGet
+	l.mu.Lock()
+	if head := l.pend[op.key]; head == op {
+		if op.nextKey == nil {
+			delete(l.pend, op.key)
+		} else {
+			l.pend[op.key] = op.nextKey
 		}
-		s.batches.Inc()
-		s.batchEntries.Observe(uint64(len(b.ops)))
-		s.flushNS.Observe(uint64(time.Since(b.start).Nanoseconds()))
-		s.replFwds.Add(uint64(len(b.ops)))
-		for _, op := range b.ops {
-			op.ack()
+	} else {
+		for ; head.nextKey != op; head = head.nextKey {
+		}
+		head.nextKey = op.nextKey
+	}
+	for _, g := range op.gets {
+		g.failed = g.failed || err != nil
+		if g.waiting--; g.waiting == 0 {
+			ready = append(ready, g)
 		}
 	}
-
-	failOps := func(ops []*replOp, err error) {
-		for _, op := range ops {
-			op.fail(&ReplError{Backup: st.to, Err: err})
+	l.mu.Unlock()
+	if err != nil {
+		l.slot.answer(op.reply, nil, core.StatusOverloaded)
+	} else {
+		l.slot.answer(op.reply, appendEpoch(op.reply.Buf(), op.epoch), core.StatusOK)
+	}
+	for _, g := range ready {
+		if g.failed { // the observed value's durability is unknown: retry
+			l.slot.answer(g.reply, nil, core.StatusOverloaded)
+		} else {
+			l.slot.answer(g.reply, appendGetReply(g.reply.Buf(), g.epoch, g.val, g.found), core.StatusOK)
 		}
 	}
+}
 
-	submit := func(ops []*replOp) {
+// close stops the log; the forwarder NACKs what is queued and completes
+// what is in flight on its way out.
+func (l *replLog) close() {
+	l.mu.Lock()
+	if !l.stopped {
+		l.stopped = true
+		close(l.stop)
+	}
+	l.mu.Unlock()
+}
+
+// replFrame is one in-flight frame: the leased wire image (the Pendings
+// retain the payload for retries, so the lease lives until the last Wait
+// returns), the ops it carries, and one call per backup.
+type replFrame struct {
+	frame wireFrame
+	ops   []*replOp
+	calls []replCall
+	start time.Time
+	err   error // a backup the frame could not even be submitted to
+}
+
+type replCall struct {
+	to fabric.NodeID
+	p  *core.Pending
+}
+
+// frameFor returns a frame record carrying ops, reusing a retired one's
+// slices when there is one.
+func (l *replLog) frameFor(ops []*replOp) *replFrame {
+	var f *replFrame
+	if n := len(l.spare); n > 0 {
+		f, l.spare = l.spare[n-1], l.spare[:n-1]
+	} else {
+		f = new(replFrame)
+	}
+	f.ops = append(f.ops[:0], ops...)
+	return f
+}
+
+// submit builds the wire frame of f's ops (one epoch, hence one backup
+// set) once and issues it to every backup.
+func (l *replLog) submit(f *replFrame) {
+	s := l.svc
+	f.start = time.Now()
+	f.frame.lease(f.ops[0].epoch, l.shard, len(f.ops))
+	for _, op := range f.ops {
+		f.frame.add(op.key, op.val)
+	}
+	for _, to := range f.ops[0].backups {
+		th := l.threads[to]
 		if th == nil {
-			link, err := s.link(st.to)
+			link, err := s.link(to)
 			if err != nil {
-				failOps(ops, err)
-				return
+				f.err = &ReplError{Backup: to, Err: err}
+				break
+			}
+			if l.threads == nil {
+				l.threads = make(map[fabric.NodeID]*core.Thread)
 			}
 			th = link.conn.RegisterThread()
+			l.threads[to] = th
 		}
-		frame := leaseReplFrame(ops[0].epoch, st.shard, len(ops))
-		for _, op := range ops {
-			frame.add(op.key, op.val)
-		}
-		p, err := th.CallAsync(RPCReplicate, frame.payload(), core.CallOptions{
+		p, err := th.CallAsync(RPCReplicate, f.frame.payload(), core.CallOptions{
 			Budget:      s.fwdBudget,
 			MaxAttempts: replBatchAttempts,
 		})
 		if err != nil {
-			frame.release()
-			failOps(ops, err)
-			return
+			f.err = &ReplError{Backup: to, Err: err}
+			break
 		}
-		fly = append(fly, &replBatch{p: p, frame: frame, ops: ops, start: time.Now()})
+		f.calls = append(f.calls, replCall{to: to, p: p})
 	}
+}
 
+// landed polls the frame's calls without blocking (which is also what
+// drives their retries).
+func (f *replFrame) landed() bool {
+	for _, c := range f.calls {
+		if !c.p.Done() {
+			return false
+		}
+	}
+	return true
+}
+
+// await waits out every backup's answer to the frame and returns the first
+// refusal, nil when all of them acked.
+func (l *replLog) await(f *replFrame) error {
+	s := l.svc
+	err := f.err
+	for _, c := range f.calls {
+		resp, werr := c.p.Wait()
+		if cerr := s.classifyReplicaResp(c.to, resp, werr); cerr != nil {
+			if err == nil {
+				err = cerr
+			}
+			continue
+		}
+		s.batches.Inc()
+		s.batchEntries.Observe(uint64(len(f.ops)))
+		s.flushNS.Observe(uint64(time.Since(f.start).Nanoseconds()))
+		s.replFwds.Add(uint64(len(f.ops)))
+	}
+	f.frame.release()
+	return err
+}
+
+// complete is the batch-ack arm: it waits the frame out and answers every
+// put it carried, and the gets gated on them.
+func (l *replLog) complete(f *replFrame) {
+	err := l.await(f)
+	for _, op := range f.ops {
+		l.resolve(op, err)
+	}
+	clear(f.ops)
+	clear(f.calls)
+	f.calls, f.err = f.calls[:0], nil
+	l.spare = append(l.spare, f)
+}
+
+// run is the forwarder loop. Invariant: it never parks unboundedly while
+// frames are in flight — a leased frame is always either being completed
+// (Wait resolves within its budget) or waiting behind a bounded flush timer —
+// so the package leak gate can't be wedged by an idle log holding pool memory.
+func (l *replLog) run() {
+	s := l.svc
+	defer s.fwdWG.Done()
+	var fly []*replFrame
+	retire := func() {
+		l.complete(fly[0])
+		fly = append(fly[:0], fly[1:]...)
+	}
 	for {
 		// Harvest finished frames without blocking so acks don't wait on
 		// the next flush decision.
-		for len(fly) > 0 && fly[0].p.Done() {
-			complete(fly[0])
-			fly = fly[1:]
+		for len(fly) > 0 && fly[0].landed() {
+			retire()
 		}
 
 		maxEntries, delay := s.replTuning()
-		st.mu.Lock()
-		if st.stopped {
-			queued := st.queue
-			st.queue = nil
-			st.mu.Unlock()
-			if len(queued) > 0 {
-				s.logPending.Add(-int64(len(queued)))
-				failOps(queued, errReplStopped)
+		l.mu.Lock()
+		if l.stopped {
+			queued := l.queue
+			l.queue = nil
+			l.mu.Unlock()
+			s.logPending.Add(-int64(len(queued)))
+			for _, op := range queued {
+				l.resolve(op, errReplStopped)
 			}
-			for _, b := range fly {
-				complete(b)
+			for len(fly) > 0 {
+				retire()
 			}
 			return
 		}
-		n, wake := cutBatch(st.queue, maxEntries, delay, st.firstAt, time.Now())
-		var ops []*replOp
+		n, wake := cutBatch(l.queue, maxEntries, delay, l.firstAt, time.Now())
+		var next *replFrame
 		if n > 0 {
-			ops = make([]*replOp, n)
-			copy(ops, st.queue)
-			rem := copy(st.queue, st.queue[n:])
-			for i := rem; i < len(st.queue); i++ {
-				st.queue[i] = nil
-			}
-			st.queue = st.queue[:rem]
+			next = l.frameFor(l.queue[:n])
+			rem := copy(l.queue, l.queue[n:])
+			clear(l.queue[rem:])
+			l.queue = l.queue[:rem]
 			if rem > 0 {
-				st.firstAt = time.Now()
+				l.firstAt = time.Now()
 			}
 		}
-		st.mu.Unlock()
+		l.mu.Unlock()
 
-		if n > 0 {
+		switch {
+		case n > 0:
 			s.logPending.Add(-int64(n))
 			if len(fly) >= replPipeDepth {
-				// Pipeline full: retire the oldest frame before this one.
-				complete(fly[0])
-				fly = fly[1:]
+				retire() // pipeline full: the oldest frame goes first
 			}
-			submit(ops)
-			continue
-		}
-
-		if !wake.IsZero() {
-			// Waiting out a flush deadline: bounded park, so any leased
-			// in-flight frames are revisited promptly.
+			l.submit(next)
+			fly = append(fly, next)
+		case !wake.IsZero():
+			// Waiting out a flush deadline (tests only): bounded park, so
+			// any leased in-flight frames are revisited promptly.
 			t := time.NewTimer(time.Until(wake))
 			select {
-			case <-st.kick:
+			case <-l.kick:
 			case <-t.C:
-			case <-st.stop:
+			case <-l.stop:
 			}
 			t.Stop()
-			continue
-		}
-
-		if len(fly) > 0 {
+		case len(fly) > 0:
 			// Empty queue, frames in flight: block on the oldest rather
 			// than parking with pool leases held. New puts just append to
 			// the queue meanwhile — that is the natural batching window.
-			complete(fly[0])
-			fly = fly[1:]
-			continue
-		}
-
-		select {
-		case <-st.kick:
-		case <-st.stop:
+			retire()
+		default:
+			select {
+			case <-l.kick:
+			case <-l.stop:
+			}
 		}
 	}
 }

@@ -156,10 +156,15 @@ func TestReplFrameMultiEntry(t *testing.T) {
 
 // TestGroupCommitCoalesces: concurrent puts to one shard ride shared
 // FRP1 frames — the batch-entries histogram must show multi-entry
-// flushes — and every acked put is on the backup (fingerprints equal).
+// flushes — every acked put is on the backups (fingerprints equal), and a
+// frame is built once for both of them: each backup received the same number
+// of frames F, and the primary counted F × backups acked batches.
 func TestGroupCommitCoalesces(t *testing.T) {
 	const writers = 8
-	lc := newGroupCommitCluster(t, 3, 4, 1, writers+2)
+	lc := newGroupCommitCluster(t, 3, 4, 2, writers+2)
+	// No attempt wait shorter than the flush window plus the lazy dials: a
+	// re-sent put would be a ninth entry and the counts below are exact.
+	lc.router.callBudget = 4 * time.Second
 	for _, svc := range lc.services {
 		svc.Repl = ReplTuning{flushDelay: 50 * time.Millisecond}
 	}
@@ -182,20 +187,32 @@ func TestGroupCommitCoalesces(t *testing.T) {
 			t.Fatalf("put %d: %v", w, err)
 		}
 	}
-	primary, backup := m.Owner(shard), m.BackupsOf(shard)[0]
-	if pf, bf := lc.services[primary].ShardFingerprint(shard), lc.services[backup].ShardFingerprint(shard); pf != bf {
-		t.Fatalf("primary fingerprint %#x != backup fingerprint %#x after acked puts", pf, bf)
+	primary, backups := m.Owner(shard), m.BackupsOf(shard)
+	var frames uint64
+	for i, backup := range backups {
+		if pf, bf := lc.services[primary].ShardFingerprint(shard), lc.services[backup].ShardFingerprint(shard); pf != bf {
+			t.Fatalf("primary fingerprint %#x != backup %d fingerprint %#x after acked puts", pf, backup, bf)
+		}
+		// Nothing but this shard's frames is addressed to a backup here.
+		got := lc.services[backup].Node().Metrics().ItemsIn
+		if i > 0 && got != frames {
+			t.Fatalf("backup %d received %d frames, backup %d received %d: a frame did not go to both", backup, got, backups[0], frames)
+		}
+		frames = got
 	}
 	tl := lc.services[primary].Node().Telemetry()
 	snap := tl.Hist("cluster.repl_batch_entries").Snapshot()
-	if snap.Count == 0 || snap.Sum < writers {
-		t.Fatalf("batch hist count=%d sum=%d; want all %d puts forwarded", snap.Count, snap.Sum, writers)
+	if snap.Count == 0 || snap.Sum != uint64(writers*len(backups)) {
+		t.Fatalf("batch hist count=%d sum=%d; want all %d puts forwarded to %d backups", snap.Count, snap.Sum, writers, len(backups))
 	}
 	if snap.Sum <= snap.Count {
 		t.Fatalf("batch hist count=%d sum=%d: no coalescing happened", snap.Count, snap.Sum)
 	}
-	if got := tl.Counter("cluster.repl_batches").Load(); got == 0 {
-		t.Fatal("repl_batches counter never moved")
+	if got, want := tl.Counter("cluster.repl_batches").Load(), frames*uint64(len(backups)); got != want || frames == 0 {
+		t.Fatalf("repl_batches = %d, want %d frames x %d backups", got, frames, len(backups))
+	}
+	if got := tl.Counter("cluster.replica_forwards").Load(); got != uint64(writers*len(backups)) {
+		t.Fatalf("replica_forwards = %d, want %d puts x %d backups", got, writers, len(backups))
 	}
 	if pending := tl.Gauge("cluster.repl_log_pending").Load(); pending != 0 {
 		t.Fatalf("repl_log_pending = %d after quiesce, want 0", pending)
@@ -236,6 +253,288 @@ func TestGroupCommitBackupDeathMidBatch(t *testing.T) {
 	for w, err := range errs {
 		if err == nil {
 			t.Fatalf("put %d acked although its batch could not reach the backup", w)
+		}
+	}
+	// Every put of a failed frame is answered exactly once — the router's
+	// re-sent copies included: an answer is what releases the request's hold
+	// on the shard lock and takes it out of the read gate's index, a second
+	// answer would release a hold nobody has (a fatal error), and so once
+	// the last straggler's frame has failed the lock is free and the index
+	// empty.
+	svc := lc.services[primary]
+	waitUntil(t, "every put of the failed frames to be answered", func() bool {
+		if !svc.shards[shard].mu.TryLock() {
+			return false
+		}
+		svc.shards[shard].mu.Unlock()
+		return true
+	})
+	for _, k := range keys {
+		if ops := svc.pendingOps(k); len(ops) != 0 {
+			t.Fatalf("key %d still has %d unresolved puts after every request was answered", k, len(ops))
+		}
+	}
+	if pending := svc.Node().Telemetry().Gauge("cluster.repl_log_pending").Load(); pending != 0 {
+		t.Fatalf("repl_log_pending = %d, want 0", pending)
+	}
+}
+
+// waitUntil polls cond for up to ten seconds.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// directKV sends one KV request straight to node to, one attempt, no router:
+// the request count at the server is the call count here, so a
+// client-side stale drop means some request was answered twice.
+func directKV(th *core.Thread, op byte, key, val uint64) (core.Response, error) {
+	return th.CallOpts(RPCKV, EncodeKVReq(op, key, val), core.CallOptions{Budget: 5 * time.Second, MaxAttempts: 1})
+}
+
+// directThread dials the member from the cluster's client node.
+func directThread(t *testing.T, lc *liveCluster, to fabric.NodeID) *core.Thread {
+	t.Helper()
+	conn, err := lc.router.Node().Connect(to)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return conn.RegisterThread()
+}
+
+// stagedAndApplied reports whether a put on key is in the read gate's index
+// with its value visible in the primary's store — the window a gated get
+// must be held in.
+func stagedAndApplied(svc *Service, shard int, key uint64) bool {
+	_, applied := svc.shards[shard].store.Value64(key)
+	return applied && len(svc.pendingOps(key)) > 0
+}
+
+// TestReadGateNACKsWhenFrameFails: a get that observed a put whose frame
+// then fails must be answered StatusOverloaded — never the value no backup
+// holds — and so must the put; each exactly once.
+func TestReadGateNACKsWhenFrameFails(t *testing.T) {
+	lc := newGroupCommitCluster(t, 3, 4, 1, 4)
+	m := lc.coord.Map()
+	shard := 0
+	primary, backup := m.Owner(shard), m.BackupsOf(shard)[0]
+	svc := lc.services[primary]
+	// The flush window is wide against anything the scheduler does to this
+	// goroutine: the get below must start inside it.
+	svc.Repl = ReplTuning{flushDelay: 500 * time.Millisecond}
+	svc.fwdBudget = 60 * time.Millisecond
+	key := shardKeys(m, shard, 1)[0]
+	fab := lc.nw.Fabric()
+	fab.SetLinkDown(primary, backup, true)
+	fab.SetLinkDown(backup, primary, true)
+
+	putErr := make(chan error, 1)
+	putTh, getTh := directThread(t, lc, primary), directThread(t, lc, primary)
+	go func() {
+		resp, err := directKV(putTh, OpPut, key, 7)
+		resp.Release()
+		putErr <- err
+	}()
+	waitUntil(t, "the put to be staged and applied", func() bool { return stagedAndApplied(svc, shard, key) })
+	resp, err := directKV(getTh, OpGet, key, 0)
+	if !errors.Is(err, core.ErrOverloaded) {
+		t.Fatalf("gated get = (status %d, %q, %v), want the retryable NACK: the value it read was never durable", resp.Status, resp.Data, err)
+	}
+	if err := <-putErr; !errors.Is(err, core.ErrOverloaded) {
+		t.Fatalf("put = %v, want the retryable NACK", err)
+	}
+	if got := svc.Node().Telemetry().Counter("cluster.read_gate_waits").Load(); got != 1 {
+		t.Fatalf("read_gate_waits = %d, want 1", got)
+	}
+	if !svc.shards[shard].mu.TryLock() {
+		t.Fatal("shard lock still held after both requests were answered")
+	}
+	svc.shards[shard].mu.Unlock()
+	if got := lc.router.Node().Metrics().StaleDrops; got != 0 {
+		t.Fatalf("%d stale drops at the client: a request was answered twice", got)
+	}
+}
+
+// TestServiceCloseAnswersEveryPut: Close with puts queued in a log and
+// others in flight in a frame answers every one of them with the retryable
+// NACK, exactly once, and leaves the log empty.
+func TestServiceCloseAnswersEveryPut(t *testing.T) {
+	lc := newGroupCommitCluster(t, 3, 4, 1, 6)
+	m := lc.coord.Map()
+	shard := 0
+	primary, backup := m.Owner(shard), m.BackupsOf(shard)[0]
+	svc := lc.services[primary]
+	// Two puts fill a frame, which leaves at once and cannot land (the link
+	// is down); the third waits out a flush delay that never ends.
+	svc.Repl = ReplTuning{FlushEntries: 2, flushDelay: time.Hour}
+	svc.fwdBudget = time.Second
+	fab := lc.nw.Fabric()
+	fab.SetLinkDown(primary, backup, true)
+	fab.SetLinkDown(backup, primary, true)
+	keys := shardKeys(m, shard, 3)
+	errs := make(chan error, len(keys))
+	for i, k := range keys {
+		th := directThread(t, lc, primary)
+		go func() {
+			resp, err := directKV(th, OpPut, k, 1)
+			resp.Release()
+			errs <- err
+		}()
+		// One at a time, so it is the first two that share the frame; the
+		// second is seen by the frame leaving, as the frame may be gone —
+		// failed — by the time anyone looks for the put itself.
+		if i == 1 {
+			waitUntil(t, "the full frame to leave the log", func() bool {
+				return svc.Node().Telemetry().Gauge("cluster.repl_log_pending").Load() == 0
+			})
+		} else {
+			waitUntil(t, "the put to be staged and applied", func() bool { return stagedAndApplied(svc, shard, k) })
+		}
+	}
+	if got := svc.Node().Telemetry().Gauge("cluster.repl_log_pending").Load(); got != 1 {
+		t.Fatalf("repl_log_pending = %d before Close, want the one queued put", got)
+	}
+	svc.Close()
+	for range keys {
+		if err := <-errs; !errors.Is(err, core.ErrOverloaded) {
+			t.Fatalf("put answered %v across Close, want the retryable NACK", err)
+		}
+	}
+	if got := svc.Node().Telemetry().Gauge("cluster.repl_log_pending").Load(); got != 0 {
+		t.Fatalf("repl_log_pending = %d after Close, want 0", got)
+	}
+	if !svc.shards[shard].mu.TryLock() {
+		t.Fatal("shard lock still held after Close answered every put")
+	}
+	svc.shards[shard].mu.Unlock()
+	if got := lc.router.Node().Metrics().StaleDrops; got != 0 {
+		t.Fatalf("%d stale drops at the client: a put was answered twice", got)
+	}
+	// A put arriving after Close is turned away at once, not parked.
+	resp, err := directKV(directThread(t, lc, primary), OpPut, keys[0], 2)
+	resp.Release()
+	if !errors.Is(err, core.ErrOverloaded) {
+		t.Fatalf("put after Close = %v, want the retryable NACK", err)
+	}
+}
+
+// TestInstallWaitsForUnansweredPut: the shard lock a put took at admission
+// is held until its reply is sent, long after its handler returned — an
+// install on the shard returns only once the put in the flush window has
+// been answered.
+func TestInstallWaitsForUnansweredPut(t *testing.T) {
+	const delay = 400 * time.Millisecond
+	lc := newGroupCommitCluster(t, 3, 4, 1, 4)
+	m := lc.coord.Map()
+	shard := 0
+	svc := lc.services[m.Owner(shard)]
+	svc.Repl = ReplTuning{flushDelay: delay}
+	key := shardKeys(m, shard, 1)[0]
+	th := directThread(t, lc, m.Owner(shard))
+	answered := make(chan time.Time, 1)
+	go func() {
+		resp, err := directKV(th, OpPut, key, 1)
+		resp.Release()
+		if err != nil {
+			t.Errorf("put: %v", err)
+		}
+		answered <- time.Now()
+	}()
+	waitUntil(t, "the put to be staged and applied", func() bool { return stagedAndApplied(svc, shard, key) })
+	newer := m.Clone()
+	newer.Epoch++
+	svc.installUnder(shard, newer)
+	installed := time.Now()
+	// The reply was on the wire before the lock was released; give its
+	// delivery to the caller a moment, no more.
+	select {
+	case at := <-answered:
+		if at.After(installed.Add(50 * time.Millisecond)) {
+			t.Fatalf("install returned %v before the put admitted under the previous map was answered", at.Sub(installed))
+		}
+	case <-time.After(50 * time.Millisecond):
+		t.Fatal("install returned with the put admitted under the previous map still unanswered")
+	}
+	if got := svc.Map().Epoch; got != newer.Epoch {
+		t.Fatalf("epoch %d after install, want %d", got, newer.Epoch)
+	}
+}
+
+// TestKVHandlerPanicReleasesShard: a KV handler that panics while it holds
+// the shard's lock — a get before it is answered, a put after it was staged —
+// still answers its request, frees the lock and leaves the read gate's index
+// empty, so the next install returns and the next get on the key is not gated.
+func TestKVHandlerPanicReleasesShard(t *testing.T) {
+	lc := newGroupCommitCluster(t, 3, 4, 1, 4)
+	m := lc.coord.Map()
+	shard := 0
+	svc := lc.services[m.Owner(shard)]
+	slot := svc.shards[shard]
+	key := shardKeys(m, shard, 1)[0]
+	th := directThread(t, lc, m.Owner(shard))
+
+	// A nil store makes the handler's first touch of it a nil dereference.
+	slot.mu.Lock()
+	store := slot.store
+	slot.store = nil
+	slot.mu.Unlock()
+	resp, err := directKV(th, OpGet, key, 0)
+	if err != nil || resp.Status != core.StatusHandlerPanic {
+		t.Fatalf("get on the panicking handler = (status %d, %v), want StatusHandlerPanic", resp.Status, err)
+	}
+	resp.Release()
+	resp, err = directKV(th, OpPut, key, 7)
+	resp.Release()
+	if !errors.Is(err, core.ErrOverloaded) {
+		t.Fatalf("staged put on the panicking handler = %v, want the retryable NACK", err)
+	}
+	if n := len(svc.pendingOps(key)); n != 0 {
+		t.Fatalf("%d puts left in the read gate's index by the panic", n)
+	}
+
+	// installUnder takes the lock exclusively: it returns only if both
+	// panicking requests gave their shared hold back.
+	installed := make(chan struct{})
+	go func() {
+		slot.mu.Lock()
+		slot.store = store
+		slot.mu.Unlock()
+		newer := m.Clone()
+		newer.Epoch++
+		svc.installUnder(shard, newer)
+		close(installed)
+	}()
+	select {
+	case <-installed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("install blocked: a panicking handler leaked the shard lock")
+	}
+	resp, err = directKV(th, OpGet, key, 0)
+	if err != nil || resp.Status != core.StatusOK {
+		t.Fatalf("get after the panics = (status %d, %v), want an ungated answer", resp.Status, err)
+	}
+	resp.Release()
+	if got := lc.router.Node().Metrics().StaleDrops; got != 0 {
+		t.Fatalf("%d stale drops at the client: a request was answered twice", got)
+	}
+}
+
+// TestRepliesFitReplyBuf: every reply the service builds in Reply.Buf fits its
+// capacity, so none of them allocates; a wire change that outgrows it fails
+// here rather than as a slow drift in the allocation gates.
+func TestRepliesFitReplyBuf(t *testing.T) {
+	var r core.Reply
+	for name, reply := range map[string][]byte{
+		"put ack":     appendEpoch(r.Buf(), 1),
+		"replica ack": appendReplicaAck(r.Buf(), 1, 1),
+		"get reply":   appendGetReply(r.Buf(), 1, 1, true),
+	} {
+		if len(reply) > cap(r.Buf()) {
+			t.Errorf("%s is %d bytes, Reply.Buf holds %d", name, len(reply), cap(r.Buf()))
 		}
 	}
 }

@@ -44,17 +44,24 @@ func appendEpoch(b []byte, epoch uint64) []byte {
 	return binary.LittleEndian.AppendUint64(b, epoch)
 }
 
+// kvReqLen is the length of an RPCKV request: op, key, value.
+const kvReqLen = 17
+
 // EncodeKVReq builds an RPCKV request.
 func EncodeKVReq(op byte, key, val uint64) []byte {
-	b := make([]byte, 17)
-	b[0] = op
-	binary.LittleEndian.PutUint64(b[1:9], key)
-	binary.LittleEndian.PutUint64(b[9:17], val)
+	b := make([]byte, kvReqLen)
+	putKVReq(b, op, key, val)
 	return b
 }
 
+func putKVReq(b []byte, op byte, key, val uint64) {
+	b[0] = op
+	binary.LittleEndian.PutUint64(b[1:9], key)
+	binary.LittleEndian.PutUint64(b[9:17], val)
+}
+
 func decodeKVReq(b []byte) (op byte, key, val uint64, ok bool) {
-	if len(b) != 17 {
+	if len(b) != kvReqLen {
 		return 0, 0, 0, false
 	}
 	return b[0], binary.LittleEndian.Uint64(b[1:9]), binary.LittleEndian.Uint64(b[9:17]), true

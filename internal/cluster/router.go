@@ -147,6 +147,7 @@ func (r *Router) Thread() *RouterThread {
 type RouterThread struct {
 	r       *Router
 	threads map[fabric.NodeID]*core.Thread
+	req     [kvReqLen]byte // the one Get or Put in progress
 }
 
 func (rt *RouterThread) thread(id fabric.NodeID) (*core.Thread, error) {
@@ -277,7 +278,8 @@ func (rt *RouterThread) refresh() bool {
 
 // Get reads a key from the sharded KV. Missing keys read as (0, false).
 func (rt *RouterThread) Get(key uint64) (uint64, bool, error) {
-	resp, err := rt.Call(RPCKV, key, EncodeKVReq(OpGet, key, 0))
+	putKVReq(rt.req[:], OpGet, key, 0)
+	resp, err := rt.Call(RPCKV, key, rt.req[:])
 	if err != nil {
 		return 0, false, err
 	}
@@ -294,7 +296,8 @@ func (rt *RouterThread) Get(key uint64) (uint64, bool, error) {
 // Put writes a key into the sharded KV. val must be non-decreasing per
 // key (the service's guarded-apply contract).
 func (rt *RouterThread) Put(key, val uint64) error {
-	resp, err := rt.Call(RPCKV, key, EncodeKVReq(OpPut, key, val))
+	putKVReq(rt.req[:], OpPut, key, val)
+	resp, err := rt.Call(RPCKV, key, rt.req[:])
 	if err != nil {
 		return err
 	}

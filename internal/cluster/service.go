@@ -14,19 +14,18 @@ import (
 	"flock/internal/telemetry"
 )
 
-// Service is the member-side half of the cluster layer: a sharded KV
-// served out of per-shard kvstore partitions, replicated to each shard's
-// backups before a put is acknowledged, plus the two primitives the
-// coordinator builds every placement change from — install a map with no
-// request of one shard in flight, and copy a shard's snapshot to a
-// recruited backup.
+// Service is the member-side half of the cluster layer: a sharded KV served
+// out of per-shard kvstore partitions, replicated to each shard's backups
+// before a put is acknowledged, plus the two primitives the coordinator
+// builds every placement change from — install a map with no request of one
+// shard in flight, and copy a shard's snapshot to a recruited backup.
 //
-// Value contract: values are single 8-byte little-endian words and each
-// key's value sequence must be non-decreasing (clients encode a
-// per-key version/sequence into the value). That is what makes every
-// write path a guarded take-the-max apply, which in turn makes snapshot
-// frames, replication batches and client retries commute — the property
-// a live move leans on instead of a distributed lock.
+// Value contract: values are single 8-byte little-endian words and each key's
+// value sequence must be non-decreasing (clients encode a per-key
+// version/sequence into the value). That is what makes every write path a
+// guarded take-the-max apply, which in turn makes snapshot frames,
+// replication batches and client retries commute — the property a live move
+// leans on instead of a distributed lock.
 type Service struct {
 	node *core.Node
 
@@ -53,17 +52,9 @@ type Service struct {
 	// before traffic; see ReplTuning.
 	Repl ReplTuning
 
-	// streams holds the per-(shard, backup) replication logs and their
-	// forwarder goroutines, created lazily on the first replicated put.
-	streamMu      sync.Mutex
-	streams       map[streamKey]*replStream
-	streamsClosed bool
-	streamWG      sync.WaitGroup
-
-	// pendPuts indexes, per key, every put whose group commit has not
-	// resolved yet — the read-side commit gate (see OpGet in handleKV).
-	pendMu   sync.Mutex
-	pendPuts map[uint64][]*replOp
+	// fwdWG counts the shards' replication forwarders, each started by its
+	// log on the first replicated put (see replLog).
+	fwdWG sync.WaitGroup
 
 	moves        *telemetry.Counter
 	replFwds     *telemetry.Counter
@@ -78,11 +69,21 @@ type Service struct {
 
 // shardSlot is one shard's serving state on this member.
 type shardSlot struct {
-	// mu is held shared by every request touching the shard and
-	// exclusively by installUnder, so a change of the shard's replica set
-	// or primary waits out in-flight requests and no request straddles it.
+	// mu is held shared by every request touching the shard — a KV request
+	// from admission until its reply is sent, which for a replicated put or
+	// a gated get is after its handler returned — and exclusively by
+	// installUnder, so a change of the shard's replica set or primary waits
+	// out in-flight requests and no request straddles it.
 	mu    sync.RWMutex
 	store *kvstore.Store
+	log   replLog
+}
+
+// answer sends a KV request's reply and then releases the shared lock the
+// request has held on the shard since admission.
+func (sl *shardSlot) answer(r *core.Reply, data []byte, status uint32) {
+	r.Send(data, status)
+	sl.mu.RUnlock()
 }
 
 // fwdLink is a client connection to a peer member with a free list of
@@ -116,13 +117,12 @@ func (f *fwdLink) call(rpcID uint32, payload []byte, budget time.Duration) (core
 // every shard in m (a member must be able to receive any shard later),
 // the RPC handlers, and the cluster telemetry series on the node's
 // registry. storeCap is the per-shard slot capacity (0 → 1024). The
-// node must run with Workers > 0: a put's handler parks until its group
-// commit resolves, and a dispatcher parked there could not serve the
-// peer's RPCReplicate that the commit of a put in the other direction
-// waits for.
+// node must run with Workers > 0: a KV handler can block — on the shard
+// lock behind an install, in ServiceDelay — and a dispatcher blocked there
+// could not serve the peer's RPCReplicate that the install is waiting for.
 func NewService(node *core.Node, m *ShardMap, storeCap int) (*Service, error) {
 	if node.Options().Workers <= 0 {
-		return nil, errors.New("cluster: service node needs Options.Workers > 0 (put handlers park on their group commit)")
+		return nil, errors.New("cluster: service node needs Options.Workers > 0 (KV handlers can block on the shard lock)")
 	}
 	if storeCap <= 0 {
 		storeCap = 1024
@@ -132,8 +132,6 @@ func NewService(node *core.Node, m *ShardMap, storeCap int) (*Service, error) {
 		fwdBudget:    250 * time.Millisecond,
 		shards:       make([]*shardSlot, m.Shards),
 		fwd:          make(map[fabric.NodeID]*fwdLink),
-		streams:      make(map[streamKey]*replStream),
-		pendPuts:     make(map[uint64][]*replOp),
 		moves:        node.Telemetry().Counter("cluster.shard_moves"),
 		replFwds:     node.Telemetry().Counter("cluster.replica_forwards"),
 		promotions:   node.Telemetry().Counter("cluster.promotions"),
@@ -149,20 +147,25 @@ func NewService(node *core.Node, m *ShardMap, storeCap int) (*Service, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.shards[i] = &shardSlot{store: st}
+		slot := &shardSlot{store: st}
+		slot.log = replLog{
+			svc: s, slot: slot, shard: i,
+			pend: make(map[uint64]*replOp),
+			kick: make(chan struct{}, 1),
+			stop: make(chan struct{}),
+		}
+		s.shards[i] = slot
 	}
 	s.cur.Store(m)
-	// KV ops run on the worker pool (they can block: group commit, the
-	// read gate, emulated service time). Pings, map fetches, and
-	// replication applies take the inline dispatcher lane — they are
-	// short, never issue RPCs of their own, and must stay responsive even
-	// when every worker is parked on a commit (otherwise replicated puts
-	// across members deadlock the pools against each other, and probes
-	// time out exactly when the cluster is busiest).
-	node.RegisterStatusHandler(RPCKV, s.handleKV)
+	// KV ops run on the worker pool (they can block: the shard lock, emulated
+	// service time) and reply later when they have a commit to wait for.
+	// Pings, map fetches and replication applies take the inline dispatcher
+	// lane — short, RPC-free, and responsive even when every worker is blocked
+	// (else installs across members deadlock against each other's applies).
+	node.RegisterReplyHandler(RPCKV, false, s.handleKV)
 	node.RegisterInlineStatusHandler(RPCPing, s.handlePing)
 	node.RegisterInlineStatusHandler(RPCMap, s.handleMap)
-	node.RegisterInlineStatusHandler(RPCReplicate, s.handleReplicate)
+	node.RegisterReplyHandler(RPCReplicate, true, s.handleReplicate)
 	return s, nil
 }
 
@@ -183,10 +186,6 @@ func (s *Service) InstallMap(m *ShardMap) bool {
 	return true
 }
 
-func (s *Service) wrongShard(m *ShardMap) ([]byte, uint32) {
-	return m.Encode(), core.StatusWrongShard
-}
-
 func (s *Service) handlePing(req []byte) ([]byte, uint32) {
 	return appendEpoch(nil, s.cur.Load().Epoch), core.StatusOK
 }
@@ -195,130 +194,139 @@ func (s *Service) handleMap(req []byte) ([]byte, uint32) {
 	return s.cur.Load().Encode(), core.StatusOK
 }
 
-func (s *Service) handleKV(req []byte) ([]byte, uint32) {
+// handleKV serves one get or put. It never waits for replication: a put
+// with backups is staged, applied and appended to the shard's log, and the
+// handler returns — the forwarder's batch-ack arm sends the reply; a get
+// that observed an unresolved put is parked on it the same way.
+func (s *Service) handleKV(req []byte, r *core.Reply) {
 	op, key, val, ok := decodeKVReq(req)
 	if !ok {
-		return nil, core.StatusNoHandler
+		r.Send(nil, core.StatusNoHandler)
+		return
 	}
 	if d := s.ServiceDelay; d > 0 {
 		// Burn the emulated service time before taking the shard lock so
 		// installUnder never waits behind it.
 		time.Sleep(d)
 	}
-	m := s.cur.Load()
-	shard := m.ShardOf(key)
+	shard := s.cur.Load().ShardOf(key)
 	slot := s.shards[shard]
-	slot.mu.RLock()
-	defer slot.mu.RUnlock()
-	// Re-load under the slot lock: installUnder swaps the map while
-	// holding it exclusively, so the map read here — owner and backup
-	// set — is the one this request is served under from start to finish.
-	m = s.cur.Load()
+	slot.mu.RLock() // released by slot.answer, whoever calls it
+	var staged *replOp
+	defer func() {
+		// Each arm below ends in the call that answers the request or hands it
+		// on, so a panic means neither happened: answer here, as core would,
+		// which is what frees the shard lock and the read gate's index.
+		if recover() != nil {
+			if staged != nil {
+				slot.log.resolve(staged, errHandlerPanic)
+			} else {
+				slot.answer(r, nil, core.StatusHandlerPanic)
+			}
+		}
+	}()
+	// Load under the slot lock: installUnder swaps the map while holding it
+	// exclusively, so the map read here — owner and backup set — is the one
+	// this request is served under until it is answered.
+	m := s.cur.Load()
 	if m.Table[shard] != s.node.ID() {
-		return s.wrongShard(m)
+		slot.answer(r, m.Encode(), core.StatusWrongShard)
+		return
 	}
 	switch op {
 	case OpGet:
 		v, found := slot.store.Value64(key)
-		// Commit gate: the value just read may belong to a put still
-		// gathering in a replication log. Answering immediately would let
-		// this node die inside the flush window having shown a client a
-		// value no backup holds — the read, not the put's ack, becomes
-		// the broken durability promise. So the reply waits for every
-		// unresolved put on this key; any failed commit NACKs the read
-		// (the observed value's durability is unknown) and the client
-		// retries, by which point the put has retried or a newer map is
-		// out. A put staged after the read began is not waited on — the
-		// read linearizes at its observation point.
-		if pending := s.pendingOps(key); len(pending) != 0 {
+		// Commit gate: the value just read may belong to a put still in the
+		// replication log. Answering now would let this node die inside the
+		// flush window having shown a client a value no backup holds — the
+		// read, not the put's ack, breaks the durability promise. So the reply
+		// waits for every unresolved put on the key; a failed commit NACKs it.
+		if slot.log.gate(key, r, m.Epoch, v, found) {
 			s.readGate.Inc()
-			for _, op := range pending {
-				if err := op.waitCommit(s.commitWait()); err != nil {
-					return nil, core.StatusOverloaded
-				}
-			}
+			return
 		}
-		out := appendEpoch(make([]byte, 0, 17), m.Epoch)
-		if found {
-			out = append(out, 1)
-		} else {
-			out = append(out, 0)
-		}
-		return binary.LittleEndian.AppendUint64(out, v), core.StatusOK
+		slot.answer(r, appendGetReply(r.Buf(), m.Epoch, v, found), core.StatusOK)
 	case OpPut:
-		// Group-commit replication: the ACK below is a durability promise —
-		// the write must survive this node's death — so every backup must
-		// hold it first — a move's recruited target included, it is in
-		// BackupsOf like any other. The put joins the per-(shard, backup)
-		// replication logs and parks until the batch carrying it commits on
-		// every backup (see groupcommit.go). On any failure the whole batch
-		// NACKs and the clients retry; a backup that already applied just
-		// no-ops the retry (guarded apply). A WrongShard NACK from a
-		// backup installed its newer map before the batch failed, so the
-		// retry is served — or fenced — under that map.
+		// Group-commit replication: the ACK is a durability promise — the
+		// write must survive this node's death — so every backup must hold
+		// it first, a move's recruited target included (it is in BackupsOf
+		// like any other). The put joins the shard's replication log and is
+		// answered when its frame commits on every backup, or NACKed with the
+		// whole frame (groupcommit.go has the failure semantics).
 		//
-		// The commit is staged BEFORE the local apply: a concurrent read
-		// that observes the applied value is then guaranteed to find the
-		// pending op in the per-key index and gate on it (see OpGet).
-		var op *replOp
-		if backups := m.BackupsOf(shard); len(backups) > 0 {
-			op = s.stageCommit(m.Epoch, shard, key, val, backups)
+		// Staged BEFORE the local apply — a read that observes the applied
+		// value is then sure to find the op in the per-key index and gate on
+		// it — and enqueued AFTER, so its reply cannot overtake its apply.
+		backups := m.BackupsOf(shard)
+		if len(backups) == 0 {
+			if _, err := slot.store.UpdateMax64(key, val); err != nil {
+				slot.answer(r, nil, core.StatusOverloaded)
+				return
+			}
+			slot.answer(r, appendEpoch(r.Buf(), m.Epoch), core.StatusOK)
+			return
 		}
+		op := &replOp{epoch: m.Epoch, key: key, val: val, backups: backups, reply: r}
+		slot.log.stage(op)
+		staged = op
 		if _, err := slot.store.UpdateMax64(key, val); err != nil {
-			if op != nil {
-				s.awaitCommit(key, op)
-			}
-			return nil, core.StatusOverloaded
+			slot.log.resolve(op, errStoreFull)
+			return
 		}
-		if op != nil {
-			if err := s.awaitCommit(key, op); err != nil {
-				return nil, core.StatusOverloaded
-			}
-		}
-		return appendEpoch(nil, m.Epoch), core.StatusOK
+		slot.log.enqueue(op)
+	default:
+		slot.answer(r, nil, core.StatusNoHandler)
 	}
-	return nil, core.StatusNoHandler
 }
 
-// handleReplicate is the backup half of synchronous replication, and
-// the receiving half of a recruit's snapshot copy. The epoch on the frame
-// is the fence: a frame older than our map means the
-// sender kept serving past a failover (a deposed primary), and instead
-// of silently absorbing its writes we NACK WrongShard with the newer
-// map so it self-corrects exactly like a stale router. A frame at or
-// ahead of our epoch is applied with the same guarded take-the-max the
-// owner path uses, so replays and reordered retries commute.
-func (s *Service) handleReplicate(req []byte) ([]byte, uint32) {
-	f, err := DecodeReplicaForward(req)
-	if err != nil {
-		return nil, core.StatusNoHandler
+// appendGetReply encodes a get's answer: epoch, found flag, value.
+func appendGetReply(b []byte, epoch, val uint64, found bool) []byte {
+	b = appendEpoch(b, epoch)
+	if found {
+		b = append(b, 1)
+	} else {
+		b = append(b, 0)
 	}
+	return binary.LittleEndian.AppendUint64(b, val)
+}
+
+// handleReplicate is the backup half of synchronous replication, and the
+// receiving half of a recruit's snapshot copy. The epoch on the frame is the
+// fence: a frame older than our map means the sender kept serving past a
+// failover (a deposed primary), and instead of absorbing its writes we NACK
+// WrongShard with the newer map so it self-corrects like a stale router. A
+// frame at or ahead of our epoch is applied with the owner path's guarded
+// take-the-max, so replays and reordered retries commute.
+func (s *Service) handleReplicate(req []byte, r *core.Reply) {
+	f, n, err := decodeReplicaHeader(req)
 	m := s.cur.Load()
-	if f.Shard >= m.Shards {
-		return nil, core.StatusNoHandler
-	}
-	if f.Epoch < m.Epoch {
-		return s.wrongShard(m)
-	}
-	if f.Epoch == m.Epoch && !m.IsReplica(f.Shard, s.node.ID()) {
-		// Same view, but we are not in this shard's replica set: the
-		// sender's frame is corrupt or misrouted, not merely stale.
-		return s.wrongShard(m)
+	switch {
+	case err != nil || f.Shard >= m.Shards:
+		r.Send(nil, core.StatusNoHandler)
+		return
+	case f.Epoch < m.Epoch, f.Epoch == m.Epoch && !m.IsReplica(f.Shard, s.node.ID()):
+		// Older than our map: fenced. Same view, but we are not in this
+		// shard's replica set: the sender's frame is corrupt or misrouted,
+		// not merely stale.
+		r.Send(m.Encode(), core.StatusWrongShard)
+		return
 	}
 	slot := s.shards[f.Shard]
 	slot.mu.RLock()
 	defer slot.mu.RUnlock()
 	applied := 0
-	for _, e := range f.Entries {
+	for i := 0; i < n; i++ {
+		e := replicaEntryAt(req, i)
 		adv, err := slot.store.UpdateMax64(e.Key, e.Val)
 		if err != nil {
-			return nil, core.StatusOverloaded
+			r.Send(nil, core.StatusOverloaded)
+			return
 		}
 		if adv {
 			applied++
 		}
 	}
-	return EncodeReplicaAck(s.cur.Load().Epoch, applied), core.StatusOK
+	r.Send(appendReplicaAck(r.Buf(), s.cur.Load().Epoch, applied), core.StatusOK)
 }
 
 // classifyReplicaResp turns one backup's RPCReplicate outcome into a
@@ -358,16 +366,15 @@ func (s *Service) link(to fabric.NodeID) (*fwdLink, error) {
 	return l, nil
 }
 
-// installUnder adopts m (if newer) while holding shard's lock
-// exclusively: every request on the shard that loaded the previous map
-// has replied — its group commit resolved — before the call returns, and
-// every later one is served, or NACKed WrongShard, under m. It is the one
-// way a shard's replica set or primary changes on the member that serves
-// it: a recruit is installed this way so that no put staged to the old
-// backup set can apply after the snapshot scan passed its key; a handoff,
-// so that every acknowledged put is on the new primary before anyone
-// routes to it; a failover promotion, so that the new primary never
-// answers one request under two views.
+// installUnder adopts m (if newer) while holding shard's lock exclusively:
+// every request on the shard that loaded the previous map has been answered —
+// its frame resolved — before the call returns, and every later one is
+// served, or NACKed WrongShard, under m. It is the one way a shard's replica
+// set or primary changes on the member that serves it: a recruit, so that no
+// put staged to the old backup set can apply after the snapshot scan passed
+// its key; a handoff, so that every acknowledged put is on the new primary
+// before anyone routes to it; a failover promotion, so that the new primary
+// never answers one request under two views.
 func (s *Service) installUnder(shard int, m *ShardMap) {
 	slot := s.shards[shard]
 	slot.mu.Lock()
@@ -376,15 +383,14 @@ func (s *Service) installUnder(shard int, m *ShardMap) {
 }
 
 // CopyShardTo streams the shard's snapshot to `to`, which the caller has
-// already made a backup of the shard (Coordinator.recruit): writes racing
-// the scan reach it on the replication stream, and the guarded apply
-// makes scan-vs-stream order irrelevant. The snapshot rides FRP1 frames
-// built in one pooled buffer and stamped with this member's map epoch.
-// Each frame is retried until deadline — the fault plans this runs under
-// flap links mid-copy — and a fenced frame is re-sent under the newer map
-// the NACK carried, for as long as that map still makes this member the
-// shard's primary. A connection handle or node that has closed ends the
-// copy at once: nothing sent on it again can arrive.
+// already made a backup of the shard (Coordinator.recruit): writes racing the
+// scan reach it on the replication stream, and the guarded apply makes
+// scan-vs-stream order irrelevant. The snapshot rides FRP1 frames built in
+// one pooled buffer and stamped with this member's map epoch. Each frame is
+// retried until deadline — the fault plans this runs under flap links
+// mid-copy — and a fenced frame is re-sent under the newer map the NACK
+// carried, for as long as that map still makes this member the shard's
+// primary. A closed connection handle or node ends the copy at once.
 func (s *Service) CopyShardTo(shard int, to fabric.NodeID, deadline time.Time) error {
 	link, err := s.link(to)
 	if err != nil {
@@ -435,18 +441,21 @@ func (s *Service) Keys(shard int) int {
 	return n
 }
 
-// ShardFingerprint returns the order-independent content fingerprint of
-// the shard's local partition. Equal fingerprints on a primary and its
-// backup mean byte-equal replicas — what the failover tests assert
-// after traffic quiesces.
+// ShardFingerprint returns the order-independent content fingerprint of the
+// shard's local partition. Equal fingerprints on a primary and its backup
+// mean byte-equal replicas — what the failover tests assert at quiescence.
 func (s *Service) ShardFingerprint(shard int) uint64 {
 	return s.shards[shard].store.Fingerprint64()
 }
 
-// Close stops the replication forwarders (queued ops NACK, in-flight
-// frames resolve within their budgets) and tears down the forward links.
+// Close stops the replication logs (queued puts NACK, in-flight frames
+// resolve within their budgets, so every put is answered) and tears down
+// the forward links.
 func (s *Service) Close() {
-	s.closeStreams()
+	for _, slot := range s.shards {
+		slot.log.close()
+	}
+	s.fwdWG.Wait()
 	s.fwdMu.Lock()
 	defer s.fwdMu.Unlock()
 	for _, l := range s.fwd {

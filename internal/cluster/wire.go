@@ -256,32 +256,52 @@ func ReplicaForwardSize(n int) int { return replHeaderLen + 16*n }
 // DecodeReplicaForward parses a forward frame: magic, bounded entry
 // count, exact length. It never panics on arbitrary bytes.
 func DecodeReplicaForward(b []byte) (ReplicaForward, error) {
-	r := &wireReader{b: b}
-	var f ReplicaForward
-	if r.u32() != replMagic {
-		return f, fmt.Errorf("%w: bad magic", ErrBadReplica)
+	f, n, err := decodeReplicaHeader(b)
+	if err != nil || n == 0 {
+		return f, err
 	}
-	f.Epoch = r.u64()
-	shard, n := r.u32(), r.u32()
-	if r.err || shard >= maxWireShards || n > maxWireReplEntries {
-		return f, fmt.Errorf("%w: bad geometry", ErrBadReplica)
-	}
-	if len(b) != ReplicaForwardSize(int(n)) {
-		return f, fmt.Errorf("%w: length mismatch", ErrBadReplica)
-	}
-	f.Shard = int(shard)
-	if n > 0 {
-		f.Entries = make([]ReplicaEntry, n)
-		for i := range f.Entries {
-			f.Entries[i] = ReplicaEntry{Key: r.u64(), Val: r.u64()}
-		}
+	f.Entries = make([]ReplicaEntry, n)
+	for i := range f.Entries {
+		f.Entries[i] = replicaEntryAt(b, i)
 	}
 	return f, nil
 }
 
+// decodeReplicaHeader is DecodeReplicaForward without the entries: the
+// validated header and the entry count, for a reader that walks the entries
+// where they lie (replicaEntryAt) instead of copying them out.
+func decodeReplicaHeader(b []byte) (f ReplicaForward, n int, err error) {
+	r := wireReader{b: b}
+	if r.u32() != replMagic {
+		return f, 0, fmt.Errorf("%w: bad magic", ErrBadReplica)
+	}
+	f.Epoch = r.u64()
+	shard, count := r.u32(), r.u32()
+	if r.err || shard >= maxWireShards || count > maxWireReplEntries {
+		return f, 0, fmt.Errorf("%w: bad geometry", ErrBadReplica)
+	}
+	if len(b) != ReplicaForwardSize(int(count)) {
+		return f, 0, fmt.Errorf("%w: length mismatch", ErrBadReplica)
+	}
+	f.Shard = int(shard)
+	return f, int(count), nil
+}
+
+// replicaEntryAt reads entry i of a frame decodeReplicaHeader accepted.
+func replicaEntryAt(b []byte, i int) ReplicaEntry {
+	off := replHeaderLen + i*wireEntryLen
+	return ReplicaEntry{
+		Key: binary.LittleEndian.Uint64(b[off : off+8]),
+		Val: binary.LittleEndian.Uint64(b[off+8 : off+16]),
+	}
+}
+
 // EncodeReplicaAck encodes a forward's ACK payload.
 func EncodeReplicaAck(epoch uint64, applied int) []byte {
-	b := make([]byte, 0, replAckLen)
+	return appendReplicaAck(make([]byte, 0, replAckLen), epoch, applied)
+}
+
+func appendReplicaAck(b []byte, epoch uint64, applied int) []byte {
 	b = binary.LittleEndian.AppendUint64(b, epoch)
 	return binary.LittleEndian.AppendUint32(b, uint32(applied))
 }

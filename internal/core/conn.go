@@ -74,9 +74,18 @@ type Conn struct {
 	remote fabric.NodeID
 	qps    []*connQP
 
-	threadMu sync.RWMutex
-	threads  map[uint32]*Thread
-	nextTID  atomic.Uint32
+	// threads is the registered thread set, indexed by thread ID: an
+	// immutable snapshot RegisterThread republishes under threadMu (threads
+	// are never removed), so the dispatcher resolves a response's thread and
+	// the scheduler walks the set without a lock or a copy.
+	threadMu sync.Mutex
+	threads  atomic.Pointer[[]*Thread]
+
+	// sched is the thread scheduler's scratch and statDirty its cue that
+	// some thread recorded a request since the last interval (see
+	// scheduleConn); only the scheduler goroutine touches sched.
+	sched     schedScratch
+	statDirty atomic.Bool
 
 	// failed marks the handle fatally dead; failErr remembers why, so
 	// closedErr can tell callers the true cause ("retry elsewhere" drain
@@ -193,7 +202,6 @@ func (n *Node) Connect(remote fabric.NodeID) (*Conn, error) {
 	c := &Conn{
 		node:        n,
 		remote:      remote,
-		threads:     make(map[uint32]*Thread),
 		retryBudget: resilience.NewBudget(DefaultRetryBudgetRatio, n.opts.test.retryBudgetBurst),
 	}
 	args := connectArgs{clientNode: n.id}
@@ -284,14 +292,16 @@ func (c *Conn) Remote() fabric.NodeID { return c.remote }
 func (c *Conn) NumQPs() int { return len(c.qps) }
 
 // ActiveQPs returns the indexes of currently active QPs.
-func (c *Conn) ActiveQPs() []int {
-	var out []int
+func (c *Conn) ActiveQPs() []int { return c.appendActiveQPs(nil) }
+
+// appendActiveQPs appends the indexes of currently active QPs to dst.
+func (c *Conn) appendActiveQPs(dst []int) []int {
 	for i, q := range c.qps {
 		if q.active() {
-			out = append(out, i)
+			dst = append(dst, i)
 		}
 	}
-	return out
+	return dst
 }
 
 // closedCh reports the owning node's done channel.
@@ -349,20 +359,19 @@ func (c *Conn) fail(err error) {
 
 // thread returns the registered thread with the given ID, or nil.
 func (c *Conn) thread(id uint32) *Thread {
-	c.threadMu.RLock()
-	defer c.threadMu.RUnlock()
-	return c.threads[id]
+	if ts := c.snapshotThreads(); int(id) < len(ts) {
+		return ts[id]
+	}
+	return nil
 }
 
-// snapshotThreads copies the registered thread set.
+// snapshotThreads returns the registered thread set, indexed by thread ID.
+// The slice is shared and immutable — callers must not mutate it.
 func (c *Conn) snapshotThreads() []*Thread {
-	c.threadMu.RLock()
-	defer c.threadMu.RUnlock()
-	out := make([]*Thread, 0, len(c.threads))
-	for _, t := range c.threads {
-		out = append(out, t)
+	if ts := c.threads.Load(); ts != nil {
+		return *ts
 	}
-	return out
+	return nil
 }
 
 // RemoteRegion is a handle to server memory attached for one-sided

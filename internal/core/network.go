@@ -82,6 +82,16 @@ const (
 // response.
 type Handler func(req []byte) []byte
 
+// ReplyHandler is the form every handler is registered in: it receives the
+// request and the handle to answer it through (see Reply), and may answer
+// before it returns — which is all Handler and StatusHandler ever do — or
+// keep the handle and answer later from any goroutine, so that a request
+// waiting on something else (a replication ack, a lock) occupies no worker
+// while it waits. It must not retain req past its return, whenever it
+// replies: req views a pooled receive buffer that is recycled the moment
+// the handlers of the message it arrived in have returned.
+type ReplyHandler func(req []byte, r *Reply)
+
 // StatusHandler is a Handler that also chooses the response status word —
 // the hook services built above core (shard routers, placement layers) use
 // to NACK requests with application statuses such as StatusWrongShard
@@ -247,9 +257,8 @@ type Node struct {
 	opts Options
 	dev  *rnic.Device
 
-	handlers   atomic.Value // map[uint32]Handler snapshot
-	inlineRPCs atomic.Value // map[uint32]bool: rpcIDs that bypass the worker pool
-	handMu     sync.Mutex
+	handlers atomic.Pointer[handlerTable] // immutable snapshot
+	handMu   sync.Mutex
 
 	serving atomic.Bool
 
@@ -320,8 +329,7 @@ func newNode(nw *Network, id fabric.NodeID, dev *rnic.Device, opts Options) *Nod
 		tel:  telemetry.New(),
 		done: make(chan struct{}),
 	}
-	n.handlers.Store(map[uint32]StatusHandler{})
-	n.inlineRPCs.Store(map[uint32]bool{})
+	n.handlers.Store(&handlerTable{})
 	n.byQPN.Store(map[int]*serverQP{})
 	n.connsSnap.Store([]*Conn{})
 	n.sconnsSnap.Store([]*serverConn{})
@@ -443,62 +451,65 @@ func (n *Node) DegreeHistograms() (out, in telemetry.HistSnapshot) {
 	return n.degOut.Snapshot(), n.degIn.Snapshot()
 }
 
+// handlerTable is the node's registered handlers; inline marks the ones
+// that run on the request dispatcher even when a worker pool is configured.
+type handlerTable struct {
+	byID      map[uint32]handlerEntry
+	anyInline bool
+}
+
+type handlerEntry struct {
+	fn     ReplyHandler
+	inline bool
+}
+
 // RegisterHandler binds fn to rpcID (fl_reg_handler in Table 2).
 // Registration is allowed at any time but handlers should be in place
 // before clients call them.
 func (n *Node) RegisterHandler(rpcID uint32, fn Handler) {
-	n.RegisterStatusHandler(rpcID, func(req []byte) ([]byte, uint32) {
-		return fn(req), StatusOK
-	})
+	n.RegisterReplyHandler(rpcID, false, func(req []byte, r *Reply) { r.Send(fn(req), StatusOK) })
 }
 
 // RegisterStatusHandler binds a status-returning handler to rpcID. It is
 // RegisterHandler for services that pick their own response status —
 // e.g. a shard-aware KV returning StatusWrongShard with the current map
-// as payload. Plain and status handlers share one table; the last
-// registration for an rpcID wins.
+// as payload.
 func (n *Node) RegisterStatusHandler(rpcID uint32, fn StatusHandler) {
+	n.RegisterReplyHandler(rpcID, false, func(req []byte, r *Reply) { r.Send(fn(req)) })
+}
+
+// RegisterInlineStatusHandler is RegisterStatusHandler on the inline lane
+// (see RegisterReplyHandler).
+func (n *Node) RegisterInlineStatusHandler(rpcID uint32, fn StatusHandler) {
+	n.RegisterReplyHandler(rpcID, true, func(req []byte, r *Reply) { r.Send(fn(req)) })
+}
+
+// RegisterReplyHandler binds fn to rpcID; every registration form lands
+// here, all share one table, and the last registration for an rpcID wins.
+//
+// inline is an execution-lane promise: the handler runs on the request
+// dispatcher even when a worker pool is configured, so it can never queue
+// behind workers whose handlers block. Only for handlers that are short and
+// never block — replication applies, pings, map fetches. A blocking inline
+// handler stalls the node's whole receive path; one that must wait replies
+// later instead.
+func (n *Node) RegisterReplyHandler(rpcID uint32, inline bool, fn ReplyHandler) {
 	n.handMu.Lock()
 	defer n.handMu.Unlock()
-	old := n.handlers.Load().(map[uint32]StatusHandler)
-	next := make(map[uint32]StatusHandler, len(old)+1)
-	for k, v := range old {
-		next[k] = v
+	old := n.handlerTable()
+	next := &handlerTable{byID: make(map[uint32]handlerEntry, len(old.byID)+1)}
+	for k, v := range old.byID {
+		next.byID[k] = v
 	}
-	next[rpcID] = fn
+	next.byID[rpcID] = handlerEntry{fn: fn, inline: inline}
+	for _, h := range next.byID {
+		next.anyInline = next.anyInline || h.inline
+	}
 	n.handlers.Store(next)
 }
 
-// RegisterInlineStatusHandler is RegisterStatusHandler plus an
-// execution-lane promise: the handler runs inline on the request
-// dispatcher even when a worker pool is configured, so it can never
-// queue behind workers blocked in nested calls. Only for handlers that
-// are short and never block on RPCs of their own — replication applies,
-// pings, map fetches. A blocking inline handler stalls the node's whole
-// receive path.
-func (n *Node) RegisterInlineStatusHandler(rpcID uint32, fn StatusHandler) {
-	n.RegisterStatusHandler(rpcID, fn)
-	n.handMu.Lock()
-	defer n.handMu.Unlock()
-	old := n.inlineRPCs.Load().(map[uint32]bool)
-	next := make(map[uint32]bool, len(old)+1)
-	for k := range old {
-		next[k] = true
-	}
-	next[rpcID] = true
-	n.inlineRPCs.Store(next)
-}
-
-// handler resolves rpcID to a StatusHandler, nil if unregistered.
-func (n *Node) handler(rpcID uint32) StatusHandler {
-	return n.handlers.Load().(map[uint32]StatusHandler)[rpcID]
-}
-
-// inlineSet returns the current inline-lane rpcID set (empty map when
-// nothing is registered inline — the common case, checked by len).
-func (n *Node) inlineSet() map[uint32]bool {
-	return n.inlineRPCs.Load().(map[uint32]bool)
-}
+// handlerTable returns the current registration snapshot.
+func (n *Node) handlerTable() *handlerTable { return n.handlers.Load() }
 
 // Serve starts the server role: request dispatchers, the worker pool (if
 // configured), and the receiver-side QP scheduler (§5.1). It returns
@@ -630,7 +641,7 @@ func (n *Node) drainLeases() {
 			select {
 			case u := <-n.workCh:
 				u.buf.Release()
-				n.inflight.Add(-int64(len(u.items)))
+				n.inflight.Add(-int64(len(u.replies)))
 			default:
 				more = false
 			}

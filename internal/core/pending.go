@@ -25,14 +25,14 @@ import (
 // Ownership protocol. A record lives in the table from registration until
 // exactly one party removes it:
 //
-//   - A completer (dispatcher delivery, QP poisoning, connection failure)
-//     that finds the record in the table marks it done, stores the
-//     response, and sends the record's token — all under the table lock,
-//     so "done" and "token present" are never observed apart.
+//   - A completer (dispatcher delivery, QP poisoning, connection failure,
+//     the deadline sweep) that finds the record in the table marks it done,
+//     stores the response, and sends the record's token — all under the
+//     table lock, so "done" and "token present" are never observed apart.
 //   - The waiter consumes the token and removes the record; abandoning a
-//     wait (attempt deadline) removes the record first, and if a completer
-//     already marked it done, consumes the guaranteed token and releases
-//     the response's pooled lease.
+//     wait (cancel, failed submit) removes the record first, and if a
+//     completer already marked it done, consumes the guaranteed token and
+//     releases the response's pooled lease.
 //   - Close-time draining walks the tables and releases responses whose
 //     tokens no waiter has claimed, so leases held by unwaited Pendings
 //     never outlive the node.
@@ -47,6 +47,10 @@ type callRec struct {
 	qp   atomic.Int32
 	done bool // completed; resp valid and token sent (guarded by table mu)
 	resp Response
+	// deadline is when the attempt expires, zero for an unbounded wait
+	// (guarded by table mu). The waiter arms no timer for it: the deadline
+	// sweep completes an overdue record with an expiry poison.
+	deadline time.Time
 	// ch carries the completion token. Capacity one and reused across
 	// recycles; the ownership protocol guarantees at most one send per
 	// table residence and that it is drained before reuse.
@@ -75,6 +79,10 @@ type pendingTable struct {
 	// every mutation happens under mu alongside the map it mirrors, the
 	// atomic only making lock-free reads possible.
 	inflight atomic.Int32
+	// bounded counts the records in the table that carry a deadline, so the
+	// sweep passes a table with none at the cost of one atomic load. Mutated
+	// under mu like inflight.
+	bounded atomic.Int32
 }
 
 // register publishes a record (recycled from the freelist) under the next
@@ -110,11 +118,59 @@ func (p *pendingTable) depth() int { return int(p.inflight.Load()) }
 // wholeSeq is complete's mask for a sequence ID that arrived untruncated.
 const wholeSeq = ^uint64(0)
 
-// recycleLocked pushes rec onto the freelist; caller holds mu.
-func (p *pendingTable) recycleLocked(rec *callRec) {
+// removeLocked takes rec out of the table and pushes it onto the freelist;
+// caller holds mu.
+func (p *pendingTable) removeLocked(rec *callRec) {
+	delete(p.recs, rec.seq)
+	p.disarmLocked(rec)
 	rec.resp = Response{}
 	rec.next = p.free
 	p.free = rec
+}
+
+// disarmLocked clears rec's deadline as it leaves the table; caller holds mu.
+func (p *pendingTable) disarmLocked(rec *callRec) {
+	if !rec.deadline.IsZero() {
+		rec.deadline = time.Time{}
+		p.bounded.Add(-1)
+	}
+}
+
+// completeLocked is the one completion step every completer shares: done,
+// response and token change together under mu.
+func (p *pendingTable) completeLocked(rec *callRec, r Response) {
+	p.inflight.Add(-1)
+	rec.done = true
+	rec.resp = r
+	rec.ch <- struct{}{}
+}
+
+// arm gives rec, the attempt its caller just submitted, a deadline. A record
+// the close-time drain already removed stays unarmed.
+func (p *pendingTable) arm(rec *callRec, deadline time.Time) {
+	p.mu.Lock()
+	if p.recs[rec.seq] == rec {
+		rec.deadline = deadline
+		p.bounded.Add(1)
+	}
+	p.mu.Unlock()
+}
+
+// expire is the deadline sweep's visit to one table: every uncompleted
+// record whose deadline has passed is completed with the expiry poison, so
+// expiry reaches the waiter as a token exactly like QP poison and connection
+// failure do. An expiry is late by at most the sweep period, never early.
+func (p *pendingTable) expire(now time.Time) {
+	if p.bounded.Load() == 0 {
+		return
+	}
+	p.mu.Lock()
+	for _, rec := range p.recs {
+		if !rec.done && !rec.deadline.IsZero() && !now.Before(rec.deadline) {
+			p.completeLocked(rec, Response{err: ErrTimeout})
+		}
+	}
+	p.mu.Unlock()
 }
 
 // complete resolves the record registered under seq with r. It reports
@@ -135,10 +191,7 @@ func (p *pendingTable) complete(seq, mask uint64, r Response) bool {
 		p.mu.Unlock()
 		return false
 	}
-	p.inflight.Add(-1)
-	rec.done = true
-	rec.resp = r
-	rec.ch <- struct{}{}
+	p.completeLocked(rec, r)
 	p.mu.Unlock()
 	return true
 }
@@ -149,14 +202,13 @@ func (p *pendingTable) complete(seq, mask uint64, r Response) bool {
 func (p *pendingTable) takeDone(rec *callRec) Response {
 	p.mu.Lock()
 	r := rec.resp
-	delete(p.recs, rec.seq)
-	p.recycleLocked(rec)
+	p.removeLocked(rec)
 	p.mu.Unlock()
 	return r
 }
 
-// abandon removes a record the waiter no longer wants (attempt deadline
-// expired, cancel, submit failure). If a completer got there first
+// abandon removes a record the waiter no longer wants (cancel, submit
+// failure, shutdown mid-wait). If a completer got there first
 // the token is already in the channel — consume it and recycle the lease;
 // if the close-time drain got there even earlier the record is simply
 // gone and must not be recycled (the drain may still hold it).
@@ -167,14 +219,13 @@ func (p *pendingTable) abandon(rec *callRec) {
 		p.mu.Unlock()
 		return
 	}
-	delete(p.recs, rec.seq)
 	if rec.done {
 		<-rec.ch
 		rec.resp.Release()
 	} else {
 		p.inflight.Add(-1)
 	}
-	p.recycleLocked(rec)
+	p.removeLocked(rec)
 	p.mu.Unlock()
 }
 
@@ -188,10 +239,7 @@ func (p *pendingTable) failMatching(qp int32, r Response) {
 		if rec.done || (qp >= 0 && rec.qp.Load() != qp) {
 			continue
 		}
-		p.inflight.Add(-1)
-		rec.done = true
-		rec.resp = r
-		rec.ch <- struct{}{}
+		p.completeLocked(rec, r)
 	}
 	p.mu.Unlock()
 }
@@ -212,6 +260,7 @@ func (p *pendingTable) drain() {
 			rec.resp.Release()
 			rec.resp = Response{}
 			delete(p.recs, seq)
+			p.disarmLocked(rec)
 		default:
 			// The waiter holds the token; the response is theirs.
 		}
@@ -249,12 +298,10 @@ type Pending struct {
 	phase       uint8
 	attempt     int
 	attemptWait time.Duration // current per-attempt wait; zero = unbounded
-	aDeadline   time.Time     // current attempt's response deadline
 	retryAt     time.Time     // backoff gate before the next attempt
 	rec         *callRec      // the in-flight attempt
 	started     time.Time     // submission time of an RPC's attempt zero (latency probe)
 	lastErr     error
-	timer       *time.Timer
 	resp        Response
 	err         error
 }
@@ -350,16 +397,12 @@ func (p *Pending) Wait() (Response, error) {
 			p.awaitAttempt(true)
 		}
 	}
-	if p.timer != nil {
-		p.timer.Stop()
-		p.timer = nil
-	}
 	return p.resp, p.err
 }
 
 // Done polls the call without blocking, advancing any engine step that is
-// ready (expiring an attempt, submitting a backed-off retry). It reports
-// whether Wait would return immediately.
+// ready (consuming a completion or an expiry the sweep delivered, submitting
+// a backed-off retry). It reports whether Wait would return immediately.
 func (p *Pending) Done() bool {
 	for p.phase != pendDone {
 		var progressed bool
@@ -429,14 +472,24 @@ func (p *Pending) startAttempt(block bool) bool {
 }
 
 // armAttempt starts the clock of the attempt just submitted as p.rec: its
-// response deadline.
+// response deadline goes on the record, where the deadline sweep finds it.
 func (p *Pending) armAttempt() {
-	p.aDeadline = time.Time{}
+	if c := p.t.conn; c.failed.Load() {
+		// The handle failed while this attempt was being submitted. Its
+		// poison burst may have walked the table before the record was in
+		// it, and a closed handle is off the dispatch and sweep sets, so
+		// nothing would ever complete the record: give up here. A failure
+		// after this load finds the record registered.
+		p.abandonAttempt()
+		p.fail(c.closedErr())
+		return
+	}
 	if p.attemptWait > 0 {
-		p.aDeadline = time.Now().Add(p.attemptWait)
-		if !p.deadline.IsZero() && p.aDeadline.After(p.deadline) {
-			p.aDeadline = p.deadline
+		d := time.Now().Add(p.attemptWait)
+		if !p.deadline.IsZero() && d.After(p.deadline) {
+			d = p.deadline
 		}
+		p.t.pend.arm(p.rec, d)
 	}
 	p.phase = pendInflight
 }
@@ -465,12 +518,12 @@ func (t *Thread) noteUnparked() {
 }
 
 // awaitAttempt waits for the in-flight attempt to resolve: its completion
-// token or the attempt deadline. It returns false when nothing is ready and
-// block is false.
+// token, whichever completer sends it — the attempt's deadline included,
+// which the sweep delivers as an expiry poison. It returns false when
+// nothing is ready and block is false.
 func (p *Pending) awaitAttempt(block bool) bool {
 	t := p.t
-	// A token already there is collected without parking; it also beats a
-	// deadline already past and spares arming the timer.
+	// A token already there is collected without parking.
 	select {
 	case <-p.rec.ch:
 		t.noteUnparked()
@@ -478,48 +531,22 @@ func (p *Pending) awaitAttempt(block bool) bool {
 	default:
 	}
 	if !block {
-		if p.aDeadline.IsZero() || time.Now().Before(p.aDeadline) {
+		// The sweep stops with the node, so a poll must see the shutdown
+		// itself or a bounded call would never resolve.
+		select {
+		case <-t.conn.closedCh():
+			return p.onClosed()
+		default:
 			return false
 		}
-	} else if p.aDeadline.IsZero() {
-		t.unparked = 0
-		select {
-		case <-p.rec.ch:
-			return p.onToken()
-		case <-t.conn.closedCh():
-			return p.onClosed()
-		}
-	} else {
-		t.unparked = 0
-		if p.timer == nil {
-			p.timer = time.NewTimer(time.Until(p.aDeadline))
-		} else {
-			if !p.timer.Stop() {
-				select {
-				case <-p.timer.C:
-				default:
-				}
-			}
-			p.timer.Reset(time.Until(p.aDeadline))
-		}
-		select {
-		case <-p.rec.ch:
-			return p.onToken()
-		case <-p.timer.C:
-		case <-t.conn.closedCh():
-			return p.onClosed()
-		}
 	}
-	// Attempt expired: abandon it (a late response becomes a stale drop at
-	// the dispatcher) and strike the QP in use — repeated expiries are the
-	// only signal a dead server end gives, and enough of them break the QP
-	// for recycling.
-	p.abandonAttempt()
-	c := t.conn
-	if cur := t.curQP.Load(); cur >= 0 && int(cur) < len(c.qps) {
-		c.noteTimeout(c.qps[cur])
+	t.unparked = 0
+	select {
+	case <-p.rec.ch:
+		return p.onToken()
+	case <-t.conn.closedCh():
+		return p.onClosed()
 	}
-	return p.attemptFailed(ErrTimeout)
 }
 
 // onClosed resolves the call when the node shut down mid-wait: a
@@ -543,6 +570,16 @@ func (p *Pending) onToken() bool {
 	r := t.pend.takeDone(p.rec)
 	p.rec = nil
 	if r.err != nil {
+		if r.err == ErrTimeout {
+			// Attempt expired (a late response becomes a stale drop at the
+			// dispatcher): strike the QP in use — repeated expiries are the
+			// only signal a dead server end gives, and enough of them break
+			// the QP for recycling.
+			if cur := t.curQP.Load(); cur >= 0 && int(cur) < len(c.qps) {
+				c.noteTimeout(c.qps[cur])
+			}
+			return p.attemptFailed(ErrTimeout)
+		}
 		if r.err == ErrQPBroken {
 			return p.attemptFailed(ErrQPBroken)
 		}

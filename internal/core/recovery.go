@@ -244,6 +244,7 @@ func (n *Node) recycleAccept(a recycleArgs) (recycleReply, error) {
 	// broken+inuse excluded the dispatcher and the QP scheduler above.
 	sqp.respMu.Lock()
 	defer sqp.respMu.Unlock()
+	sqp.life.Add(1) // replies still owed to the old life's requests are dropped
 
 	n.dev.DestroyQP(a.oldServerQPN) // flush stragglers before ring zeroing
 	qp, err := n.dev.CreateQP(rnic.RC, n.dev.CreateCQ(), n.schedRCQ)

@@ -208,6 +208,7 @@ func TestRecoveryEdgeCases(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				oldLife := sqp.life.Load()
 				reply, err := tc.server.recycleAccept(recycleArgs{
 					clientNode: client.id, oldServerQPN: peerQPN, newClientQPN: qp.QPN(),
 				})
@@ -215,12 +216,19 @@ func TestRecoveryEdgeCases(t *testing.T) {
 					t.Fatal(err)
 				}
 				late := []respOut{nackOut(itemMeta{threadID: 1 << 20}, StatusOverloaded)}
-				tc.server.flushResponses(sqp, late)
+				tc.server.flushResponses(sqp, late, sqp.life.Load())
 				if tail := sqp.respProd.tail; tail != 0 {
 					t.Fatalf("server wrote %d response bytes before the client rebuilt its end", tail)
 				}
 				tc.server.recycleResume(reply.serverQPN)
-				tc.server.flushResponses(sqp, late)
+				// A reply still owed to a request of the previous life stays
+				// dropped after the resume: its client failed the call when
+				// the QP broke, and the ring has started over.
+				tc.server.flushResponses(sqp, late, oldLife)
+				if tail := sqp.respProd.tail; tail != 0 {
+					t.Fatalf("server wrote %d response bytes for a request of the QP's previous life", tail)
+				}
+				tc.server.flushResponses(sqp, late, sqp.life.Load())
 				if sqp.respProd.tail == 0 {
 					t.Fatal("server end still quiet after recycleResume")
 				}

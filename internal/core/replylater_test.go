@@ -1,0 +1,316 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// TestDeadlineExpiresBySweep: no call arms a timer for its deadline — the
+// scheduler tick's sweep completes an overdue record with an expiry poison.
+// A 5 ms one-attempt deadline against a handler that answers after 50 ms
+// must therefore expire — ErrTimeout, not the answer — no earlier than 5 ms
+// and (scheduling hiccups aside, so: in the best of a few tries) no later
+// than two sweeps after that,
+// return ErrTimeout, strike the QP exactly once, and leave the late response
+// to be counted as one stale drop. Driven by Wait and by Done alone.
+func TestDeadlineExpiresBySweep(t *testing.T) {
+	const slowID = 31
+	const budget = 5 * time.Millisecond
+	const late = 50 * time.Millisecond
+	for _, how := range []string{"Wait", "Done"} {
+		t.Run(how, func(t *testing.T) {
+			tc := newTestCluster(t, 1, Options{Workers: 2}, Options{QPsPerConn: 1})
+			tc.server.RegisterHandler(slowID, func(req []byte) []byte {
+				time.Sleep(late)
+				return nil
+			})
+			client := tc.clients[0]
+			conn, err := client.Connect(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			th := conn.RegisterThread()
+			best := time.Hour
+			const tries = 5
+			for i := 1; i <= tries; i++ {
+				start := time.Now()
+				p, err := th.CallAsync(slowID, []byte("x"), CallOptions{Budget: budget, MaxAttempts: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if how == "Done" {
+					for !p.Done() {
+						time.Sleep(50 * time.Microsecond)
+					}
+				}
+				_, err = p.Wait()
+				took := time.Since(start)
+				if !errors.Is(err, ErrTimeout) {
+					t.Fatalf("try %d: err = %v after %v, want ErrTimeout", i, err, took)
+				}
+				if took < budget {
+					t.Fatalf("try %d: expired after %v, before its %v deadline", i, took, budget)
+				}
+				best = min(best, took)
+				if got := conn.qps[0].timeouts.Load(); got != 1 {
+					t.Fatalf("try %d: QP holds %d timeout strikes, want 1", i, got)
+				}
+				conn.qps[0].timeouts.Store(0) // the next try starts clean
+				if got := client.Metrics().RPCTimeouts; got != uint64(i) {
+					t.Fatalf("try %d: rpc_timeouts = %d, want %d", i, got, i)
+				}
+				waitFor(t, "the late response to be dropped as stale", func() bool {
+					return client.Metrics().StaleDrops == uint64(i)
+				})
+			}
+			if limit := budget + 2*DefaultSchedInterval; best > limit {
+				t.Fatalf("best of %d expiries took %v, want within two sweeps of the deadline (%v)", tries, best, limit)
+			}
+			if th.Outstanding() != 0 {
+				t.Fatalf("%d records left in the table", th.Outstanding())
+			}
+		})
+	}
+}
+
+// laterHandler registers on n a handler that keeps its reply handle and
+// answers from another goroutine once release is closed — or, with a nil
+// release, a millisecond after returning.
+func laterHandler(n *Node, rpcID uint32, execs *atomic.Uint64, release <-chan struct{}, sent chan<- *Reply) {
+	n.RegisterReplyHandler(rpcID, false, func(req []byte, r *Reply) {
+		execs.Add(1)
+		out := append([]byte("later:"), req...) // req itself must not outlive the handler
+		go func() {
+			if release != nil {
+				<-release
+			} else {
+				time.Sleep(time.Millisecond)
+			}
+			r.Send(out, StatusOK)
+			if sent != nil {
+				sent <- r
+			}
+		}()
+	})
+}
+
+// TestReplyLaterDelivered: a handler that returns first and replies from
+// another goroutine a millisecond later — the caller gets that reply, once;
+// a second Send on the handle is a no-op. Worker pool and inline mode.
+func TestReplyLaterDelivered(t *testing.T) {
+	const laterID = 32
+	for _, workers := range []int{0, 2} {
+		tc := newTestCluster(t, 1, Options{Workers: workers}, Options{})
+		var execs atomic.Uint64
+		sent := make(chan *Reply, 1)
+		laterHandler(tc.server, laterID, &execs, nil, sent)
+		registerEcho(tc.server)
+		conn, err := tc.clients[0].Connect(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		th := conn.RegisterThread()
+		for i := 0; i < 20; i++ {
+			r, err := th.Call(laterID, []byte("ping"))
+			if err != nil {
+				t.Fatalf("workers=%d call %d: %v", workers, i, err)
+			}
+			if r.Status != StatusOK || !bytes.Equal(r.Data, []byte("later:ping")) {
+				t.Fatalf("workers=%d call %d: status %d data %q", workers, i, r.Status, r.Data)
+			}
+			r.Release()
+			(<-sent).Send([]byte("again"), StatusOK) // no-op
+			// The inline scratch the deferred handle took with it must not
+			// be reused under it: a plain echo in between gets its own.
+			if err := callDrop(th, echoID, []byte("between")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := execs.Load(); got != 20 {
+			t.Fatalf("workers=%d: %d executions for 20 calls", workers, got)
+		}
+		if got := tc.clients[0].Metrics().StaleDrops; got != 0 {
+			t.Fatalf("workers=%d: %d stale drops — some request was answered twice", workers, got)
+		}
+		if got := tc.server.inflight.Load(); got != 0 {
+			t.Fatalf("workers=%d: server still counts %d requests admitted", workers, got)
+		}
+	}
+}
+
+// TestReplyLaterDedupCommitsAtReply: the idempotency window commits when
+// the reply is sent, not when the handler returns. A keyed retry arriving
+// while the reply is still owed gets the DedupInflight pushback; one
+// arriving after it gets the cached answer; the handler ran once.
+func TestReplyLaterDedupCommitsAtReply(t *testing.T) {
+	const laterID = 33
+	// The pushback-retry cycle is fast, so the attempt cap and the retry-token
+	// burst must cover every retry that fits between the first attempt's
+	// expiry and the reply.
+	tc := newTestCluster(t, 1, Options{Workers: 2}, Options{test: testKnobs{retryBudgetBurst: 64}})
+	var execs atomic.Uint64
+	release := make(chan struct{})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(unblock)
+	laterHandler(tc.server, laterID, &execs, release, nil)
+	client := tc.clients[0]
+	conn, err := client.Connect(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := conn.RegisterThread()
+
+	// The first attempt waits budget/4 = 100 ms: the handler has long
+	// returned when the retries arrive, and only the reply is outstanding.
+	p, err := th.CallAsync(laterID, []byte("k"), CallOptions{Budget: 400 * time.Millisecond, MaxAttempts: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "a retry to be pushed back while the reply is owed", func() bool {
+		if p.Done() {
+			t.Fatal("call resolved while its reply was still held")
+		}
+		return client.Metrics().Retries >= 2
+	})
+	if got := tc.server.Metrics().DedupHits; got != 0 {
+		t.Fatalf("%d dedup hits before the reply was sent: the window committed at the handler's return", got)
+	}
+	if got := execs.Load(); got != 1 {
+		t.Fatalf("handler executed %d times while its reply was owed", got)
+	}
+	unblock()
+	r, err := p.Wait()
+	if err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	if !bytes.Equal(r.Data, []byte("later:k")) {
+		t.Fatalf("got %q", r.Data)
+	}
+	r.Release()
+	if got := execs.Load(); got != 1 {
+		t.Fatalf("handler executed %d times, want 1", got)
+	}
+	if got := tc.server.Metrics().DedupHits; got != 1 {
+		t.Fatalf("%d dedup hits, want 1: the retry after the reply is answered from the window", got)
+	}
+	waitFor(t, "straggler responses to resolve", func() bool { return th.Outstanding() == 0 })
+}
+
+// TestDrainWaitsForLateReply: an unanswered deferred request counts as in
+// flight — Drain returns only after its reply is sent.
+func TestDrainWaitsForLateReply(t *testing.T) {
+	const laterID = 34
+	tc := newTestCluster(t, 1, Options{Workers: 2}, Options{})
+	var execs atomic.Uint64
+	release := make(chan struct{})
+	laterHandler(tc.server, laterID, &execs, release, nil)
+	conn, err := tc.clients[0].Connect(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := conn.RegisterThread()
+	p, err := th.CallAsync(laterID, []byte("d"), CallOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the handler to return", func() bool { return execs.Load() == 1 })
+
+	drained := make(chan error, 1)
+	go func() { drained <- tc.server.Drain(context.Background()) }()
+	select {
+	case err := <-drained:
+		t.Fatalf("Drain returned (%v) with a deferred request unanswered", err)
+	case <-time.After(30 * time.Millisecond):
+	}
+	close(release)
+	if err := <-drained; err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	r, err := p.Wait()
+	if err != nil || !bytes.Equal(r.Data, []byte("later:d")) {
+		t.Fatalf("late reply = (%q, %v)", r.Data, err)
+	}
+	r.Release()
+}
+
+// TestLateReplyAfterCloseOrRecycleDropped: a reply sent after the node
+// closed, or after the QP its request arrived on was recycled, is dropped
+// without a panic and without a lease left behind (the package leak gate
+// checks the latter at exit).
+func TestLateReplyAfterCloseOrRecycleDropped(t *testing.T) {
+	const laterID = 35
+	t.Run("recycled", func(t *testing.T) {
+		tc := newTestCluster(t, 1, Options{Workers: 2}, Options{QPsPerConn: 1, test: testKnobs{flapThreshold: -1}})
+		var execs atomic.Uint64
+		release := make(chan struct{})
+		sent := make(chan *Reply, 1)
+		laterHandler(tc.server, laterID, &execs, release, sent)
+		registerEcho(tc.server)
+		client := tc.clients[0]
+		conn, err := client.Connect(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		th := conn.RegisterThread()
+		p, err := th.CallAsync(laterID, []byte("r"), CallOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "the handler to return", func() bool { return execs.Load() == 1 })
+		conn.markBroken(conn.qps[0])
+		if _, err := p.Wait(); !errors.Is(err, ErrQPBroken) {
+			t.Fatalf("call on the broken QP: %v, want ErrQPBroken", err)
+		}
+		waitFor(t, "the QP to be recycled", func() bool { return client.Metrics().QPRecycles >= 1 && conn.qps[0].active() })
+		callUntilOK(t, th, []byte("healed"))
+		_, peerQPN := conn.qps[0].qp.Peer()
+		sqp := tc.server.byQPN.Load().(map[int]*serverQP)[peerQPN]
+		respTail := func() uint64 {
+			sqp.respMu.Lock()
+			defer sqp.respMu.Unlock()
+			return sqp.respProd.tail
+		}
+		before := respTail()
+		close(release)
+		<-sent
+		if after := respTail(); after != before {
+			t.Fatalf("the previous life's reply moved the rebuilt response ring's tail %d -> %d", before, after)
+		}
+		if got := tc.server.inflight.Load(); got != 0 {
+			t.Fatalf("server still counts %d requests admitted after the dropped reply", got)
+		}
+		callUntilOK(t, th, []byte("after"))
+		if got := client.Metrics().StaleDrops; got != 0 {
+			t.Fatalf("%d stale drops: the previous life's reply reached the client", got)
+		}
+	})
+	t.Run("closed", func(t *testing.T) {
+		tc := newTestCluster(t, 1, Options{Workers: 2}, Options{})
+		var execs atomic.Uint64
+		release := make(chan struct{})
+		sent := make(chan *Reply, 1)
+		laterHandler(tc.server, laterID, &execs, release, sent)
+		conn, err := tc.clients[0].Connect(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		th := conn.RegisterThread()
+		p, err := th.CallAsync(laterID, []byte("c"), CallOptions{Budget: 50 * time.Millisecond, MaxAttempts: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "the handler to return", func() bool { return execs.Load() == 1 })
+		tc.server.Close()
+		close(release)
+		<-sent
+		if _, err := p.Wait(); err == nil {
+			t.Fatal("call answered by a closed node")
+		}
+	})
+}

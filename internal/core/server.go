@@ -50,6 +50,10 @@ type serverQP struct {
 	rng     *stats.RNG
 	msgSeq  uint64
 	refresh atomic.Bool
+	// life counts the QP's recycles (recycleAccept bumps it under respMu). A
+	// request remembers the life it arrived in, and a reply that comes after
+	// the QP was rebuilt is dropped: its client already failed the call.
+	life atomic.Uint32
 
 	// Scheduler-owned state (§5.1). active is atomic because accept and
 	// metrics paths read it.
@@ -65,14 +69,17 @@ type serverQP struct {
 	inuse       atomic.Int32
 	quarantined atomic.Bool
 
-	// outScratch is the inline-mode response batch, reused across messages;
-	// only the owning dispatcher touches it. wrScratch stages the flush work
+	// outScratch is the inline-mode response batch and replyScratch the reply
+	// handles its handlers answer through, both reused across messages; only
+	// the owning dispatcher touches them. wrScratch stages the flush work
 	// requests under respMu (PostSend copies WRs, so reuse after it returns
 	// is safe). nackScratch batches admission-control pushbacks the same
 	// way outScratch batches responses.
-	outScratch  []respOut
-	wrScratch   []rnic.SendWR
-	nackScratch []respOut
+	outScratch   []respOut
+	replyScratch []Reply
+	laneScratch  []decodedItem // a message's inline-lane requests
+	wrScratch    []rnic.SendWR
+	nackScratch  []respOut
 }
 
 // enter begins a dispatcher/scheduler critical section on the QP. It
@@ -94,19 +101,91 @@ func (sqp *serverQP) enter() bool {
 func (sqp *serverQP) exit() { sqp.inuse.Add(-1) }
 
 // workUnit carries one inbound coalesced message's requests to the worker
-// pool; the worker executes every handler, flushes the coalesced response,
-// and releases buf — the pooled message buffer every item payload views,
-// whose reference the unit owns.
+// pool, each as the reply handle its handler will answer through; the
+// worker executes every handler, flushes the replies that were sent by then
+// as one coalesced response, and releases buf — the pooled message buffer
+// every request payload views, whose reference the unit owns.
 type workUnit struct {
-	sqp   *serverQP
-	items []workItem
-	buf   *mem.Buf
+	sqp     *serverQP
+	replies []Reply
+	buf     *mem.Buf
 }
 
-// workItem is one decoded request; payload views the unit's pooled buffer.
-type workItem struct {
-	meta    itemMeta
-	payload []byte
+// Reply is the handle a ReplyHandler answers its request through. Send may
+// be called once, from any goroutine, before or after the handler returns; a
+// handler that returns without sending owes the reply later — the request
+// stays admitted (Drain waits for it, a keyed retry is pushed back) until it
+// is sent. A Reply must not be copied.
+type Reply struct {
+	sqp  *serverQP
+	life uint32 // sqp.life when the request arrived
+	// state holds the reply* flags; their read-modify-writes order the
+	// sender against the executor, so exactly one of them flushes the reply.
+	state atomic.Uint32
+	req   []byte  // the request payload, until the handler returns
+	out   respOut // the response: request identity echoed, then status and payload
+	small [replyBufBytes]byte
+}
+
+// replyBufBytes is the capacity of Reply.Buf. Its callers size it: the
+// cluster's acks are 8, 12 and 17 bytes (TestRepliesFitReplyBuf there holds
+// them under it), and every admitted request carries it, so it is no larger.
+const replyBufBytes = 24
+
+// Buf returns an empty slice over replyBufBytes of the handle's own storage:
+// a reply appended into it and passed to Send costs no allocation; one that
+// outgrows it moves to the heap like any append.
+func (r *Reply) Buf() []byte { return r.small[:0] }
+
+const (
+	replyClaimed  uint32 = 1 << iota // a Send has begun: later ones are no-ops
+	replyReady                       // out is complete
+	replyReturned                    // the handler has returned
+)
+
+// mark sets flag in r.state and returns the flags that were set before.
+func (r *Reply) mark(flag uint32) uint32 {
+	for {
+		old := r.state.Load()
+		if r.state.CompareAndSwap(old, old|flag) {
+			return old
+		}
+	}
+}
+
+// Send answers the request with data and status. Sent before the handler
+// returns, the reply rides the one response message of the requests that
+// arrived together, as a returned value would; sent afterwards, it is
+// flushed by the calling goroutine. data must stay untouched until then —
+// for a reply sent inside the handler, until the handler returns. A second
+// Send is a no-op; so is the flush of a reply whose QP broke or whose node
+// closed in the meantime (the client has already failed the call).
+//
+// Everything a request owes at completion happens here: the idempotency
+// window commits (with a copy detached from the pooled request buffer data
+// may view), an oversized payload is cut to the ring's geometry and
+// surfaced as StatusHandlerPanic, and — for a late reply — the admission
+// count drops once the response is on the wire.
+func (r *Reply) Send(data []byte, status uint32) {
+	if r.mark(replyClaimed)&replyClaimed != 0 {
+		return
+	}
+	n := r.sqp.sc.node
+	if len(data) > n.opts.test.maxPayload {
+		data, status = data[:n.opts.test.maxPayload], StatusHandlerPanic
+	}
+	r.out.data, r.out.meta.status = data, status
+	if m := &r.out.meta; m.idemKey != 0 {
+		r.sqp.sc.dedup.Commit(resilience.DedupKey{Thread: m.threadID, Key: m.idemKey},
+			resilience.DedupResult{Status: status, Data: append([]byte(nil), data...)})
+	}
+	if r.mark(replyReady)&replyReturned == 0 {
+		return // the handler is still running: its executor coalesces this reply
+	}
+	out := [1]respOut{r.out}
+	r.out.data = nil
+	n.flushResponses(r.sqp, out[:], r.life)
+	n.inflight.Add(-1)
 }
 
 // respOut is one computed response awaiting coalescing.
@@ -273,6 +352,7 @@ func (n *Node) serveDispatch(i int) {
 func (n *Node) pumpRequests(sqp *serverQP) bool {
 	busy := false
 	limit := int64(n.opts.AdmissionLimit)
+	life := sqp.life.Load() // stable: the caller is inside enter/exit
 	for {
 		h, items, mbuf, ok := sqp.reqCons.poll()
 		if !ok {
@@ -302,69 +382,110 @@ func (n *Node) pumpRequests(sqp *serverQP) bool {
 			admit = append(admit, it)
 		}
 		if len(nacks) > 0 {
-			n.flushResponses(sqp, nacks)
+			n.flushResponses(sqp, nacks, life)
 			sqp.nackScratch = nacks[:0]
 		}
-		if len(admit) == 0 {
-			mbuf.Release()
-			continue
-		}
 
-		if n.workCh != nil {
-			// Inline-lane RPCs (RegisterInlineStatusHandler) execute here on
-			// the dispatcher before the rest of the batch is handed to the
-			// pool: a replication apply or ping must never wait behind
-			// workers that are themselves blocked in nested forwards.
-			if inline := n.inlineSet(); len(inline) > 0 {
-				out := sqp.outScratch[:0]
-				keep := admit[:0]
+		answered := 0
+		if n.workCh != nil && len(admit) > 0 {
+			// Inline-lane RPCs execute here on the dispatcher before the rest
+			// of the batch is handed to the pool: a replication apply or ping
+			// must never wait behind workers whose handlers block.
+			tab := n.handlerTable()
+			if tab.anyInline {
+				lane, keep := sqp.laneScratch[:0], admit[:0]
 				for _, it := range admit {
-					if inline[it.meta.rpcID] {
-						out = append(out, n.execute(sqp.sc, it.meta, it.data))
+					if tab.byID[it.meta.rpcID].inline {
+						lane = append(lane, it)
 					} else {
 						keep = append(keep, it)
 					}
 				}
-				if len(out) > 0 {
-					n.flushResponses(sqp, out)
-					sqp.outScratch = out[:0]
-					n.inflight.Add(-int64(len(out)))
+				answered = n.runInline(sqp, life, lane)
+				clear(lane)
+				sqp.laneScratch, admit = lane[:0], keep
+			}
+			if len(admit) > 0 {
+				// Hand the poll reference to the unit; payloads stay views
+				// into the pooled message buffer and the worker releases it
+				// after the flush.
+				n.inflight.Add(-int64(answered))
+				unit := workUnit{sqp: sqp, replies: make([]Reply, len(admit)), buf: mbuf}
+				for k, it := range admit {
+					unit.replies[k].init(sqp, life, it)
 				}
-				admit = keep
-				if len(admit) == 0 {
+				select {
+				case n.workCh <- unit:
+				case <-n.done:
 					mbuf.Release()
-					continue
+					n.inflight.Add(-int64(len(admit)))
+					return busy
 				}
+				continue
 			}
-			// Hand the poll reference to the unit; payloads stay views into
-			// the pooled message buffer and the worker releases it after the
-			// flush.
-			unit := workUnit{sqp: sqp, items: make([]workItem, len(admit)), buf: mbuf}
-			for k, it := range admit {
-				unit.items[k] = workItem{meta: it.meta, payload: it.data}
-			}
-			select {
-			case n.workCh <- unit:
-			case <-n.done:
-				mbuf.Release()
-				n.inflight.Add(-int64(len(admit)))
-				return busy
-			}
-			continue
+		} else {
+			// Inline mode: execute handlers on the dispatcher (§4.3). The
+			// handler contract (no retaining req) plus flushResponses staging
+			// the output synchronously make releasing after the flush safe
+			// even for handlers that return their input.
+			answered = n.runInline(sqp, life, admit)
 		}
-		// Inline mode: execute handlers on the dispatcher (§4.3). The
-		// handler contract (no retaining req) plus flushResponses staging
-		// the output synchronously make releasing after the flush safe even
-		// for handlers that return their input.
-		out := sqp.outScratch[:0]
-		for k := range admit {
-			out = append(out, n.execute(sqp.sc, admit[k].meta, admit[k].data))
-		}
-		n.flushResponses(sqp, out)
-		sqp.outScratch = out[:0]
 		mbuf.Release()
-		n.inflight.Add(-int64(len(admit)))
+		n.inflight.Add(-int64(answered))
 	}
+}
+
+// init makes r the reply handle of one admitted request.
+func (r *Reply) init(sqp *serverQP, life uint32, it decodedItem) {
+	r.sqp, r.life, r.req = sqp, life, it.data
+	r.state.Store(0)
+	r.out = respOut{meta: itemMeta{
+		threadID: it.meta.threadID,
+		seqID:    it.meta.seqID,
+		rpcID:    it.meta.rpcID,
+		idemKey:  it.meta.idemKey,
+		status:   StatusOK,
+	}}
+}
+
+// runInline executes items' handlers on the calling dispatcher, flushes
+// the replies sent by the time each returned as one response message, and
+// returns how many that was — requests the caller takes off the admission
+// count once it has released their buffer. The reply handles are the QP's
+// scratch, so a message whose handlers all answer before returning
+// allocates nothing; a handler that keeps its handle to reply later keeps
+// the scratch with it, and the next message gets a fresh one.
+func (n *Node) runInline(sqp *serverQP, life uint32, items []decodedItem) int {
+	if len(items) == 0 {
+		return 0
+	}
+	if cap(sqp.replyScratch) < len(items) {
+		sqp.replyScratch = make([]Reply, len(items))
+	}
+	replies := sqp.replyScratch[:len(items)]
+	for k := range replies {
+		replies[k].init(sqp, life, items[k])
+	}
+	out := n.executeAll(sqp, replies, sqp.outScratch)
+	if len(out) < len(replies) {
+		sqp.replyScratch = nil
+	}
+	sqp.outScratch = out[:0]
+	return len(out)
+}
+
+// executeAll runs the handlers of the requests that arrived together, in
+// order, and flushes the replies sent by the time each returned as one
+// response message, which it returns built in out's storage.
+func (n *Node) executeAll(sqp *serverQP, replies []Reply, out []respOut) []respOut {
+	out = out[:0]
+	for k := range replies {
+		if r := &replies[k]; n.execute(r) {
+			out = append(out, r.out)
+		}
+	}
+	n.flushResponses(sqp, out, replies[0].life)
+	return out
 }
 
 // nackOut builds a pushback response for one rejected request: the
@@ -383,91 +504,76 @@ func nackOut(m itemMeta, status uint32) respOut {
 // "application-managed pool of RPC workers").
 func (n *Node) worker() {
 	defer n.wg.Done()
+	var out []respOut
 	for {
 		select {
 		case <-n.done:
 			return
 		case unit := <-n.workCh:
-			out := make([]respOut, len(unit.items))
-			for k, it := range unit.items {
-				out[k] = n.execute(unit.sqp.sc, it.meta, it.payload)
-			}
-			n.flushResponses(unit.sqp, out)
+			out = n.executeAll(unit.sqp, unit.replies, out)
 			unit.buf.Release()
-			n.inflight.Add(-int64(len(unit.items)))
+			n.inflight.Add(-int64(len(out)))
+			clear(out) // drop the payload references until the next unit
 		}
 	}
 }
 
-// execute runs the registered handler for one request, capturing panics
-// as a response status rather than crashing the dispatcher.
+// execute runs the registered handler for r's request on the calling
+// goroutine, capturing a panic as a response status rather than crashing
+// the dispatcher. It reports whether the response is ready to ride the
+// caller's message; false means the handler kept the handle to reply later,
+// and whoever sends that reply flushes it.
 //
 // Requests carrying a nonzero idempotency key go through the connection's
-// dedup window first: a retry whose original already executed is answered
+// dedup window first: a retry whose original already replied is answered
 // from the cache (exactly-once within the window), and a duplicate racing
-// its still-executing original gets a retryable StatusOverloaded pushback
-// rather than blocking a worker or running twice.
-func (n *Node) execute(sc *serverConn, meta itemMeta, payload []byte) (out respOut) {
-	out.meta = itemMeta{
-		threadID: meta.threadID,
-		seqID:    meta.seqID,
-		rpcID:    meta.rpcID,
-		idemKey:  meta.idemKey,
-		status:   StatusOK,
-	}
-	if meta.idemKey != 0 {
-		k := resilience.DedupKey{Thread: meta.threadID, Key: meta.idemKey}
-		res, verdict := sc.dedup.Begin(k)
+// an original that has not — still executing, or its reply still owed —
+// gets a retryable StatusOverloaded pushback rather than blocking a worker
+// or running twice. The window commits when the reply is sent (Reply.Send).
+func (n *Node) execute(r *Reply) bool {
+	m := &r.out.meta
+	if m.idemKey != 0 {
+		res, verdict := r.sqp.sc.dedup.Begin(resilience.DedupKey{Thread: m.threadID, Key: m.idemKey})
 		switch verdict {
 		case resilience.DedupHit:
 			n.metrics.dedupHits.Add(1)
-			out.meta.status = res.Status
-			out.data = res.Data
-			return out
+			m.status, r.out.data = res.Status, res.Data
+			return true
 		case resilience.DedupInflight:
-			out.meta.status = StatusOverloaded
-			return out
+			m.status = StatusOverloaded
+			return true
 		}
-		// Registered before the recover defer so it runs after the panic
-		// status is in place; the copy detaches the cached payload from
-		// the pooled request buffer a handler may have returned a view of.
-		defer func() {
-			sc.dedup.Commit(k, resilience.DedupResult{
-				Status: out.meta.status,
-				Data:   append([]byte(nil), out.data...),
-			})
-		}()
 	}
-	fn := n.handler(meta.rpcID)
-	if fn == nil {
-		out.meta.status = StatusNoHandler
-		return out
+	if h := n.handlerTable().byID[m.rpcID]; h.fn == nil {
+		r.Send(nil, StatusNoHandler)
+	} else {
+		r.call(h.fn)
 	}
+	r.req = nil
+	return r.mark(replyReturned)&replyReady != 0
+}
+
+// call runs the handler; a panic answers the request with
+// StatusHandlerPanic unless it was answered already.
+func (r *Reply) call(fn ReplyHandler) {
 	defer func() {
 		if recover() != nil {
-			out.meta.status = StatusHandlerPanic
-			out.data = nil
+			r.Send(nil, StatusHandlerPanic)
 		}
 	}()
-	out.data, out.meta.status = fn(payload)
-	return out
+	fn(r.req, r)
 }
 
 // flushResponses coalesces the batch into one response message — tagging
 // each item with its request's thread ID and sequence ID, piggybacking the
-// request-ring consumed head — and posts it with a single RDMA write.
-func (n *Node) flushResponses(sqp *serverQP, out []respOut) {
+// request-ring consumed head — and posts it with a single RDMA write. life
+// is the QP life the batch's requests arrived in.
+func (n *Node) flushResponses(sqp *serverQP, out []respOut, life uint32) {
 	if len(out) == 0 {
 		return
 	}
 	msgLen := headerBytes + trailerBytes
 	for i := range out {
-		if len(out[i].data) > n.opts.test.maxPayload {
-			// Oversized handler response: truncate to keep ring geometry
-			// sound; the application bug is surfaced via status.
-			out[i].data = out[i].data[:n.opts.test.maxPayload]
-			out[i].meta.status = StatusHandlerPanic
-		}
 		msgLen += itemSpace(len(out[i].data))
 	}
 
@@ -476,10 +582,17 @@ func (n *Node) flushResponses(sqp *serverQP, out []respOut) {
 
 	var res reservation
 	for i := 0; ; i++ {
-		if sqp.broken.Load() {
-			// QP under recycle: the client already failed these requests;
-			// drop the responses rather than wedge the flush path (and the
-			// recycler waiting on respMu) against a dead consumer.
+		select {
+		case <-n.done:
+			return // the node closed: nobody is left to read a response
+		default:
+		}
+		if sqp.broken.Load() || sqp.life.Load() != life {
+			// QP under recycle, or rebuilt since the requests arrived: the
+			// client already failed them; drop the responses rather than
+			// wedge the flush path (and the recycler waiting on respMu)
+			// against a dead consumer, or write into a ring that has
+			// started over.
 			return
 		}
 		var ok bool
@@ -495,11 +608,6 @@ func (n *Node) flushResponses(sqp *serverQP, out []respOut) {
 			for _, comp := range cqBuf[:k] {
 				sqp.routeCompletion(comp)
 			}
-		}
-		select {
-		case <-n.done:
-			return
-		default:
 		}
 		idleBackoff(i)
 	}

@@ -102,11 +102,14 @@ func (r *Response) Release() {
 // RegisterThread creates a thread handle. The initial QP assignment is
 // round-robin; the thread scheduler refines it from observed behaviour.
 func (c *Conn) RegisterThread() *Thread {
-	id := c.nextTID.Add(1) - 1
 	scratch, err := c.node.dev.RegisterMR(max(c.node.opts.test.maxPayload, 64), 0)
 	if err != nil {
 		scratch = nil // node closing; ops will fail with ErrClosed
 	}
+	c.threadMu.Lock()
+	defer c.threadMu.Unlock()
+	old := c.snapshotThreads()
+	id := uint32(len(old))
 	t := &Thread{
 		conn:    c,
 		id:      id,
@@ -118,9 +121,8 @@ func (c *Conn) RegisterThread() *Thread {
 	t.assigned.Store(int32(int(id) % len(c.qps)))
 	t.curQP.Store(t.assigned.Load())
 	t.avoidQP = -1
-	c.threadMu.Lock()
-	c.threads[id] = t
-	c.threadMu.Unlock()
+	next := append(old[:len(old):len(old)], t)
+	c.threads.Store(&next)
 	return t
 }
 
@@ -187,6 +189,9 @@ func (t *Thread) recordStat(size int) {
 	t.bytes += uint64(size)
 	t.pending = true
 	t.statMu.Unlock()
+	if !t.conn.statDirty.Load() {
+		t.conn.statDirty.Store(true)
+	}
 }
 
 // takeStat snapshots and resets the scheduler inputs.

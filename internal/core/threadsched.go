@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 )
 
@@ -35,48 +36,62 @@ type ThreadStat struct {
 // with the DES models.
 func AssignThreads(threads []ThreadStat, activeQPs int) map[uint32]int {
 	asg := make(map[uint32]int, len(threads))
-	if activeQPs <= 0 || len(threads) == 0 {
+	if activeQPs <= 0 {
 		return asg
 	}
 	sorted := make([]ThreadStat, len(threads))
 	copy(sorted, threads)
-	sort.SliceStable(sorted, func(a, b int) bool {
-		if sorted[a].MedianReq != sorted[b].MedianReq {
-			return sorted[a].MedianReq < sorted[b].MedianReq
+	for i, slot := range assignSlots(sorted, activeQPs, nil) {
+		asg[sorted[i].ID] = slot
+	}
+	return asg
+}
+
+// assignSlots is Algorithm 1 on memory the caller owns: it sorts threads in
+// place and returns, index-aligned with the sorted threads, each one's slot
+// in [0, activeQPs), appended to slots[:0]. activeQPs must be positive.
+func assignSlots(threads []ThreadStat, activeQPs int, slots []int) []int {
+	slots = slots[:0]
+	slices.SortStableFunc(threads, func(a, b ThreadStat) int {
+		if c := cmp.Compare(a.MedianReq, b.MedianReq); c != 0 {
+			return c
 		}
-		if sorted[a].Reqs != sorted[b].Reqs {
-			return sorted[a].Reqs > sorted[b].Reqs
+		if c := cmp.Compare(b.Reqs, a.Reqs); c != 0 {
+			return c
 		}
-		return sorted[a].ID < sorted[b].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 	var total uint64
-	for _, t := range sorted {
+	for _, t := range threads {
 		total += t.Bytes
 	}
 	if total == 0 {
 		// No byte information: spread round-robin.
-		for i, t := range sorted {
-			asg[t.ID] = i % activeQPs
+		for i := range threads {
+			slots = append(slots, i%activeQPs)
 		}
-		return asg
+		return slots
 	}
 	quota := total / uint64(activeQPs)
 	if quota == 0 {
 		quota = 1
 	}
 	qpID, load := 0, uint64(0)
-	for _, t := range sorted {
+	for _, t := range threads {
 		load += t.Bytes
-		asg[t.ID] = qpID
+		slots = append(slots, qpID)
 		if load >= quota && qpID < activeQPs-1 {
 			qpID++
 			load = 0
 		}
 	}
-	return asg
+	return slots
 }
 
-// threadScheduler is the client-side scheduler main loop.
+// threadScheduler is the client-side scheduler main loop. Its tick also
+// drives the deadline sweep (pendingTable.expire): the one goroutine the
+// client side already wakes periodically is where overdue attempts are
+// found, so no call arms a timer of its own.
 func (n *Node) threadScheduler() {
 	defer n.wg.Done()
 	ticker := time.NewTicker(DefaultSchedInterval)
@@ -85,43 +100,56 @@ func (n *Node) threadScheduler() {
 		select {
 		case <-n.done:
 			return
-		case <-ticker.C:
-		}
-		for _, c := range n.snapshotConns() {
-			n.scheduleConn(c)
+		case now := <-ticker.C:
+			for _, c := range n.snapshotConns() {
+				for _, t := range c.snapshotThreads() {
+					t.pend.expire(now)
+				}
+				n.scheduleConn(c)
+			}
 		}
 	}
 }
 
-// scheduleConn runs one scheduling interval for one connection.
+// schedScratch is what scheduleConn would otherwise allocate every
+// interval; it lives on the Conn and only the scheduler goroutine uses it.
+type schedScratch struct {
+	active  []int
+	statted []ThreadStat
+	slots   []int
+}
+
+// scheduleConn runs one scheduling interval for one connection. A
+// connection none of whose threads sent since the last interval keeps its
+// assignments and costs one atomic load.
 func (n *Node) scheduleConn(c *Conn) {
-	active := c.ActiveQPs()
+	if !c.statDirty.Swap(false) {
+		return
+	}
+	sc := &c.sched
+	sc.active = c.appendActiveQPs(sc.active[:0])
+	active := sc.active
 	if len(active) == 0 {
 		return // nothing usable; threads fall back to scanning
 	}
 	threads := c.snapshotThreads()
-	var statted []ThreadStat
-	var idle []*Thread
-	byID := make(map[uint32]*Thread, len(threads))
+	sc.statted = sc.statted[:0]
 	for _, t := range threads {
-		byID[t.id] = t
 		if s, ok := t.takeStat(); ok {
-			statted = append(statted, s)
-		} else {
-			idle = append(idle, t)
+			sc.statted = append(sc.statted, s)
+			continue
 		}
-	}
-	asg := AssignThreads(statted, len(active))
-	for tid, slot := range asg {
-		byID[tid].assigned.Store(int32(active[slot]))
-	}
-	// Threads with no recent requests keep their QP unless it was
-	// deactivated (the paper assigns brand-new threads randomly and fixes
-	// them up next interval; round-robin is our deterministic stand-in).
-	for _, t := range idle {
+		// Threads with no recent requests keep their QP unless it was
+		// deactivated (the paper assigns brand-new threads randomly and
+		// fixes them up next interval; round-robin is our deterministic
+		// stand-in).
 		cur := int(t.assigned.Load())
 		if cur < 0 || cur >= len(c.qps) || !c.qps[cur].active() {
 			t.assigned.Store(int32(active[int(t.id)%len(active)]))
 		}
+	}
+	sc.slots = assignSlots(sc.statted, len(active), sc.slots)
+	for i, slot := range sc.slots {
+		threads[sc.statted[i].ID].assigned.Store(int32(active[slot]))
 	}
 }

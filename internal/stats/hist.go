@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 )
 
 // Hist is a log-linear latency histogram in nanoseconds, in the spirit of
@@ -205,7 +205,7 @@ func (m *RunningMedian) Median() uint64 {
 	}
 	s := m.scratch[:n]
 	copy(s, m.window[:n])
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	slices.Sort(s)
 	return s[n/2]
 }
 
