@@ -68,10 +68,12 @@ go test -tags flockmut -race ./internal/check
 cov=$(go test -count=1 -cover ./internal/core | awk '{for (i=1;i<=NF;i++) if ($i=="coverage:") print $(i+1)}' | tr -d '%')
 awk -v c="$cov" 'BEGIN { if (c+0 < 70.0) { print "internal/core coverage " c "% below 70% floor"; exit 1 } }'
 
-# Knob gate (ISSUE 17): every exported field of core.Options and of the
+# Knob gate (ISSUEs 17 + 22): every exported field of core.Options and of the
 # cluster's Service / ReplTuning / Router / Membership must be set by some
-# non-test file under cmd/, bench/, examples/ or internal/loadgen. An option
-# only a test can set lets the suite pass in a configuration nothing ships.
+# non-test file under cmd/, bench/, examples/ or internal/loadgen, and both
+# fields of core.CallOptions by one of those or by internal/cluster (whose
+# replication forwarder is what sets Budget). An option only a test can set
+# lets the suite pass in a configuration nothing ships.
 gate -run TestEveryKnobHasACaller -count=1 .
 
 # Allocation-regression gates: the pooled hot path must stay near its

@@ -434,16 +434,17 @@ func runUDCoalesceAblation(quick bool) {
 // service time ⇒ on the order of 1–2K ops/s capacity) is offered
 // stepped closed-loop load under a 20ms call deadline, twice per step:
 //
-//   - naive: no admission control; clients time out and immediately
-//     re-offer the same work. Once the queue outgrows the deadline the
-//     server burns its whole capacity on requests whose callers already
-//     gave up — congestion collapse. (Read this series with the
+//   - naive: no admission control, one attempt per call; clients time out
+//     and immediately re-offer the same work. Once the queue outgrows the
+//     deadline the server burns its whole capacity on requests whose
+//     callers already gave up — congestion collapse. (Read this series with the
 //     retired-worker warning next to it: every expiry also strikes a QP,
 //     and past saturation the client's whole handle is quarantined and
 //     fails within tens of milliseconds — EXPERIMENTS.md "PR 15".)
 //   - resilient: AdmissionLimit bounds the admitted queue (excess is a
-//     cheap wire NACK, no handler execution) and client retries are
-//     budgeted with full-jitter backoff, so retry pressure
+//     cheap wire NACK, no handler execution) and every call carries
+//     CallOptions{MaxAttempts: 4}: keyed client retries, budgeted, with
+//     full-jitter backoff, so retry pressure
 //     self-extinguishes and admitted work always completes inside its
 //     deadline.
 //
@@ -464,9 +465,10 @@ func runOverloadSweep(quick bool) {
 	run := func(threads int, resilient bool, plan *fabric.FaultPlan) loadgen.Result {
 		sOpts := core.Options{Workers: 2}
 		cOpts := core.Options{RPCTimeout: 20 * time.Millisecond}
+		var call core.CallOptions // the naive series: one attempt per call
 		if resilient {
 			sOpts.AdmissionLimit = 8
-			cOpts.RetryMaxAttempts = 4
+			call.MaxAttempts = 4
 		}
 		star := must(loadgen.NewStar(sOpts, cOpts, 1, 0, slowEcho(serviceTime)))
 		defer star.Close()
@@ -479,13 +481,7 @@ func runOverloadSweep(quick bool) {
 			th := star.Conns[0].RegisterThread()
 			buf := make([]byte, 64)
 			return func() (int, error) {
-				var r core.Response
-				var err error
-				if resilient {
-					r, err = th.CallOpts(1, buf, core.CallOptions{})
-				} else {
-					r, err = th.Call(1, buf)
-				}
+				r, err := th.CallOpts(1, buf, call)
 				if err != nil {
 					return 0, err
 				}
@@ -564,7 +560,7 @@ func runPipelineSweep(quick bool) {
 			return measure(star.Net, nThreads, dur, syncEcho(star.Conns[0], make([]byte, 64)))
 		}
 		return measure(star.Net, nThreads, dur, func(w *loadgen.Worker) loadgen.Step {
-			return loadgen.Pipelined(w, star.Conns[0].RegisterThread(), make([]byte, 64), depth)
+			return loadgen.Pipelined(w, star.Conns[0].RegisterThread(), make([]byte, 64), depth, core.CallOptions{})
 		})
 	}
 

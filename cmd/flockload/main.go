@@ -73,7 +73,7 @@ func main() {
 		faults     = flag.String("faults", "", "fault spec, e.g. seed=7,rc-loss=0.01,flap=3 (see fabric.ParseFaultPlan)")
 		rpcTimeout = flag.Duration("rpc-timeout", 0, "per-RPC deadline (0 = none; implied 100ms when -faults is set)")
 		overload   = flag.Int("overload", 0, "server admission limit: excess requests are NACKed with ErrOverloaded (0 = unlimited)")
-		retry      = flag.Int("retry", 0, "client retry attempt cap: route calls through the resilient path with backoff + budget (0 = off)")
+		retry      = flag.Int("retry", 0, "attempts per RPC (CallOptions.MaxAttempts): above 1, failed attempts are retried under one idempotency key with backoff, against the retry budget (0 = one attempt)")
 		pprofDir   = flag.String("pprof", "", "directory to write cpu/heap/mutex/block .pprof files into")
 		metrics    = flag.Bool("metrics", false, "dump the full telemetry snapshot as JSON after the run")
 		expvarAddr = flag.String("expvar", "", "serve the telemetry snapshot on this addr via expvar (e.g. :8080)")
@@ -117,14 +117,13 @@ func main() {
 		runtime.SetBlockProfileRate(int(time.Microsecond))
 	}
 	// resilient selects the overload-control epilogue (drain + metrics
-	// line) and, for -retry, the closed-loop resilient call path.
+	// line).
 	resilient := *overload > 0 || *retry > 0
 	if (*faults != "" || resilient) && opts.RPCTimeout == 0 {
 		opts.RPCTimeout = 100 * time.Millisecond
 	}
 	serverOpts, clientOpts := opts, opts
 	serverOpts.AdmissionLimit = *overload
-	clientOpts.RetryMaxAttempts = *retry
 
 	star, err := loadgen.NewStar(serverOpts, clientOpts, *clients, *nicCache, loadgen.Echo)
 	if err != nil {
@@ -174,26 +173,19 @@ func main() {
 		// window, overload pushback) fail the operation and the loop keeps
 		// driving; any other error retires the worker.
 		w.Tolerate(flock.ErrTimeout, flock.ErrQPBroken, flock.ErrOverloaded)
-		if !*mem && *retry == 0 {
-			return loadgen.Pipelined(w, th, buf, *window)
+		if !*mem {
+			// -retry travels with each call: backoff, budget accounting and
+			// idempotency keys all happen inside the library, at Wait time,
+			// and a call that still fails after its attempts counts once.
+			return loadgen.Pipelined(w, th, buf, *window, flock.CallOptions{MaxAttempts: *retry})
 		}
 		i := 0
 		return func() (int, error) {
 			t0 := time.Now()
 			var err error
-			switch {
-			case !*mem:
-				// Resilient closed loop: CallOpts inherits the node's retry
-				// cap, so backoff, budget accounting and idempotency keys
-				// all happen inside the library. A call that still fails
-				// after its attempts counts once.
-				var r flock.Response
-				if r, err = th.CallOpts(1, buf, flock.CallOptions{}); err == nil {
-					r.Release()
-				}
-			case i%2 == 0:
+			if i%2 == 0 {
 				err = th.Write(regions[c], i%1024, buf)
-			default:
+			} else {
 				err = th.Read(regions[c], i%1024, buf)
 			}
 			if err != nil {

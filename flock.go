@@ -101,7 +101,8 @@ type (
 	TelemetryRegistry = telemetry.Registry
 	// TraceEvent is one recorded RPC-lifecycle event.
 	TraceEvent = telemetry.TraceEvent
-	// CallOptions parameterizes one resilient call (Thread.CallOpts).
+	// CallOptions is a call's plan — how many attempts, inside what budget
+	// (Thread.CallOpts, CallAsync, SendBatch). The zero value is one attempt.
 	CallOptions = core.CallOptions
 	// Pending is an in-flight asynchronous call (Thread.CallAsync,
 	// Thread.SendBatch): Wait blocks for the result, Done polls, Cancel
@@ -168,8 +169,9 @@ var (
 	ErrNotServing = core.ErrNotServing
 	// ErrNoSuchNode reports a Connect to an unknown node ID.
 	ErrNoSuchNode = core.ErrNoSuchNode
-	// ErrTimeout reports an RPC that missed its per-call deadline
-	// (Options.RPCTimeout or CallWithDeadline); it is safe to retry.
+	// ErrTimeout reports an operation that missed its deadline
+	// (Options.RPCTimeout, CallWithDeadline or CallOptions.Budget). The
+	// outcome is unknown: the request may have executed.
 	ErrTimeout = core.ErrTimeout
 	// ErrQPBroken reports an operation failed by a QP entering the error
 	// state; the connection recycles the QP in the background.
@@ -178,7 +180,7 @@ var (
 	// it wraps ErrClosed.
 	ErrConnClosed = core.ErrConnClosed
 	// ErrOverloaded reports server-side admission pushback; retry after
-	// backoff (Options.RetryMaxAttempts does this automatically).
+	// backoff (a call with CallOptions.MaxAttempts > 1 does so itself).
 	ErrOverloaded = core.ErrOverloaded
 	// ErrDraining reports a draining node refusing new work; it does not
 	// wrap ErrClosed — retry on another node.

@@ -53,6 +53,53 @@ func newReplicatedCluster(t *testing.T, n, shards, replicas int, fcfg fabric.Con
 	return lc
 }
 
+// TestForwardLinkRedialsAfterClose: a primary→backup connection handle
+// that failed for good — what quarantine does to it under an overload storm
+// or a long outage, here Conn.Close — must not take replication down with
+// it while the backup is alive. Each forwarder drops its thread on the dead
+// handle when it sees ErrConnClosed, and the next frame dials a new one: at
+// most the frames in flight at the close NACK (at the parent commit the
+// handle was cached for ever and 250 of 250 later puts NACKed).
+func TestForwardLinkRedialsAfterClose(t *testing.T) {
+	lc := newReplicatedCluster(t, 3, 8, 1, fabric.Config{})
+	rt := lc.router.Thread()
+	const keys = 250
+	for key := uint64(0); key < keys; key++ { // dials every forward link
+		if err := rt.Put(key, 1); err != nil {
+			t.Fatalf("warm-up put %d: %v", key, err)
+		}
+	}
+	closed := 0
+	for _, svc := range lc.services {
+		svc.peers.mu.Lock()
+		for _, c := range svc.peers.conns {
+			c.Close()
+			closed++
+		}
+		svc.peers.mu.Unlock()
+	}
+	if closed == 0 {
+		t.Fatal("no forward link was dialed — nothing to close")
+	}
+	ok := 0
+	for key := uint64(0); key < keys; key++ {
+		err := rt.Put(key, 2)
+		if err == nil {
+			ok++
+		}
+		for deadline := time.Now().Add(5 * time.Second); err != nil; err = rt.Put(key, 2) {
+			if time.Now().After(deadline) {
+				t.Fatalf("put %d never recovered: %v", key, err)
+			}
+		}
+	}
+	t.Logf("%d of %d puts succeeded at the first try after %d forward links closed", ok, keys, closed)
+	if ok < 200 {
+		t.Fatalf("%d of %d puts succeeded at the first try after %d forward links closed, want >= 200", ok, keys, closed)
+	}
+	assertReplicasConverged(t, lc, lc.coord.Map())
+}
+
 // TestReplicatedPutReachesBackups: the sync-forward ACK rule on the
 // live path — an acked put is on every backup (fingerprints equal after
 // a quiesce), and the replica_forwards counter moved.
@@ -303,7 +350,7 @@ func max64(a, b uint64) uint64 {
 // (every backup's answer, classified), which is what every replicated put
 // ships on — to a single backup, and returns the frame's outcome.
 func commitTo(s *Service, backup fabric.NodeID, epoch uint64, shard int, key, val uint64) error {
-	l := &replLog{svc: s, shard: shard}
+	l := &replLog{svc: s, shard: shard, threads: s.peers.newThreads()}
 	f := l.frameFor([]*replOp{{epoch: epoch, key: key, val: val, backups: []fabric.NodeID{backup}}})
 	l.submit(f)
 	return l.await(f)

@@ -127,9 +127,9 @@ type replLog struct {
 	kick chan struct{} // cap 1: queue went from empty/waiting to work
 	stop chan struct{}
 
-	// Forwarder-owned: a core.Thread per backup ever sent to, and frame
+	// Forwarder-owned: its thread to each backup ever sent to, and frame
 	// records whose slices the next frame reuses.
-	threads map[fabric.NodeID]*core.Thread
+	threads *peerThreads
 	spare   []*replFrame
 }
 
@@ -315,24 +315,17 @@ func (l *replLog) submit(f *replFrame) {
 		f.frame.add(op.key, op.val)
 	}
 	for _, to := range f.ops[0].backups {
-		th := l.threads[to]
-		if th == nil {
-			link, err := s.link(to)
-			if err != nil {
-				f.err = &ReplError{Backup: to, Err: err}
-				break
-			}
-			if l.threads == nil {
-				l.threads = make(map[fabric.NodeID]*core.Thread)
-			}
-			th = link.conn.RegisterThread()
-			l.threads[to] = th
+		th, err := l.threads.thread(to)
+		if err != nil {
+			f.err = &ReplError{Backup: to, Err: err}
+			break
 		}
 		p, err := th.CallAsync(RPCReplicate, f.frame.payload(), core.CallOptions{
 			Budget:      s.fwdBudget,
 			MaxAttempts: replBatchAttempts,
 		})
 		if err != nil {
+			l.threads.noteErr(to, err)
 			f.err = &ReplError{Backup: to, Err: err}
 			break
 		}
@@ -358,6 +351,7 @@ func (l *replLog) await(f *replFrame) error {
 	err := f.err
 	for _, c := range f.calls {
 		resp, werr := c.p.Wait()
+		l.threads.noteErr(c.to, werr)
 		if cerr := s.classifyReplicaResp(c.to, resp, werr); cerr != nil {
 			if err == nil {
 				err = cerr

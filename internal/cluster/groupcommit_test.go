@@ -557,7 +557,7 @@ func TestGroupCommitFlushDeadlineSingleWaiter(t *testing.T) {
 	// the router's first per-attempt wait on a busy box, and the retry that
 	// provokes stages a second op — 2 of 80 fresh-process runs failed that
 	// way before this line, at this PR's parent commit too.
-	if _, err := lc.services[primary].link(backup); err != nil {
+	if _, err := lc.services[primary].peers.conn(backup); err != nil {
 		t.Fatal(err)
 	}
 	rt := lc.router.Thread()

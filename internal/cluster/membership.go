@@ -36,9 +36,13 @@ type Membership struct {
 	probeFn  func(id fabric.NodeID) error
 	onChange func(id fabric.NodeID, state resilience.MemberState)
 
-	mu      sync.Mutex
-	dets    map[fabric.NodeID]*resilience.Detector
-	threads map[fabric.NodeID]*core.Thread
+	mu   sync.Mutex
+	dets map[fabric.NodeID]*resilience.Detector
+
+	// probeMu makes probes take turns on threads: rounds may overlap (Start's
+	// ticker, a caller's ProbeOnce), a core.Thread may not.
+	probeMu sync.Mutex
+	threads *peerThreads
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -56,7 +60,7 @@ func NewMembership(r *Router) *Membership {
 		r:        r,
 		clock:    wallClock{},
 		dets:     make(map[fabric.NodeID]*resilience.Detector),
-		threads:  make(map[fabric.NodeID]*core.Thread),
+		threads:  r.peers.newThreads(),
 		stop:     make(chan struct{}),
 		suspects: r.Node().Telemetry().Counter("cluster.member_suspects"),
 	}
@@ -112,51 +116,24 @@ func (m *Membership) probeTimeout() time.Duration {
 	return 50 * time.Millisecond
 }
 
-func (m *Membership) pingThread(id fabric.NodeID) (*core.Thread, error) {
-	m.mu.Lock()
-	th, ok := m.threads[id]
-	m.mu.Unlock()
-	if ok {
-		return th, nil
-	}
-	c, err := m.r.conn(id)
-	if err != nil {
-		return nil, err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if th, ok := m.threads[id]; ok {
-		return th, nil
-	}
-	th = c.RegisterThread()
-	m.threads[id] = th
-	return th, nil
-}
-
 // probe runs one member's health check: the injected probeFn when set,
-// otherwise one RPCPing under the probe deadline.
+// otherwise one RPCPing — one attempt — under the probe deadline; the
+// detector's rounds are the retry loop. A handle that died for good (a long
+// outage exhausted its recovery) is dropped, so the next round re-dials — a
+// dead member must be able to come back.
 func (m *Membership) probe(id fabric.NodeID) error {
 	if m.probeFn != nil {
 		return m.probeFn(id)
 	}
-	th, err := m.pingThread(id)
+	m.probeMu.Lock()
+	defer m.probeMu.Unlock()
+	th, err := m.threads.thread(id)
 	if err != nil {
 		return err
 	}
 	resp, err := th.CallWithDeadline(RPCPing, nil, m.probeTimeout())
-	if err == nil {
-		resp.Release()
-		return nil
-	}
-	if errors.Is(err, core.ErrConnClosed) {
-		// The conn died for good (e.g. a long outage exhausted its
-		// recovery); drop it so the next probe re-dials — a dead
-		// member must be able to come back.
-		m.mu.Lock()
-		delete(m.threads, id)
-		m.mu.Unlock()
-		m.r.invalidate(id, th.Conn())
-	}
+	m.threads.noteErr(id, err)
+	resp.Release()
 	return err
 }
 

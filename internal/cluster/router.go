@@ -25,15 +25,16 @@ const maxRedirects = 10
 // routed by key through the current shard map. It self-corrects from
 // two signals — the epoch piggybacked on every OK reply (stale? fetch
 // the map) and StatusWrongShard NACKs (which carry the newer map
-// inline). Budgeted retries come from the underlying core connections
-// (the client node's RetryMaxAttempts option applies per member conn); the
-// router adds placement awareness and the failure detector on top.
+// inline). The redirect loop of RouterThread.Call is the only retry loop
+// under a routed call: each trip round it is one core attempt — one copy of
+// the request on the wire, at most one execution — so a call puts at most
+// maxRedirects copies of a put out, and the value contract (guarded
+// take-the-max applies) is what makes the copies commute.
 type Router struct {
-	node *core.Node
+	node  *core.Node
+	peers *peerConns
 
-	mu    sync.Mutex
-	conns map[fabric.NodeID]*core.Conn
-
+	mu  sync.Mutex // orders Install
 	cur atomic.Pointer[ShardMap]
 
 	// members guards the Membership attachment.
@@ -52,7 +53,7 @@ type Router struct {
 func NewRouter(node *core.Node, initial *ShardMap) *Router {
 	r := &Router{
 		node:       node,
-		conns:      make(map[fabric.NodeID]*core.Conn),
+		peers:      newPeerConns(node),
 		callBudget: 250 * time.Millisecond,
 		redirects:  node.Telemetry().Counter("cluster.wrong_shard_redirects"),
 	}
@@ -81,33 +82,6 @@ func (r *Router) Install(m *ShardMap) bool {
 // the cluster.wrong_shard_redirects telemetry counter).
 func (r *Router) Redirects() uint64 { return r.redirects.Load() }
 
-func (r *Router) conn(id fabric.NodeID) (*core.Conn, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok := r.conns[id]; ok {
-		return c, nil
-	}
-	c, err := r.node.Connect(id)
-	if err != nil {
-		return nil, err
-	}
-	r.conns[id] = c
-	return c, nil
-}
-
-// invalidate drops a member's cached connection after it failed
-// permanently (ErrConnClosed), so the next use re-dials. The stale
-// *Conn is only removed if it is still the cached one, so concurrent
-// invalidators don't tear down a fresh replacement.
-func (r *Router) invalidate(id fabric.NodeID, stale *core.Conn) {
-	r.mu.Lock()
-	if r.conns[id] == stale {
-		delete(r.conns, id)
-	}
-	r.mu.Unlock()
-	stale.Close()
-}
-
 func (r *Router) attachMembership(m *Membership) {
 	r.memMu.Lock()
 	r.membership = m
@@ -127,40 +101,20 @@ func (r *Router) memberState(id fabric.NodeID) resilience.MemberState {
 }
 
 // Close closes the router's member connections.
-func (r *Router) Close() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.conns {
-		c.Close()
-	}
-	r.conns = map[fabric.NodeID]*core.Conn{}
-}
+func (r *Router) Close() { r.peers.close() }
 
 // Thread returns a per-goroutine routing handle. Like core.Thread, a
 // RouterThread must not be shared between goroutines.
 func (r *Router) Thread() *RouterThread {
-	return &RouterThread{r: r, threads: make(map[fabric.NodeID]*core.Thread)}
+	return &RouterThread{r: r, threads: r.peers.newThreads()}
 }
 
 // RouterThread is one goroutine's shard-routed call handle: a lazily
 // created core.Thread per member plus the redirect state machine.
 type RouterThread struct {
 	r       *Router
-	threads map[fabric.NodeID]*core.Thread
+	threads *peerThreads
 	req     [kvReqLen]byte // the one Get or Put in progress
-}
-
-func (rt *RouterThread) thread(id fabric.NodeID) (*core.Thread, error) {
-	if th, ok := rt.threads[id]; ok {
-		return th, nil
-	}
-	c, err := rt.r.conn(id)
-	if err != nil {
-		return nil, err
-	}
-	th := c.RegisterThread()
-	rt.threads[id] = th
-	return th, nil
 }
 
 // Call routes one RPC by key: it sends to the current map's owner of
@@ -186,14 +140,14 @@ func (rt *RouterThread) Call(rpcID uint32, key uint64, payload []byte) (core.Res
 				continue
 			}
 		}
-		th, err := rt.thread(owner)
+		th, err := rt.threads.thread(owner)
 		if err != nil {
 			lastErr = err
 			continue
 		}
 		resp, err := th.CallWithDeadline(rpcID, payload, rt.r.callBudget)
 		if err != nil {
-			rt.noteErr(owner, err)
+			rt.threads.noteErr(owner, err)
 			lastErr = err
 			continue
 		}
@@ -227,28 +181,15 @@ func (rt *RouterThread) Call(rpcID uint32, key uint64, payload []byte) (core.Res
 	return core.Response{}, fmt.Errorf("cluster: call for key %#x failed: %w", key, lastErr)
 }
 
-// noteErr reacts to a call failure: a permanently closed connection is
-// dropped (with this thread's handle on it) so the next attempt
-// re-dials the member.
-func (rt *RouterThread) noteErr(id fabric.NodeID, err error) {
-	if !errors.Is(err, core.ErrConnClosed) {
-		return
-	}
-	if th, ok := rt.threads[id]; ok {
-		delete(rt.threads, id)
-		rt.r.invalidate(id, th.Conn())
-	}
-}
-
 // refreshFrom fetches and installs the map from one member.
 func (rt *RouterThread) refreshFrom(id fabric.NodeID) bool {
-	th, err := rt.thread(id)
+	th, err := rt.threads.thread(id)
 	if err != nil {
 		return false
 	}
 	resp, err := th.CallWithDeadline(RPCMap, nil, rt.r.callBudget)
 	if err != nil {
-		rt.noteErr(id, err)
+		rt.threads.noteErr(id, err)
 		return false
 	}
 	defer resp.Release()

@@ -35,8 +35,12 @@ type Service struct {
 
 	shards []*shardSlot
 
-	fwdMu sync.Mutex
-	fwd   map[fabric.NodeID]*fwdLink
+	// peers holds the handles to the other members; each shard's forwarder
+	// has its own threads on them, and snapshot copies, one at a time, share
+	// copyThreads.
+	peers       *peerConns
+	copyMu      sync.Mutex
+	copyThreads *peerThreads
 
 	// fwdBudget bounds one frame to a backup, replication batch or
 	// snapshot alike. Tests shorten it before traffic.
@@ -86,33 +90,6 @@ func (sl *shardSlot) answer(r *core.Reply, data []byte, status uint32) {
 	sl.mu.RUnlock()
 }
 
-// fwdLink is a client connection to a peer member with a free list of
-// threads, since copies may run concurrently and a core.Thread is
-// single-goroutine.
-type fwdLink struct {
-	conn *core.Conn
-	mu   sync.Mutex
-	free []*core.Thread
-}
-
-func (f *fwdLink) call(rpcID uint32, payload []byte, budget time.Duration) (core.Response, error) {
-	f.mu.Lock()
-	var th *core.Thread
-	if n := len(f.free); n > 0 {
-		th = f.free[n-1]
-		f.free = f.free[:n-1]
-	}
-	f.mu.Unlock()
-	if th == nil {
-		th = f.conn.RegisterThread()
-	}
-	resp, err := th.CallWithDeadline(rpcID, payload, budget)
-	f.mu.Lock()
-	f.free = append(f.free, th)
-	f.mu.Unlock()
-	return resp, err
-}
-
 // NewService stands the cluster layer up on node: per-shard stores for
 // every shard in m (a member must be able to receive any shard later),
 // the RPC handlers, and the cluster telemetry series on the node's
@@ -127,11 +104,13 @@ func NewService(node *core.Node, m *ShardMap, storeCap int) (*Service, error) {
 	if storeCap <= 0 {
 		storeCap = 1024
 	}
+	peers := newPeerConns(node)
 	s := &Service{
 		node:         node,
 		fwdBudget:    250 * time.Millisecond,
 		shards:       make([]*shardSlot, m.Shards),
-		fwd:          make(map[fabric.NodeID]*fwdLink),
+		peers:        peers,
+		copyThreads:  peers.newThreads(),
 		moves:        node.Telemetry().Counter("cluster.shard_moves"),
 		replFwds:     node.Telemetry().Counter("cluster.replica_forwards"),
 		promotions:   node.Telemetry().Counter("cluster.promotions"),
@@ -150,9 +129,10 @@ func NewService(node *core.Node, m *ShardMap, storeCap int) (*Service, error) {
 		slot := &shardSlot{store: st}
 		slot.log = replLog{
 			svc: s, slot: slot, shard: i,
-			pend: make(map[uint64]*replOp),
-			kick: make(chan struct{}, 1),
-			stop: make(chan struct{}),
+			threads: peers.newThreads(),
+			pend:    make(map[uint64]*replOp),
+			kick:    make(chan struct{}, 1),
+			stop:    make(chan struct{}),
 		}
 		s.shards[i] = slot
 	}
@@ -351,21 +331,6 @@ func (s *Service) classifyReplicaResp(to fabric.NodeID, resp core.Response, err 
 	}
 }
 
-func (s *Service) link(to fabric.NodeID) (*fwdLink, error) {
-	s.fwdMu.Lock()
-	defer s.fwdMu.Unlock()
-	if l, ok := s.fwd[to]; ok {
-		return l, nil
-	}
-	conn, err := s.node.Connect(to)
-	if err != nil {
-		return nil, err
-	}
-	l := &fwdLink{conn: conn}
-	s.fwd[to] = l
-	return l, nil
-}
-
 // installUnder adopts m (if newer) while holding shard's lock exclusively:
 // every request on the shard that loaded the previous map has been answered —
 // its frame resolved — before the call returns, and every later one is
@@ -390,9 +355,13 @@ func (s *Service) installUnder(shard int, m *ShardMap) {
 // retried until deadline — the fault plans this runs under flap links
 // mid-copy — and a fenced frame is re-sent under the newer map the NACK
 // carried, for as long as that map still makes this member the shard's
-// primary. A closed connection handle or node ends the copy at once.
+// primary. The flush loop is the only retry loop under a frame — each trip
+// is one core attempt — and a closed connection handle or node ends the copy
+// at once (the handle is dropped, so the next copy re-dials).
 func (s *Service) CopyShardTo(shard int, to fabric.NodeID, deadline time.Time) error {
-	link, err := s.link(to)
+	s.copyMu.Lock()
+	defer s.copyMu.Unlock()
+	th, err := s.copyThreads.thread(to)
 	if err != nil {
 		return err
 	}
@@ -409,7 +378,8 @@ func (s *Service) CopyShardTo(shard int, to fabric.NodeID, deadline time.Time) e
 				return fmt.Errorf("cluster: shard %d copy abandoned: n%d is no longer its primary", shard, s.node.ID())
 			}
 			f.stampEpoch(m.Epoch)
-			resp, err := link.call(RPCReplicate, f.payload(), s.fwdBudget)
+			resp, err := th.CallWithDeadline(RPCReplicate, f.payload(), s.fwdBudget)
+			s.copyThreads.noteErr(to, err)
 			if err = s.classifyReplicaResp(to, resp, err); err == nil {
 				f.reset()
 				return nil
@@ -456,10 +426,5 @@ func (s *Service) Close() {
 		slot.log.close()
 	}
 	s.fwdWG.Wait()
-	s.fwdMu.Lock()
-	defer s.fwdMu.Unlock()
-	for _, l := range s.fwd {
-		l.conn.Close()
-	}
-	s.fwd = map[fabric.NodeID]*fwdLink{}
+	s.peers.close()
 }

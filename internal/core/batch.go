@@ -26,11 +26,10 @@ type BatchOp struct {
 }
 
 // SendBatch submits every op in one combining-queue entry and returns a
-// Pending per op, index-aligned with ops. The batch rides the resilient
-// plan of CallOpts (opts semantics identical). Ops that fail terminally
-// during submission (node closing, submit deadline) come back as
-// already-resolved Pendings — SendBatch itself errors only when nothing was
-// submitted.
+// Pending per op, index-aligned with ops. Every op runs the plan opts
+// describe, exactly as CallAsync would. Ops that fail terminally during
+// submission (node closing, submit deadline) come back as already-resolved
+// Pendings — SendBatch itself errors only when nothing was submitted.
 //
 // The batch counts against the pipeline depth (DefaultPipelineDepth) in
 // full: SendBatch blocks until the thread's pending-call table has room for
@@ -63,7 +62,7 @@ func (t *Thread) SendBatch(ops []BatchOp, opts CallOptions) ([]*Pending, error) 
 	nodes := make([]*tcqNode, len(ops))
 	for i, op := range ops {
 		p := new(Pending)
-		t.newPending(p, op.RPCID, op.Payload, opts, true) //nolint:errcheck // payload validated above
+		t.newPending(p, op.RPCID, op.Payload, opts) //nolint:errcheck // payload validated above
 		var depth int
 		p.rec, depth = t.pend.register()
 		c.node.pipeDepth.Observe(uint64(depth))

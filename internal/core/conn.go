@@ -93,8 +93,8 @@ type Conn struct {
 	failed  atomic.Bool
 	failErr atomic.Pointer[error]
 
-	// retryBudget is the connection-wide token bucket gating retries on
-	// the resilient call path.
+	// retryBudget is the connection-wide token bucket gating the retries
+	// of calls that asked for more than one attempt.
 	retryBudget *resilience.Budget
 }
 

@@ -470,16 +470,8 @@ func (n *Node) RegisterHandler(rpcID uint32, fn Handler) {
 	n.RegisterReplyHandler(rpcID, false, func(req []byte, r *Reply) { r.Send(fn(req), StatusOK) })
 }
 
-// RegisterStatusHandler binds a status-returning handler to rpcID. It is
-// RegisterHandler for services that pick their own response status —
-// e.g. a shard-aware KV returning StatusWrongShard with the current map
-// as payload.
-func (n *Node) RegisterStatusHandler(rpcID uint32, fn StatusHandler) {
-	n.RegisterReplyHandler(rpcID, false, func(req []byte, r *Reply) { r.Send(fn(req)) })
-}
-
-// RegisterInlineStatusHandler is RegisterStatusHandler on the inline lane
-// (see RegisterReplyHandler).
+// RegisterInlineStatusHandler binds a status-returning handler to rpcID on
+// the inline lane (see RegisterReplyHandler).
 func (n *Node) RegisterInlineStatusHandler(rpcID uint32, fn StatusHandler) {
 	n.RegisterReplyHandler(rpcID, true, func(req []byte, r *Reply) { r.Send(fn(req)) })
 }

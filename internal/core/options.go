@@ -109,9 +109,9 @@ type Options struct {
 	// Workers is the size of the server-side RPC worker pool. Zero runs
 	// handlers inline on the dispatcher (the paper supports both, §4.3).
 	Workers int
-	// RPCTimeout is the default per-call deadline Thread.Call applies.
-	// Zero disables deadlines (legacy unbounded waits);
-	// Thread.CallWithDeadline always applies its explicit budget.
+	// RPCTimeout is the budget of every call and memory operation that
+	// names none of its own (CallOptions.Budget, CallWithDeadline). Zero
+	// leaves those unbounded.
 	RPCTimeout time.Duration
 	// StallTimeout bounds how long a combining leader waits for credits or
 	// ring space, and how long a follower waits for a leader verdict,
@@ -130,14 +130,8 @@ type Options struct {
 	// AdmissionLimit caps concurrently admitted requests in the server
 	// role. Excess requests are rejected with StatusOverloaded before any
 	// handler work runs — a cheap NACK instead of unbounded queueing.
-	// Zero disables admission control (legacy behavior).
+	// Zero disables admission control.
 	AdmissionLimit int
-	// RetryMaxAttempts > 0 routes Thread.Call and CallWithDeadline through
-	// the resilient client path: idempotency-keyed requests retried up to
-	// this many attempts total on retryable failures (timeout, broken QP,
-	// overload pushback), gated by the retry budget. Zero keeps the
-	// single-attempt legacy path.
-	RetryMaxAttempts int
 
 	// test is filled by this package's tests only; see testKnobs.
 	test testKnobs

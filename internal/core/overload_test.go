@@ -13,9 +13,8 @@ import (
 	"flock/internal/fabric"
 )
 
-// Overload-control suite: admission pushback, idempotent dedup, hedging,
-// circuit breaking, and graceful drain, exercised end to end over the
-// software RNIC. The package leak gate (TestMain) doubles as the "drain
+// Overload-control suite: admission pushback, idempotent dedup and
+// graceful drain, exercised end to end over the software RNIC. The package leak gate (TestMain) doubles as the "drain
 // ends at zero leases" assertion for every test here.
 
 // TestOverloadPushback drives more concurrent work than the admission
@@ -317,7 +316,7 @@ func TestDrainingVsClosedErrors(t *testing.T) {
 
 // TestOverloadChaos is the seeded end-to-end overload run: offered load
 // well past the admission limit from two client nodes, RC loss injected
-// underneath, resilient clients retrying with jittered backoff. Every
+// underneath, clients on a six-attempt plan retrying with jittered backoff. Every
 // call must eventually land with its own echo, shedding and retries must
 // both actually happen (vacuity gates), and afterwards both roles must
 // drain to quiescence.
@@ -325,9 +324,8 @@ func TestOverloadChaos(t *testing.T) {
 	const slowID = 14
 	sOpts := Options{AdmissionLimit: 2, Workers: 2}
 	cOpts := Options{
-		RetryMaxAttempts: 6,
-		RPCTimeout:       250 * time.Millisecond,
-		test:             testKnobs{flapThreshold: -1}, // loss may break QPs; recycle, never retire
+		RPCTimeout: 250 * time.Millisecond,
+		test:       testKnobs{flapThreshold: -1}, // loss may break QPs; recycle, never retire
 	}
 	tc := newTestCluster(t, 2, sOpts, cOpts)
 	registerEcho(tc.server)
@@ -357,7 +355,7 @@ func TestOverloadChaos(t *testing.T) {
 					payload := []byte(fmt.Sprintf("c%d-t%d-%d", ci, g, i))
 					deadline := time.Now().Add(chaosDeadline)
 					for {
-						r, err := th.Call(slowID, payload)
+						r, err := th.CallOpts(slowID, payload, CallOptions{MaxAttempts: 6})
 						if err == nil {
 							if !bytes.Equal(r.Data, payload) {
 								t.Errorf("echo mismatch under chaos: %q != %q", r.Data, payload)

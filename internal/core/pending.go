@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -274,13 +273,14 @@ func (p *pendingTable) drain() {
 // is owned by the goroutine that created it; Wait, Done and Cancel must not
 // be called concurrently.
 //
-// The engine runs the full resilient attempt loop of CallOpts — attempt
-// deadlines, full-jitter backoff spent against the connection retry
-// budget, idempotency-keyed dedup — one attempt in flight at a time, at
-// Wait time, in the waiting goroutine. Submitting is cheap and
-// immediate; every retry decision happens when someone asks for the
-// result, so asynchronous callers inherit exactly the same resilience as
-// synchronous ones without a goroutine per call.
+// A call's plan is (attempts, budget) and nothing else (see newPending). The
+// engine runs the attempt loop — attempt deadlines and, for a plan with an
+// attempt to spare, full-jitter backoff spent against the connection retry
+// budget and idempotency-keyed dedup — one attempt in flight at a time, at
+// Wait time, in the waiting goroutine. Submitting is cheap and immediate;
+// every retry decision happens when someone asks for the result, so
+// asynchronous callers get exactly the plan synchronous ones do without a
+// goroutine per call.
 type Pending struct {
 	t       *Thread
 	rpcID   uint32
@@ -289,10 +289,9 @@ type Pending struct {
 	size    int    // bytes moved, for the thread scheduler's statistics
 
 	// Plan (fixed at creation).
-	attempts  int       // total attempt cap; legacy deadline mode uses MaxInt
-	deadline  time.Time // whole-call budget; zero = unbounded
-	idemKey   uint64    // nonzero marks attempts dedup-safe on the server
-	resilient bool      // backoff / retry budget active
+	attempts int       // total attempt cap, at least 1
+	deadline time.Time // whole-call budget; zero = unbounded
+	idemKey  uint64    // nonzero iff attempts > 1: copies are dedup-safe on the server
 
 	// Engine state.
 	phase       uint8
@@ -301,7 +300,6 @@ type Pending struct {
 	retryAt     time.Time     // backoff gate before the next attempt
 	rec         *callRec      // the in-flight attempt
 	started     time.Time     // submission time of an RPC's attempt zero (latency probe)
-	lastErr     error
 	resp        Response
 	err         error
 }
@@ -314,14 +312,22 @@ const (
 	pendDone
 )
 
-// newPending builds the engine state shared by every entry point.
-// resilient selects the CallOpts plan (capped retries, idempotency key);
-// otherwise the plan is the legacy one the wrapper encodes via
-// attempts/budget.
-func (t *Thread) newPending(p *Pending, rpcID uint32, payload []byte, opts CallOptions, resilient bool) error {
-	c := t.conn
-	o := &c.node.opts
-	*p = Pending{t: t, rpcID: rpcID, payload: payload, size: len(payload), resilient: resilient}
+// newPending builds a call's plan, the same way for every entry point:
+// opts.MaxAttempts attempts (one when unset) inside opts.Budget
+// (Options.RPCTimeout when unset, unbounded when both are).
+//
+// A one-attempt plan has nothing to resubmit, so it waits its whole budget
+// for the one response (without a budget only a completion, QP poison or
+// connection failure resolves it), goes keyless, and costs the server's
+// dedup window and the connection's retry budget nothing. A plan that can
+// put a second copy of the request on the wire is keyed, so the dedup window
+// recognises the copies, is backed off and charged to the retry budget
+// between attempts, and starts at a quarter of its budget — 4 ×
+// DefaultStallTimeout without one — doubling: the bounded wait is what
+// drives resubmission and strikes a dead server end.
+func (t *Thread) newPending(p *Pending, rpcID uint32, payload []byte, opts CallOptions) error {
+	o := &t.conn.node.opts
+	*p = Pending{t: t, rpcID: rpcID, payload: payload, size: len(payload), attempts: max(opts.MaxAttempts, 1)}
 	if len(payload) > o.test.maxPayload {
 		p.fail(ErrPayloadTooLarge)
 		return ErrPayloadTooLarge
@@ -330,41 +336,15 @@ func (t *Thread) newPending(p *Pending, rpcID uint32, payload []byte, opts CallO
 	if budget == 0 {
 		budget = o.RPCTimeout
 	}
-	if resilient {
-		p.attempts = opts.MaxAttempts
-		if p.attempts <= 0 {
-			p.attempts = o.RetryMaxAttempts
-		}
-		if p.attempts <= 0 {
-			p.attempts = 1
-		}
-		if p.attempts > 1 {
-			// Only a plan that can put a second copy of the request on the
-			// wire needs the server to recognise one: a one-attempt call
-			// goes keyless and costs the dedup window nothing.
-			t.idemSeq++
-			p.idemKey = t.idemSeq
-			// The bounded per-attempt wait exists to drive resubmission (and
-			// strike dead server ends). A single-attempt plan with no budget
-			// has nothing to resubmit, so it waits unbounded — parity with
-			// plain Call, whose wait only a completion or QP poison resolves.
-			p.attemptWait = 4 * DefaultStallTimeout
-		}
-	} else {
-		// Legacy plans: a positive budget retries until it runs out
-		// (CallWithDeadline semantics); without one there is a single
-		// unbounded attempt (plain Call).
-		p.attempts = 1
-		if budget > 0 {
-			p.attempts = math.MaxInt
-		}
-	}
 	if budget > 0 {
 		p.deadline = time.Now().Add(budget)
-		// Only a plan that can resubmit has a reason to carve the budget
-		// up; a one-attempt call waits all of it.
 		p.attemptWait = budget
-		if p.attempts > 1 {
+	}
+	if p.attempts > 1 {
+		t.idemSeq++
+		p.idemKey = t.idemSeq
+		p.attemptWait = 4 * DefaultStallTimeout
+		if budget > 0 {
 			p.attemptWait = max(budget/4, time.Millisecond)
 		}
 	}
@@ -592,8 +572,8 @@ func (p *Pending) onToken() bool {
 	}
 	if perr := pushbackErr(r.Status); perr != nil {
 		r.Release()
-		if p.resilient && perr == ErrOverloaded {
-			// Admission pushback is retryable on the resilient plan.
+		if perr == ErrOverloaded {
+			// Admission pushback is retryable while an attempt is left.
 			return p.attemptFailed(ErrOverloaded)
 		}
 		p.fail(perr)
@@ -602,9 +582,10 @@ func (p *Pending) onToken() bool {
 	if cur := t.curQP.Load(); cur >= 0 && int(cur) < len(c.qps) {
 		c.qps[cur].timeouts.Store(0) // healthy again
 	}
-	if p.resilient && p.attempt == 0 {
-		// Only clean first attempts earn budget: retries paying for
-		// retries would defeat the self-extinguishing property.
+	if p.attempts > 1 && p.attempt == 0 {
+		// Only clean first attempts of plans that may retry earn budget:
+		// retries paying for retries would defeat the self-extinguishing
+		// property, and a one-attempt call has no business with it.
 		c.retryBudget.OnSuccess()
 	}
 	if p.kind == opRPC {
@@ -615,46 +596,29 @@ func (p *Pending) onToken() bool {
 }
 
 // attemptFailed records a retryable attempt outcome and decides whether
-// another attempt runs: the attempt cap, the whole-call deadline, and (on
-// the resilient plan) the retry budget all gate it, with full-jitter
-// backoff pacing the next submission.
+// another attempt runs: the attempt cap, the whole-call deadline and the
+// retry budget all gate it, with full-jitter backoff pacing the next
+// submission.
 func (p *Pending) attemptFailed(err error) bool {
 	t := p.t
 	c := t.conn
-	p.lastErr = err
-	if !p.resilient && err == ErrQPBroken {
-		// Legacy deadline semantics counted broken-QP attempt failures as
-		// timeout strikes (the QP is already broken, so only the counter
-		// moves).
-		if cur := t.curQP.Load(); cur >= 0 && int(cur) < len(c.qps) {
-			c.noteTimeout(c.qps[cur])
-		}
-	}
-	if p.attempt+1 >= p.attempts {
-		p.fail(p.lastErr)
+	if p.attempt+1 >= p.attempts || (!p.deadline.IsZero() && !time.Now().Before(p.deadline)) {
+		p.fail(err)
 		return true
 	}
-	if !p.deadline.IsZero() && !time.Now().Before(p.deadline) {
-		p.fail(p.lastErr)
+	if !c.retryBudget.TryRetry() {
+		c.node.metrics.budgetExhausted.Add(1)
+		p.fail(err)
 		return true
 	}
-	if p.resilient {
-		if !c.retryBudget.TryRetry() {
-			c.node.metrics.budgetExhausted.Add(1)
-			p.fail(p.lastErr)
-			return true
+	c.node.metrics.retries.Add(1)
+	backoff := resilience.Backoff{Base: DefaultRetryBaseBackoff, Cap: DefaultRetryMaxBackoff}
+	if d := backoff.Delay(p.attempt, t.rng); d > 0 {
+		if !p.deadline.IsZero() {
+			d = min(d, time.Until(p.deadline))
 		}
-		c.node.metrics.retries.Add(1)
-		backoff := resilience.Backoff{Base: DefaultRetryBaseBackoff, Cap: DefaultRetryMaxBackoff}
-		if d := backoff.Delay(p.attempt, t.rng); d > 0 {
-			if !p.deadline.IsZero() {
-				if remain := time.Until(p.deadline); d > remain {
-					d = remain
-				}
-			}
-			if d > 0 {
-				p.retryAt = time.Now().Add(d)
-			}
+		if d > 0 {
+			p.retryAt = time.Now().Add(d)
 		}
 	}
 	p.attempt++

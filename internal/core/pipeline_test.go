@@ -162,10 +162,10 @@ func TestSendRecvAdapter(t *testing.T) {
 }
 
 // TestCallAsyncUnboundedWaitsOut pins wait parity with plain Call: a
-// default-options async call (no RPCTimeout, no RetryMaxAttempts) has a
+// default-options async call (no RPCTimeout, no MaxAttempts) has a
 // single-attempt plan with nothing to resubmit, so its Wait must ride out
-// a slow handler rather than expire on the resilient path's bounded
-// per-attempt wait. The original regression surfaced as spurious
+// a slow handler rather than expire on the bounded per-attempt wait of a
+// plan that may retry. The original regression surfaced as spurious
 // ErrTimeout from FlockTransport.CallMulti under CPU contention.
 func TestCallAsyncUnboundedWaitsOut(t *testing.T) {
 	const slowID = 23
@@ -336,10 +336,10 @@ func TestOverloadAbandonAccountingRace(t *testing.T) {
 func TestCallInterleavesWithAsync(t *testing.T) {
 	sOpts := Options{Workers: 4}
 	cOpts := Options{
-		RetryMaxAttempts: 6,
-		RPCTimeout:       250 * time.Millisecond,
-		test:             testKnobs{flapThreshold: -1}, // loss may break QPs; recycle, never retire
+		RPCTimeout: 250 * time.Millisecond,
+		test:       testKnobs{flapThreshold: -1}, // loss may break QPs; recycle, never retire
 	}
+	retry := CallOptions{MaxAttempts: 6}
 	tc := newTestCluster(t, 1, sOpts, cOpts)
 	registerEcho(tc.server)
 	tc.net.Fabric().SetFaultPlan(&fabric.FaultPlan{Seed: 7, RCLossProb: 0.005})
@@ -359,7 +359,7 @@ func TestCallInterleavesWithAsync(t *testing.T) {
 			// Transient exhaustion under loss: re-offer until it lands.
 			deadline := time.Now().Add(chaosDeadline)
 			for {
-				r, err = th.CallOpts(echoID, payload, CallOptions{})
+				r, err = th.CallOpts(echoID, payload, retry)
 				if err == nil {
 					break
 				}
@@ -383,7 +383,7 @@ func TestCallInterleavesWithAsync(t *testing.T) {
 	var window []inflight
 	for i := 0; i < total; i++ {
 		payload := []byte(fmt.Sprintf("async-%03d", i))
-		p, err := th.CallAsync(echoID, payload, CallOptions{})
+		p, err := th.CallAsync(echoID, payload, retry)
 		if err != nil {
 			t.Fatalf("CallAsync: %v", err)
 		}
@@ -398,7 +398,7 @@ func TestCallInterleavesWithAsync(t *testing.T) {
 			// A synchronous call right through the middle of the async
 			// window, on the same thread.
 			sp := []byte(fmt.Sprintf("sync-%03d", i))
-			r, err := th.CallOpts(echoID, sp, CallOptions{})
+			r, err := th.CallOpts(echoID, sp, retry)
 			verify(sp, r, err)
 		}
 	}
@@ -423,8 +423,7 @@ func TestDedupAsyncRetrySingleExecution(t *testing.T) {
 		// attempt cap and the retry-token burst must cover every retry the
 		// window between first-attempt expiry and first-execution completion
 		// can fit.
-		RetryMaxAttempts: 64,
-		test:             testKnobs{retryBudgetBurst: 64, flapThreshold: -1},
+		test: testKnobs{retryBudgetBurst: 64, flapThreshold: -1},
 	}
 	tc := newTestCluster(t, 1, Options{Workers: 2}, cOpts)
 	tc.server.RegisterHandler(countID, func(req []byte) []byte {
@@ -441,7 +440,7 @@ func TestDedupAsyncRetrySingleExecution(t *testing.T) {
 	}
 	th := conn.RegisterThread()
 
-	p, err := th.CallAsync(countID, []byte("dup"), CallOptions{Budget: time.Second})
+	p, err := th.CallAsync(countID, []byte("dup"), CallOptions{Budget: time.Second, MaxAttempts: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,56 +464,6 @@ func TestDedupAsyncRetrySingleExecution(t *testing.T) {
 	if m := tc.server.Metrics(); m.DedupHits == 0 {
 		t.Fatalf("no dedup hit recorded (metrics %+v)", m)
 	}
-	waitFor(t, "straggler responses to resolve", func() bool { return th.Outstanding() == 0 })
-}
-
-// TestOneAttemptWaitsWholeBudget: only a plan that can resubmit has a
-// reason to carve its budget into per-attempt waits. A one-attempt CallOpts
-// or CallAsync given 300 ms must wait out a 100 ms handler, and without a
-// single deadline strike against the QP. CallWithDeadline, which may
-// resubmit until the budget runs out, keeps its quarter slices and succeeds
-// on a later one.
-func TestOneAttemptWaitsWholeBudget(t *testing.T) {
-	const slowID = 24
-	const budget = 300 * time.Millisecond
-	tc := newTestCluster(t, 1, Options{Workers: 2}, Options{})
-	tc.server.RegisterHandler(slowID, func(req []byte) []byte {
-		time.Sleep(100 * time.Millisecond) // past budget/4, well inside budget
-		out := make([]byte, len(req))
-		copy(out, req)
-		return out
-	})
-	conn, err := tc.clients[0].Connect(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	th := conn.RegisterThread()
-	payload := []byte("whole-budget")
-	check := func(how string, r Response, err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatalf("%s: %v (timeouts=%d)", how, err, tc.clients[0].Metrics().RPCTimeouts)
-		}
-		if !bytes.Equal(r.Data, payload) {
-			t.Fatalf("%s: got %q", how, r.Data)
-		}
-		r.Release()
-	}
-
-	r, err := th.CallOpts(slowID, payload, CallOptions{Budget: budget})
-	check("CallOpts", r, err)
-	p, err := th.CallAsync(slowID, payload, CallOptions{Budget: budget})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err = p.Wait()
-	check("CallAsync+Wait", r, err)
-	if n := tc.clients[0].Metrics().RPCTimeouts; n != 0 {
-		t.Fatalf("one-attempt plans struck the QP %d times inside their budget", n)
-	}
-
-	r, err = th.CallWithDeadline(slowID, payload, budget)
-	check("CallWithDeadline", r, err)
 	waitFor(t, "straggler responses to resolve", func() bool { return th.Outstanding() == 0 })
 }
 
@@ -626,15 +575,15 @@ func TestSendBatchEcho(t *testing.T) {
 	}
 }
 
-// TestSendBatchUnderChaos rides a batch over a lossy fabric with the
-// resilient plan: lost attempts retry at Wait time exactly like CallAsync,
+// TestSendBatchUnderChaos rides a batch over a lossy fabric with a
+// six-attempt plan: lost attempts retry at Wait time exactly like CallAsync,
 // and every op must eventually land with its own echo.
 func TestSendBatchUnderChaos(t *testing.T) {
 	cOpts := Options{
-		RetryMaxAttempts: 6,
-		RPCTimeout:       250 * time.Millisecond,
-		test:             testKnobs{flapThreshold: -1},
+		RPCTimeout: 250 * time.Millisecond,
+		test:       testKnobs{flapThreshold: -1},
 	}
+	retry := CallOptions{MaxAttempts: 6}
 	tc := newTestCluster(t, 1, Options{Workers: 4}, cOpts)
 	registerEcho(tc.server)
 	tc.net.Fabric().SetFaultPlan(&fabric.FaultPlan{Seed: 9, RCLossProb: 0.01})
@@ -651,7 +600,7 @@ func TestSendBatchUnderChaos(t *testing.T) {
 		for i := range ops {
 			ops[i] = BatchOp{RPCID: echoID, Payload: []byte(fmt.Sprintf("cb-%d-%02d", round, i))}
 		}
-		pends, err := th.SendBatch(ops, CallOptions{})
+		pends, err := th.SendBatch(ops, retry)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -663,7 +612,7 @@ func TestSendBatchUnderChaos(t *testing.T) {
 				}
 				deadline := time.Now().Add(chaosDeadline)
 				for {
-					r, err = th.CallOpts(echoID, ops[i].Payload, CallOptions{})
+					r, err = th.CallOpts(echoID, ops[i].Payload, retry)
 					if err == nil {
 						break
 					}

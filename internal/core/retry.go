@@ -4,49 +4,42 @@ import (
 	"time"
 )
 
-// This file is the resilient client call surface: retries with exponential
-// full-jitter backoff, gated by a per-connection token-bucket retry
-// budget, one attempt in flight at a time. Every attempt of a call that
-// may retry carries the same idempotency key, so the server's dedup window
-// keeps the copies exactly-once within it — a retry whose original
-// executed gets the cached response instead of a second execution.
-//
-// The attempt loop itself lives in pending.go (the unified completion
-// engine); CallOpts and CallAsync are plans over it. Options.
-// RetryMaxAttempts > 0 routes Thread.Call / CallWithDeadline here
-// automatically; CallOpts is the explicit synchronous entry point and
-// CallAsync the pipelined one.
+// This file is the call plan's public half: CallOptions, the asynchronous
+// entry point and the pipeline gate. The attempt loop itself lives in
+// pending.go (the one completion engine); Call, CallWithDeadline, CallOpts,
+// CallAsync and SendBatch are all plans over it.
 
-// CallOptions parameterizes one resilient call. Zero fields inherit the
-// node Options' retry knobs.
+// CallOptions is a call's plan: how many attempts, inside what budget.
+// Nothing else — no node option, no entry point — changes what a call puts on
+// the wire. The delivery contract follows from MaxAttempts alone:
+//
+//   - one attempt (the zero value): at most one execution. The request goes
+//     out once, keyless; an error that is not a server refusal (ErrTimeout,
+//     ErrQPBroken, ErrConnClosed) leaves the outcome unknown.
+//   - N > 1 attempts: every copy carries the same idempotency key, so the
+//     server's dedup window keeps them exactly-once within it — a retry
+//     whose original executed gets the cached response instead of a second
+//     execution. Retryable failures (attempt expiry, a broken QP, overload
+//     pushback) are resubmitted after full-jitter backoff, each retry spent
+//     against the connection's retry budget.
 type CallOptions struct {
 	// Budget bounds the whole call — attempts and backoff included. Zero
 	// inherits Options.RPCTimeout; if that is zero too the call is bounded
 	// only by the attempt count. A one-attempt call waits the whole budget
 	// for its response; a call that may retry starts at a quarter of it.
 	Budget time.Duration
-	// MaxAttempts is the total attempt cap (first try included). Zero
-	// inherits Options.RetryMaxAttempts; both zero means one attempt.
+	// MaxAttempts is the total attempt cap (first try included). Zero means
+	// one attempt.
 	MaxAttempts int
 }
 
-// CallOpts is the resilient synchronous call (§4.1 semantics plus
-// overload control): at-most MaxAttempts idempotency-keyed attempts with
-// full-jitter backoff, spent against the connection's retry budget. It
-// drives the unified completion engine on the caller's stack, so it
-// interleaves freely with outstanding CallAsync/SendBatch requests on the
-// same thread.
-func (t *Thread) CallOpts(rpcID uint32, payload []byte, opts CallOptions) (Response, error) {
-	return t.call(rpcID, payload, opts, true)
-}
-
-// CallAsync submits a resilient call without waiting and returns its
-// Pending future. The first attempt is pushed into the TCQ before
-// CallAsync returns (so pipelined submissions coalesce under the leader's
-// doorbell); retries, backoff and budget bookkeeping — the same plan
-// CallOpts runs — execute inside Wait/Done in the caller's goroutine. A
-// Pending that is never waited still completes and its response lease is
-// reclaimed at close, but it never retries.
+// CallAsync submits a call without waiting and returns its Pending future.
+// The first attempt is pushed into the TCQ before CallAsync returns (so
+// pipelined submissions coalesce under the leader's doorbell); retries,
+// backoff and budget bookkeeping — the same plan CallOpts runs — execute
+// inside Wait/Done in the caller's goroutine. A Pending that is never waited
+// still completes and its response lease is reclaimed at close, but it never
+// retries.
 //
 // Outstanding Pendings may be freely interleaved with Call/CallOpts/
 // SendRPC on the same thread. Submission respects the pipeline depth
@@ -54,7 +47,7 @@ func (t *Thread) CallOpts(rpcID uint32, payload []byte, opts CallOptions) (Respo
 // until a slot frees.
 func (t *Thread) CallAsync(rpcID uint32, payload []byte, opts CallOptions) (*Pending, error) {
 	p := new(Pending)
-	if err := t.newPending(p, rpcID, payload, opts, true); err != nil {
+	if err := t.newPending(p, rpcID, payload, opts); err != nil {
 		return nil, err
 	}
 	if err := t.gatePipeline(1); err != nil {

@@ -23,7 +23,7 @@ type Thread struct {
 	id   uint32
 	rng  *stats.RNG
 
-	idemSeq uint64 // idempotency-key counter for the resilient path
+	idemSeq uint64 // idempotency-key counter for plans of more than one attempt
 	// pend is the thread's pending-call table: one completion record per
 	// submitted operation, resolved directly by sequence ID (see pending.go).
 	pend pendingTable
@@ -85,9 +85,9 @@ type Response struct {
 // Release returns the response's payload buffer to the pool. Call it once
 // the Data has been consumed (or copied out); after Release the Data slice
 // must not be touched. Release is idempotent on the same Response value
-// and a no-op for responses without a pooled payload, so legacy callers
-// that never Release — and code handling poison responses — stay correct;
-// they merely forgo buffer recycling.
+// and a no-op for responses without a pooled payload, so callers that never
+// Release — and code handling poison responses — stay correct; they merely
+// forgo buffer recycling.
 func (r *Response) Release() {
 	if b := r.buf; b != nil {
 		r.buf = nil
@@ -215,17 +215,17 @@ func (t *Thread) takeStat() (ThreadStat, bool) {
 // ID; the response arrives through RecvRes with the same ID in
 // Response.Seq. The request is coalesced with concurrent threads' requests
 // via FLock synchronization. The pair is a thin adapter over the Pending
-// engine: SendRPC submits a single-attempt call with no deadline and no
-// idempotency key (never retried, so the returned ID is the ID on the
-// wire) and queues it for RecvRes. At most DefaultPipelineDepth calls
+// engine: SendRPC submits the default plan — one attempt, so the returned ID
+// is the ID on the wire, bounded by Options.RPCTimeout when that is set —
+// and queues it for RecvRes. At most DefaultPipelineDepth calls
 // wait there; one more cancels the oldest, whose late response is dropped
 // as stale. Table-routed calls (Call, CallAsync, SendBatch) and memory
 // operations interleave freely on the same thread.
 func (t *Thread) SendRPC(rpcID uint32, payload []byte) (uint64, error) {
-	if len(payload) > t.conn.node.opts.test.maxPayload {
-		return 0, ErrPayloadTooLarge
+	p := new(Pending)
+	if err := t.newPending(p, rpcID, payload, CallOptions{}); err != nil {
+		return 0, err
 	}
-	p := &Pending{t: t, rpcID: rpcID, payload: payload, size: len(payload), attempts: 1}
 	p.startAttempt(true)
 	if p.phase == pendDone {
 		return 0, p.err
@@ -354,58 +354,49 @@ func (t *Thread) RecvRes() (Response, error) {
 	return t.popUnreceived().Wait()
 }
 
-// call builds one call's plan on the caller's stack and waits it out: the
-// engine behind every synchronous RPC wrapper. Options.RetryMaxAttempts
-// promotes the legacy plans to the resilient one.
-func (t *Thread) call(rpcID uint32, payload []byte, opts CallOptions, resilient bool) (Response, error) {
-	resilient = resilient || t.conn.node.opts.RetryMaxAttempts > 0
+// CallOpts is the synchronous call, and the function Call and
+// CallWithDeadline are spellings of: it builds the plan opts describe on the
+// caller's stack — MaxAttempts attempts inside Budget, see CallOptions for
+// the delivery contract of each — and waits it out. It may be freely
+// interleaved with outstanding CallAsync/SendBatch requests on the same
+// thread: every request owns a completion record resolved by sequence ID, so
+// responses can never be misdelivered between waiters.
+func (t *Thread) CallOpts(rpcID uint32, payload []byte, opts CallOptions) (Response, error) {
 	var p Pending
-	if err := t.newPending(&p, rpcID, payload, opts, resilient); err != nil {
+	if err := t.newPending(&p, rpcID, payload, opts); err != nil {
 		return Response{}, err
 	}
 	return p.Wait()
 }
 
-// Call is the synchronous convenience wrapper around the completion
-// engine: submit one request, wait for its completion record. When
-// Options.RPCTimeout is set it behaves as CallWithDeadline with that
-// budget; when Options.RetryMaxAttempts is set it routes through the
-// resilient CallOpts path. Call may be freely interleaved with
-// outstanding CallAsync/SendBatch requests on the same thread — every
-// request owns a completion record resolved by sequence ID, so responses
-// can never be misdelivered between waiters.
+// Call is CallOpts with the default plan: one attempt, bounded by
+// Options.RPCTimeout when that is set and unbounded otherwise.
 func (t *Thread) Call(rpcID uint32, payload []byte) (Response, error) {
-	return t.call(rpcID, payload, CallOptions{}, false)
+	return t.CallOpts(rpcID, payload, CallOptions{})
 }
 
-// CallWithDeadline is Call bounded by a total time budget. Attempts whose
-// per-attempt wait expires are retried with a fresh sequence ID and an
-// exponentially growing wait until the budget runs out, then ErrTimeout.
-// Each expiry is a strike against the QP in use; enough strikes break it
+// CallWithDeadline is Call bounded by budget: one attempt that waits the
+// whole budget for its response and then fails with ErrTimeout, which leaves
+// the outcome unknown — the request may have executed, or may yet. The
+// expiry is a strike against the QP in use; enough strikes in a row break it
 // and trigger the background recycle (the server end of a QP failing is
-// invisible to the client NIC — timeouts are the detection signal).
-//
-// Delivery is at-least-once under retries: a request whose response was
-// merely late may execute on the server more than once. Responses to
-// abandoned attempts land on completion records the waiter has already
-// walked away from, so the caller sees exactly one response.
+// invisible to the client NIC — timeouts are the detection signal). A late
+// response lands on a completion record the waiter has already walked away
+// from and is dropped.
 func (t *Thread) CallWithDeadline(rpcID uint32, payload []byte, budget time.Duration) (Response, error) {
-	return t.call(rpcID, payload, CallOptions{Budget: max(budget, 0)}, false)
+	return t.CallOpts(rpcID, payload, CallOptions{Budget: max(budget, 0)})
 }
 
 // memOp runs one one-sided operation through FLock synchronization and
-// waits for its completion (§6): a single-attempt plan over the same
-// record, submit loop and wait as an RPC — never retried, since an atomic
-// that timed out may still have executed. With Options.RPCTimeout set the
-// wait is bounded and expiry returns ErrTimeout. size is the byte count
-// the thread scheduler sees.
+// waits for its completion (§6): the default plan over the same record,
+// submit loop and wait as an RPC — one attempt, since an atomic that timed
+// out may still have executed, bounded by Options.RPCTimeout when that is
+// set. size is the byte count the thread scheduler sees.
 func (t *Thread) memOp(wr rnic.SendWR, size int) error {
 	t.memWR = wr
-	p := Pending{t: t, kind: opMem, size: size, attempts: 1}
-	if to := t.conn.node.opts.RPCTimeout; to > 0 {
-		p.deadline = time.Now().Add(to)
-		p.attemptWait = to
-	}
+	var p Pending
+	t.newPending(&p, 0, nil, CallOptions{}) //nolint:errcheck // no payload to be too large
+	p.kind, p.size = opMem, size
 	_, err := p.Wait()
 	return err
 }

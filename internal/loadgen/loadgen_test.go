@@ -156,7 +156,7 @@ func TestPipelinedWorkerLeavesNoLease(t *testing.T) {
 	hooked := make([]bool, 2)
 	var progress atomic.Uint64
 	run := Begin(star.Net, len(hooked), 40*time.Millisecond, func(w *Worker) Step {
-		step := Pipelined(w, star.Conns[0].RegisterThread(), make([]byte, 64), 8)
+		step := Pipelined(w, star.Conns[0].RegisterThread(), make([]byte, 64), 8, core.CallOptions{})
 		w.OnRetire(func() { hooked[w.Index] = true })
 		return func() (int, error) {
 			n, err := step()

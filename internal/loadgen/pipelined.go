@@ -8,12 +8,13 @@ import (
 )
 
 // Pipelined returns the step of a worker that keeps depth calls of RPC 1 in
-// flight on th and retires the oldest. Each Pending owns its completion
-// record, so this is the supported interleaving pattern — no sequence
-// matching. A completed call's latency, submission to completion, is
-// Observed; whatever is still in flight when the worker leaves its loop is
-// canceled.
-func Pipelined(w *Worker, th *core.Thread, payload []byte, depth int) Step {
+// flight on th, each submitted with the plan opts, and retires the oldest
+// (which is where a plan of more than one attempt runs its retries). Each
+// Pending owns its completion record, so this is the supported interleaving
+// pattern — no sequence matching. A completed call's latency, submission to
+// completion, is Observed; whatever is still in flight when the worker
+// leaves its loop is canceled.
+func Pipelined(w *Worker, th *core.Thread, payload []byte, depth int, opts core.CallOptions) Step {
 	type call struct {
 		p  *core.Pending
 		at time.Time
@@ -30,7 +31,7 @@ func Pipelined(w *Worker, th *core.Thread, payload []byte, depth int) Step {
 		// not spin on a refusing handle with its window full.
 		var submitErr error
 		for len(fly) < depth && submitErr == nil {
-			p, err := th.CallAsync(1, payload, core.CallOptions{})
+			p, err := th.CallAsync(1, payload, opts)
 			if submitErr = err; err == nil {
 				fly = append(fly, call{p: p, at: time.Now()})
 			}

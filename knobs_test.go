@@ -22,33 +22,45 @@ import (
 )
 
 func TestEveryKnobHasACaller(t *testing.T) {
-	var src []byte
-	for _, dir := range []string{"cmd", "bench", "examples", "internal/loadgen"} {
-		err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+	// read returns the non-test Go source under dirs.
+	read := func(dirs ...string) []byte {
+		var src []byte
+		for _, dir := range dirs {
+			err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+				if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+					return err
+				}
+				b, err := os.ReadFile(path)
+				src = append(append(src, b...), '\n')
 				return err
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			b, err := os.ReadFile(path)
-			src = append(append(src, b...), '\n')
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
+		return src
 	}
+	shipped := read("cmd", "bench", "examples", "internal/loadgen")
+	// A call's plan is also the cluster layer's to set: the replication
+	// forwarder is what gives a frame its Budget.
+	callers := append(read("internal/cluster"), shipped...)
 	// rnic.Config is not listed: what sets its exported fields (Node,
 	// CacheSize, RCRetries) is internal/core, outside the scanned trees.
-	for _, typ := range []reflect.Type{
-		reflect.TypeOf((*flock.Options)(nil)).Elem(),
-		reflect.TypeOf((*flock.ClusterService)(nil)).Elem(),
-		reflect.TypeOf((*flock.ReplTuning)(nil)).Elem(),
-		reflect.TypeOf((*flock.ClusterRouter)(nil)).Elem(),
-		reflect.TypeOf((*flock.ClusterMembership)(nil)).Elem(),
-		reflect.TypeOf((*udrpc.Config)(nil)).Elem(),
-		reflect.TypeOf((*lockshare.Config)(nil)).Elem(),
+	for _, k := range []struct {
+		typ reflect.Type
+		src []byte
+	}{
+		{reflect.TypeOf((*flock.Options)(nil)).Elem(), shipped},
+		{reflect.TypeOf((*flock.CallOptions)(nil)).Elem(), callers},
+		{reflect.TypeOf((*flock.ClusterService)(nil)).Elem(), shipped},
+		{reflect.TypeOf((*flock.ReplTuning)(nil)).Elem(), shipped},
+		{reflect.TypeOf((*flock.ClusterRouter)(nil)).Elem(), shipped},
+		{reflect.TypeOf((*flock.ClusterMembership)(nil)).Elem(), shipped},
+		{reflect.TypeOf((*udrpc.Config)(nil)).Elem(), shipped},
+		{reflect.TypeOf((*lockshare.Config)(nil)).Elem(), shipped},
 	} {
-		for i := 0; i < typ.NumField(); i++ {
-			f := typ.Field(i)
+		for i := 0; i < k.typ.NumField(); i++ {
+			f := k.typ.Field(i)
 			if !f.IsExported() {
 				continue
 			}
@@ -56,8 +68,8 @@ func TestEveryKnobHasACaller(t *testing.T) {
 			// same-named field of another struct reads as a setter too; the
 			// gate can call a dead knob alive that way, never a live one dead.
 			set := regexp.MustCompile(`\b` + f.Name + `:|\.` + f.Name + `\s*=[^=]`)
-			if !set.Match(src) {
-				t.Errorf("%s.%s is set by nothing under cmd/, bench/, examples/ or internal/loadgen", typ, f.Name)
+			if !set.Match(k.src) {
+				t.Errorf("%s.%s is set by nothing under cmd/, bench/, examples/ or internal/loadgen (nor, for CallOptions, internal/cluster)", k.typ, f.Name)
 			}
 		}
 	}
