@@ -120,3 +120,46 @@ func TestReplicatedPutAllocGate(t *testing.T) {
 		t.Fatalf("allocation regression: %.2f allocs per R=2 put, ceiling %d", avg, replicatedPutAllocCeiling)
 	}
 }
+
+// sendBatchAllocCeiling is the allowed allocations per SendBatch of eight
+// 64-byte echoes, waited and released. Measured 18: the result slice, eight
+// Pendings, eight queue nodes and the leader's batch. A batch is one chain
+// through the same submit path as a single call, which keeps its per-call
+// state in the Pending; the second submit engine SendBatch used to be carried
+// side slices of nodes, indexes, chain and verdicts (22 a batch in this rig),
+// and the ceiling sits two below that so they cannot come back.
+const sendBatchAllocCeiling = 20
+
+func TestSendBatchAllocGate(t *testing.T) {
+	star, err := loadgen.NewStar(flock.Options{}, flock.Options{}, 1, 0, loadgen.Echo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer star.Close()
+	th := star.Conns[0].RegisterThread()
+	ops := make([]flock.BatchOp, 8)
+	for i := range ops {
+		ops[i] = flock.BatchOp{RPCID: 1, Payload: make([]byte, 64)}
+	}
+	window := func() {
+		pends, err := th.SendBatch(ops, flock.CallOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range pends {
+			r, err := p.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Release()
+		}
+	}
+	for i := 0; i < 200; i++ {
+		window()
+	}
+	avg := testing.AllocsPerRun(500, window)
+	t.Logf("SendBatch(8) allocs/batch: %.2f (ceiling %d)", avg, sendBatchAllocCeiling)
+	if avg > sendBatchAllocCeiling {
+		t.Fatalf("allocation regression: %.2f allocs per SendBatch of 8, ceiling %d", avg, sendBatchAllocCeiling)
+	}
+}

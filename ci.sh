@@ -82,10 +82,12 @@ gate -run TestEveryKnobHasACaller -count=1 .
 # allowed to cost the hot path allocations; bounding a call must cost none
 # (a CallWithDeadline echo allocates no more than the plain Call measured
 # beside it: a deadline is a field the periodic sweep reads, not a timer);
-# and a put acknowledged by two backups stays under its ceiling of
+# a put acknowledged by two backups stays under its ceiling of
 # process-wide allocations (router, primary, one frame to both backups,
-# their applies and acks, the reply).
-gate -run 'TestEchoAllocRegressionGate|TestDeadlineCallAllocGate|TestReplicatedPutAllocGate' -count=1 .
+# their applies and acks, the reply); and a SendBatch of eight costs its
+# Pendings, its queue nodes and two slices (a batch is a chain through the
+# one submit path: the side slices of a second submit engine stay gone).
+gate -run 'TestEchoAllocRegressionGate|TestDeadlineCallAllocGate|TestReplicatedPutAllocGate|TestSendBatchAllocGate' -count=1 .
 
 # Telemetry-overhead gate: a counter increment stays in the
 # tens-of-nanoseconds range (measured ~9ns, gated at 50ns for CI noise)

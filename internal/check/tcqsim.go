@@ -391,7 +391,7 @@ func (w *simWorld) resubmit(op *simOp, avoid int) {
 }
 
 // enqueueOp pushes one op attempt onto its thread's QP's combining queue —
-// tcq.push. The first enqueuer on an idle queue leads.
+// tcq.pushChain with a chain of one. The first enqueuer on an idle queue leads.
 func (w *simWorld) enqueueOp(op *simOp) {
 	if op.done || op.th.done {
 		return
@@ -414,11 +414,11 @@ func (w *simWorld) enqueueOp(op *simOp) {
 		w.scheduleClaim(q)
 		return
 	}
-	// Follower: arm the stall timeout (awaitVerdict's deadline).
+	// Follower: arm the stall timeout (awaitChain's deadline).
 	w.eng.After(w.cfg.StallTimeout, func() { w.followerTimeout(q, n) })
 }
 
-// followerTimeout is awaitVerdict's stall path: if no leader claimed the
+// followerTimeout is awaitChain's stall path: if no leader claimed the
 // node, abandon it and re-elect on another QP.
 func (w *simWorld) followerTimeout(q *simQP, n *simNode) {
 	if n.state != snWaiting {

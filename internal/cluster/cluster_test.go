@@ -207,7 +207,7 @@ func TestMembershipDetectsDeathAndRevival(t *testing.T) {
 	if len(live) != 2 {
 		t.Fatalf("live set = %v", live)
 	}
-	if err := lc.coord.RouteAround(1, live); err != nil {
+	if _, err := lc.coord.FailOver(1, live); err != nil {
 		t.Fatal(err)
 	}
 	for s := 0; s < lc.coord.Map().Shards; s++ {

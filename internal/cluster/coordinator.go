@@ -133,11 +133,14 @@ func (c *Coordinator) MigrateShard(shard int, to fabric.NodeID) error {
 	return nil
 }
 
-// FailOver handles a dead member on a replicated map: every shard it
-// primaried is promoted to a surviving backup (epoch bump, no copy —
-// the backup already holds every acknowledged write, that is what the
-// sync-forward ACK rule bought), and the dead node is pruned from every
-// remaining backup set so primaries stop blocking on forwards to it.
+// FailOver handles a dead member: every shard it primaried is promoted to a
+// surviving backup (epoch bump, no copy — the backup already holds every
+// acknowledged write, that is what the sync-forward ACK rule bought), and
+// the dead node is pruned from every remaining backup set so primaries stop
+// blocking on forwards to it. A shard with no surviving backup — every shard
+// of an unreplicated map — is routed around instead: reassigned to the ring
+// placement over live, its data abandoned with the node (it re-syncs by
+// migration if it rejoins).
 // Publication order mirrors MigrateShard's handoff: each new primary
 // installs first, under the shard's exclusive lock, then the map goes
 // out to everyone else; in between, stale routers that still
@@ -159,10 +162,11 @@ func (c *Coordinator) FailOver(dead fabric.NodeID, live []fabric.NodeID) (int, e
 		}
 	}
 	c.publish(next)
-	if rerouted > 0 && promoted == 0 {
+	if rerouted > 0 && promoted == 0 && next.Replicas > 0 {
 		// Shards with no surviving backup fell back to ring placement —
-		// their data is gone with the node. Callers that require the
-		// durability contract treat this as an error.
+		// their data is gone with the node. A map that promises replicas
+		// broke the promise, and callers that require the durability contract
+		// treat this as an error; an unreplicated map promised nothing.
 		return promoted, fmt.Errorf("cluster: %d shard(s) failed over without a backup", rerouted)
 	}
 	return promoted, nil
@@ -188,34 +192,12 @@ func (c *Coordinator) Repair(live []fabric.NodeID) (int, error) {
 	return recruited, nil
 }
 
-// RouteAround reassigns every shard owned by `from` without copying —
-// the move for a member the detector declared dead. Data on the dead
-// member is abandoned (it re-syncs by migration if it rejoins); the
-// epoch bump makes every router stop sending there.
-func (c *Coordinator) RouteAround(from fabric.NodeID, live []fabric.NodeID) error {
-	if len(live) == 0 {
-		return fmt.Errorf("cluster: no live members to route around %d", from)
-	}
-	desired := c.cur.DesiredTable(live)
-	next := c.cur.Clone()
-	next.Epoch++
-	moved := false
-	for s, owner := range next.Table {
-		if owner == from {
-			next.Table[s] = desired[s]
-			moved = true
-		}
-	}
-	if !moved {
-		return nil
-	}
-	c.publish(next)
-	return nil
-}
-
 // Rebalance converges the map towards the ring placement over the live
-// member set, migrating (with copy) from live sources and routing
-// around dead ones. Returns how many shards moved.
+// member set, migrating (with copy) from live sources and failing over
+// dead ones: a dead member's shards go to their surviving backups, not to
+// the ring placement — a member that was never a backup holds none of the
+// data — and the next Rebalance moves them on from there. Returns how many
+// shards moved.
 func (c *Coordinator) Rebalance(live []fabric.NodeID) (int, error) {
 	liveSet := make(map[fabric.NodeID]bool, len(live))
 	for _, id := range live {
@@ -224,7 +206,7 @@ func (c *Coordinator) Rebalance(live []fabric.NodeID) (int, error) {
 	moves := 0
 	for _, mig := range c.cur.PlanRebalance(live) {
 		if !liveSet[mig.From] {
-			if err := c.RouteAround(mig.From, live); err != nil {
+			if _, err := c.FailOver(mig.From, live); err != nil {
 				return moves, err
 			}
 			moves++

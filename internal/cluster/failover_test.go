@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -514,6 +515,68 @@ func killMember(lc *liveCluster, members []fabric.NodeID, victim fabric.NodeID) 
 		if id != victim {
 			fab.SetLinkDown(victim, id, true)
 			fab.SetLinkDown(id, victim, true)
+		}
+	}
+}
+
+// TestRebalanceFailsOverDeadPrimary: Rebalance meeting a dead source on a
+// replicated map is a failover, not a second way around it. The route-around
+// it used to run promoted no backup and pruned nothing: with 4 members and
+// R = 2 it reassigned the dead primary's shards to ring successors that
+// already backed them and left the dead member in every backup set, a map
+// DecodeShardMap rejects — so no router could ever install it from a
+// WrongShard NACK — and acknowledged writes were served from wherever the
+// ring pointed. Every map published must decode, name no dead member, and
+// keep every acknowledged write readable.
+func TestRebalanceFailsOverDeadPrimary(t *testing.T) {
+	lc := newReplicatedCluster(t, 4, 8, 2, fabric.Config{})
+	lc.coord.AddRouter(lc.router)
+	lc.mems.ProbeTimeout = 100 * time.Millisecond
+	m0 := lc.coord.Map()
+	rt := lc.router.Thread()
+	const keys = 200
+	for key := uint64(0); key < keys; key++ {
+		if err := rt.Put(key, key+1); err != nil {
+			t.Fatalf("put %d: %v", key, err)
+		}
+	}
+	victim := m0.Owner(0)
+	killMember(lc, m0.Members, victim)
+	deadline := time.Now().Add(10 * time.Second)
+	for lc.mems.State(victim) != resilience.MemberDead || len(lc.mems.Live()) != len(m0.Members)-1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("detector never settled: victim %v, live %v", lc.mems.State(victim), lc.mems.Live())
+		}
+		lc.mems.ProbeOnce()
+	}
+	moves, err := lc.coord.Rebalance(lc.mems.Live())
+	if err != nil {
+		t.Fatalf("rebalance: %v", err)
+	}
+	if moves == 0 {
+		t.Fatal("rebalance moved nothing off the dead primary")
+	}
+	published := map[string]*ShardMap{"coordinator": lc.coord.Map(), "router": lc.router.Map()}
+	for _, id := range lc.mems.Live() {
+		published[fmt.Sprintf("member %d", id)] = lc.services[id].Map()
+	}
+	for who, m := range published {
+		if m.Epoch <= m0.Epoch {
+			t.Fatalf("%s still holds epoch %d", who, m.Epoch)
+		}
+		if _, err := DecodeShardMap(m.Encode()); err != nil {
+			t.Fatalf("%s holds a map that does not decode: %v", who, err)
+		}
+		for s := 0; s < m.Shards; s++ {
+			if m.Owner(s) == victim || m.IsBackup(s, victim) {
+				t.Fatalf("%s: shard %d still lists the dead member %d (owner %d, backups %v)",
+					who, s, victim, m.Owner(s), m.BackupsOf(s))
+			}
+		}
+	}
+	for key := uint64(0); key < keys; key++ {
+		if v, ok, err := rt.Get(key); err != nil || !ok || v != key+1 {
+			t.Fatalf("get %d after the rebalance = (%d, %v, %v), want the acknowledged %d", key, v, ok, err, key+1)
 		}
 	}
 }

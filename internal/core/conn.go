@@ -124,7 +124,6 @@ type connQP struct {
 	askSnapshot uint64 // granted value when the renewal was posted
 	degrees     *stats.RunningMedian
 	degHist     *telemetry.Hist // coalescing degree of every posted message
-	msgSeq      uint64          // selective-signaling counter
 
 	// Batch-processing scratch, reused across leader turns (leader-owned
 	// like the fields above, so no locking). PostSend copies WRs, making

@@ -222,12 +222,8 @@ func TestCoalescingUnderBurst(t *testing.T) {
 		once.Do(func() {
 			own := q.tcq.tail.Load() // nobody else has submitted yet
 			close(leading)
-			for linked := 1; linked < nThreads; {
+			for 1+len(queuedBehind(own)) < nThreads {
 				time.Sleep(10 * time.Microsecond)
-				linked = 1
-				for n := own.next.Load(); n != nil; n = n.next.Load() {
-					linked++
-				}
 			}
 		})
 	}

@@ -13,20 +13,6 @@ import (
 // credit management, ring-space reservation, message staging, and the
 // single linked post (§4.2, §6, §7).
 
-// submit runs one TCQ node to a verdict on QP q, combining with concurrent
-// threads. th is the calling thread (used for canary generation when it
-// leads). The returned verdict is stateSent, stateMigrate or stateAborted.
-func (c *Conn) submit(th *Thread, q *connQP, n *tcqNode) uint32 {
-	if q.tcq.push(n) {
-		return c.lead(th, q, n)
-	}
-	v := n.awaitVerdict(q.reqStaging, c.node.opts.StallTimeout)
-	if v == stateLeader {
-		return c.lead(th, q, n)
-	}
-	return v
-}
-
 // lead executes the leader protocol for the batch headed by own. The
 // leaders counter tells a QP recycler when straggling leaders have left;
 // verdicts are only stored on nodes still owned by this leader (claimed
@@ -156,34 +142,7 @@ func (c *Conn) processBatch(th *Thread, q *connQP, batch []*tcqNode) uint32 {
 			n.copied.Store(0)
 		}
 
-		canary := th.rng.Uint64() | 1 // nonzero
-		var canaryBuf [trailerBytes]byte
-		putLE64(canaryBuf[:], canary)
-		q.reqStaging.WriteAt(canaryBuf[:], res.msgOff+msgLen-trailerBytes) //nolint:errcheck
-		var hdr [headerBytes]byte
-		putHeader(hdr[:], header{
-			totalLen:  uint32(msgLen),
-			count:     uint32(len(rpc)),
-			canary:    canary,
-			piggyHead: q.ctrl.Load64(ctrlRespHeadOff),
-			flags:     flagItemMetaV2,
-		})
-		q.reqStaging.WriteAt(hdr[:], res.msgOff) //nolint:errcheck
-
-		if res.markerOff >= 0 {
-			wrs = append(wrs, rnic.SendWR{
-				WRID: tagMarker, Op: rnic.OpWrite,
-				LocalMR: q.reqStaging, LocalOff: res.markerOff, LocalLen: 8,
-				RKey: q.prod.rkey, RemoteOff: res.markerOff,
-			})
-		}
-		q.msgSeq++
-		wrs = append(wrs, rnic.SendWR{
-			WRID: tagMsg, Op: rnic.OpWrite,
-			LocalMR: q.reqStaging, LocalOff: res.msgOff, LocalLen: msgLen,
-			RKey: q.prod.rkey, RemoteOff: res.msgOff,
-			Signaled: q.msgSeq%uint64(opts.SignalEvery) == 0,
-		})
+		wrs = q.prod.seal(wrs, res, len(rpc), th.rng.Uint64(), q.ctrl.Load64(ctrlRespHeadOff), opts.SignalEvery)
 
 		q.consumed += uint64(len(rpc))
 		q.degrees.Add(uint64(len(rpc)))
@@ -244,7 +203,8 @@ func (c *Conn) awaitCredits(q *connQP, need int) uint32 {
 			return stateMigrate // credit request declined / QP deactivated
 		}
 		if !q.askOut {
-			if err := c.postRenewal(q); err != nil {
+			// No message to piggyback the ask on: post it alone.
+			if err := q.qp.PostSend(q.renewalWR(granted)); err != nil {
 				return c.postFailure(q, err)
 			}
 		}
@@ -306,9 +266,7 @@ func (c *Conn) requestHeadRefresh(q *connQP) {
 }
 
 // maybeRenew builds a credit-renewal write-imm (§7) when the leader has
-// consumed C/2 since the last ask and headroom is shrinking. The immediate
-// carries the median coalescing degree since the last renewal — the QP
-// contention metric of §5.1.
+// consumed C/2 since the last ask and headroom is shrinking.
 func (c *Conn) maybeRenew(q *connQP) (rnic.SendWR, bool) {
 	credits := uint64(c.node.opts.Credits)
 	granted := q.granted()
@@ -322,39 +280,21 @@ func (c *Conn) maybeRenew(q *connQP) (rnic.SendWR, bool) {
 	if avail >= credits || q.consumed-q.askMark < credits/2 {
 		return rnic.SendWR{}, false
 	}
+	return q.renewalWR(granted), true
+}
+
+// renewalWR marks a renewal outstanding as of granted and builds its
+// write-imm: piggybacked on a message by maybeRenew, posted alone by a leader
+// starved of credits. The immediate carries the median coalescing degree
+// since the last renewal — the QP contention metric of §5.1.
+func (q *connQP) renewalWR(granted uint64) rnic.SendWR {
 	q.askMark = q.consumed
 	q.askOut = true
 	q.askSnapshot = granted
-	degree := q.degrees.Median()
-	if degree == 0 {
-		degree = 1
-	}
-	if degree > 0xFFFFFFFF {
-		degree = 0xFFFFFFFF
-	}
+	degree := min(max(q.degrees.Median(), 1), 0xFFFFFFFF)
 	return rnic.SendWR{
 		WRID: tagRenew, Op: rnic.OpWriteImm,
 		RKey: q.reqRingRKey, RemoteOff: 0,
 		Imm: uint32(degree), ImmValid: true,
-	}, true
-}
-
-// postRenewal posts a standalone renewal (used while starved of credits,
-// where there is no message to piggyback on).
-func (c *Conn) postRenewal(q *connQP) error {
-	q.askMark = q.consumed
-	q.askOut = true
-	q.askSnapshot = q.granted()
-	degree := q.degrees.Median()
-	if degree == 0 {
-		degree = 1
 	}
-	if degree > 0xFFFFFFFF {
-		degree = 0xFFFFFFFF
-	}
-	return q.qp.PostSend(rnic.SendWR{
-		WRID: tagRenew, Op: rnic.OpWriteImm,
-		RKey: q.reqRingRKey, RemoteOff: 0,
-		Imm: uint32(degree), ImmValid: true,
-	})
 }

@@ -299,6 +299,8 @@ type Pending struct {
 	attemptWait time.Duration // current per-attempt wait; zero = unbounded
 	retryAt     time.Time     // backoff gate before the next attempt
 	rec         *callRec      // the in-flight attempt
+	node        *tcqNode      // its combining-queue node, while Thread.submit has one pushed
+	verdict     uint32        // what the queue said of it: stateWaiting until posted or refused
 	started     time.Time     // submission time of an RPC's attempt zero (latency probe)
 	resp        Response
 	err         error
@@ -433,21 +435,13 @@ func (p *Pending) startAttempt(block bool) bool {
 		}
 		p.retryAt = time.Time{}
 	}
-	if p.attempt == 0 && p.kind == opRPC {
-		// The latency probe times RPCs only: a memory operation is over in
-		// a few microseconds, and two clock reads are a tenth of that.
-		p.started = time.Now()
-	}
-	rec, err := p.t.sendAttempt(p)
-	if err != nil {
-		// Submission failures are terminal: draining/closed are fatal by
-		// definition, and a submit loop that outlived the whole-call
-		// deadline has no budget left to retry in.
+	// Submission failures are terminal: draining/closed are fatal by
+	// definition, and a submit that outlived the whole-call deadline has no
+	// budget left to retry in.
+	one := [1]*Pending{p}
+	if err := p.t.submit(one[:]); err != nil {
 		p.fail(err)
-		return true
 	}
-	p.rec = rec
-	p.armAttempt()
 	return true
 }
 

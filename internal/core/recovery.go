@@ -153,7 +153,6 @@ func (c *Conn) recycleQP(q *connQP) {
 	q.prod.reset()
 	q.respCons.reset()
 	q.consumed, q.askMark, q.askOut, q.askSnapshot = 0, 0, false, 0
-	q.msgSeq = 0
 	q.refreshPending.Store(false)
 	q.timeouts.Store(0)
 	q.ctrl.Store64(ctrlGrantedOff, uint64(n.opts.Credits))

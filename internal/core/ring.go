@@ -24,6 +24,7 @@ type ringProducer struct {
 	size    int
 	rkey    uint32 // remote ring MR
 	tail    uint64 // monotonic bytes produced; current-leader-owned
+	msgSeq  uint64 // messages sealed, the selective-signalling counter; owned like tail
 
 	// cached is the monotonic consumed head as last learned (the
 	// "sender's copy of Head", §4.1). The response dispatcher advances it
@@ -42,6 +43,7 @@ func (p *ringProducer) free() int {
 // every concurrent producer and cache-updater first.
 func (p *ringProducer) reset() {
 	p.tail = 0
+	p.msgSeq = 0
 	p.cached.Store(0)
 }
 
@@ -59,6 +61,7 @@ func (p *ringProducer) updateCached(h uint64) {
 // reservation describes ring space handed out by reserve.
 type reservation struct {
 	msgOff    int // staging/remote offset where the message goes
+	msgLen    int // its length, header and trailing canary included
 	markerOff int // offset of a wrap marker to transmit, or -1
 	markerLen int // bytes the marker occupies on the ring (skipped region)
 }
@@ -68,7 +71,7 @@ type reservation struct {
 // retries). If the message would straddle the ring end, an 8-byte wrap
 // marker is staged at the current tail and the message starts at offset 0.
 func (p *ringProducer) reserve(msgLen int) (reservation, bool) {
-	r := reservation{markerOff: -1}
+	r := reservation{msgLen: msgLen, markerOff: -1}
 	off := int(p.tail) % p.size
 	need := msgLen
 	rem := 0

@@ -46,9 +46,8 @@ type serverQP struct {
 
 	clientCtrlRKey uint32
 
-	respMu  sync.Mutex // guards respProd geometry, rng, msgSeq
+	respMu  sync.Mutex // guards respProd (geometry, message count) and rng
 	rng     *stats.RNG
-	msgSeq  uint64
 	refresh atomic.Bool
 	// life counts the QP's recycles (recycleAccept bumps it under respMu). A
 	// request remembers the life it arrived in, and a reply that comes after
@@ -625,35 +624,7 @@ func (n *Node) flushResponses(sqp *serverQP, out []respOut, life uint32) {
 		}
 		cursor += itemSpace(len(out[i].data))
 	}
-	canary := sqp.rng.Uint64() | 1
-	var canaryBuf [trailerBytes]byte
-	putLE64(canaryBuf[:], canary)
-	staging.WriteAt(canaryBuf[:], res.msgOff+msgLen-trailerBytes) //nolint:errcheck
-	var hdr [headerBytes]byte
-	putHeader(hdr[:], header{
-		totalLen:  uint32(msgLen),
-		count:     uint32(len(out)),
-		canary:    canary,
-		piggyHead: sqp.reqCons.consumed(),
-		flags:     flagItemMetaV2,
-	})
-	staging.WriteAt(hdr[:], res.msgOff) //nolint:errcheck
-
-	wrs := sqp.wrScratch[:0]
-	if res.markerOff >= 0 {
-		wrs = append(wrs, rnic.SendWR{
-			WRID: tagMarker, Op: rnic.OpWrite,
-			LocalMR: staging, LocalOff: res.markerOff, LocalLen: 8,
-			RKey: sqp.respProd.rkey, RemoteOff: res.markerOff,
-		})
-	}
-	sqp.msgSeq++
-	wrs = append(wrs, rnic.SendWR{
-		WRID: tagMsg, Op: rnic.OpWrite,
-		LocalMR: staging, LocalOff: res.msgOff, LocalLen: msgLen,
-		RKey: sqp.respProd.rkey, RemoteOff: res.msgOff,
-		Signaled: sqp.msgSeq%uint64(n.opts.SignalEvery) == 0,
-	})
+	wrs := sqp.respProd.seal(sqp.wrScratch[:0], res, len(out), sqp.rng.Uint64(), sqp.reqCons.consumed(), n.opts.SignalEvery)
 	sqp.wrScratch = wrs[:0]
 	sqp.qp.PostSend(wrs...) //nolint:errcheck // device closing is benign here
 }

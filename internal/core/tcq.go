@@ -3,7 +3,6 @@ package core
 import (
 	"runtime"
 	"sync/atomic"
-	"time"
 
 	"flock/internal/rnic"
 )
@@ -63,11 +62,8 @@ type tcqNode struct {
 	kind opKind
 
 	// leaderCopies marks a node whose payload the leader writes into
-	// staging itself instead of running the copy handshake. Batch
-	// submissions (SendBatch) set it: the submitting thread polls a whole
-	// chain of its own nodes at once, and if one of them is promoted to
-	// leader it claims its siblings — waiting for itself to copy would
-	// deadlock, so the leader does the copy.
+	// staging itself instead of running the copy handshake: a node of a
+	// chain longer than one (see Thread.submit).
 	leaderCopies bool
 
 	// opRPC fields.
@@ -87,21 +83,11 @@ type tcq struct {
 	tail atomic.Pointer[tcqNode]
 }
 
-// push enqueues n and reports whether the caller became the leader.
-func (q *tcq) push(n *tcqNode) (leader bool) {
-	prev := q.tail.Swap(n)
-	if prev == nil {
-		n.state.Store(stateLeader)
-		return true
-	}
-	prev.next.Store(n)
-	return false
-}
-
 // pushChain enqueues a pre-linked chain of nodes (first..last, next
-// pointers already stored) with one tail swap — the whole batch enters the
-// queue atomically, so a single leader claim can take all of it under one
-// doorbell. Reports whether first became the leader.
+// pointers already stored; one node is a chain with first == last) with the
+// queue's one tail swap — the whole chain enters atomically, so a single
+// leader claim can take all of it under one doorbell. Reports whether first
+// became the leader.
 func (q *tcq) pushChain(first, last *tcqNode) (leader bool) {
 	prev := q.tail.Swap(last)
 	if prev == nil {
@@ -162,41 +148,5 @@ func (q *tcq) handoff(last *tcqNode) {
 		}
 		// The successor abandoned its node (timed out); keep walking.
 		cur = next
-	}
-}
-
-// awaitVerdict spins until a final verdict (sent/migrate/aborted) or a
-// leadership promotion, passing through the copy phase by copying the
-// payload into staging. A stateLeader return means the caller must run the
-// leader path for its own node. If no leader has claimed the node within
-// stall, the follower abandons it and returns stateTimedOut — the caller
-// re-submits a fresh node, preferably on another QP (leader re-election
-// around a stalled or descheduled leader).
-func (n *tcqNode) awaitVerdict(staging *rnic.MemRegion, stall time.Duration) uint32 {
-	deadline := time.Now().Add(stall)
-	spins := 0
-	for {
-		switch s := n.state.Load(); s {
-		case stateSent, stateMigrate, stateAborted, stateLeader:
-			return s
-		case stateCopy:
-			// Leader assigned our slot: copy payload, raise the
-			// copy-completion flag, and keep waiting for the verdict.
-			if len(n.payload) > 0 {
-				staging.WriteAt(n.payload, n.bufOff) //nolint:errcheck // leader sized the slot
-			}
-			n.copied.Store(1)
-			n.state.CompareAndSwap(stateCopy, stateClaimed)
-		case stateWaiting:
-			spins++
-			if spins%256 == 0 && time.Now().After(deadline) &&
-				n.state.CompareAndSwap(stateWaiting, stateTimedOut) {
-				return stateTimedOut
-			}
-		case stateClaimed:
-			// A leader owns the node; its waits are stall-bounded, so a
-			// verdict is coming. The timeout no longer applies.
-		}
-		runtime.Gosched()
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,8 +10,30 @@ import (
 )
 
 // White-box tests of the combining queue's queueing discipline, separate
-// from the full RPC paths: we drive push/claimBatch/handoff directly with
-// a synthetic leader loop.
+// from the full RPC paths: we drive pushChain/claimBatch/handoff directly
+// with a synthetic leader loop. The waiting side of the protocol (promotion,
+// the copy handshake, the stall guard) is Thread.awaitChain's and is tested
+// through the real submit path: TestSubmitChain, TestCombineBothCopyArms.
+
+// awaitTurn spins until n is promoted or handed a verdict.
+func awaitTurn(n *tcqNode) uint32 {
+	for {
+		if s := n.state.Load(); s != stateWaiting {
+			return s
+		}
+		runtime.Gosched()
+	}
+}
+
+// queuedBehind returns the nodes linked behind own so far: what a test's
+// held leader looks at to decide it has waited long enough.
+func queuedBehind(own *tcqNode) []*tcqNode {
+	var nodes []*tcqNode
+	for n := own.next.Load(); n != nil; n = n.next.Load() {
+		nodes = append(nodes, n)
+	}
+	return nodes
+}
 
 // runTCQ drives ops submissions from nThreads goroutines through one tcq,
 // with each leader claiming batches of up to maxBatch and "processing"
@@ -27,11 +50,9 @@ func runTCQ(t *testing.T, nThreads, opsPerThread, maxBatch int) []int {
 			defer wg.Done()
 			for i := 0; i < opsPerThread; i++ {
 				n := &tcqNode{kind: opMem}
-				lead := q.push(n)
-				if !lead {
-					// Followers wait for a verdict or promotion (no
-					// staging region needed for opMem nodes).
-					if v := n.awaitVerdict(nil, time.Minute); v != stateLeader {
+				if !q.pushChain(n, n) {
+					// Followers wait for a verdict or promotion.
+					if v := awaitTurn(n); v != stateLeader {
 						if v != stateSent {
 							t.Errorf("verdict %d", v)
 						}
@@ -97,11 +118,11 @@ func TestTCQSingleThreadNeverCombines(t *testing.T) {
 func TestTCQPushLeaderElection(t *testing.T) {
 	var q tcq
 	a := &tcqNode{}
-	if !q.push(a) {
+	if !q.pushChain(a, a) {
 		t.Fatal("first push should lead")
 	}
 	b := &tcqNode{}
-	if q.push(b) {
+	if q.pushChain(b, b) {
 		t.Fatal("second push should follow")
 	}
 	// Claim both; handoff with nothing after ends the queue.
@@ -112,7 +133,7 @@ func TestTCQPushLeaderElection(t *testing.T) {
 	q.handoff(b)
 	// Queue is empty: a fresh push leads again.
 	c := &tcqNode{}
-	if !q.push(c) {
+	if !q.pushChain(c, c) {
 		t.Fatal("push after drain should lead")
 	}
 	q.claimBatch(c, 16)
@@ -124,7 +145,7 @@ func TestTCQPromotionBeyondBatch(t *testing.T) {
 	nodes := make([]*tcqNode, 5)
 	for i := range nodes {
 		nodes[i] = &tcqNode{}
-		q.push(nodes[i])
+		q.pushChain(nodes[i], nodes[i])
 	}
 	// Leader claims only 3 of 5; node 3 must be promoted on handoff.
 	batch := q.claimBatch(nodes[0], 3)
@@ -147,29 +168,6 @@ func TestTCQPromotionBeyondBatch(t *testing.T) {
 	q.handoff(rest[1])
 }
 
-func TestTCQCopyPhaseHandshake(t *testing.T) {
-	// A follower in awaitVerdict must perform the copy phase exactly once
-	// and then accept the final verdict.
-	var q tcq
-	leader := &tcqNode{}
-	q.push(leader)
-	follower := &tcqNode{payload: []byte{}} // empty payload: no staging write
-	q.push(follower)
-
-	done := make(chan uint32, 1)
-	go func() {
-		done <- follower.awaitVerdict(nil, time.Minute)
-	}()
-	// Leader assigns the copy phase and polls the flag.
-	follower.state.Store(stateCopy)
-	for follower.copied.Load() == 0 {
-	}
-	follower.state.Store(stateSent)
-	if v := <-done; v != stateSent {
-		t.Fatalf("verdict %d", v)
-	}
-}
-
 func TestTCQStressManyThreads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress")
@@ -184,10 +182,13 @@ func TestTCQStressManyThreads(t *testing.T) {
 	}
 }
 
-// TestCombineBothCopyArms forces a two-request combine on each side of
-// leaderCopyMax — a follower payload the leader copies itself, and one
-// byte more, which goes through the copy handshake — and checks that each
-// pair left as one message and came back intact.
+// TestCombineBothCopyArms forces a combine behind a held leader on each side
+// of leaderCopyMax — a follower payload the leader copies itself, and one
+// byte more, which goes through the copy handshake when it arrives as a chain
+// of one (the §4.2 protocol, the follower's half of it in Thread.awaitChain)
+// and is the leader's to copy when it arrives as a chain of eight, whose
+// submitter polls all eight nodes at once — and checks that each left with
+// the leader's own request as one message and came back intact.
 func TestCombineBothCopyArms(t *testing.T) {
 	tc := newTestCluster(t, 1, Options{}, Options{QPsPerConn: 1})
 	registerEcho(tc.server)
@@ -195,50 +196,82 @@ func TestCombineBothCopyArms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	threads := []*Thread{conn.RegisterThread(), conn.RegisterThread()}
+	leader, follower := conn.RegisterThread(), conn.RegisterThread()
 	defer func() { leaderStallHook = nil }()
-	for _, size := range []int{leaderCopyMax, leaderCopyMax + 1} {
-		// The first leader waits at the door until a second node is queued
-		// behind its own, so claimBatch takes both.
+	for _, row := range []struct {
+		size, chain  int
+		leaderCopies bool // the arm the chain's nodes are marked for
+	}{
+		{leaderCopyMax, 1, false}, // small enough that the leader copies it anyway
+		{leaderCopyMax + 1, 1, false},
+		{leaderCopyMax + 1, 8, true},
+	} {
+		// The first leader waits at the door until the chain is queued behind
+		// its own node, so claimBatch takes all of it.
 		leading := make(chan struct{})
 		var once sync.Once
 		leaderStallHook = func(c *Conn, q *connQP) {
 			once.Do(func() {
 				own := q.tcq.tail.Load()
 				close(leading)
-				for q.tcq.tail.Load() == own {
+				for len(queuedBehind(own)) < row.chain {
 					time.Sleep(10 * time.Microsecond)
+				}
+				for i, n := range queuedBehind(own) {
+					if n.leaderCopies != row.leaderCopies {
+						t.Errorf("%d-byte chain of %d: node %d leaderCopies=%v", row.size, row.chain, i, n.leaderCopies)
+					}
 				}
 			})
 		}
 		m := &tc.clients[0].metrics
 		msgs, items := m.msgsOut.Load(), m.itemsOut.Load()
+		payloads := make([][]byte, 1+row.chain)
+		for i := range payloads {
+			payloads[i] = make([]byte, row.size)
+			for k := range payloads[i] {
+				payloads[i][k] = byte(k + i)
+			}
+		}
+		check := func(r Response, err error, want []byte) {
+			if err != nil {
+				t.Errorf("%d-byte call: %v", row.size, err)
+				return
+			}
+			if !bytes.Equal(r.Data, want) {
+				t.Errorf("%d-byte call: reply differs from the request", row.size)
+			}
+			r.Release()
+		}
 		var wg sync.WaitGroup
-		for i, th := range threads {
-			if i == 1 {
-				<-leading
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r, err := leader.Call(echoID, payloads[0])
+			check(r, err, payloads[0])
+		}()
+		<-leading
+		if row.chain == 1 {
+			r, err := follower.Call(echoID, payloads[1])
+			check(r, err, payloads[1])
+		} else {
+			ops := make([]BatchOp, row.chain)
+			for i := range ops {
+				ops[i] = BatchOp{RPCID: echoID, Payload: payloads[1+i]}
 			}
-			payload := make([]byte, size)
-			for k := range payload {
-				payload[k] = byte(k + i)
+			pends, err := follower.SendBatch(ops, CallOptions{})
+			if err != nil {
+				t.Fatal(err)
 			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				r, err := th.Call(echoID, payload)
-				if err != nil {
-					t.Errorf("%d-byte call: %v", size, err)
-					return
-				}
-				if !bytes.Equal(r.Data, payload) {
-					t.Errorf("%d-byte call: reply differs from the request", size)
-				}
-				r.Release()
-			}()
+			for i, p := range pends {
+				r, err := p.Wait()
+				check(r, err, payloads[1+i])
+			}
 		}
 		wg.Wait()
-		if dm, di := m.msgsOut.Load()-msgs, m.itemsOut.Load()-items; dm != 1 || di != 2 {
-			t.Fatalf("%d-byte pair left as %d messages carrying %d requests, want 1 and 2", size, dm, di)
+		if dm, di := m.msgsOut.Load()-msgs, m.itemsOut.Load()-items; dm != 1 || int(di) != 1+row.chain {
+			t.Fatalf("%d-byte chain of %d left as %d messages carrying %d requests, want 1 and %d",
+				row.size, row.chain, dm, di, 1+row.chain)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -136,21 +137,21 @@ func (t *Thread) Conn() *Conn { return t.conn }
 // the thread's pending-call table.
 func (t *Thread) Outstanding() int { return t.pend.depth() }
 
-// pickQP selects the QP for the next operation: the scheduler's
+// pickQP selects the QP for the next placing operations: the scheduler's
 // assignment, deferred while responses are outstanding on a still-active
 // previous QP (§5.2 migration rule), with a fallback scan when the choice
 // is deactivated.
-func (t *Thread) pickQP() *connQP {
+func (t *Thread) pickQP(placing int) *connQP {
 	c := t.conn
 	idx := t.assigned.Load()
 	if idx < 0 || int(idx) >= len(c.qps) {
 		idx = 0
 	}
 	cur := t.curQP.Load()
-	if cur != idx && t.pend.depth() > 1 && c.qps[cur].active() {
+	if cur != idx && t.pend.depth() > placing && c.qps[cur].active() {
 		// Finish in-flight traffic on the old QP before migrating. The
-		// caller has already counted the operation being placed, so only
-		// a count above one means earlier responses are still due.
+		// caller has already counted the operations being placed, so only
+		// a count above theirs means earlier responses are still due.
 		idx = cur
 	}
 	q := c.qps[idx]
@@ -248,62 +249,189 @@ func (t *Thread) popUnreceived() *Pending {
 	return p
 }
 
-// sendAttempt registers a record in the pending-call table and submits one
-// attempt of p — an RPC carrying p.idemKey in the wire metadata (a nonzero
-// key marks the request dedup-safe on the server), or the thread's parked
-// memWR as a one-sided memory operation. It is the only submit loop: every
-// single operation a thread issues reaches a QP's combining queue through
-// here (SendBatch pushes whole chains of nodes instead). p.deadline, when
-// set, bounds the retry loop (migrations, follower timeouts). On failure
-// the record is removed again — or, if a completer raced the failing
-// submit, its response lease is recycled — so no error path leaks a table
-// entry.
-func (t *Thread) sendAttempt(p *Pending) (*callRec, error) {
+// submit is the only way onto a combining queue (§4.2): every operation a
+// thread issues — one call through Pending.startAttempt, a whole batch through
+// SendBatch, an RPC carrying its idemKey in the wire metadata (a nonzero key
+// marks the request dedup-safe on the server) or the thread's parked memWR as
+// a one-sided memory operation — enters as a chain of nodes pushed with one
+// tail swap, and a single call is a chain of one. pends share one plan.
+//
+// submit registers a record per call, then runs rounds: choose a QP, link one
+// fresh node per call still unsent (a consumed node's state and link are
+// dirty), push the chain, drive it to verdicts, and go round again with the
+// calls told to migrate or abandoned by a stalled leader. The plan's deadline,
+// when set, bounds the rounds. Every call leaves resolved — failed, its record
+// removed again (or, if a completer raced the failing submit, its response
+// lease recycled), so no error path leaks a table entry — or posted and armed.
+// The error return is for a submission refused whole, before anything was
+// registered.
+func (t *Thread) submit(pends []*Pending) error {
 	c := t.conn
 	if c.node.draining.Load() {
-		return nil, ErrDraining
+		return ErrDraining
 	}
 	if c.isClosed() {
-		return nil, c.closedErr()
+		return c.closedErr()
 	}
-	rec, depth := t.pend.register()
-	c.node.pipeDepth.Observe(uint64(depth))
-	for i := 0; ; i++ {
-		q := t.pickQP()
-		rec.qp.Store(int32(q.idx))
-		c.node.trace.Record(telemetry.EvEnqueue, q.idx, t.id, rec.seq, uint64(p.size))
-		n := &tcqNode{
-			kind:     p.kind,
-			rpcID:    p.rpcID,
-			seqID:    rec.seq,
-			threadID: t.id,
-			idemKey:  p.idemKey,
-			payload:  p.payload,
+	var started time.Time
+	if p := pends[0]; p.attempt == 0 && p.kind == opRPC {
+		// The latency probe times RPCs only: a memory operation is over in
+		// a few microseconds, and two clock reads are a tenth of that.
+		started = time.Now()
+	}
+	for _, p := range pends {
+		var depth int
+		p.rec, depth = t.pend.register()
+		c.node.pipeDepth.Observe(uint64(depth))
+		p.verdict = stateWaiting
+		if !started.IsZero() {
+			p.started = started
 		}
-		if p.kind == opMem {
-			n.wr = t.memWR
-		}
-		switch c.submit(t, q, n) {
-		case stateSent:
-			t.avoidQP = -1
-			t.recordStat(p.size)
-			return rec, nil
-		case stateTimedOut:
-			// Our leader stalled before claiming us: re-elect on another
-			// QP if one exists.
-			t.avoidQP = int32(q.idx)
-			fallthrough
-		case stateMigrate:
-			if !p.deadline.IsZero() && time.Now().After(p.deadline) {
-				t.pend.abandon(rec)
-				return nil, ErrTimeout
+	}
+	for round, unsent := 0, len(pends); ; round++ {
+		q := t.pickQP(unsent)
+		var first, last *tcqNode
+		for _, p := range pends {
+			if p.verdict != stateWaiting {
+				continue // posted or failed in an earlier round
 			}
-			idleBackoff(i)
-			continue // re-read assignment and retry (§5.2)
-		default:
-			err := c.closedErr()
-			t.pend.abandon(rec)
-			return nil, err
+			p.rec.qp.Store(int32(q.idx))
+			c.node.trace.Record(telemetry.EvEnqueue, q.idx, t.id, p.rec.seq, uint64(p.size))
+			p.node = &tcqNode{
+				kind:     p.kind,
+				rpcID:    p.rpcID,
+				seqID:    p.rec.seq,
+				threadID: t.id,
+				idemKey:  p.idemKey,
+				payload:  p.payload,
+				// This goroutine polls the whole chain at once, and a node of
+				// it promoted to leader claims its siblings: waiting for itself
+				// to copy would deadlock, so a chain's payloads are the
+				// leader's to copy. A chain of one runs the §4.2 handshake.
+				leaderCopies: unsent > 1,
+			}
+			if p.kind == opMem {
+				p.node.wr = t.memWR
+			}
+			if last == nil {
+				first = p.node
+			} else {
+				last.next.Store(p.node)
+			}
+			last = p.node
+		}
+		q.tcq.pushChain(first, last)
+		t.awaitChain(q, pends, unsent)
+
+		sent, timedOut := false, false
+		unsent = 0
+		for _, p := range pends {
+			if p.node == nil {
+				continue
+			}
+			p.node = nil
+			switch p.verdict {
+			case stateSent:
+				sent = true
+				t.recordStat(p.size)
+			case stateTimedOut:
+				timedOut = true
+				fallthrough
+			case stateMigrate:
+				p.verdict = stateWaiting // re-read the assignment and go again (§5.2)
+				unsent++
+			default: // stateAborted
+				err := c.closedErr()
+				p.abandonAttempt()
+				p.fail(err)
+			}
+		}
+		// A leader that stalled before claiming us means re-elect on another
+		// QP if one exists; a clean round clears the grudge.
+		if timedOut {
+			t.avoidQP = int32(q.idx)
+		} else if sent {
+			t.avoidQP = -1
+		}
+		if unsent == 0 {
+			break
+		}
+		if d := pends[0].deadline; !d.IsZero() && time.Now().After(d) {
+			for _, p := range pends {
+				if p.verdict == stateWaiting {
+					p.abandonAttempt()
+					p.fail(ErrTimeout)
+				}
+			}
+			break
+		}
+		idleBackoff(round)
+	}
+	for _, p := range pends {
+		if p.phase != pendDone {
+			p.armAttempt() // made it onto the wire
+		}
+	}
+	return nil
+}
+
+// awaitChain drives the chain just pushed on q — the node of each of the
+// waiting calls in pends that has one — to a final verdict, left in the call:
+// stateSent, stateMigrate, stateAborted or stateTimedOut. A node promoted to
+// leadership runs the leader protocol right here, and its claimed siblings
+// (ours included) get their verdicts from that run; a node told to copy (only
+// a chain of one is) writes its payload into staging, raises the
+// copy-completion flag and keeps waiting. The stall guard: a node no leader
+// has claimed within StallTimeout of the chain's last progress is abandoned
+// through the waiting→timedOut CAS, and the caller re-submits a fresh one,
+// preferably on another QP — leader re-election around a stalled or
+// descheduled leader. The clock is read for that only once a node has been
+// seen waiting, and then on one pass in 256.
+func (t *Thread) awaitChain(q *connQP, pends []*Pending, waiting int) {
+	c := t.conn
+	var deadline time.Time
+	for spins := 0; waiting > 0; {
+		expired := !deadline.IsZero() && spins%256 == 255 && time.Now().After(deadline)
+		progressed := false
+		for _, p := range pends {
+			if p.verdict != stateWaiting {
+				continue
+			}
+			n := p.node
+			v := n.state.Load()
+			switch v {
+			case stateLeader:
+				v = c.lead(t, q, n)
+			case stateCopy:
+				// Leader assigned our slot and sized it.
+				if len(n.payload) > 0 {
+					q.reqStaging.WriteAt(n.payload, n.bufOff) //nolint:errcheck // leader sized the slot
+				}
+				n.copied.Store(1)
+				n.state.CompareAndSwap(stateCopy, stateClaimed)
+				continue
+			case stateWaiting:
+				if deadline.IsZero() {
+					deadline = time.Now().Add(c.node.opts.StallTimeout)
+				}
+				if !expired || !n.state.CompareAndSwap(stateWaiting, stateTimedOut) {
+					continue
+				}
+				v = stateTimedOut
+			case stateClaimed:
+				// A leader owns the node; its waits are stall-bounded, so a
+				// verdict is coming. The timeout no longer applies.
+				continue
+			}
+			p.verdict = v
+			waiting--
+			progressed = true
+		}
+		if progressed {
+			spins, deadline = 0, time.Time{}
+		} else {
+			spins++
+			runtime.Gosched()
 		}
 	}
 }

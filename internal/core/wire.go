@@ -3,6 +3,8 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+
+	"flock/internal/rnic"
 )
 
 // Wire format of a coalesced message (§4.1, Figure 5).
@@ -66,6 +68,42 @@ func putHeader(b []byte, h header) {
 	binary.LittleEndian.PutUint64(b[16:], h.piggyHead)
 	binary.LittleEndian.PutUint32(b[24:], 0) // reserved
 	binary.LittleEndian.PutUint32(b[28:], h.flags)
+}
+
+// seal finishes the message staged in the reservation res — count items
+// already written behind the header — and appends the work requests that ship
+// it to wrs: the trailing canary and then the header are stamped (random made
+// nonzero is the canary; piggyHead is the sender's consumed head of the
+// opposite ring), the wrap marker reserve staged goes ahead of the message so
+// the receiver skips to offset zero, and every signalEvery-th message write
+// asks for a completion (selective signalling, §7).
+func (p *ringProducer) seal(wrs []rnic.SendWR, res reservation, count int, random, piggyHead uint64, signalEvery int) []rnic.SendWR {
+	canary := random | 1
+	var b [headerBytes]byte
+	putLE64(b[:], canary)
+	p.staging.WriteAt(b[:trailerBytes], res.msgOff+res.msgLen-trailerBytes) //nolint:errcheck // reserved span
+	putHeader(b[:], header{
+		totalLen:  uint32(res.msgLen),
+		count:     uint32(count),
+		canary:    canary,
+		piggyHead: piggyHead,
+		flags:     flagItemMetaV2,
+	})
+	p.staging.WriteAt(b[:], res.msgOff) //nolint:errcheck // reserved span
+	if res.markerOff >= 0 {
+		wrs = append(wrs, rnic.SendWR{
+			WRID: tagMarker, Op: rnic.OpWrite,
+			LocalMR: p.staging, LocalOff: res.markerOff, LocalLen: 8,
+			RKey: p.rkey, RemoteOff: res.markerOff,
+		})
+	}
+	p.msgSeq++
+	return append(wrs, rnic.SendWR{
+		WRID: tagMsg, Op: rnic.OpWrite,
+		LocalMR: p.staging, LocalOff: res.msgOff, LocalLen: res.msgLen,
+		RKey: p.rkey, RemoteOff: res.msgOff,
+		Signaled: p.msgSeq%uint64(signalEvery) == 0,
+	})
 }
 
 // getHeader decodes a header from b.
