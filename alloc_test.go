@@ -1,7 +1,8 @@
 package flock_test
 
 // Allocation-regression gate for the pooled hot path. The zero-copy
-// refactor took the synchronous echo exchange from 17 allocs/op down to 2;
+// refactor took the synchronous echo exchange from 17 allocs/op down to 2
+// (1 since PR 25: the leader's claimed batch is its queue's scratch);
 // this test pins a ceiling so a change that quietly reintroduces
 // per-message allocation fails CI rather than showing up later as GC
 // pressure under load.
@@ -15,10 +16,10 @@ import (
 )
 
 // allocCeiling is the allowed allocations per echo Call+Release.
-// Measured steady state is 2 allocs/op; the ceiling leaves headroom for
-// mallocs by the dispatcher/server goroutines that AllocsPerRun's
-// process-wide counting attributes to the loop, while staying far below
-// the pre-pool 17.
+// Measured steady state is 1 alloc/op, the call's queue node; the ceiling
+// leaves headroom for mallocs by the dispatcher/server goroutines that
+// AllocsPerRun's process-wide counting attributes to the loop, while
+// staying far below the pre-pool 17.
 const allocCeiling = 8
 
 func TestEchoAllocRegressionGate(t *testing.T) {
@@ -94,7 +95,7 @@ func TestDeadlineCallAllocGate(t *testing.T) {
 
 // replicatedPutAllocCeiling is the allowed process-wide allocations per
 // acknowledged put with two backups: router, primary, log, one frame to two
-// backups, their applies and acks, and the reply. Measured ≈ 15.
+// backups, their applies and acks, and the reply. Measured 11.
 const replicatedPutAllocCeiling = 24
 
 func TestReplicatedPutAllocGate(t *testing.T) {
@@ -122,8 +123,9 @@ func TestReplicatedPutAllocGate(t *testing.T) {
 }
 
 // sendBatchAllocCeiling is the allowed allocations per SendBatch of eight
-// 64-byte echoes, waited and released. Measured 18: the result slice, eight
-// Pendings, eight queue nodes and the leader's batch. A batch is one chain
+// 64-byte echoes, waited and released. Measured 17: the result slice, eight
+// Pendings and eight queue nodes (the leader's batch is its queue's scratch
+// since PR 25). A batch is one chain
 // through the same submit path as a single call, which keeps its per-call
 // state in the Pending; the second submit engine SendBatch used to be carried
 // side slices of nodes, indexes, chain and verdicts (22 a batch in this rig),

@@ -51,6 +51,12 @@ go test -race ./internal/loadgen ./internal/core ./internal/rnic ./internal/mem 
 # cross posters, pollers, stalled QPs and Close on one device are repeated,
 # because one interleaving per run proves little.
 gate -race -count=10 -run 'TestPostSendNeverBlocks|TestDoorbellStress|TestCloseDuringDrain' ./internal/rnic
+# The client side has the same shape on the receive path (PR 25): whoever
+# waits on a completion drains its QP under a per-QP poll role. Waiters
+# spinning on a QP while it is broken, recycled and quarantined under them
+# must never share the ring with the recycler, strand a record or leak a
+# lease.
+gate -race -count=10 -run 'TestPollRoleVersusRecycle' ./internal/core
 
 # Mutation self-test: rebuild the schedule explorer with the eight
 # known-bad protocol variants (flockmut build tag) and assert the

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -333,12 +334,14 @@ func TestChaosLeaderStallReelection(t *testing.T) {
 	}
 }
 
-// qpnOfQP reads a connQP's current queue pair number using the
-// dispatcher's exclusion protocol, so it cannot race the recycler's swap
-// of q.qp: holding polling>0 with broken unset pins the QP.
+// qpnOfQP reads a connQP's current queue pair number using the pollers'
+// exclusion protocol, so it cannot race the recycler's swap of q.qp:
+// holding the poll role with broken unset pins the QP.
 func qpnOfQP(q *connQP) (int, bool) {
-	q.polling.Add(1)
-	defer q.polling.Add(-1)
+	for !q.polling.CompareAndSwap(false, true) {
+		runtime.Gosched()
+	}
+	defer q.polling.Store(false)
 	if q.broken.Load() {
 		return 0, false
 	}

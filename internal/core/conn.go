@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"flock/internal/fabric"
 	"flock/internal/resilience"
@@ -38,9 +39,9 @@ const (
 	srvCtrlBytes      = 64
 )
 
-// Work-request ID tags. The top byte classifies the completion so the
-// single CQ poller (the dispatcher) can demultiplex operations of threads
-// sharing a QP — the wr_id annotation of §6.
+// Work-request ID tags. The top byte classifies the completion so whoever
+// holds the QP's poll role can demultiplex operations of threads sharing
+// it — the wr_id annotation of §6.
 const (
 	tagShift         = 56
 	tagMsg    uint64 = 1 << tagShift // coalesced message write
@@ -107,7 +108,7 @@ type connQP struct {
 	reqStaging *rnic.MemRegion // local mirror of the server's request ring
 	prod       *ringProducer   // request producer → server request ring
 	respRing   *rnic.MemRegion // response ring (server writes into it)
-	respCons   *ringConsumer   // owned by the client dispatcher
+	respCons   *ringConsumer   // owned by the poll role's holder
 	ctrl       *rnic.MemRegion // client control region (server writes it)
 	readback   *rnic.MemRegion // 8-byte landing zone for head-refresh reads
 
@@ -134,16 +135,29 @@ type connQP struct {
 
 	refreshPending atomic.Bool
 
+	// The poll role (see pollQP): polling is true while some goroutine — a
+	// waiter, a starved leader or the dispatcher — drains the response ring
+	// and the send CQ, and only the holder touches respCons or cqBuf.
+	polling atomic.Bool
+	cqBuf   [16]rnic.Completion
+	// What the dispatcher reads to leave the QP to its waiters: parked counts
+	// the waiters blocked on an attempt that rode it, served is bumped by
+	// the waiters polling it. reliefMark and reliefAt are the dispatcher's
+	// own: the served value it saw last and when it changed.
+	parked     atomic.Int32
+	served     atomic.Uint32
+	reliefMark uint32
+	reliefAt   time.Duration
+
 	// Fault state. broken marks the QP failed and under recycle: leaders
-	// bail out via active(), the dispatcher skips it, and the recycler owns
-	// all of the QP's state once the leaders and polling counters drain to
-	// zero. Clearing broken is the release edge that republishes the
+	// bail out via active(), pollers skip it, and the recycler owns all of
+	// the QP's state once the leaders counter drains to zero and the poll
+	// role is free. Clearing broken is the release edge that republishes the
 	// recycled state. disabled marks a QP quarantined for good after
 	// breaking more than DefaultFlapThreshold times.
 	broken   atomic.Bool
 	disabled atomic.Bool
 	leaders  atomic.Int32 // threads currently inside the leader path
-	polling  atomic.Int32 // dispatcher inside this QP's poll section
 	breaks   atomic.Uint32
 	timeouts atomic.Uint32 // consecutive RPC-deadline strikes
 }

@@ -9,11 +9,23 @@ import (
 	"flock/internal/telemetry"
 )
 
-// This file is the client-side response dispatcher (§4.3): a lightweight
-// goroutine that polls every connection's response rings and send CQs,
-// relaying responses to application threads by their tagged thread ID and
-// demultiplexing memory-operation completions by wr_id. It never touches
-// application logic, so one dispatcher comfortably covers many QPs.
+// This file is the client-side completion drain (§4.3): pollQP, the one
+// function that empties a QP's response ring and send CQ — relaying
+// responses to application threads by their tagged thread ID and
+// demultiplexing memory-operation completions by wr_id — and the relief
+// dispatcher that runs it for the QPs nobody else is draining.
+//
+// The waiter is the poller. A thread waiting on a completion polls the QP its
+// attempt rode (Pending.awaitAttempt), and a leader starved of ring space
+// polls its own QP for the head refresh (awaitSpace), so the common
+// completion reaches its record on the goroutine that wants it, with no
+// hand-off. Each QP has a poll role taken with one CAS, as the software
+// RNIC's processing unit is (rnic.Device.unit): the holder drains the QP for
+// everyone — other threads' records included, through the same table and
+// token protocol — and a caller that loses the CAS leaves, because the holder
+// is draining for it. The dispatcher is relief: it skips a QP a waiter is
+// serving and drains the rest — windows nobody waits on, QPs with a parked
+// waiter, a leader's head refresh, everything at close.
 
 // putLE64 writes v little-endian into b[:8].
 func putLE64(b []byte, v uint64) {
@@ -30,6 +42,9 @@ func putLE64(b []byte, v uint64) {
 
 // idleBackoff cooperatively de-schedules a polling loop that found no
 // work: first yields, then sleeps briefly so idle nodes don't spin a core.
+// The 2 us rung (about 8 us on this VM) stays: without it, eight quick
+// sync-micro runs a side spread 246–308 K ops/s against 280–294 K with it,
+// and echo_unloaded's median moved 4.9 → 5.3 us (EXPERIMENTS.md, PR 25).
 func idleBackoff(idleRounds int) {
 	switch {
 	case idleRounds < 64:
@@ -41,63 +56,114 @@ func idleBackoff(idleRounds int) {
 	}
 }
 
-// clientDispatch is the response dispatcher main loop.
+// pollQP drains q if its poll role is free: the response ring into
+// deliverResponse, the send CQ into routeSendCompletion. A broken QP
+// belongs to its recycler, which waits for the role to be free and is
+// excluded by the broken check made under it. It returns how many
+// completions it routed and counts them in by — the waiter or the relief
+// counter.
+func (c *Conn) pollQP(q *connQP, by *telemetry.Counter) int {
+	if !q.polling.CompareAndSwap(false, true) {
+		return 0 // the holder is draining for us
+	}
+	n := 0
+	if !q.broken.Load() {
+		// Response ring: the poll buffer is retained once per delivered
+		// response and the poller's own reference dropped after the fan-out.
+		for {
+			h, items, mbuf, ok := q.respCons.poll()
+			if !ok {
+				break
+			}
+			q.prod.updateCached(h.piggyHead)
+			c.node.trace.Record(telemetry.EvComplete, q.idx, 0, 0, uint64(len(items)))
+			for i := range items {
+				c.deliverResponse(&items[i], mbuf)
+			}
+			mbuf.Release()
+			n += len(items)
+		}
+		// Send CQ: memory-op and refresh completions, message-write errors.
+		for {
+			k := q.qp.SendCQ().Poll(q.cqBuf[:])
+			if k == 0 {
+				break
+			}
+			for _, comp := range q.cqBuf[:k] {
+				c.routeSendCompletion(q, comp)
+			}
+			n += k
+		}
+	}
+	q.polling.Store(false)
+	if n > 0 {
+		by.Add(uint64(n))
+	}
+	return n
+}
+
+// reliefPeriod is how long the dispatcher leaves a QP to the waiters after
+// one of them was last seen polling it. Waiters mark themselves every few
+// dozen polls, so a waiter that is still at it is never out of date; the
+// period only decides how soon a window nobody waits on is relieved.
+const reliefPeriod = 200 * time.Microsecond
+
+// reliefNap is how long the dispatcher sleeps after a pass that found
+// nothing while waiters serve their QPs and none is parked: a waiter is
+// already polling, so spinning beside it would only take its processor.
+const reliefNap = 50 * time.Microsecond
+
+// leftToWaiter reports whether the dispatcher may skip q this pass: no
+// waiter is parked on it, no leader waits for a head refresh on it, and a
+// waiter polled it within reliefPeriod. now is the dispatcher's clock.
+func (q *connQP) leftToWaiter(now time.Duration) bool {
+	if q.parked.Load() != 0 || q.refreshPending.Load() {
+		return false
+	}
+	if s := q.served.Load(); s != q.reliefMark {
+		q.reliefMark, q.reliefAt = s, now
+		return true
+	}
+	return q.reliefAt != 0 && now-q.reliefAt < reliefPeriod
+}
+
+// clientDispatch is the relief dispatcher's main loop. Once the node is
+// closing it makes one last pass over every QP and leaves.
 func (n *Node) clientDispatch() {
 	defer n.wg.Done()
-	var cqBuf [64]rnic.Completion
+	start := time.Now()
 	idle := 0
 	for {
+		closing := false
 		select {
 		case <-n.done:
-			return
+			closing = true
 		default:
 		}
-		busy := false
+		now := time.Since(start)
+		busy, parked, served := false, false, false
 		for _, c := range n.snapshotConns() {
 			for _, q := range c.qps {
-				// Broken QPs are owned by their recycler; the polling
-				// counter tells it when the dispatcher has left.
-				if q.broken.Load() {
+				if q.parked.Load() != 0 {
+					parked = true
+				} else if !closing && q.leftToWaiter(now) {
+					served = true
 					continue
 				}
-				q.polling.Add(1)
-				if q.broken.Load() {
-					q.polling.Add(-1)
-					continue
-				}
-				// Response ring: deliver coalesced responses. The poll
-				// buffer is retained once per delivered response and the
-				// dispatcher's own reference dropped after the fan-out.
-				for {
-					h, items, mbuf, ok := q.respCons.poll()
-					if !ok {
-						break
-					}
+				if c.pollQP(q, &n.metrics.reliefCompletions) > 0 {
 					busy = true
-					q.prod.updateCached(h.piggyHead)
-					n.trace.Record(telemetry.EvComplete, q.idx, 0, 0, uint64(len(items)))
-					for i := range items {
-						c.deliverResponse(&items[i], mbuf)
-					}
-					mbuf.Release()
 				}
-				// Send CQ: route memory-op and refresh completions.
-				for {
-					k := q.qp.SendCQ().Poll(cqBuf[:])
-					if k == 0 {
-						break
-					}
-					busy = true
-					for _, comp := range cqBuf[:k] {
-						c.routeSendCompletion(q, comp)
-					}
-				}
-				q.polling.Add(-1)
 			}
 		}
-		if busy {
+		switch {
+		case closing:
+			return
+		case busy:
 			idle = 0
-		} else {
+		case served && !parked:
+			idle = 0
+			time.Sleep(reliefNap)
+		default:
 			idle++
 			idleBackoff(idle)
 		}

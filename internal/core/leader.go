@@ -237,6 +237,10 @@ func (c *Conn) awaitSpace(q *connQP, msgLen int) (reservation, uint32) {
 			return res, stateMigrate
 		}
 		c.requestHeadRefresh(q)
+		// The refresh completes on our own QP's send CQ: poll it here rather
+		// than wait for another goroutine to be scheduled. The poll role is
+		// not the leader role, so holding q.leaders cannot deadlock it.
+		c.pollQP(q, &c.node.metrics.waiterCompletions)
 		spins++
 		if spins%256 == 0 && time.Now().After(deadline) {
 			c.noteLeaderStall(q)
@@ -247,8 +251,8 @@ func (c *Conn) awaitSpace(q *connQP, msgLen int) (reservation, uint32) {
 }
 
 // requestHeadRefresh posts an RDMA read of the server's published consumed
-// head into the QP's readback slot. The dispatcher routes the completion
-// and advances prod.cached.
+// head into the QP's readback slot. Whoever polls the QP next routes the
+// completion and advances prod.cached — the starved leader itself, usually.
 func (c *Conn) requestHeadRefresh(q *connQP) {
 	if q.refreshPending.Swap(true) {
 		return

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -243,8 +244,8 @@ type NodeMetrics struct {
 	// while the server ran near its admission limit.
 	CreditWithheld uint64
 	// StaleDrops counts responses that arrived after their attempt was
-	// abandoned (deadline expiry, cancel) and were dropped at
-	// the dispatcher with their pooled lease recycled.
+	// abandoned (deadline expiry, cancel) and were dropped where they were
+	// drained, with their pooled lease recycled.
 	StaleDrops uint64
 }
 
@@ -303,6 +304,9 @@ type Node struct {
 		retries, budgetExhausted                    telemetry.Counter
 		dedupHits, creditWithheld                   telemetry.Counter
 		staleDrops                                  telemetry.Counter
+		// Completions drained by a waiter or a starved leader polling its
+		// own QP, and by the relief dispatcher.
+		waiterCompletions, reliefCompletions telemetry.Counter
 	}
 
 	// tel is the node's telemetry registry; the histograms and the trace
@@ -367,6 +371,8 @@ func (n *Node) publishTelemetry() {
 	cf("dedup_hits", &n.metrics.dedupHits)
 	cf("credit_withheld", &n.metrics.creditWithheld)
 	cf("stale_drops", &n.metrics.staleDrops)
+	cf("completions_waiter", &n.metrics.waiterCompletions)
+	cf("completions_relief", &n.metrics.reliefCompletions)
 
 	n.degOut = n.tel.Hist("core.coalesce_degree_out")
 	n.degIn = n.tel.Hist("core.coalesce_degree_in")
@@ -548,8 +554,26 @@ func (n *Node) Close() {
 	close(n.done)
 	n.connMu.Unlock()
 	n.wg.Wait()
+	n.stopPollers()
 	n.drainLeases()
 	n.dev.Close()
+}
+
+// stopPollers takes the poll role of every QP the node ever opened, for
+// good: a waiter still inside one is waited out, and none delivers into a
+// pending-call table after drainLeases has emptied it. Waiters that come
+// later lose the CAS and meet the closed node instead.
+func (n *Node) stopPollers() {
+	n.connMu.Lock()
+	all := n.allConns
+	n.connMu.Unlock()
+	for _, c := range all {
+		for _, q := range c.qps {
+			for !q.polling.CompareAndSwap(false, true) {
+				runtime.Gosched()
+			}
+		}
+	}
 }
 
 // Drain puts the node into graceful-drain mode and waits for quiescence:
@@ -612,10 +636,11 @@ func (n *Node) quiescent() bool {
 }
 
 // drainLeases recycles pooled buffers still parked in pending-call tables
-// and the worker channel at shutdown. It runs after wg.Wait — dispatchers
-// and workers are gone, so nothing refills what it drains. Application
-// threads may still race a concurrent wait; a record's token goes to
-// exactly one taker, so no lease is released twice.
+// and the worker channel at shutdown. It runs after wg.Wait and
+// stopPollers — dispatchers, workers and polling waiters are gone, so
+// nothing refills what it drains. Application threads may still race a
+// concurrent wait; a record's token goes to exactly one taker, so no lease
+// is released twice.
 func (n *Node) drainLeases() {
 	n.connMu.Lock()
 	all := make([]*Conn, len(n.allConns))
@@ -641,7 +666,7 @@ func (n *Node) drainLeases() {
 	}
 }
 
-// ensureClientSide lazily starts the client-role goroutines: the response
+// ensureClientSide lazily starts the client-role goroutines: the relief
 // dispatcher (§4.3) and the sender-side thread scheduler (§5.2).
 func (n *Node) ensureClientSide() {
 	if n.clientState.Swap(true) {

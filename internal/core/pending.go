@@ -11,20 +11,21 @@ import (
 
 // This file is the client completion path, the only one: a per-thread
 // pending-call table in which every submitted operation — RPC or one-sided
-// memory op — owns a completion record the dispatcher completes directly
-// by sequence ID, and one attempt engine (Pending) that every entry point —
-// Call, CallWithDeadline, CallOpts, CallAsync, SendBatch, SendRPC/RecvRes,
-// Read/Write/FetchAdd/CompareSwap — parameterizes instead of
-// reimplementing. Completions are routed to their exact caller, so
+// memory op — owns a completion record that whoever drains its QP (the
+// waiter itself, another thread's waiter, the relief dispatcher; see
+// pollQP) completes directly by sequence ID, and one attempt engine
+// (Pending) that every entry point — Call, CallWithDeadline, CallOpts,
+// CallAsync, SendBatch, SendRPC/RecvRes, Read/Write/FetchAdd/CompareSwap —
+// parameterizes instead of reimplementing. Completions are routed to their exact caller, so
 // synchronous, asynchronous and memory operations interleave freely on one
-// thread, stale completions are dropped at the dispatcher (no per-caller
-// drop heuristics), and recovery poisons exactly the records riding a
-// broken QP.
+// thread, stale completions are dropped where they are drained (no
+// per-caller drop heuristics), and recovery poisons exactly the records
+// riding a broken QP.
 //
 // Ownership protocol. A record lives in the table from registration until
 // exactly one party removes it:
 //
-//   - A completer (dispatcher delivery, QP poisoning, connection failure,
+//   - A completer (a poller's delivery, QP poisoning, connection failure,
 //     the deadline sweep) that finds the record in the table marks it done,
 //     stores the response, and sends the record's token — all under the
 //     table lock, so "done" and "token present" are never observed apart.
@@ -59,8 +60,8 @@ type callRec struct {
 
 // pendingTable is the per-thread pending-call table plus its record
 // freelist. One table is owned by one application thread, but completers
-// (the dispatcher, recovery, connection failure) reach into it
-// concurrently, hence the lock. The map is insert/delete-heavy at a
+// (pollers, recovery, connection failure) reach into it concurrently, hence
+// the lock. The map is insert/delete-heavy at a
 // steady-state size of the pipeline depth, so it never grows past warmup
 // and the hot path stays allocation-free.
 type pendingTable struct {
@@ -244,9 +245,9 @@ func (p *pendingTable) failMatching(qp int32, r Response) {
 }
 
 // drain releases the pooled leases of completed records no waiter has
-// claimed. It runs at node close, after the dispatchers are gone; a waiter
-// racing it either wins the token (and owns the response) or finds its
-// record gone and walks away. Drained records are not recycled — their
+// claimed. It runs at node close, after the dispatchers and pollers are
+// gone; a waiter racing it either wins the token (and owns the response) or
+// finds its record gone and walks away. Drained records are not recycled — their
 // waiter may still hold the pointer.
 func (p *pendingTable) drain() {
 	p.mu.Lock()
@@ -367,8 +368,8 @@ func (p *Pending) finish(r Response) {
 
 // Wait blocks until the call completes and returns its response or error.
 // It is where retries and backoff actually run; a Pending that is
-// never waited still completes (the dispatcher resolves its record) but
-// never retries. Wait may be called again after it returns; it keeps
+// never waited still completes (the relief dispatcher resolves its record)
+// but never retries. Wait may be called again after it returns; it keeps
 // returning the same outcome.
 func (p *Pending) Wait() (Response, error) {
 	for p.phase != pendDone {
@@ -468,58 +469,82 @@ func (p *Pending) armAttempt() {
 	p.phase = pendInflight
 }
 
-// yieldEvery is how many responses in a row a thread may collect without
-// parking before it yields the processor once. A thread whose window is
-// deep enough that every wait finds its response already delivered never
-// enters the Go scheduler, so with fewer processors than busy goroutines it
-// keeps its P for a whole preemption quantum (10 ms) while the threads
-// queued behind it, and their calls in flight, stand still. The paper gives
-// each thread a core; this is what stands in for that. Measured on two
-// processors with two threads of window 8 on one QP (EXPERIMENTS.md, PR 17):
-// unbounded, a run's 100 ms windows split between a 70 us and a 35 us median
-// (one thread running alone, the other starved, p99 in the milliseconds) in
-// shares that differ from run to run; 4, 8 and 16 give one mode; 2 and 32
-// give two again.
-const yieldEvery = 8
-
-// noteUnparked counts a response collected without parking and yields once
-// every yieldEvery of them; parking resets the count.
-func (t *Thread) noteUnparked() {
-	if t.unparked++; t.unparked >= yieldEvery {
-		t.unparked = 0
-		runtime.Gosched()
-	}
-}
+// Bounds of a thread's polling stint, in polls of its attempt's QP: the
+// stint halves after one that ended in parking and doubles after one that
+// collected its token, so it follows what the thread sees of its own round
+// trips. A memory operation's completion is usually on the CQ by the time
+// its leader returns and a loopback echo's a few dozen polls later, while a
+// key-value call waits a hundred microseconds behind a worker; stintMax is
+// well short of that (a poll and a yield cost about 0.15 us here), so such
+// a caller parks after stintMin polls.
+const (
+	stintMin = 4
+	stintMax = 256
+)
 
 // awaitAttempt waits for the in-flight attempt to resolve: its completion
 // token, whichever completer sends it — the attempt's deadline included,
-// which the sweep delivers as an expiry poison. It returns false when
-// nothing is ready and block is false.
+// which the sweep delivers as an expiry poison. The waiter is the poller:
+// before it parks it drains the QP its attempt rode for a stint, completing
+// its own record and any other thread's it finds there; Done makes one
+// such pass. It returns false when nothing is ready and block is false.
 func (p *Pending) awaitAttempt(block bool) bool {
 	t := p.t
+	c := t.conn
 	// A token already there is collected without parking.
-	select {
-	case <-p.rec.ch:
-		t.noteUnparked()
+	if p.tokenReady() {
 		return p.onToken()
-	default:
 	}
+	q := c.qps[p.rec.qp.Load()]
 	if !block {
+		q.served.Add(1)
+		c.pollQP(q, &c.node.metrics.waiterCompletions)
+		if p.tokenReady() {
+			return p.onToken()
+		}
 		// The sweep stops with the node, so a poll must see the shutdown
 		// itself or a bounded call would never resolve.
 		select {
-		case <-t.conn.closedCh():
+		case <-c.closedCh():
 			return p.onClosed()
 		default:
 			return false
 		}
 	}
-	t.unparked = 0
+	for i := 0; i < t.stint; i++ {
+		if i%32 == 0 {
+			q.served.Add(1) // still here: the dispatcher keeps out
+		}
+		c.pollQP(q, &c.node.metrics.waiterCompletions)
+		if p.tokenReady() {
+			t.stint = min(2*t.stint, stintMax)
+			return p.onToken()
+		}
+		runtime.Gosched()
+	}
+	t.stint = max(t.stint/2, stintMin)
+	// Park. The parked count hands the QP back to the dispatcher; one more
+	// pass covers a completion that landed before the dispatcher could see
+	// the count.
+	q.parked.Add(1)
+	defer q.parked.Add(-1)
+	c.pollQP(q, &c.node.metrics.waiterCompletions)
 	select {
 	case <-p.rec.ch:
 		return p.onToken()
-	case <-t.conn.closedCh():
+	case <-c.closedCh():
 		return p.onClosed()
+	}
+}
+
+// tokenReady consumes the in-flight attempt's completion token if it is
+// there, without blocking.
+func (p *Pending) tokenReady() bool {
+	select {
+	case <-p.rec.ch:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -541,17 +566,18 @@ func (p *Pending) onClosed() bool {
 func (p *Pending) onToken() bool {
 	t := p.t
 	c := t.conn
+	// The QP the attempt rode, read before takeDone recycles the record: the
+	// thread may have moved to another QP since.
+	q := c.qps[p.rec.qp.Load()]
 	r := t.pend.takeDone(p.rec)
 	p.rec = nil
 	if r.err != nil {
 		if r.err == ErrTimeout {
-			// Attempt expired (a late response becomes a stale drop at the
-			// dispatcher): strike the QP in use — repeated expiries are the
-			// only signal a dead server end gives, and enough of them break
-			// the QP for recycling.
-			if cur := t.curQP.Load(); cur >= 0 && int(cur) < len(c.qps) {
-				c.noteTimeout(c.qps[cur])
-			}
+			// Attempt expired (a late response becomes a stale drop):
+			// strike the QP it rode — repeated expiries are the only signal a
+			// dead server end gives, and enough of them break the QP for
+			// recycling.
+			c.noteTimeout(q)
 			return p.attemptFailed(ErrTimeout)
 		}
 		if r.err == ErrQPBroken {
@@ -573,9 +599,7 @@ func (p *Pending) onToken() bool {
 		p.fail(perr)
 		return true
 	}
-	if cur := t.curQP.Load(); cur >= 0 && int(cur) < len(c.qps) {
-		c.qps[cur].timeouts.Store(0) // healthy again
-	}
+	q.timeouts.Store(0) // healthy again
 	if p.attempts > 1 && p.attempt == 0 {
 		// Only clean first attempts of plans that may retry earn budget:
 		// retries paying for retries would defeat the self-extinguishing

@@ -195,61 +195,6 @@ func TestCallAsyncUnboundedWaitsOut(t *testing.T) {
 	r.Release()
 }
 
-// TestUnparkedRunYields pins the fairness rule of awaitAttempt: a response
-// collected without parking is counted, yieldEvery of them in a row start
-// the count over (the thread yielded), and so does a wait that parks.
-func TestUnparkedRunYields(t *testing.T) {
-	const slowID = 24
-	tc := newTestCluster(t, 1, Options{}, Options{})
-	registerEcho(tc.server)
-	tc.server.RegisterHandler(slowID, func(req []byte) []byte {
-		time.Sleep(2 * time.Millisecond)
-		return nil
-	})
-	conn, err := tc.clients[0].Connect(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	th := conn.RegisterThread()
-	ps := make([]*Pending, yieldEvery+1)
-	for i := range ps {
-		if ps[i], err = th.CallAsync(echoID, []byte("x"), CallOptions{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for _, p := range ps {
-		for len(p.rec.ch) == 0 { // delivered = the record's token is in its channel
-			if time.Now().After(deadline) {
-				t.Fatal("responses not delivered")
-			}
-			time.Sleep(50 * time.Microsecond)
-		}
-	}
-	for i, p := range ps {
-		r, err := p.Wait()
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Release()
-		if want := (i + 1) % yieldEvery; th.unparked != want {
-			t.Fatalf("after %d ready responses the count is %d, want %d", i+1, th.unparked, want)
-		}
-	}
-	p, err := th.CallAsync(slowID, nil, CallOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := p.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Release()
-	if th.unparked != 0 {
-		t.Fatalf("a wait that parked left the count at %d", th.unparked)
-	}
-}
-
 // TestOverloadAbandonAccountingRace is the lost-decrement regression: QP
 // poisoning (failInflight) racing deadline-abandoned attempts must leave
 // the pending-call table at exactly zero. Under the old per-thread

@@ -20,10 +20,12 @@ import (
 // scheduler redistribute its load (graceful degradation).
 //
 // Exclusion protocol, client end: markBroken wins the broken flag, then
-// the recycler waits for the leaders and polling counters to drain. From
-// then on every leader bails out via active() and the dispatcher skips the
-// QP, so the recycler owns all of its state; clearing broken is the
-// release edge that republishes it. Server end: recycleAccept sets the
+// the recycler waits for the leaders counter to drain and the QP's poll
+// role to be free. From then on every leader bails out via active() and
+// whoever takes the poll role — a waiter, a starved leader, the dispatcher —
+// sees broken under it and leaves without touching the ring or the CQ, so
+// the recycler owns all of the QP's state; clearing broken is the release
+// edge that republishes it. Server end: recycleAccept sets the
 // server QP's broken flag, waits out the dispatcher/scheduler inuse
 // counter, and holds respMu against response flushers.
 
@@ -108,9 +110,9 @@ func (c *Conn) recycleQP(q *connQP) {
 		c.quarantine(q)
 		return
 	}
-	// Wait for straggler leaders and the dispatcher to leave the QP; they
-	// all observe broken and exit promptly.
-	for q.leaders.Load() != 0 || q.polling.Load() != 0 {
+	// Wait for straggler leaders and the poll role's holder to leave the QP;
+	// they all observe broken and exit promptly.
+	for q.leaders.Load() != 0 || q.polling.Load() {
 		if c.isClosed() {
 			return
 		}
@@ -164,14 +166,13 @@ func (c *Conn) recycleQP(q *connQP) {
 	// wiped with the server's ring tail already past it, and every later
 	// response on this QP would sit where the consumer never looks.
 	rnode.recycleResume(reply.serverQPN)
-	// Release edge: republish the recycled state to leaders and the
-	// dispatcher.
+	// Release edge: republish the recycled state to leaders and pollers.
 	q.broken.Store(false)
 }
 
 // quarantine permanently retires a QP that broke more than
-// DefaultFlapThreshold times. The broken flag stays set (the dispatcher
-// keeps skipping it) and disabled makes the retirement stick through
+// DefaultFlapThreshold times. The broken flag stays set (pollers keep
+// skipping it) and disabled makes the retirement stick through
 // active(). The server end is told so its scheduler stops granting and
 // redistributes the active-QP budget. If no usable QP remains the
 // connection is failed.

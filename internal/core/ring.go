@@ -27,8 +27,8 @@ type ringProducer struct {
 	msgSeq  uint64 // messages sealed, the selective-signalling counter; owned like tail
 
 	// cached is the monotonic consumed head as last learned (the
-	// "sender's copy of Head", §4.1). The response dispatcher advances it
-	// from piggybacked headers concurrently with the leader reading it,
+	// "sender's copy of Head", §4.1). Whoever polls the response ring advances
+	// it from piggybacked headers concurrently with the leader reading it,
 	// hence atomic.
 	cached atomic.Uint64
 }
@@ -107,9 +107,10 @@ type ringConsumer struct {
 	base int
 	size int
 
-	// head is the monotonic consumed counter. Only the owning dispatcher
-	// advances it, but response-flush paths on other goroutines read it
-	// for piggybacking, hence atomic.
+	// head is the monotonic consumed counter. Only the ring's one poller
+	// advances it — the request dispatcher on a server, the holder of the
+	// QP's poll role on a client — but response-flush paths on other
+	// goroutines read it for piggybacking, hence atomic.
 	head atomic.Uint64
 
 	publishMR  *rnic.MemRegion // control region carrying the consumed head
@@ -144,7 +145,8 @@ func (c *ringConsumer) consumed() uint64 { return c.head.Load() }
 
 // reset rewinds the consumer to offset zero and republishes, matching a
 // recycled producer that restarts at tail zero. The caller must have
-// excluded the polling dispatcher first.
+// excluded every poller first: on a client, broken is set and the QP's poll
+// role is free, so whoever takes the role next leaves without polling.
 func (c *ringConsumer) reset() {
 	c.head.Store(0)
 	c.emptyAt = noVersion // what was empty was the old head position

@@ -81,6 +81,10 @@ type tcqNode struct {
 // tcq is the per-QP combining queue; Flock Tail in Figure 5.
 type tcq struct {
 	tail atomic.Pointer[tcqNode]
+	// batch is claimBatch's scratch, owned by the leader from its claim to
+	// its handoff — leadership hand-offs order access, as for the connQP's
+	// other leader-owned scratch.
+	batch []*tcqNode
 }
 
 // pushChain enqueues a pre-linked chain of nodes (first..last, next
@@ -101,10 +105,13 @@ func (q *tcq) pushChain(first, last *tcqNode) (leader bool) {
 // claimBatch collects up to max nodes starting at head (the leader's own
 // node), following next pointers. A successor that has swapped the tail
 // but not yet linked itself is awaited, as in MCS. The returned slice
-// always starts with head.
+// always starts with head and is the queue's scratch: the caller must be
+// done with it by its handoff.
 func (q *tcq) claimBatch(head *tcqNode, max int) []*tcqNode {
-	batch := make([]*tcqNode, 1, max)
-	batch[0] = head
+	if cap(q.batch) < max {
+		q.batch = make([]*tcqNode, 0, max)
+	}
+	batch := append(q.batch[:0], head)
 	cur := head
 	for len(batch) < max {
 		next := cur.next.Load()

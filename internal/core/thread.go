@@ -31,9 +31,9 @@ type Thread struct {
 	// unreceived holds the SendRPC calls RecvRes has not returned yet,
 	// oldest first.
 	unreceived []*Pending
-	// unparked counts the responses in a row that were already delivered
-	// when the thread came to collect them (see noteUnparked).
-	unparked int
+	// stint is how many polls of its attempt's QP the thread makes before it
+	// parks, adapted to its own round trips (see awaitAttempt).
+	stint int
 	// A thread runs one memory operation at a time: memWR is its work
 	// request (parked here, already on the heap, so that submitting it
 	// allocates nothing beyond the queue node) and scratch is the local
@@ -74,7 +74,8 @@ type Response struct {
 	buf *mem.Buf
 
 	// trace, when non-nil, is the owning node's lifecycle ring; Release
-	// records the final EvRelease event on it. Set by the dispatcher.
+	// records the final EvRelease event on it. Set where the response is
+	// delivered.
 	trace *telemetry.TraceRing
 
 	// err marks a poison response injected by recovery paths (ErrQPBroken,
@@ -117,6 +118,7 @@ func (c *Conn) RegisterThread() *Thread {
 		rng:     stats.NewRNG(uint64(id) + uint64(c.remote)<<32 + 1),
 		scratch: scratch,
 		median:  stats.NewRunningMedian(32),
+		stint:   stintMax,
 	}
 	t.pend.recs = make(map[uint64]*callRec)
 	t.assigned.Store(int32(int(id) % len(c.qps)))
