@@ -93,6 +93,40 @@ func TestDeadlineCallAllocGate(t *testing.T) {
 	}
 }
 
+// TestWorkerEchoAllocGate: a worker-lane request is pulled off the ring by the
+// pool goroutine that then executes it, into reply handles that goroutine
+// reuses (and relief's hand-offs recycle theirs through a freelist), so an
+// echo behind a worker pool allocates no more than the inline echo measured
+// beside it — not one reply slice per message more.
+func TestWorkerEchoAllocGate(t *testing.T) {
+	measure := func(workers int) float64 {
+		star, err := loadgen.NewStar(flock.Options{Workers: workers}, flock.Options{}, 1, 0, loadgen.Echo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer star.Close()
+		th := star.Conns[0].RegisterThread()
+		payload := make([]byte, 64)
+		call := func() {
+			r, err := th.Call(1, payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Release()
+		}
+		for i := 0; i < 200; i++ {
+			call()
+		}
+		return testing.AllocsPerRun(500, call)
+	}
+	inline := measure(0)
+	pool := measure(4)
+	t.Logf("echo allocs/op: inline %.2f, Workers 4 %.2f", inline, pool)
+	if pool > inline+0.5 {
+		t.Fatalf("a worker-lane echo allocates %.2f against the inline echo's %.2f: the pool path allocates per message", pool, inline)
+	}
+}
+
 // replicatedPutAllocCeiling is the allowed process-wide allocations per
 // acknowledged put with two backups: router, primary, log, one frame to two
 // backups, their applies and acks, and the reply. Measured 11.

@@ -1,8 +1,10 @@
 #!/bin/sh
 # ci.sh — the checks every change must pass, in the order CI runs them.
 # The race run is scoped to the concurrent packages (the FLock core, the
-# software RNIC, and the buffer pool); the model/simulation packages are
-# single-threaded and dominate wall-clock, so racing them buys nothing.
+# software RNIC, the buffer pool, the cluster, and the key-value store and
+# dedup window that every server pump reaches); the model/simulation
+# packages are single-threaded and dominate wall-clock, so racing them buys
+# nothing.
 set -eux
 
 # The flockbench sweeps below write their JSON here, not into the checkout:
@@ -45,18 +47,19 @@ gate() {
 go vet ./...
 go build ./...
 go test ./...
-go test -race ./internal/loadgen ./internal/core ./internal/rnic ./internal/mem ./internal/telemetry ./internal/check ./internal/cluster
+go test -race ./internal/loadgen ./internal/core ./internal/rnic ./internal/mem ./internal/telemetry ./internal/check ./internal/cluster ./internal/kvstore ./internal/resilience
 # The software RNIC has no goroutine of its own (PR 14): whichever goroutine
 # rings a doorbell may execute anybody's work requests. The three tests that
 # cross posters, pollers, stalled QPs and Close on one device are repeated,
 # because one interleaving per run proves little.
 gate -race -count=10 -run 'TestPostSendNeverBlocks|TestDoorbellStress|TestCloseDuringDrain' ./internal/rnic
-# The client side has the same shape on the receive path (PR 25): whoever
-# waits on a completion drains its QP under a per-QP poll role. Waiters
-# spinning on a QP while it is broken, recycled and quarantined under them
-# must never share the ring with the recycler, strand a record or leak a
-# lease.
-gate -race -count=10 -run 'TestPollRoleVersusRecycle' ./internal/core
+# The receive paths have the same shape: on a client whoever waits on a
+# completion drains its QP, and on a server with a worker pool an idle pool
+# goroutine pumps the request ring it then serves, each under a per-QP poll
+# role. Pollers spinning on a QP while it is broken, recycled and
+# quarantined under them must never share a ring with the recycler, strand
+# a record or leak a lease.
+gate -race -count=10 -run 'TestPollRoleVersusRecycle|TestServerPollRoleVersusRecycle' ./internal/core
 
 # Mutation self-test: rebuild the schedule explorer with the eight
 # known-bad protocol variants (flockmut build tag) and assert the
@@ -90,10 +93,12 @@ gate -run TestEveryKnobHasACaller -count=1 .
 # beside it: a deadline is a field the periodic sweep reads, not a timer);
 # a put acknowledged by two backups stays under its ceiling of
 # process-wide allocations (router, primary, one frame to both backups,
-# their applies and acks, the reply); and a SendBatch of eight costs its
+# their applies and acks, the reply); a SendBatch of eight costs its
 # Pendings, its queue nodes and two slices (a batch is a chain through the
-# one submit path: the side slices of a second submit engine stay gone).
-gate -run 'TestEchoAllocRegressionGate|TestDeadlineCallAllocGate|TestReplicatedPutAllocGate|TestSendBatchAllocGate' -count=1 .
+# one submit path: the side slices of a second submit engine stay gone); and
+# an echo behind a worker pool allocates no more than the inline echo (the
+# pool goroutine that pulls a message serves it, in reply handles it reuses).
+gate -run 'TestEchoAllocRegressionGate|TestDeadlineCallAllocGate|TestReplicatedPutAllocGate|TestSendBatchAllocGate|TestWorkerEchoAllocGate' -count=1 .
 
 # Telemetry-overhead gate: a counter increment stays in the
 # tens-of-nanoseconds range (measured ~9ns, gated at 50ns for CI noise)

@@ -276,7 +276,16 @@ type Node struct {
 	// node may hold several (the paper's multi-process clients, §8.4)
 	sconnsSnap atomic.Value // []*serverConn snapshot for the dispatch loops
 	byQPN      atomic.Value // map[int]*serverQP snapshot
+
+	// Worker pool (Options.Workers > 0; pool.go). workCh carries the
+	// worker-lane messages relief pumped to parked pool goroutines and
+	// replyFree recycles their reply handles; pumpers counts the pool
+	// goroutines in a polling stint and poolServed is their stamp, bumped
+	// every 32 rounds, that relief reads to leave the rings to them.
 	workCh     chan workUnit
+	replyFree  chan []Reply
+	pumpers    atomic.Int32
+	poolServed atomic.Uint64
 
 	// Client role.
 	connMu    sync.Mutex
@@ -307,6 +316,9 @@ type Node struct {
 		// Completions drained by a waiter or a starved leader polling its
 		// own QP, and by the relief dispatcher.
 		waiterCompletions, reliefCompletions telemetry.Counter
+		// Worker-lane requests pumped by the pool goroutine that then
+		// executes them, and by relief, which hands them off.
+		workerPumped, reliefPumped telemetry.Counter
 	}
 
 	// tel is the node's telemetry registry; the histograms and the trace
@@ -373,6 +385,8 @@ func (n *Node) publishTelemetry() {
 	cf("stale_drops", &n.metrics.staleDrops)
 	cf("completions_waiter", &n.metrics.waiterCompletions)
 	cf("completions_relief", &n.metrics.reliefCompletions)
+	cf("requests_pumped_worker", &n.metrics.workerPumped)
+	cf("requests_pumped_relief", &n.metrics.reliefPumped)
 
 	n.degOut = n.tel.Hist("core.coalesce_degree_out")
 	n.degIn = n.tel.Hist("core.coalesce_degree_in")
@@ -458,7 +472,8 @@ func (n *Node) DegreeHistograms() (out, in telemetry.HistSnapshot) {
 }
 
 // handlerTable is the node's registered handlers; inline marks the ones
-// that run on the request dispatcher even when a worker pool is configured.
+// that run on the goroutine pumping their message even when a worker pool is
+// configured.
 type handlerTable struct {
 	byID      map[uint32]handlerEntry
 	anyInline bool
@@ -485,12 +500,14 @@ func (n *Node) RegisterInlineStatusHandler(rpcID uint32, fn StatusHandler) {
 // RegisterReplyHandler binds fn to rpcID; every registration form lands
 // here, all share one table, and the last registration for an rpcID wins.
 //
-// inline is an execution-lane promise: the handler runs on the request
-// dispatcher even when a worker pool is configured, so it can never queue
-// behind workers whose handlers block. Only for handlers that are short and
-// never block — replication applies, pings, map fetches. A blocking inline
-// handler stalls the node's whole receive path; one that must wait replies
-// later instead.
+// inline is an execution-lane promise: the handler runs on the goroutine
+// that pulls its message off the request ring — the dispatcher, or a pool
+// goroutine while it holds the QP's poll role — even when a worker pool is
+// configured, so it can never queue behind workers whose handlers block. Only
+// for handlers that are short and never block — replication applies, pings,
+// map fetches. A blocking inline handler stalls its QP's receive path (the
+// node's whole receive path without a pool); one that must wait replies later
+// instead.
 func (n *Node) RegisterReplyHandler(rpcID uint32, inline bool, fn ReplyHandler) {
 	n.handMu.Lock()
 	defer n.handMu.Unlock()
@@ -524,9 +541,12 @@ func (n *Node) Serve() error {
 	n.schedRCQ = rnic.NewCQ(1 << 16)
 	if n.opts.Workers > 0 {
 		n.workCh = make(chan workUnit, 4*n.opts.Workers)
+		// As many spare reply slices as workCh holds units: relief takes
+		// one per hand-off, and a slice returned beyond that is the GC's.
+		n.replyFree = make(chan []Reply, cap(n.workCh))
 		for i := 0; i < n.opts.Workers; i++ {
 			n.wg.Add(1)
-			go n.worker()
+			go n.worker(i)
 		}
 	}
 	for i := 0; i < n.opts.Dispatchers; i++ {
@@ -636,9 +656,11 @@ func (n *Node) quiescent() bool {
 }
 
 // drainLeases recycles pooled buffers still parked in pending-call tables
-// and the worker channel at shutdown. It runs after wg.Wait and
-// stopPollers — dispatchers, workers and polling waiters are gone, so
-// nothing refills what it drains. Application threads may still race a
+// and in messages relief handed to the worker pool that no pool goroutine
+// took. It runs after wg.Wait and stopPollers — dispatchers, pool goroutines
+// and polling waiters are gone, so nothing refills what it drains (a pool
+// goroutine executes what it pulled before it looks at done again, so none
+// exits holding a message). Application threads may still race a
 // concurrent wait; a record's token goes to exactly one taker, so no lease
 // is released twice.
 func (n *Node) drainLeases() {

@@ -108,6 +108,9 @@ type Options struct {
 	Dispatchers int
 	// Workers is the size of the server-side RPC worker pool. Zero runs
 	// handlers inline on the dispatcher (the paper supports both, §4.3).
+	// With a pool the worker is the poller: an idle pool goroutine polls the
+	// request rings, pulls a message and executes its handlers itself, and
+	// the dispatchers only relieve rings no pool goroutine is polling.
 	Workers int
 	// RPCTimeout is the budget of every call and memory operation that
 	// names none of its own (CallOptions.Budget, CallWithDeadline). Zero

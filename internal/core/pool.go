@@ -1,0 +1,307 @@
+package core
+
+import (
+	"runtime"
+	"time"
+
+	"flock/internal/rnic"
+)
+
+// This file is the server's worker pool (§4.3's "application-managed pool of
+// RPC workers") run as Leader/Followers (Schmidt et al., POSA2): the server
+// half of the client's waiter-is-the-poller (dispatcher.go).
+//
+// The worker is the poller. A pool goroutine with nothing to execute polls
+// the node's request rings for a stint. When it wins a QP's poll role it
+// pulls one message, runs admission control and the inline lane exactly as
+// the dispatcher does, releases the role so a sibling can pull the next
+// message, and executes the message's worker-lane handlers itself — no
+// channel, no wake-up, and reply handles it reuses. The request dispatcher is
+// relief: while a pool goroutine polls the rings it leaves them alone, and
+// otherwise — every goroutine busy in a handler or parked — it pumps them
+// itself and hands each worker-lane message to a parked goroutine through
+// workCh, the one hand-off left. Without a pool (Workers 0) none of this
+// runs: serveDispatch pumps and executes everything inline.
+
+// pumpQP pulls at most one message off sqp's request ring under the QP's
+// poll role, building its worker-lane reply handles in *scratch, and drains
+// the QP's send CQ. The role is taken inside enter/exit, so recycleAccept's
+// broken/inuse exclusion covers its holder: no pump touches the ring of a
+// QP under recycle. found is false when the ring is idle, the QP is under
+// recycle, another goroutine holds the role (it is pumping for us), or the
+// ring is empty. An idle ring costs two loads and no role: the send CQ of a
+// QP nobody writes to waits for its next message, and holds at most a
+// sixteenth of the responses sent since the last one.
+func (n *Node) pumpQP(sqp *serverQP, scratch *[]Reply, cqBuf []rnic.Completion) (u workUnit, found bool) {
+	if sqp.reqCons.idle() || !sqp.enter() {
+		return workUnit{}, false
+	}
+	if sqp.pumping.CompareAndSwap(false, true) {
+		u, found = n.pumpOne(sqp, scratch)
+		drainSendCQ(sqp, cqBuf)
+		sqp.pumping.Store(false)
+	}
+	sqp.exit()
+	return u, found
+}
+
+// pumpOne pulls one message off sqp's request ring, runs its inline lane and
+// returns its worker-lane requests as a unit whose reply handles are built in
+// *scratch (replaced by a larger slice when short). The caller holds the
+// poll role inside enter/exit. found reports whether there was a message; a
+// unit without replies has nothing left to execute.
+func (n *Node) pumpOne(sqp *serverQP, scratch *[]Reply) (u workUnit, found bool) {
+	life := sqp.life.Load() // stable: the caller is inside enter/exit
+	admit, mbuf, ok := n.pull(sqp, life)
+	if !ok {
+		return workUnit{}, false
+	}
+	answered := 0
+	if tab := n.handlerTable(); tab.anyInline {
+		// Inline-lane RPCs execute here, before the rest of the message
+		// reaches a worker: a replication apply or a ping never waits behind
+		// workers whose handlers block.
+		lane, keep := sqp.laneScratch[:0], admit[:0]
+		for _, it := range admit {
+			if tab.byID[it.meta.rpcID].inline {
+				lane = append(lane, it)
+			} else {
+				keep = append(keep, it)
+			}
+		}
+		answered = n.runInline(sqp, life, lane)
+		clear(lane)
+		sqp.laneScratch, admit = lane[:0], keep
+	}
+	if len(admit) == 0 {
+		mbuf.Release()
+		n.inflight.Add(-int64(answered))
+		return workUnit{}, true
+	}
+	// The unit takes the poll reference: payloads stay views into the pooled
+	// message buffer, released by whoever executes the unit after the flush.
+	n.inflight.Add(-int64(answered))
+	if cap(*scratch) < len(admit) {
+		*scratch = make([]Reply, len(admit))
+	}
+	replies := (*scratch)[:len(admit)]
+	for k, it := range admit {
+		replies[k].init(sqp, life, it)
+	}
+	return workUnit{sqp: sqp, replies: replies, buf: mbuf}, true
+}
+
+// drainSendCQ routes every completion on sqp's send CQ and reports whether
+// there were any.
+func drainSendCQ(sqp *serverQP, cqBuf []rnic.Completion) bool {
+	busy := false
+	for {
+		k := sqp.qp.SendCQ().Poll(cqBuf)
+		if k == 0 {
+			return busy
+		}
+		busy = true
+		for _, comp := range cqBuf[:k] {
+			sqp.routeCompletion(comp)
+		}
+	}
+}
+
+// runUnit executes u's handlers on the calling goroutine, flushes the replies
+// sent by the time each returned as one response message, and releases the
+// message. It reports whether every reply went out with it, which leaves the
+// handles free for reuse; a handler that kept its handle to reply later took
+// the storage with it.
+func (n *Node) runUnit(u workUnit, out *[]respOut) bool {
+	o := n.executeAll(u.sqp, u.replies, *out)
+	u.buf.Release()
+	n.inflight.Add(-int64(len(o)))
+	all := len(o) == len(u.replies)
+	clear(o) // drop the payload references until the next unit
+	*out = o[:0]
+	return all
+}
+
+// pumper is one pool goroutine's reusable state.
+type pumper struct {
+	id      int     // rotates where its rounds start within a connection
+	stint   int     // rounds of the next stint, between stintMin and stintMax
+	replies []Reply // the reply handles of the messages it pulls
+	out     []respOut
+	cqBuf   [16]rnic.Completion
+}
+
+// worker is one pool goroutine. It pumps for a stint, executing what it
+// pulls, and parks on workCh when a stint ends without a message: relief
+// handed one off (which it then takes at once), the stint ran out, or enough
+// siblings are polling.
+func (n *Node) worker(id int) {
+	defer n.wg.Done()
+	w := &pumper{id: id, stint: stintMin}
+	for {
+		if u, ok := n.pumpStint(w); ok {
+			if !n.runUnit(u, &w.out) {
+				w.replies = nil
+			}
+			continue
+		}
+		select {
+		case <-n.done:
+			return
+		case u := <-n.workCh:
+			n.runHandedOff(u, &w.out)
+		}
+	}
+}
+
+// runHandedOff executes a message relief pumped and returns its reply
+// handles to the node's freelist when no handler kept one.
+func (n *Node) runHandedOff(u workUnit, out *[]respOut) {
+	if n.runUnit(u, out) {
+		select {
+		case n.replyFree <- u.replies:
+		default:
+		}
+	}
+}
+
+// takeReplies returns reply-handle storage from the node's freelist, or nil
+// when it is empty (pumpOne then allocates).
+func (n *Node) takeReplies() []Reply {
+	select {
+	case r := <-n.replyFree:
+		return r
+	default:
+		return nil
+	}
+}
+
+// maxPollers is how many pool goroutines of a node may poll at once; the
+// rest park. Two, so that one polls while the other executes what it pulled.
+// On a 2-vCPU VM running kv_r0 (40 workers a member), one and two read the
+// same throughput, but with one the rings went unpolled during every handler
+// and relief pumped 7 % of the requests (0.5 % with two); with no bound,
+// about seven goroutines a member polled at once and the run lost 6 % of its
+// ops/s at 5 % more CPU per op (EXPERIMENTS.md, "Bounding the pollers").
+const maxPollers = 2
+
+// pumpStint polls every server QP, round after round, until it pulls a
+// message with worker-lane requests, which it returns for the caller to
+// execute. It gives up at once when maxPollers siblings are polling, when
+// relief has handed a message off or when the node closes, and after
+// w.stint rounds in a row that found no message. The stint doubles after it
+// yields a unit and halves after it runs out, so it follows what this
+// goroutine sees of the offered load.
+func (n *Node) pumpStint(w *pumper) (workUnit, bool) {
+	if n.pumpers.Add(1) > maxPollers {
+		n.pumpers.Add(-1)
+		return workUnit{}, false
+	}
+	defer n.pumpers.Add(-1)
+	for round, idle := 0, 0; idle < w.stint; round++ {
+		if round%32 == 0 {
+			n.poolServed.Add(1) // still here: relief keeps out
+		}
+		select {
+		case <-n.done:
+			return workUnit{}, false
+		default:
+		}
+		if len(n.workCh) > 0 {
+			return workUnit{}, false // relief handed a message off: take it
+		}
+		idle++
+		for _, sc := range n.snapshotSconns() {
+			for j := range sc.qps {
+				u, found := n.pumpQP(sc.qps[(j+w.id)%len(sc.qps)], &w.replies, w.cqBuf[:])
+				if !found {
+					continue
+				}
+				if len(u.replies) > 0 {
+					n.metrics.workerPumped.Add(uint64(len(u.replies)))
+					w.stint = min(2*w.stint, stintMax)
+					return u, true
+				}
+				idle = 0 // a message with nothing left for a worker is still work
+			}
+		}
+		runtime.Gosched()
+	}
+	w.stint = max(w.stint/2, stintMin)
+	return workUnit{}, false
+}
+
+// leftToPool reports whether relief may leave every request ring to the pool
+// this pass: a pool goroutine is in its stint, and the pool's served stamp
+// moved within reliefPeriod. A pool goroutine's round covers every QP, so
+// one stamp per node says what a stamp per QP would. mark and at are the
+// relief goroutine's own: the stamp it saw last and when that changed.
+func (n *Node) leftToPool(mark *uint64, at *time.Duration, now time.Duration) bool {
+	if n.pumpers.Load() == 0 {
+		return false
+	}
+	if s := n.poolServed.Load(); s != *mark {
+		*mark, *at = s, now
+		return true
+	}
+	return now-*at < reliefPeriod
+}
+
+// serveRelief is request dispatcher i of a node with a worker pool: relief
+// for the rings no pool goroutine polls. While the pool serves them it naps;
+// otherwise it pumps its QPs and hands each worker-lane message to a parked
+// pool goroutine through workCh, in reply handles recycled through the
+// node's freelist.
+func (n *Node) serveRelief(i int) {
+	var cqBuf [64]rnic.Completion
+	start := time.Now()
+	var mark uint64
+	var markAt time.Duration
+	spare := n.takeReplies()
+	idle := 0
+	for {
+		select {
+		case <-n.done:
+			return
+		default:
+		}
+		if n.leftToPool(&mark, &markAt, time.Since(start)) {
+			idle = 0
+			time.Sleep(reliefNap)
+			continue
+		}
+		busy := false
+		for _, sc := range n.snapshotSconns() {
+			for _, sqp := range sc.qps {
+				if sqp.gid%n.opts.Dispatchers != i {
+					continue
+				}
+				for {
+					u, found := n.pumpQP(sqp, &spare, cqBuf[:])
+					if !found {
+						break
+					}
+					busy = true
+					if len(u.replies) == 0 {
+						continue
+					}
+					n.metrics.reliefPumped.Add(uint64(len(u.replies)))
+					spare = n.takeReplies()
+					select {
+					case n.workCh <- u:
+					case <-n.done:
+						u.buf.Release()
+						n.inflight.Add(-int64(len(u.replies)))
+						return
+					}
+				}
+			}
+		}
+		if busy {
+			idle = 0
+		} else {
+			idle++
+			idleBackoff(idle)
+		}
+	}
+}

@@ -108,9 +108,9 @@ type ringConsumer struct {
 	size int
 
 	// head is the monotonic consumed counter. Only the ring's one poller
-	// advances it — the request dispatcher on a server, the holder of the
-	// QP's poll role on a client — but response-flush paths on other
-	// goroutines read it for piggybacking, hence atomic.
+	// advances it — the holder of the QP's poll role (on a server without a
+	// worker pool, its request dispatcher) — but response-flush paths on
+	// other goroutines read it for piggybacking, hence atomic.
 	head atomic.Uint64
 
 	publishMR  *rnic.MemRegion // control region carrying the consumed head
@@ -121,8 +121,9 @@ type ringConsumer struct {
 	// emptyAt is the region version (rnic.MemRegion.Version) the last poll
 	// read before it found no complete message at head, or noVersion. While
 	// the region still has that version nothing has been written since, so
-	// a poll is that one comparison. Only the polling goroutine touches it.
-	emptyAt uint64
+	// a poll is that one comparison. Only the polling goroutine writes it;
+	// it is atomic so that idle can read it without the poll role.
+	emptyAt atomic.Uint64
 }
 
 // noVersion is an emptyAt no region reaches: the next poll looks.
@@ -130,14 +131,15 @@ const noVersion = ^uint64(0)
 
 // newRingConsumer builds a consumer over mr[base : base+size].
 func newRingConsumer(mr *rnic.MemRegion, base, size int, publishMR *rnic.MemRegion, publishOff int) *ringConsumer {
-	return &ringConsumer{
+	c := &ringConsumer{
 		mr:         mr,
 		base:       base,
 		size:       size,
 		publishMR:  publishMR,
 		publishOff: publishOff,
-		emptyAt:    noVersion,
 	}
+	c.emptyAt.Store(noVersion)
+	return c
 }
 
 // consumed returns the monotonic consumed-head counter.
@@ -146,10 +148,12 @@ func (c *ringConsumer) consumed() uint64 { return c.head.Load() }
 // reset rewinds the consumer to offset zero and republishes, matching a
 // recycled producer that restarts at tail zero. The caller must have
 // excluded every poller first: on a client, broken is set and the QP's poll
-// role is free, so whoever takes the role next leaves without polling.
+// role is free, so whoever takes the role next leaves without polling; on a
+// server, broken is set and the pumps' inuse count has drained, and the poll
+// role is only ever taken inside that count.
 func (c *ringConsumer) reset() {
 	c.head.Store(0)
-	c.emptyAt = noVersion // what was empty was the old head position
+	c.emptyAt.Store(noVersion) // what was empty was the old head position
 	c.publish()
 }
 
@@ -167,15 +171,21 @@ func (c *ringConsumer) poll() (header, []decodedItem, *mem.Buf, bool) {
 	// poll's own writes (zeroing, a consumed wrap marker) move it too, which
 	// only costs the next poll a look.
 	ver := c.mr.Version()
-	if ver == c.emptyAt {
+	if ver == c.emptyAt.Load() {
 		return header{}, nil, nil, false
 	}
 	h, items, mbuf, ok := c.look()
 	if !ok {
-		c.emptyAt = ver
+		c.emptyAt.Store(ver)
 	}
 	return h, items, mbuf, ok
 }
+
+// idle reports that nothing has been written to the ring since a poll last
+// found it empty, so a poll now would find nothing either. It needs no poll
+// role: a pump checks it before taking one, and a write that lands just
+// after it is the next round's to find.
+func (c *ringConsumer) idle() bool { return c.mr.Version() == c.emptyAt.Load() }
 
 // look examines the head position for one complete message; see poll.
 func (c *ringConsumer) look() (header, []decodedItem, *mem.Buf, bool) {

@@ -198,7 +198,7 @@ func TestRingPollSeesWritesBetweenPolls(t *testing.T) {
 	// Two empty polls: the second is answered by the gate.
 	mustBeEmpty("fresh ring")
 	mustBeEmpty("fresh ring, gated")
-	if rp.cons.emptyAt != rp.dst.Version() {
+	if rp.cons.emptyAt.Load() != rp.dst.Version() {
 		t.Fatal("an empty poll did not arm the version gate")
 	}
 	rp.produce(t, 11, []byte("after two empty polls"))

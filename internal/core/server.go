@@ -12,8 +12,9 @@ import (
 )
 
 // This file is the server side: connection acceptance, the request
-// dispatcher (§4.3), the optional RPC worker pool, and coalesced response
-// flushing. The receiver-side QP scheduler lives in qpsched.go.
+// dispatcher (§4.3), request admission, handler execution and coalesced
+// response flushing. The RPC worker pool lives in pool.go and the
+// receiver-side QP scheduler in qpsched.go.
 
 // recvDepth is how many receive WQEs the server keeps posted per QP to
 // absorb credit-renewal write-imms between scheduler rounds.
@@ -61,27 +62,35 @@ type serverQP struct {
 	util    float64 // Σ reported coalescing degrees since last interval
 	renews  uint64  // renewals seen since last interval
 
-	// Fault state: broken excludes the dispatcher and scheduler while
-	// recycleAccept rebuilds the QP (inuse counts them in their critical
-	// sections); quarantined permanently retires the QP from scheduling.
+	// Fault state: broken excludes the pumps (dispatcher, pool goroutines)
+	// and the scheduler while recycleAccept rebuilds the QP (inuse counts
+	// them in their critical sections); quarantined permanently retires the
+	// QP from scheduling.
 	broken      atomic.Bool
 	inuse       atomic.Int32
 	quarantined atomic.Bool
 
-	// outScratch is the inline-mode response batch and replyScratch the reply
-	// handles its handlers answer through, both reused across messages; only
-	// the owning dispatcher touches them. wrScratch stages the flush work
+	// pumping is the QP's poll role when the node has a worker pool (see
+	// pumpQP): true while a pool goroutine or relief pulls a message off
+	// reqRing. It is taken inside enter/exit, and only its holder — without a
+	// pool, the QP's one dispatcher — touches reqCons or the pump scratch.
+	pumping atomic.Bool
+
+	// outScratch is the inline-lane response batch and replyScratch the reply
+	// handles its handlers answer through, both reused across messages;
+	// laneScratch holds a message's inline-lane requests and nackScratch
+	// batches admission-control pushbacks the same way outScratch batches
+	// responses. All four are the pump's. wrScratch stages the flush work
 	// requests under respMu (PostSend copies WRs, so reuse after it returns
-	// is safe). nackScratch batches admission-control pushbacks the same
-	// way outScratch batches responses.
+	// is safe).
 	outScratch   []respOut
 	replyScratch []Reply
-	laneScratch  []decodedItem // a message's inline-lane requests
+	laneScratch  []decodedItem
 	wrScratch    []rnic.SendWR
 	nackScratch  []respOut
 }
 
-// enter begins a dispatcher/scheduler critical section on the QP. It
+// enter begins a pump or scheduler critical section on the QP. It
 // returns false when the QP is broken (under recycle) and must be skipped;
 // a true return must be paired with exit.
 func (sqp *serverQP) enter() bool {
@@ -99,11 +108,12 @@ func (sqp *serverQP) enter() bool {
 // exit ends a critical section begun by enter.
 func (sqp *serverQP) exit() { sqp.inuse.Add(-1) }
 
-// workUnit carries one inbound coalesced message's requests to the worker
-// pool, each as the reply handle its handler will answer through; the
-// worker executes every handler, flushes the replies that were sent by then
-// as one coalesced response, and releases buf — the pooled message buffer
-// every request payload views, whose reference the unit owns.
+// workUnit is one inbound coalesced message's worker-lane requests, each as
+// the reply handle its handler will answer through; whoever executes it — the
+// pool goroutine that pulled it, or one relief handed it to — runs every
+// handler, flushes the replies that were sent by then as one coalesced
+// response, and releases buf — the pooled message buffer every request
+// payload views, whose reference the unit owns.
 type workUnit struct {
 	sqp     *serverQP
 	replies []Reply
@@ -293,9 +303,14 @@ func (n *Node) snapshotSconns() []*serverConn {
 }
 
 // serveDispatch is one request-dispatcher goroutine; dispatcher i owns the
-// server QPs with gid ≡ i (mod Dispatchers).
+// server QPs with gid ≡ i (mod Dispatchers). With a worker pool it is relief
+// (serveRelief); without one it pumps every message and executes it inline.
 func (n *Node) serveDispatch(i int) {
 	defer n.wg.Done()
+	if n.opts.Workers > 0 {
+		n.serveRelief(i)
+		return
+	}
 	var cqBuf [64]rnic.Completion
 	idle := 0
 	for {
@@ -316,15 +331,8 @@ func (n *Node) serveDispatch(i int) {
 				if n.pumpRequests(sqp) {
 					busy = true
 				}
-				for {
-					k := sqp.qp.SendCQ().Poll(cqBuf[:])
-					if k == 0 {
-						break
-					}
+				if drainSendCQ(sqp, cqBuf[:]) {
 					busy = true
-					for _, comp := range cqBuf[:k] {
-						sqp.routeCompletion(comp)
-					}
 				}
 				sqp.exit()
 			}
@@ -338,9 +346,33 @@ func (n *Node) serveDispatch(i int) {
 	}
 }
 
-// pumpRequests drains complete messages from one request ring, executing
-// them inline or handing them to the worker pool. Reports whether any work
-// was found.
+// pumpRequests drains complete messages from one request ring and executes
+// them inline on the dispatcher (§4.3), for a node without a worker pool.
+// Reports whether any work was found.
+func (n *Node) pumpRequests(sqp *serverQP) bool {
+	busy := false
+	life := sqp.life.Load() // stable: the caller is inside enter/exit
+	for {
+		admit, mbuf, ok := n.pull(sqp, life)
+		if !ok {
+			return busy
+		}
+		busy = true
+		// The handler contract (no retaining req) plus flushResponses staging
+		// the output synchronously make releasing after the flush safe even
+		// for handlers that return their input.
+		answered := n.runInline(sqp, life, admit)
+		mbuf.Release()
+		n.inflight.Add(-int64(answered))
+	}
+}
+
+// pull takes one complete message off sqp's request ring and runs admission
+// control on it. It returns the admitted requests — views into the ring
+// consumer's scratch, valid until the next pull — and the pooled message
+// buffer, whose reference the caller owns; false when no message is there.
+// The caller pumps the QP: it is inside enter/exit and, with a worker pool,
+// holds the poll role.
 //
 // Admission control runs here, before any handler work: while draining,
 // every request is pushed back with StatusDraining; past AdmissionLimit,
@@ -348,90 +380,39 @@ func (n *Node) serveDispatch(i int) {
 // server one coalesced NACK — no handler execution, no worker queueing —
 // which is what keeps goodput flat instead of collapsing when offered
 // load exceeds capacity.
-func (n *Node) pumpRequests(sqp *serverQP) bool {
-	busy := false
-	limit := int64(n.opts.AdmissionLimit)
-	life := sqp.life.Load() // stable: the caller is inside enter/exit
-	for {
-		h, items, mbuf, ok := sqp.reqCons.poll()
-		if !ok {
-			return busy
-		}
-		busy = true
-		n.metrics.msgsIn.Add(1)
-		n.metrics.itemsIn.Add(uint64(len(items)))
-		n.degIn.Observe(uint64(len(items)))
-		sqp.respProd.updateCached(h.piggyHead)
-
-		admit := items[:0]
-		nacks := sqp.nackScratch[:0]
-		draining := n.draining.Load()
-		for _, it := range items {
-			if draining {
-				n.metrics.drainRejected.Add(1)
-				nacks = append(nacks, nackOut(it.meta, StatusDraining))
-				continue
-			}
-			if in := n.inflight.Add(1); limit > 0 && in > limit {
-				n.inflight.Add(-1)
-				n.metrics.rejected.Add(1)
-				nacks = append(nacks, nackOut(it.meta, StatusOverloaded))
-				continue
-			}
-			admit = append(admit, it)
-		}
-		if len(nacks) > 0 {
-			n.flushResponses(sqp, nacks, life)
-			sqp.nackScratch = nacks[:0]
-		}
-
-		answered := 0
-		if n.workCh != nil && len(admit) > 0 {
-			// Inline-lane RPCs execute here on the dispatcher before the rest
-			// of the batch is handed to the pool: a replication apply or ping
-			// must never wait behind workers whose handlers block.
-			tab := n.handlerTable()
-			if tab.anyInline {
-				lane, keep := sqp.laneScratch[:0], admit[:0]
-				for _, it := range admit {
-					if tab.byID[it.meta.rpcID].inline {
-						lane = append(lane, it)
-					} else {
-						keep = append(keep, it)
-					}
-				}
-				answered = n.runInline(sqp, life, lane)
-				clear(lane)
-				sqp.laneScratch, admit = lane[:0], keep
-			}
-			if len(admit) > 0 {
-				// Hand the poll reference to the unit; payloads stay views
-				// into the pooled message buffer and the worker releases it
-				// after the flush.
-				n.inflight.Add(-int64(answered))
-				unit := workUnit{sqp: sqp, replies: make([]Reply, len(admit)), buf: mbuf}
-				for k, it := range admit {
-					unit.replies[k].init(sqp, life, it)
-				}
-				select {
-				case n.workCh <- unit:
-				case <-n.done:
-					mbuf.Release()
-					n.inflight.Add(-int64(len(admit)))
-					return busy
-				}
-				continue
-			}
-		} else {
-			// Inline mode: execute handlers on the dispatcher (§4.3). The
-			// handler contract (no retaining req) plus flushResponses staging
-			// the output synchronously make releasing after the flush safe
-			// even for handlers that return their input.
-			answered = n.runInline(sqp, life, admit)
-		}
-		mbuf.Release()
-		n.inflight.Add(-int64(answered))
+func (n *Node) pull(sqp *serverQP, life uint32) ([]decodedItem, *mem.Buf, bool) {
+	h, items, mbuf, ok := sqp.reqCons.poll()
+	if !ok {
+		return nil, nil, false
 	}
+	n.metrics.msgsIn.Add(1)
+	n.metrics.itemsIn.Add(uint64(len(items)))
+	n.degIn.Observe(uint64(len(items)))
+	sqp.respProd.updateCached(h.piggyHead)
+
+	limit := int64(n.opts.AdmissionLimit)
+	admit := items[:0]
+	nacks := sqp.nackScratch[:0]
+	draining := n.draining.Load()
+	for _, it := range items {
+		if draining {
+			n.metrics.drainRejected.Add(1)
+			nacks = append(nacks, nackOut(it.meta, StatusDraining))
+			continue
+		}
+		if in := n.inflight.Add(1); limit > 0 && in > limit {
+			n.inflight.Add(-1)
+			n.metrics.rejected.Add(1)
+			nacks = append(nacks, nackOut(it.meta, StatusOverloaded))
+			continue
+		}
+		admit = append(admit, it)
+	}
+	if len(nacks) > 0 {
+		n.flushResponses(sqp, nacks, life)
+		sqp.nackScratch = nacks[:0]
+	}
+	return admit, mbuf, true
 }
 
 // init makes r the reply handle of one admitted request.
@@ -447,7 +428,7 @@ func (r *Reply) init(sqp *serverQP, life uint32, it decodedItem) {
 	}}
 }
 
-// runInline executes items' handlers on the calling dispatcher, flushes
+// runInline executes items' handlers on the pumping goroutine, flushes
 // the replies sent by the time each returned as one response message, and
 // returns how many that was — requests the caller takes off the admission
 // count once it has released their buffer. The reply handles are the QP's
@@ -499,27 +480,9 @@ func nackOut(m itemMeta, status uint32) respOut {
 	}}
 }
 
-// worker is one pool goroutine executing handler batches (§4.3's
-// "application-managed pool of RPC workers").
-func (n *Node) worker() {
-	defer n.wg.Done()
-	var out []respOut
-	for {
-		select {
-		case <-n.done:
-			return
-		case unit := <-n.workCh:
-			out = n.executeAll(unit.sqp, unit.replies, out)
-			unit.buf.Release()
-			n.inflight.Add(-int64(len(out)))
-			clear(out) // drop the payload references until the next unit
-		}
-	}
-}
-
 // execute runs the registered handler for r's request on the calling
 // goroutine, capturing a panic as a response status rather than crashing
-// the dispatcher. It reports whether the response is ready to ride the
+// the pump. It reports whether the response is ready to ride the
 // caller's message; false means the handler kept the handle to reply later,
 // and whoever sends that reply flushes it.
 //
