@@ -54,12 +54,14 @@ go test -race ./internal/loadgen ./internal/core ./internal/rnic ./internal/mem 
 # because one interleaving per run proves little.
 gate -race -count=10 -run 'TestPostSendNeverBlocks|TestDoorbellStress|TestCloseDuringDrain' ./internal/rnic
 # The receive paths have the same shape: on a client whoever waits on a
-# completion drains its QP, and on a server with a worker pool an idle pool
-# goroutine pumps the request ring it then serves, each under a per-QP poll
-# role. Pollers spinning on a QP while it is broken, recycled and
-# quarantined under them must never share a ring with the recycler, strand
-# a record or leak a lease.
-gate -race -count=10 -run 'TestPollRoleVersusRecycle|TestServerPollRoleVersusRecycle' ./internal/core
+# completion drains its QP, and on a server the request dispatcher and any
+# idle pool goroutine pump the request rings through one function, each
+# under a per-QP poll role. Pollers spinning on a QP while it is broken,
+# recycled and quarantined under them must never share a ring with the
+# recycler, strand a record or leak a lease; every request outcome must come
+# out of that one loop the same with and without a pool; and the inline lane
+# must answer however many messages queue behind a blocked pool.
+gate -race -count=10 -run 'TestPollRoleVersusRecycle|TestServerPollRoleVersusRecycle|TestServeOutcomes|TestInlineLaneAnswersWhileEveryWorkerBlocks' ./internal/core
 
 # Mutation self-test: rebuild the schedule explorer with the eight
 # known-bad protocol variants (flockmut build tag) and assert the

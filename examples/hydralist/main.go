@@ -32,7 +32,7 @@ func main() {
 	defer net.Close()
 
 	// --- Server: build and populate the index, register handlers ---
-	server, err := net.NewNode(1, flock.Options{Dispatchers: 2}, 0)
+	server, err := net.NewNode(1, flock.Options{}, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

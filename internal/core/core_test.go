@@ -536,32 +536,6 @@ func TestWorkerPoolMode(t *testing.T) {
 	wg.Wait()
 }
 
-func TestMultipleDispatchers(t *testing.T) {
-	tc := newTestCluster(t, 2, Options{Dispatchers: 3, QPsPerConn: 4}, Options{QPsPerConn: 4})
-	registerEcho(tc.server)
-	var wg sync.WaitGroup
-	for _, cl := range tc.clients {
-		conn, err := cl.Connect(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := 0; k < 4; k++ {
-			wg.Add(1)
-			go func(c *Conn) {
-				defer wg.Done()
-				th := c.RegisterThread()
-				for j := 0; j < 150; j++ {
-					if err := callDrop(th, echoID, []byte("d")); err != nil {
-						t.Error(err)
-						return
-					}
-				}
-			}(conn)
-		}
-	}
-	wg.Wait()
-}
-
 func TestConnectErrors(t *testing.T) {
 	nw := NewNetwork(fabric.Config{})
 	defer nw.Close()

@@ -526,7 +526,7 @@ func (n *Node) RegisterReplyHandler(rpcID uint32, inline bool, fn ReplyHandler) 
 // handlerTable returns the current registration snapshot.
 func (n *Node) handlerTable() *handlerTable { return n.handlers.Load() }
 
-// Serve starts the server role: request dispatchers, the worker pool (if
+// Serve starts the server role: the request dispatcher, the worker pool (if
 // configured), and the receiver-side QP scheduler (§5.1). It returns
 // immediately; inbound connections are accepted while serving.
 func (n *Node) Serve() error {
@@ -549,11 +549,8 @@ func (n *Node) Serve() error {
 			go n.worker(i)
 		}
 	}
-	for i := 0; i < n.opts.Dispatchers; i++ {
-		n.wg.Add(1)
-		go n.serveDispatch(i)
-	}
-	n.wg.Add(1)
+	n.wg.Add(2)
+	go n.serveDispatch()
 	go n.qpScheduler()
 	return nil
 }
@@ -659,8 +656,9 @@ func (n *Node) quiescent() bool {
 // and in messages relief handed to the worker pool that no pool goroutine
 // took. It runs after wg.Wait and stopPollers — dispatchers, pool goroutines
 // and polling waiters are gone, so nothing refills what it drains (a pool
-// goroutine executes what it pulled before it looks at done again, so none
-// exits holding a message). Application threads may still race a
+// goroutine executes what it pulled before it looks at done again, and the
+// request dispatcher drops its backlog as it leaves, so none exits holding a
+// message). Application threads may still race a
 // concurrent wait; a record's token goes to exactly one taker, so no lease
 // is released twice.
 func (n *Node) drainLeases() {
@@ -679,8 +677,7 @@ func (n *Node) drainLeases() {
 		for more := true; more; {
 			select {
 			case u := <-n.workCh:
-				u.buf.Release()
-				n.inflight.Add(-int64(len(u.replies)))
+				n.dropUnit(u)
 			default:
 				more = false
 			}

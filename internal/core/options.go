@@ -103,14 +103,12 @@ type Options struct {
 	// SignalEvery is the selective-signaling period. 1 signals every
 	// message. Default 16.
 	SignalEvery int
-	// Dispatchers is the number of server-side request dispatcher
-	// goroutines. Default 1.
-	Dispatchers int
 	// Workers is the size of the server-side RPC worker pool. Zero runs
-	// handlers inline on the dispatcher (the paper supports both, §4.3).
-	// With a pool the worker is the poller: an idle pool goroutine polls the
-	// request rings, pulls a message and executes its handlers itself, and
-	// the dispatchers only relieve rings no pool goroutine is polling.
+	// handlers inline on the node's one request dispatcher (the paper
+	// supports both, §4.3). With a pool the worker is the poller: an idle
+	// pool goroutine polls the request rings, pulls a message and executes
+	// its handlers itself, and the dispatcher only relieves rings no pool
+	// goroutine is polling.
 	Workers int
 	// RPCTimeout is the budget of every call and memory operation that
 	// names none of its own (CallOptions.Budget, CallWithDeadline). Zero
@@ -180,9 +178,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SignalEvery <= 0 {
 		o.SignalEvery = DefaultSignalEvery
-	}
-	if o.Dispatchers <= 0 {
-		o.Dispatchers = 1
 	}
 	if o.Workers < 0 {
 		o.Workers = 0

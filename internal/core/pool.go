@@ -7,21 +7,23 @@ import (
 	"flock/internal/rnic"
 )
 
-// This file is the server's worker pool (§4.3's "application-managed pool of
-// RPC workers") run as Leader/Followers (Schmidt et al., POSA2): the server
-// half of the client's waiter-is-the-poller (dispatcher.go).
+// This file is the server's receive loop: pumpQP, the one function that pulls
+// a message off a request ring, run by the node's one request dispatcher
+// (§4.3) and by its worker pool (§4.3's "application-managed pool of RPC
+// workers") as Leader/Followers (Schmidt et al., POSA2) — the server half of
+// the client's waiter-is-the-poller (dispatcher.go).
 //
 // The worker is the poller. A pool goroutine with nothing to execute polls
 // the node's request rings for a stint. When it wins a QP's poll role it
-// pulls one message, runs admission control and the inline lane exactly as
-// the dispatcher does, releases the role so a sibling can pull the next
-// message, and executes the message's worker-lane handlers itself — no
-// channel, no wake-up, and reply handles it reuses. The request dispatcher is
-// relief: while a pool goroutine polls the rings it leaves them alone, and
-// otherwise — every goroutine busy in a handler or parked — it pumps them
-// itself and hands each worker-lane message to a parked goroutine through
-// workCh, the one hand-off left. Without a pool (Workers 0) none of this
-// runs: serveDispatch pumps and executes everything inline.
+// pulls one message, runs admission control and the inline lane, releases
+// the role so a sibling can pull the next message, and executes the
+// message's worker-lane handlers itself (runUnit) — no channel, no wake-up,
+// and reply handles it reuses. The request dispatcher pumps the same way.
+// Without a pool (Workers 0) it is the only pump and runs each message
+// itself. With one it is relief: while a pool goroutine polls the rings it
+// leaves them alone, and otherwise — every goroutine busy in a handler or
+// parked — it pumps them and hands each worker-lane message to a parked
+// goroutine through workCh, the one hand-off left, which it never blocks on.
 
 // pumpQP pulls at most one message off sqp's request ring under the QP's
 // poll role, building its worker-lane reply handles in *scratch, and drains
@@ -38,7 +40,11 @@ func (n *Node) pumpQP(sqp *serverQP, scratch *[]Reply, cqBuf []rnic.Completion) 
 	}
 	if sqp.pumping.CompareAndSwap(false, true) {
 		u, found = n.pumpOne(sqp, scratch)
-		drainSendCQ(sqp, cqBuf)
+		for k := sqp.qp.SendCQ().Poll(cqBuf); k > 0; k = sqp.qp.SendCQ().Poll(cqBuf) {
+			for _, comp := range cqBuf[:k] {
+				sqp.routeCompletion(comp)
+			}
+		}
 		sqp.pumping.Store(false)
 	}
 	sqp.exit()
@@ -89,22 +95,6 @@ func (n *Node) pumpOne(sqp *serverQP, scratch *[]Reply) (u workUnit, found bool)
 		replies[k].init(sqp, life, it)
 	}
 	return workUnit{sqp: sqp, replies: replies, buf: mbuf}, true
-}
-
-// drainSendCQ routes every completion on sqp's send CQ and reports whether
-// there were any.
-func drainSendCQ(sqp *serverQP, cqBuf []rnic.Completion) bool {
-	busy := false
-	for {
-		k := sqp.qp.SendCQ().Poll(cqBuf)
-		if k == 0 {
-			return busy
-		}
-		busy = true
-		for _, comp := range cqBuf[:k] {
-			sqp.routeCompletion(comp)
-		}
-	}
 }
 
 // runUnit executes u's handlers on the calling goroutine, flushes the replies
@@ -231,15 +221,17 @@ func (n *Node) pumpStint(w *pumper) (workUnit, bool) {
 	return workUnit{}, false
 }
 
-// leftToPool reports whether relief may leave every request ring to the pool
-// this pass: a pool goroutine is in its stint, and the pool's served stamp
-// moved within reliefPeriod. A pool goroutine's round covers every QP, so
-// one stamp per node says what a stamp per QP would. mark and at are the
-// relief goroutine's own: the stamp it saw last and when that changed.
-func (n *Node) leftToPool(mark *uint64, at *time.Duration, now time.Duration) bool {
+// leftToPool reports whether the dispatcher may leave every request ring to
+// the pool this pass: a pool goroutine is in its stint, and the pool's served
+// stamp moved within reliefPeriod. A pool goroutine's round covers every QP,
+// so one stamp per node says what a stamp per QP would. mark and at are the
+// dispatcher's own: the stamp it saw last and when that changed, on the clock
+// that started at start — read only while a pool goroutine is in its stint.
+func (n *Node) leftToPool(mark *uint64, at *time.Duration, start time.Time) bool {
 	if n.pumpers.Load() == 0 {
 		return false
 	}
+	now := time.Since(start)
 	if s := n.poolServed.Load(); s != *mark {
 		*mark, *at = s, now
 		return true
@@ -247,13 +239,21 @@ func (n *Node) leftToPool(mark *uint64, at *time.Duration, now time.Duration) bo
 	return now-*at < reliefPeriod
 }
 
-// serveRelief is request dispatcher i of a node with a worker pool: relief
-// for the rings no pool goroutine polls. While the pool serves them it naps;
-// otherwise it pumps its QPs and hands each worker-lane message to a parked
-// pool goroutine through workCh, in reply handles recycled through the
-// node's freelist.
-func (n *Node) serveRelief(i int) {
+// serveDispatch is the node's one request dispatcher. Without a pool it pumps
+// every ring and runs each message itself, in reply handles it reuses. With
+// a pool it is relief for the rings no pool goroutine polls: while the pool
+// serves them it naps; otherwise it pumps them and hands each worker-lane
+// message to a parked pool goroutine, in reply handles recycled through the
+// node's freelist. A message workCh has no room for waits in the
+// dispatcher's backlog, oldest first, offered again before every pass and
+// every nap, so the pump — and the inline lane with it — never stops behind
+// a blocked pool. What clients have outstanding bounds the backlog, and so
+// does AdmissionLimit when set; Close drops what is left.
+func (n *Node) serveDispatch() {
+	defer n.wg.Done()
 	var cqBuf [64]rnic.Completion
+	var out []respOut
+	var backlog []workUnit
 	start := time.Now()
 	var mark uint64
 	var markAt time.Duration
@@ -262,10 +262,14 @@ func (n *Node) serveRelief(i int) {
 	for {
 		select {
 		case <-n.done:
+			for _, u := range backlog {
+				n.dropUnit(u)
+			}
 			return
 		default:
 		}
-		if n.leftToPool(&mark, &markAt, time.Since(start)) {
+		backlog = n.handOff(backlog)
+		if n.leftToPool(&mark, &markAt, start) {
 			idle = 0
 			time.Sleep(reliefNap)
 			continue
@@ -273,26 +277,22 @@ func (n *Node) serveRelief(i int) {
 		busy := false
 		for _, sc := range n.snapshotSconns() {
 			for _, sqp := range sc.qps {
-				if sqp.gid%n.opts.Dispatchers != i {
-					continue
-				}
 				for {
 					u, found := n.pumpQP(sqp, &spare, cqBuf[:])
 					if !found {
 						break
 					}
 					busy = true
-					if len(u.replies) == 0 {
-						continue
-					}
-					n.metrics.reliefPumped.Add(uint64(len(u.replies)))
-					spare = n.takeReplies()
-					select {
-					case n.workCh <- u:
-					case <-n.done:
-						u.buf.Release()
-						n.inflight.Add(-int64(len(u.replies)))
-						return
+					switch {
+					case len(u.replies) == 0:
+					case n.workCh == nil:
+						if !n.runUnit(u, &out) {
+							spare = nil
+						}
+					default:
+						n.metrics.reliefPumped.Add(uint64(len(u.replies)))
+						spare = n.takeReplies()
+						backlog = n.handOff(append(backlog, u))
 					}
 				}
 			}
@@ -304,4 +304,27 @@ func (n *Node) serveRelief(i int) {
 			idleBackoff(idle)
 		}
 	}
+}
+
+// handOff offers backlog to parked pool goroutines, oldest first, without
+// blocking, and returns what workCh had no room for, in backlog's storage.
+func (n *Node) handOff(backlog []workUnit) []workUnit {
+	for i, u := range backlog {
+		select {
+		case n.workCh <- u:
+		default:
+			rest := copy(backlog, backlog[i:])
+			clear(backlog[rest:])
+			return backlog[:rest]
+		}
+	}
+	clear(backlog)
+	return backlog[:0]
+}
+
+// dropUnit releases a unit nobody will execute because the node closed: its
+// message buffer and its requests' admission counts.
+func (n *Node) dropUnit(u workUnit) {
+	u.buf.Release()
+	n.inflight.Add(-int64(len(u.replies)))
 }

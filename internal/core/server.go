@@ -11,10 +11,10 @@ import (
 	"flock/internal/stats"
 )
 
-// This file is the server side: connection acceptance, the request
-// dispatcher (§4.3), request admission, handler execution and coalesced
-// response flushing. The RPC worker pool lives in pool.go and the
-// receiver-side QP scheduler in qpsched.go.
+// This file is the server side: connection acceptance, request admission,
+// handler execution and coalesced response flushing. The receive loop — the
+// request dispatcher (§4.3) and the RPC worker pool — lives in pool.go and
+// the receiver-side QP scheduler in qpsched.go.
 
 // recvDepth is how many receive WQEs the server keeps posted per QP to
 // absorb credit-renewal write-imms between scheduler rounds.
@@ -33,7 +33,6 @@ type serverConn struct {
 
 // serverQP is the server end of one shared queue pair.
 type serverQP struct {
-	gid    int // global index across all server connections
 	idx    int // index within the connection
 	sc     *serverConn
 	qp     *rnic.QP
@@ -70,10 +69,9 @@ type serverQP struct {
 	inuse       atomic.Int32
 	quarantined atomic.Bool
 
-	// pumping is the QP's poll role when the node has a worker pool (see
-	// pumpQP): true while a pool goroutine or relief pulls a message off
-	// reqRing. It is taken inside enter/exit, and only its holder — without a
-	// pool, the QP's one dispatcher — touches reqCons or the pump scratch.
+	// pumping is the QP's poll role (see pumpQP): true while a pool goroutine
+	// or the dispatcher pulls a message off reqRing. It is taken inside
+	// enter/exit, and only its holder touches reqCons or the pump scratch.
 	pumping atomic.Bool
 
 	// outScratch is the inline-lane response batch and replyScratch the reply
@@ -110,8 +108,8 @@ func (sqp *serverQP) exit() { sqp.inuse.Add(-1) }
 
 // workUnit is one inbound coalesced message's worker-lane requests, each as
 // the reply handle its handler will answer through; whoever executes it — the
-// pool goroutine that pulled it, or one relief handed it to — runs every
-// handler, flushes the replies that were sent by then as one coalesced
+// goroutine that pulled it, or the pool goroutine relief handed it to — runs
+// every handler, flushes the replies that were sent by then as one coalesced
 // response, and releases buf — the pooled message buffer every request
 // payload views, whose reference the unit owns.
 type workUnit struct {
@@ -219,10 +217,6 @@ func (n *Node) accept(args connectArgs) (connectReply, error) {
 
 	n.sconnMu.Lock()
 	defer n.sconnMu.Unlock()
-	gidBase := 0
-	for _, other := range n.sconns {
-		gidBase += len(other.qps)
-	}
 	for i, qa := range args.qps {
 		qp, err := n.dev.CreateQP(rnic.RC, n.dev.CreateCQ(), n.schedRCQ)
 		if err != nil {
@@ -253,7 +247,6 @@ func (n *Node) accept(args connectArgs) (connectReply, error) {
 			}
 		}
 		sqp := &serverQP{
-			gid:            gidBase + i,
 			idx:            i,
 			sc:             sc,
 			qp:             qp,
@@ -263,7 +256,7 @@ func (n *Node) accept(args connectArgs) (connectReply, error) {
 			serverCtrl:     serverCtrl,
 			readback:       readback,
 			clientCtrlRKey: qa.clientCtrlRKey,
-			rng:            stats.NewRNG(uint64(gidBase+i)*0x9E3779B9 + 7),
+			rng:            stats.NewRNG(uint64(qp.QPN())*0x9E3779B9 + 7),
 			granted:        uint64(n.opts.Credits),
 		}
 		sqp.respProd = &ringProducer{staging: respStaging, size: n.opts.test.ringBytes, rkey: qa.respRingRKey}
@@ -302,77 +295,11 @@ func (n *Node) snapshotSconns() []*serverConn {
 	return n.sconnsSnap.Load().([]*serverConn)
 }
 
-// serveDispatch is one request-dispatcher goroutine; dispatcher i owns the
-// server QPs with gid ≡ i (mod Dispatchers). With a worker pool it is relief
-// (serveRelief); without one it pumps every message and executes it inline.
-func (n *Node) serveDispatch(i int) {
-	defer n.wg.Done()
-	if n.opts.Workers > 0 {
-		n.serveRelief(i)
-		return
-	}
-	var cqBuf [64]rnic.Completion
-	idle := 0
-	for {
-		select {
-		case <-n.done:
-			return
-		default:
-		}
-		busy := false
-		for _, sc := range n.snapshotSconns() {
-			for _, sqp := range sc.qps {
-				if sqp.gid%n.opts.Dispatchers != i {
-					continue
-				}
-				if !sqp.enter() {
-					continue // under recycle
-				}
-				if n.pumpRequests(sqp) {
-					busy = true
-				}
-				if drainSendCQ(sqp, cqBuf[:]) {
-					busy = true
-				}
-				sqp.exit()
-			}
-		}
-		if busy {
-			idle = 0
-		} else {
-			idle++
-			idleBackoff(idle)
-		}
-	}
-}
-
-// pumpRequests drains complete messages from one request ring and executes
-// them inline on the dispatcher (§4.3), for a node without a worker pool.
-// Reports whether any work was found.
-func (n *Node) pumpRequests(sqp *serverQP) bool {
-	busy := false
-	life := sqp.life.Load() // stable: the caller is inside enter/exit
-	for {
-		admit, mbuf, ok := n.pull(sqp, life)
-		if !ok {
-			return busy
-		}
-		busy = true
-		// The handler contract (no retaining req) plus flushResponses staging
-		// the output synchronously make releasing after the flush safe even
-		// for handlers that return their input.
-		answered := n.runInline(sqp, life, admit)
-		mbuf.Release()
-		n.inflight.Add(-int64(answered))
-	}
-}
-
 // pull takes one complete message off sqp's request ring and runs admission
 // control on it. It returns the admitted requests — views into the ring
 // consumer's scratch, valid until the next pull — and the pooled message
 // buffer, whose reference the caller owns; false when no message is there.
-// The caller pumps the QP: it is inside enter/exit and, with a worker pool,
-// holds the poll role.
+// The caller pumps the QP: it holds the poll role inside enter/exit.
 //
 // Admission control runs here, before any handler work: while draining,
 // every request is pushed back with StatusDraining; past AdmissionLimit,
