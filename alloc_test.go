@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"flock"
+	"flock/internal/core"
 	"flock/internal/loadgen"
 )
 
@@ -127,10 +128,107 @@ func TestWorkerEchoAllocGate(t *testing.T) {
 	}
 }
 
+// TestKeyedCallAllocGate: a call with retries carries an idempotency key, so
+// the server's dedup window reserves and commits it, and that costs nothing —
+// entries live by value in the window, the commit order in a fixed ring, and
+// a short result inside its entry. A keyed echo allocates no more than the
+// plain Call measured beside it.
+func TestKeyedCallAllocGate(t *testing.T) {
+	star, err := loadgen.NewStar(flock.Options{}, flock.Options{}, 1, 0, loadgen.Echo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer star.Close()
+	th := star.Conns[0].RegisterThread()
+	payload := make([]byte, 16)
+	plain := func() {
+		r, err := th.Call(1, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Release()
+	}
+	keyed := func() {
+		r, err := th.CallOpts(1, payload, flock.CallOptions{MaxAttempts: 2, Budget: time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Release()
+	}
+	for i := 0; i < 2000; i++ { // past the window's capacity: eviction is steady state
+		plain()
+		keyed()
+	}
+	base := testing.AllocsPerRun(500, plain)
+	got := testing.AllocsPerRun(500, keyed)
+	t.Logf("echo allocs/op: Call %.2f, keyed CallOpts %.2f", base, got)
+	if got > base+0.5 {
+		t.Fatalf("a keyed echo allocates %.2f against Call's %.2f: the dedup window allocates per request", got, base)
+	}
+}
+
+// TestReplyLaterAllocGate: a handler that returns first and replies from
+// another goroutine holds its reply handle's storage until that Send, which
+// hands it back for the next message, so a reply-later echo behind a worker
+// pool allocates no more than the plain Call measured beside it.
+func TestReplyLaterAllocGate(t *testing.T) {
+	star, err := loadgen.NewStar(flock.Options{Workers: 2}, flock.Options{}, 1, 0, loadgen.Echo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer star.Close()
+	const laterID = 2
+	type reply struct {
+		r    *core.Reply
+		data []byte
+	}
+	owed := make(chan reply, 16) // a window's worth: the handler never waits on the replier
+	replier := make(chan struct{})
+	go func() {
+		defer close(replier)
+		for o := range owed {
+			o.r.Send(o.data, flock.StatusOK)
+		}
+	}()
+	defer func() { close(owed); <-replier }()
+	star.Server.RegisterReplyHandler(laterID, false, func(req []byte, r *core.Reply) {
+		// req does not outlive the handler: the echo is copied into the
+		// handle's own buffer.
+		owed <- reply{r, append(r.Buf(), req...)}
+	})
+	th := star.Conns[0].RegisterThread()
+	payload := []byte("sixteen bytes ok")
+	call := func(rpcID uint32) func() {
+		return func() {
+			r, err := th.Call(rpcID, payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(r.Data) != string(payload) {
+				t.Fatalf("rpc %d echoed %q", rpcID, r.Data)
+			}
+			r.Release()
+		}
+	}
+	plain, later := call(1), call(laterID)
+	for i := 0; i < 200; i++ {
+		plain()
+		later()
+	}
+	base := testing.AllocsPerRun(500, plain)
+	got := testing.AllocsPerRun(500, later)
+	t.Logf("echo allocs/op: Call %.2f, reply-later %.2f", base, got)
+	if got > base+0.5 {
+		t.Fatalf("a reply-later echo allocates %.2f against Call's %.2f: its reply storage is not reused", got, base)
+	}
+}
+
 // replicatedPutAllocCeiling is the allowed process-wide allocations per
-// acknowledged put with two backups: router, primary, log, one frame to two
-// backups, their applies and acks, and the reply. Measured 11.
-const replicatedPutAllocCeiling = 24
+// acknowledged put with two backups. Measured 5: the router call's queue
+// node, and a queue node and a Pending for the frame to each backup. The
+// members allocate nothing — dedup entries, reply handles, log records and
+// gated reads all reuse their storage.
+const replicatedPutAllocCeiling = 8
 
 func TestReplicatedPutAllocGate(t *testing.T) {
 	kv, err := loadgen.NewKV(3, 2, 2, flock.Options{Workers: 4}, flock.Options{})

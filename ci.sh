@@ -60,8 +60,11 @@ gate -race -count=10 -run 'TestPostSendNeverBlocks|TestDoorbellStress|TestCloseD
 # recycled and quarantined under them must never share a ring with the
 # recycler, strand a record or leak a lease; every request outcome must come
 # out of that one loop the same with and without a pool; and the inline lane
-# must answer however many messages queue behind a blocked pool.
-gate -race -count=10 -run 'TestPollRoleVersusRecycle|TestServerPollRoleVersusRecycle|TestServeOutcomes|TestInlineLaneAnswersWhileEveryWorkerBlocks' ./internal/core
+# must answer however many messages queue behind a blocked pool. A message's
+# reply handles share one recycled block, held by every handle until its reply
+# is settled: late replies racing their own handlers' return must never see
+# their block handed to another message.
+gate -race -count=10 -run 'TestPollRoleVersusRecycle|TestServerPollRoleVersusRecycle|TestServeOutcomes|TestInlineLaneAnswersWhileEveryWorkerBlocks|TestLateReplyRecyclesHandlesOnce' ./internal/core
 
 # Mutation self-test: rebuild the schedule explorer with the eight
 # known-bad protocol variants (flockmut build tag) and assert the
@@ -93,14 +96,17 @@ gate -run TestEveryKnobHasACaller -count=1 .
 # allowed to cost the hot path allocations; bounding a call must cost none
 # (a CallWithDeadline echo allocates no more than the plain Call measured
 # beside it: a deadline is a field the periodic sweep reads, not a timer);
-# a put acknowledged by two backups stays under its ceiling of
-# process-wide allocations (router, primary, one frame to both backups,
-# their applies and acks, the reply); a SendBatch of eight costs its
+# a keyed call (one with retries) allocates no more than a plain Call (the
+# dedup window owns its storage), nor does a reply sent from another goroutine
+# after its handler returned (its handle's storage is recycled by the Send);
+# a put acknowledged by two backups stays under its ceiling of process-wide
+# allocations (the router's call, and a call to each backup: the members
+# allocate nothing); a SendBatch of eight costs its
 # Pendings, its queue nodes and two slices (a batch is a chain through the
 # one submit path: the side slices of a second submit engine stay gone); and
 # an echo behind a worker pool allocates no more than the inline echo (the
 # pool goroutine that pulls a message serves it, in reply handles it reuses).
-gate -run 'TestEchoAllocRegressionGate|TestDeadlineCallAllocGate|TestReplicatedPutAllocGate|TestSendBatchAllocGate|TestWorkerEchoAllocGate' -count=1 .
+gate -run 'TestEchoAllocRegressionGate|TestDeadlineCallAllocGate|TestKeyedCallAllocGate|TestReplyLaterAllocGate|TestReplicatedPutAllocGate|TestSendBatchAllocGate|TestWorkerEchoAllocGate' -count=1 .
 
 # Telemetry-overhead gate: a counter increment stays in the
 # tens-of-nanoseconds range (measured ~9ns, gated at 50ns for CI noise)
@@ -199,6 +205,11 @@ echo "$cbench" | ratio_gate cluster 2.50
 # internal/cluster holds the same 70% coverage floor as internal/core.
 # The premature-ack mutants are covered by the flockmut run above.
 gate -run 'TestFailoverPreservesAckedWrites|TestMemberDiesMidMove|TestRecruitInstallWaitsOutInFlightRequests|TestRepairDropsRecruitWhenCopyFails|TestReplicatedPutReachesBackups|TestReplicationEpochFence|TestGroupCommit|TestReadGateNACKsWhenFrameFails|TestServiceCloseAnswersEveryPut|TestInstallWaitsForUnansweredPut|TestReplicateTypedErrors|TestCutBatch|TestReplFrame' -count=1 ./internal/cluster
+# The log recycles its put and gated-read records once they are answered; the
+# paths where a recycled record could be answered twice — a failed frame with
+# reads gated on it, Close answering what is queued and in flight, reads gated
+# on a group-committed frame — are repeated under the race detector.
+gate -race -count=5 -run 'TestReadGateNACKsWhenFrameFails|TestServiceCloseAnswersEveryPut|TestGroupCommitReadGate' ./internal/cluster
 gate -run 'TestClusterReplica|TestReplica' -count=1 ./internal/check
 rout=$(go run ./cmd/flockload -cluster 4 -shards 16 -replicas 2 -threads 8 -dur 1s)
 echo "$rout"

@@ -83,7 +83,7 @@ func (e *ReplError) Unwrap() error { return e.Err }
 
 // replOp is one put riding its shard's replication log, from staging until
 // the frame that carried it resolves: acked by every backup of the set the
-// put was admitted under, or failed.
+// put was admitted under, or failed. The log recycles it once resolved.
 type replOp struct {
 	epoch    uint64
 	key, val uint64
@@ -98,8 +98,8 @@ type replOp struct {
 
 // gatedGet is a read that observed a key with unresolved puts: it is
 // answered when the last of them resolves, with the value it read if all
-// committed and a NACK if any failed. waiting and failed are guarded by
-// the log's mu.
+// committed and a NACK if any failed, and then recycled by the log. waiting
+// and failed are guarded by the log's mu.
 type gatedGet struct {
 	reply   *core.Reply
 	epoch   uint64
@@ -117,12 +117,14 @@ type replLog struct {
 	slot  *shardSlot
 	shard int
 
-	mu      sync.Mutex
-	pend    map[uint64]*replOp // per key, linked through nextKey
-	queue   []*replOp
-	firstAt time.Time // enqueue time of queue[0] (flush-deadline anchor)
-	running bool      // the forwarder goroutine exists
-	stopped bool
+	mu       sync.Mutex
+	pend     map[uint64]*replOp // per key, linked through nextKey
+	queue    []*replOp
+	freeOps  []*replOp   // resolved records, for the next stage
+	freeGets []*gatedGet // answered records, for the next gate
+	firstAt  time.Time   // enqueue time of queue[0] (flush-deadline anchor)
+	running  bool        // the forwarder goroutine exists
+	stopped  bool
 
 	kick chan struct{} // cap 1: queue went from empty/waiting to work
 	stop chan struct{}
@@ -170,14 +172,23 @@ func (s *Service) replTuning() (maxEntries int, delay time.Duration) {
 	return min(maxEntries, maxFrameEntries), s.Repl.flushDelay
 }
 
-// stage puts op in the per-key index of unresolved puts. The handler stages
-// before it applies locally, which is what makes the read gate sound: any
-// read that observes the applied value finds the op in the index.
-func (l *replLog) stage(op *replOp) {
+// stage returns the record of a put answered through r and puts it in the
+// per-key index of unresolved puts. The handler stages before it applies
+// locally, which is what makes the read gate sound: any read that observes
+// the applied value finds the op in the index.
+func (l *replLog) stage(epoch, key, val uint64, backups []fabric.NodeID, r *core.Reply) *replOp {
 	l.mu.Lock()
-	op.nextKey = l.pend[op.key]
-	l.pend[op.key] = op
+	var op *replOp
+	if n := len(l.freeOps); n > 0 {
+		op, l.freeOps = l.freeOps[n-1], l.freeOps[:n-1]
+	} else {
+		op = new(replOp)
+	}
+	op.epoch, op.key, op.val, op.backups, op.reply = epoch, key, val, backups, r
+	op.nextKey = l.pend[key]
+	l.pend[key] = op
 	l.mu.Unlock()
+	return op
 }
 
 // enqueue appends a staged, locally applied op to the log, starting the
@@ -218,7 +229,13 @@ func (l *replLog) gate(key uint64, r *core.Reply, epoch, val uint64, found bool)
 	if op == nil {
 		return false
 	}
-	g := &gatedGet{reply: r, epoch: epoch, val: val, found: found}
+	var g *gatedGet
+	if n := len(l.freeGets); n > 0 {
+		g, l.freeGets = l.freeGets[n-1], l.freeGets[:n-1]
+	} else {
+		g = new(gatedGet)
+	}
+	*g = gatedGet{reply: r, epoch: epoch, val: val, found: found}
 	for ; op != nil; op = op.nextKey {
 		op.gets = append(op.gets, g)
 		g.waiting++
@@ -229,9 +246,12 @@ func (l *replLog) gate(key uint64, r *core.Reply, epoch, val uint64, found bool)
 // resolve ends op's life: it leaves the index, its put is answered — OK
 // under the epoch that admitted it, or the retryable NACK — and so is every
 // gated get for which it was the last unresolved put. Each answer releases
-// the shard lock its request has held since admission.
+// the shard lock its request has held since admission. The records go back
+// to the log's freelists before the answers go out, so what is answered is
+// copied out of them first.
 func (l *replLog) resolve(op *replOp, err error) {
-	var ready []*gatedGet
+	var buf [4]gatedGet
+	ready := buf[:0]
 	l.mu.Lock()
 	if head := l.pend[op.key]; head == op {
 		if op.nextKey == nil {
@@ -247,14 +267,19 @@ func (l *replLog) resolve(op *replOp, err error) {
 	for _, g := range op.gets {
 		g.failed = g.failed || err != nil
 		if g.waiting--; g.waiting == 0 {
-			ready = append(ready, g)
+			ready = append(ready, *g)
+			l.freeGets = append(l.freeGets, g)
 		}
 	}
+	reply, epoch := op.reply, op.epoch
+	clear(op.gets)
+	op.gets = op.gets[:0]
+	l.freeOps = append(l.freeOps, op)
 	l.mu.Unlock()
 	if err != nil {
-		l.slot.answer(op.reply, nil, core.StatusOverloaded)
+		l.slot.answer(reply, nil, core.StatusOverloaded)
 	} else {
-		l.slot.answer(op.reply, appendEpoch(op.reply.Buf(), op.epoch), core.StatusOK)
+		l.slot.answer(reply, appendEpoch(reply.Buf(), epoch), core.StatusOK)
 	}
 	for _, g := range ready {
 		if g.failed { // the observed value's durability is unknown: retry

@@ -246,8 +246,7 @@ func (s *Service) handleKV(req []byte, r *core.Reply) {
 			slot.answer(r, appendEpoch(r.Buf(), m.Epoch), core.StatusOK)
 			return
 		}
-		op := &replOp{epoch: m.Epoch, key: key, val: val, backups: backups, reply: r}
-		slot.log.stage(op)
+		op := slot.log.stage(m.Epoch, key, val, backups, r)
 		staged = op
 		if _, err := slot.store.UpdateMax64(key, val); err != nil {
 			slot.log.resolve(op, errStoreFull)

@@ -90,7 +90,8 @@ type Handler func(req []byte) []byte
 // waiting on something else (a replication ack, a lock) occupies no worker
 // while it waits. It must not retain req past its return, whenever it
 // replies: req views a pooled receive buffer that is recycled the moment
-// the handlers of the message it arrived in have returned.
+// the handlers of the message it arrived in have returned. Likewise r is
+// recycled once a Send made after the handler returned has returned.
 type ReplyHandler func(req []byte, r *Reply)
 
 // StatusHandler is a Handler that also chooses the response status word —
@@ -278,12 +279,13 @@ type Node struct {
 	byQPN      atomic.Value // map[int]*serverQP snapshot
 
 	// Worker pool (Options.Workers > 0; pool.go). workCh carries the
-	// worker-lane messages relief pumped to parked pool goroutines and
-	// replyFree recycles their reply handles; pumpers counts the pool
-	// goroutines in a polling stint and poolServed is their stamp, bumped
-	// every 32 rounds, that relief reads to leave the rings to them.
+	// worker-lane messages relief pumped to parked pool goroutines; pumpers
+	// counts the pool goroutines in a polling stint and poolServed is their
+	// stamp, bumped every 32 rounds, that relief reads to leave the rings to
+	// them. replyFree, with or without a pool, recycles the reply-handle
+	// blocks nobody holds any more (server.go's replyBlock).
 	workCh     chan workUnit
-	replyFree  chan []Reply
+	replyFree  chan *replyBlock
 	pumpers    atomic.Int32
 	poolServed atomic.Uint64
 
@@ -539,11 +541,12 @@ func (n *Node) Serve() error {
 		return nil // already serving
 	}
 	n.schedRCQ = rnic.NewCQ(1 << 16)
+	// As many spare reply blocks as workCh holds units (4 × Workers, and 4
+	// without a pool): relief takes one per hand-off, and a block returned
+	// beyond that is the GC's.
+	n.replyFree = make(chan *replyBlock, 4*max(n.opts.Workers, 1))
 	if n.opts.Workers > 0 {
 		n.workCh = make(chan workUnit, 4*n.opts.Workers)
-		// As many spare reply slices as workCh holds units: relief takes
-		// one per hand-off, and a slice returned beyond that is the GC's.
-		n.replyFree = make(chan []Reply, cap(n.workCh))
 		for i := 0; i < n.opts.Workers; i++ {
 			n.wg.Add(1)
 			go n.worker(i)

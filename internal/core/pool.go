@@ -26,15 +26,15 @@ import (
 // goroutine through workCh, the one hand-off left, which it never blocks on.
 
 // pumpQP pulls at most one message off sqp's request ring under the QP's
-// poll role, building its worker-lane reply handles in *scratch, and drains
-// the QP's send CQ. The role is taken inside enter/exit, so recycleAccept's
-// broken/inuse exclusion covers its holder: no pump touches the ring of a
-// QP under recycle. found is false when the ring is idle, the QP is under
+// poll role, building its worker-lane reply handles in *scratch's block (see
+// repliesFor), and drains the QP's send CQ. The role is taken inside
+// enter/exit, so recycleAccept's broken/inuse exclusion covers its holder: no
+// pump touches the ring of a QP under recycle. found is false when the ring is idle, the QP is under
 // recycle, another goroutine holds the role (it is pumping for us), or the
 // ring is empty. An idle ring costs two loads and no role: the send CQ of a
 // QP nobody writes to waits for its next message, and holds at most a
 // sixteenth of the responses sent since the last one.
-func (n *Node) pumpQP(sqp *serverQP, scratch *[]Reply, cqBuf []rnic.Completion) (u workUnit, found bool) {
+func (n *Node) pumpQP(sqp *serverQP, scratch **replyBlock, cqBuf []rnic.Completion) (u workUnit, found bool) {
 	if sqp.reqCons.idle() || !sqp.enter() {
 		return workUnit{}, false
 	}
@@ -53,10 +53,9 @@ func (n *Node) pumpQP(sqp *serverQP, scratch *[]Reply, cqBuf []rnic.Completion) 
 
 // pumpOne pulls one message off sqp's request ring, runs its inline lane and
 // returns its worker-lane requests as a unit whose reply handles are built in
-// *scratch (replaced by a larger slice when short). The caller holds the
-// poll role inside enter/exit. found reports whether there was a message; a
-// unit without replies has nothing left to execute.
-func (n *Node) pumpOne(sqp *serverQP, scratch *[]Reply) (u workUnit, found bool) {
+// *scratch's block (see repliesFor). The caller holds the poll role inside
+// enter/exit. found reports whether there was a message.
+func (n *Node) pumpOne(sqp *serverQP, scratch **replyBlock) (u workUnit, found bool) {
 	life := sqp.life.Load() // stable: the caller is inside enter/exit
 	admit, mbuf, ok := n.pull(sqp, life)
 	if !ok {
@@ -87,38 +86,33 @@ func (n *Node) pumpOne(sqp *serverQP, scratch *[]Reply) (u workUnit, found bool)
 	// The unit takes the poll reference: payloads stay views into the pooled
 	// message buffer, released by whoever executes the unit after the flush.
 	n.inflight.Add(-int64(answered))
-	if cap(*scratch) < len(admit) {
-		*scratch = make([]Reply, len(admit))
-	}
-	replies := (*scratch)[:len(admit)]
-	for k, it := range admit {
-		replies[k].init(sqp, life, it)
-	}
-	return workUnit{sqp: sqp, replies: replies, buf: mbuf}, true
+	return workUnit{sqp: sqp, blk: n.repliesFor(scratch, sqp, life, admit), buf: mbuf}, true
 }
 
 // runUnit executes u's handlers on the calling goroutine, flushes the replies
-// sent by the time each returned as one response message, and releases the
-// message. It reports whether every reply went out with it, which leaves the
-// handles free for reuse; a handler that kept its handle to reply later took
-// the storage with it.
+// sent by the time each returned as one response message, releases the
+// message and drops the holds on u's reply block of the executor and of the
+// replies it flushed. It reports whether those were the last, which leaves
+// the block free for reuse; while a handler that kept its handle owes its
+// reply, the block is theirs, and the Send that drops the last hold returns
+// it to the node's freelist.
 func (n *Node) runUnit(u workUnit, out *[]respOut) bool {
-	o := n.executeAll(u.sqp, u.replies, *out)
+	o := n.executeAll(u.sqp, u.blk.replies, *out)
 	u.buf.Release()
 	n.inflight.Add(-int64(len(o)))
-	all := len(o) == len(u.replies)
+	settled := len(o)
 	clear(o) // drop the payload references until the next unit
 	*out = o[:0]
-	return all
+	return u.blk.release(1 + settled)
 }
 
 // pumper is one pool goroutine's reusable state.
 type pumper struct {
-	id      int     // rotates where its rounds start within a connection
-	stint   int     // rounds of the next stint, between stintMin and stintMax
-	replies []Reply // the reply handles of the messages it pulls
-	out     []respOut
-	cqBuf   [16]rnic.Completion
+	id    int         // rotates where its rounds start within a connection
+	stint int         // rounds of the next stint, between stintMin and stintMax
+	blk   *replyBlock // the reply handles of the messages it pulls
+	out   []respOut
+	cqBuf [16]rnic.Completion
 }
 
 // worker is one pool goroutine. It pumps for a stint, executing what it
@@ -131,7 +125,7 @@ func (n *Node) worker(id int) {
 	for {
 		if u, ok := n.pumpStint(w); ok {
 			if !n.runUnit(u, &w.out) {
-				w.replies = nil
+				w.blk = nil
 			}
 			continue
 		}
@@ -145,24 +139,10 @@ func (n *Node) worker(id int) {
 }
 
 // runHandedOff executes a message relief pumped and returns its reply
-// handles to the node's freelist when no handler kept one.
+// handles to the node's freelist when the executor's hold was the last.
 func (n *Node) runHandedOff(u workUnit, out *[]respOut) {
 	if n.runUnit(u, out) {
-		select {
-		case n.replyFree <- u.replies:
-		default:
-		}
-	}
-}
-
-// takeReplies returns reply-handle storage from the node's freelist, or nil
-// when it is empty (pumpOne then allocates).
-func (n *Node) takeReplies() []Reply {
-	select {
-	case r := <-n.replyFree:
-		return r
-	default:
-		return nil
+		n.freeReplies(u.blk)
 	}
 }
 
@@ -203,12 +183,12 @@ func (n *Node) pumpStint(w *pumper) (workUnit, bool) {
 		idle++
 		for _, sc := range n.snapshotSconns() {
 			for j := range sc.qps {
-				u, found := n.pumpQP(sc.qps[(j+w.id)%len(sc.qps)], &w.replies, w.cqBuf[:])
+				u, found := n.pumpQP(sc.qps[(j+w.id)%len(sc.qps)], &w.blk, w.cqBuf[:])
 				if !found {
 					continue
 				}
-				if len(u.replies) > 0 {
-					n.metrics.workerPumped.Add(uint64(len(u.replies)))
+				if u.blk != nil {
+					n.metrics.workerPumped.Add(uint64(len(u.blk.replies)))
 					w.stint = min(2*w.stint, stintMax)
 					return u, true
 				}
@@ -243,8 +223,8 @@ func (n *Node) leftToPool(mark *uint64, at *time.Duration, start time.Time) bool
 // every ring and runs each message itself, in reply handles it reuses. With
 // a pool it is relief for the rings no pool goroutine polls: while the pool
 // serves them it naps; otherwise it pumps them and hands each worker-lane
-// message to a parked pool goroutine, in reply handles recycled through the
-// node's freelist. A message workCh has no room for waits in the
+// message to a parked pool goroutine, in reply handles taken from the node's
+// freelist. A message workCh has no room for waits in the
 // dispatcher's backlog, oldest first, offered again before every pass and
 // every nap, so the pump — and the inline lane with it — never stops behind
 // a blocked pool. What clients have outstanding bounds the backlog, and so
@@ -257,7 +237,7 @@ func (n *Node) serveDispatch() {
 	start := time.Now()
 	var mark uint64
 	var markAt time.Duration
-	spare := n.takeReplies()
+	var spare *replyBlock
 	idle := 0
 	for {
 		select {
@@ -284,14 +264,14 @@ func (n *Node) serveDispatch() {
 					}
 					busy = true
 					switch {
-					case len(u.replies) == 0:
+					case u.blk == nil:
 					case n.workCh == nil:
 						if !n.runUnit(u, &out) {
 							spare = nil
 						}
 					default:
-						n.metrics.reliefPumped.Add(uint64(len(u.replies)))
-						spare = n.takeReplies()
+						n.metrics.reliefPumped.Add(uint64(len(u.blk.replies)))
+						spare = nil // the unit took it
 						backlog = n.handOff(append(backlog, u))
 					}
 				}
@@ -326,5 +306,5 @@ func (n *Node) handOff(backlog []workUnit) []workUnit {
 // message buffer and its requests' admission counts.
 func (n *Node) dropUnit(u workUnit) {
 	u.buf.Release()
-	n.inflight.Add(-int64(len(u.replies)))
+	n.inflight.Add(-int64(len(u.blk.replies)))
 }

@@ -3,7 +3,10 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -101,14 +104,18 @@ func laterHandler(n *Node, rpcID uint32, execs *atomic.Uint64, release <-chan st
 
 // TestReplyLaterDelivered: a handler that returns first and replies from
 // another goroutine a millisecond later — the caller gets that reply, once;
-// a second Send on the handle is a no-op. Worker pool and inline mode.
+// a second Send inside a handler is a no-op. Worker pool and inline mode.
 func TestReplyLaterDelivered(t *testing.T) {
-	const laterID = 32
+	const laterID, twiceID = 32, 37
 	for _, workers := range []int{0, 2} {
 		tc := newTestCluster(t, 1, Options{Workers: workers}, Options{})
 		var execs atomic.Uint64
 		sent := make(chan *Reply, 1)
 		laterHandler(tc.server, laterID, &execs, nil, sent)
+		tc.server.RegisterReplyHandler(twiceID, false, func(req []byte, r *Reply) {
+			r.Send([]byte("first"), StatusOK)
+			r.Send([]byte("again"), StatusOK) // no-op
+		})
 		registerEcho(tc.server)
 		conn, err := tc.clients[0].Connect(0)
 		if err != nil {
@@ -124,9 +131,12 @@ func TestReplyLaterDelivered(t *testing.T) {
 				t.Fatalf("workers=%d call %d: status %d data %q", workers, i, r.Status, r.Data)
 			}
 			r.Release()
-			(<-sent).Send([]byte("again"), StatusOK) // no-op
-			// The inline scratch the deferred handle took with it must not
-			// be reused under it: a plain echo in between gets its own.
+			<-sent // the late Send has returned: its handle is the server's again
+			if r, err := th.Call(twiceID, nil); err != nil || string(r.Data) != "first" {
+				t.Fatalf("workers=%d call %d: a handler sending twice answered (%q, %v)", workers, i, r.Data, err)
+			} else {
+				r.Release()
+			}
 			if err := callDrop(th, echoID, []byte("between")); err != nil {
 				t.Fatal(err)
 			}
@@ -313,4 +323,93 @@ func TestLateReplyAfterCloseOrRecycleDropped(t *testing.T) {
 			t.Fatal("call answered by a closed node")
 		}
 	})
+}
+
+// TestLateReplyRecyclesHandlesOnce: a message's reply handles share one
+// block, held by the goroutine executing the message and by every reply
+// still owed when its handler returned; the last to let go recycles it. Here
+// every handler answers from a goroutine of its own, racing its own return,
+// into the handle's own buffer, from two threads two calls deep — few enough
+// blocks in circulation that a freed one is taken again at once, and enough
+// that a message sometimes carries two requests. A block recycled while a
+// holder still used it — the executor's hold dropped by a racing Send, a
+// late reply's before its flush, or a block freed twice — would hand one
+// handle to two requests, and a response would carry another request's
+// bytes. Each response must equal its request, and nothing may be left
+// admitted or leased at the end.
+func TestLateReplyRecyclesHandlesOnce(t *testing.T) {
+	const raceID = 36
+	const threads, perThread, window = 2, 5000, 2
+	tc := newTestCluster(t, 1, Options{Workers: 2}, Options{})
+	tc.server.RegisterReplyHandler(raceID, false, func(req []byte, r *Reply) {
+		out := append(r.Buf(), req...)
+		go r.Send(out, StatusOK)
+		if req[len(req)-1]&1 == 0 {
+			runtime.Gosched() // let the Send win the race about half the time
+		}
+	})
+	conn, err := tc.clients[0].Connect(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, threads)
+	for i := 0; i < threads; i++ {
+		th := conn.RegisterThread()
+		wg.Add(1)
+		go func(id uint64) {
+			defer wg.Done()
+			type call struct {
+				p   *Pending
+				req [16]byte
+			}
+			var fly []call
+			wait := func(c call) error {
+				r, err := c.p.Wait()
+				if err != nil {
+					return err
+				}
+				defer r.Release()
+				if r.Status != StatusOK || !bytes.Equal(r.Data, c.req[:]) {
+					return fmt.Errorf("request %x answered (%d, %x)", c.req, r.Status, r.Data)
+				}
+				return nil
+			}
+			for seq := uint64(0); seq < perThread; seq++ {
+				var c call
+				binary.LittleEndian.PutUint64(c.req[:8], id)
+				binary.LittleEndian.PutUint64(c.req[8:], seq)
+				// A budget turns a lost reply into a failure, not a hang.
+				p, err := th.CallAsync(raceID, c.req[:], CallOptions{Budget: 5 * time.Second})
+				if err != nil {
+					errs <- err
+					return
+				}
+				c.p = p
+				if fly = append(fly, c); len(fly) == window {
+					if err := wait(fly[0]); err != nil {
+						errs <- err
+						return
+					}
+					fly = fly[1:]
+				}
+			}
+			for _, c := range fly {
+				if err := wait(c); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(uint64(i))
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	waitFor(t, "every late reply to be accounted", func() bool { return tc.server.inflight.Load() == 0 })
+	tc.net.Close()
+	if n := awaitLeaseDrain(3 * time.Second); n != 0 {
+		t.Fatalf("%d pooled leases outstanding after the run", n)
+	}
 }

@@ -82,7 +82,7 @@ type serverQP struct {
 	// requests under respMu (PostSend copies WRs, so reuse after it returns
 	// is safe).
 	outScratch   []respOut
-	replyScratch []Reply
+	replyScratch *replyBlock
 	laneScratch  []decodedItem
 	wrScratch    []rnic.SendWR
 	nackScratch  []respOut
@@ -111,19 +111,40 @@ func (sqp *serverQP) exit() { sqp.inuse.Add(-1) }
 // goroutine that pulled it, or the pool goroutine relief handed it to — runs
 // every handler, flushes the replies that were sent by then as one coalesced
 // response, and releases buf — the pooled message buffer every request
-// payload views, whose reference the unit owns.
+// payload views, whose reference the unit owns. A unit without a block has
+// nothing left to execute.
 type workUnit struct {
-	sqp     *serverQP
-	replies []Reply
-	buf     *mem.Buf
+	sqp *serverQP
+	blk *replyBlock // the reply handles, held by the unit's executor
+	buf *mem.Buf
 }
+
+// replyBlock is the reply-handle storage of one message's requests. holds
+// counts who may still touch it: one per handle, from before its handler runs
+// until its reply is settled, and one for the goroutine executing the
+// message. The executor drops its own and those of the replies its message
+// carried in one step once it has flushed them; a reply still owed when its
+// handler returned keeps its hold until its Send has flushed it. Whoever
+// drops the count to zero owns the block again: it keeps it as its scratch or
+// returns it to the node's freelist, so a reply-later handler costs no reply
+// storage either.
+type replyBlock struct {
+	replies []Reply
+	holds   atomic.Int32
+}
+
+// release drops k holds on b and reports whether they were the last.
+func (b *replyBlock) release(k int) bool { return b.holds.Add(-int32(k)) == 0 }
 
 // Reply is the handle a ReplyHandler answers its request through. Send may
 // be called once, from any goroutine, before or after the handler returns; a
 // handler that returns without sending owes the reply later — the request
 // stays admitted (Drain waits for it, a keyed retry is pushed back) until it
-// is sent. A Reply must not be copied.
+// is sent. A Reply must not be copied, and a handle whose reply was sent
+// after its handler returned goes back to the server for reuse: nothing may
+// touch it once that Send returns.
 type Reply struct {
+	blk  *replyBlock // the storage the handle lives in
 	sqp  *serverQP
 	life uint32 // sqp.life when the request arrived
 	// state holds the reply* flags; their read-modify-writes order the
@@ -165,14 +186,16 @@ func (r *Reply) mark(flag uint32) uint32 {
 // arrived together, as a returned value would; sent afterwards, it is
 // flushed by the calling goroutine. data must stay untouched until then —
 // for a reply sent inside the handler, until the handler returns. A second
-// Send is a no-op; so is the flush of a reply whose QP broke or whose node
-// closed in the meantime (the client has already failed the call).
+// Send inside the handler is a no-op; so is the flush of a reply whose QP
+// broke or whose node closed in the meantime (the client has already failed
+// the call).
 //
 // Everything a request owes at completion happens here: the idempotency
-// window commits (with a copy detached from the pooled request buffer data
-// may view), an oversized payload is cut to the ring's geometry and
-// surfaced as StatusHandlerPanic, and — for a late reply — the admission
-// count drops once the response is on the wire.
+// window commits (it keeps a copy of its own, detached from the pooled
+// request buffer and the reply storage data may view), an oversized payload
+// is cut to the ring's geometry and surfaced as StatusHandlerPanic, and —
+// for a late reply — the admission count drops once the response is on the
+// wire, and the handle's hold on its block is dropped last.
 func (r *Reply) Send(data []byte, status uint32) {
 	if r.mark(replyClaimed)&replyClaimed != 0 {
 		return
@@ -184,7 +207,7 @@ func (r *Reply) Send(data []byte, status uint32) {
 	r.out.data, r.out.meta.status = data, status
 	if m := &r.out.meta; m.idemKey != 0 {
 		r.sqp.sc.dedup.Commit(resilience.DedupKey{Thread: m.threadID, Key: m.idemKey},
-			resilience.DedupResult{Status: status, Data: append([]byte(nil), data...)})
+			resilience.DedupResult{Status: status, Data: data})
 	}
 	if r.mark(replyReady)&replyReturned == 0 {
 		return // the handler is still running: its executor coalesces this reply
@@ -193,6 +216,9 @@ func (r *Reply) Send(data []byte, status uint32) {
 	r.out.data = nil
 	n.flushResponses(r.sqp, out[:], r.life)
 	n.inflight.Add(-1)
+	if b := r.blk; b.release(1) {
+		n.freeReplies(b)
+	}
 }
 
 // respOut is one computed response awaiting coalescing.
@@ -342,9 +368,49 @@ func (n *Node) pull(sqp *serverQP, life uint32) ([]decodedItem, *mem.Buf, bool) 
 	return admit, mbuf, true
 }
 
+// repliesFor builds the reply handles of items in the block *spare holds —
+// or, when there is none or it is short, in one from the node's freelist or
+// a new one, which becomes *spare — and returns it held by every handle and
+// by the caller, which executes them.
+func (n *Node) repliesFor(spare **replyBlock, sqp *serverQP, life uint32, items []decodedItem) *replyBlock {
+	b := *spare
+	if b == nil || cap(b.replies) < len(items) {
+		if b = n.takeReplies(); b == nil || cap(b.replies) < len(items) {
+			b = &replyBlock{replies: make([]Reply, len(items))}
+		}
+		*spare = b
+	}
+	b.replies = b.replies[:len(items)]
+	b.holds.Store(int32(len(items)) + 1)
+	for k := range items {
+		b.replies[k].init(b, sqp, life, items[k])
+	}
+	return b
+}
+
+// takeReplies returns reply-handle storage from the node's freelist, or nil
+// when it is empty.
+func (n *Node) takeReplies() *replyBlock {
+	select {
+	case b := <-n.replyFree:
+		return b
+	default:
+		return nil
+	}
+}
+
+// freeReplies returns a block nobody holds to the node's freelist; one the
+// freelist has no room for is the GC's.
+func (n *Node) freeReplies(b *replyBlock) {
+	select {
+	case n.replyFree <- b:
+	default:
+	}
+}
+
 // init makes r the reply handle of one admitted request.
-func (r *Reply) init(sqp *serverQP, life uint32, it decodedItem) {
-	r.sqp, r.life, r.req = sqp, life, it.data
+func (r *Reply) init(b *replyBlock, sqp *serverQP, life uint32, it decodedItem) {
+	r.blk, r.sqp, r.life, r.req = b, sqp, life, it.data
 	r.state.Store(0)
 	r.out = respOut{meta: itemMeta{
 		threadID: it.meta.threadID,
@@ -359,22 +425,16 @@ func (r *Reply) init(sqp *serverQP, life uint32, it decodedItem) {
 // the replies sent by the time each returned as one response message, and
 // returns how many that was — requests the caller takes off the admission
 // count once it has released their buffer. The reply handles are the QP's
-// scratch, so a message whose handlers all answer before returning
-// allocates nothing; a handler that keeps its handle to reply later keeps
-// the scratch with it, and the next message gets a fresh one.
+// scratch block, so a message whose handlers all answer before returning
+// allocates nothing; while a handler that kept its handle owes its reply the
+// block is theirs, and the next message takes another.
 func (n *Node) runInline(sqp *serverQP, life uint32, items []decodedItem) int {
 	if len(items) == 0 {
 		return 0
 	}
-	if cap(sqp.replyScratch) < len(items) {
-		sqp.replyScratch = make([]Reply, len(items))
-	}
-	replies := sqp.replyScratch[:len(items)]
-	for k := range replies {
-		replies[k].init(sqp, life, items[k])
-	}
-	out := n.executeAll(sqp, replies, sqp.outScratch)
-	if len(out) < len(replies) {
+	b := n.repliesFor(&sqp.replyScratch, sqp, life, items)
+	out := n.executeAll(sqp, b.replies, sqp.outScratch)
+	if !b.release(1 + len(out)) {
 		sqp.replyScratch = nil
 	}
 	sqp.outScratch = out[:0]
@@ -411,7 +471,8 @@ func nackOut(m itemMeta, status uint32) respOut {
 // goroutine, capturing a panic as a response status rather than crashing
 // the pump. It reports whether the response is ready to ride the
 // caller's message; false means the handler kept the handle to reply later,
-// and whoever sends that reply flushes it.
+// and whoever sends that reply flushes it and drops the handle's hold on its
+// block.
 //
 // Requests carrying a nonzero idempotency key go through the connection's
 // dedup window first: a retry whose original already replied is answered

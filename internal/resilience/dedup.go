@@ -9,8 +9,8 @@ type DedupKey struct {
 	Key    uint64
 }
 
-// DedupResult is a cached response: the status and an owned copy of the
-// payload. Data is immutable once committed — readers may alias it.
+// DedupResult is a response: the status and its payload. Commit copies the
+// payload; the Data a hit returns is the window's and must not be written.
 type DedupResult struct {
 	Status uint32
 	Data   []byte
@@ -39,29 +39,39 @@ const (
 // FIFO once the window exceeds its capacity. Reservations (in-flight
 // executions) never block and are never evicted, which keeps the
 // guarantee that two executions of one key cannot be concurrent.
+//
+// The window owns its storage: entries live by value in the map, the commit
+// order in a ring of capacity keys, and a result of up to dedupInline bytes
+// inside its entry, so a Begin and Commit pair allocates nothing in steady
+// state. A longer result takes one heap copy, and a hit on an inline one
+// copies it out.
 type DedupWindow struct {
 	mu      sync.Mutex
-	cap     int
-	entries map[DedupKey]*dedupEntry
-	fifo    []DedupKey // completed keys in commit order
+	entries map[DedupKey]dedupEntry
+	ring    []DedupKey // completed keys in commit order: n of them from ring[head]
+	head, n int
 	hits    uint64
 	races   uint64
 }
 
+// dedupInline is the longest result an entry holds in place: the size of
+// core's reply buffer, which the cluster's acks fit.
+const dedupInline = 24
+
 type dedupEntry struct {
-	done bool
-	res  DedupResult
+	done   bool
+	n      uint8 // bytes of inline in use when heap is nil
+	status uint32
+	inline [dedupInline]byte
+	heap   []byte
 }
 
 // NewDedupWindow returns a window caching up to capacity completed
 // responses; capacity ≤ 0 is remapped to 1.
 func NewDedupWindow(capacity int) *DedupWindow {
-	if capacity <= 0 {
-		capacity = 1
-	}
 	return &DedupWindow{
-		cap:     capacity,
-		entries: make(map[DedupKey]*dedupEntry, capacity),
+		entries: make(map[DedupKey]dedupEntry),
+		ring:    make([]DedupKey, max(capacity, 1)),
 	}
 }
 
@@ -72,20 +82,23 @@ func (w *DedupWindow) Begin(k DedupKey) (DedupResult, DedupOutcome) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if e, ok := w.entries[k]; ok {
-		if e.done {
-			w.hits++
-			return e.res, DedupHit
+		if !e.done {
+			w.races++
+			return DedupResult{}, DedupInflight
 		}
-		w.races++
-		return DedupResult{}, DedupInflight
+		w.hits++
+		data := e.heap
+		if data == nil && e.n > 0 {
+			data = append([]byte(nil), e.inline[:e.n]...)
+		}
+		return DedupResult{Status: e.status, Data: data}, DedupHit
 	}
-	w.entries[k] = &dedupEntry{}
+	w.entries[k] = dedupEntry{}
 	return DedupResult{}, DedupExecute
 }
 
-// Commit publishes the result of a reservation made by Begin and evicts
-// the oldest completed entries beyond capacity. res.Data must be owned by
-// the window (the caller copies before committing).
+// Commit publishes the result of a reservation made by Begin, copying
+// res.Data, and evicts the oldest completed entry beyond capacity.
 func (w *DedupWindow) Commit(k DedupKey, res DedupResult) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -93,16 +106,21 @@ func (w *DedupWindow) Commit(k DedupKey, res DedupResult) {
 	if !ok || e.done {
 		return
 	}
-	e.done = true
-	e.res = res
-	w.fifo = append(w.fifo, k)
-	for len(w.fifo) > w.cap {
-		old := w.fifo[0]
-		w.fifo = w.fifo[1:]
-		if oe, ok := w.entries[old]; ok && oe.done {
-			delete(w.entries, old)
-		}
+	e.done, e.status = true, res.Status
+	if len(res.Data) <= dedupInline {
+		e.n = uint8(copy(e.inline[:], res.Data))
+	} else {
+		e.heap = append([]byte(nil), res.Data...)
 	}
+	w.entries[k] = e
+	if w.n == len(w.ring) {
+		delete(w.entries, w.ring[w.head])
+		w.ring[w.head] = k
+		w.head = (w.head + 1) % len(w.ring)
+		return
+	}
+	w.ring[(w.head+w.n)%len(w.ring)] = k
+	w.n++
 }
 
 // Abort drops a reservation without committing (server shutting down
