@@ -187,7 +187,9 @@ echo "$cbench" | ratio_gate cluster 2.50
 # view is in flight (a put still waiting for its frame's acks included:
 # its handler has returned, its hold on the shard lock has not) and dropped
 # again when its copy fails, batches cut on epoch and death boundaries and
-# built once for all backups, every put of a failed frame and every put
+# built once for all backups and carrying every shard of their backup set, one
+# backup set's straggler never stalling another set's stream, a backup's apply
+# fencing a multi-shard frame whole, every put of a failed frame and every put
 # caught by Service.Close answered exactly once, reads gated on uncommitted
 # puts and NACKed when those fail — must keep every acknowledged write
 # readable, the whole history linearizable, and replicas
@@ -204,12 +206,14 @@ echo "$cbench" | ratio_gate cluster 2.50
 # per-put sync forward priced the same point at ~0.2); (5)
 # internal/cluster holds the same 70% coverage floor as internal/core.
 # The premature-ack mutants are covered by the flockmut run above.
-gate -run 'TestFailoverPreservesAckedWrites|TestMemberDiesMidMove|TestRecruitInstallWaitsOutInFlightRequests|TestRepairDropsRecruitWhenCopyFails|TestReplicatedPutReachesBackups|TestReplicationEpochFence|TestGroupCommit|TestReadGateNACKsWhenFrameFails|TestServiceCloseAnswersEveryPut|TestInstallWaitsForUnansweredPut|TestReplicateTypedErrors|TestCutBatch|TestReplFrame' -count=1 ./internal/cluster
-# The log recycles its put and gated-read records once they are answered; the
-# paths where a recycled record could be answered twice — a failed frame with
-# reads gated on it, Close answering what is queued and in flight, reads gated
-# on a group-committed frame — are repeated under the race detector.
-gate -race -count=5 -run 'TestReadGateNACKsWhenFrameFails|TestServiceCloseAnswersEveryPut|TestGroupCommitReadGate' ./internal/cluster
+gate -run 'TestFailoverPreservesAckedWrites|TestMemberDiesMidMove|TestRecruitInstallWaitsOutInFlightRequests|TestRepairDropsRecruitWhenCopyFails|TestReplicatedPutReachesBackups|TestReplicationEpochFence|TestGroupCommit|TestReadGateNACKsWhenFrameFails|TestServiceCloseAnswersEveryPut|TestInstallWaitsForUnansweredPut|TestReplicateTypedErrors|TestCutBatch|TestReplFrame|TestFrameCarriesEveryShardOfItsSet|TestStragglerSetDoesNotStallOtherSets|TestReplicateMultiShardFrames' -count=1 ./internal/cluster
+# A shard's slot recycles its put and gated-read records once they are
+# answered, while the records ride a stream shared with other shards; the paths
+# where a recycled record could be answered twice — a failed frame with reads
+# gated on it, Close answering what is queued and in flight, reads gated on a
+# group-committed frame, one frame resolving the puts of two shards — are
+# repeated under the race detector.
+gate -race -count=5 -run 'TestReadGateNACKsWhenFrameFails|TestServiceCloseAnswersEveryPut|TestGroupCommitReadGate|TestFrameCarriesEveryShardOfItsSet' ./internal/cluster
 gate -run 'TestClusterReplica|TestReplica' -count=1 ./internal/check
 rout=$(go run ./cmd/flockload -cluster 4 -shards 16 -replicas 2 -threads 8 -dur 1s)
 echo "$rout"

@@ -663,8 +663,8 @@ func runClusterScaling(quick bool) {
 // runReplicationSweep is ISSUE 10's group-commit replication
 // experiment on the live library: a fixed 4-member cluster, put-only
 // closed-loop traffic, replica factor swept over R = 0/1/2. Puts at
-// R > 0 ride their shard's replication log and ack when the
-// multi-entry FRP1 batch carrying them is durable on every backup
+// R > 0 ride the replication stream of their shard's backup set and ack
+// when the multi-entry FRP2 batch carrying them is durable on every backup
 // (internal/cluster/groupcommit.go), so the fan-out cost is amortized
 // across whatever queued inside the flush window — the paper's flocking
 // discipline applied to the replica plane. The goodput ratio R=2/R=0 is

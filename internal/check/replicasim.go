@@ -33,9 +33,13 @@ import (
 //     carries them all (mirroring the real group-commit forwarder), so
 //     a kill can land between a put's enqueue and its batch's flush —
 //     the window the ack-before-batch-durable mutant exploits. (The real
-//     forwarder keeps one log per shard and sends each frame to every
-//     backup; independent per-backup logs admit every schedule that
-//     shared log can produce, and more, so the model stays as it is.)
+//     service keeps one stream per backup set, shared by every shard its
+//     primary serves under that set, and sends each frame — the puts of
+//     all those shards — to every backup of the set. The model still has
+//     one log per (shard, backup): independent logs admit every schedule
+//     the shared stream can produce, and more, but the model has drifted
+//     from the code here, and running the seed pools against the real
+//     Service is what removes the drift.)
 //   - Failure detection and failover: a killed node is noticed after a
 //     detect delay; the world (standing in for the coordinator) bumps
 //     the epoch, promotes each affected shard's first live backup, and

@@ -24,7 +24,7 @@ import (
 //     lock — every put it admits from then on is group-committed to the
 //     target before it is acknowledged, and no put admitted under E is
 //     still in flight — then everyone else hears of it.
-//  2. copy: the primary streams its snapshot to the target in FRP1
+//  2. copy: the primary streams its snapshot to the target in FRP2
 //     frames, retried through fault windows. If it fails, epoch E+2 drops
 //     the recruit again (WithoutBackup) and the move is off.
 //  3. handoff: epoch E+2 makes the target primary (WithHandoff). The old

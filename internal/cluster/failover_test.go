@@ -347,23 +347,26 @@ func max64(a, b uint64) uint64 {
 }
 
 // commitTo drives one put's frame through the forwarder's two steps —
-// submit (the frame built once and issued to the op's backup set) and await
-// (every backup's answer, classified), which is what every replicated put
-// ships on — to a single backup, and returns the frame's outcome.
-func commitTo(s *Service, backup fabric.NodeID, epoch uint64, shard int, key, val uint64) error {
-	l := &replLog{svc: s, shard: shard, threads: s.peers.newThreads()}
-	f := l.frameFor([]*replOp{{epoch: epoch, key: key, val: val, backups: []fabric.NodeID{backup}}})
-	l.submit(f)
-	return l.await(f)
+// submit (the frame built once and issued to its stream's backup set) and
+// await (every backup's answer, classified), which is what every replicated
+// put ships on — to a single backup, and returns the frame's outcome. The
+// put is to the first key of shard, so the backup files it under shard.
+func commitTo(s *Service, backup fabric.NodeID, epoch uint64, shard int, val uint64) error {
+	st := &replStream{svc: s, backups: []fabric.NodeID{backup}, threads: s.peers.newThreads()}
+	key := shardKeys(s.Map(), shard, 1)[0]
+	f := st.frameFor([]*replOp{{epoch: epoch, key: key, val: val}})
+	st.submit(f)
+	return st.await(f)
 }
 
-// pendingOps snapshots the unresolved puts for a key on its shard's log.
+// pendingOps snapshots the unresolved puts for a key in its shard's read
+// gate index.
 func (s *Service) pendingOps(key uint64) []*replOp {
-	l := &s.shards[s.Map().ShardOf(key)].log
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	sl := s.shards[s.Map().ShardOf(key)]
+	sl.gateMu.Lock()
+	defer sl.gateMu.Unlock()
 	var ops []*replOp
-	for op := l.pend[key]; op != nil; op = op.nextKey {
+	for op := sl.pend[key]; op != nil; op = op.nextKey {
 		ops = append(ops, op)
 	}
 	return ops
@@ -383,7 +386,7 @@ func TestReplicationEpochFence(t *testing.T) {
 	newer.Epoch += 5
 	lc.services[backup].InstallMap(newer)
 	// A forward stamped with the old epoch must be fenced.
-	if err := commitTo(lc.services[m.Owner(shard)], backup, m.Epoch, shard, 1, 1); err == nil {
+	if err := commitTo(lc.services[m.Owner(shard)], backup, m.Epoch, shard, 1); err == nil {
 		t.Fatal("stale-epoch forward accepted by a newer backup")
 	}
 	// The fence taught the sender: its map is now the newer one.
@@ -391,7 +394,7 @@ func TestReplicationEpochFence(t *testing.T) {
 		t.Fatalf("sender epoch after fence = %d, want %d", got, newer.Epoch)
 	}
 	// At the fenced sender's new epoch, the forward lands.
-	if err := commitTo(lc.services[m.Owner(shard)], backup, newer.Epoch, shard, 1, 1); err != nil {
+	if err := commitTo(lc.services[m.Owner(shard)], backup, newer.Epoch, shard, 1); err != nil {
 		t.Fatalf("current-epoch forward rejected: %v", err)
 	}
 }

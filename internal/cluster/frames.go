@@ -6,12 +6,12 @@ import (
 	"flock/internal/mem"
 )
 
-// wireFrame is a pooled FRP1 replica-forward frame being filled. The
-// magic and shard are written once at lease time; the entry count is
-// stamped by payload() and the epoch can be re-stamped, so a frame can be
-// filled, sent, reset and refilled (the snapshot streamer's loop) and
-// re-sent under a newer map without re-deriving the header. The lease is
-// the caller's to release.
+// wireFrame is a pooled FRP2 replica-forward frame being filled. The
+// magic is written once at lease time; the entry count is stamped by
+// payload() and the epoch can be re-stamped, so a frame can be filled,
+// sent, reset and refilled (the snapshot streamer's loop) and re-sent
+// under a newer map without re-deriving the header. The lease is the
+// caller's to release.
 type wireFrame struct {
 	buf *mem.Buf
 	n   int
@@ -33,7 +33,7 @@ func (f *wireFrame) add(key, val uint64) {
 // aliases the pooled buffer: it is valid until reset or release.
 func (f *wireFrame) payload() []byte {
 	b := f.buf.Data()
-	binary.LittleEndian.PutUint32(b[16:20], uint32(f.n))
+	binary.LittleEndian.PutUint32(b[12:16], uint32(f.n))
 	return b[:replHeaderLen+f.n*wireEntryLen]
 }
 
@@ -51,21 +51,18 @@ func (f *wireFrame) release() {
 	f.buf = nil
 }
 
-// leaseReplFrame leases an FRP1 replica-forward frame (magic, epoch u64,
-// shard u32, count u32, entries) sized for maxEntries. A filled frame's
-// payload is byte-identical to AppendReplicaForward over the same
-// entries.
-func leaseReplFrame(epoch uint64, shard, maxEntries int) *wireFrame {
+// leaseReplFrame leases an FRP2 replica-forward frame (magic, epoch u64,
+// count u32, entries) sized for maxEntries. A filled frame's payload is
+// byte-identical to AppendReplicaForward over the same entries.
+func leaseReplFrame(epoch uint64, maxEntries int) *wireFrame {
 	f := new(wireFrame)
-	f.lease(epoch, shard, maxEntries)
+	f.lease(epoch, maxEntries)
 	return f
 }
 
 // lease is leaseReplFrame into a frame the caller already has.
-func (f *wireFrame) lease(epoch uint64, shard, maxEntries int) {
+func (f *wireFrame) lease(epoch uint64, maxEntries int) {
 	*f = wireFrame{buf: mem.Get(ReplicaForwardSize(maxEntries))}
-	b := f.buf.Data()
-	binary.LittleEndian.PutUint32(b[0:4], replMagic)
-	binary.LittleEndian.PutUint32(b[12:16], uint32(shard))
+	binary.LittleEndian.PutUint32(f.buf.Data()[0:4], replMagic)
 	f.stampEpoch(epoch)
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -10,23 +11,35 @@ import (
 	"flock/internal/fabric"
 )
 
-// Group-commit replication: a primary appends each put to its shard's
-// replication log and one forwarder goroutine per shard drains the log into
-// multi-entry FRP1 frames — the paper's flocking discipline applied to the
-// replica plane. A frame is built once and issued through the async Pending
-// engine to every backup of the epoch it was admitted under, a bounded number
-// of frames deep, and the forwarder's batch-ack arm is what answers the puts
-// a frame carried (and the gets gated on them) once every backup acked it: no
-// handler, worker or timer waits for a commit. The durability promise is per
-// put, its granularity per frame.
+// Group-commit replication: a primary appends each put to the replication
+// stream of the backup set its shard was admitted under, and one forwarder
+// goroutine per stream drains it into multi-entry FRP2 frames — the paper's
+// flocking discipline applied to the replica plane. Shards that share a
+// backup set share its stream, so one frame carries the puts of all of them,
+// as one connection handle per remote node carries every thread's RPCs. A
+// frame is built once and issued through the async Pending engine to every
+// backup of the set, a bounded number of frames deep, and the forwarder's
+// batch-ack arm is what answers the puts a frame carried (and the gets gated
+// on them) once every backup acked it: no handler, worker or timer waits for
+// a commit. The durability promise is per put, its granularity per frame.
+//
+// The stream is per backup set and not per peer: a frame then has one set
+// and resolves its puts alone, where a stream per peer would need an ack
+// count on every put and one more forwarder wake per batch per peer. The read
+// gate stays per shard (shardSlot.stage, gate, resolve): a fencing backup's
+// newer map is installed without the shard's exclusive lock
+// (classifyReplicaResp), so a shard's backup set can change while older puts
+// of it are unresolved, and one key's puts can then sit in two streams — an
+// index kept per stream would let a get miss one of them.
 //
 // Failure semantics are batch-granular: a failed or fenced frame NACKs every
 // put it carried (the client retries; guarded take-the-max applies absorb the
 // replay; a fencing backup's newer map is installed first, so the retry is
 // served — or fenced — under it), and a frame never spans epochs — a put
 // admitted under a newer map is cut into its own frame, so the backup's epoch
-// fence judges each batch under the view that admitted its writes, and a
-// frame has one backup set. What bounds a put's wait is its frame's Budget ×
+// fence judges each batch under the view that admitted its writes. The epoch
+// is the map's, not a shard's, so a frame that is stale is stale for every
+// shard in it. What bounds a put's wait is its frame's Budget ×
 // replBatchAttempts in the Pending engine, whose deadlines cost no timer
 // either (core's deadline sweep); there is no per-put backstop.
 
@@ -45,7 +58,7 @@ type ReplTuning struct {
 	flushDelay time.Duration
 }
 
-// replPipeDepth caps in-flight frames per shard log.
+// replPipeDepth caps in-flight frames per stream.
 const replPipeDepth = 2
 
 // replBatchAttempts is the retry cap for one frame: with a Budget set,
@@ -61,7 +74,7 @@ var (
 	ErrReplicaFenced = errors.New("cluster: replica fence")
 	ErrReplicaNACK   = errors.New("cluster: replicate NACK")
 
-	errReplStopped  = errors.New("cluster: replication log stopped")
+	errReplStopped  = errors.New("cluster: replication stopped")
 	errStoreFull    = errors.New("cluster: shard store full")
 	errHandlerPanic = errors.New("cluster: kv handler panicked")
 )
@@ -81,25 +94,26 @@ func (e *ReplError) Error() string {
 
 func (e *ReplError) Unwrap() error { return e.Err }
 
-// replOp is one put riding its shard's replication log, from staging until
-// the frame that carried it resolves: acked by every backup of the set the
-// put was admitted under, or failed. The log recycles it once resolved.
+// replOp is one put from staging until the frame that carried it resolves:
+// acked by every backup of the set the put was admitted under, or failed. Its
+// shard's slot recycles it once resolved.
 type replOp struct {
 	epoch    uint64
 	key, val uint64
-	backups  []fabric.NodeID // the admitting map's own slice
-	reply    *core.Reply     // the put's answer, sent by whoever resolves it
+	slot     *shardSlot  // indexes the op and takes it back once resolved
+	stream   *replStream // the admitting map's backup set's stream
+	reply    *core.Reply // the put's answer, sent by whoever resolves it
 
-	// Guarded by the log's mu: the next unresolved put on the same key, and
-	// the reads gated on this one.
+	// Guarded by the slot's gateMu: the next unresolved put on the same key,
+	// and the reads gated on this one.
 	nextKey *replOp
 	gets    []*gatedGet
 }
 
 // gatedGet is a read that observed a key with unresolved puts: it is
 // answered when the last of them resolves, with the value it read if all
-// committed and a NACK if any failed, and then recycled by the log. waiting
-// and failed are guarded by the log's mu.
+// committed and a NACK if any failed, and then recycled by the slot. waiting
+// and failed are guarded by the slot's gateMu.
 type gatedGet struct {
 	reply   *core.Reply
 	epoch   uint64
@@ -109,30 +123,65 @@ type gatedGet struct {
 	waiting int
 }
 
-// replLog is one shard's replication log on its primary: the index of
-// unresolved puts per key (the read gate), the queue of puts not yet cut
-// into a frame, and the forwarder that drains it.
-type replLog struct {
-	svc   *Service
-	slot  *shardSlot
-	shard int
+// replStream is one backup set's replication stream on a primary: the queue
+// of puts not yet cut into a frame, from every shard this member serves
+// under that set, and the forwarder that drains it.
+type replStream struct {
+	svc     *Service
+	backups []fabric.NodeID // the set, as the first map that used it lists it
 
-	mu       sync.Mutex
-	pend     map[uint64]*replOp // per key, linked through nextKey
-	queue    []*replOp
-	freeOps  []*replOp   // resolved records, for the next stage
-	freeGets []*gatedGet // answered records, for the next gate
-	firstAt  time.Time   // enqueue time of queue[0] (flush-deadline anchor)
-	running  bool        // the forwarder goroutine exists
-	stopped  bool
+	mu      sync.Mutex
+	queue   []*replOp
+	firstAt time.Time // enqueue time of queue[0] (flush-deadline anchor)
+	stopped bool
 
 	kick chan struct{} // cap 1: queue went from empty/waiting to work
 	stop chan struct{}
 
-	// Forwarder-owned: its thread to each backup ever sent to, and frame
-	// records whose slices the next frame reuses.
+	// Forwarder-owned: its thread to each backup, and frame records whose
+	// slices the next frame reuses.
 	threads *peerThreads
 	spare   []*replFrame
+}
+
+// streamFor returns the stream to the backup set backups, creating it and
+// starting its forwarder on first use; once the service is closed, a stream
+// that was never started and resolves every op at once.
+func (s *Service) streamFor(backups []fabric.NodeID) *replStream {
+	s.streamMu.Lock()
+	defer s.streamMu.Unlock()
+	if s.replClosed {
+		return &s.closedStream
+	}
+	for _, st := range s.streams {
+		if sameSet(st.backups, backups) {
+			return st
+		}
+	}
+	st := &replStream{
+		svc:     s,
+		backups: backups,
+		threads: s.peers.newThreads(),
+		kick:    make(chan struct{}, 1),
+		stop:    make(chan struct{}),
+	}
+	s.streams = append(s.streams, st)
+	s.fwdWG.Add(1)
+	go st.run()
+	return st
+}
+
+// sameSet reports whether a and b hold the same members, in any order.
+func sameSet(a, b []fabric.NodeID) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for _, id := range a {
+		if !slices.Contains(b, id) {
+			return false
+		}
+	}
+	return true
 }
 
 // cutBatch decides the flush: given the queued ops, it returns how many at
@@ -173,47 +222,47 @@ func (s *Service) replTuning() (maxEntries int, delay time.Duration) {
 }
 
 // stage returns the record of a put answered through r and puts it in the
-// per-key index of unresolved puts. The handler stages before it applies
-// locally, which is what makes the read gate sound: any read that observes
-// the applied value finds the op in the index.
-func (l *replLog) stage(epoch, key, val uint64, backups []fabric.NodeID, r *core.Reply) *replOp {
-	l.mu.Lock()
+// shard's per-key index of unresolved puts. The handler stages before it
+// applies locally, which is what makes the read gate sound: any read that
+// observes the applied value finds the op in the index. The op rides the
+// stream of backups, the set the admitting map (epoch) gives the shard; the
+// slot keeps that stream for the epoch, so a put looks it up without
+// allocating.
+func (sl *shardSlot) stage(s *Service, epoch, key, val uint64, backups []fabric.NodeID, r *core.Reply) *replOp {
+	sl.gateMu.Lock()
+	if sl.stream == nil || sl.streamEpoch != epoch {
+		sl.stream, sl.streamEpoch = s.streamFor(backups), epoch
+	}
 	var op *replOp
-	if n := len(l.freeOps); n > 0 {
-		op, l.freeOps = l.freeOps[n-1], l.freeOps[:n-1]
+	if n := len(sl.freeOps); n > 0 {
+		op, sl.freeOps = sl.freeOps[n-1], sl.freeOps[:n-1]
 	} else {
 		op = new(replOp)
 	}
-	op.epoch, op.key, op.val, op.backups, op.reply = epoch, key, val, backups, r
-	op.nextKey = l.pend[key]
-	l.pend[key] = op
-	l.mu.Unlock()
+	op.epoch, op.key, op.val, op.slot, op.stream, op.reply = epoch, key, val, sl, sl.stream, r
+	op.nextKey = sl.pend[key]
+	sl.pend[key] = op
+	sl.gateMu.Unlock()
 	return op
 }
 
-// enqueue appends a staged, locally applied op to the log, starting the
-// forwarder on first use; from here the forwarder resolves it. On a stopped
-// log the op is resolved at once.
-func (l *replLog) enqueue(op *replOp) {
-	l.mu.Lock()
-	if l.stopped {
-		l.mu.Unlock()
-		l.resolve(op, errReplStopped)
+// enqueue appends a staged, locally applied op to the stream; from here the
+// stream resolves it. On a stopped stream the op is resolved at once.
+func (st *replStream) enqueue(op *replOp) {
+	st.mu.Lock()
+	if st.stopped {
+		st.mu.Unlock()
+		op.slot.resolve(op, errReplStopped)
 		return
 	}
-	if !l.running {
-		l.running = true
-		l.svc.fwdWG.Add(1)
-		go l.run()
+	if len(st.queue) == 0 {
+		st.firstAt = time.Now()
 	}
-	if len(l.queue) == 0 {
-		l.firstAt = time.Now()
-	}
-	l.queue = append(l.queue, op)
-	l.mu.Unlock()
-	l.svc.logPending.Add(1)
+	st.queue = append(st.queue, op)
+	st.mu.Unlock()
+	st.svc.logPending.Add(1)
 	select {
-	case l.kick <- struct{}{}:
+	case st.kick <- struct{}{}:
 	default:
 	}
 }
@@ -222,16 +271,16 @@ func (l *replLog) enqueue(op *replOp) {
 // get is registered on every one of them and gate reports true — the reply
 // is now owed by whoever resolves the last. A put staged after this call is
 // not waited on: the read linearizes at its observation point.
-func (l *replLog) gate(key uint64, r *core.Reply, epoch, val uint64, found bool) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	op := l.pend[key]
+func (sl *shardSlot) gate(key uint64, r *core.Reply, epoch, val uint64, found bool) bool {
+	sl.gateMu.Lock()
+	defer sl.gateMu.Unlock()
+	op := sl.pend[key]
 	if op == nil {
 		return false
 	}
 	var g *gatedGet
-	if n := len(l.freeGets); n > 0 {
-		g, l.freeGets = l.freeGets[n-1], l.freeGets[:n-1]
+	if n := len(sl.freeGets); n > 0 {
+		g, sl.freeGets = sl.freeGets[n-1], sl.freeGets[:n-1]
 	} else {
 		g = new(gatedGet)
 	}
@@ -247,17 +296,17 @@ func (l *replLog) gate(key uint64, r *core.Reply, epoch, val uint64, found bool)
 // under the epoch that admitted it, or the retryable NACK — and so is every
 // gated get for which it was the last unresolved put. Each answer releases
 // the shard lock its request has held since admission. The records go back
-// to the log's freelists before the answers go out, so what is answered is
+// to the slot's freelists before the answers go out, so what is answered is
 // copied out of them first.
-func (l *replLog) resolve(op *replOp, err error) {
+func (sl *shardSlot) resolve(op *replOp, err error) {
 	var buf [4]gatedGet
 	ready := buf[:0]
-	l.mu.Lock()
-	if head := l.pend[op.key]; head == op {
+	sl.gateMu.Lock()
+	if head := sl.pend[op.key]; head == op {
 		if op.nextKey == nil {
-			delete(l.pend, op.key)
+			delete(sl.pend, op.key)
 		} else {
-			l.pend[op.key] = op.nextKey
+			sl.pend[op.key] = op.nextKey
 		}
 	} else {
 		for ; head.nextKey != op; head = head.nextKey {
@@ -268,37 +317,37 @@ func (l *replLog) resolve(op *replOp, err error) {
 		g.failed = g.failed || err != nil
 		if g.waiting--; g.waiting == 0 {
 			ready = append(ready, *g)
-			l.freeGets = append(l.freeGets, g)
+			sl.freeGets = append(sl.freeGets, g)
 		}
 	}
 	reply, epoch := op.reply, op.epoch
 	clear(op.gets)
 	op.gets = op.gets[:0]
-	l.freeOps = append(l.freeOps, op)
-	l.mu.Unlock()
+	sl.freeOps = append(sl.freeOps, op)
+	sl.gateMu.Unlock()
 	if err != nil {
-		l.slot.answer(reply, nil, core.StatusOverloaded)
+		sl.answer(reply, nil, core.StatusOverloaded)
 	} else {
-		l.slot.answer(reply, appendEpoch(reply.Buf(), epoch), core.StatusOK)
+		sl.answer(reply, appendEpoch(reply.Buf(), epoch), core.StatusOK)
 	}
 	for _, g := range ready {
 		if g.failed { // the observed value's durability is unknown: retry
-			l.slot.answer(g.reply, nil, core.StatusOverloaded)
+			sl.answer(g.reply, nil, core.StatusOverloaded)
 		} else {
-			l.slot.answer(g.reply, appendGetReply(g.reply.Buf(), g.epoch, g.val, g.found), core.StatusOK)
+			sl.answer(g.reply, appendGetReply(g.reply.Buf(), g.epoch, g.val, g.found), core.StatusOK)
 		}
 	}
 }
 
-// close stops the log; the forwarder NACKs what is queued and completes
+// close stops the stream; the forwarder NACKs what is queued and completes
 // what is in flight on its way out.
-func (l *replLog) close() {
-	l.mu.Lock()
-	if !l.stopped {
-		l.stopped = true
-		close(l.stop)
+func (st *replStream) close() {
+	st.mu.Lock()
+	if !st.stopped {
+		st.stopped = true
+		close(st.stop)
 	}
-	l.mu.Unlock()
+	st.mu.Unlock()
 }
 
 // replFrame is one in-flight frame: the leased wire image (the Pendings
@@ -319,10 +368,10 @@ type replCall struct {
 
 // frameFor returns a frame record carrying ops, reusing a retired one's
 // slices when there is one.
-func (l *replLog) frameFor(ops []*replOp) *replFrame {
+func (st *replStream) frameFor(ops []*replOp) *replFrame {
 	var f *replFrame
-	if n := len(l.spare); n > 0 {
-		f, l.spare = l.spare[n-1], l.spare[:n-1]
+	if n := len(st.spare); n > 0 {
+		f, st.spare = st.spare[n-1], st.spare[:n-1]
 	} else {
 		f = new(replFrame)
 	}
@@ -330,17 +379,17 @@ func (l *replLog) frameFor(ops []*replOp) *replFrame {
 	return f
 }
 
-// submit builds the wire frame of f's ops (one epoch, hence one backup
-// set) once and issues it to every backup.
-func (l *replLog) submit(f *replFrame) {
-	s := l.svc
+// submit builds the wire frame of f's ops (one epoch, of any shards of the
+// stream's backup set) once and issues it to every backup of the set.
+func (st *replStream) submit(f *replFrame) {
+	s := st.svc
 	f.start = time.Now()
-	f.frame.lease(f.ops[0].epoch, l.shard, len(f.ops))
+	f.frame.lease(f.ops[0].epoch, len(f.ops))
 	for _, op := range f.ops {
 		f.frame.add(op.key, op.val)
 	}
-	for _, to := range f.ops[0].backups {
-		th, err := l.threads.thread(to)
+	for _, to := range st.backups {
+		th, err := st.threads.thread(to)
 		if err != nil {
 			f.err = &ReplError{Backup: to, Err: err}
 			break
@@ -350,7 +399,7 @@ func (l *replLog) submit(f *replFrame) {
 			MaxAttempts: replBatchAttempts,
 		})
 		if err != nil {
-			l.threads.noteErr(to, err)
+			st.threads.noteErr(to, err)
 			f.err = &ReplError{Backup: to, Err: err}
 			break
 		}
@@ -371,12 +420,12 @@ func (f *replFrame) landed() bool {
 
 // await waits out every backup's answer to the frame and returns the first
 // refusal, nil when all of them acked.
-func (l *replLog) await(f *replFrame) error {
-	s := l.svc
+func (st *replStream) await(f *replFrame) error {
+	s := st.svc
 	err := f.err
 	for _, c := range f.calls {
 		resp, werr := c.p.Wait()
-		l.threads.noteErr(c.to, werr)
+		st.threads.noteErr(c.to, werr)
 		if cerr := s.classifyReplicaResp(c.to, resp, werr); cerr != nil {
 			if err == nil {
 				err = cerr
@@ -394,27 +443,28 @@ func (l *replLog) await(f *replFrame) error {
 
 // complete is the batch-ack arm: it waits the frame out and answers every
 // put it carried, and the gets gated on them.
-func (l *replLog) complete(f *replFrame) {
-	err := l.await(f)
+func (st *replStream) complete(f *replFrame) {
+	err := st.await(f)
 	for _, op := range f.ops {
-		l.resolve(op, err)
+		op.slot.resolve(op, err)
 	}
 	clear(f.ops)
 	clear(f.calls)
 	f.calls, f.err = f.calls[:0], nil
-	l.spare = append(l.spare, f)
+	st.spare = append(st.spare, f)
 }
 
 // run is the forwarder loop. Invariant: it never parks unboundedly while
 // frames are in flight — a leased frame is always either being completed
 // (Wait resolves within its budget) or waiting behind a bounded flush timer —
-// so the package leak gate can't be wedged by an idle log holding pool memory.
-func (l *replLog) run() {
-	s := l.svc
+// so the package leak gate can't be wedged by an idle stream holding pool
+// memory.
+func (st *replStream) run() {
+	s := st.svc
 	defer s.fwdWG.Done()
 	var fly []*replFrame
 	retire := func() {
-		l.complete(fly[0])
+		st.complete(fly[0])
 		fly = append(fly[:0], fly[1:]...)
 	}
 	for {
@@ -425,32 +475,32 @@ func (l *replLog) run() {
 		}
 
 		maxEntries, delay := s.replTuning()
-		l.mu.Lock()
-		if l.stopped {
-			queued := l.queue
-			l.queue = nil
-			l.mu.Unlock()
+		st.mu.Lock()
+		if st.stopped {
+			queued := st.queue
+			st.queue = nil
+			st.mu.Unlock()
 			s.logPending.Add(-int64(len(queued)))
 			for _, op := range queued {
-				l.resolve(op, errReplStopped)
+				op.slot.resolve(op, errReplStopped)
 			}
 			for len(fly) > 0 {
 				retire()
 			}
 			return
 		}
-		n, wake := cutBatch(l.queue, maxEntries, delay, l.firstAt, time.Now())
+		n, wake := cutBatch(st.queue, maxEntries, delay, st.firstAt, time.Now())
 		var next *replFrame
 		if n > 0 {
-			next = l.frameFor(l.queue[:n])
-			rem := copy(l.queue, l.queue[n:])
-			clear(l.queue[rem:])
-			l.queue = l.queue[:rem]
+			next = st.frameFor(st.queue[:n])
+			rem := copy(st.queue, st.queue[n:])
+			clear(st.queue[rem:])
+			st.queue = st.queue[:rem]
 			if rem > 0 {
-				l.firstAt = time.Now()
+				st.firstAt = time.Now()
 			}
 		}
-		l.mu.Unlock()
+		st.mu.Unlock()
 
 		switch {
 		case n > 0:
@@ -458,16 +508,16 @@ func (l *replLog) run() {
 			if len(fly) >= replPipeDepth {
 				retire() // pipeline full: the oldest frame goes first
 			}
-			l.submit(next)
+			st.submit(next)
 			fly = append(fly, next)
 		case !wake.IsZero():
 			// Waiting out a flush deadline (tests only): bounded park, so
 			// any leased in-flight frames are revisited promptly.
 			t := time.NewTimer(time.Until(wake))
 			select {
-			case <-l.kick:
+			case <-st.kick:
 			case <-t.C:
-			case <-l.stop:
+			case <-st.stop:
 			}
 			t.Stop()
 		case len(fly) > 0:
@@ -477,8 +527,8 @@ func (l *replLog) run() {
 			retire()
 		default:
 			select {
-			case <-l.kick:
-			case <-l.stop:
+			case <-st.kick:
+			case <-st.stop:
 			}
 		}
 	}

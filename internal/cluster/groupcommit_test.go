@@ -114,16 +114,14 @@ func TestCutBatch(t *testing.T) {
 }
 
 // TestReplFrameSingleEntryWireCompat: a one-entry group-commit frame is
-// byte-identical to the PR 9 AppendReplicaForward image — old and new
-// primaries speak one wire dialect, so mixed-version batches decode on
-// any backup.
+// byte-identical to the AppendReplicaForward image — the pooled frame
+// builder and the reference encoder speak one wire dialect.
 func TestReplFrameSingleEntryWireCompat(t *testing.T) {
 	want := AppendReplicaForward(nil, ReplicaForward{
 		Epoch:   42,
-		Shard:   7,
 		Entries: []ReplicaEntry{{Key: 0xDEAD, Val: 0xBEEF}},
 	})
-	f := leaseReplFrame(42, 7, 1)
+	f := leaseReplFrame(42, 1)
 	defer f.release()
 	f.add(0xDEAD, 0xBEEF)
 	got := f.payload()
@@ -134,7 +132,7 @@ func TestReplFrameSingleEntryWireCompat(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if dec.Epoch != 42 || dec.Shard != 7 || len(dec.Entries) != 1 || dec.Entries[0] != (ReplicaEntry{Key: 0xDEAD, Val: 0xBEEF}) {
+	if dec.Epoch != 42 || len(dec.Entries) != 1 || dec.Entries[0] != (ReplicaEntry{Key: 0xDEAD, Val: 0xBEEF}) {
 		t.Fatalf("decoded %+v", dec)
 	}
 }
@@ -142,8 +140,8 @@ func TestReplFrameSingleEntryWireCompat(t *testing.T) {
 // TestReplFrameMultiEntry: an N-entry frame round-trips and matches the
 // reference encoder entry for entry.
 func TestReplFrameMultiEntry(t *testing.T) {
-	ref := ReplicaForward{Epoch: 9, Shard: 3}
-	f := leaseReplFrame(9, 3, 5)
+	ref := ReplicaForward{Epoch: 9}
+	f := leaseReplFrame(9, 5)
 	defer f.release()
 	for i := uint64(0); i < 5; i++ {
 		f.add(i*3, i*7+1)
@@ -155,7 +153,7 @@ func TestReplFrameMultiEntry(t *testing.T) {
 }
 
 // TestGroupCommitCoalesces: concurrent puts to one shard ride shared
-// FRP1 frames — the batch-entries histogram must show multi-entry
+// FRP2 frames — the batch-entries histogram must show multi-entry
 // flushes — every acked put is on the backups (fingerprints equal), and a
 // frame is built once for both of them: each backup received the same number
 // of frames F, and the primary counted F × backups acked batches.
@@ -590,7 +588,7 @@ func TestReplicateTypedErrors(t *testing.T) {
 	newer := m.Clone()
 	newer.Epoch += 5
 	lc.services[backup].InstallMap(newer)
-	err := commitTo(lc.services[primary], backup, m.Epoch, shard, 1, 1)
+	err := commitTo(lc.services[primary], backup, m.Epoch, shard, 1)
 	if !errors.Is(err, ErrReplicaFenced) {
 		t.Fatalf("stale-epoch commit error = %v, want ErrReplicaFenced", err)
 	}
@@ -612,7 +610,7 @@ func TestReplicateTypedErrors(t *testing.T) {
 		}
 	}
 	lc.services[bystander].InstallMap(newer)
-	if _, err := lc.services[primary].shards[shard].store.UpdateMax64(1, 1); err != nil {
+	if _, err := lc.services[primary].shards[shard].store.UpdateMax64(shardKeys(m, shard, 1)[0], 1); err != nil {
 		t.Fatal(err)
 	}
 	err = lc.services[primary].CopyShardTo(shard, bystander, time.Now().Add(20*time.Millisecond))
@@ -631,7 +629,7 @@ func TestReplicateTypedErrors(t *testing.T) {
 	fab.SetLinkDown(primary, backup, true)
 	fab.SetLinkDown(backup, primary, true)
 	lc.services[primary].fwdBudget = 50 * time.Millisecond
-	err = commitTo(lc.services[primary], backup, newer.Epoch, shard, 2, 2)
+	err = commitTo(lc.services[primary], backup, newer.Epoch, shard, 2)
 	if err == nil {
 		t.Fatal("commit to an unreachable backup succeeded")
 	}
@@ -710,5 +708,226 @@ func TestGroupCommitReadGate(t *testing.T) {
 	}
 	if got := primary.Node().Telemetry().Counter("cluster.read_gate_waits").Load(); got == 0 {
 		t.Fatal("read_gate_waits counter never moved although the get was gated")
+	}
+}
+
+// twoShardPrimary returns a member that is primary of at least two shards
+// and two of those shards.
+func twoShardPrimary(t *testing.T, m *ShardMap) (fabric.NodeID, int, int) {
+	t.Helper()
+	for _, id := range m.Members {
+		if owned := m.ShardsOwnedBy(id); len(owned) >= 2 {
+			return id, owned[0], owned[1]
+		}
+	}
+	t.Fatal("no member is primary of two shards")
+	return 0, 0, 0
+}
+
+// TestFrameCarriesEveryShardOfItsSet: with three members and R=2 every
+// shard's backup set is the two members that are not its primary, so a
+// primary of two shards has one backup set for both — one replication
+// stream, one forwarder — and a put to each of them inside one flush window
+// rides one frame to each backup: two acked batches of two entries, not four
+// of one. Both shards are then equal on both backups.
+func TestFrameCarriesEveryShardOfItsSet(t *testing.T) {
+	lc := newGroupCommitCluster(t, 3, 4, 2, 4)
+	lc.router.callBudget = 4 * time.Second
+	m := lc.coord.Map()
+	primary, shardA, shardB := twoShardPrimary(t, m)
+	svc := lc.services[primary]
+	svc.Repl = ReplTuning{flushDelay: 150 * time.Millisecond}
+	// Dial every link the puts take up front, so neither put can miss the
+	// other's flush window on a slow dial.
+	if _, err := lc.router.peers.conn(primary); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range m.BackupsOf(shardA) {
+		if _, err := svc.peers.conn(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keys := []uint64{shardKeys(m, shardA, 1)[0], shardKeys(m, shardB, 1)[0]}
+	var wg sync.WaitGroup
+	errs := make([]error, len(keys))
+	for i, k := range keys {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = lc.router.Thread().Put(k, uint64(i)+1)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("put %d: %v", i, err)
+		}
+	}
+	tl := svc.Node().Telemetry()
+	if got := tl.Counter("cluster.repl_batches").Load(); got != 2 {
+		t.Fatalf("repl_batches = %d, want 2: one frame carrying both shards, acked by each of 2 backups", got)
+	}
+	if snap := tl.Hist("cluster.repl_batch_entries").Snapshot(); snap.Count != 2 || snap.Sum != 4 {
+		t.Fatalf("batch hist count=%d sum=%d, want two acked frames of 2 entries", snap.Count, snap.Sum)
+	}
+	svc.streamMu.Lock()
+	streams := len(svc.streams)
+	svc.streamMu.Unlock()
+	if streams != 1 {
+		t.Fatalf("primary runs %d replication streams for one backup set, want 1", streams)
+	}
+	for _, shard := range []int{shardA, shardB} {
+		pf := svc.ShardFingerprint(shard)
+		for _, b := range m.BackupsOf(shard) {
+			if bf := lc.services[b].ShardFingerprint(shard); bf != pf {
+				t.Fatalf("shard %d: primary fingerprint %#x != backup %d fingerprint %#x", shard, pf, b, bf)
+			}
+		}
+	}
+}
+
+// TestStragglerSetDoesNotStallOtherSets: a member that is primary of shards
+// under two backup sets runs one stream per set, so a backup that stops
+// answering stalls only the set it is in. With one backup of the first set
+// holding its frame unanswered, a put on that set's shard waits its frame's
+// budget out; puts on a shard whose set does not hold that backup are
+// acknowledged meanwhile, one after another. The straggler is a backup whose
+// apply is blocked (its shard lock is held), not a dead link: a link taken
+// down breaks and quarantines the connection's queue pairs within
+// milliseconds, which fails the frame long before its budget.
+func TestStragglerSetDoesNotStallOtherSets(t *testing.T) {
+	lc := newGroupCommitCluster(t, 4, 16, 2, 4)
+	m := lc.coord.Map()
+	primary, stalled, free, straggler := fabric.NodeID(-1), -1, -1, fabric.NodeID(-1)
+search:
+	for _, id := range m.Members {
+		owned := m.ShardsOwnedBy(id)
+		for _, a := range owned {
+			for _, b := range owned {
+				for _, d := range m.BackupsOf(a) {
+					if !m.IsBackup(b, d) {
+						primary, stalled, free, straggler = id, a, b, d
+						break search
+					}
+				}
+			}
+		}
+	}
+	if primary < 0 {
+		t.Fatal("no primary serves shards under two backup sets")
+	}
+	svc := lc.services[primary]
+	const budget = time.Second
+	svc.fwdBudget = budget
+	stallTh, freeTh := directThread(t, lc, primary), directThread(t, lc, primary)
+	held := lc.services[straggler].shards[stalled]
+	held.mu.Lock() // the straggler's apply of the stalled set's frame blocks here
+	var unlock sync.Once
+	release := func() { unlock.Do(held.mu.Unlock) }
+	defer release() // a failed assertion must not leave the network's drain blocked on it
+
+	stalledKey := shardKeys(m, stalled, 1)[0]
+	stallErr := make(chan error, 1)
+	start := time.Now()
+	go func() {
+		resp, err := directKV(stallTh, OpPut, stalledKey, 1)
+		resp.Release()
+		stallErr <- err
+	}()
+	waitUntil(t, "the stalled set's put to be staged and applied", func() bool { return stagedAndApplied(svc, stalled, stalledKey) })
+	for i, k := range shardKeys(m, free, 5) {
+		resp, err := directKV(freeTh, OpPut, k, 1)
+		resp.Release()
+		if err != nil || resp.Status != core.StatusOK {
+			t.Fatalf("put %d on shard %d (backups %v) = (status %d, %v) while backup %d stalls", i, free, m.BackupsOf(free), resp.Status, err, straggler)
+		}
+	}
+	if elapsed := time.Since(start); elapsed >= budget {
+		t.Fatalf("the other set's puts took %v, a straggler's whole budget (%v)", elapsed, budget)
+	}
+	if len(svc.pendingOps(stalledKey)) == 0 {
+		t.Fatalf("the put on shard %d resolved before the straggler's budget ran out", stalled)
+	}
+	err := <-stallErr
+	release()
+	if !errors.Is(err, core.ErrOverloaded) {
+		t.Fatalf("put on shard %d with backup %d stalled = %v, want the retryable NACK", stalled, straggler, err)
+	}
+}
+
+// TestReplicateMultiShardFrames drives a backup's apply with hand-built
+// frames whose entries span shards: the fence is checked for every entry
+// before any entry is applied, and an accepted frame files each entry under
+// its own shard.
+func TestReplicateMultiShardFrames(t *testing.T) {
+	cases := []struct {
+		name    string
+		stale   bool // the backup's map is newer than the frame's epoch
+		foreign bool // one entry is of a shard the backup does not replicate
+		want    uint32
+	}{
+		{name: "stale epoch applies nothing", stale: true, want: core.StatusWrongShard},
+		{name: "entry of a foreign shard applies nothing", foreign: true, want: core.StatusWrongShard},
+		{name: "valid frame lands every entry in its shard", want: core.StatusOK},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			lc := newReplicatedCluster(t, 3, 8, 1, fabric.Config{})
+			m := lc.coord.Map()
+			backup := m.Members[0]
+			var backed []int
+			foreign := -1
+			for s := 0; s < m.Shards; s++ {
+				switch {
+				case m.IsBackup(s, backup):
+					backed = append(backed, s)
+				case !m.IsReplica(s, backup):
+					foreign = s
+				}
+			}
+			if len(backed) < 2 || foreign < 0 {
+				t.Fatalf("member %d backs up shards %v and replicates no other shard %d: no multi-shard case", backup, backed, foreign)
+			}
+			shards := backed[:2]
+			if tc.foreign {
+				shards = append(shards, foreign)
+			}
+			fw := ReplicaForward{Epoch: m.Epoch}
+			for i, s := range shards {
+				fw.Entries = append(fw.Entries, ReplicaEntry{Key: shardKeys(m, s, 1)[0], Val: uint64(i) + 10})
+			}
+			svc := lc.services[backup]
+			if tc.stale {
+				newer := m.Clone()
+				newer.Epoch++
+				svc.InstallMap(newer)
+			}
+			th := directThread(t, lc, backup)
+			resp, err := th.CallOpts(RPCReplicate, AppendReplicaForward(nil, fw), core.CallOptions{Budget: 5 * time.Second, MaxAttempts: 1})
+			if err != nil {
+				t.Fatalf("replicate: %v", err)
+			}
+			status := resp.Status
+			var applied int
+			if status == core.StatusOK {
+				_, applied, err = DecodeReplicaAck(resp.Data)
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			resp.Release()
+			if status != tc.want {
+				t.Fatalf("status %d, want %d", status, tc.want)
+			}
+			for i, e := range fw.Entries {
+				v, found := svc.shards[shards[i]].store.Value64(e.Key)
+				if landed := found && v == e.Val; landed != (tc.want == core.StatusOK) {
+					t.Fatalf("entry %d of shard %d: in its store = %v, want %v", i, shards[i], landed, !landed)
+				}
+			}
+			if tc.want == core.StatusOK && applied != len(fw.Entries) {
+				t.Fatalf("ack reports %d applied, want %d", applied, len(fw.Entries))
+			}
+		})
 	}
 }

@@ -18,14 +18,15 @@ const (
 	// request; the reply is the map itself (which carries its epoch), no
 	// prefix.
 	RPCMap = 0xC4
-	// RPCReplicate is the primary→backup replication forward: an FRP1
+	// RPCReplicate is the primary→backup replication forward: an FRP2
 	// frame (see wire.go) applied with guarded take-the-max semantics. It
 	// is the only RPC that writes entries into another member's store:
 	// group-commit batches and the snapshot frames of a recruit's copy
-	// are both FRP1.
-	// The OK reply is a ReplicaAck; a backup whose map says the sender is
-	// no longer a replica of the shard NACKs StatusWrongShard with its
-	// newer encoded map, fencing deposed primaries.
+	// are both FRP2.
+	// The OK reply is a ReplicaAck; a backup whose map is newer than the
+	// frame's epoch, or at that epoch does not replicate the shard of some
+	// entry, NACKs StatusWrongShard with its encoded map, fencing deposed
+	// primaries.
 	RPCReplicate = 0xC5
 )
 

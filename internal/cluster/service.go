@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,9 +36,9 @@ type Service struct {
 
 	shards []*shardSlot
 
-	// peers holds the handles to the other members; each shard's forwarder
-	// has its own threads on them, and snapshot copies, one at a time, share
-	// copyThreads.
+	// peers holds the handles to the other members; each replication
+	// stream's forwarder has its own threads on them, and snapshot copies,
+	// one at a time, share copyThreads.
 	peers       *peerConns
 	copyMu      sync.Mutex
 	copyThreads *peerThreads
@@ -56,9 +57,15 @@ type Service struct {
 	// before traffic; see ReplTuning.
 	Repl ReplTuning
 
-	// fwdWG counts the shards' replication forwarders, each started by its
-	// log on the first replicated put (see replLog).
-	fwdWG sync.WaitGroup
+	// streamMu guards streams, one per distinct backup set a put has been
+	// admitted under (see replStream), and replClosed, set by Close, after
+	// which every put is handed closedStream; fwdWG counts the streams'
+	// forwarders.
+	streamMu     sync.Mutex
+	streams      []*replStream
+	replClosed   bool
+	closedStream replStream
+	fwdWG        sync.WaitGroup
 
 	moves        *telemetry.Counter
 	replFwds     *telemetry.Counter
@@ -80,7 +87,17 @@ type shardSlot struct {
 	// out in-flight requests and no request straddles it.
 	mu    sync.RWMutex
 	store *kvstore.Store
-	log   replLog
+
+	// gateMu guards the read gate's index of unresolved puts per key (linked
+	// through replOp.nextKey), the freelists of its records, and the stream
+	// cache: stream is the replication stream of the shard's backup set under
+	// map epoch streamEpoch (see stage).
+	gateMu      sync.Mutex
+	pend        map[uint64]*replOp
+	freeOps     []*replOp
+	freeGets    []*gatedGet
+	stream      *replStream
+	streamEpoch uint64
 }
 
 // answer sends a KV request's reply and then releases the shared lock the
@@ -121,20 +138,13 @@ func NewService(node *core.Node, m *ShardMap, storeCap int) (*Service, error) {
 		flushNS:      node.Telemetry().Hist("cluster.repl_flush_ns"),
 		logPending:   node.Telemetry().Gauge("cluster.repl_log_pending"),
 	}
+	s.closedStream.stopped = true
 	for i := range s.shards {
 		st, err := kvstore.New(kvstore.NewMem(kvstore.ArenaSize(storeCap, 8)), storeCap, 8)
 		if err != nil {
 			return nil, err
 		}
-		slot := &shardSlot{store: st}
-		slot.log = replLog{
-			svc: s, slot: slot, shard: i,
-			threads: peers.newThreads(),
-			pend:    make(map[uint64]*replOp),
-			kick:    make(chan struct{}, 1),
-			stop:    make(chan struct{}),
-		}
-		s.shards[i] = slot
+		s.shards[i] = &shardSlot{store: st, pend: make(map[uint64]*replOp)}
 	}
 	s.cur.Store(m)
 	// KV ops run on the worker pool (they can block: the shard lock, emulated
@@ -175,9 +185,9 @@ func (s *Service) handleMap(req []byte) ([]byte, uint32) {
 }
 
 // handleKV serves one get or put. It never waits for replication: a put
-// with backups is staged, applied and appended to the shard's log, and the
-// handler returns — the forwarder's batch-ack arm sends the reply; a get
-// that observed an unresolved put is parked on it the same way.
+// with backups is staged, applied and appended to its backup set's stream,
+// and the handler returns — the forwarder's batch-ack arm sends the reply;
+// a get that observed an unresolved put is parked on it the same way.
 func (s *Service) handleKV(req []byte, r *core.Reply) {
 	op, key, val, ok := decodeKVReq(req)
 	if !ok {
@@ -199,7 +209,7 @@ func (s *Service) handleKV(req []byte, r *core.Reply) {
 		// which is what frees the shard lock and the read gate's index.
 		if recover() != nil {
 			if staged != nil {
-				slot.log.resolve(staged, errHandlerPanic)
+				slot.resolve(staged, errHandlerPanic)
 			} else {
 				slot.answer(r, nil, core.StatusHandlerPanic)
 			}
@@ -217,11 +227,11 @@ func (s *Service) handleKV(req []byte, r *core.Reply) {
 	case OpGet:
 		v, found := slot.store.Value64(key)
 		// Commit gate: the value just read may belong to a put still in the
-		// replication log. Answering now would let this node die inside the
+		// replication stream. Answering now would let this node die inside the
 		// flush window having shown a client a value no backup holds — the
 		// read, not the put's ack, breaks the durability promise. So the reply
 		// waits for every unresolved put on the key; a failed commit NACKs it.
-		if slot.log.gate(key, r, m.Epoch, v, found) {
+		if slot.gate(key, r, m.Epoch, v, found) {
 			s.readGate.Inc()
 			return
 		}
@@ -230,9 +240,10 @@ func (s *Service) handleKV(req []byte, r *core.Reply) {
 		// Group-commit replication: the ACK is a durability promise — the
 		// write must survive this node's death — so every backup must hold
 		// it first, a move's recruited target included (it is in BackupsOf
-		// like any other). The put joins the shard's replication log and is
-		// answered when its frame commits on every backup, or NACKed with the
-		// whole frame (groupcommit.go has the failure semantics).
+		// like any other). The put joins the replication stream of the shard's
+		// backup set and is answered when its frame commits on every backup,
+		// or NACKed with the whole frame (groupcommit.go has the failure
+		// semantics).
 		//
 		// Staged BEFORE the local apply — a read that observes the applied
 		// value is then sure to find the op in the per-key index and gate on
@@ -246,13 +257,13 @@ func (s *Service) handleKV(req []byte, r *core.Reply) {
 			slot.answer(r, appendEpoch(r.Buf(), m.Epoch), core.StatusOK)
 			return
 		}
-		op := slot.log.stage(m.Epoch, key, val, backups, r)
+		op := slot.stage(s, m.Epoch, key, val, backups, r)
 		staged = op
 		if _, err := slot.store.UpdateMax64(key, val); err != nil {
-			slot.log.resolve(op, errStoreFull)
+			slot.resolve(op, errStoreFull)
 			return
 		}
-		slot.log.enqueue(op)
+		op.stream.enqueue(op)
 	default:
 		slot.answer(r, nil, core.StatusNoHandler)
 	}
@@ -270,33 +281,56 @@ func appendGetReply(b []byte, epoch, val uint64, found bool) []byte {
 }
 
 // handleReplicate is the backup half of synchronous replication, and the
-// receiving half of a recruit's snapshot copy. The epoch on the frame is the
-// fence: a frame older than our map means the sender kept serving past a
-// failover (a deposed primary), and instead of absorbing its writes we NACK
-// WrongShard with the newer map so it self-corrects like a stale router. A
-// frame at or ahead of our epoch is applied with the owner path's guarded
-// take-the-max, so replays and reordered retries commute.
+// receiving half of a recruit's snapshot copy. A frame may carry entries of
+// several shards (those its sender serves under one backup set); each
+// entry's shard is this member's own map's ShardOf. The epoch on the frame is
+// the fence, checked for every entry before any entry is applied: a frame
+// older than our map means the sender kept serving past a failover (a
+// deposed primary), and instead of absorbing its writes we NACK WrongShard
+// with the newer map so it self-corrects like a stale router. A frame at or
+// ahead of our epoch is applied with the owner path's guarded take-the-max,
+// so replays and reordered retries commute.
 func (s *Service) handleReplicate(req []byte, r *core.Reply) {
 	f, n, err := decodeReplicaHeader(req)
-	m := s.cur.Load()
-	switch {
-	case err != nil || f.Shard >= m.Shards:
+	if err != nil {
 		r.Send(nil, core.StatusNoHandler)
 		return
-	case f.Epoch < m.Epoch, f.Epoch == m.Epoch && !m.IsReplica(f.Shard, s.node.ID()):
-		// Older than our map: fenced. Same view, but we are not in this
-		// shard's replica set: the sender's frame is corrupt or misrouted,
-		// not merely stale.
+	}
+	m := s.cur.Load()
+	if f.Epoch < m.Epoch { // older than our map: fenced, for every shard in it
 		r.Send(m.Encode(), core.StatusWrongShard)
 		return
 	}
-	slot := s.shards[f.Shard]
-	slot.mu.RLock()
-	defer slot.mu.RUnlock()
+	var buf [8]int
+	shards := buf[:0]
+	for i := 0; i < n; i++ {
+		shard := m.ShardOf(replicaEntryAt(req, i).Key)
+		if f.Epoch == m.Epoch && !m.IsReplica(shard, s.node.ID()) {
+			// Same view, but we are not in this shard's replica set: the
+			// sender's frame is corrupt or misrouted, not merely stale.
+			r.Send(m.Encode(), core.StatusWrongShard)
+			return
+		}
+		if !slices.Contains(shards, shard) {
+			shards = append(shards, shard)
+		}
+	}
+	// Every shard the frame touches is held shared until the ack is sent, so
+	// no install on any of them straddles the frame; in shard order, so two
+	// frames never wait on each other's shards behind a pending install.
+	slices.Sort(shards)
+	for _, shard := range shards {
+		s.shards[shard].mu.RLock()
+	}
+	defer func() {
+		for _, shard := range shards {
+			s.shards[shard].mu.RUnlock()
+		}
+	}()
 	applied := 0
 	for i := 0; i < n; i++ {
 		e := replicaEntryAt(req, i)
-		adv, err := slot.store.UpdateMax64(e.Key, e.Val)
+		adv, err := s.shards[m.ShardOf(e.Key)].store.UpdateMax64(e.Key, e.Val)
 		if err != nil {
 			r.Send(nil, core.StatusOverloaded)
 			return
@@ -349,7 +383,7 @@ func (s *Service) installUnder(shard int, m *ShardMap) {
 // CopyShardTo streams the shard's snapshot to `to`, which the caller has
 // already made a backup of the shard (Coordinator.recruit): writes racing the
 // scan reach it on the replication stream, and the guarded apply makes
-// scan-vs-stream order irrelevant. The snapshot rides FRP1 frames built in
+// scan-vs-stream order irrelevant. The snapshot rides FRP2 frames built in
 // one pooled buffer and stamped with this member's map epoch. Each frame is
 // retried until deadline — the fault plans this runs under flap links
 // mid-copy — and a fenced frame is re-sent under the newer map the NACK
@@ -365,7 +399,7 @@ func (s *Service) CopyShardTo(shard int, to fabric.NodeID, deadline time.Time) e
 		return err
 	}
 	maxEntries := min(256, maxFrameEntries)
-	f := leaseReplFrame(0, shard, maxEntries)
+	f := leaseReplFrame(0, maxEntries)
 	defer f.release()
 	flush := func() error {
 		if f.n == 0 {
@@ -417,13 +451,16 @@ func (s *Service) ShardFingerprint(shard int) uint64 {
 	return s.shards[shard].store.Fingerprint64()
 }
 
-// Close stops the replication logs (queued puts NACK, in-flight frames
-// resolve within their budgets, so every put is answered) and tears down
-// the forward links.
+// Close stops the replication streams (queued puts NACK, in-flight frames
+// resolve within their budgets, so every put is answered; a put staged from
+// here on is NACKed at once) and tears down the forward links.
 func (s *Service) Close() {
-	for _, slot := range s.shards {
-		slot.log.close()
+	s.streamMu.Lock()
+	s.replClosed = true
+	for _, st := range s.streams {
+		st.close()
 	}
+	s.streamMu.Unlock()
 	s.fwdWG.Wait()
 	s.peers.close()
 }

@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"flock/internal/fabric"
@@ -407,10 +409,27 @@ func TestReplicaSetSurgeryEdges(t *testing.T) {
 
 // ErrBadReplica is the replication frame's reject error, distinct from
 // the map's ErrBadMap so callers can tell a corrupt forward from a
-// corrupt map payload.
+// corrupt map payload. A well-formed frame of the earlier one-shard
+// layout ('FRP1': magic, epoch, shard, n, entries) is rejected by its
+// magic, whatever its length.
 func TestReplicaWireErrorsDistinct(t *testing.T) {
-	if _, err := DecodeReplicaForward([]byte{1, 2, 3}); !errors.Is(err, ErrBadReplica) {
-		t.Fatalf("short forward: %v", err)
+	frp1 := []byte("FRP1")
+	frp1 = binary.LittleEndian.AppendUint64(frp1, 7) // epoch
+	frp1 = binary.LittleEndian.AppendUint32(frp1, 3) // shard
+	frp1 = binary.LittleEndian.AppendUint32(frp1, 1) // n
+	frp1 = binary.LittleEndian.AppendUint64(frp1, 0xDEAD)
+	frp1 = binary.LittleEndian.AppendUint64(frp1, 0xBEEF)
+	for name, b := range map[string][]byte{
+		"short forward": {1, 2, 3},
+		"FRP1 frame":    frp1,
+		"FRP1 header":   frp1[:ReplicaForwardSize(0)],
+	} {
+		if _, err := DecodeReplicaForward(b); !errors.Is(err, ErrBadReplica) {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	if _, err := DecodeReplicaForward(frp1); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("FRP1 frame rejected for %v, want its magic", err)
 	}
 	if _, _, err := DecodeReplicaAck([]byte{1}); !errors.Is(err, ErrBadReplica) {
 		t.Fatalf("short ack: %v", err)

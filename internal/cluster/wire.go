@@ -196,11 +196,17 @@ func DecodeShardMap(b []byte) (*ShardMap, error) {
 //
 // Forward (request):
 //
-//	+0   magic  uint32  'F','R','P','1'
+//	+0   magic  uint32  'F','R','P','2'
 //	+4   epoch  uint64  sender's map epoch
-//	+12  shard  uint32
-//	+16  n      uint32
-//	+20  n × (key uint64, val uint64)
+//	+12  n      uint32
+//	+16  n × (key uint64, val uint64)
+//
+// A frame carries no shard: it holds the puts of every shard the sender
+// primaries under one backup set, and the backup derives each entry's
+// shard with its own map's ShardOf — sound because the shard count is set
+// once by NewReplicated and every later map carries it unchanged. The
+// earlier layout ('FRP1', one shard per frame in a field after the epoch)
+// is rejected by its magic.
 //
 // Ack (StatusOK reply payload):
 //
@@ -208,9 +214,9 @@ func DecodeShardMap(b []byte) (*ShardMap, error) {
 //	+8   applied uint32  entries that advanced the backup's store
 
 const (
-	replMagic = uint32('F') | uint32('R')<<8 | uint32('P')<<16 | uint32('1')<<24
+	replMagic = uint32('F') | uint32('R')<<8 | uint32('P')<<16 | uint32('2')<<24
 
-	replHeaderLen = 20
+	replHeaderLen = 16
 	replAckLen    = 12
 
 	// maxWireReplEntries bounds one forward frame; larger is corruption.
@@ -229,9 +235,8 @@ type ReplicaEntry struct {
 type ReplicaForward struct {
 	// Epoch is the sending primary's map epoch at forward time.
 	Epoch uint64
-	// Shard is the shard every entry belongs to.
-	Shard int
-	// Entries are the guarded (take-the-max) applies to replay.
+	// Entries are the guarded (take-the-max) applies to replay, of any
+	// shards that share the frame's backup set.
 	Entries []ReplicaEntry
 }
 
@@ -240,7 +245,6 @@ type ReplicaForward struct {
 func AppendReplicaForward(b []byte, f ReplicaForward) []byte {
 	b = binary.LittleEndian.AppendUint32(b, replMagic)
 	b = binary.LittleEndian.AppendUint64(b, f.Epoch)
-	b = binary.LittleEndian.AppendUint32(b, uint32(f.Shard))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(f.Entries)))
 	for _, e := range f.Entries {
 		b = binary.LittleEndian.AppendUint64(b, e.Key)
@@ -251,7 +255,7 @@ func AppendReplicaForward(b []byte, f ReplicaForward) []byte {
 
 // ReplicaForwardSize is the exact encoded length of a forward with n
 // entries.
-func ReplicaForwardSize(n int) int { return replHeaderLen + 16*n }
+func ReplicaForwardSize(n int) int { return replHeaderLen + wireEntryLen*n }
 
 // DecodeReplicaForward parses a forward frame: magic, bounded entry
 // count, exact length. It never panics on arbitrary bytes.
@@ -276,14 +280,13 @@ func decodeReplicaHeader(b []byte) (f ReplicaForward, n int, err error) {
 		return f, 0, fmt.Errorf("%w: bad magic", ErrBadReplica)
 	}
 	f.Epoch = r.u64()
-	shard, count := r.u32(), r.u32()
-	if r.err || shard >= maxWireShards || count > maxWireReplEntries {
+	count := r.u32()
+	if r.err || count > maxWireReplEntries {
 		return f, 0, fmt.Errorf("%w: bad geometry", ErrBadReplica)
 	}
 	if len(b) != ReplicaForwardSize(int(count)) {
 		return f, 0, fmt.Errorf("%w: length mismatch", ErrBadReplica)
 	}
-	f.Shard = int(shard)
 	return f, int(count), nil
 }
 

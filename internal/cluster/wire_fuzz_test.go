@@ -124,31 +124,48 @@ func FuzzShardMapRoundTrip(f *testing.F) {
 
 // --- replication frames ---
 //
-// The FRP1 forward and its fixed-size ack cross the same untrusted
+// The FRP2 forward and its fixed-size ack cross the same untrusted
 // fabric as the shard map, between nodes that may disagree about the
 // epoch; the decoder is the first thing a backup runs on every
 // replicated write. Same properties as the map: never panic, canonical
-// re-encode, encode→decode identity.
+// re-encode, encode→decode identity. A frame names no shard — the backup
+// files each entry under its own map's ShardOf — so the seeds include
+// frames whose entries belong to one shard of fuzzSeedMap and frames whose
+// entries span several.
 
 func fuzzSeedForward() ReplicaForward {
+	keys := shardKeys(fuzzSeedMap(), 3, 2)
 	return ReplicaForward{
 		Epoch: 7,
-		Shard: 3,
 		Entries: []ReplicaEntry{
-			{Key: 0x1122334455667788, Val: 1},
-			{Key: 2, Val: 0xFFFFFFFFFFFFFFFF},
+			{Key: keys[0], Val: 1},
+			{Key: keys[1], Val: 0xFFFFFFFFFFFFFFFF},
 		},
 	}
 }
 
+// fuzzSeedMultiShardForward is what a primary of several shards that share
+// a backup set sends: one frame, entries of four shards interleaved.
+func fuzzSeedMultiShardForward() ReplicaForward {
+	m := fuzzSeedMap()
+	fw := ReplicaForward{Epoch: 11}
+	for i := 0; i < 2; i++ {
+		for shard := 0; shard < 4; shard++ {
+			k := shardKeys(m, shard, 2)[i]
+			fw.Entries = append(fw.Entries, ReplicaEntry{Key: k, Val: k + 1})
+		}
+	}
+	return fw
+}
+
 // fuzzSeedBatchForward is the shape group commit actually puts on the
-// wire: one frame carrying a full coalesced flush (ReplTuning's default
-// entry cap), not the single- and two-entry frames the pre-batching
-// protocol sent. Seeding it keeps the fuzzer anchored on the multi-entry
-// length math — count field vs. trailing entry bytes — where a decoder
-// bug would corrupt a whole batch of acked writes at once.
+// wire: one frame carrying a full coalesced flush, not the single- and
+// two-entry frames the pre-batching protocol sent. Seeding it keeps the
+// fuzzer anchored on the multi-entry length math — count field vs.
+// trailing entry bytes — where a decoder bug would corrupt a whole batch
+// of acked writes at once.
 func fuzzSeedBatchForward() ReplicaForward {
-	fw := ReplicaForward{Epoch: 9, Shard: 1}
+	fw := ReplicaForward{Epoch: 9}
 	for i := 0; i < 8; i++ {
 		k := uint64(i+1) * 0x0101010101010101
 		fw.Entries = append(fw.Entries, ReplicaEntry{Key: k, Val: ^k})
@@ -159,10 +176,13 @@ func fuzzSeedBatchForward() ReplicaForward {
 func FuzzDecodeReplicaForward(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(AppendReplicaForward(nil, fuzzSeedForward()))
-	f.Add(AppendReplicaForward(nil, ReplicaForward{Epoch: 1, Shard: 0}))
+	f.Add(AppendReplicaForward(nil, ReplicaForward{Epoch: 1}))
 	batch := AppendReplicaForward(nil, fuzzSeedBatchForward())
 	f.Add(batch)
 	f.Add(batch[:len(batch)-9]) // batch truncated mid-entry: count promises more than arrives
+	multi := AppendReplicaForward(nil, fuzzSeedMultiShardForward())
+	f.Add(multi)
+	f.Add(multi[:len(multi)-wireEntryLen-3]) // multi-shard frame truncated mid-entry
 	good := AppendReplicaForward(nil, fuzzSeedForward())
 	f.Add(good[:len(good)-7]) // truncated mid-entry
 	for _, i := range []int{0, 4, 12, 16, len(good) - 1} {
@@ -176,8 +196,8 @@ func FuzzDecodeReplicaForward(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if fw.Shard < 0 || len(fw.Entries) > maxWireReplEntries {
-			t.Fatalf("accepted out-of-bounds frame: shard=%d n=%d", fw.Shard, len(fw.Entries))
+		if len(fw.Entries) > maxWireReplEntries {
+			t.Fatalf("accepted out-of-bounds frame: n=%d", len(fw.Entries))
 		}
 		if !bytes.Equal(AppendReplicaForward(nil, fw), data) {
 			t.Fatalf("decode/encode not canonical for %d bytes", len(data))
@@ -185,16 +205,26 @@ func FuzzDecodeReplicaForward(f *testing.F) {
 	})
 }
 
+// FuzzReplicaForwardRoundTrip builds n entries drawn from `spread` shards of
+// fuzzSeedMap (entry i from shard i mod spread), and requires the frame to
+// round-trip exactly, every entry to land in the shard it was drawn from, and
+// the frame cut anywhere inside its last entry to be rejected.
 func FuzzReplicaForwardRoundTrip(f *testing.F) {
-	f.Add(uint64(1), uint16(0), uint8(0), uint64(42))
-	f.Add(uint64(1<<50), uint16(255), uint8(9), uint64(0))
-	f.Add(^uint64(0), uint16(1023), uint8(200), ^uint64(0))
-	f.Add(uint64(9), uint16(1), uint8(8), uint64(0x0101010101010101)) // a coalesced group-commit flush
-	f.Fuzz(func(t *testing.T, epoch uint64, shard uint16, n uint8, kvSeed uint64) {
-		fw := ReplicaForward{Epoch: epoch, Shard: int(shard) % maxWireShards}
+	f.Add(uint64(1), uint8(1), uint8(0), uint64(42))
+	f.Add(uint64(1<<50), uint8(4), uint8(9), uint64(0))
+	f.Add(^uint64(0), uint8(8), uint8(200), ^uint64(0))
+	f.Add(uint64(9), uint8(1), uint8(8), uint64(0x0101010101010101))  // a coalesced one-shard flush
+	f.Add(uint64(11), uint8(4), uint8(8), uint64(0x0101010101010101)) // one flush of four shards
+	m := fuzzSeedMap()
+	f.Fuzz(func(t *testing.T, epoch uint64, spread, n uint8, kvSeed uint64) {
+		shards := int(spread)%m.Shards + 1
+		fw := ReplicaForward{Epoch: epoch}
 		for i := 0; i < int(n); i++ {
 			// Deterministic in the inputs — no RNG, so failures replay.
 			k := kvSeed ^ uint64(i)*0x9E3779B97F4A7C15
+			for m.ShardOf(k) != i%shards {
+				k++
+			}
 			fw.Entries = append(fw.Entries, ReplicaEntry{Key: k, Val: k >> 3})
 		}
 		b := AppendReplicaForward(nil, fw)
@@ -206,8 +236,20 @@ func FuzzReplicaForwardRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("valid forward rejected: %v", err)
 		}
-		if got.Epoch != fw.Epoch || got.Shard != fw.Shard || !reflect.DeepEqual(got.Entries, fw.Entries) {
+		if got.Epoch != fw.Epoch || !reflect.DeepEqual(got.Entries, fw.Entries) {
 			t.Fatalf("roundtrip mismatch:\n got %+v\nwant %+v", got, fw)
+		}
+		for i, e := range got.Entries {
+			if s := m.ShardOf(e.Key); s != i%shards {
+				t.Fatalf("entry %d files under shard %d, drawn from shard %d", i, s, i%shards)
+			}
+		}
+		if n > 0 {
+			for cut := 1; cut < wireEntryLen; cut++ {
+				if _, err := DecodeReplicaForward(b[:len(b)-cut]); !errors.Is(err, ErrBadReplica) {
+					t.Fatalf("frame cut %d bytes into its last entry: err = %v", cut, err)
+				}
+			}
 		}
 
 		// The ack rides along: fixed length, exact round trip, and every
@@ -245,16 +287,20 @@ func TestFuzzCorpusFresh(t *testing.T) {
 		"testdata/fuzz/FuzzDecodeReplicaForward/seed-basic": corpusBytes(
 			AppendReplicaForward(nil, fuzzSeedForward())),
 		"testdata/fuzz/FuzzDecodeReplicaForward/seed-empty-entries": corpusBytes(
-			AppendReplicaForward(nil, ReplicaForward{Epoch: 1, Shard: 0})),
+			AppendReplicaForward(nil, ReplicaForward{Epoch: 1})),
 		"testdata/fuzz/FuzzDecodeReplicaForward/seed-garbage": corpusBytes(nil),
 		"testdata/fuzz/FuzzDecodeReplicaForward/seed-batch": corpusBytes(
 			AppendReplicaForward(nil, fuzzSeedBatchForward())),
+		"testdata/fuzz/FuzzDecodeReplicaForward/seed-multi-shard": corpusBytes(
+			AppendReplicaForward(nil, fuzzSeedMultiShardForward())),
 		"testdata/fuzz/FuzzReplicaForwardRoundTrip/seed-basic": []byte(
-			"go test fuzz v1\nuint64(1)\nuint16(0)\nbyte(0)\nuint64(42)\n"),
+			"go test fuzz v1\nuint64(1)\nbyte(1)\nbyte(0)\nuint64(42)\n"),
 		"testdata/fuzz/FuzzReplicaForwardRoundTrip/seed-deep": []byte(
-			"go test fuzz v1\nuint64(1125899906842624)\nuint16(255)\nbyte(9)\nuint64(0)\n"),
+			"go test fuzz v1\nuint64(1125899906842624)\nbyte(4)\nbyte(9)\nuint64(0)\n"),
 		"testdata/fuzz/FuzzReplicaForwardRoundTrip/seed-batch": []byte(
-			"go test fuzz v1\nuint64(9)\nuint16(1)\nbyte(8)\nuint64(72340172838076673)\n"),
+			"go test fuzz v1\nuint64(9)\nbyte(1)\nbyte(8)\nuint64(72340172838076673)\n"),
+		"testdata/fuzz/FuzzReplicaForwardRoundTrip/seed-multi-shard": []byte(
+			"go test fuzz v1\nuint64(11)\nbyte(4)\nbyte(8)\nuint64(72340172838076673)\n"),
 	}
 	for path, want := range entries {
 		got, err := os.ReadFile(path)
