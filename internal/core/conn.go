@@ -84,7 +84,7 @@ type Conn struct {
 
 	// sched is the thread scheduler's scratch and statDirty its cue that
 	// some thread recorded a request since the last interval (see
-	// scheduleConn); only the scheduler goroutine touches sched.
+	// scheduleConn); only the node's tick touches sched.
 	sched     schedScratch
 	statDirty atomic.Bool
 

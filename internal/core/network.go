@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"flock/internal/fabric"
 	"flock/internal/mem"
@@ -271,9 +272,8 @@ type Node struct {
 	draining atomic.Bool
 
 	// Server role.
-	schedRCQ *rnic.CQ
-	sconnMu  sync.Mutex
-	sconns   []*serverConn // one per inbound connection handle; a client
+	sconnMu sync.Mutex
+	sconns  []*serverConn // one per inbound connection handle; a client
 	// node may hold several (the paper's multi-process clients, §8.4)
 	sconnsSnap atomic.Value // []*serverConn snapshot for the dispatch loops
 	byQPN      atomic.Value // map[int]*serverQP snapshot
@@ -296,7 +296,8 @@ type Node struct {
 	allConns  []*Conn      // every conn ever opened, kept for the
 	// Close-time lease drain (Conn.Close prunes conns but completed,
 	// unclaimed records may still sit in closed handles' tables)
-	clientState atomic.Bool // client goroutines started
+	clientState atomic.Bool // client relief dispatcher started
+	ticking     atomic.Bool // tick started, by the first of Serve and Connect
 
 	// Named regions exported for remote one-sided access.
 	exportMu sync.Mutex
@@ -529,8 +530,9 @@ func (n *Node) RegisterReplyHandler(rpcID uint32, inline bool, fn ReplyHandler) 
 func (n *Node) handlerTable() *handlerTable { return n.handlers.Load() }
 
 // Serve starts the server role: the request dispatcher, the worker pool (if
-// configured), and the receiver-side QP scheduler (§5.1). It returns
-// immediately; inbound connections are accepted while serving.
+// configured) and, unless Connect started it, the node's tick (§5.1). It
+// returns immediately; inbound connections are accepted while serving, and
+// accept reads nothing Serve writes after serving flips.
 func (n *Node) Serve() error {
 	select {
 	case <-n.done:
@@ -540,7 +542,6 @@ func (n *Node) Serve() error {
 	if n.serving.Swap(true) {
 		return nil // already serving
 	}
-	n.schedRCQ = rnic.NewCQ(1 << 16)
 	// As many spare reply blocks as workCh holds units (4 × Workers, and 4
 	// without a pool): relief takes one per hand-off, and a block returned
 	// beyond that is the GC's.
@@ -552,9 +553,9 @@ func (n *Node) Serve() error {
 			go n.worker(i)
 		}
 	}
-	n.wg.Add(2)
+	n.wg.Add(1)
 	go n.serveDispatch()
-	go n.qpScheduler()
+	n.startTick()
 	return nil
 }
 
@@ -688,15 +689,48 @@ func (n *Node) drainLeases() {
 	}
 }
 
-// ensureClientSide lazily starts the client-role goroutines: the relief
-// dispatcher (§4.3) and the sender-side thread scheduler (§5.2).
+// ensureClientSide lazily starts the client role: the relief dispatcher
+// (§4.3) and, unless Serve started it, the node's tick (§5.2).
 func (n *Node) ensureClientSide() {
 	if n.clientState.Swap(true) {
 		return
 	}
-	n.wg.Add(2)
+	n.wg.Add(1)
 	go n.clientDispatch()
-	go n.threadScheduler()
+	n.startTick()
+}
+
+// startTick starts the node's tick once.
+func (n *Node) startTick() {
+	if n.ticking.Swap(true) {
+		return
+	}
+	n.wg.Add(1)
+	go n.tick()
+}
+
+// tick is the node's one periodic goroutine: every DefaultSchedInterval it
+// sweeps its outbound connections' pending-call tables for overdue attempts
+// (so no call arms a timer of its own) and runs the thread scheduler on
+// each, then the QP scheduler's redistribute over the inbound ones.
+func (n *Node) tick() {
+	defer n.wg.Done()
+	ticker := time.NewTicker(DefaultSchedInterval)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-n.done:
+			return
+		case now := <-ticker.C:
+			for _, c := range n.snapshotConns() {
+				for _, t := range c.snapshotThreads() {
+					t.pend.expire(now)
+				}
+				n.scheduleConn(c)
+			}
+			n.redistribute()
+		}
+	}
 }
 
 // snapshotConns returns the current outbound connections. The returned

@@ -44,8 +44,8 @@ const (
 	// DefaultSignalEvery applies selective signaling (§7): one signaled
 	// write per this many posted messages.
 	DefaultSignalEvery = 16
-	// DefaultSchedInterval is the period of both the receiver-side QP
-	// scheduler and the sender-side thread scheduler.
+	// DefaultSchedInterval is the period of the node's tick: the deadline
+	// sweep, the thread scheduler and the QP scheduler's redistribution.
 	DefaultSchedInterval = 2 * time.Millisecond
 	// DefaultStallTimeout bounds leader credit/space waits and follower
 	// verdict waits before the stall guard declares the QP (or its leader)

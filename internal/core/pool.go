@@ -8,10 +8,11 @@ import (
 )
 
 // This file is the server's receive loop: pumpQP, the one function that pulls
-// a message off a request ring, run by the node's one request dispatcher
-// (§4.3) and by its worker pool (§4.3's "application-managed pool of RPC
-// workers") as Leader/Followers (Schmidt et al., POSA2) — the server half of
-// the client's waiter-is-the-poller (dispatcher.go).
+// a message off a request ring and grants the QP's credit renewals, run by
+// the node's one request dispatcher (§4.3) and by its worker pool (§4.3's
+// "application-managed pool of RPC workers") as Leader/Followers (Schmidt et
+// al., POSA2) — the server half of the client's waiter-is-the-poller
+// (dispatcher.go).
 //
 // The worker is the poller. A pool goroutine with nothing to execute polls
 // the node's request rings for a stint. When it wins a QP's poll role it
@@ -25,20 +26,22 @@ import (
 // parked — it pumps them and hands each worker-lane message to a parked
 // goroutine through workCh, the one hand-off left, which it never blocks on.
 
-// pumpQP pulls at most one message off sqp's request ring under the QP's
-// poll role, building its worker-lane reply handles in *scratch's block (see
-// repliesFor), and drains the QP's send CQ. The role is taken inside
-// enter/exit, so recycleAccept's broken/inuse exclusion covers its holder: no
-// pump touches the ring of a QP under recycle. found is false when the ring is idle, the QP is under
+// pumpQP grants the credit renewals on sqp's receive CQ, pulls at most one
+// message off its request ring (its worker-lane reply handles built in
+// *scratch's block, see repliesFor) and drains its send CQ, under the QP's
+// poll role, taken inside enter/exit so recycleAccept's broken/inuse
+// exclusion covers its holder. found is false when the QP is idle, under
 // recycle, another goroutine holds the role (it is pumping for us), or the
-// ring is empty. An idle ring costs two loads and no role: the send CQ of a
-// QP nobody writes to waits for its next message, and holds at most a
-// sixteenth of the responses sent since the last one.
+// ring is empty. An idle QP — an idle ring and an empty receive CQ, since a
+// leader out of credits posts its renewal alone — costs three loads and no
+// role: the send CQ of a QP nobody writes to waits for its next message,
+// and holds at most a sixteenth of the responses sent since the last one.
 func (n *Node) pumpQP(sqp *serverQP, scratch **replyBlock, cqBuf []rnic.Completion) (u workUnit, found bool) {
-	if sqp.reqCons.idle() || !sqp.enter() {
+	if sqp.reqCons.idle() && sqp.recvCQ.Len() == 0 || !sqp.enter() {
 		return workUnit{}, false
 	}
 	if sqp.pumping.CompareAndSwap(false, true) {
+		n.drainRenewals(sqp, cqBuf)
 		u, found = n.pumpOne(sqp, scratch)
 		for k := sqp.qp.SendCQ().Poll(cqBuf); k > 0; k = sqp.qp.SendCQ().Poll(cqBuf) {
 			for _, comp := range cqBuf[:k] {

@@ -3,51 +3,28 @@ package core
 import (
 	"encoding/binary"
 	"sort"
-	"time"
 
 	"flock/internal/rnic"
 )
 
-// This file is the receiver-side QP scheduler (§5.1): a dedicated server
-// goroutine that (1) grants credit-renewal requests, (2) accumulates the
-// reported coalescing degrees as per-QP utilization, and (3) periodically
-// redistributes active QPs among senders in proportion to utilization,
-// keeping the active set under MAX_AQP to avoid RNIC cache thrashing.
+// This file is the receiver-side QP scheduler (§5.1). Whoever pumps a
+// server QP (pumpQP) grants the credit renewals on its receive CQ under the
+// poll role it holds, adding each reported coalescing degree to the QP's
+// utilization; every DefaultSchedInterval the node's tick redistributes the
+// active QPs among senders in proportion to it, keeping the active set under
+// MAX_AQP to avoid RNIC cache thrashing.
 
-// qpScheduler is the scheduler main loop.
-func (n *Node) qpScheduler() {
-	defer n.wg.Done()
-	ticker := time.NewTicker(DefaultSchedInterval)
-	defer ticker.Stop()
-	var cqBuf [64]rnic.Completion
-	idle := 0
-	for {
-		select {
-		case <-n.done:
-			return
-		case <-ticker.C:
-			n.redistribute()
-		default:
-		}
-		busy := false
-		for {
-			k := n.schedRCQ.Poll(cqBuf[:])
-			if k == 0 {
-				break
+// drainRenewals grants the credit renewals on sqp's receive CQ; the caller
+// holds the poll role inside enter/exit. The CQ outlives recycles, so only
+// OK completions of the current rnic.QP count: one of the previous life
+// must not add C to the grant recycleAccept reset.
+func (n *Node) drainRenewals(sqp *serverQP, cqBuf []rnic.Completion) {
+	qpn := sqp.qp.QPN()
+	for k := sqp.recvCQ.Poll(cqBuf); k > 0; k = sqp.recvCQ.Poll(cqBuf) {
+		for _, comp := range cqBuf[:k] {
+			if comp.Status == rnic.StatusOK && comp.ImmValid && comp.QPN == qpn {
+				n.handleRenewal(sqp, comp.Imm)
 			}
-			busy = true
-			byQPN := n.byQPN.Load().(map[int]*serverQP)
-			for _, comp := range cqBuf[:k] {
-				if sqp := byQPN[comp.QPN]; sqp != nil && comp.ImmValid {
-					n.handleRenewal(sqp, comp.Imm)
-				}
-			}
-		}
-		if busy {
-			idle = 0
-		} else {
-			idle++
-			idleBackoff(idle)
 		}
 	}
 }
@@ -56,14 +33,14 @@ func (n *Node) qpScheduler() {
 // reported coalescing degree as QP utilization and, if the QP is active,
 // grant C more credits by writing the new total into the client's control
 // region. Declining — not granting — is how the scheduler deactivates load
-// from a QP (§5.1).
+// from a QP (§5.1). The caller holds the QP's poll role inside enter/exit.
+//
+// A grant may race the tick's deactivation of the QP and land after it.
+// The client ignores such a grant: a leader reads the active flag before it
+// spends credits (processBatch), so only a batch begun before the
+// deactivation spends it, as it could a grant made just before.
 func (n *Node) handleRenewal(sqp *serverQP, degree uint32) {
-	if !sqp.enter() {
-		return // under recycle; the renewal rides on a dead QP anyway
-	}
-	defer sqp.exit()
-	sqp.util += float64(degree)
-	sqp.renews++
+	sqp.util.Add(uint64(degree))
 	// Replenish the receive WQE the write-imm consumed.
 	sqp.qp.PostRecv(rnic.RecvWR{WRID: uint64(sqp.qp.QPN())}) //nolint:errcheck
 
@@ -120,8 +97,7 @@ func (n *Node) redistribute() {
 		changed := false
 		for _, sc := range sconns {
 			for _, sqp := range sc.qps {
-				sqp.util = 0
-				sqp.renews = 0
+				sqp.util.Store(0)
 				if sqp.quarantined.Load() {
 					sqp.active.Store(false) // stays retired
 					continue
@@ -142,7 +118,7 @@ func (n *Node) redistribute() {
 	for i, sc := range sconns {
 		utils[i] = make([]float64, len(sc.qps))
 		for j, sqp := range sc.qps {
-			utils[i][j] = sqp.util
+			utils[i][j] = float64(sqp.util.Swap(0))
 		}
 	}
 	counts := RedistributeQPs(utils, n.opts.MaxActiveQPs)
@@ -160,8 +136,6 @@ func (n *Node) redistribute() {
 		keep := counts[i]
 		for rank, j := range order {
 			sqp := sc.qps[j]
-			sqp.util = 0
-			sqp.renews = 0
 			if sqp.quarantined.Load() {
 				sqp.active.Store(false) // stays retired; its share shifts
 				continue

@@ -26,7 +26,7 @@ import (
 // sees broken under it and leaves without touching the ring or the CQ, so
 // the recycler owns all of the QP's state; clearing broken is the release
 // edge that republishes it. Server end: recycleAccept sets the
-// server QP's broken flag, waits out the dispatcher/scheduler inuse
+// server QP's broken flag, waits out the pumps' and the tick's inuse
 // counter, and holds respMu against response flushers.
 
 // leaderStallHook, when non-nil, runs at every leader-path entry. It
@@ -218,9 +218,10 @@ type recycleReply struct {
 }
 
 // recycleAccept is the server side of a QP recycle: destroy the broken
-// server QP, build a fresh one on the scheduler's shared recv CQ, zero the
-// request ring, rewind both ring positions, and restore the credit
-// bootstrap. The rebuilt end stays quiet until recycleResume. Runs on the
+// server QP, build a fresh one on the old one's receive CQ (whose leftover
+// completions drainRenewals ignores), zero the request ring, rewind both
+// ring positions, and restore the credit bootstrap. The rebuilt end stays
+// quiet until recycleResume. Runs on the
 // client's recycle goroutine (the in-process stand-in for an out-of-band
 // reconnect exchange).
 func (n *Node) recycleAccept(a recycleArgs) (recycleReply, error) {
@@ -241,13 +242,13 @@ func (n *Node) recycleAccept(a recycleArgs) (recycleReply, error) {
 		runtime.Gosched()
 	}
 	// respMu excludes response flushers (workers and inline dispatch);
-	// broken+inuse excluded the dispatcher and the QP scheduler above.
+	// broken+inuse excluded the pumps and the tick's control writes above.
 	sqp.respMu.Lock()
 	defer sqp.respMu.Unlock()
 	sqp.life.Add(1) // replies still owed to the old life's requests are dropped
 
 	n.dev.DestroyQP(a.oldServerQPN) // flush stragglers before ring zeroing
-	qp, err := n.dev.CreateQP(rnic.RC, n.dev.CreateCQ(), n.schedRCQ)
+	qp, err := n.dev.CreateQP(rnic.RC, n.dev.CreateCQ(), sqp.recvCQ)
 	if err != nil {
 		return recycleReply{}, err
 	}
@@ -285,8 +286,8 @@ func (n *Node) recycleResume(serverQPN int) {
 }
 
 // quarantineServerQP retires the server end of a client-quarantined QP so
-// the QP scheduler stops granting credits on it and excludes it from
-// redistribution.
+// the pumps stop granting credits on it and the tick's redistribute
+// excludes it.
 func (n *Node) quarantineServerQP(qpn int) {
 	sqp := n.byQPN.Load().(map[int]*serverQP)[qpn]
 	if sqp == nil {

@@ -17,7 +17,7 @@ import (
 // the receiver-side QP scheduler in qpsched.go.
 
 // recvDepth is how many receive WQEs the server keeps posted per QP to
-// absorb credit-renewal write-imms between scheduler rounds.
+// absorb credit-renewal write-imms between two pumps of the QP.
 const recvDepth = 16
 
 // serverConn is the server end of one client's connection handle.
@@ -54,24 +54,31 @@ type serverQP struct {
 	// the QP was rebuilt is dropped: its client already failed the call.
 	life atomic.Uint32
 
-	// Scheduler-owned state (§5.1). active is atomic because accept and
-	// metrics paths read it.
+	// recvCQ takes the QP's credit-renewal write-imms (§7). It is the QP's
+	// own and outlives recycles (recycleAccept builds the new rnic.QP on it),
+	// so a pump reads it outside enter/exit, as it reads reqCons.
+	recvCQ *rnic.CQ
+
+	// Scheduler state (§5.1). The pumps grant renewals, reading active and
+	// adding each reported coalescing degree to util; the tick writes active
+	// and swaps util out. granted is the pumps', under the poll role
+	// (recycleAccept resets it under exclusion).
 	active  atomic.Bool
-	granted uint64  // scheduler-only (recycleAccept resets it under exclusion)
-	util    float64 // Σ reported coalescing degrees since last interval
-	renews  uint64  // renewals seen since last interval
+	util    atomic.Uint64
+	granted uint64
 
 	// Fault state: broken excludes the pumps (dispatcher, pool goroutines)
-	// and the scheduler while recycleAccept rebuilds the QP (inuse counts
-	// them in their critical sections); quarantined permanently retires the
-	// QP from scheduling.
+	// and the tick's control writes while recycleAccept rebuilds the QP
+	// (inuse counts them in their critical sections); quarantined
+	// permanently retires the QP from scheduling.
 	broken      atomic.Bool
 	inuse       atomic.Int32
 	quarantined atomic.Bool
 
 	// pumping is the QP's poll role (see pumpQP): true while a pool goroutine
 	// or the dispatcher pulls a message off reqRing. It is taken inside
-	// enter/exit, and only its holder touches reqCons or the pump scratch.
+	// enter/exit, and only its holder touches reqCons, recvCQ's entries,
+	// granted or the pump scratch.
 	pumping atomic.Bool
 
 	// outScratch is the inline-lane response batch and replyScratch the reply
@@ -88,7 +95,7 @@ type serverQP struct {
 	nackScratch  []respOut
 }
 
-// enter begins a pump or scheduler critical section on the QP. It
+// enter begins a pump or control-write critical section on the QP. It
 // returns false when the QP is broken (under recycle) and must be skipped;
 // a true return must be paired with exit.
 func (sqp *serverQP) enter() bool {
@@ -244,7 +251,8 @@ func (n *Node) accept(args connectArgs) (connectReply, error) {
 	n.sconnMu.Lock()
 	defer n.sconnMu.Unlock()
 	for i, qa := range args.qps {
-		qp, err := n.dev.CreateQP(rnic.RC, n.dev.CreateCQ(), n.schedRCQ)
+		recvCQ := n.dev.CreateCQ()
+		qp, err := n.dev.CreateQP(rnic.RC, n.dev.CreateCQ(), recvCQ)
 		if err != nil {
 			return connectReply{}, err
 		}
@@ -281,6 +289,7 @@ func (n *Node) accept(args connectArgs) (connectReply, error) {
 			reqCons:        newRingConsumer(reqRing, 0, n.opts.test.ringBytes, serverCtrl, srvCtrlReqHeadOff),
 			serverCtrl:     serverCtrl,
 			readback:       readback,
+			recvCQ:         recvCQ,
 			clientCtrlRKey: qa.clientCtrlRKey,
 			rng:            stats.NewRNG(uint64(qp.QPN())*0x9E3779B9 + 7),
 			granted:        uint64(n.opts.Credits),
@@ -302,8 +311,8 @@ func (n *Node) accept(args connectArgs) (connectReply, error) {
 	return reply, nil
 }
 
-// rebuildQPNIndexLocked refreshes the QPN → serverQP snapshot used by the
-// QP scheduler. Caller holds sconnMu.
+// rebuildQPNIndexLocked refreshes the QPN → serverQP snapshot the recycle
+// and quarantine handshakes look QPs up in. Caller holds sconnMu.
 func (n *Node) rebuildQPNIndexLocked() {
 	m := make(map[int]*serverQP)
 	for _, sc := range n.sconns {

@@ -3,13 +3,13 @@ package core
 import (
 	"cmp"
 	"slices"
-	"time"
 )
 
-// This file is the sender-side thread scheduler (§5.2): a dedicated client
-// goroutine that collects per-thread request statistics, maps threads to
-// the currently active QPs with Algorithm 1, and publishes assignments
-// that threads pick up on their next operation.
+// This file is the sender-side thread scheduler (§5.2). Every
+// DefaultSchedInterval the node's tick (network.go) runs scheduleConn for
+// each outbound connection: it collects per-thread request statistics, maps
+// threads to the currently active QPs with Algorithm 1, and publishes
+// assignments that threads pick up on their next operation.
 
 // ThreadStat is one thread's behaviour since the last scheduling interval —
 // the inputs of Algorithm 1.
@@ -88,31 +88,8 @@ func assignSlots(threads []ThreadStat, activeQPs int, slots []int) []int {
 	return slots
 }
 
-// threadScheduler is the client-side scheduler main loop. Its tick also
-// drives the deadline sweep (pendingTable.expire): the one goroutine the
-// client side already wakes periodically is where overdue attempts are
-// found, so no call arms a timer of its own.
-func (n *Node) threadScheduler() {
-	defer n.wg.Done()
-	ticker := time.NewTicker(DefaultSchedInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-n.done:
-			return
-		case now := <-ticker.C:
-			for _, c := range n.snapshotConns() {
-				for _, t := range c.snapshotThreads() {
-					t.pend.expire(now)
-				}
-				n.scheduleConn(c)
-			}
-		}
-	}
-}
-
 // schedScratch is what scheduleConn would otherwise allocate every
-// interval; it lives on the Conn and only the scheduler goroutine uses it.
+// interval; it lives on the Conn and only the node's tick uses it.
 type schedScratch struct {
 	active  []int
 	statted []ThreadStat

@@ -106,8 +106,9 @@ const (
 	// OpWriteImm is RDMA write-with-immediate: places data like OpWrite
 	// and additionally consumes a receive WQE remotely, delivering the
 	// 32-bit immediate in a receive completion. FLock's credit-renewal
-	// path (§7) uses it so the QP scheduler can poll a receive CQ without
-	// synchronizing with the request dispatchers.
+	// path (§7) uses it: the renewal lands on the server QP's receive CQ,
+	// which whoever pumps the QP drains under the poll role it already
+	// holds, without touching the request ring.
 	OpWriteImm
 	// OpFetchAdd is the one-sided 64-bit atomic fetch-and-add.
 	OpFetchAdd
