@@ -64,13 +64,16 @@ gate -race -count=10 -run 'TestPostSendNeverBlocks|TestDoorbellStress|TestCloseD
 # reply handles share one recycled block, held by every handle until its reply
 # is settled: late replies racing their own handlers' return must never see
 # their block handed to another message. The pump also drains the QP's
-# receive CQ under the poll role and grants its credit renewals, beside the
-# node's one tick, which redistributes the active QPs: the two share each
-# QP's utilization and active flag, a renewal posted alone onto an idle ring
-# must still be granted, the watermark must halve grants, a Connect racing
-# Serve must find the server built, and a node runs only its dispatchers,
-# pool and tick.
-gate -race -count=10 -run 'TestPollRoleVersusRecycle|TestServerPollRoleVersusRecycle|TestServeOutcomes|TestInlineLaneAnswersWhileEveryWorkerBlocks|TestLateReplyRecyclesHandlesOnce|TestConnectRacingServe|TestCreditStarvedLeaderIsRenewed|TestCreditWatermark|TestNodeBackgroundGoroutines|TestCreditRenewalFlows|TestCreditRenewalSurvivesLoss|TestQPSchedulerDeactivatesUnderBudget' ./internal/core
+# receive CQ under the poll role and grants its credit renewals, while the
+# QP scheduler redistributes the active QPs: the two share each QP's
+# utilization and active flag, a renewal posted alone onto an idle ring must
+# still be granted, the watermark must halve grants, and a Connect racing
+# Serve must find the server built. A node runs one background goroutine and
+# its pool: that loop relieves both roles — what no waiter drains and what no
+# pool goroutine pumps — and its deadline sweep and both schedulers run on it,
+# however busy its server half is. It is started once, under the lock Close
+# takes, so Serve or Connect racing Close adds nothing Close does not wait for.
+gate -race -count=10 -run 'TestPollRoleVersusRecycle|TestServerPollRoleVersusRecycle|TestServeOutcomes|TestInlineLaneAnswersWhileEveryWorkerBlocks|TestLateReplyRecyclesHandlesOnce|TestConnectRacingServe|TestCreditStarvedLeaderIsRenewed|TestCreditWatermark|TestNodeBackgroundGoroutines|TestCreditRenewalFlows|TestCreditRenewalSurvivesLoss|TestQPSchedulerDeactivatesUnderBudget|TestCloseRacingServeAndConnect|TestOneLoopServesBothRoles|TestBidirectionalNodes|TestWaiterDrainsItsOwnQP|TestDeadlineExpiresBySweep' ./internal/core
 
 # Mutation self-test: rebuild the schedule explorer with the eight
 # known-bad protocol variants (flockmut build tag) and assert the

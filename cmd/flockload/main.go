@@ -102,10 +102,6 @@ func main() {
 		MaxActiveQPs: *maxAQP,
 		RPCTimeout:   *rpcTimeout,
 	}
-	if *traceEvery > 0 {
-		opts.Trace = true
-		opts.TraceSample = *traceEvery
-	}
 	if *noCoalesce {
 		opts.MaxBatch = 1
 	}
@@ -131,6 +127,11 @@ func main() {
 	}
 	defer star.Close()
 	net, server := star.Net, star.Server
+	if *traceEvery > 0 {
+		for _, n := range append([]*flock.Node{server}, star.Clients...) {
+			n.Trace().Enable(*traceEvery)
+		}
+	}
 	setFaults(net, *faults)
 	if *expvarAddr != "" {
 		expvar.Publish("flock", expvar.Func(func() interface{} {

@@ -24,7 +24,7 @@ import (
 //	                      (published locally; the server RDMA-reads it
 //	                      when starved for response-ring space)
 //
-// Server control region (published by the request dispatcher):
+// Server control region (published by the request ring's poller):
 //
 //	+0  reqHead   uint64  server's consumed head of the request ring
 //	                      (the client RDMA-reads it when starved; the
@@ -77,14 +77,14 @@ type Conn struct {
 
 	// threads is the registered thread set, indexed by thread ID: an
 	// immutable snapshot RegisterThread republishes under threadMu (threads
-	// are never removed), so the dispatcher resolves a response's thread and
+	// are never removed), so a poller resolves a response's thread and
 	// the scheduler walks the set without a lock or a copy.
 	threadMu sync.Mutex
 	threads  atomic.Pointer[[]*Thread]
 
 	// sched is the thread scheduler's scratch and statDirty its cue that
 	// some thread recorded a request since the last interval (see
-	// scheduleConn); only the node's tick touches sched.
+	// scheduleConn); only the node's loop (run) touches sched.
 	sched     schedScratch
 	statDirty atomic.Bool
 
@@ -136,14 +136,14 @@ type connQP struct {
 	refreshPending atomic.Bool
 
 	// The poll role (see pollQP): polling is true while some goroutine — a
-	// waiter, a starved leader or the dispatcher — drains the response ring
+	// waiter, a starved leader or the node's loop — drains the response ring
 	// and the send CQ, and only the holder touches respCons or cqBuf.
 	polling atomic.Bool
 	cqBuf   [16]rnic.Completion
-	// What the dispatcher reads to leave the QP to its waiters: parked counts
-	// the waiters blocked on an attempt that rode it, served is bumped by
-	// the waiters polling it. reliefMark and reliefAt are the dispatcher's
-	// own: the served value it saw last and when it changed.
+	// What the node's loop reads to leave the QP to its waiters: parked
+	// counts the waiters blocked on an attempt that rode it, served is bumped
+	// by the waiters polling it. reliefMark and reliefAt are the loop's own:
+	// the served value it saw last and when it changed.
 	parked     atomic.Int32
 	served     atomic.Uint32
 	reliefMark uint32
@@ -199,10 +199,8 @@ type connectQPReply struct {
 // control regions on both ends, and performs the in-process equivalent of
 // the out-of-band bootstrap exchange.
 func (n *Node) Connect(remote fabric.NodeID) (*Conn, error) {
-	select {
-	case <-n.done:
+	if n.closing() {
 		return nil, ErrClosed
-	default:
 	}
 	rnode := n.net.node(remote)
 	if rnode == nil {
@@ -246,11 +244,14 @@ func (n *Node) Connect(remote fabric.NodeID) (*Conn, error) {
 	}
 
 	n.connMu.Lock()
+	defer n.connMu.Unlock()
+	if n.closing() {
+		return nil, ErrClosed
+	}
 	n.conns = append(n.conns, c)
 	n.allConns = append(n.allConns, c)
 	n.publishConnsLocked()
-	n.connMu.Unlock()
-	n.ensureClientSide()
+	n.startLocked()
 	return c, nil
 }
 
@@ -323,21 +324,13 @@ func (c *Conn) closedCh() <-chan struct{} { return c.node.done }
 // isClosed reports whether the node is shutting down or the connection
 // failed fatally.
 func (c *Conn) isClosed() bool {
-	if c.failed.Load() {
-		return true
-	}
-	select {
-	case <-c.node.done:
-		return true
-	default:
-		return false
-	}
+	return c.failed.Load() || c.node.closing()
 }
 
 // Close tears down the connection handle: subsequent operations return
-// ErrClosed, threads blocked in RecvRes are released once the node's
-// dispatcher notices, and the handle is removed from the node's dispatch
-// set. Server-side resources are reclaimed when the server node closes
+// ErrClosed, threads blocked in RecvRes are released once the node's loop
+// notices, and the handle is removed from the node's relief set.
+// Server-side resources are reclaimed when the server node closes
 // (connection-level teardown messages are future work, as in the paper's
 // prototype).
 func (c *Conn) Close() {

@@ -12,8 +12,9 @@ import (
 // This file is the client-side completion drain (§4.3): pollQP, the one
 // function that empties a QP's response ring and send CQ — relaying
 // responses to application threads by their tagged thread ID and
-// demultiplexing memory-operation completions by wr_id — and the relief
-// dispatcher that runs it for the QPs nobody else is draining.
+// demultiplexing memory-operation completions by wr_id — and relieveConns,
+// the client half of the node's loop (run), which runs it for the QPs
+// nobody else is draining.
 //
 // The waiter is the poller. A thread waiting on a completion polls the QP its
 // attempt rode (Pending.awaitAttempt), and a leader starved of ring space
@@ -23,7 +24,7 @@ import (
 // RNIC's processing unit is (rnic.Device.unit): the holder drains the QP for
 // everyone — other threads' records included, through the same table and
 // token protocol — and a caller that loses the CAS leaves, because the holder
-// is draining for it. The dispatcher is relief: it skips a QP a waiter is
+// is draining for it. The node's loop is relief: it skips a QP a waiter is
 // serving and drains the rest — windows nobody waits on, QPs with a parked
 // waiter, a leader's head refresh, everything at close.
 
@@ -102,20 +103,20 @@ func (c *Conn) pollQP(q *connQP, by *telemetry.Counter) int {
 	return n
 }
 
-// reliefPeriod is how long the dispatcher leaves a QP to the waiters after
+// reliefPeriod is how long the node's loop leaves a QP to the waiters after
 // one of them was last seen polling it. Waiters mark themselves every few
 // dozen polls, so a waiter that is still at it is never out of date; the
 // period only decides how soon a window nobody waits on is relieved.
 const reliefPeriod = 200 * time.Microsecond
 
-// reliefNap is how long the dispatcher sleeps after a pass that found
-// nothing while waiters serve their QPs and none is parked: a waiter is
-// already polling, so spinning beside it would only take its processor.
+// reliefNap is how long the node's loop sleeps after a pass that found
+// nothing while pollers serve every QP it has: waiters theirs with none
+// parked, the pool its rings.
 const reliefNap = 50 * time.Microsecond
 
-// leftToWaiter reports whether the dispatcher may skip q this pass: no
+// leftToWaiter reports whether the node's loop may skip q this pass: no
 // waiter is parked on it, no leader waits for a head refresh on it, and a
-// waiter polled it within reliefPeriod. now is the dispatcher's clock.
+// waiter polled it within reliefPeriod. now is the loop's clock.
 func (q *connQP) leftToWaiter(now time.Duration) bool {
 	if q.parked.Load() != 0 || q.refreshPending.Load() {
 		return false
@@ -127,47 +128,28 @@ func (q *connQP) leftToWaiter(now time.Duration) bool {
 	return q.reliefAt != 0 && now-q.reliefAt < reliefPeriod
 }
 
-// clientDispatch is the relief dispatcher's main loop. Once the node is
-// closing it makes one last pass over every QP and leaves.
-func (n *Node) clientDispatch() {
-	defer n.wg.Done()
-	start := time.Now()
-	idle := 0
-	for {
-		closing := false
-		select {
-		case <-n.done:
-			closing = true
-		default:
-		}
-		now := time.Since(start)
-		busy, parked, served := false, false, false
-		for _, c := range n.snapshotConns() {
-			for _, q := range c.qps {
-				if q.parked.Load() != 0 {
-					parked = true
-				} else if !closing && q.leftToWaiter(now) {
-					served = true
-					continue
-				}
-				if c.pollQP(q, &n.metrics.reliefCompletions) > 0 {
-					busy = true
-				}
+// relieveConns is run's client half: it drains every outbound QP no waiter
+// serves, and all of them when closing. busy reports that it drained
+// something; left that it skipped a QP a waiter serves and found none
+// parked on, or that the node has no outbound QP — either way a waiter is
+// already polling, and spinning beside it would only take its processor.
+func (n *Node) relieveConns(clk *passClock, closing bool) (busy, left bool) {
+	conns := n.snapshotConns()
+	parked, served := false, false
+	for _, c := range conns {
+		for _, q := range c.qps {
+			if q.parked.Load() != 0 {
+				parked = true
+			} else if !closing && q.leftToWaiter(clk.since()) {
+				served = true
+				continue
+			}
+			if c.pollQP(q, &n.metrics.reliefCompletions) > 0 {
+				busy = true
 			}
 		}
-		switch {
-		case closing:
-			return
-		case busy:
-			idle = 0
-		case served && !parked:
-			idle = 0
-			time.Sleep(reliefNap)
-		default:
-			idle++
-			idleBackoff(idle)
-		}
 	}
+	return busy, len(conns) == 0 || served && !parked
 }
 
 // deliverResponse routes one decoded response to its completion record in

@@ -275,7 +275,7 @@ type Node struct {
 	sconnMu sync.Mutex
 	sconns  []*serverConn // one per inbound connection handle; a client
 	// node may hold several (the paper's multi-process clients, §8.4)
-	sconnsSnap atomic.Value // []*serverConn snapshot for the dispatch loops
+	sconnsSnap atomic.Value // []*serverConn snapshot for the pumps
 	byQPN      atomic.Value // map[int]*serverQP snapshot
 
 	// Worker pool (Options.Workers > 0; pool.go). workCh carries the
@@ -283,7 +283,8 @@ type Node struct {
 	// counts the pool goroutines in a polling stint and poolServed is their
 	// stamp, bumped every 32 rounds, that relief reads to leave the rings to
 	// them. replyFree, with or without a pool, recycles the reply-handle
-	// blocks nobody holds any more (server.go's replyBlock).
+	// blocks nobody holds any more (server.go's replyBlock). newNode makes
+	// both channels, so nothing the node's loop reads is written later.
 	workCh     chan workUnit
 	replyFree  chan *replyBlock
 	pumpers    atomic.Int32
@@ -296,8 +297,8 @@ type Node struct {
 	allConns  []*Conn      // every conn ever opened, kept for the
 	// Close-time lease drain (Conn.Close prunes conns but completed,
 	// unclaimed records may still sit in closed handles' tables)
-	clientState atomic.Bool // client relief dispatcher started
-	ticking     atomic.Bool // tick started, by the first of Serve and Connect
+	started bool // run is running, started by the first of Serve and
+	// Connect; guarded by connMu
 
 	// Named regions exported for remote one-sided access.
 	exportMu sync.Mutex
@@ -317,7 +318,7 @@ type Node struct {
 		dedupHits, creditWithheld                   telemetry.Counter
 		staleDrops                                  telemetry.Counter
 		// Completions drained by a waiter or a starved leader polling its
-		// own QP, and by the relief dispatcher.
+		// own QP, and by the node's loop.
 		waiterCompletions, reliefCompletions telemetry.Counter
 		// Worker-lane requests pumped by the pool goroutine that then
 		// executes them, and by relief, which hands them off.
@@ -352,10 +353,14 @@ func newNode(nw *Network, id fabric.NodeID, dev *rnic.Device, opts Options) *Nod
 	n.byQPN.Store(map[int]*serverQP{})
 	n.connsSnap.Store([]*Conn{})
 	n.sconnsSnap.Store([]*serverConn{})
-	n.publishTelemetry()
-	if n.opts.Trace {
-		n.trace.Enable(n.opts.TraceSample)
+	// As many spare reply blocks as workCh holds units (4 × Workers, and 4
+	// without a pool): relief takes one per hand-off, and a block returned
+	// beyond that is the GC's.
+	n.replyFree = make(chan *replyBlock, 4*max(n.opts.Workers, 1))
+	if n.opts.Workers > 0 {
+		n.workCh = make(chan workUnit, 4*n.opts.Workers)
 	}
+	n.publishTelemetry()
 	return n
 }
 
@@ -427,8 +432,8 @@ func (n *Node) publishTelemetry() {
 // Telemetry returns the node's metric registry.
 func (n *Node) Telemetry() *telemetry.Registry { return n.tel }
 
-// Trace returns the node's RPC-lifecycle trace ring. It is enabled at
-// construction by Options.Trace, or at any time via Enable.
+// Trace returns the node's RPC-lifecycle trace ring, off until Enable
+// switches it on.
 func (n *Node) Trace() *telemetry.TraceRing { return n.trace }
 
 // ID returns the node's fabric address.
@@ -504,13 +509,15 @@ func (n *Node) RegisterInlineStatusHandler(rpcID uint32, fn StatusHandler) {
 // here, all share one table, and the last registration for an rpcID wins.
 //
 // inline is an execution-lane promise: the handler runs on the goroutine
-// that pulls its message off the request ring — the dispatcher, or a pool
-// goroutine while it holds the QP's poll role — even when a worker pool is
-// configured, so it can never queue behind workers whose handlers block. Only
-// for handlers that are short and never block — replication applies, pings,
-// map fetches. A blocking inline handler stalls its QP's receive path (the
-// node's whole receive path without a pool); one that must wait replies later
-// instead.
+// that pulls its message off the request ring — the node's own (run), or a
+// pool goroutine while it holds the QP's poll role — even when a worker pool
+// is configured, so it can never queue behind workers whose handlers block.
+// Only for handlers that are short and never block — replication applies,
+// pings, map fetches. A blocking inline handler stalls its QP's receive path
+// (the node's whole receive path without a pool); one that must wait replies
+// later instead. Without a pool every handler runs on the node's goroutine,
+// which also relieves the node's outbound QPs and sweeps their deadlines, so
+// none may wait on a call from its own node either.
 func (n *Node) RegisterReplyHandler(rpcID uint32, inline bool, fn ReplyHandler) {
 	n.handMu.Lock()
 	defer n.handMu.Unlock()
@@ -529,33 +536,24 @@ func (n *Node) RegisterReplyHandler(rpcID uint32, inline bool, fn ReplyHandler) 
 // handlerTable returns the current registration snapshot.
 func (n *Node) handlerTable() *handlerTable { return n.handlers.Load() }
 
-// Serve starts the server role: the request dispatcher, the worker pool (if
-// configured) and, unless Connect started it, the node's tick (§5.1). It
-// returns immediately; inbound connections are accepted while serving, and
-// accept reads nothing Serve writes after serving flips.
+// Serve starts the server role: the worker pool (if configured) and, unless
+// Connect started it, the node's loop (run). It returns immediately; inbound
+// connections are accepted while serving, and accept reads nothing Serve
+// writes after serving flips.
 func (n *Node) Serve() error {
-	select {
-	case <-n.done:
+	n.connMu.Lock()
+	defer n.connMu.Unlock()
+	if n.closing() {
 		return ErrClosed
-	default:
 	}
 	if n.serving.Swap(true) {
 		return nil // already serving
 	}
-	// As many spare reply blocks as workCh holds units (4 × Workers, and 4
-	// without a pool): relief takes one per hand-off, and a block returned
-	// beyond that is the GC's.
-	n.replyFree = make(chan *replyBlock, 4*max(n.opts.Workers, 1))
-	if n.opts.Workers > 0 {
-		n.workCh = make(chan workUnit, 4*n.opts.Workers)
-		for i := 0; i < n.opts.Workers; i++ {
-			n.wg.Add(1)
-			go n.worker(i)
-		}
+	for i := 0; i < n.opts.Workers; i++ {
+		n.wg.Add(1)
+		go n.worker(i)
 	}
-	n.wg.Add(1)
-	go n.serveDispatch()
-	n.startTick()
+	n.startLocked()
 	return nil
 }
 
@@ -566,11 +564,9 @@ func (n *Node) Serving() bool { return n.serving.Load() }
 // application calls return ErrClosed.
 func (n *Node) Close() {
 	n.connMu.Lock()
-	select {
-	case <-n.done:
+	if n.closing() {
 		n.connMu.Unlock()
 		return
-	default:
 	}
 	close(n.done)
 	n.connMu.Unlock()
@@ -617,10 +613,8 @@ func (n *Node) Drain(ctx context.Context) error {
 		if n.quiescent() {
 			return nil
 		}
-		select {
-		case <-n.done:
+		if n.closing() {
 			return ErrClosed
-		default:
 		}
 		if done != nil {
 			select {
@@ -658,13 +652,12 @@ func (n *Node) quiescent() bool {
 
 // drainLeases recycles pooled buffers still parked in pending-call tables
 // and in messages relief handed to the worker pool that no pool goroutine
-// took. It runs after wg.Wait and stopPollers — dispatchers, pool goroutines
-// and polling waiters are gone, so nothing refills what it drains (a pool
-// goroutine executes what it pulled before it looks at done again, and the
-// request dispatcher drops its backlog as it leaves, so none exits holding a
-// message). Application threads may still race a
-// concurrent wait; a record's token goes to exactly one taker, so no lease
-// is released twice.
+// took. It runs after wg.Wait and stopPollers — the node's loop, pool
+// goroutines and polling waiters are gone, so nothing refills what it drains
+// (a pool goroutine executes what it pulled before it looks at done again,
+// and the loop drops its backlog as it leaves, so none exits holding a
+// message). Application threads may still race a concurrent wait; a
+// record's token goes to exactly one taker, so no lease is released twice.
 func (n *Node) drainLeases() {
 	n.connMu.Lock()
 	all := make([]*Conn, len(n.allConns))
@@ -689,53 +682,111 @@ func (n *Node) drainLeases() {
 	}
 }
 
-// ensureClientSide lazily starts the client role: the relief dispatcher
-// (§4.3) and, unless Serve started it, the node's tick (§5.2).
-func (n *Node) ensureClientSide() {
-	if n.clientState.Swap(true) {
-		return
+// closing reports whether Close has begun. A goroutine is added to wg only
+// under connMu after this check, so none is added after Close's Wait.
+func (n *Node) closing() bool {
+	select {
+	case <-n.done:
+		return true
+	default:
+		return false
 	}
-	n.wg.Add(1)
-	go n.clientDispatch()
-	n.startTick()
 }
 
-// startTick starts the node's tick once.
-func (n *Node) startTick() {
-	if n.ticking.Swap(true) {
-		return
+// startLocked starts the node's loop once; caller holds connMu and has
+// checked closing.
+func (n *Node) startLocked() {
+	if !n.started {
+		n.started = true
+		n.wg.Add(1)
+		go n.run()
 	}
-	n.wg.Add(1)
-	go n.tick()
 }
 
-// tick is the node's one periodic goroutine: every DefaultSchedInterval it
-// sweeps its outbound connections' pending-call tables for overdue attempts
-// (so no call arms a timer of its own) and runs the thread scheduler on
-// each, then the QP scheduler's redistribute over the inbound ones.
-func (n *Node) tick() {
+// passClock is run's clock, read at most once a pass and only by what needs
+// it: a Workers 0 server's loop that only pumps its rings reads it once in
+// 32 passes and messages.
+type passClock struct {
+	start time.Time
+	now   time.Duration
+	read  bool
+}
+
+// since returns the time since start, read on the pass's first call.
+func (c *passClock) since() time.Duration {
+	if !c.read {
+		c.now, c.read = time.Since(c.start), true
+	}
+	return c.now
+}
+
+// run is the node's one goroutine (§4.3's dispatcher, §5's schedulers). Each
+// pass relieves the outbound QPs no waiter serves (relieveConns), then the
+// request rings no pool goroutine polls (relieveRings), and every
+// DefaultSchedInterval runs schedule. A pass that found work starts the
+// next at once; one whose halves both left every QP to its pollers naps
+// reliefNap, since a poller is already at it; any other backs off. Once the
+// node is closing it makes one last pass over every outbound QP, drops the
+// messages it could not hand off, and leaves.
+func (n *Node) run() {
 	defer n.wg.Done()
-	ticker := time.NewTicker(DefaultSchedInterval)
-	defer ticker.Stop()
+	clk := passClock{start: time.Now()}
+	var rings ringRelief
+	var schedAt time.Duration
+	idle, unclocked := 0, 0
 	for {
-		select {
-		case <-n.done:
-			return
-		case now := <-ticker.C:
-			for _, c := range n.snapshotConns() {
-				for _, t := range c.snapshotThreads() {
-					t.pend.expire(now)
-				}
-				n.scheduleConn(c)
+		clk.read = false
+		closing := n.closing()
+		connsBusy, connsLeft := n.relieveConns(&clk, closing)
+		if closing {
+			for _, u := range rings.backlog {
+				n.dropUnit(u)
 			}
-			n.redistribute()
+			return
+		}
+		pumped, ringsLeft := n.relieveRings(&rings, &clk)
+		busy := connsBusy || pumped > 0
+		// An idle pass looks at the clock for the schedule, and so does a
+		// busy one once 32 passes and messages went by unclocked: a Workers
+		// 0 server under continuous load has no idle pass, and its sweep
+		// must still run.
+		if unclocked += 1 + pumped; clk.read || !busy || unclocked >= 32 {
+			unclocked = 0
+			if now := clk.since(); now-schedAt >= DefaultSchedInterval {
+				schedAt = now
+				n.schedule(clk.start.Add(now))
+			}
+		}
+		switch {
+		case busy:
+			idle = 0
+		case connsLeft && ringsLeft:
+			idle = 0
+			time.Sleep(reliefNap)
+		default:
+			idle++
+			idleBackoff(idle)
 		}
 	}
 }
 
+// schedule is the node's periodic work: it sweeps its outbound connections'
+// pending-call tables for overdue attempts (so no call arms a timer of its
+// own) and runs the thread scheduler on each, then the QP scheduler's
+// redistribute over the inbound ones.
+func (n *Node) schedule(now time.Time) {
+	for _, c := range n.snapshotConns() {
+		for _, t := range c.snapshotThreads() {
+			t.pend.expire(now)
+		}
+		n.scheduleConn(c)
+	}
+	n.redistribute()
+}
+
 // snapshotConns returns the current outbound connections. The returned
 // slice is a shared immutable snapshot — callers must not mutate it. The
-// dispatcher reads it every spin, so it is cached and republished only
+// node's loop reads it every pass, so it is cached and republished only
 // when the set changes (Connect, Conn.Close) rather than copied per call.
 func (n *Node) snapshotConns() []*Conn {
 	return n.connsSnap.Load().([]*Conn)

@@ -44,8 +44,9 @@ const (
 	// DefaultSignalEvery applies selective signaling (§7): one signaled
 	// write per this many posted messages.
 	DefaultSignalEvery = 16
-	// DefaultSchedInterval is the period of the node's tick: the deadline
-	// sweep, the thread scheduler and the QP scheduler's redistribution.
+	// DefaultSchedInterval is how often the node's goroutine runs its
+	// schedule: the deadline sweep, the thread scheduler and the QP
+	// scheduler's redistribution.
 	DefaultSchedInterval = 2 * time.Millisecond
 	// DefaultStallTimeout bounds leader credit/space waits and follower
 	// verdict waits before the stall guard declares the QP (or its leader)
@@ -54,10 +55,6 @@ const (
 	// DefaultFlapThreshold is how many times a QP may break and be
 	// recycled before the connection quarantines it for good.
 	DefaultFlapThreshold = 3
-	// DefaultTraceSample keeps one traced request lifecycle in 64 when
-	// Options.Trace is on — dense enough to see the pipeline, sparse
-	// enough that the trace mutex stays off the measured path.
-	DefaultTraceSample = 64
 	// timeoutStrikes is how many consecutive per-attempt RPC timeouts on
 	// one QP it takes before the client declares the QP broken. Server-side
 	// failures (the server end of the QP erroring, responses lost) are
@@ -104,11 +101,13 @@ type Options struct {
 	// message. Default 16.
 	SignalEvery int
 	// Workers is the size of the server-side RPC worker pool. Zero runs
-	// handlers inline on the node's one request dispatcher (the paper
-	// supports both, §4.3). With a pool the worker is the poller: an idle
-	// pool goroutine polls the request rings, pulls a message and executes
-	// its handlers itself, and the dispatcher only relieves rings no pool
-	// goroutine is polling.
+	// handlers on the node's one goroutine (the paper supports both, §4.3),
+	// which also relieves the node's outbound QPs and sweeps their
+	// deadlines: such a handler must not block, nor wait on a call from its
+	// own node, which nothing would then complete or expire. With a pool
+	// the worker is the poller: an idle pool goroutine polls the request
+	// rings, pulls a message and executes its handlers itself, and the
+	// node's goroutine only relieves rings no pool goroutine is polling.
 	Workers int
 	// RPCTimeout is the budget of every call and memory operation that
 	// names none of its own (CallOptions.Budget, CallWithDeadline). Zero
@@ -119,15 +118,6 @@ type Options struct {
 	// before the stall guard recovers (breaking the QP or re-electing on
 	// another). Default DefaultStallTimeout.
 	StallTimeout time.Duration
-	// Trace enables the node's RPC-lifecycle trace ring at construction.
-	// Disabled (the default), every trace probe on the hot path is a
-	// single atomic load.
-	Trace bool
-	// TraceSample keeps one traced request lifecycle per this many
-	// sequence numbers when Trace is on (rounded up to a power of two).
-	// Zero means DefaultTraceSample. Per-message events (combine, post,
-	// complete) are always recorded while tracing.
-	TraceSample int
 	// AdmissionLimit caps concurrently admitted requests in the server
 	// role. Excess requests are rejected with StatusOverloaded before any
 	// handler work runs — a cheap NACK instead of unbounded queueing.
@@ -184,9 +174,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.StallTimeout <= 0 {
 		o.StallTimeout = DefaultStallTimeout
-	}
-	if o.TraceSample <= 0 {
-		o.TraceSample = DefaultTraceSample
 	}
 	k := &o.test
 	if k.ringBytes <= 0 {

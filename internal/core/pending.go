@@ -12,7 +12,7 @@ import (
 // This file is the client completion path, the only one: a per-thread
 // pending-call table in which every submitted operation — RPC or one-sided
 // memory op — owns a completion record that whoever drains its QP (the
-// waiter itself, another thread's waiter, the relief dispatcher; see
+// waiter itself, another thread's waiter, the node's loop; see
 // pollQP) completes directly by sequence ID, and one attempt engine
 // (Pending) that every entry point — Call, CallWithDeadline, CallOpts,
 // CallAsync, SendBatch, SendRPC/RecvRes, Read/Write/FetchAdd/CompareSwap —
@@ -245,7 +245,7 @@ func (p *pendingTable) failMatching(qp int32, r Response) {
 }
 
 // drain releases the pooled leases of completed records no waiter has
-// claimed. It runs at node close, after the dispatchers and pollers are
+// claimed. It runs at node close, after the node's loop and pollers are
 // gone; a waiter racing it either wins the token (and owns the response) or
 // finds its record gone and walks away. Drained records are not recycled — their
 // waiter may still hold the pointer.
@@ -368,7 +368,7 @@ func (p *Pending) finish(r Response) {
 
 // Wait blocks until the call completes and returns its response or error.
 // It is where retries and backoff actually run; a Pending that is
-// never waited still completes (the relief dispatcher resolves its record)
+// never waited still completes (the node's loop resolves its record)
 // but never retries. Wait may be called again after it returns; it keeps
 // returning the same outcome.
 func (p *Pending) Wait() (Response, error) {
@@ -513,7 +513,7 @@ func (p *Pending) awaitAttempt(block bool) bool {
 	}
 	for i := 0; i < t.stint; i++ {
 		if i%32 == 0 {
-			q.served.Add(1) // still here: the dispatcher keeps out
+			q.served.Add(1) // still here: the node's loop keeps out
 		}
 		c.pollQP(q, &c.node.metrics.waiterCompletions)
 		if p.tokenReady() {
@@ -523,9 +523,9 @@ func (p *Pending) awaitAttempt(block bool) bool {
 		runtime.Gosched()
 	}
 	t.stint = max(t.stint/2, stintMin)
-	// Park. The parked count hands the QP back to the dispatcher; one more
-	// pass covers a completion that landed before the dispatcher could see
-	// the count.
+	// Park. The parked count hands the QP back to the node's loop; one more
+	// pass covers a completion that landed before the loop could see the
+	// count.
 	q.parked.Add(1)
 	defer q.parked.Add(-1)
 	c.pollQP(q, &c.node.metrics.waiterCompletions)

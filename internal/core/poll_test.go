@@ -22,8 +22,8 @@ func drainCounts(n *Node) (waiter, relief uint64) {
 func TestWaiterDrainsItsOwnQP(t *testing.T) {
 	for _, row := range []struct {
 		name string
-		// noDispatcher connects before the client goroutines can start, so
-		// only waiters ever poll.
+		// noDispatcher marks the client's loop started before it connects,
+		// so the loop never runs and only waiters ever poll.
 		noDispatcher bool
 		run          func(t *testing.T, tc *testCluster, conn *Conn)
 	}{
@@ -36,7 +36,7 @@ func TestWaiterDrainsItsOwnQP(t *testing.T) {
 			tc := newTestCluster(t, 1, Options{}, Options{QPsPerConn: 1})
 			registerEcho(tc.server)
 			if row.noDispatcher {
-				tc.clients[0].clientState.Store(true)
+				tc.clients[0].started = true
 			}
 			conn, err := tc.clients[0].Connect(0)
 			if err != nil {

@@ -10,7 +10,7 @@ import (
 // This file is the receiver-side QP scheduler (§5.1). Whoever pumps a
 // server QP (pumpQP) grants the credit renewals on its receive CQ under the
 // poll role it holds, adding each reported coalescing degree to the QP's
-// utilization; every DefaultSchedInterval the node's tick redistributes the
+// utilization; every DefaultSchedInterval the node's loop redistributes the
 // active QPs among senders in proportion to it, keeping the active set under
 // MAX_AQP to avoid RNIC cache thrashing.
 
@@ -35,7 +35,7 @@ func (n *Node) drainRenewals(sqp *serverQP, cqBuf []rnic.Completion) {
 // region. Declining — not granting — is how the scheduler deactivates load
 // from a QP (§5.1). The caller holds the QP's poll role inside enter/exit.
 //
-// A grant may race the tick's deactivation of the QP and land after it.
+// A grant may race redistribute's deactivation of the QP and land after it.
 // The client ignores such a grant: a leader reads the active flag before it
 // spends credits (processBatch), so only a batch begun before the
 // deactivation spends it, as it could a grant made just before.

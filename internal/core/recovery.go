@@ -22,11 +22,11 @@ import (
 // Exclusion protocol, client end: markBroken wins the broken flag, then
 // the recycler waits for the leaders counter to drain and the QP's poll
 // role to be free. From then on every leader bails out via active() and
-// whoever takes the poll role — a waiter, a starved leader, the dispatcher —
+// whoever takes the poll role — a waiter, a starved leader, the node's loop —
 // sees broken under it and leaves without touching the ring or the CQ, so
 // the recycler owns all of the QP's state; clearing broken is the release
 // edge that republishes it. Server end: recycleAccept sets the
-// server QP's broken flag, waits out the pumps' and the tick's inuse
+// server QP's broken flag, waits out the pumps' and redistribute's inuse
 // counter, and holds respMu against response flushers.
 
 // leaderStallHook, when non-nil, runs at every leader-path entry. It
@@ -56,11 +56,9 @@ func (c *Conn) markBroken(q *connQP) {
 	// Spawn under connMu so the Add cannot race Node.Close's final Wait
 	// (Close closes done while holding connMu).
 	n.connMu.Lock()
-	select {
-	case <-n.done:
+	if n.closing() {
 		n.connMu.Unlock()
 		return
-	default:
 	}
 	n.wg.Add(1)
 	n.connMu.Unlock()
@@ -234,15 +232,13 @@ func (n *Node) recycleAccept(a recycleArgs) (recycleReply, error) {
 	}
 	sqp.broken.Store(true)
 	for sqp.inuse.Load() != 0 {
-		select {
-		case <-n.done:
+		if n.closing() {
 			return recycleReply{}, ErrClosed
-		default:
 		}
 		runtime.Gosched()
 	}
 	// respMu excludes response flushers (workers and inline dispatch);
-	// broken+inuse excluded the pumps and the tick's control writes above.
+	// broken+inuse excluded the pumps and redistribute's control writes above.
 	sqp.respMu.Lock()
 	defer sqp.respMu.Unlock()
 	sqp.life.Add(1) // replies still owed to the old life's requests are dropped
@@ -286,8 +282,7 @@ func (n *Node) recycleResume(serverQPN int) {
 }
 
 // quarantineServerQP retires the server end of a client-quarantined QP so
-// the pumps stop granting credits on it and the tick's redistribute
-// excludes it.
+// the pumps stop granting credits on it and redistribute excludes it.
 func (n *Node) quarantineServerQP(qpn int) {
 	sqp := n.byQPN.Load().(map[int]*serverQP)[qpn]
 	if sqp == nil {

@@ -66,7 +66,7 @@ func (t *Thread) CallAsync(rpcID uint32, payload []byte, opts CallOptions) (*Pen
 // all the room a submission larger than the depth can ever get. The wait
 // spins with the submit loop's backoff — depth-limited callers are by
 // definition waiting on their own earlier responses, which arrive on
-// dispatcher timescales.
+// poller timescales.
 func (t *Thread) gatePipeline(extra int) error {
 	limit := t.conn.node.opts.test.pipelineDepth
 	for i := 0; ; i++ {

@@ -109,8 +109,8 @@ type ringConsumer struct {
 
 	// head is the monotonic consumed counter. Only the ring's one poller
 	// advances it — the holder of the QP's poll role (on a server without a
-	// worker pool, its request dispatcher) — but response-flush paths on
-	// other goroutines read it for piggybacking, hence atomic.
+	// worker pool, the node's loop) — but response-flush paths on other
+	// goroutines read it for piggybacking, hence atomic.
 	head atomic.Uint64
 
 	publishMR  *rnic.MemRegion // control region carrying the consumed head

@@ -13,8 +13,8 @@ import (
 
 // This file is the server side: connection acceptance, request admission,
 // handler execution and coalesced response flushing. The receive loop — the
-// request dispatcher (§4.3) and the RPC worker pool — lives in pool.go and
-// the receiver-side QP scheduler in qpsched.go.
+// node loop's server half (§4.3) and the RPC worker pool — lives in pool.go
+// and the receiver-side QP scheduler in qpsched.go.
 
 // recvDepth is how many receive WQEs the server keeps posted per QP to
 // absorb credit-renewal write-imms between two pumps of the QP.
@@ -60,23 +60,23 @@ type serverQP struct {
 	recvCQ *rnic.CQ
 
 	// Scheduler state (§5.1). The pumps grant renewals, reading active and
-	// adding each reported coalescing degree to util; the tick writes active
+	// adding each reported coalescing degree to util; redistribute writes active
 	// and swaps util out. granted is the pumps', under the poll role
 	// (recycleAccept resets it under exclusion).
 	active  atomic.Bool
 	util    atomic.Uint64
 	granted uint64
 
-	// Fault state: broken excludes the pumps (dispatcher, pool goroutines)
-	// and the tick's control writes while recycleAccept rebuilds the QP
-	// (inuse counts them in their critical sections); quarantined
-	// permanently retires the QP from scheduling.
+	// Fault state: broken excludes the pumps (the node's loop, pool
+	// goroutines) and redistribute's control writes while recycleAccept
+	// rebuilds the QP (inuse counts them in their critical sections);
+	// quarantined permanently retires the QP from scheduling.
 	broken      atomic.Bool
 	inuse       atomic.Int32
 	quarantined atomic.Bool
 
 	// pumping is the QP's poll role (see pumpQP): true while a pool goroutine
-	// or the dispatcher pulls a message off reqRing. It is taken inside
+	// or the node's loop pulls a message off reqRing. It is taken inside
 	// enter/exit, and only its holder touches reqCons, recvCQ's entries,
 	// granted or the pump scratch.
 	pumping atomic.Bool
@@ -240,10 +240,8 @@ func (n *Node) accept(args connectArgs) (connectReply, error) {
 	if !n.Serving() {
 		return connectReply{}, ErrNotServing
 	}
-	select {
-	case <-n.done:
+	if n.closing() {
 		return connectReply{}, ErrClosed
-	default:
 	}
 	sc := &serverConn{node: n, sender: args.clientNode, dedup: resilience.NewDedupWindow(DefaultDedupWindow)}
 	var reply connectReply

@@ -6,7 +6,7 @@ import (
 )
 
 // This file is the sender-side thread scheduler (§5.2). Every
-// DefaultSchedInterval the node's tick (network.go) runs scheduleConn for
+// DefaultSchedInterval the node's loop (network.go) runs scheduleConn for
 // each outbound connection: it collects per-thread request statistics, maps
 // threads to the currently active QPs with Algorithm 1, and publishes
 // assignments that threads pick up on their next operation.
@@ -89,7 +89,7 @@ func assignSlots(threads []ThreadStat, activeQPs int, slots []int) []int {
 }
 
 // schedScratch is what scheduleConn would otherwise allocate every
-// interval; it lives on the Conn and only the node's tick uses it.
+// interval; it lives on the Conn and only the node's loop uses it.
 type schedScratch struct {
 	active  []int
 	statted []ThreadStat

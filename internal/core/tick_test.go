@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -232,7 +233,7 @@ func coreGoroutines() map[string]int {
 			}
 		}
 		if name, ok := strings.CutPrefix(entry, pkg); ok {
-			// "(*Node).tick(0xc000123400)": drop the arguments.
+			// "(*Node).run(0xc000123400)": drop the arguments.
 			counts[name[:strings.LastIndexByte(name, '(')]]++
 		}
 	}
@@ -250,24 +251,30 @@ func goroutinesSince(base map[string]int) map[string]int {
 	return d
 }
 
-// settledGoroutines polls goroutinesSince(base) for up to a second until it
-// reads empty, and returns the last reading. A goroutine that has signalled
-// a WaitGroup is still on its way out for a moment after Close.
-func settledGoroutines(base map[string]int) map[string]int {
+// awaitGoroutines polls goroutinesSince(base) for up to a second until it
+// reads want, and returns the last reading. A goroutine that has signalled
+// a WaitGroup is still on its way out for a moment after Close, and one
+// running on another thread may be missing from a reading.
+func awaitGoroutines(base, want map[string]int) map[string]int {
 	deadline := time.Now().Add(time.Second)
 	for {
 		d := goroutinesSince(base)
-		if len(d) == 0 || time.Now().After(deadline) {
+		if fmt.Sprint(d) == fmt.Sprint(want) || time.Now().After(deadline) {
 			return d
 		}
 		time.Sleep(time.Millisecond)
 	}
 }
 
+// settledGoroutines is awaitGoroutines waiting for none.
+func settledGoroutines(base map[string]int) map[string]int {
+	return awaitGoroutines(base, map[string]int{})
+}
+
 // TestNodeBackgroundGoroutines pins the goroutines a node runs in the
-// background: a server with a pool of two runs its request dispatcher and
-// two pool goroutines, a client its relief dispatcher, and each node one
-// tick. None survives Network.Close.
+// background: each node one loop, which relieves both roles and runs the
+// schedule, and a server with a pool of two its two pool goroutines. None
+// survives Network.Close.
 func TestNodeBackgroundGoroutines(t *testing.T) {
 	before := settledGoroutines(nil) // what earlier tests left, if anything
 	nw := NewNetwork(fabric.Config{})
@@ -292,16 +299,217 @@ func TestNodeBackgroundGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]int{
-		"(*Node).serveDispatch":  1,
-		"(*Node).worker":         2,
-		"(*Node).clientDispatch": 1,
-		"(*Node).tick":           2,
+		"(*Node).run":    2,
+		"(*Node).worker": 2,
 	}
-	if got := goroutinesSince(before); fmt.Sprint(got) != fmt.Sprint(want) {
+	if got := awaitGoroutines(before, want); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("background goroutines %v, want %v", got, want)
 	}
 	nw.Close()
 	if got := settledGoroutines(before); len(got) != 0 {
 		t.Fatalf("after Network.Close: %v still running", got)
+	}
+}
+
+// TestCloseRacingServeAndConnect races a pooled node's Serve, its Connect to
+// a server and its Close, many times over. Every goroutine Serve and Connect
+// start must be one Close waits for, and nothing Close's lease drain reads
+// may be written by Serve; both are the race detector's to say, and no
+// closed node's goroutine may outlive it. Serve and Connect after Close fail
+// with ErrClosed.
+func TestCloseRacingServeAndConnect(t *testing.T) {
+	small := Options{MaxBatch: 4, QPsPerConn: 1, test: testKnobs{ringBytes: 8192, maxPayload: 512}}
+	before := settledGoroutines(nil) // what earlier tests left, if anything
+	nw := NewNetwork(fabric.Config{})
+	t.Cleanup(nw.Close)
+	srv, err := nw.NewNode(0, small, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	registerEcho(srv)
+	if err := srv.Serve(); err != nil {
+		t.Fatal(err)
+	}
+	pooled := small
+	pooled.Workers = 2
+	for i := 1; i <= 300; i++ {
+		n, err := nw.NewNode(fabric.NodeID(i), pooled, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		wg.Add(3)
+		go func() {
+			defer wg.Done()
+			if err := n.Serve(); err != nil && !errors.Is(err, ErrClosed) {
+				t.Errorf("Serve racing Close: %v", err)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			// Losing to Close, Connect meets the closed node or its closed
+			// device; winning, it starts the loop Close must wait for.
+			n.Connect(0) //nolint:errcheck
+		}()
+		go func() {
+			defer wg.Done()
+			n.Close()
+		}()
+		wg.Wait()
+		if _, err := n.Connect(0); !errors.Is(err, ErrClosed) {
+			t.Fatalf("Connect after Close: %v, want ErrClosed", err)
+		}
+		if err := n.Serve(); !errors.Is(err, ErrClosed) {
+			t.Fatalf("Serve after Close: %v, want ErrClosed", err)
+		}
+		if t.Failed() {
+			return
+		}
+	}
+	// The server's own loop is all that may be left.
+	want := map[string]int{"(*Node).run": 1}
+	if got := awaitGoroutines(before, want); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("background goroutines %v after the closes, want %v", got, want)
+	}
+}
+
+// TestOneLoopServesBothRoles runs a node, A, that serves a flood of calls
+// from C while it calls B: C sends without waiting for answers, so A's ring
+// never runs dry and its loop's server half pulls messages on every pass.
+// Its client half must still relieve what no waiter drains — an unwaited
+// window, a parked waiter — and its schedule must still sweep: a call B never
+// answers times out within two sweeps of its budget.
+func TestOneLoopServesBothRoles(t *testing.T) {
+	const laterID, silentID, floodID = 44, 45, 46
+	const budget = 5 * time.Millisecond
+	for _, workers := range []int{0, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			nw := NewNetwork(fabric.Config{})
+			t.Cleanup(nw.Close)
+			node := func(id fabric.NodeID, opts Options) *Node {
+				t.Helper()
+				n, err := nw.NewNode(id, opts, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return n
+			}
+			a := node(0, Options{Workers: workers, QPsPerConn: 1, Credits: 256})
+			a.RegisterHandler(floodID, func([]byte) []byte {
+				// Slower than C sends, so A's ring stays full.
+				for t0 := time.Now(); time.Since(t0) < 10*time.Microsecond; {
+				}
+				return nil
+			})
+			if err := a.Serve(); err != nil {
+				t.Fatal(err)
+			}
+			b := node(1, Options{Workers: 2, QPsPerConn: 1})
+			registerEcho(b)
+			b.RegisterReplyHandler(laterID, false, func(_ []byte, r *Reply) {
+				go func() {
+					time.Sleep(20 * time.Millisecond)
+					r.Send(nil, StatusOK)
+				}()
+			})
+			b.RegisterReplyHandler(silentID, false, func([]byte, *Reply) {}) // never answers
+			if err := b.Serve(); err != nil {
+				t.Fatal(err)
+			}
+
+			// C's flood: one request a message, and SendRPC never waits for
+			// an answer (past DefaultPipelineDepth it cancels the oldest
+			// call), so C sends as fast as A grants it credits — 256 at a
+			// time, enough to ride out a pause of C's — and a leader waiting
+			// for a grant while A's ring is full is not stalled.
+			copts := Options{QPsPerConn: 1, MaxBatch: 1, Credits: 256, StallTimeout: time.Second}
+			cconn, err := node(2, copts).Connect(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stop := make(chan struct{})
+			flooding := make(chan error, 1)
+			go func() {
+				th := cconn.RegisterThread()
+				for {
+					select {
+					case <-stop:
+						flooding <- nil
+						return
+					default:
+					}
+					if _, err := th.SendRPC(floodID, nil); err != nil {
+						flooding <- err
+						return
+					}
+				}
+			}()
+			defer func() {
+				close(stop)
+				if err := <-flooding; err != nil {
+					t.Errorf("C's flood: %v", err)
+				}
+			}()
+			waitFor(t, "C's flood into A", func() bool { return a.metrics.itemsIn.Load() > 1000 })
+
+			conn, err := a.Connect(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			th := conn.RegisterThread()
+			relief0 := a.metrics.reliefCompletions.Load()
+
+			// An unwaited window: nobody waits on it, so A's loop delivers it.
+			ps := make([]*Pending, 8)
+			for i := range ps {
+				if ps[i], err = th.CallAsync(echoID, []byte("unwaited"), CallOptions{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, p := range ps {
+				// delivered = the record's token is in its channel
+				waitFor(t, "the unwaited window", func() bool { return len(p.rec.ch) != 0 })
+			}
+			for _, p := range ps {
+				r, err := p.Wait()
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.Release()
+			}
+			// A parked waiter: B answers 20 ms after its handler returned.
+			if err := callDrop(th, laterID, nil); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "A's relief to count what it drained", func() bool {
+				return a.metrics.reliefCompletions.Load()-relief0 >= uint64(len(ps))
+			})
+
+			// A bounded call B never answers: its waiter parks, so only the
+			// sweep resolves it, and a loop that never swept would leave it
+			// waiting for good.
+			best := time.Hour
+			for try := 0; try < 5; try++ {
+				start := time.Now()
+				expired := make(chan error, 1)
+				go func() {
+					_, err := th.CallWithDeadline(silentID, nil, budget)
+					expired <- err
+				}()
+				select {
+				case err := <-expired:
+					took := time.Since(start)
+					if !errors.Is(err, ErrTimeout) {
+						t.Fatalf("silent call: err = %v after %v, want ErrTimeout", err, took)
+					}
+					best = min(best, took)
+				case <-time.After(5 * time.Second):
+					t.Fatal("a silent call outlived its budget by 5s: A's loop never swept")
+				}
+			}
+			if limit := budget + 2*DefaultSchedInterval; best > limit {
+				t.Fatalf("best of 5 expiries took %v, want within two sweeps of the deadline (%v)", best, limit)
+			}
+		})
 	}
 }
