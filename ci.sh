@@ -1,7 +1,7 @@
 #!/bin/sh
 # ci.sh — the checks every change must pass, in the order CI runs them.
 # The race run is scoped to the concurrent packages (the FLock core, the
-# software RNIC, the buffer pool, the cluster, and the key-value store and
+# software RNIC and the fabric under it, the buffer pool, the cluster, and the key-value store and
 # dedup window that every server pump reaches); the model/simulation
 # packages are single-threaded and dominate wall-clock, so racing them buys
 # nothing.
@@ -47,12 +47,17 @@ gate() {
 go vet ./...
 go build ./...
 go test ./...
-go test -race ./internal/loadgen ./internal/core ./internal/rnic ./internal/mem ./internal/telemetry ./internal/check ./internal/cluster ./internal/kvstore ./internal/resilience
+go test -race ./internal/loadgen ./internal/core ./internal/rnic ./internal/fabric ./internal/mem ./internal/telemetry ./internal/check ./internal/cluster ./internal/kvstore ./internal/resilience
 # The software RNIC has no goroutine of its own (PR 14): whichever goroutine
 # rings a doorbell may execute anybody's work requests. The three tests that
 # cross posters, pollers, stalled QPs and Close on one device are repeated,
-# because one interleaving per run proves little.
-gate -race -count=10 -run 'TestPostSendNeverBlocks|TestDoorbellStress|TestCloseDuringDrain' ./internal/rnic
+# because one interleaving per run proves little. So are the two that check
+# the one-copy DMA: RC writes and reads move the right bytes region to region
+# with no pool lease, one version per chunk, and copies running both ways
+# between the same two regions on two devices' units (plus a copy within one
+# region) finish, because a copy takes the two region locks in one global
+# order.
+gate -race -count=10 -run 'TestPostSendNeverBlocks|TestDoorbellStress|TestCloseDuringDrain|TestRCVerbsLeaseNoBuffer|TestOpposedRegionCopies' ./internal/rnic
 # The receive paths have the same shape: on a client whoever waits on a
 # completion drains its QP, and on a server the request dispatcher and any
 # idle pool goroutine pump the request rings through one function, each

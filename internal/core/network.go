@@ -755,6 +755,12 @@ func (n *Node) run() {
 			if now := clk.since(); now-schedAt >= DefaultSchedInterval {
 				schedAt = now
 				n.schedule(clk.start.Add(now))
+				// A waiter the sweep resolved is readied onto this
+				// goroutine's processor, and a busy loop would keep it
+				// there until the runtime preempts the loop, 10 ms on.
+				if busy {
+					runtime.Gosched()
+				}
 			}
 		}
 		switch {

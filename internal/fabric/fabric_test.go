@@ -149,3 +149,111 @@ func TestConcurrentAccess(t *testing.T) {
 		t.Errorf("total packets = %d, want 8000", f.Totals().Packets)
 	}
 }
+
+// TestLockFreePaths covers what every work request asks of the fabric
+// without its lock: wire charges summed by atomics, the armed flag that
+// lets an unarmed fabric skip fault injection, and the promise that the
+// skip draws nothing, so seeded fault runs replay.
+func TestLockFreePaths(t *testing.T) {
+	cases := []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"concurrent ChargeTX sums exactly", func(t *testing.T) {
+			f := New(Config{MTU: 100})
+			const goroutines, iters = 8, 2000
+			var wg sync.WaitGroup
+			for g := range goroutines {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := range iters {
+						// Half the goroutines race to create each link.
+						f.ChargeTX(NodeID(g%2), NodeID(2+i%3), 150) // 2 packets
+					}
+				}()
+			}
+			wg.Wait()
+			var sum LinkStats
+			for src := NodeID(0); src < 2; src++ {
+				for dst := NodeID(2); dst < 5; dst++ {
+					ls := f.Link(src, dst)
+					sum.Packets += ls.Packets
+					sum.Bytes += ls.Bytes
+				}
+			}
+			want := LinkStats{Packets: 2 * goroutines * iters, Bytes: 150 * goroutines * iters}
+			if sum != want {
+				t.Errorf("links sum to %+v, want %+v", sum, want)
+			}
+			if tot := f.Totals(); tot != want {
+				t.Errorf("Totals = %+v, want %+v", tot, want)
+			}
+		}},
+		{"armed follows every installer", func(t *testing.T) {
+			f := New(Config{})
+			steps := []struct {
+				name  string
+				apply func()
+				armed bool
+			}{
+				{"fresh", func() {}, false},
+				{"plan", func() { f.SetFaultPlan(&FaultPlan{RCLossProb: 0.1}) }, true},
+				{"nil plan", func() { f.SetFaultPlan(nil) }, false},
+				{"link down", func() { f.SetLinkDown(1, 2, true) }, true},
+				{"link up", func() { f.SetLinkDown(1, 2, false) }, false},
+				{"link fault", func() { f.AddLinkFault(LinkFault{Src: 1, Dst: 2}) }, true},
+				{"clear link faults, plan kept", func() { f.ClearLinkFaults() }, true},
+				{"nil plan again", func() { f.SetFaultPlan(nil) }, false},
+				{"plan with links", func() { f.SetFaultPlan(&FaultPlan{Links: []LinkFault{{Src: AnyNode, Dst: AnyNode}}}) }, true},
+				{"clear its links", func() { f.ClearLinkFaults() }, true},
+				{"cleared", func() { f.SetFaultPlan(nil) }, false},
+			}
+			for _, s := range steps {
+				s.apply()
+				if got := f.armed.Load(); got != s.armed {
+					t.Errorf("after %s: armed = %v, want %v", s.name, got, s.armed)
+				}
+			}
+		}},
+		{"unarmed FaultRC draws nothing", func(t *testing.T) {
+			plan := &FaultPlan{Seed: 9, RCLossProb: 0.3, CorruptProb: 0.1, RCDelayProb: 0.2}
+			used, fresh := New(Config{}), New(Config{})
+			for range 1000 {
+				if drop, delay := used.FaultRC(1, 2, 1); drop || delay != 0 {
+					t.Fatal("unarmed fabric injected a fault")
+				}
+			}
+			used.SetFaultPlan(plan)
+			fresh.SetFaultPlan(plan)
+			for i := range 1000 {
+				d1, w1 := used.FaultRC(1, 2, 1)
+				d2, w2 := fresh.FaultRC(1, 2, 1)
+				if d1 != d2 || w1 != w2 {
+					t.Fatalf("attempt %d: (%v, %v) after unarmed calls, (%v, %v) fresh", i, d1, w1, d2, w2)
+				}
+			}
+			if used.FaultCounters() != fresh.FaultCounters() {
+				t.Errorf("fault counters %+v, fresh %+v", used.FaultCounters(), fresh.FaultCounters())
+			}
+		}},
+		{"unarmed UD paths touch nothing", func(t *testing.T) {
+			f := New(Config{})
+			payload := []byte{1, 2, 3}
+			for range 100 {
+				if f.DropUD(1, 2) {
+					t.Fatal("unarmed fabric dropped a datagram")
+				}
+				if out, ok := f.MangleUD(1, 2, payload); ok || &out[0] != &payload[0] {
+					t.Fatal("unarmed fabric corrupted a datagram")
+				}
+			}
+			if ls, fc := f.Link(1, 2), f.FaultCounters(); ls != (LinkStats{}) || fc != (FaultStats{}) {
+				t.Errorf("link %+v, faults %+v: want zeros", ls, fc)
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, c.run)
+	}
+}

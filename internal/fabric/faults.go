@@ -110,6 +110,7 @@ type FaultStats struct {
 func (f *Fabric) SetFaultPlan(p *FaultPlan) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	defer f.rearmLocked()
 	if p == nil {
 		f.plan = nil
 		f.faults = nil
@@ -125,6 +126,12 @@ func (f *Fabric) SetFaultPlan(p *FaultPlan) {
 	}
 }
 
+// rearmLocked recomputes armed after an installer changed the fault state.
+// Caller holds f.mu.
+func (f *Fabric) rearmLocked() {
+	f.armed.Store(f.plan != nil || len(f.faults) > 0 || len(f.manualDown) > 0)
+}
+
 // AddLinkFault appends one scheduled link fault to the active plan,
 // creating an empty plan if none is installed.
 func (f *Fabric) AddLinkFault(lf LinkFault) {
@@ -135,6 +142,7 @@ func (f *Fabric) AddLinkFault(lf LinkFault) {
 		f.faultRNG = stats.NewRNG(0)
 	}
 	f.faults = append(f.faults, &linkFaultState{LinkFault: lf})
+	f.rearmLocked()
 }
 
 // ClearLinkFaults removes all scheduled link faults, keeping the rest of
@@ -143,6 +151,7 @@ func (f *Fabric) ClearLinkFaults() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.faults = nil
+	f.rearmLocked()
 }
 
 // SetLinkDown forces the directed link src → dst down (or back up) until
@@ -158,6 +167,7 @@ func (f *Fabric) SetLinkDown(src, dst NodeID, down bool) {
 	} else {
 		delete(f.manualDown, linkKey{src, dst})
 	}
+	f.rearmLocked()
 }
 
 // FaultCounters returns a copy of the fault-injection counters.
@@ -171,11 +181,15 @@ func (f *Fabric) FaultCounters() FaultStats {
 // (source queue pair qpn) to dst. It returns whether the attempt is lost —
 // forcing the requester NIC to retransmit — and any injected delay the
 // requester NIC should hold the work request for. Link-down windows, random loss, and detected
-// corruption (RC CRCs turn corruption into loss) all count as drops.
+// corruption (RC CRCs turn corruption into loss) all count as drops. An
+// unarmed fabric answers at once, with no lock and no draw.
 func (f *Fabric) FaultRC(src, dst NodeID, qpn int) (drop bool, delay time.Duration) {
+	if !f.armed.Load() {
+		return false, 0
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.plan == nil && len(f.faults) == 0 && len(f.manualDown) == 0 {
+	if !f.armed.Load() {
 		return false, 0
 	}
 	if f.stepLinkFaultsLocked(src, dst, qpn) {
@@ -191,7 +205,7 @@ func (f *Fabric) FaultRC(src, dst NodeID, qpn int) (drop bool, delay time.Durati
 	}
 	if drop {
 		f.fstats.RCDropped++
-		f.link(src, dst).Dropped++
+		f.linkLocked(src, dst).dropped.Add(1)
 	}
 	if f.plan != nil && f.plan.RCDelayProb > 0 && f.faultRNG.Float64() < f.plan.RCDelayProb {
 		delay = f.plan.RCDelay
@@ -208,6 +222,9 @@ func (f *Fabric) FaultRC(src, dst NodeID, qpn int) (drop bool, delay time.Durati
 // be application memory captured inline). UD has no end-to-end integrity
 // check in this model, so the corruption reaches the receiver.
 func (f *Fabric) MangleUD(src, dst NodeID, payload []byte) ([]byte, bool) {
+	if !f.armed.Load() {
+		return payload, false
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.plan == nil || f.plan.CorruptProb <= 0 || len(payload) == 0 {

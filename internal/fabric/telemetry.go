@@ -5,8 +5,7 @@ import "flock/internal/telemetry"
 // PublishTelemetry registers snapshot-time views of the fabric's wire and
 // fault-injection counters under prefix (e.g. "fabric."). This folds the
 // formerly ad-hoc FaultCounters/Totals reporting into the telemetry
-// registry; the mutex-guarded write paths stay as they are and are read
-// only when a snapshot is taken.
+// registry; the counters are read only when a snapshot is taken.
 func (f *Fabric) PublishTelemetry(reg *telemetry.Registry, prefix string) {
 	reg.CounterFunc(prefix+"packets", func() uint64 { return f.Totals().Packets })
 	reg.CounterFunc(prefix+"bytes", func() uint64 { return f.Totals().Bytes })

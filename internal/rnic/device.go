@@ -140,9 +140,12 @@ type Device struct {
 	fab   *fabric.Fabric
 	cache *connCache
 
+	// mu serializes registration, QP creation and destruction, and Close.
+	// The responder side of every WR reads qps and mrs without it.
 	mu      sync.Mutex
-	qps     map[int]*QP
-	mrs     map[uint32]*MemRegion
+	qps     denseTable[QP]        // by QPN
+	mrs     denseTable[MemRegion] // by rkey
+	numQPs  int                   // live entries of qps; under mu
 	nextQPN int
 	nextKey uint32
 	closed  atomic.Bool // set under mu
@@ -186,8 +189,6 @@ func NewDevice(fab *fabric.Fabric, cfg Config) (*Device, error) {
 		cfg:     cfg,
 		fab:     fab,
 		cache:   newConnCache(cfg.CacheSize),
-		qps:     make(map[int]*QP),
-		mrs:     make(map[uint32]*MemRegion),
 		nextQPN: 1,
 		nextKey: 1,
 	}
@@ -229,10 +230,7 @@ func (d *Device) Close() {
 		return
 	}
 	d.closed.Store(true)
-	qps := make([]*QP, 0, len(d.qps))
-	for _, q := range d.qps {
-		qps = append(qps, q)
-	}
+	qps := d.qps.all()
 	d.mu.Unlock()
 
 	// Take the unit role for good: the current unit leaves at its next
@@ -287,7 +285,8 @@ func (d *Device) CreateQP(t Transport, sendCQ, recvCQ *CQ) (*QP, error) {
 		q.state = qpReady
 	}
 	d.nextQPN++
-	d.qps[q.qpn] = q
+	d.qps.put(q.qpn, q)
+	d.numQPs++
 	return q, nil
 }
 
@@ -297,26 +296,26 @@ func (d *Device) CreateQP(t Transport, sendCQ, recvCQ *CQ) (*QP, error) {
 // do not accumulate dead queue pairs.
 func (d *Device) DestroyQP(qpn int) {
 	d.mu.Lock()
-	q := d.qps[qpn]
-	delete(d.qps, qpn)
+	q := d.qps.get(qpn)
+	if q != nil {
+		d.qps.put(qpn, nil)
+		d.numQPs--
+	}
 	d.mu.Unlock()
 	if q != nil {
 		q.enterError()
 	}
 }
 
-// QPByNumber returns the local QP with the given number, or nil.
-func (d *Device) QPByNumber(qpn int) *QP {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.qps[qpn]
-}
+// QPByNumber returns the local QP with the given number, or nil. It takes
+// no lock.
+func (d *Device) QPByNumber(qpn int) *QP { return d.qps.get(qpn) }
 
 // NumQPs reports how many QPs exist on the device.
 func (d *Device) NumQPs() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.qps)
+	return d.numQPs
 }
 
 // RegisterMR registers a fresh buffer of size bytes with the given remote
@@ -325,9 +324,9 @@ func (d *Device) RegisterMR(size int, perms Perm) (*MemRegion, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("rnic: RegisterMR size %d", size)
 	}
-	// Allocate and zero the buffer before taking mu: lookupMR and QPByNumber
-	// take it for every responder-side WR, and a lazy dial registers
-	// megabyte rings while traffic flows.
+	// Allocate and zero the buffer before taking mu: a lazy dial registers
+	// megabyte rings while traffic flows, and other registrations and QP
+	// creations on the device wait for mu.
 	mr := &MemRegion{
 		buf:   make([]byte, size),
 		perms: perms,
@@ -339,18 +338,70 @@ func (d *Device) RegisterMR(size int, perms Perm) (*MemRegion, error) {
 		return nil, ErrDeviceClosed
 	}
 	mr.lkey, mr.rkey = d.nextKey, d.nextKey
+	mr.seq = mrSeq.Add(1)
 	d.nextKey++
-	d.mrs[mr.rkey] = mr
+	d.mrs.put(int(mr.rkey), mr)
 	return mr, nil
 }
 
 // lookupMR resolves an rkey to a region, nil if unknown. Each call models
-// one MTT/MPT translation on the responder NIC.
+// one MTT/MPT translation on the responder NIC; it takes no lock.
 func (d *Device) lookupMR(rkey uint32) *MemRegion {
 	d.counters.add(&d.counters.MRLookups, 1)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.mrs[rkey]
+	return d.mrs.get(int(rkey))
+}
+
+// denseTable maps the values of a dense counter — QPNs, rkeys — to entries,
+// for readers that take no lock. Readers index the published slice; writers,
+// serialized by Device.mu, store into it in place, lengthen it into spare
+// capacity, or copy it into one of twice the length, so an insertion costs
+// O(1) amortised and nothing is allocated per lookup.
+type denseTable[T any] struct {
+	p atomic.Pointer[[]atomic.Pointer[T]]
+}
+
+// get returns entry i, nil if there is none.
+func (t *denseTable[T]) get(i int) *T {
+	s := t.p.Load()
+	if s == nil || uint(i) >= uint(len(*s)) {
+		return nil
+	}
+	return (*s)[i].Load()
+}
+
+// put sets entry i, nil to remove it. The caller holds Device.mu.
+func (t *denseTable[T]) put(i int, v *T) {
+	var s []atomic.Pointer[T]
+	if p := t.p.Load(); p != nil {
+		s = *p
+	}
+	if i < len(s) {
+		s[i].Store(v)
+		return
+	}
+	if i >= cap(s) {
+		grown := make([]atomic.Pointer[T], len(s), 2*(i+1))
+		for j := range s {
+			grown[j].Store(s[j].Load())
+		}
+		s = grown
+	}
+	s = s[:i+1]
+	s[i].Store(v)
+	t.p.Store(&s)
+}
+
+// all returns the entries that are set. The caller holds Device.mu.
+func (t *denseTable[T]) all() []*T {
+	var out []*T
+	if p := t.p.Load(); p != nil {
+		for i := range *p {
+			if v := (*p)[i].Load(); v != nil {
+				out = append(out, v)
+			}
+		}
+	}
+	return out
 }
 
 // ConnectPair creates one RC (or UC) QP on each of a and b, connects them

@@ -14,11 +14,13 @@ import (
 //
 // The owning host reads and writes the region through ReadAt/WriteAt and
 // the 64-bit accessors. All access is mediated by an internal lock so that
-// host polling and NIC DMA do not race; inbound RC writes larger than the
-// fabric MTU are applied in ascending MTU-sized chunks with the lock
-// released in between, so a polling host observes the same
-// partially-placed messages it would see on real hardware. FLock's canary
-// framing (§4.1) depends on exactly that.
+// host polling and NIC DMA do not race. The NIC moves an RC write's or
+// read's bytes straight from one region into the other, in ascending
+// MTU-sized chunks: each chunk is copied under both regions' locks, taken
+// in registration order (seq) so that opposed copies between the same two
+// regions cannot deadlock, and both locks are released in between, so a
+// polling host observes the same partially-placed messages it would see on
+// real hardware. FLock's canary framing (§4.1) depends on exactly that.
 //
 // The lock is a plain mutex, readers included. Every hold is one short
 // copy, and a reader-writer lock hands itself to goroutines that are not
@@ -33,11 +35,17 @@ type MemRegion struct {
 	rkey  uint32
 	perms Perm
 	node  int
+	// seq is the region's place in a process-wide registration order: a
+	// copy between two regions locks the one with the smaller seq first.
+	seq uint64
 
 	// version counts the writes applied to buf, host and NIC alike, one per
 	// chunk. It is bumped under mu after the bytes are in place.
 	version atomic.Uint64
 }
+
+// mrSeq numbers registered regions across every device in the process.
+var mrSeq atomic.Uint64
 
 // Version returns the number of writes applied to the region so far. A
 // poller that looked at the region and found nothing, having read Version
@@ -108,8 +116,9 @@ func (mr *MemRegion) Store64(off int, v uint64) {
 	mr.mu.Unlock()
 }
 
-// dmaWriteChunked applies an inbound write in ascending MTU-sized chunks,
-// releasing the lock between chunks (see type comment).
+// dmaWriteChunked places the bytes of an inline write (src is the WR's
+// own copy, not a region) in ascending MTU-sized chunks, releasing the lock
+// between chunks (see type comment).
 func (mr *MemRegion) dmaWriteChunked(src []byte, off, mtu int) {
 	for len(src) > 0 {
 		n := mtu
@@ -125,11 +134,44 @@ func (mr *MemRegion) dmaWriteChunked(src []byte, off, mtu int) {
 	}
 }
 
-// dmaRead copies n bytes at off out of the region (requester-side read).
+// dmaRead copies len(dst) bytes at off out of the region under one hold of
+// its lock. Only a send's gather uses it: writes and reads copy region to
+// region (copyChunked).
 func (mr *MemRegion) dmaRead(dst []byte, off int) {
 	mr.mu.Lock()
 	copy(dst, mr.buf[off:off+len(dst)])
 	mr.mu.Unlock()
+}
+
+// copyChunked copies n bytes from src at soff into dst at doff in ascending
+// MTU-sized chunks, with no staging buffer: the DMA of an RC write (local
+// region to remote) or read (remote to local). Each chunk is copied under
+// both regions' locks, taken in registration order — one lock when src and
+// dst are the same region — and bumps dst's version once; the locks are
+// released between chunks (see type comment). Overlapping ranges of one
+// region are copied chunk by chunk, as a NIC that reads each packet's bytes
+// as it sends them would: their result is as undefined as on hardware.
+func copyChunked(dst *MemRegion, doff int, src *MemRegion, soff, n, mtu int) {
+	first, second := dst, src
+	if src.seq < dst.seq {
+		first, second = src, dst
+	}
+	for n > 0 {
+		c := min(mtu, n)
+		first.mu.Lock()
+		if second != first {
+			second.mu.Lock()
+		}
+		copy(dst.buf[doff:doff+c], src.buf[soff:soff+c])
+		dst.version.Add(1)
+		if second != first {
+			second.mu.Unlock()
+		}
+		first.mu.Unlock()
+		n -= c
+		doff += c
+		soff += c
+	}
 }
 
 // CAS64 atomically replaces the 64-bit word at off with new when it holds

@@ -118,11 +118,16 @@ func (d *Device) advance(q *QP, wr *SendWR) (Status, int, time.Duration) {
 		}
 	}
 
-	// The payload is gathered per delivery attempt, as a NIC reads it from
-	// host memory again for each retransmission.
-	payload, pbuf := d.gatherPayload(q, wr)
-	if pbuf != nil {
-		defer pbuf.Release()
+	// A send's payload is gathered per delivery attempt, as a NIC reads it
+	// from host memory again for each retransmission. Writes and reads
+	// gather nothing: their bytes go region to region when they are placed.
+	var payload []byte
+	if wr.Op == OpSend {
+		var pbuf *mem.Buf
+		payload, pbuf = d.gatherPayload(wr)
+		if pbuf != nil {
+			defer pbuf.Release()
+		}
 	}
 	if q.transport == UD {
 		// UD has no end-to-end integrity check: injected corruption is
@@ -144,13 +149,15 @@ func (d *Device) advance(q *QP, wr *SendWR) (Status, int, time.Duration) {
 	peer.cacheAccess(int(d.cfg.Node), dstQPN)
 
 	status := StatusOK
-	byteLen := len(payload)
+	byteLen := 0
 	switch wr.Op {
 	case OpWrite, OpWriteImm:
-		status = d.execWrite(peer, dstQPN, wr, payload)
+		byteLen = q.payloadLen(wr)
+		status = d.execWrite(peer, dstQPN, wr, byteLen)
 	case OpRead:
 		status, byteLen = d.execRead(peer, wr)
 	case OpSend:
+		byteLen = len(payload)
 		status = d.execSend(q, peer, dstQPN, wr, payload)
 	case OpFetchAdd, OpCmpSwap:
 		status = d.execAtomic(peer, wr)
@@ -225,39 +232,46 @@ func (d *Device) cacheAccess(node, qpn int) bool {
 	return hit
 }
 
-// gatherPayload materializes the outbound bytes of wr (nil for reads and
-// atomics' request side). When the bytes are gathered out of a local MR
-// the staging space comes from the buffer pool; the returned *mem.Buf is
-// non-nil in that case and the caller releases it after fabric delivery.
-func (d *Device) gatherPayload(q *QP, wr *SendWR) ([]byte, *mem.Buf) {
-	switch wr.Op {
-	case OpSend, OpWrite, OpWriteImm:
-		if wr.Inline != nil {
-			return wr.Inline, nil
-		}
-		if wr.LocalMR != nil {
-			b := mem.Get(wr.LocalLen)
-			wr.LocalMR.dmaRead(b.Data(), wr.LocalOff)
-			return b.Data(), b
-		}
+// gatherPayload materializes the outbound bytes of a send: the Inline
+// bytes as they are, or a private copy of the local MR's. Sends need their
+// own copy — UD corruption is injected into it, and a receive buffer is not
+// a region the WR names. The copy's staging space comes from the buffer
+// pool; the returned *mem.Buf is non-nil in that case and the caller
+// releases it after fabric delivery.
+func (d *Device) gatherPayload(wr *SendWR) ([]byte, *mem.Buf) {
+	if wr.Inline != nil || wr.LocalMR == nil {
+		return wr.Inline, nil
 	}
-	return nil, nil
+	b := mem.Get(wr.LocalLen)
+	wr.LocalMR.dmaRead(b.Data(), wr.LocalOff)
+	return b.Data(), b
 }
 
-// execWrite places payload into the responder's region. Write-with-imm
-// additionally consumes a receive WQE on the destination QP and delivers a
-// receive completion carrying the immediate; it takes the WQE before it
-// places anything, so that a receiver-not-ready retry never places twice.
-func (d *Device) execWrite(peer *Device, dstQPN int, wr *SendWR, payload []byte) Status {
+// place performs a write's DMA into mr at wr.RemoteOff: the Inline bytes,
+// or n bytes straight out of the local MR.
+func (d *Device) place(mr *MemRegion, wr *SendWR, n int) {
+	if wr.Inline != nil {
+		mr.dmaWriteChunked(wr.Inline, wr.RemoteOff, d.fab.MTU())
+	} else if n > 0 {
+		copyChunked(mr, wr.RemoteOff, wr.LocalMR, wr.LocalOff, n, d.fab.MTU())
+	}
+}
+
+// execWrite places the n payload bytes of wr into the responder's region.
+// Write-with-imm additionally consumes a receive WQE on the destination QP
+// and delivers a receive completion carrying the immediate; it takes the
+// WQE before it places anything, so that a receiver-not-ready retry never
+// places twice.
+func (d *Device) execWrite(peer *Device, dstQPN int, wr *SendWR, n int) Status {
 	mr := peer.lookupMR(wr.RKey)
 	if mr == nil || mr.perms&PermRemoteWrite == 0 {
 		return StatusRemoteAccess
 	}
-	if err := mr.checkRange(wr.RemoteOff, len(payload)); err != nil {
+	if err := mr.checkRange(wr.RemoteOff, n); err != nil {
 		return StatusRemoteAccess
 	}
 	if wr.Op != OpWriteImm {
-		mr.dmaWriteChunked(payload, wr.RemoteOff, d.fab.MTU())
+		d.place(mr, wr, n)
 		return StatusOK
 	}
 
@@ -269,13 +283,13 @@ func (d *Device) execWrite(peer *Device, dstQPN int, wr *SendWR, payload []byte)
 	if !ok {
 		return statusRNR
 	}
-	mr.dmaWriteChunked(payload, wr.RemoteOff, d.fab.MTU())
+	d.place(mr, wr, n)
 	peer.counters.add(&peer.counters.CompletionsDelivered, 1)
 	dq.recvCQ.push(Completion{
 		WRID:     rwr.WRID,
 		Status:   StatusOK,
 		Opcode:   OpRecv,
-		ByteLen:  len(payload),
+		ByteLen:  n,
 		Imm:      wr.Imm,
 		ImmValid: true,
 		QPN:      dq.qpn,
@@ -285,8 +299,8 @@ func (d *Device) execWrite(peer *Device, dstQPN int, wr *SendWR, payload []byte)
 	return StatusOK
 }
 
-// execRead copies from the responder's region into the requester's local
-// region.
+// execRead copies from the responder's region straight into the
+// requester's local region.
 func (d *Device) execRead(peer *Device, wr *SendWR) (Status, int) {
 	mr := peer.lookupMR(wr.RKey)
 	if mr == nil || mr.perms&PermRemoteRead == 0 {
@@ -295,10 +309,7 @@ func (d *Device) execRead(peer *Device, wr *SendWR) (Status, int) {
 	if err := mr.checkRange(wr.RemoteOff, wr.LocalLen); err != nil {
 		return StatusRemoteAccess, 0
 	}
-	b := mem.Get(wr.LocalLen)
-	mr.dmaRead(b.Data(), wr.RemoteOff)
-	wr.LocalMR.dmaWriteChunked(b.Data(), wr.LocalOff, d.fab.MTU())
-	b.Release()
+	copyChunked(wr.LocalMR, wr.LocalOff, mr, wr.RemoteOff, wr.LocalLen, d.fab.MTU())
 
 	// Response-direction wire accounting.
 	pkts := d.fab.ChargeTX(peer.cfg.Node, d.cfg.Node, wr.LocalLen)

@@ -21,6 +21,11 @@
 //     observes partially-placed messages and the canary check is
 //     load-bearing.
 //
+// Like the hardware's DMA, a write or read moves each byte once: straight
+// from the source region into the destination region, one MTU chunk at a
+// time under both regions' locks (see MemRegion for their order), with no
+// staging buffer. Only sends gather a private copy of their payload.
+//
 // # Execution model
 //
 // A Device owns no goroutine. Posting is what the paper prices it as — a
@@ -53,6 +58,11 @@
 //   - A stall is per QP. While one QP waits the unit serves the others;
 //     only WRs behind the stalled one on the same QP are held, which is
 //     RC's ordering and nothing more.
+//
+//   - No process-wide lock. A WR takes no lock shared by every device: the
+//     responder finds regions and QPs in tables it reads without Device.mu
+//     (denseTable), and the fabric's lookup, wire charge and unarmed fault
+//     verdict take no lock of its own. Per-QP and per-region locks remain.
 //
 // Polling is priced the same way: CQ.Poll on an empty queue is one atomic
 // load, and MemRegion.Version lets a ring poller skip looking at memory
