@@ -437,10 +437,10 @@ func runUDCoalesceAblation(quick bool) {
 //   - naive: no admission control, one attempt per call; clients time out
 //     and immediately re-offer the same work. Once the queue outgrows the
 //     deadline the server burns its whole capacity on requests whose
-//     callers already gave up — congestion collapse. (Read this series with the
-//     retired-worker warning next to it: every expiry also strikes a QP,
-//     and past saturation the client's whole handle is quarantined and
-//     fails within tens of milliseconds — EXPERIMENTS.md "PR 15".)
+//     callers already gave up — congestion collapse. The expiries break
+//     nothing: the server keeps answering (late), so no expiry strikes a
+//     QP and every worker stays on its handle to the end. A retired-worker
+//     warning here means the library broke a QP that was still answering.
 //   - resilient: AdmissionLimit bounds the admitted queue (excess is a
 //     cheap wire NACK, no handler execution) and every call carries
 //     CallOptions{MaxAttempts: 4}: keyed client retries, budgeted, with
@@ -516,8 +516,8 @@ func runOverloadSweep(quick bool) {
 	}
 
 	// Overload chaos: heaviest resilient point plus a lossy fabric. The
-	// library's recovery (timeout-driven recycle) plus the resilience
-	// layer must hold goodput near the no-fault plateau.
+	// library's recovery plus the resilience layer must hold goodput near
+	// the no-fault plateau.
 	chaosThreads := loads[len(loads)-1]
 	chaos := run(chaosThreads, true, &fabric.FaultPlan{Seed: 6, RCLossProb: 0.01})
 	rejected, retries, exhausted := side(chaos)

@@ -599,8 +599,12 @@ func TestRebalanceFailsOverDeadPrimary(t *testing.T) {
 //
 // R=2 on five members, three recorded writers and a reader throughout, the
 // shard prefilled to several snapshot frames. The source→recruit link
-// carries two transmissions and then stays down, so the copy has started
-// and cannot finish before the kill lands, whenever that is.
+// carries two transmissions and then goes down for longer than the test
+// runs, so the copy has started and cannot finish before the kill lands,
+// whenever that is. The window is finite on purpose: a link the fabric
+// reports cut for good fails the copy at its first recycle, on its own and
+// before any kill (TestRepairDropsRecruitWhenCopyFails), while a stalled
+// one leaves the copy retrying until the kill cuts the link.
 func TestMemberDiesMidMove(t *testing.T) {
 	for _, killSource := range []bool{true, false} {
 		name := "recruit dies"
@@ -697,7 +701,7 @@ func memberDiesMidMove(t *testing.T, killSource bool) {
 
 	lc.nw.Fabric().SetFaultPlan(&fabric.FaultPlan{
 		Seed:  2,
-		Links: []fabric.LinkFault{{Src: source, Dst: recruit, DownAfter: 2}},
+		Links: []fabric.LinkFault{{Src: source, Dst: recruit, DownAfter: 2, DownFor: 1 << 40}},
 	})
 	moved := make(chan error, 1)
 	go func() { moved <- lc.coord.MigrateShard(shard, recruit) }()

@@ -12,8 +12,9 @@ import (
 // dialed on first use, dropped when one fails for good so that the next use
 // re-dials. The router, its failure detector and a member's replication
 // plane all reach their peers through one of these — a handle dies the same
-// way under each (a long outage or an overload storm quarantines its QPs
-// one by one) and must be able to come back the same way.
+// way under each (its link is cut for good, the peer closes, or its QPs
+// fail one by one where their siblings work) and must be able to come back
+// the same way.
 type peerConns struct {
 	node  *core.Node
 	mu    sync.Mutex

@@ -98,7 +98,7 @@ func TestChaosMatrix(t *testing.T) {
 				QPsPerConn:   2,
 				RPCTimeout:   100 * time.Millisecond,
 				StallTimeout: 10 * time.Millisecond,
-				test:         testKnobs{flapThreshold: -1, rcRetries: 3},
+				test:         testKnobs{rcRetries: 3},
 			}
 			tc := newTestCluster(t, 1, sOpts, cOpts)
 			registerEcho(tc.server)

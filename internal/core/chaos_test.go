@@ -161,15 +161,16 @@ func kvDrive(t *testing.T, th *Thread, key, rounds uint64) uint64 {
 
 // TestChaosRetryExhaustionRecycles is fault plan 1: a scheduled outage
 // window on the client→server link exhausts the RC retry budget, breaking
-// QPs mid-traffic. The connection must recycle them and every in-flight
-// and subsequent call must still complete with its own echo.
+// QPs mid-traffic. The connection must recycle them — every QP breaks
+// together, so the fault is the link's and nothing is quarantined — and
+// every in-flight and subsequent call must still complete with its own echo.
 func TestChaosRetryExhaustionRecycles(t *testing.T) {
 	sOpts := Options{QPsPerConn: 2}
 	cOpts := Options{
 		QPsPerConn:   2,
 		RPCTimeout:   100 * time.Millisecond,
 		StallTimeout: 10 * time.Millisecond,
-		test:         testKnobs{flapThreshold: -1, rcRetries: 3}, // this plan tests recycling; never quarantine
+		test:         testKnobs{rcRetries: 3},
 	}
 	tc := newTestCluster(t, 1, sOpts, cOpts)
 	registerEcho(tc.server)
@@ -258,7 +259,7 @@ func TestChaosRetryExhaustionRecycles(t *testing.T) {
 		t.Fatalf("no QP recycle despite retry exhaustion (metrics %+v)", m)
 	}
 	if m.QPQuarantines != 0 {
-		t.Fatalf("quarantine disabled yet QPs were quarantined (metrics %+v)", m)
+		t.Fatalf("a finite outage window quarantined QPs (metrics %+v)", m)
 	}
 	// Recovered: the fault window is exhausted, so a fresh exchange works.
 	callUntilOK(t, th0, []byte("post-fault"))
@@ -348,17 +349,46 @@ func qpnOfQP(q *connQP) (int, bool) {
 	return q.qp.QPN(), true
 }
 
+// flapIntoQuarantine cuts q's queue pair off the link for good, and the
+// replacement after every recycle, until the connection quarantines q: the
+// QP breaks again and again with none of its own sends landing while its
+// siblings' do, which is the evidence the quarantine rule asks for. The
+// retarget spins rather than sleeps, so the traffic seldom gets a send of
+// q's own through between a recycle and the next cut; when it does, the QP
+// just starts a new streak. The cut is lifted before it returns.
+func flapIntoQuarantine(t *testing.T, tc *testCluster, q *connQP) {
+	t.Helper()
+	fab := tc.net.Fabric()
+	cutQPN := -1
+	deadline := time.Now().Add(chaosDeadline)
+	for !q.disabled.Load() && !t.Failed() {
+		if time.Now().After(deadline) {
+			t.Fatal("timed out waiting for the flapping QP to be quarantined")
+		}
+		if qpn, ok := qpnOfQP(q); ok && qpn != cutQPN {
+			cutQPN = qpn
+			fab.ClearLinkFaults()
+			fab.AddLinkFault(fabric.LinkFault{
+				Src: tc.clients[0].ID(), Dst: tc.server.ID(), QPN: qpn, DownFor: 0, // down forever
+			})
+		}
+		runtime.Gosched()
+	}
+	fab.ClearLinkFaults()
+}
+
 // TestChaosLinkFlapQuarantine is fault plan 3: one QP's link keeps going
 // down (the fault is retargeted to the replacement QP after every
-// recycle), so the QP flaps past FlapThreshold. It must be quarantined —
-// permanently retired — while traffic keeps flowing on the surviving QP.
+// recycle), so the QP flaps past DefaultFlapThreshold while its sibling's
+// sends land. It must be quarantined — permanently retired — while traffic
+// keeps flowing on the surviving QP.
 func TestChaosLinkFlapQuarantine(t *testing.T) {
 	sOpts := Options{QPsPerConn: 2}
 	cOpts := Options{
 		QPsPerConn:   2,
 		RPCTimeout:   100 * time.Millisecond,
 		StallTimeout: 10 * time.Millisecond,
-		test:         testKnobs{flapThreshold: 2, rcRetries: 2},
+		test:         testKnobs{rcRetries: 2},
 	}
 	tc := newTestCluster(t, 1, sOpts, cOpts)
 	registerEcho(tc.server)
@@ -366,7 +396,7 @@ func TestChaosLinkFlapQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, fab := tc.clients[0], tc.net.Fabric()
+	client := tc.clients[0]
 	q0 := conn.qps[0]
 
 	// Traffic from two threads; thread 0 is assigned QP 0 and keeps
@@ -400,32 +430,7 @@ func TestChaosLinkFlapQuarantine(t *testing.T) {
 
 	// Plan 3: take QP 0's link down for good; after each recycle retarget
 	// the fault at the replacement queue pair number so the QP flaps.
-	qpn0, _ := qpnOfQP(q0)
-	fab.SetFaultPlan(&fabric.FaultPlan{Seed: 3})
-	fab.AddLinkFault(fabric.LinkFault{
-		Src: client.ID(), Dst: tc.server.ID(), QPN: qpn0, DownFor: 0, // down forever
-	})
-	lastRecycles := uint64(0)
-	waitFor(t, "QP 0 to flap into quarantine", func() bool {
-		if t.Failed() {
-			return true
-		}
-		m := client.Metrics()
-		if m.QPQuarantines >= 1 {
-			return true
-		}
-		if m.QPRecycles > lastRecycles {
-			if qpn, ok := qpnOfQP(q0); ok {
-				lastRecycles = m.QPRecycles
-				fab.ClearLinkFaults()
-				fab.AddLinkFault(fabric.LinkFault{
-					Src: client.ID(), Dst: tc.server.ID(), QPN: qpn, DownFor: 0,
-				})
-			}
-		}
-		return false
-	})
-	fab.ClearLinkFaults()
+	flapIntoQuarantine(t, tc, q0)
 	close(stop)
 	wg.Wait()
 	if t.Failed() {
@@ -450,7 +455,7 @@ func TestChaosLinkFlapQuarantine(t *testing.T) {
 		callUntilOK(t, th, []byte(fmt.Sprintf("degraded-%04d", i)))
 	}
 	m := client.Metrics()
-	if m.QPRecycles < uint64(cOpts.test.flapThreshold) {
-		t.Fatalf("expected %d recycles before quarantine, got %d", cOpts.test.flapThreshold, m.QPRecycles)
+	if m.QPRecycles < DefaultFlapThreshold {
+		t.Fatalf("expected %d recycles before quarantine, got %d", DefaultFlapThreshold, m.QPRecycles)
 	}
 }

@@ -153,13 +153,27 @@ type connQP struct {
 	// bail out via active(), pollers skip it, and the recycler owns all of
 	// the QP's state once the leaders counter drains to zero and the poll
 	// role is free. Clearing broken is the release edge that republishes the
-	// recycled state. disabled marks a QP quarantined for good after
-	// breaking more than DefaultFlapThreshold times.
+	// recycled state. disabled marks a QP quarantined for good (see
+	// flapping).
 	broken   atomic.Bool
 	disabled atomic.Bool
 	leaders  atomic.Int32 // threads currently inside the leader path
-	breaks   atomic.Uint32
-	timeouts atomic.Uint32 // consecutive RPC-deadline strikes
+
+	// Recovery evidence (recovery.go). pollQP moves heard when it routes a
+	// response, stale ones included, and sent when it routes an OK send
+	// completion. strikeHeard and strikes are the current run of silent
+	// deadline expiries and the heard value they share, under strikeMu.
+	// The rest are the recycler's own (see flapping): the breaks in a row
+	// with sent unmoved, sent at the last break, and the siblings' sent when
+	// the streak began and at the last break.
+	heard, sent  atomic.Uint32
+	strikeMu     sync.Mutex
+	strikeHeard  uint32
+	strikes      int
+	streak       int
+	sentMark     uint32
+	siblingsMark uint32
+	siblingsLast uint32
 }
 
 // active reports whether leaders may use the QP: the scheduler-controlled

@@ -58,7 +58,9 @@ func idleBackoff(idleRounds int) {
 }
 
 // pollQP drains q if its poll role is free: the response ring into
-// deliverResponse, the send CQ into routeSendCompletion. A broken QP
+// deliverResponse, the send CQ into routeSendCompletion. A pass that routed
+// a response moves q.heard, one that routed an OK send completion q.sent:
+// the evidence recovery.go judges the QP by. A broken QP
 // belongs to its recycler, which waits for the role to be free and is
 // excluded by the broken check made under it. It returns how many
 // completions it routed and counts them in by — the waiter or the relief
@@ -84,16 +86,24 @@ func (c *Conn) pollQP(q *connQP, by *telemetry.Counter) int {
 			mbuf.Release()
 			n += len(items)
 		}
+		if n > 0 {
+			q.heard.Add(1) // recovery evidence: the server end answers
+		}
 		// Send CQ: memory-op and refresh completions, message-write errors.
+		landed := false
 		for {
 			k := q.qp.SendCQ().Poll(q.cqBuf[:])
 			if k == 0 {
 				break
 			}
 			for _, comp := range q.cqBuf[:k] {
+				landed = landed || comp.Status == rnic.StatusOK
 				c.routeSendCompletion(q, comp)
 			}
 			n += k
+		}
+		if landed {
+			q.sent.Add(1) // recovery evidence: this QP's own sends land
 		}
 	}
 	q.polling.Store(false)

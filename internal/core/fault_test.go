@@ -308,7 +308,7 @@ func TestConnCloseRacesInflightRPCs(t *testing.T) {
 		QPsPerConn:   2,
 		RPCTimeout:   50 * time.Millisecond,
 		StallTimeout: 5 * time.Millisecond,
-		test:         testKnobs{flapThreshold: -1, rcRetries: 2},
+		test:         testKnobs{rcRetries: 2},
 	}
 	tc := newTestCluster(t, 1, sOpts, cOpts)
 	registerEcho(tc.server)
@@ -391,7 +391,7 @@ func TestCreditRenewalSurvivesLoss(t *testing.T) {
 		Credits:      4,
 		RPCTimeout:   100 * time.Millisecond,
 		StallTimeout: 10 * time.Millisecond,
-		test:         testKnobs{flapThreshold: -1, rcRetries: 3},
+		test:         testKnobs{rcRetries: 3},
 	}
 	tc := newTestCluster(t, 1, sOpts, cOpts)
 	registerEcho(tc.server)

@@ -164,7 +164,7 @@ func TestLinearizableKVUnderFaults(t *testing.T) {
 		QPsPerConn:   2,
 		RPCTimeout:   100 * time.Millisecond,
 		StallTimeout: 10 * time.Millisecond,
-		test:         testKnobs{flapThreshold: -1, rcRetries: 3},
+		test:         testKnobs{rcRetries: 3},
 	}
 	tc := newTestCluster(t, 1, sOpts, cOpts)
 	registerKV(t, tc.server)

@@ -219,8 +219,8 @@ type NodeMetrics struct {
 	// QPRecycles counts broken QPs torn down and re-established (client
 	// and server role combined).
 	QPRecycles uint64
-	// QPQuarantines counts QPs permanently retired after flapping past
-	// DefaultFlapThreshold.
+	// QPQuarantines counts QPs permanently retired for breaking more than
+	// DefaultFlapThreshold times in a row while a sibling QP kept working.
 	QPQuarantines uint64
 	// RPCTimeouts counts per-attempt RPC deadline expiries observed by
 	// CallWithDeadline / Call-with-RPCTimeout.

@@ -52,13 +52,18 @@ const (
 	// verdict waits before the stall guard declares the QP (or its leader)
 	// stuck and recovers.
 	DefaultStallTimeout = 20 * time.Millisecond
-	// DefaultFlapThreshold is how many times a QP may break and be
-	// recycled before the connection quarantines it for good.
+	// DefaultFlapThreshold is how many times in a row a QP may break with
+	// no send completion of its own, while a sibling QP of its connection
+	// completes sends, before the connection quarantines it for good (see
+	// Conn.flapping). A fault every QP shares is the link's, and is
+	// recycled through.
 	DefaultFlapThreshold = 3
-	// timeoutStrikes is how many consecutive per-attempt RPC timeouts on
-	// one QP it takes before the client declares the QP broken. Server-side
+	// timeoutStrikes is how many silent RPC deadline expiries in a row on
+	// one QP — expiries during whose wait the QP routed no response at all —
+	// it takes before the client declares the QP broken. Server-side
 	// failures (the server end of the QP erroring, responses lost) are
-	// invisible to the client NIC, so repeated timeouts are the signal.
+	// invisible to the client NIC, so silence is the signal; an expiry on a
+	// QP that keeps answering is a slow server, and strikes nothing.
 	timeoutStrikes = 3
 	// DefaultDedupWindow is how many completed idempotent responses each
 	// inbound connection caches for retry dedup.
@@ -130,17 +135,14 @@ type Options struct {
 
 // testKnobs are values no tool, bench or example sets, which the package's
 // own tests still need in order to reach a behaviour the default takes too
-// long to reach: a ring small enough to wrap, a QP that flaps into
-// quarantine after two breaks, a NIC that gives up after two retransmits.
-// Zero fields take the Default… constants above, so every node outside this
-// package's tests runs on exactly those.
+// long to reach: a ring small enough to wrap, a NIC that gives up after two
+// retransmits. None of them changes a recovery rule. Zero fields take the
+// Default… constants above, so every node outside this package's tests runs
+// on exactly those.
 type testKnobs struct {
 	// ringBytes sizes each ring buffer; maxPayload bounds one request or
 	// response payload.
 	ringBytes, maxPayload int
-	// flapThreshold is how many times one QP may break and be recycled
-	// before the connection quarantines it; negative recycles forever.
-	flapThreshold int
 	// rcRetries is the RC retransmission budget handed to the NIC; zero
 	// keeps the NIC's own default.
 	rcRetries int
@@ -181,9 +183,6 @@ func (o Options) withDefaults() Options {
 	}
 	if k.maxPayload <= 0 {
 		k.maxPayload = DefaultMaxPayload
-	}
-	if k.flapThreshold == 0 {
-		k.flapThreshold = DefaultFlapThreshold
 	}
 	if k.retryBudgetBurst <= 0 {
 		k.retryBudgetBurst = DefaultRetryBudgetBurst

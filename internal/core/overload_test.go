@@ -323,10 +323,7 @@ func TestDrainingVsClosedErrors(t *testing.T) {
 func TestOverloadChaos(t *testing.T) {
 	const slowID = 14
 	sOpts := Options{AdmissionLimit: 2, Workers: 2}
-	cOpts := Options{
-		RPCTimeout: 250 * time.Millisecond,
-		test:       testKnobs{flapThreshold: -1}, // loss may break QPs; recycle, never retire
-	}
+	cOpts := Options{RPCTimeout: 250 * time.Millisecond}
 	tc := newTestCluster(t, 2, sOpts, cOpts)
 	registerEcho(tc.server)
 	tc.server.RegisterHandler(slowID, func(req []byte) []byte {

@@ -296,6 +296,7 @@ type Pending struct {
 
 	// Engine state.
 	phase       uint8
+	heard       uint32 // the attempt's QP's heard stamp when a bounded attempt was armed
 	attempt     int
 	attemptWait time.Duration // current per-attempt wait; zero = unbounded
 	retryAt     time.Time     // backoff gate before the next attempt
@@ -460,6 +461,7 @@ func (p *Pending) armAttempt() {
 		return
 	}
 	if p.attemptWait > 0 {
+		p.heard = p.t.conn.qps[p.rec.qp.Load()].heard.Load()
 		d := time.Now().Add(p.attemptWait)
 		if !p.deadline.IsZero() && d.After(p.deadline) {
 			d = p.deadline
@@ -573,11 +575,10 @@ func (p *Pending) onToken() bool {
 	p.rec = nil
 	if r.err != nil {
 		if r.err == ErrTimeout {
-			// Attempt expired (a late response becomes a stale drop):
-			// strike the QP it rode — repeated expiries are the only signal a
-			// dead server end gives, and enough of them break the QP for
-			// recycling.
-			c.noteTimeout(q)
+			// Attempt expired (a late response becomes a stale drop): strike
+			// the QP it rode if it stayed silent all the while — silence is
+			// the only signal a dead server end gives.
+			c.noteTimeout(q, p.heard)
 			return p.attemptFailed(ErrTimeout)
 		}
 		if r.err == ErrQPBroken {
@@ -599,7 +600,6 @@ func (p *Pending) onToken() bool {
 		p.fail(perr)
 		return true
 	}
-	q.timeouts.Store(0) // healthy again
 	if p.attempts > 1 && p.attempt == 0 {
 		// Only clean first attempts of plans that may retry earn budget:
 		// retries paying for retries would defeat the self-extinguishing

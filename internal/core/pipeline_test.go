@@ -203,7 +203,7 @@ func TestCallAsyncUnboundedWaitsOut(t *testing.T) {
 // Outstanding above zero forever.
 func TestOverloadAbandonAccountingRace(t *testing.T) {
 	const slowID = 21
-	tc := newTestCluster(t, 1, Options{Workers: 2}, Options{QPsPerConn: 2, test: testKnobs{flapThreshold: -1}})
+	tc := newTestCluster(t, 1, Options{Workers: 2}, Options{QPsPerConn: 2})
 	registerEcho(tc.server)
 	tc.server.RegisterHandler(slowID, func(req []byte) []byte {
 		time.Sleep(500 * time.Microsecond)
@@ -280,10 +280,7 @@ func TestOverloadAbandonAccountingRace(t *testing.T) {
 // construction.
 func TestCallInterleavesWithAsync(t *testing.T) {
 	sOpts := Options{Workers: 4}
-	cOpts := Options{
-		RPCTimeout: 250 * time.Millisecond,
-		test:       testKnobs{flapThreshold: -1}, // loss may break QPs; recycle, never retire
-	}
+	cOpts := Options{RPCTimeout: 250 * time.Millisecond}
 	retry := CallOptions{MaxAttempts: 6}
 	tc := newTestCluster(t, 1, sOpts, cOpts)
 	registerEcho(tc.server)
@@ -368,7 +365,7 @@ func TestDedupAsyncRetrySingleExecution(t *testing.T) {
 		// attempt cap and the retry-token burst must cover every retry the
 		// window between first-attempt expiry and first-execution completion
 		// can fit.
-		test: testKnobs{retryBudgetBurst: 64, flapThreshold: -1},
+		test: testKnobs{retryBudgetBurst: 64},
 	}
 	tc := newTestCluster(t, 1, Options{Workers: 2}, cOpts)
 	tc.server.RegisterHandler(countID, func(req []byte) []byte {
@@ -524,10 +521,7 @@ func TestSendBatchEcho(t *testing.T) {
 // six-attempt plan: lost attempts retry at Wait time exactly like CallAsync,
 // and every op must eventually land with its own echo.
 func TestSendBatchUnderChaos(t *testing.T) {
-	cOpts := Options{
-		RPCTimeout: 250 * time.Millisecond,
-		test:       testKnobs{flapThreshold: -1},
-	}
+	cOpts := Options{RPCTimeout: 250 * time.Millisecond}
 	retry := CallOptions{MaxAttempts: 6}
 	tc := newTestCluster(t, 1, Options{Workers: 4}, cOpts)
 	registerEcho(tc.server)

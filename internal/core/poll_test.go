@@ -192,8 +192,9 @@ func doneOnlyLoopRow(t *testing.T, tc *testCluster, conn *Conn) {
 	}
 }
 
-// TestTimeoutStrikesTheAttemptsQP: a deadline expiry is a strike against
-// the QP the attempt rode, even after its thread has moved to another one.
+// TestTimeoutStrikesTheAttemptsQP: a deadline expiry on a silent QP is a
+// strike against the QP the attempt rode, even after its thread has moved to
+// another one whose echo was answered.
 func TestTimeoutStrikesTheAttemptsQP(t *testing.T) {
 	const silentID = 43
 	tc := newTestCluster(t, 1, Options{}, Options{QPsPerConn: 2})
@@ -222,8 +223,78 @@ func TestTimeoutStrikesTheAttemptsQP(t *testing.T) {
 	if _, err := p.Wait(); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("silent call: err = %v, want ErrTimeout", err)
 	}
-	if q0, q1 := conn.qps[0].timeouts.Load(), conn.qps[1].timeouts.Load(); q0 != 1 || q1 != 0 {
-		t.Fatalf("qp0.timeouts=%d qp1.timeouts=%d, want 1 and 0", q0, q1)
+	if q0, q1 := conn.qps[0].strikes, conn.qps[1].strikes; q0 != 1 || q1 != 0 {
+		t.Fatalf("qp0.strikes=%d qp1.strikes=%d, want 1 and 0", q0, q1)
+	}
+}
+
+// TestSlowServerIsNotADeadQP: a deadline expiry on a QP that keeps
+// answering is the server being slow, not the QP being dead. One thread's
+// calls to a handler slower than their budget all expire, while another
+// thread's echoes keep completing on the same QP: every expiry is counted,
+// none strikes the QP, so it is neither recycled nor quarantined and the
+// echoes never see an error.
+//
+// The one worker runs the slow requests and the echoes in arrival order, so
+// an answer (a late one and an echo) arrives every late = 2.75 budgets while
+// the slow calls expire one budget apart: three expiries fall between two
+// answers — a rule that struck every expiry reset only by a completed call
+// breaks the QP — yet every third wait has an answer land in its middle,
+// a quarter budget from either end, so no three waits in a row are silent.
+func TestSlowServerIsNotADeadQP(t *testing.T) {
+	const slowID = 44
+	const budget = 20 * time.Millisecond
+	const late = budget * 11 / 4
+	const slowCalls = 6
+	tc := newTestCluster(t, 1, Options{Workers: 1}, Options{QPsPerConn: 1})
+	registerEcho(tc.server)
+	stop := make(chan struct{})
+	tc.server.RegisterHandler(slowID, func([]byte) []byte {
+		select {
+		case <-time.After(late):
+		case <-stop: // the test is done: do not hold Close up
+		}
+		return nil
+	})
+	conn, err := tc.clients[0].Connect(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	echoErr := make(chan error, 1)
+	var echoes atomic.Uint64
+	go func() {
+		th := conn.RegisterThread()
+		for {
+			select {
+			case <-stop:
+				echoErr <- nil
+				return
+			default:
+			}
+			if err := callDrop(th, echoID, []byte("alive")); err != nil {
+				echoErr <- err
+				return
+			}
+			echoes.Add(1)
+		}
+	}()
+	waitFor(t, "the echoes to flow", func() bool { return echoes.Load() > 0 })
+	th := conn.RegisterThread()
+	for i := 0; i < slowCalls; i++ {
+		r, err := th.CallWithDeadline(slowID, nil, budget)
+		r.Release()
+		if !errors.Is(err, ErrTimeout) {
+			t.Fatalf("slow call %d: err = %v, want ErrTimeout", i, err)
+		}
+	}
+	close(stop)
+	if err := <-echoErr; err != nil {
+		t.Fatalf("echo thread: %v", err)
+	}
+	m := tc.clients[0].Metrics()
+	if m.QPRecycles != 0 || m.QPQuarantines != 0 || m.RPCTimeouts != slowCalls {
+		t.Fatalf("recycles=%d quarantines=%d rpc_timeouts=%d, want 0, 0 and %d",
+			m.QPRecycles, m.QPQuarantines, m.RPCTimeouts, slowCalls)
 	}
 }
 
@@ -237,7 +308,6 @@ func TestPollRoleVersusRecycle(t *testing.T) {
 	base := mem.Default.Outstanding()
 	tc := newTestCluster(t, 1, Options{}, Options{
 		QPsPerConn: 2,
-		test:       testKnobs{flapThreshold: 3},
 	})
 	registerEcho(tc.server)
 	conn, err := tc.clients[0].Connect(0)
@@ -284,16 +354,17 @@ func TestPollRoleVersusRecycle(t *testing.T) {
 		}(i, th)
 	}
 	waitFor(t, "traffic on both QPs", func() bool { return calls.Load() > 100 })
-	for !q0.disabled.Load() {
+	for range DefaultFlapThreshold {
 		// Break QP 0 under its waiters, let the recycler rebuild it and the
-		// traffic find it again; the fourth break quarantines it.
+		// traffic find it again.
 		conn.markBroken(q0)
-		waitFor(t, "QP 0 recycled or quarantined", func() bool {
-			return !q0.broken.Load() || q0.disabled.Load()
-		})
+		waitFor(t, "QP 0 recycled", func() bool { return !q0.broken.Load() })
 		before := calls.Load()
 		waitFor(t, "traffic after the recycle", func() bool { return calls.Load() > before+200 })
 	}
+	// Traffic found QP 0 after each recycle, so those breaks were no streak:
+	// cutting its own link is what quarantines it under the waiters.
+	flapIntoQuarantine(t, tc, q0)
 	close(stop)
 	finished := make(chan struct{})
 	go func() { wg.Wait(); close(finished) }()

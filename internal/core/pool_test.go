@@ -304,7 +304,6 @@ func TestServerPollRoleVersusRecycle(t *testing.T) {
 			base := mem.Default.Outstanding()
 			tc := newTestCluster(t, 1, Options{Workers: workers}, Options{
 				QPsPerConn: 2,
-				test:       testKnobs{flapThreshold: 3},
 			})
 			registerEcho(tc.server)
 			tc.server.RegisterInlineStatusHandler(pingID, func(req []byte) ([]byte, uint32) { return req, StatusOK })
@@ -346,16 +345,17 @@ func TestServerPollRoleVersusRecycle(t *testing.T) {
 			}
 			waitFor(t, "traffic on both QPs", func() bool { return calls.Load() > 100 })
 			pumped := tc.server.metrics.workerPumped.Load()
-			for !q0.disabled.Load() {
+			for range DefaultFlapThreshold {
 				// Break QP 0 under the pumps, let the recycle rebuild both ends and
-				// the traffic find it again; the fourth break quarantines it.
+				// the traffic find it again.
 				conn.markBroken(q0)
-				waitFor(t, "QP 0 recycled or quarantined", func() bool {
-					return !q0.broken.Load() || q0.disabled.Load()
-				})
+				waitFor(t, "QP 0 recycled", func() bool { return !q0.broken.Load() })
 				before := calls.Load()
 				waitFor(t, "traffic after the recycle", func() bool { return calls.Load() > before+200 })
 			}
+			// Traffic found QP 0 after each recycle, so those breaks were no
+			// streak: cutting its own link is what quarantines it.
+			flapIntoQuarantine(t, tc, q0)
 			close(stop)
 			finished := make(chan struct{})
 			go func() { wg.Wait(); close(finished) }()

@@ -14,10 +14,28 @@ import (
 // both ends are destroyed (flushing any straggling work requests still
 // queued on the devices) and re-created, the rings are zeroed, and the
 // credit state is re-bootstrapped. The memory regions and rkeys survive the
-// recycle; only the queue pairs and the ring positions are new. A QP that
-// breaks more than DefaultFlapThreshold times is quarantined instead —
-// permanently retired so the thread scheduler and the receiver-side QP
-// scheduler redistribute its load (graceful degradation).
+// recycle; only the queue pairs and the ring positions are new.
+//
+// A QP is judged on evidence pollQP stamps as it drains it — heard (a
+// response arrived) and sent (a send completed OK) — never on the caller's
+// patience. Three rules:
+//
+//   - Strike on silence. A deadline expiry strikes its QP only if the QP
+//     routed no response during the attempt's wait, and timeoutStrikes
+//     silent strikes in a row break it: a dead server end (its QP errored,
+//     responses lost) is invisible to the client NIC, and an RDMA write
+//     completes OK whatever state the responder is in, so only the silence
+//     of the response ring tells. An expiry on a QP that keeps answering is
+//     a slow server, and only counts in rpc_timeouts.
+//   - Quarantine on the QP's own fault. A QP that breaks more than
+//     DefaultFlapThreshold times in a row with no send of its own landing,
+//     while its siblings' sends landed, is permanently retired so the
+//     thread scheduler and the receiver-side QP scheduler redistribute its
+//     load (graceful degradation). When every QP breaks together the fault
+//     is the link's, and recycling rides it out (see flapping).
+//   - A cut link fails the handshake. The recycle handshake stands in for
+//     an out-of-band exchange, so when the fabric reports the peer cut for
+//     good it fails, and with it the connection (ErrConnClosed).
 //
 // Exclusion protocol, client end: markBroken wins the broken flag, then
 // the recycler waits for the leaders counter to drain and the QP's poll
@@ -76,18 +94,26 @@ func (c *Conn) failInflight(q *connQP, err error) {
 	}
 }
 
-// noteTimeout records one per-attempt RPC deadline expiry against the QP
-// the thread was using. Repeated strikes break the QP: a dead server end
-// (its QP errored, responses lost) is invisible to the client NIC, so
-// timeouts are the only signal that forces the recycle that heals both
-// ends.
-func (c *Conn) noteTimeout(q *connQP) {
+// noteTimeout records one per-attempt RPC deadline expiry on the QP the
+// attempt rode; heard is the QP's stamp when the attempt was armed. The
+// expiry strikes the QP only if the stamp has not moved since, and
+// timeoutStrikes strikes sharing one stamp break it.
+func (c *Conn) noteTimeout(q *connQP, heard uint32) {
 	c.node.metrics.timeouts.Add(1)
-	if q == nil || q.broken.Load() || q.disabled.Load() {
+	if q.broken.Load() || q.disabled.Load() || q.heard.Load() != heard {
 		return
 	}
-	if q.timeouts.Add(1) >= timeoutStrikes {
-		q.timeouts.Store(0)
+	q.strikeMu.Lock()
+	if q.strikeHeard != heard {
+		q.strikeHeard, q.strikes = heard, 0
+	}
+	q.strikes++
+	strikeOut := q.strikes >= timeoutStrikes
+	if strikeOut {
+		q.strikes = 0
+	}
+	q.strikeMu.Unlock()
+	if strikeOut {
 		c.markBroken(q)
 	}
 }
@@ -104,7 +130,7 @@ func (c *Conn) noteLeaderStall(q *connQP) {
 func (c *Conn) recycleQP(q *connQP) {
 	n := c.node
 	defer n.wg.Done()
-	if strikes, flap := int(q.breaks.Add(1)), n.opts.test.flapThreshold; flap > 0 && strikes > flap {
+	if c.flapping(q) {
 		c.quarantine(q)
 		return
 	}
@@ -129,7 +155,7 @@ func (c *Conn) recycleQP(q *connQP) {
 		return
 	}
 	rnode := n.net.node(c.remote)
-	if rnode == nil {
+	if rnode == nil || n.net.fab.Cut(n.id, c.remote) {
 		c.fail(ErrConnClosed)
 		return
 	}
@@ -154,7 +180,9 @@ func (c *Conn) recycleQP(q *connQP) {
 	q.respCons.reset()
 	q.consumed, q.askMark, q.askOut, q.askSnapshot = 0, 0, false, 0
 	q.refreshPending.Store(false)
-	q.timeouts.Store(0)
+	q.strikeMu.Lock()
+	q.strikes = 0
+	q.strikeMu.Unlock()
 	q.ctrl.Store64(ctrlGrantedOff, uint64(n.opts.Credits))
 	q.ctrl.Store64(ctrlActiveOff, 1)
 	q.qp = qp
@@ -168,12 +196,41 @@ func (c *Conn) recycleQP(q *connQP) {
 	q.broken.Store(false)
 }
 
-// quarantine permanently retires a QP that broke more than
-// DefaultFlapThreshold times. The broken flag stays set (pollers keep
-// skipping it) and disabled makes the retirement stick through
-// active(). The server end is told so its scheduler stops granting and
-// redistributes the active-QP budget. If no usable QP remains the
-// connection is failed.
+// flapping counts one more break of q and reports whether it earns
+// quarantine: more than DefaultFlapThreshold breaks in a row with q's sent
+// unmoved, while its siblings' sends landed before the previous break — so q
+// went on breaking on a link that carried them. A send of q's own that
+// landed since its last break starts a new streak. A link-wide outage
+// breaks every QP together; it can end between two breaks of q, but then
+// the life q is recycled into begins after it and lands its sends.
+func (c *Conn) flapping(q *connQP) bool {
+	if s := q.sent.Load(); q.streak == 0 || s != q.sentMark {
+		q.streak, q.sentMark = 0, s
+		q.siblingsMark = c.siblingsSent(q)
+		q.siblingsLast = q.siblingsMark
+	}
+	q.streak++
+	condemned := q.streak > DefaultFlapThreshold && q.siblingsLast != q.siblingsMark
+	q.siblingsLast = c.siblingsSent(q)
+	return condemned
+}
+
+// siblingsSent sums the sent stamps of q's sibling QPs.
+func (c *Conn) siblingsSent(q *connQP) uint32 {
+	var sum uint32
+	for _, o := range c.qps {
+		if o != q {
+			sum += o.sent.Load()
+		}
+	}
+	return sum
+}
+
+// quarantine permanently retires a QP that flapping condemned. The broken
+// flag stays set (pollers keep skipping it) and disabled makes the
+// retirement stick through active(). The server end is told so its
+// scheduler stops granting and redistributes the active-QP budget. If no
+// usable QP remains the connection is failed.
 func (c *Conn) quarantine(q *connQP) {
 	q.disabled.Store(true)
 	c.node.metrics.quarantines.Add(1)

@@ -12,13 +12,45 @@ import (
 	"flock/internal/rnic"
 )
 
+// cutOpts break a QP on a cut link within a few retransmits.
+var cutOpts = Options{
+	QPsPerConn:   2,
+	RPCTimeout:   100 * time.Millisecond,
+	StallTimeout: 10 * time.Millisecond,
+	test:         testKnobs{rcRetries: 2},
+}
+
+// cutFailsTheFirstRecycle warms conn up, cuts the link with cut, and calls
+// until the connection fails: it must fail with ErrConnClosed, without a
+// single QP recycled or quarantined.
+func cutFailsTheFirstRecycle(t *testing.T, tc *testCluster, conn *Conn, cut func()) {
+	th := conn.RegisterThread()
+	callUntilOK(t, th, []byte("warm"))
+	cut()
+	deadline := time.Now().Add(chaosDeadline)
+	for {
+		err := callDrop(th, echoID, []byte("cut"))
+		if errors.Is(err, ErrConnClosed) {
+			break
+		}
+		if err != nil && !errors.Is(err, ErrQPBroken) && !errors.Is(err, ErrTimeout) {
+			t.Fatalf("call across the cut: %v, want ErrConnClosed in the end", err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the connection outlived a cut link")
+		}
+	}
+	if m := tc.clients[0].Metrics(); m.QPRecycles != 0 || m.QPQuarantines != 0 {
+		t.Fatalf("recycles=%d quarantines=%d across a cut link, want 0 and 0", m.QPRecycles, m.QPQuarantines)
+	}
+}
+
 // Table-driven edge cases for recovery.go: each scenario forces one of
 // the narrow races the recovery design must survive — a recycle
 // contending with active combining leaders, quarantine landing while a
-// combine is in flight, and a per-call deadline expiring while the
-// response buffer is still a pooled lease in flight. Every case ends at
-// the same gate: traffic healthy again and zero outstanding pooled
-// leases.
+// combine is in flight, a recycle on a link cut for good, and a per-call
+// deadline expiring while the response buffer is still a pooled lease in
+// flight. Every case ends at the same gate: zero outstanding pooled leases.
 func TestRecoveryEdgeCases(t *testing.T) {
 	cases := []struct {
 		name string
@@ -36,7 +68,7 @@ func TestRecoveryEdgeCases(t *testing.T) {
 				QPsPerConn:   2,
 				RPCTimeout:   100 * time.Millisecond,
 				StallTimeout: 10 * time.Millisecond,
-				test:         testKnobs{flapThreshold: -1, rcRetries: 2},
+				test:         testKnobs{rcRetries: 2},
 			},
 			run: func(t *testing.T, tc *testCluster, conn *Conn) {
 				leaderStallHook = func(c *Conn, q *connQP) { time.Sleep(50 * time.Microsecond) }
@@ -78,10 +110,9 @@ func TestRecoveryEdgeCases(t *testing.T) {
 				QPsPerConn:   2,
 				RPCTimeout:   100 * time.Millisecond,
 				StallTimeout: 10 * time.Millisecond,
-				test:         testKnobs{flapThreshold: 2, rcRetries: 2},
+				test:         testKnobs{rcRetries: 2},
 			},
 			run: func(t *testing.T, tc *testCluster, conn *Conn) {
-				client, fab := tc.clients[0], tc.net.Fabric()
 				q0 := conn.qps[0]
 				stop := make(chan struct{})
 				var wg sync.WaitGroup
@@ -107,32 +138,7 @@ func TestRecoveryEdgeCases(t *testing.T) {
 						}
 					}(g)
 				}
-				qpn0, _ := qpnOfQP(q0)
-				fab.SetFaultPlan(&fabric.FaultPlan{Seed: 12})
-				fab.AddLinkFault(fabric.LinkFault{
-					Src: client.ID(), Dst: tc.server.ID(), QPN: qpn0, DownFor: 0,
-				})
-				lastRecycles := uint64(0)
-				waitFor(t, "flapping QP to be quarantined", func() bool {
-					if t.Failed() {
-						return true
-					}
-					m := client.Metrics()
-					if m.QPQuarantines >= 1 {
-						return true
-					}
-					if m.QPRecycles > lastRecycles {
-						if qpn, ok := qpnOfQP(q0); ok {
-							lastRecycles = m.QPRecycles
-							fab.ClearLinkFaults()
-							fab.AddLinkFault(fabric.LinkFault{
-								Src: client.ID(), Dst: tc.server.ID(), QPN: qpn, DownFor: 0,
-							})
-						}
-					}
-					return false
-				})
-				fab.ClearLinkFaults()
+				flapIntoQuarantine(t, tc, q0)
 				close(stop)
 				wg.Wait()
 				if t.Failed() {
@@ -145,6 +151,32 @@ func TestRecoveryEdgeCases(t *testing.T) {
 				for i := 0; i < 10; i++ {
 					callUntilOK(t, th, []byte(fmt.Sprintf("fq-post-%d", i)))
 				}
+			},
+		},
+		{
+			// A peer cut by SetLinkDown in both directions: the recycle
+			// handshake stands in for an out-of-band exchange that cannot
+			// get through, so the first recycle fails the connection
+			// instead of rebuilding QPs nothing can reach.
+			name: "link-down-fails-the-first-recycle",
+			opts: cutOpts,
+			run: func(t *testing.T, tc *testCluster, conn *Conn) {
+				fab, client, server := tc.net.Fabric(), tc.clients[0].ID(), tc.server.ID()
+				cutFailsTheFirstRecycle(t, tc, conn, func() {
+					fab.SetLinkDown(client, server, true)
+					fab.SetLinkDown(server, client, true)
+				})
+			},
+		},
+		{
+			// The same cut made by a whole-link fault that never recovers.
+			name: "permanent-link-fault-fails-the-first-recycle",
+			opts: cutOpts,
+			run: func(t *testing.T, tc *testCluster, conn *Conn) {
+				fab, client, server := tc.net.Fabric(), tc.clients[0].ID(), tc.server.ID()
+				cutFailsTheFirstRecycle(t, tc, conn, func() {
+					fab.AddLinkFault(fabric.LinkFault{Src: client, Dst: server, DownFor: 0})
+				})
 			},
 		},
 		{

@@ -60,10 +60,12 @@ func TestDeadlineExpiresBySweep(t *testing.T) {
 					t.Fatalf("try %d: expired after %v, before its %v deadline", i, took, budget)
 				}
 				best = min(best, took)
-				if got := conn.qps[0].timeouts.Load(); got != 1 {
-					t.Fatalf("try %d: QP holds %d timeout strikes, want 1", i, got)
+				// The QP was silent through the wait, so the expiry struck it —
+				// once: the previous try's late response moved its stamp, so
+				// this strike starts a new run.
+				if got := conn.qps[0].strikes; got != 1 {
+					t.Fatalf("try %d: QP holds %d silent strikes, want 1", i, got)
 				}
-				conn.qps[0].timeouts.Store(0) // the next try starts clean
 				if got := client.Metrics().RPCTimeouts; got != uint64(i) {
 					t.Fatalf("try %d: rpc_timeouts = %d, want %d", i, got, i)
 				}
@@ -256,7 +258,7 @@ func TestDrainWaitsForLateReply(t *testing.T) {
 func TestLateReplyAfterCloseOrRecycleDropped(t *testing.T) {
 	const laterID = 35
 	t.Run("recycled", func(t *testing.T) {
-		tc := newTestCluster(t, 1, Options{Workers: 2}, Options{QPsPerConn: 1, test: testKnobs{flapThreshold: -1}})
+		tc := newTestCluster(t, 1, Options{Workers: 2}, Options{QPsPerConn: 1})
 		var execs atomic.Uint64
 		release := make(chan struct{})
 		sent := make(chan *Reply, 1)

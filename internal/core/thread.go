@@ -507,12 +507,14 @@ func (t *Thread) Call(rpcID uint32, payload []byte) (Response, error) {
 
 // CallWithDeadline is Call bounded by budget: one attempt that waits the
 // whole budget for its response and then fails with ErrTimeout, which leaves
-// the outcome unknown — the request may have executed, or may yet. The
-// expiry is a strike against the QP in use; enough strikes in a row break it
-// and trigger the background recycle (the server end of a QP failing is
-// invisible to the client NIC — timeouts are the detection signal). A late
-// response lands on a completion record the waiter has already walked away
-// from and is dropped.
+// the outcome unknown — the request may have executed, or may yet. If the
+// QP the attempt rode routed no response at all during the wait, the expiry
+// is a strike against it, and enough strikes in a row break it and trigger
+// the background recycle (the server end of a QP failing is invisible to
+// the client NIC — silence is the detection signal); an expiry on a QP that
+// keeps answering is a slow server and strikes nothing. A late response
+// lands on a completion record the waiter has already walked away from and
+// is dropped.
 func (t *Thread) CallWithDeadline(rpcID uint32, payload []byte, budget time.Duration) (Response, error) {
 	return t.CallOpts(rpcID, payload, CallOptions{Budget: max(budget, 0)})
 }

@@ -257,3 +257,45 @@ func TestLockFreePaths(t *testing.T) {
 		t.Run(c.name, c.run)
 	}
 }
+
+// TestCut: only a link forced down, or a whole-link fault that never
+// recovers once it has started, cuts two nodes apart — in either direction.
+// A finite window, a flapping link and a one-QP fault do not.
+func TestCut(t *testing.T) {
+	f := New(Config{})
+	if f.Cut(1, 2) {
+		t.Fatal("a fresh fabric reports a cut")
+	}
+	f.SetLinkDown(2, 1, true)
+	if !f.Cut(1, 2) || !f.Cut(2, 1) || f.Cut(1, 3) {
+		t.Fatal("SetLinkDown(2, 1): want 1–2 cut both ways and 1–3 not")
+	}
+	f.SetLinkDown(2, 1, false)
+	if f.Cut(1, 2) {
+		t.Fatal("a healed link still reports a cut")
+	}
+	for _, lf := range []LinkFault{
+		{Src: 1, Dst: 2, DownFor: 5},                     // finite window
+		{Src: 1, Dst: 2, DownFor: 5, Repeat: true},       // flapping
+		{Src: AnyNode, Dst: AnyNode, QPN: 7, DownFor: 0}, // one QP only
+		{Src: 1, Dst: 2, DownAfter: 1 << 30, DownFor: 0}, // not started
+	} {
+		f.SetFaultPlan(&FaultPlan{Links: []LinkFault{lf}})
+		for range 10 {
+			f.FaultRC(1, 2, 7)
+		}
+		if f.Cut(1, 2) {
+			t.Errorf("%+v reports a cut", lf)
+		}
+	}
+	f.SetFaultPlan(&FaultPlan{Links: []LinkFault{{Src: AnyNode, Dst: 2, DownAfter: 3, DownFor: 0}}})
+	for i := range 4 {
+		if f.Cut(2, 1) {
+			t.Fatalf("cut after %d of the 3 attempts the link carries", i)
+		}
+		f.FaultRC(1, 2, 7)
+	}
+	if !f.Cut(2, 1) {
+		t.Fatal("a started permanent whole-link fault is not a cut")
+	}
+}

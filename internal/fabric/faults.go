@@ -170,6 +170,28 @@ func (f *Fabric) SetLinkDown(src, dst NodeID, down bool) {
 	f.rearmLocked()
 }
 
+// Cut reports whether traffic between a and b is cut for good in either
+// direction: the link is forced down by SetLinkDown, or a whole-link fault
+// that never recovers (DownFor 0, any QP) has started dropping on it. A
+// finite or flapping window is not a cut, nor is a fault on one QP.
+func (f *Fabric) Cut(a, b NodeID) bool {
+	if !f.armed.Load() {
+		return false
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.manualDown[linkKey{a, b}] || f.manualDown[linkKey{b, a}] {
+		return true
+	}
+	for _, s := range f.faults {
+		if s.QPN == 0 && s.DownFor == 0 && s.attempts > s.DownAfter &&
+			(s.matches(a, b, 0) || s.matches(b, a, 0)) {
+			return true
+		}
+	}
+	return false
+}
+
 // FaultCounters returns a copy of the fault-injection counters.
 func (f *Fabric) FaultCounters() FaultStats {
 	f.mu.Lock()
