@@ -14,6 +14,7 @@ import (
 	"flock"
 	"flock/internal/core"
 	"flock/internal/loadgen"
+	"flock/internal/mem"
 )
 
 // allocCeiling is the allowed allocations per echo Call+Release.
@@ -295,5 +296,43 @@ func TestSendBatchAllocGate(t *testing.T) {
 	t.Logf("SendBatch(8) allocs/batch: %.2f (ceiling %d)", avg, sendBatchAllocCeiling)
 	if avg > sendBatchAllocCeiling {
 		t.Fatalf("allocation regression: %.2f allocs per SendBatch of 8, ceiling %d", avg, sendBatchAllocCeiling)
+	}
+}
+
+// TestEchoPoolGetsGate: the server reads a request where it landed, on its
+// request ring, so an echo round trip takes one pooled lease — the client's
+// copy of its response out of the response ring — and no other. N echoes must
+// take exactly N mem.Default Gets, on the inline lane (Workers 0) and on the
+// worker lane (Workers 2); a server that copied requests out of the ring
+// reads 2N.
+func TestEchoPoolGetsGate(t *testing.T) {
+	const n = 500
+	for _, workers := range []int{0, 2} {
+		star, err := loadgen.NewStar(flock.Options{Workers: workers}, flock.Options{}, 1, 0, loadgen.Echo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		th := star.Conns[0].RegisterThread()
+		payload := make([]byte, 4096)
+		call := func() {
+			r, err := th.Call(1, payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Release()
+		}
+		for i := 0; i < 200; i++ {
+			call()
+		}
+		before := mem.Default.Stats().Gets
+		for i := 0; i < n; i++ {
+			call()
+		}
+		gets := mem.Default.Stats().Gets - before
+		star.Close()
+		t.Logf("Workers %d: %d pool gets for %d echoes", workers, gets, n)
+		if gets != n {
+			t.Fatalf("Workers %d: %d echoes took %d pool gets, want exactly %d (the response lease only)", workers, n, gets, n)
+		}
 	}
 }

@@ -44,8 +44,8 @@ go vet ./...
 go build ./...
 go test ./...
 go test -race ./internal/loadgen ./internal/core ./internal/rnic ./internal/fabric ./internal/mem ./internal/telemetry ./internal/check ./internal/cluster ./internal/kvstore ./internal/resilience
-# The software RNIC has no goroutine of its own (PR 14): whichever goroutine
-# rings a doorbell may execute anybody's work requests. The three tests that
+# The software RNIC has no goroutine of its own: whichever goroutine rings a
+# doorbell may execute anybody's work requests. The three tests that
 # cross posters, pollers, stalled QPs and Close on one device are repeated,
 # because one interleaving per run proves little. So are the two that check
 # the one-copy DMA: RC writes and reads move the right bytes region to region
@@ -74,7 +74,14 @@ gate -race -count=10 -run 'TestPostSendNeverBlocks|TestDoorbellStress|TestCloseD
 # pool goroutine pumps — and its deadline sweep and both schedulers run on it,
 # however busy its server half is. It is started once, under the lock Close
 # takes, so Serve or Connect racing Close adds nothing Close does not wait for.
-gate -race -count=10 -run 'TestPollRoleVersusRecycle|TestServerPollRoleVersusRecycle|TestServeOutcomes|TestInlineLaneAnswersWhileEveryWorkerBlocks|TestLateReplyRecyclesHandlesOnce|TestConnectRacingServe|TestCreditStarvedLeaderIsRenewed|TestCreditWatermark|TestNodeBackgroundGoroutines|TestCreditRenewalFlows|TestCreditRenewalSurvivesLoss|TestQPSchedulerDeactivatesUnderBudget|TestCloseRacingServeAndConnect|TestOneLoopServesBothRoles|TestBidirectionalNodes|TestWaiterDrainsItsOwnQP|TestDeadlineExpiresBySweep' ./internal/core
+# The server reads a request where it landed, on its request ring, and gives
+# the space back only when the message is finished: holders of views that
+# finish out of order must see head move only over a finished prefix, the
+# producer refused instead of overwriting a held view, and every view's bytes
+# unchanged until its finish — a ring full of held views included, and in a
+# node's echoes with and without a pool; a recycle must wait for a blocked
+# worker-lane handler, which must still read its request byte for byte.
+gate -race -count=10 -run 'TestRingViewsFinishOutOfOrder|TestRingFullOfHeldViews|TestRingHeldViewsBackPressureProducer|TestEchoReadsRequestsInPlace|TestRecycleWaitsOutWorkerHandler|TestPollRoleVersusRecycle|TestServerPollRoleVersusRecycle|TestServeOutcomes|TestInlineLaneAnswersWhileEveryWorkerBlocks|TestLateReplyRecyclesHandlesOnce|TestConnectRacingServe|TestCreditStarvedLeaderIsRenewed|TestCreditWatermark|TestNodeBackgroundGoroutines|TestCreditRenewalFlows|TestCreditRenewalSurvivesLoss|TestQPSchedulerDeactivatesUnderBudget|TestCloseRacingServeAndConnect|TestOneLoopServesBothRoles|TestBidirectionalNodes|TestWaiterDrainsItsOwnQP|TestDeadlineExpiresBySweep' ./internal/core
 # The recovery rules run as shipped in every fault test: a deadline expiry
 # strikes its QP only if no response arrived on it during the wait, a QP is
 # quarantined only for breaking again and again where its siblings' sends
@@ -96,13 +103,13 @@ gate -count=20 -run 'TestChaosMatrix|TestChaosRetryExhaustionRecycles|TestChaosL
 # mutants is itself broken.
 go test -tags flockmut -race ./internal/check
 
-# Coverage floor for the FLock core: the concurrency harness (ISSUE 4)
-# raised internal/core to ~85% statement coverage; hold the floor at
-# 70% so regressions in test reach fail loudly rather than rot quietly.
+# Coverage floor for the FLock core: internal/core must keep at least 70%
+# statement coverage, so a loss of test reach fails loudly rather than rots
+# quietly.
 cov=$(go test -count=1 -cover ./internal/core | awk '{for (i=1;i<=NF;i++) if ($i=="coverage:") print $(i+1)}' | tr -d '%')
 awk -v c="$cov" 'BEGIN { if (c+0 < 70.0) { print "internal/core coverage " c "% below 70% floor"; exit 1 } }'
 
-# Knob gate (ISSUEs 17 + 22): every exported field of core.Options and of the
+# Knob gate: every exported field of core.Options and of the
 # cluster's Service / ReplTuning / Router / Membership must be set by some
 # non-test file under cmd/, bench/, examples/ or internal/loadgen, and both
 # fields of core.CallOptions by one of those or by internal/cluster (whose
@@ -123,10 +130,12 @@ gate -run TestEveryKnobHasACaller -count=1 .
 # allocations (the router's call, and a call to each backup: the members
 # allocate nothing); a SendBatch of eight costs its
 # Pendings, its queue nodes and two slices (a batch is a chain through the
-# one submit path: the side slices of a second submit engine stay gone); and
-# an echo behind a worker pool allocates no more than the inline echo (the
-# pool goroutine that pulls a message serves it, in reply handles it reuses).
-gate -run 'TestEchoAllocRegressionGate|TestDeadlineCallAllocGate|TestKeyedCallAllocGate|TestReplyLaterAllocGate|TestReplicatedPutAllocGate|TestSendBatchAllocGate|TestWorkerEchoAllocGate' -count=1 .
+# one submit path, with no side slices of its own); an echo behind a worker pool allocates no more than the inline echo (the
+# pool goroutine that pulls a message serves it, in reply handles it reuses);
+# and N echo round trips take exactly N pool leases, on the inline lane and
+# the worker lane alike — the client's copy of each response, as the server
+# reads requests in place.
+gate -run 'TestEchoAllocRegressionGate|TestDeadlineCallAllocGate|TestKeyedCallAllocGate|TestReplyLaterAllocGate|TestReplicatedPutAllocGate|TestSendBatchAllocGate|TestWorkerEchoAllocGate|TestEchoPoolGetsGate' -count=1 .
 
 # Telemetry-overhead gate: a counter increment stays in the
 # tens-of-nanoseconds range (measured ~9ns, gated at 50ns for CI noise)
@@ -134,7 +143,7 @@ gate -run 'TestEchoAllocRegressionGate|TestDeadlineCallAllocGate|TestKeyedCallAl
 # observe, disabled trace record — is allocation-free.
 gate -run 'TestCounterOverheadGate|TestHotPathNoAlloc' -count=1 ./internal/telemetry
 
-# Overload-chaos shard (ISSUE 6). Three gates: (1) the seeded
+# Overload-chaos shard. Three gates: (1) the seeded
 # overload/dedup/drain tests run under the package leak gate,
 # which fails the binary if a single pooled lease is outstanding at
 # exit; (2) a live flockload run under admission pressure plus a lossy
@@ -160,7 +169,7 @@ if echo "$bench" | grep -q 'workers retired early'; then
 	exit 1
 fi
 
-# Pipelining shard (ISSUE 7). Two gates on the unified completion path:
+# Pipelining shard. Two gates on the unified completion path:
 # (1) the flockbench depth sweep must show the async pipeline actually
 # pipelining — depth-8 goodput at least 1.5× depth-1; (2) the echo exchange
 # must still meet the allocation ceiling with the pending-call table on the
@@ -171,7 +180,7 @@ echo "$pbench"
 echo "$pbench" | ratio_gate pipeline 1.50
 gate -run TestEchoAllocRegressionGate -count=1 .
 
-# Cluster shard (ISSUEs 8 + 16). Four gates on the cluster layer: (1) the
+# Cluster shard. Four gates on the cluster layer: (1) the
 # live migration-chaos test — concurrent clients, live shard moves
 # (recruit the target as a backup, copy, hand off), a flapping fabric —
 # must stay linearizable under the package leak gate; (2) the replica
@@ -195,7 +204,7 @@ cbench=$(go run ./cmd/flockbench -run cluster -json "$benchdir/cluster.json")
 echo "$cbench"
 echo "$cbench" | ratio_gate cluster 2.50
 
-# Replication shard (ISSUEs 9 + 10). Five gates on group-commit
+# Replication shard. Five gates on group-commit
 # primary–backup replication: (1) the live failover and group-commit
 # suites — concurrent writers, a shard primary killed mid-traffic,
 # backups promoted on an epoch bump, a source or a recruit killed in the
@@ -218,8 +227,8 @@ echo "$cbench" | ratio_gate cluster 2.50
 # must detect the kill, promote every victim-owned shard, show nonzero
 # batched replication forwards, and drain every node to zero leases;
 # (4) the flockbench replication sweep must hold R=2 put goodput above
-# 0.5x unreplicated (group commit amortizes the backup fan-out; PR 9's
-# per-put sync forward priced the same point at ~0.2); (5)
+# 0.5x unreplicated (group commit amortizes the backup fan-out over a
+# frame of puts); (5)
 # internal/cluster holds the same 70% coverage floor as internal/core.
 # The premature-ack mutants are covered by the flockmut run above.
 gate -run 'TestFailoverPreservesAckedWrites|TestMemberDiesMidMove|TestRecruitInstallWaitsOutInFlightRequests|TestRepairDropsRecruitWhenCopyFails|TestReplicatedPutReachesBackups|TestReplicationEpochFence|TestGroupCommit|TestReadGateNACKsWhenFrameFails|TestServiceCloseAnswersEveryPut|TestInstallWaitsForUnansweredPut|TestReplicateTypedErrors|TestCutBatch|TestReplFrame|TestFrameCarriesEveryShardOfItsSet|TestStragglerSetDoesNotStallOtherSets|TestReplicateMultiShardFrames' -count=1 ./internal/cluster
@@ -243,7 +252,7 @@ echo "$rbench" | ratio_gate replication 0.5
 ccov=$(go test -count=1 -cover ./internal/cluster | awk '{for (i=1;i<=NF;i++) if ($i=="coverage:") print $(i+1)}' | tr -d '%')
 awk -v c="$ccov" 'BEGIN { if (c+0 < 70.0) { print "internal/cluster coverage " c "% below 70% floor"; exit 1 } }'
 
-# Live-experiment smoke (ISSUE 15). The four flockbench experiments on the
+# Live-experiment smoke. The four flockbench experiments on the
 # live library that no gate above runs share one closed-loop driver
 # (internal/loadgen) with the gated ones, but nothing else would notice if
 # one of them broke. Each must exit zero (set -e covers the assignment),

@@ -90,8 +90,9 @@ type Handler func(req []byte) []byte
 // keep the handle and answer later from any goroutine, so that a request
 // waiting on something else (a replication ack, a lock) occupies no worker
 // while it waits. It must not retain req past its return, whenever it
-// replies: req views a pooled receive buffer that is recycled the moment
-// the handlers of the message it arrived in have returned. Likewise r is
+// replies: req views the request ring itself, whose space goes back to the
+// client — zeroed, then rewritten — the moment the handlers of the message it
+// arrived in have returned and their replies are flushed. Likewise r is
 // recycled once a Send made after the handler returned has returned.
 type ReplyHandler func(req []byte, r *Reply)
 
@@ -650,14 +651,15 @@ func (n *Node) quiescent() bool {
 	return true
 }
 
-// drainLeases recycles pooled buffers still parked in pending-call tables
-// and in messages relief handed to the worker pool that no pool goroutine
-// took. It runs after wg.Wait and stopPollers — the node's loop, pool
-// goroutines and polling waiters are gone, so nothing refills what it drains
-// (a pool goroutine executes what it pulled before it looks at done again,
-// and the loop drops its backlog as it leaves, so none exits holding a
-// message). Application threads may still race a concurrent wait; a
-// record's token goes to exactly one taker, so no lease is released twice.
+// drainLeases recycles pooled buffers still parked in pending-call tables,
+// and drops the messages relief handed to the worker pool that no pool
+// goroutine took (their ring space and inuse counts). It runs after wg.Wait
+// and stopPollers — the node's loop, pool goroutines and polling waiters are
+// gone, so nothing refills what it drains (a pool goroutine executes what it
+// pulled before it looks at done again, and the loop drops its backlog as it
+// leaves, so none exits holding a message). Application threads may still
+// race a concurrent wait; a record's token goes to exactly one taker, so no
+// lease is released twice.
 func (n *Node) drainLeases() {
 	n.connMu.Lock()
 	all := make([]*Conn, len(n.allConns))

@@ -61,7 +61,7 @@ func (n *Node) pumpQP(sqp *serverQP, scratch **replyBlock, cqBuf []rnic.Completi
 // enter/exit. found reports whether there was a message.
 func (n *Node) pumpOne(sqp *serverQP, scratch **replyBlock) (u workUnit, found bool) {
 	life := sqp.life.Load() // stable: the caller is inside enter/exit
-	admit, mbuf, ok := n.pull(sqp, life)
+	admit, end, ok := n.pull(sqp, life)
 	if !ok {
 		return workUnit{}, false
 	}
@@ -83,31 +83,41 @@ func (n *Node) pumpOne(sqp *serverQP, scratch **replyBlock) (u workUnit, found b
 		sqp.laneScratch, admit = lane[:0], keep
 	}
 	if len(admit) == 0 {
-		mbuf.Release()
+		sqp.reqCons.finish(end)
 		n.inflight.Add(-int64(answered))
 		return workUnit{}, true
 	}
-	// The unit takes the poll reference: payloads stay views into the pooled
-	// message buffer, released by whoever executes the unit after the flush.
 	n.inflight.Add(-int64(answered))
-	return workUnit{sqp: sqp, blk: n.repliesFor(scratch, sqp, life, admit), buf: mbuf}, true
+	// The payloads stay views over the ring, finished by whoever executes the
+	// unit after its flush; the unit's inuse count keeps a recycle from
+	// zeroing the ring under them until then.
+	sqp.inuse.Add(1)
+	return workUnit{sqp: sqp, blk: n.repliesFor(scratch, sqp, life, admit), end: end}, true
 }
 
 // runUnit executes u's handlers on the calling goroutine, flushes the replies
-// sent by the time each returned as one response message, releases the
-// message and drops the holds on u's reply block of the executor and of the
-// replies it flushed. It reports whether those were the last, which leaves
-// the block free for reuse; while a handler that kept its handle owes its
-// reply, the block is theirs, and the Send that drops the last hold returns
-// it to the node's freelist.
+// sent by the time each returned as one response message — an echo's reply
+// views its request, so the flush comes first — finishes the message and
+// drops the holds on u's reply block of the executor and of the replies it
+// flushed. It reports whether those were the last, which leaves the block
+// free for reuse; while a handler that kept its handle owes its reply, the
+// block is theirs, and the Send that drops the last hold returns it to the
+// node's freelist.
 func (n *Node) runUnit(u workUnit, out *[]respOut) bool {
 	o := n.executeAll(u.sqp, u.blk.replies, *out)
-	u.buf.Release()
+	u.finish()
 	n.inflight.Add(-int64(len(o)))
 	settled := len(o)
 	clear(o) // drop the payload references until the next unit
 	*out = o[:0]
 	return u.blk.release(1 + settled)
+}
+
+// finish gives u's message's ring space back and drops the unit's inuse
+// count on its QP.
+func (u workUnit) finish() {
+	u.sqp.reqCons.finish(u.end)
+	u.sqp.exit()
 }
 
 // pumper is one pool goroutine's reusable state.
@@ -298,9 +308,9 @@ func (n *Node) handOff(backlog []workUnit) []workUnit {
 	return backlog[:0]
 }
 
-// dropUnit releases a unit nobody will execute because the node closed: its
-// message buffer and its requests' admission counts.
+// dropUnit finishes a unit nobody will execute because the node closed and
+// takes its requests off the admission count.
 func (n *Node) dropUnit(u workUnit) {
-	u.buf.Release()
+	u.finish()
 	n.inflight.Add(-int64(len(u.blk.replies)))
 }

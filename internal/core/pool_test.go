@@ -383,3 +383,78 @@ func TestServerPollRoleVersusRecycle(t *testing.T) {
 		})
 	}
 }
+
+// TestRecycleWaitsOutWorkerHandler: a worker-lane handler reads its request
+// where it landed, on the request ring, and a recycle zeroes that ring, so the
+// unit of a pulled message holds its QP's inuse count until the message is
+// finished. Here a handler blocks while the client breaks and recycles its
+// QP: the recycle stays pending until the handler is released, the handler
+// then still reads its request byte for byte, and the recycle completes only
+// after the handler returned. The rebuilt QP serves, and nothing is left
+// admitted or leased.
+func TestRecycleWaitsOutWorkerHandler(t *testing.T) {
+	const blockID = 40
+	base := mem.Default.Outstanding()
+	tc := newTestCluster(t, 1, Options{Workers: 2}, Options{QPsPerConn: 1})
+	registerEcho(tc.server)
+	entered, release := make(chan struct{}), make(chan struct{})
+	var intact, returned atomic.Bool
+	payload := echoPattern(99, 4096)
+	tc.server.RegisterHandler(blockID, func(req []byte) []byte {
+		close(entered)
+		<-release
+		intact.Store(bytes.Equal(req, payload))
+		returned.Store(true)
+		return nil
+	})
+	conn, err := tc.clients[0].Connect(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := conn.RegisterThread()
+	p, err := th.CallAsync(blockID, payload, CallOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-entered:
+	case <-time.After(chaosDeadline):
+		t.Fatal("the handler never ran")
+	}
+	q0 := conn.qps[0]
+	recycles := tc.server.metrics.recycles.Load()
+	conn.markBroken(q0)
+	// The recycle reaches recycleAccept at once; it must wait there.
+	for end := time.Now().Add(50 * time.Millisecond); time.Now().Before(end); time.Sleep(time.Millisecond) {
+		if tc.server.metrics.recycles.Load() != recycles {
+			close(release)
+			t.Fatal("the recycle completed under a running handler")
+		}
+	}
+	close(release)
+	waitFor(t, "the recycle", func() bool { return tc.server.metrics.recycles.Load() != recycles })
+	if !returned.Load() {
+		t.Fatal("the recycle completed before the handler returned")
+	}
+	if !intact.Load() {
+		t.Fatal("the handler's request changed under it while its QP recycled")
+	}
+	if r, err := p.Wait(); !errors.Is(err, ErrQPBroken) {
+		r.Release()
+		t.Fatalf("the call on the broken QP returned %v, want ErrQPBroken", err)
+	}
+	waitFor(t, "QP 0 live again", func() bool { return !q0.broken.Load() })
+	r, err := th.CallWithDeadline(echoID, payload, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(r.Data, payload) {
+		t.Fatal("the rebuilt QP echoed different bytes")
+	}
+	r.Release()
+	waitFor(t, "zero admitted requests", func() bool { return tc.server.inflight.Load() == 0 })
+	tc.net.Close()
+	if n := awaitLeaseDrain(3 * time.Second); n > base {
+		t.Fatalf("%d pooled leases outstanding after close, %d before the test", n, base)
+	}
+}

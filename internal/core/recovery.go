@@ -44,8 +44,9 @@ import (
 // sees broken under it and leaves without touching the ring or the CQ, so
 // the recycler owns all of the QP's state; clearing broken is the release
 // edge that republishes it. Server end: recycleAccept sets the
-// server QP's broken flag, waits out the pumps' and redistribute's inuse
-// counter, and holds respMu against response flushers.
+// server QP's broken flag, waits out the inuse counter — the pumps,
+// redistribute, and every pulled message whose handlers may still read it on
+// the request ring — and holds respMu against response flushers.
 
 // leaderStallHook, when non-nil, runs at every leader-path entry. It
 // exists so tests can wedge a leader in place and exercise the follower
@@ -295,7 +296,8 @@ func (n *Node) recycleAccept(a recycleArgs) (recycleReply, error) {
 		runtime.Gosched()
 	}
 	// respMu excludes response flushers (workers and inline dispatch);
-	// broken+inuse excluded the pumps and redistribute's control writes above.
+	// broken+inuse excluded the pumps, redistribute's control writes and the
+	// handlers of every message pulled off the request ring above.
 	sqp.respMu.Lock()
 	defer sqp.respMu.Unlock()
 	sqp.life.Add(1) // replies still owed to the old life's requests are dropped

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"sync"
 	"sync/atomic"
 
 	"flock/internal/mem"
@@ -99,19 +100,38 @@ func (p *ringProducer) reserve(msgLen int) (reservation, bool) {
 }
 
 // ringConsumer is the receiver's view of one ring buffer: it polls the
-// Head position for complete messages, validates canaries, zeroes consumed
-// space, and publishes its consumed head for the producer (piggybacked on
-// responses and readable via one-sided RDMA when the producer is starved).
+// position after the last message it read for the next complete one,
+// validates canaries, and gives ring space back — zeroed — once the messages
+// in it are finished, publishing its consumed head for the producer
+// (piggybacked on responses and readable via one-sided RDMA when the
+// producer is starved). A message is read where it lands: pollView decodes it
+// as views over the ring itself, and the space stays the reader's until
+// finish. The producer never writes past the consumed head it has learned, so
+// a message not yet finished cannot be overwritten; a full ring back-pressures
+// the producer instead.
 type ringConsumer struct {
 	mr   *rnic.MemRegion
 	base int
 	size int
 
-	// head is the monotonic consumed counter. Only the ring's one poller
-	// advances it — the holder of the QP's poll role (on a server without a
-	// worker pool, the node's loop) — but response-flush paths on other
-	// goroutines read it for piggybacking, hence atomic.
+	// head is the monotonic consumed counter: every byte before it is
+	// finished and zeroed. finish advances it, under mu; response-flush
+	// paths on other goroutines read it for piggybacking, hence atomic.
 	head atomic.Uint64
+
+	// next is the monotonic read cursor, at or ahead of head: the messages
+	// between the two have been read and are not all finished. Only the
+	// ring's one poller touches it — the holder of the QP's poll role (on a
+	// server without a worker pool, the node's loop).
+	next uint64
+
+	// mu guards window: the spans between head and next, in ring order, each
+	// with whether it is finished. Messages of one ring can finish out of
+	// order and on different goroutines (a pump releases the poll role before
+	// the worker-lane handlers of what it pulled run), so head moves only over
+	// the finished prefix. A wrap marker enters finished.
+	mu     sync.Mutex
+	window []ringSpan
 
 	publishMR  *rnic.MemRegion // control region carrying the consumed head
 	publishOff int
@@ -119,11 +139,17 @@ type ringConsumer struct {
 	items []decodedItem // reusable decode scratch, overwritten per poll
 
 	// emptyAt is the region version (rnic.MemRegion.Version) the last poll
-	// read before it found no complete message at head, or noVersion. While
+	// read before it found no complete message at next, or noVersion. While
 	// the region still has that version nothing has been written since, so
 	// a poll is that one comparison. Only the polling goroutine writes it;
 	// it is atomic so that idle can read it without the poll role.
 	emptyAt atomic.Uint64
+}
+
+// ringSpan is one read message, or a wrap marker, in a consumer's window.
+type ringSpan struct {
+	end  uint64 // monotonic position just past it
+	done bool   // finished: its space may be zeroed and given back
 }
 
 // noVersion is an emptyAt no region reaches: the next poll looks.
@@ -147,38 +173,72 @@ func (c *ringConsumer) consumed() uint64 { return c.head.Load() }
 
 // reset rewinds the consumer to offset zero and republishes, matching a
 // recycled producer that restarts at tail zero. The caller must have
-// excluded every poller first: on a client, broken is set and the QP's poll
-// role is free, so whoever takes the role next leaves without polling; on a
-// server, broken is set and the pumps' inuse count has drained, and the poll
-// role is only ever taken inside that count.
+// excluded every poller and every holder of an unfinished message first: on
+// a client, broken is set and the QP's poll role is free, so whoever takes
+// the role next leaves without polling (and a client finishes each message
+// as it reads it); on a server, broken is set and the QP's inuse count has
+// drained, and the poll role is only ever taken, and a pulled message only
+// ever held, inside that count.
 func (c *ringConsumer) reset() {
+	c.next = 0
+	c.window = c.window[:0]
 	c.head.Store(0)
-	c.emptyAt.Store(noVersion) // what was empty was the old head position
+	c.emptyAt.Store(noVersion) // what was empty was the old read position
 	c.publish()
 }
 
-// poll checks the head position for one complete message. It returns the
-// decoded header, the items (views into a pooled message buffer), the
-// pooled buffer itself, and true; or false if no complete message is
+// pollView checks the read position for one complete message and decodes it
+// in place. It returns the decoded header, the items — views over the ring
+// itself — and the message's end position, and true; or false if no complete
+// message is available. The views stay valid, and the message's ring space
+// taken, until finish(end), which the caller must call exactly once when it
+// is done with them. The item slice is consumer-owned scratch, overwritten by
+// the next poll. Incomplete messages — header visible but trailing canary not
+// yet placed — are left untouched for the next poll, exactly the §4.1
+// protocol. A server's request ring is read only this way.
+func (c *ringConsumer) pollView() (header, []decodedItem, uint64, bool) {
+	for {
+		off, n, end, ok := c.claim()
+		if !ok {
+			return header{}, nil, 0, false
+		}
+		h, items, err := decodeMessageInto(c.mr.View(c.base+off, n), c.items)
+		c.items = items[:0]
+		if err == nil {
+			return h, items, end, true
+		}
+		// Structurally corrupt despite matching canaries: drop the message
+		// to keep the ring live. This cannot happen with a well-behaved
+		// producer.
+		c.finish(end)
+	}
+}
+
+// poll is pollView for a reader that cannot promise when it is done with a
+// message: it copies the message into a pooled buffer and finishes it at
+// once. It returns the decoded header, the items (views into the pooled
+// buffer), the buffer itself, and true; or false if no complete message is
 // available. The caller owns one reference on the returned buffer: it must
-// Release after distributing the items (retaining per item it hands on).
-// The item slice is consumer-owned scratch, overwritten by the next poll.
-// Incomplete messages — header visible but trailing canary not yet placed —
-// are left untouched for the next poll, exactly the §4.1 protocol.
+// Release after distributing the items (retaining per item it hands on). A
+// client's response ring is read this way, because a Response's Release is
+// optional and a view held past it would stall the ring.
 func (c *ringConsumer) poll() (header, []decodedItem, *mem.Buf, bool) {
-	// The version is read before the ring is looked at, so a write the look
-	// misses leaves the region at a later version than the one remembered.
-	// poll's own writes (zeroing, a consumed wrap marker) move it too, which
-	// only costs the next poll a look.
-	ver := c.mr.Version()
-	if ver == c.emptyAt.Load() {
-		return header{}, nil, nil, false
+	for {
+		off, n, end, ok := c.claim()
+		if !ok {
+			return header{}, nil, nil, false
+		}
+		mbuf := mem.Get(n)
+		buf := mbuf.Data()
+		copy(buf, c.mr.View(c.base+off, n))
+		c.finish(end)
+		h, items, err := decodeMessageInto(buf, c.items)
+		c.items = items[:0]
+		if err == nil {
+			return h, items, mbuf, true
+		}
+		mbuf.Release() // corrupt despite matching canaries: dropped, as in pollView
 	}
-	h, items, mbuf, ok := c.look()
-	if !ok {
-		c.emptyAt.Store(ver)
-	}
-	return h, items, mbuf, ok
 }
 
 // idle reports that nothing has been written to the ring since a poll last
@@ -187,57 +247,118 @@ func (c *ringConsumer) poll() (header, []decodedItem, *mem.Buf, bool) {
 // after it is the next round's to find.
 func (c *ringConsumer) idle() bool { return c.mr.Version() == c.emptyAt.Load() }
 
-// look examines the head position for one complete message; see poll.
-func (c *ringConsumer) look() (header, []decodedItem, *mem.Buf, bool) {
-	off := int(c.head.Load()) % c.size
-	word := c.mr.Load64(c.base + off)
-	totalLen := uint32(word)
+// claim finds the complete message at the read position, enters it in the
+// window unfinished and moves the read position past it, returning its ring
+// offset, its length and its end position; false if no complete message is
+// there. The version is read before the ring is looked at, so a write the
+// look misses leaves the region at a later version than the one remembered;
+// finish's zeroing moves it too, which only costs the next poll a look.
+func (c *ringConsumer) claim() (off, n int, end uint64, ok bool) {
+	ver := c.mr.Version()
+	if ver == c.emptyAt.Load() {
+		return 0, 0, 0, false
+	}
+	off, n, ok = c.frame()
+	if !ok {
+		c.emptyAt.Store(ver)
+		return 0, 0, 0, false
+	}
+	c.next += uint64(n)
+	c.mu.Lock()
+	c.window = append(c.window, ringSpan{end: c.next})
+	c.mu.Unlock()
+	return off, n, c.next, true
+}
+
+// frame examines the read position for one complete message and returns its
+// ring offset and length. A wrap marker there is stepped over — it enters the
+// window finished — and the message looked for at offset zero. The three
+// locked loads (length, leading and trailing canary) are the whole
+// completeness check; the last of them, observing the trailing canary, orders
+// every read of the message's bytes after the chunks that placed them, which
+// is what makes a view of the message safe to read.
+func (c *ringConsumer) frame() (off, n int, ok bool) {
+	if c.lapped() {
+		return 0, 0, false
+	}
+	off = int(c.next % uint64(c.size))
+	totalLen := uint32(c.mr.Load64(c.base + off))
 	if totalLen == 0 {
-		return header{}, nil, nil, false
+		return 0, 0, false
 	}
 	if totalLen == wrapMarker {
-		c.zeroRange(off, 8)
-		c.head.Add(uint64(c.size - off))
-		c.publish()
+		c.next += uint64(c.size - off)
+		c.mu.Lock()
+		c.window = append(c.window, ringSpan{end: c.next, done: true})
+		c.settleLocked()
+		c.mu.Unlock()
+		if c.lapped() {
+			return 0, 0, false
+		}
 		off = 0
-		word = c.mr.Load64(c.base + off)
-		totalLen = uint32(word)
+		totalLen = uint32(c.mr.Load64(c.base))
 		if totalLen == 0 || totalLen == wrapMarker {
-			return header{}, nil, nil, false
+			return 0, 0, false
 		}
 	}
 	if int(totalLen) < headerBytes+trailerBytes || int(totalLen) > c.size-off {
 		// Torn or corrupt length; wait for more bytes. A length that can
 		// never be valid will be caught by decode once canaries match.
-		return header{}, nil, nil, false
+		return 0, 0, false
 	}
 	canary := c.mr.Load64(c.base + off + 8)
 	if canary == 0 {
-		return header{}, nil, nil, false
+		return 0, 0, false
 	}
-	tail := c.mr.Load64(c.base + off + int(totalLen) - trailerBytes)
-	if tail != canary {
-		return header{}, nil, nil, false // incomplete: trailing canary not placed yet
+	if c.mr.Load64(c.base+off+int(totalLen)-trailerBytes) != canary {
+		return 0, 0, false // incomplete: trailing canary not placed yet
 	}
-	mbuf := mem.Get(int(totalLen))
-	buf := mbuf.Data()
-	c.mr.ReadAt(buf, c.base+off) //nolint:errcheck // in range by construction
-	h, items, err := decodeMessageInto(buf, c.items)
-	c.items = items[:0]
-	if err != nil {
-		// Structurally corrupt despite matching canaries: drop the
-		// message to keep the ring live. This cannot happen with a
-		// well-behaved producer.
-		mbuf.Release()
-		c.zeroRange(off, int(totalLen))
-		c.head.Add(uint64(totalLen))
-		c.publish()
-		return header{}, nil, nil, false
+	return off, int(totalLen), true
+}
+
+// lapped reports that the read position is a whole ring ahead of head: every
+// byte of the ring is read and not yet given back, so the producer cannot
+// have written at the read position, and what is there is a message still
+// held from the lap before. Below a lap, the read position's bytes from the
+// lap before lie behind head, zeroed before head moved over them.
+func (c *ringConsumer) lapped() bool { return c.next-c.head.Load() >= uint64(c.size) }
+
+// finish gives back the ring space of the message that ends at end, read by
+// claim: it marks the message finished and, once every message before it is
+// finished too, zeroes the finished prefix of the window, moves head over it
+// and publishes. Any goroutine may call it, in any order across messages,
+// but once per message and only after the last read of its views.
+func (c *ringConsumer) finish(end uint64) {
+	c.mu.Lock()
+	for i := range c.window {
+		if c.window[i].end == end {
+			c.window[i].done = true
+			break
+		}
 	}
-	c.zeroRange(off, int(totalLen))
-	c.head.Add(uint64(totalLen))
+	c.settleLocked()
+	c.mu.Unlock()
+}
+
+// settleLocked zeroes the window's finished prefix, moves head over it and
+// publishes. Every byte of a slot is zeroed, not only its framing words: the
+// bytes left behind are user payload, which can hold a well-formed frame with
+// its own matching canary pair, and only zeroes make a position nobody has
+// written since read as "no message". Caller holds mu.
+func (c *ringConsumer) settleLocked() {
+	head := c.head.Load()
+	k := 0
+	for ; k < len(c.window) && c.window[k].done; k++ {
+		end := c.window[k].end
+		c.zeroRange(int(head%uint64(c.size)), int(end-head))
+		head = end
+	}
+	if k == 0 {
+		return
+	}
+	c.window = c.window[:copy(c.window, c.window[k:])]
+	c.head.Store(head)
 	c.publish()
-	return h, items, mbuf, true
 }
 
 // zeroRange clears [off, off+n) of the ring so the slot is reusable.

@@ -2,7 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
+	"unsafe"
 
 	"flock/internal/fabric"
 	"flock/internal/rnic"
@@ -335,4 +342,375 @@ func TestRingModelBasedProperty(t *testing.T) {
 		t.Fatalf("consumed %d != produced %d", consumed, produced)
 	}
 	t.Logf("model-based: %d messages across ~%d ring laps", produced, int(rp.prod.tail)/size)
+}
+
+// offer stages and delivers one message of seq carrying payload, unless the
+// producer has no room for it.
+func (rp *ringPair) offer(seq uint64, payload []byte) bool {
+	msg := buildMessage([]itemMeta{{seqID: seq}}, [][]byte{payload}, seq|1, 0)
+	res, ok := rp.prod.reserve(len(msg))
+	if !ok {
+		return false
+	}
+	rp.prod.staging.WriteAt(msg, res.msgOff) //nolint:errcheck
+	if res.markerOff >= 0 {
+		rp.shuttle(res.markerOff, 8)
+	}
+	rp.shuttle(res.msgOff, len(msg))
+	return true
+}
+
+// heldView is a message read by pollView and not yet finished: its payload
+// view and its span on the ring.
+type heldView struct {
+	seq        uint64
+	data       []byte
+	start, end uint64
+}
+
+// viewPattern is the payload of message seq: n bytes a held view must still
+// read, byte for byte, until it is finished.
+func viewPattern(seq uint64, n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(seq*131 + uint64(i)*7 + 1)
+	}
+	return b
+}
+
+// TestRingViewsFinishOutOfOrder holds views of three messages and finishes
+// them out of order: head moves only over the finished prefix, a producer
+// that wants the space of a held view is refused until that view is
+// finished, and every held view reads its bytes unchanged meanwhile, a wrap
+// and a delivery into the freed space included.
+func TestRingViewsFinishOutOfOrder(t *testing.T) {
+	const size = 1024
+	rp := newRingPair(t, size)
+	produce := func(seq uint64) bool { return rp.offer(seq, viewPattern(seq, 180)) }
+	take := func(seq uint64) heldView {
+		t.Helper()
+		h, items, end, ok := rp.cons.pollView()
+		if !ok {
+			t.Fatalf("message %d not seen", seq)
+		}
+		if items[0].meta.seqID != seq {
+			t.Fatalf("read message %d, want %d", items[0].meta.seqID, seq)
+		}
+		return heldView{seq: seq, data: items[0].data, start: end - uint64(h.totalLen), end: end}
+	}
+	intact := func(hs ...heldView) {
+		t.Helper()
+		for _, h := range hs {
+			if !bytes.Equal(h.data, viewPattern(h.seq, 180)) {
+				t.Fatalf("the view of message %d changed before its finish", h.seq)
+			}
+		}
+	}
+	head := func(want uint64) {
+		t.Helper()
+		if got := rp.cons.consumed(); got != want {
+			t.Fatalf("head %d, want %d", got, want)
+		}
+		if got := rp.cons.publishMR.Load64(0); got != want {
+			t.Fatalf("published head %d, want %d", got, want)
+		}
+	}
+
+	for seq := uint64(0); seq < 4; seq++ {
+		if !produce(seq) {
+			t.Fatalf("message %d did not fit an empty ring", seq)
+		}
+	}
+	a, b, c := take(0), take(1), take(2)
+	rp.cons.finish(b.end)
+	head(0) // b is finished, but a before it is not
+	intact(a, b, c)
+	rp.prod.updateCached(rp.cons.consumed())
+	if produce(4) {
+		t.Fatal("the producer was handed the space of a held view")
+	}
+
+	rp.cons.finish(a.end)
+	head(b.end) // over a and b, not c
+	intact(c)
+	rp.prod.updateCached(rp.cons.consumed())
+	if !produce(4) { // wraps into the space a and b gave back
+		t.Fatal("the producer was refused space given back")
+	}
+	intact(c)
+	d := take(3)
+	e := take(4)
+	if e.start%size != 0 {
+		t.Fatalf("message 4 starts at ring offset %d, want a wrap to 0", e.start%size)
+	}
+	rp.cons.finish(e.end)
+	rp.cons.finish(c.end)
+	head(c.end) // d still held: the wrap marker and e wait behind it
+	intact(d, e)
+	rp.cons.finish(d.end)
+	head(e.end)
+	if rp.prod.tail != e.end {
+		t.Fatalf("producer tail %d, consumer head %d", rp.prod.tail, e.end)
+	}
+	// Everything given back was zeroed: a position nobody wrote since reads
+	// as no message.
+	if _, _, _, ok := rp.cons.pollView(); ok {
+		t.Fatal("phantom message after the last finish")
+	}
+	for off := 0; off < size; off += 8 {
+		if w := rp.dst.Load64(off); w != 0 {
+			t.Fatalf("ring word at %d is %#x after every message finished", off, w)
+		}
+	}
+}
+
+// TestRingFullOfHeldViews fills the ring exactly with messages whose views
+// are all held: the read position is then a whole lap ahead of head, on the
+// first held message, and a poll must read nothing there until that message
+// is finished and the producer writes the space again.
+func TestRingFullOfHeldViews(t *testing.T) {
+	const size = 1024
+	rp := newRingPair(t, size)
+	// 72 bytes of framing and item metadata: four of these fill the ring.
+	produce := func(seq uint64) bool { return rp.offer(seq, viewPattern(seq, size/4-72)) }
+	var ends []uint64
+	for seq := uint64(0); seq < 4; seq++ {
+		if !produce(seq) {
+			t.Fatalf("message %d did not fit", seq)
+		}
+		_, _, end, ok := rp.cons.pollView()
+		if !ok {
+			t.Fatalf("message %d not seen", seq)
+		}
+		ends = append(ends, end)
+	}
+	if rp.prod.tail != size {
+		t.Fatalf("producer tail %d, want the ring exactly full", rp.prod.tail)
+	}
+	if _, items, _, ok := rp.cons.pollView(); ok {
+		t.Fatalf("read message %d again from a ring full of held views", items[0].meta.seqID)
+	}
+	rp.cons.finish(ends[0])
+	if _, _, _, ok := rp.cons.pollView(); ok {
+		t.Fatal("read a message from space given back and not written since")
+	}
+	rp.prod.updateCached(rp.cons.consumed())
+	if !produce(4) {
+		t.Fatal("the producer was refused space given back")
+	}
+	_, items, end, ok := rp.cons.pollView()
+	if !ok || items[0].meta.seqID != 4 {
+		t.Fatal("the message written into the space given back was not read")
+	}
+	for _, e := range append(ends[1:], end) {
+		rp.cons.finish(e)
+	}
+	if got := rp.cons.consumed(); got != rp.prod.tail {
+		t.Fatalf("head %d after every finish, producer tail %d", got, rp.prod.tail)
+	}
+}
+
+// TestRingHeldViewsBackPressureProducer runs a producer that keeps filling a
+// small ring against a poller that hands each message's views to one of
+// three holders, which hold them a random while and finish them out of
+// order. Every holder checks, before its finish, that its view still reads
+// the bytes produced and that head has not moved past its message; the
+// producer checks that the span it was handed reads zero — no held view is
+// there. The producer must have been back-pressured, and some messages
+// finished out of order, or the test proves nothing.
+func TestRingHeldViewsBackPressureProducer(t *testing.T) {
+	const size, msgs, holders = 4096, 2000, 3
+	rp := newRingPair(t, size)
+	var refused atomic.Int64
+	produced := make(chan struct{})
+	go func() {
+		defer close(produced)
+		rng := stats.NewRNG(21)
+		for seq := uint64(0); seq < msgs; seq++ {
+			msg := buildMessage([]itemMeta{{seqID: seq}}, [][]byte{viewPattern(seq, int(rng.Uint64n(400))+1)}, rng.Uint64()|1, 0)
+			res, ok := rp.prod.reserve(len(msg))
+			for ; !ok; res, ok = rp.prod.reserve(len(msg)) {
+				refused.Add(1)
+				rp.prod.updateCached(rp.cons.publishMR.Load64(0))
+				runtime.Gosched()
+			}
+			span := make([]byte, len(msg))
+			rp.dst.ReadAt(span, res.msgOff) //nolint:errcheck
+			if !bytes.Equal(span, make([]byte, len(msg))) {
+				t.Errorf("message %d was handed ring space that is not zero", seq)
+				return
+			}
+			rp.prod.staging.WriteAt(msg, res.msgOff) //nolint:errcheck
+			if res.markerOff >= 0 {
+				rp.shuttle(res.markerOff, 8)
+			}
+			// Ascending chunks, as the NIC places a write.
+			for off := 0; off < len(msg); off += 64 {
+				rp.shuttle(res.msgOff+off, min(64, len(msg)-off))
+			}
+		}
+	}()
+
+	work := make(chan heldView, 64) // room for every message the ring can hold
+	var wg sync.WaitGroup
+	var maxEnd atomic.Uint64
+	var outOfOrder atomic.Int64
+	for i := range holders {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			rng := stats.NewRNG(uint64(i) + 100)
+			for h := range work {
+				for range rng.Uint64n(20) {
+					runtime.Gosched()
+				}
+				if got := rp.cons.consumed(); got > h.start {
+					t.Errorf("head %d moved past message %d (at %d) before its finish", got, h.seq, h.start)
+				}
+				if !bytes.Equal(h.data, viewPattern(h.seq, len(h.data))) {
+					t.Errorf("the view of message %d changed before its finish", h.seq)
+				}
+				if m := maxEnd.Load(); h.end < m {
+					outOfOrder.Add(1)
+				}
+				for m := maxEnd.Load(); h.end > m && !maxEnd.CompareAndSwap(m, h.end); m = maxEnd.Load() {
+				}
+				rp.cons.finish(h.end)
+			}
+		}(i)
+	}
+	for seq := uint64(0); seq < msgs; {
+		hd, items, end, ok := rp.cons.pollView()
+		if !ok {
+			runtime.Gosched()
+			continue
+		}
+		if got := items[0].meta.seqID; got != seq {
+			t.Fatalf("read message %d, want %d", got, seq)
+		}
+		work <- heldView{seq: seq, data: items[0].data, start: end - uint64(hd.totalLen), end: end}
+		seq++
+	}
+	close(work)
+	wg.Wait()
+	<-produced
+	if got := rp.cons.consumed(); got != rp.prod.tail {
+		t.Fatalf("head %d after every finish, producer tail %d", got, rp.prod.tail)
+	}
+	if refused.Load() == 0 || outOfOrder.Load() == 0 {
+		t.Fatalf("refused reservations %d, out-of-order finishes %d: both must happen", refused.Load(), outOfOrder.Load())
+	}
+	t.Logf("%d messages, %d refused reservations, %d out-of-order finishes", msgs, refused.Load(), outOfOrder.Load())
+}
+
+// TestEchoReadsRequestsInPlace runs echoes of every size over one shared QP
+// with a small request ring, inline (Workers 0) and behind a pool (Workers
+// 2, where handlers of different messages run at once and finish out of
+// order). Each handler checks that its request is a view over the QP's
+// request ring, in a message of the consumer's window that is not finished,
+// and that it reads the bytes sent — again after yielding — and echoes the
+// view itself, so the reply must be flushed before the message is given
+// back.
+func TestEchoReadsRequestsInPlace(t *testing.T) {
+	const checkID, threads, calls = 7, 4, 300
+	for _, workers := range []int{0, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			opts := Options{MaxBatch: 4, QPsPerConn: 1, test: testKnobs{ringBytes: 8192, maxPayload: 512}}
+			srvOpts := opts
+			srvOpts.Workers = workers
+			tc := newTestCluster(t, 1, srvOpts, opts)
+			var overlapped atomic.Int64
+			tc.server.RegisterHandler(checkID, func(req []byte) []byte {
+				seq := binary.LittleEndian.Uint64(req)
+				want := echoPattern(seq, len(req))
+				sqp, off := locateRequest(tc.server, req)
+				if sqp == nil {
+					t.Errorf("request %d is not a view over a request ring", seq)
+					return req
+				}
+				c := sqp.reqCons
+				c.mu.Lock()
+				held, unfinished := false, 0
+				for pos, i := c.head.Load(), 0; i < len(c.window); pos, i = c.window[i].end, i+1 {
+					if c.window[i].done {
+						continue
+					}
+					unfinished++
+					if start := int(pos % uint64(c.size)); off >= start && off < start+int(c.window[i].end-pos) {
+						held = true
+					}
+				}
+				c.mu.Unlock()
+				if !held {
+					t.Errorf("request %d (ring offset %d) is not in an unfinished message of the window", seq, off)
+				}
+				if unfinished > 1 {
+					overlapped.Add(1)
+				}
+				for i := range 3 {
+					if !bytes.Equal(req, want) {
+						t.Errorf("request %d changed under its handler (look %d)", seq, i)
+						break
+					}
+					runtime.Gosched()
+				}
+				return req
+			})
+			conn, err := tc.clients[0].Connect(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for i := range threads {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					th := conn.RegisterThread()
+					rng := stats.NewRNG(uint64(i) + 1)
+					for n := range calls {
+						seq := uint64(i)<<32 | uint64(n)
+						payload := echoPattern(seq, int(rng.Uint64n(505))+8)
+						r, err := th.CallWithDeadline(checkID, payload, 10*time.Second)
+						if err != nil {
+							t.Errorf("call %d: %v", seq, err)
+							return
+						}
+						if !bytes.Equal(r.Data, payload) {
+							t.Errorf("call %d echoed %d bytes that differ from the %d sent", seq, len(r.Data), len(payload))
+						}
+						r.Release()
+					}
+				}(i)
+			}
+			wg.Wait()
+			t.Logf("%d handlers ran while another message of their ring was unfinished", overlapped.Load())
+			if workers > 0 && overlapped.Load() == 0 {
+				t.Fatal("no two messages of the ring were ever held at once: nothing finished out of order")
+			}
+		})
+	}
+}
+
+// echoPattern is viewPattern with seq in its first 8 bytes, so a handler can
+// tell what its request must read.
+func echoPattern(seq uint64, n int) []byte {
+	b := viewPattern(seq, n)
+	binary.LittleEndian.PutUint64(b, seq)
+	return b
+}
+
+// locateRequest finds the server QP whose request ring req views and req's
+// offset in it; nil when req is not a view over any request ring.
+func locateRequest(n *Node, req []byte) (*serverQP, int) {
+	p := uintptr(unsafe.Pointer(unsafe.SliceData(req)))
+	for _, sc := range n.snapshotSconns() {
+		for _, sqp := range sc.qps {
+			ring := sqp.reqRing.View(0, sqp.reqRing.Len())
+			base := uintptr(unsafe.Pointer(unsafe.SliceData(ring)))
+			if p >= base && p < base+uintptr(len(ring)) {
+				return sqp, int(p - base)
+			}
+		}
+	}
+	return nil, 0
 }

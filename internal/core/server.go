@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"flock/internal/fabric"
-	"flock/internal/mem"
 	"flock/internal/resilience"
 	"flock/internal/rnic"
 	"flock/internal/stats"
@@ -69,8 +68,10 @@ type serverQP struct {
 
 	// Fault state: broken excludes the pumps (the node's loop, pool
 	// goroutines) and redistribute's control writes while recycleAccept
-	// rebuilds the QP (inuse counts them in their critical sections);
-	// quarantined permanently retires the QP from scheduling.
+	// rebuilds the QP (inuse counts them in their critical sections, and
+	// each pulled worker-lane message until it is finished, since its
+	// handlers read it on reqRing); quarantined permanently retires the QP
+	// from scheduling.
 	broken      atomic.Bool
 	inuse       atomic.Int32
 	quarantined atomic.Bool
@@ -117,13 +118,15 @@ func (sqp *serverQP) exit() { sqp.inuse.Add(-1) }
 // the reply handle its handler will answer through; whoever executes it — the
 // goroutine that pulled it, or the pool goroutine relief handed it to — runs
 // every handler, flushes the replies that were sent by then as one coalesced
-// response, and releases buf — the pooled message buffer every request
-// payload views, whose reference the unit owns. A unit without a block has
-// nothing left to execute.
+// response, and finishes the message: every request payload views sqp's
+// request ring, and the span ending at end is not given back to the client
+// until then. The unit holds one of sqp's inuse counts from the pump that
+// pulled it until that finish, so a recycle cannot zero the ring under a
+// running handler. A unit without a block has nothing left to execute.
 type workUnit struct {
 	sqp *serverQP
 	blk *replyBlock // the reply handles, held by the unit's executor
-	buf *mem.Buf
+	end uint64      // the message's end position on sqp's request ring
 }
 
 // replyBlock is the reply-handle storage of one message's requests. holds
@@ -198,8 +201,8 @@ func (r *Reply) mark(flag uint32) uint32 {
 // the call).
 //
 // Everything a request owes at completion happens here: the idempotency
-// window commits (it keeps a copy of its own, detached from the pooled
-// request buffer and the reply storage data may view), an oversized payload
+// window commits (it keeps a copy of its own, detached from the request
+// ring and the reply storage data may view), an oversized payload
 // is cut to the ring's geometry and surfaced as StatusHandlerPanic, and —
 // for a late reply — the admission count drops once the response is on the
 // wire, and the handle's hold on its block is dropped last.
@@ -329,10 +332,12 @@ func (n *Node) snapshotSconns() []*serverConn {
 }
 
 // pull takes one complete message off sqp's request ring and runs admission
-// control on it. It returns the admitted requests — views into the ring
-// consumer's scratch, valid until the next pull — and the pooled message
-// buffer, whose reference the caller owns; false when no message is there.
-// The caller pumps the QP: it holds the poll role inside enter/exit.
+// control on it. It returns the admitted requests — in the ring consumer's
+// scratch, valid until the next pull, with payloads that view the ring
+// itself — and the message's end position, which the caller passes to
+// reqCons.finish once nothing reads those payloads any more; false when no
+// message is there. The caller pumps the QP: it holds the poll role inside
+// enter/exit.
 //
 // Admission control runs here, before any handler work: while draining,
 // every request is pushed back with StatusDraining; past AdmissionLimit,
@@ -340,10 +345,10 @@ func (n *Node) snapshotSconns() []*serverConn {
 // server one coalesced NACK — no handler execution, no worker queueing —
 // which is what keeps goodput flat instead of collapsing when offered
 // load exceeds capacity.
-func (n *Node) pull(sqp *serverQP, life uint32) ([]decodedItem, *mem.Buf, bool) {
-	h, items, mbuf, ok := sqp.reqCons.poll()
+func (n *Node) pull(sqp *serverQP, life uint32) ([]decodedItem, uint64, bool) {
+	h, items, end, ok := sqp.reqCons.pollView()
 	if !ok {
-		return nil, nil, false
+		return nil, 0, false
 	}
 	n.metrics.msgsIn.Add(1)
 	n.metrics.itemsIn.Add(uint64(len(items)))
@@ -372,7 +377,7 @@ func (n *Node) pull(sqp *serverQP, life uint32) ([]decodedItem, *mem.Buf, bool) 
 		n.flushResponses(sqp, nacks, life)
 		sqp.nackScratch = nacks[:0]
 	}
-	return admit, mbuf, true
+	return admit, end, true
 }
 
 // repliesFor builds the reply handles of items in the block *spare holds —
@@ -431,7 +436,7 @@ func (r *Reply) init(b *replyBlock, sqp *serverQP, life uint32, it decodedItem) 
 // runInline executes items' handlers on the pumping goroutine, flushes
 // the replies sent by the time each returned as one response message, and
 // returns how many that was — requests the caller takes off the admission
-// count once it has released their buffer. The reply handles are the QP's
+// count once it has finished their message. The reply handles are the QP's
 // scratch block, so a message whose handlers all answer before returning
 // allocates nothing; while a handler that kept its handle owes its reply the
 // block is theirs, and the next message takes another.

@@ -14,7 +14,8 @@ import (
 //
 // The owning host reads and writes the region through ReadAt/WriteAt and
 // the 64-bit accessors. All access is mediated by an internal lock so that
-// host polling and NIC DMA do not race. The NIC moves an RC write's or
+// host polling and NIC DMA do not race — except View, which hands the host
+// a range it owns by protocol and reads without the lock. The NIC moves an RC write's or
 // read's bytes straight from one region into the other, in ascending
 // MTU-sized chunks: each chunk is copied under both regions' locks, taken
 // in registration order (seq) so that opposed copies between the same two
@@ -96,6 +97,19 @@ func (mr *MemRegion) WriteAt(src []byte, off int) error {
 	mr.version.Add(1)
 	mr.mu.Unlock()
 	return nil
+}
+
+// View returns the region's own bytes [off, off+n), not a copy: the pointer
+// a host keeps into memory it registered. It takes no lock, so the contract
+// is the caller's. The caller owns the range by protocol — no local or remote
+// writer touches it until the caller says so (a ring consumer gives the space
+// back only after it is done with the view) — and a locked read that
+// observed the last bytes written there, such as the trailing canary of a
+// ring frame read with Load64, orders the view's reads after every chunk
+// that placed them. The view's capacity ends at off+n, so an append to it
+// copies instead of writing past the range.
+func (mr *MemRegion) View(off, n int) []byte {
+	return mr.buf[off : off+n : off+n]
 }
 
 // Load64 reads the little-endian 64-bit word at off. It is the host-side
