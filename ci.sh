@@ -41,9 +41,18 @@ gate() {
 }
 
 go vet ./...
+# The mutation hooks are compiled only under the flockmut tag; vetting that
+# build too means a hook that no longer compiles fails here, not in the
+# mutation self-test below.
+go vet -tags flockmut ./...
 go build ./...
 go test ./...
-go test -race ./internal/loadgen ./internal/core ./internal/rnic ./internal/fabric ./internal/mem ./internal/telemetry ./internal/check ./internal/cluster ./internal/kvstore ./internal/resilience
+go test -race ./internal/loadgen ./internal/core ./internal/rnic ./internal/fabric ./internal/mem ./internal/telemetry ./internal/check ./internal/kvstore ./internal/resilience
+# internal/cluster races on its own: its seeded pools keep live clusters busy
+# for ~18 s under the race detector, and run beside internal/core they starve
+# the node loop that TestOneLoopServesBothRoles times against the wall clock
+# (its sweep must land within 4 ms; it failed 2 of 3 such runs).
+go test -race ./internal/cluster
 # The software RNIC has no goroutine of its own: whichever goroutine rings a
 # doorbell may execute anybody's work requests. The three tests that
 # cross posters, pollers, stalled QPs and Close on one device are repeated,
@@ -93,15 +102,20 @@ gate -race -count=10 -run 'TestRingViewsFinishOutOfOrder|TestRingFullOfHeldViews
 # little: they are repeated twenty times.
 gate -count=20 -run 'TestChaosMatrix|TestChaosRetryExhaustionRecycles|TestChaosLinkFlapQuarantine|TestLinearizableKVUnderFaults|TestRecoveryEdgeCases|TestSlowServerIsNotADeadQP' ./internal/core
 
-# Mutation self-test: rebuild the schedule explorer with the eight
-# known-bad protocol variants (flockmut build tag) and assert the
-# linearizability checker flags every one of them — the premature-ack
-# mutants (ack-before-replicate, ack-before-batch-durable) run in the
-# replica simulator's kill pool, stale-shard-serve in its move pool, the
-# rest in the combining-path simulator. This is the gate that proves
-# the harness can actually see bugs — a checker that passes the
-# mutants is itself broken.
+# Mutation self-test: a checker that passes known-bad protocol variants is
+# itself broken, so the flockmut build compiles eight of them in and each
+# must be caught. Five mutate the combining-path simulator (tcqsim.go) and
+# run its seeded schedule pools in internal/check, which must flag each one
+# as non-linearizable and assert that exactly five are compiled in. Three are
+# hooks in the shipped replica plane (internal/cluster): a member serving a
+# shard it handed off (stale-shard-serve), a primary acknowledging a put
+# right after its local apply (ack-before-replicate) or once its frame is
+# posted rather than acked by every backup (ack-before-batch-durable). Each
+# runs a directed live-cluster scenario — a move under a stale router, puts
+# with the primary cut off from its backups followed by a failover — whose
+# history the checker must reject in every one of 20 runs.
 go test -tags flockmut -race ./internal/check
+gate -tags flockmut -race -count=20 -run TestMutantsAreCaught ./internal/cluster
 
 # Coverage floor for the FLock core: internal/core must keep at least 70%
 # statement coverage, so a loss of test reach fails loudly rather than rots
@@ -180,22 +194,19 @@ echo "$pbench"
 echo "$pbench" | ratio_gate pipeline 1.50
 gate -run TestEchoAllocRegressionGate -count=1 .
 
-# Cluster shard. Four gates on the cluster layer: (1) the
-# live migration-chaos test — concurrent clients, live shard moves
-# (recruit the target as a backup, copy, hand off), a flapping fabric —
-# must stay linearizable under the package leak gate; (2) the replica
-# simulator's move pool must hold 250 seeded schedules (a guaranteed flap
-# of the source, further flaps, stretched handoffs, across two planned
-# moves) against the strict register model, with vacuity asserts that
-# shards actually moved, clients were actually redirected and flap windows
-# actually dropped messages, and its kill pool must hold 250 more over the
-# same moving world (a member dying mid-move); (3) a live flockload cluster
-# run must complete its mid-window migrations and drain every node to zero
-# leases; (4) the flockbench scaling sweep must show aggregate KV goodput
-# at 4 members at least 2.5× 1 member. The stale-shard-serve mutant is
-# covered by the flockmut run above.
-gate -run TestMigrationChaosLinearizable -count=1 ./internal/cluster
-gate -run 'TestClusterMigrationLinearizable|TestClusterKillDuringMoveLinearizable|TestClusterRunDeterministic|TestClusterQuiescentRun|TestMigrationScheduleShape' -count=1 ./internal/check
+# Cluster shard. Three gates on the cluster layer: (1) the move pool — the
+# live migration-chaos test over eight seeds (concurrent clients chasing a
+# shard that moves there, back and there again while the link between its
+# two owners flaps) and the double fault over eight more (a source or a
+# recruit dying mid-copy) — plus the move under a stale router, five times
+# over, must stay linearizable under the package leak gate, and every chaos
+# run must have moved the shard, redirected a client and dropped on the
+# flapping link; (2) a live flockload cluster run must complete its
+# mid-window migrations and drain every node to zero leases; (3) the
+# flockbench scaling sweep must show aggregate KV goodput at 4 members at
+# least 2.5× 1 member. The stale-shard-serve mutant is covered by the
+# flockmut run above.
+gate -run 'TestMigrationChaosLinearizable|TestMemberDiesMidMove|TestLiveMigrationMovesDataAndRedirects' -count=5 ./internal/cluster
 cout=$(go run ./cmd/flockload -cluster 4 -shards 16 -threads 8 -dur 1s)
 echo "$cout"
 echo "$cout" | grep -Eq 'membership +live=4/4 moves=2'
@@ -207,7 +218,8 @@ echo "$cbench" | ratio_gate cluster 2.50
 # Replication shard. Five gates on group-commit
 # primary–backup replication: (1) the live failover and group-commit
 # suites — concurrent writers, a shard primary killed mid-traffic,
-# backups promoted on an epoch bump, a source or a recruit killed in the
+# backups promoted on an epoch bump, no put acknowledged while its primary
+# is cut off from its backups, a source or a recruit killed in the
 # middle of a move, a recruit installed only once no request of the old
 # view is in flight (a put still waiting for its frame's acks included:
 # its handler has returned, its hold on the shard lock has not) and dropped
@@ -218,12 +230,12 @@ echo "$cbench" | ratio_gate cluster 2.50
 # caught by Service.Close answered exactly once, reads gated on uncommitted
 # puts and NACKed when those fail — must keep every acknowledged write
 # readable, the whole history linearizable, and replicas
-# fingerprint-identical, under the package leak gate; (2) the
-# check-package replica simulator must hold 250 seeded schedules
-# (guaranteed mid-horizon primary kill + flaps) against the strict
-# register model, with vacuity asserts that failovers actually
-# promoted, forwards actually flowed, and frames actually coalesced
-# (multi-entry batches happened); (3) a live flockload failover run
+# fingerprint-identical, under the package leak gate; (2) the kill pool —
+# eight seeds, each choosing the victim, how long traffic runs before the
+# kill and a fault plan of RC loss and, on even seeds, a flapping client
+# link — and the cut-backups ack test must pass five times over, every kill
+# run promoting a backup, every planned flap dropping, and some frame of
+# the pool carrying more than one put; (3) a live flockload failover run
 # must detect the kill, promote every victim-owned shard, show nonzero
 # batched replication forwards, and drain every node to zero leases;
 # (4) the flockbench replication sweep must hold R=2 put goodput above
@@ -231,7 +243,7 @@ echo "$cbench" | ratio_gate cluster 2.50
 # frame of puts); (5)
 # internal/cluster holds the same 70% coverage floor as internal/core.
 # The premature-ack mutants are covered by the flockmut run above.
-gate -run 'TestFailoverPreservesAckedWrites|TestMemberDiesMidMove|TestRecruitInstallWaitsOutInFlightRequests|TestRepairDropsRecruitWhenCopyFails|TestReplicatedPutReachesBackups|TestReplicationEpochFence|TestGroupCommit|TestReadGateNACKsWhenFrameFails|TestServiceCloseAnswersEveryPut|TestInstallWaitsForUnansweredPut|TestReplicateTypedErrors|TestCutBatch|TestReplFrame|TestFrameCarriesEveryShardOfItsSet|TestStragglerSetDoesNotStallOtherSets|TestReplicateMultiShardFrames' -count=1 ./internal/cluster
+gate -run 'TestFailoverPreservesAckedWrites|TestCutBackupsAckNothing|TestMemberDiesMidMove|TestRecruitInstallWaitsOutInFlightRequests|TestRepairDropsRecruitWhenCopyFails|TestReplicatedPutReachesBackups|TestReplicationEpochFence|TestGroupCommit|TestReadGateNACKsWhenFrameFails|TestServiceCloseAnswersEveryPut|TestInstallWaitsForUnansweredPut|TestReplicateTypedErrors|TestCutBatch|TestReplFrame|TestFrameCarriesEveryShardOfItsSet|TestStragglerSetDoesNotStallOtherSets|TestReplicateMultiShardFrames' -count=1 ./internal/cluster
 # A shard's slot recycles its put and gated-read records once they are
 # answered, while the records ride a stream shared with other shards; the paths
 # where a recycled record could be answered twice — a failed frame with reads
@@ -239,7 +251,7 @@ gate -run 'TestFailoverPreservesAckedWrites|TestMemberDiesMidMove|TestRecruitIns
 # group-committed frame, one frame resolving the puts of two shards — are
 # repeated under the race detector.
 gate -race -count=5 -run 'TestReadGateNACKsWhenFrameFails|TestServiceCloseAnswersEveryPut|TestGroupCommitReadGate|TestFrameCarriesEveryShardOfItsSet' ./internal/cluster
-gate -run 'TestClusterReplica|TestReplica' -count=1 ./internal/check
+gate -run 'TestFailoverPreservesAckedWrites|TestCutBackupsAckNothing' -count=5 ./internal/cluster
 rout=$(go run ./cmd/flockload -cluster 4 -shards 16 -replicas 2 -threads 8 -dur 1s)
 echo "$rout"
 echo "$rout" | grep -Eq 'failover +victim=n[0-9]+ shards=[1-9][0-9]* promoted=[1-9]'

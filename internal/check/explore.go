@@ -41,27 +41,6 @@ const (
 	// it — the canonical ScheduleFromSeed pool is frozen so existing
 	// seeds stay replayable.
 	PerturbServiceInflate
-	// PerturbNodeFlap takes one replica-sim member off the network for Dur
-	// (every message to or from it is dropped), then brings it back — a
-	// crash-recover or link flap against replication, failover and a
-	// move's copy. QP carries the member index. Only the two replica-sim
-	// derivations produce it; the TCQ pools stay frozen.
-	PerturbNodeFlap
-	// PerturbHandoffDelay stretches one view change's propagation by Dur:
-	// the gap between the member that installs a handoff or failover view
-	// first (and starts to NACK or serve under it) and the others
-	// learning it. After a planned handoff requests bounce between the
-	// two views for the whole window — the redirect storm the router's
-	// bounded retry loop must survive. Only the two replica-sim
-	// derivations produce it.
-	PerturbHandoffDelay
-	// PerturbPrimaryKill permanently silences one replica-sim member from
-	// At on — a crash with no recovery, the failure synchronous
-	// replication exists to survive. QP carries the member index; Dur is
-	// ignored (death is forever). The world's failure detector notices
-	// after its detect delay and promotes backups. Only
-	// ReplicaScheduleFromSeed derives it; every other pool stays frozen.
-	PerturbPrimaryKill
 )
 
 func (k PerturbKind) String() string {
@@ -78,12 +57,6 @@ func (k PerturbKind) String() string {
 		return "redist"
 	case PerturbServiceInflate:
 		return "inflate"
-	case PerturbNodeFlap:
-		return "flap"
-	case PerturbHandoffDelay:
-		return "handoff"
-	case PerturbPrimaryKill:
-		return "kill"
 	}
 	return fmt.Sprintf("perturb(%d)", int(k))
 }
@@ -275,36 +248,11 @@ type RunReport struct {
 	// retries or never dedups proved nothing.
 	Retried   int
 	DedupHits int
-	// Migrations counts planned shard handoffs completed during the run,
-	// MovesDropped the moves a failover cut short, and Redirects the
-	// wrong-shard bounces clients absorbed — the vacuity signals for the
-	// move suite: a sweep where no shard moved (or no client ever chased
-	// a moved shard) proved nothing about migration. FlapDrops counts
-	// messages dropped by node-flap windows and dead members. All are
-	// zero outside the replica sim.
-	Migrations   int
-	MovesDropped int
-	Redirects    int
-	FlapDrops    int
 	// Pipelined counts ops issued while their thread already had one in
 	// flight — the vacuity signal for the pipelining suite: a sweep that
 	// never overlapped two ops of one thread proved nothing about the
 	// completion-matching path.
 	Pipelined int
-	// Failovers counts backup promotions after a primary kill, and
-	// Forwards counts primary→backup replication forwards — the vacuity
-	// signals for the replica suite: a sweep where no shard ever failed
-	// over (or no write was ever replicated) proved nothing about the
-	// sync-forward ACK rule. Both are zero outside the replica sim.
-	Failovers int
-	Forwards  int
-	// Batches counts replication-forward frames flushed and MultiBatches
-	// the frames that carried more than one entry — the vacuity signals
-	// for the group-commit suite: a sweep where every frame held a
-	// single put proved nothing about batch-granular failure semantics.
-	// Both are zero outside the replica sim.
-	Batches      int
-	MultiBatches int
 }
 
 // Failed reports whether the run violated the model or wedged.
@@ -354,17 +302,6 @@ type ExploreResult struct {
 	Retried   int
 	DedupHits int
 	Pipelined int
-	// Migrations, MovesDropped, Redirects, FlapDrops, Failovers, Forwards,
-	// Batches, and MultiBatches are summed over replica-sim sweeps (zero
-	// for the TCQ suites).
-	Migrations   int
-	MovesDropped int
-	Redirects    int
-	FlapDrops    int
-	Failovers    int
-	Forwards     int
-	Batches      int
-	MultiBatches int
 	// First is the first failure, shrunk; nil when all runs passed.
 	First *FailureReport
 }

@@ -3,7 +3,7 @@
 package check
 
 // Mutation selects an intentionally-broken protocol variant. This is the
-// flockmut build: the eight known-bad variants are compiled into the
+// flockmut build: the five known-bad variants are compiled into the
 // simulator and selectable at runtime, so the self-test can assert the
 // checker flags every one of them. See mutants_off.go for the per-variant
 // documentation.
@@ -16,9 +16,6 @@ const (
 	MutRecycleAckInflight
 	MutDedupSkip
 	MutPipelineMisroute
-	MutStaleShardServe
-	MutAckBeforeReplicate
-	MutAckBeforeBatchDurable
 )
 
 func (m Mutation) String() string {
@@ -35,19 +32,13 @@ func (m Mutation) String() string {
 		return "dedup-skip"
 	case MutPipelineMisroute:
 		return "pipeline-misroute"
-	case MutStaleShardServe:
-		return "stale-shard-serve"
-	case MutAckBeforeReplicate:
-		return "ack-before-replicate"
-	case MutAckBeforeBatchDurable:
-		return "ack-before-batch-durable"
 	}
 	return "unknown"
 }
 
 // EnabledMutations lists the mutants compiled into this build.
 func EnabledMutations() []Mutation {
-	return []Mutation{MutClaimTimedOut, MutBatchDropTail, MutRecycleAckInflight, MutDedupSkip, MutPipelineMisroute, MutStaleShardServe, MutAckBeforeReplicate, MutAckBeforeBatchDurable}
+	return []Mutation{MutClaimTimedOut, MutBatchDropTail, MutRecycleAckInflight, MutDedupSkip, MutPipelineMisroute}
 }
 
 // mutantOn reports whether mutant `want` is the active one.

@@ -28,8 +28,8 @@ func mutantWorkload(m Mutation) Workload {
 
 func TestMutantsAreCaught(t *testing.T) {
 	muts := EnabledMutations()
-	if len(muts) != 8 {
-		t.Fatalf("expected 8 compiled mutants, got %d", len(muts))
+	if len(muts) != 5 {
+		t.Fatalf("expected 5 compiled mutants, got %d", len(muts))
 	}
 	for _, mut := range muts {
 		mut := mut
@@ -38,35 +38,20 @@ func TestMutantsAreCaught(t *testing.T) {
 			// The dedup mutant only bites when retries happen, so it gets
 			// the overload schedules; the misroute mutant only bites when a
 			// thread has two ops in flight, so it gets the pipeline
-			// schedules; the stale-shard mutant only bites when a shard
-			// moves, so it gets the replica simulator's move pool; the
-			// premature-ack mutants (before-replicate and
-			// before-batch-durable) only bite when a primary dies
-			// mid-replication, so they get its kill pool; the
-			// combining-path mutants keep the canonical pool.
-			var res ExploreResult
-			var replay func(Schedule) bool
-			if mut == MutStaleShardServe || mut == MutAckBeforeReplicate || mut == MutAckBeforeBatchDurable {
-				rcfg, derive := ReplicaSimConfig{}, ReplicaScheduleFromSeed
-				if mut == MutStaleShardServe {
-					rcfg, derive = moveCfg(), MigrationScheduleFromSeed
-				}
-				res = ExploreReplica(rcfg, mut, 1, mutantSeeds, derive)
-				replay = func(s Schedule) bool { return RunReplicaSchedule(rcfg, s, mut).Failed() }
-			} else {
-				cfg := exploreCfg(mutantWorkload(mut))
-				derive := ScheduleFromSeed
-				switch mut {
-				case MutDedupSkip:
-					cfg = overloadCfg(mutantWorkload(mut))
-					derive = OverloadScheduleFromSeed
-				case MutPipelineMisroute:
-					cfg = pipelineCfg(mutantWorkload(mut))
-					derive = PipelineScheduleFromSeed
-				}
-				res = ExploreSchedules(cfg, mut, 1, mutantSeeds, derive)
-				replay = func(s Schedule) bool { return RunSchedule(cfg, s, mut).Failed() }
+			// schedules; the combining-path mutants keep the canonical
+			// pool. The replica plane's mutants run on the cluster code
+			// itself (internal/cluster's TestMutantsAreCaught).
+			cfg := exploreCfg(mutantWorkload(mut))
+			derive := ScheduleFromSeed
+			switch mut {
+			case MutDedupSkip:
+				cfg = overloadCfg(mutantWorkload(mut))
+				derive = OverloadScheduleFromSeed
+			case MutPipelineMisroute:
+				cfg = pipelineCfg(mutantWorkload(mut))
+				derive = PipelineScheduleFromSeed
 			}
+			res := ExploreSchedules(cfg, mut, 1, mutantSeeds, derive)
 			if res.Failures == 0 {
 				t.Fatalf("mutant %s survived %d schedules: the checker is blind to it", mut, res.Runs)
 			}
@@ -79,7 +64,7 @@ func TestMutantsAreCaught(t *testing.T) {
 			if f == nil {
 				t.Fatal("failures counted but no report captured")
 			}
-			if !replay(f.Minimal) {
+			if !RunSchedule(cfg, f.Minimal, mut).Failed() {
 				t.Fatalf("minimal schedule does not reproduce: %s", f.Minimal)
 			}
 			if len(f.Minimal.Perturbs) > len(f.Report.Schedule.Perturbs) {

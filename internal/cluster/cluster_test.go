@@ -45,21 +45,28 @@ type liveCluster struct {
 
 const testClientID = fabric.NodeID(100)
 
-func newLiveCluster(t *testing.T, n, shards int, fcfg fabric.Config) *liveCluster {
+// newCluster stands up n members serving shards shards with replicas
+// backups each (0: unreplicated) on workers pool goroutines per member, and
+// a client with a router. Most tests run two workers; the group-commit tests
+// park many concurrent puts on one primary and pass more, since two would
+// serialize the very coalescing under test. Each member's service is closed
+// before the network when the test ends, so no replication forwarder
+// outlives it.
+func newCluster(t *testing.T, n, shards, replicas, workers int) *liveCluster {
 	t.Helper()
-	nw := core.NewNetwork(fcfg)
+	nw := core.NewNetwork(fabric.Config{})
 	t.Cleanup(nw.Close)
 	members := make([]fabric.NodeID, n)
 	for i := range members {
 		members[i] = fabric.NodeID(i)
 	}
-	m, err := New(members, shards, 8)
+	m, err := NewReplicated(members, shards, 8, replicas)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lc := &liveCluster{nw: nw, coord: NewCoordinator(m)}
 	for _, id := range members {
-		node, err := nw.NewNode(id, core.Options{Workers: 2}, 0)
+		node, err := nw.NewNode(id, core.Options{Workers: workers}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,6 +77,7 @@ func newLiveCluster(t *testing.T, n, shards int, fcfg fabric.Config) *liveCluste
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(svc.Close)
 		lc.services = append(lc.services, svc)
 		lc.coord.AddService(svc)
 	}
@@ -83,7 +91,7 @@ func newLiveCluster(t *testing.T, n, shards int, fcfg fabric.Config) *liveCluste
 }
 
 func TestShardedKVBasics(t *testing.T) {
-	lc := newLiveCluster(t, 3, 16, fabric.Config{})
+	lc := newCluster(t, 3, 16, 0, 2)
 	rt := lc.router.Thread()
 	for key := uint64(0); key < 200; key++ {
 		if err := rt.Put(key, key*10+1); err != nil {
@@ -114,62 +122,102 @@ func TestShardedKVBasics(t *testing.T) {
 	}
 }
 
-// TestLiveMigrationMovesDataAndRedirects migrates one shard under a
-// router that is deliberately kept stale, so the WrongShard protocol —
-// NACK carrying the newer map, redirect, retry — is what delivers every
-// post-handoff call.
-func TestLiveMigrationMovesDataAndRedirects(t *testing.T) {
-	lc := newLiveCluster(t, 3, 16, fabric.Config{})
+// staleMoveRun is what one run of the stale-authority scenario observed.
+type staleMoveRun struct {
+	lc       *liveCluster
+	shard    int    // the moved shard, from member 0 to member 2
+	before   int    // keys the source held in it before the move
+	movedKey uint64 // the key put and read after the move
+	res      check.Result
+}
+
+// moveUnderStaleRouter is the directed stale-authority scenario. It fills
+// 300 keys with key+1, moves a shard that holds some of them from member 0
+// to member 2 while the router is kept stale — it is not registered with
+// the coordinator — and then, through that router, puts key+2 to one of the
+// moved keys and reads it back; last it reads the key through a fresh
+// router. The stale router's put reaches the new owner only through the
+// source's WrongShard NACK. A source that serves the shard anyway
+// (mutStaleShardServe) acknowledges a put the new owner never sees, and the
+// reads after it make the history non-linearizable.
+func moveUnderStaleRouter(t *testing.T) staleMoveRun {
+	lc := newCluster(t, 3, 16, 0, 2)
+	rec := check.NewRecorder()
 	rt := lc.router.Thread()
 	for key := uint64(0); key < 300; key++ {
+		call := rec.Begin()
 		if err := rt.Put(key, key+1); err != nil {
 			t.Fatal(err)
 		}
+		rec.End(0, call, check.KVIn{Key: key, Put: true, Val: key + 1}, nil)
 	}
 	m := lc.coord.Map()
-	var shard int
+	run := staleMoveRun{lc: lc}
 	for s := 0; s < m.Shards; s++ {
 		if m.Owner(s) == 0 && lc.services[0].Keys(s) > 0 {
-			shard = s
+			run.shard = s
 			break
 		}
 	}
-	before := lc.services[0].Keys(shard)
-	if before == 0 {
+	run.before = lc.services[0].Keys(run.shard)
+	if run.before == 0 {
 		t.Fatal("picked an empty shard")
 	}
-	// The router is NOT registered with the coordinator: it must learn
-	// the handoff from WrongShard NACKs alone.
-	if err := lc.coord.MigrateShard(shard, 2); err != nil {
+	if err := lc.coord.MigrateShard(run.shard, 2); err != nil {
 		t.Fatal(err)
 	}
-	if got := lc.services[2].Keys(shard); got < before {
-		t.Fatalf("target has %d keys, source had %d", got, before)
+	run.movedKey = shardKeys(m, run.shard, 1)[0]
+	fresh := NewRouter(lc.router.Node(), lc.coord.Map())
+	defer fresh.Close()
+	call := rec.Begin()
+	if err := rt.Put(run.movedKey, run.movedKey+2); err != nil {
+		t.Fatalf("put %d after the move: %v", run.movedKey, err)
+	}
+	rec.End(0, call, check.KVIn{Key: run.movedKey, Put: true, Val: run.movedKey + 2}, nil)
+	for _, th := range []*RouterThread{rt, fresh.Thread()} {
+		call := rec.Begin()
+		v, ok, err := th.Get(run.movedKey)
+		if err != nil {
+			t.Fatalf("get %d after the move: %v", run.movedKey, err)
+		}
+		rec.End(0, call, check.KVIn{Key: run.movedKey}, check.KVOut{Val: v, Found: ok})
+	}
+	run.res = check.Check(check.MonotonicKVModel(), rec.History())
+	return run
+}
+
+// TestLiveMigrationMovesDataAndRedirects runs the stale-authority scenario
+// on the faithful code: the history is linearizable, the WrongShard protocol
+// — NACK carrying the newer map, redirect, retry — is what delivered the
+// first call after the handoff, and every key reads back.
+func TestLiveMigrationMovesDataAndRedirects(t *testing.T) {
+	run := moveUnderStaleRouter(t)
+	lc, shard := run.lc, run.shard
+	if !run.res.Ok {
+		t.Fatalf("history not linearizable across a move under a stale router:\n%s", run.res)
+	}
+	if got := lc.services[2].Keys(shard); got < run.before {
+		t.Fatalf("target has %d keys, source had %d", got, run.before)
 	}
 	if lc.coord.Map().Owner(shard) != 2 {
 		t.Fatal("handoff did not flip ownership")
 	}
-	// Read a migrated key FIRST: the stale router routes it to the old
-	// owner, which must NACK WrongShard (a key in an unmoved shard would
-	// teach the router via the epoch piggyback instead, bypassing the
-	// NACK path this test is about). Then every key still reads back.
-	var migratedKey uint64
-	for key := uint64(0); key < 300; key++ {
-		if m.ShardOf(key) == shard {
-			migratedKey = key
-			break
-		}
-	}
-	if v, ok, err := rt.Get(migratedKey); err != nil || !ok || v != migratedKey+1 {
-		t.Fatalf("migrated-shard get %d = (%d,%v,%v)", migratedKey, v, ok, err)
-	}
+	// The first call after the move was to a migrated key, so the stale
+	// router reached the old owner, which must NACK WrongShard (a key in an
+	// unmoved shard would teach the router via the epoch piggyback instead,
+	// bypassing the NACK path this test is about).
 	if lc.router.Redirects() == 0 {
 		t.Fatal("stale router reached the migrated shard without a WrongShard NACK")
 	}
+	rt := lc.router.Thread()
 	for key := uint64(0); key < 300; key++ {
+		want := key + 1
+		if key == run.movedKey {
+			want = key + 2
+		}
 		v, ok, err := rt.Get(key)
-		if err != nil || !ok || v != key+1 {
-			t.Fatalf("post-migration get %d = (%d,%v,%v)", key, v, ok, err)
+		if err != nil || !ok || v != want {
+			t.Fatalf("post-migration get %d = (%d,%v,%v), want %d", key, v, ok, err, want)
 		}
 	}
 	if lc.services[0].Node().Telemetry().Counter("cluster.shard_moves").Load() != 1 {
@@ -184,7 +232,7 @@ func TestLiveMigrationMovesDataAndRedirects(t *testing.T) {
 // detector to dead, routes around it, then restores the link and sees
 // the member revive.
 func TestMembershipDetectsDeathAndRevival(t *testing.T) {
-	lc := newLiveCluster(t, 3, 16, fabric.Config{})
+	lc := newCluster(t, 3, 16, 0, 2)
 	lc.coord.AddRouter(lc.router)
 	lc.mems.ProbeTimeout = 20 * time.Millisecond
 	if st := lc.mems.ProbeOnce(); st[0] != resilience.MemberLive {
@@ -242,7 +290,7 @@ func TestMembershipDetectsDeathAndRevival(t *testing.T) {
 // re-marks it live, and the next Rebalance hands its shards back with a
 // live copy.
 func TestDrainResumeRejoin(t *testing.T) {
-	lc := newLiveCluster(t, 3, 16, fabric.Config{})
+	lc := newCluster(t, 3, 16, 0, 2)
 	lc.coord.AddRouter(lc.router)
 	rt := lc.router.Thread()
 	for key := uint64(0); key < 300; key++ {
@@ -314,71 +362,132 @@ func TestDrainResumeRejoin(t *testing.T) {
 	}
 }
 
-// TestMigrationChaosLinearizable is the headline property: concurrent
-// clients run guarded puts and gets against the sharded KV while a
-// shard migrates back and forth and the source→target link flaps on a
-// seeded schedule. The recorded history must be linearizable under the
-// monotonic-KV model, and the run must actually have exercised
-// migration (moves > 0) and the redirect protocol.
-func TestMigrationChaosLinearizable(t *testing.T) {
-	lc := newLiveCluster(t, 3, 8, fabric.Config{})
-	lc.nw.Fabric().SetFaultPlan(&fabric.FaultPlan{
-		Seed: 0xC1A05,
-		Links: []fabric.LinkFault{
-			// Flap both directions of the migration path (0↔2): a few
-			// attempts up, a window down, forever. Windows are counted in
-			// matched transmission attempts, so copy-chunk retries advance
-			// them deterministically.
-			{Src: 0, Dst: 2, DownAfter: 2, DownFor: 6, Repeat: true},
-			{Src: 2, Dst: 0, DownAfter: 3, DownFor: 5, Repeat: true},
-		},
+// movePlan is one run of the move pool's chaos half, derived from its seed:
+// which member's shard moves, to whom (and back, and again), and the fault
+// plan — seeded RC loss, and both directions of the link between the two
+// flapping.
+type movePlan struct {
+	seed           uint64
+	source, target fabric.NodeID
+	shard          int
+	faults         fabric.FaultPlan
+}
+
+func movePlanFromSeed(seed uint64, m *ShardMap) movePlan {
+	n := uint64(len(m.Members))
+	p := movePlan{seed: seed, source: m.Members[seed%n]}
+	p.target = m.Members[(seed+1+seed/n%(n-1))%n]
+	owned := m.ShardsOwnedBy(p.source)
+	p.shard = owned[seed%uint64(len(owned))]
+	// A few attempts up, a window down, forever. Windows are counted in
+	// matched transmission attempts, so copy-chunk retries advance them
+	// deterministically.
+	p.faults = fabric.FaultPlan{Seed: 0xC1A05 ^ seed, RCLossProb: 0.01, Links: []fabric.LinkFault{
+		{Src: p.source, Dst: p.target, DownAfter: 2 + seed%3, DownFor: 4 + seed%4, Repeat: true},
+		{Src: p.target, Dst: p.source, DownAfter: 3 + seed%2, DownFor: 3 + seed%3, Repeat: true},
+	}}
+	return p
+}
+
+func (p movePlan) String() string {
+	return fmt.Sprintf("seed=%d shard=%d n%d->n%d->n%d->n%d faults=%+v", p.seed, p.shard, p.source, p.target, p.source, p.target, p.faults)
+}
+
+// prefillShard stores n keys of shard with value 1 on every member of its
+// replica set, as n acknowledged puts would have left them, so that a copy
+// of the shard spans several snapshot frames. The keys are 1<<20 and up,
+// disjoint from every working set; they go straight into the stores because
+// n puts through the router cost most of a run under the race detector.
+func prefillShard(t *testing.T, lc *liveCluster, m *ShardMap, shard, n int) {
+	t.Helper()
+	for key, filled := uint64(1<<20), 0; filled < n; key++ {
+		if m.ShardOf(key) != shard {
+			continue
+		}
+		for _, id := range m.ReplicaSet(shard) {
+			if _, err := lc.services[id].shards[shard].store.UpdateMax64(key, 1); err != nil {
+				t.Fatalf("prefill key %d on n%d: %v", key, id, err)
+			}
+		}
+		filled++
+	}
+}
+
+// logPlanOnFailure prints the plan a failing pool run derived from its seed,
+// so the failure can be replayed from the log alone.
+func logPlanOnFailure(t *testing.T, plan fmt.Stringer) {
+	t.Cleanup(func() {
+		if t.Failed() {
+			t.Logf("replay: %s", plan)
+		}
 	})
-	lc.services[0].fwdBudget = 30 * time.Millisecond
-	lc.router.callBudget = 100 * time.Millisecond
+}
 
+// TestMigrationChaosLinearizable is the move pool's chaos half: for each of
+// its seeds, concurrent clients run guarded puts and gets against the
+// sharded KV while a shard migrates back and forth and the link between its
+// two owners flaps. The recorded history must be linearizable under the
+// monotonic-KV model — reads at the end through a router kept stale since
+// before the first move included — and every run must actually have moved
+// the shard, redirected a client and dropped on the flapping link.
+// TestMemberDiesMidMove is the pool's other half.
+func TestMigrationChaosLinearizable(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { migrationChaos(t, seed) })
+	}
+}
+
+func migrationChaos(t *testing.T, seed uint64) {
+	lc := newCluster(t, 3, 8, 0, 2)
 	m := lc.coord.Map()
-	var shard int
-	for s := 0; s < m.Shards; s++ {
-		if m.Owner(s) == 0 {
-			shard = s
-			break
-		}
-	}
-	// Pre-populate the migrating shard so every copy is several chunks —
-	// enough matched transmissions on the flapping link to hit the down
-	// windows. These keys live above 1<<20, disjoint from the checked
-	// working set.
-	{
-		rt := lc.router.Thread()
-		filled := 0
-		for key := uint64(1 << 20); filled < 700; key++ {
-			if m.ShardOf(key) != shard {
-				continue
-			}
-			if err := rt.Put(key, 1); err != nil {
-				t.Fatalf("prefill put: %v", err)
-			}
-			filled++
-		}
-	}
+	plan := movePlanFromSeed(seed, m)
+	logPlanOnFailure(t, plan)
+	lc.nw.Fabric().SetFaultPlan(&plan.faults)
+	lc.services[plan.source].fwdBudget = 30 * time.Millisecond
+	lc.services[plan.target].fwdBudget = 30 * time.Millisecond
+	lc.router.callBudget = 100 * time.Millisecond
+	shard := plan.shard
 
-	rec := check.NewRecorder()
+	// Every copy is several chunks: enough matched transmissions on the
+	// flapping link to hit the down windows.
+	prefillShard(t, lc, m, shard, 700)
+
+	// Working set: keys of the moving shard only, so clients chase it across
+	// every handoff. Clients run until the last move is over, and at least
+	// opsEach operations each.
 	const (
-		writers   = 4
-		keysEach  = 6
-		opsEach   = 150
-		readers   = 2
-		readerOps = 200
+		writers  = 4
+		keysEach = 6
+		opsEach  = 150
+		readers  = 2
 	)
+	keys := shardKeys(m, shard, writers*keysEach)
+	rec := check.NewRecorder()
+	// A router that sees none of the moves: how many redirects the chaos
+	// itself causes depends on timing (a reply's epoch piggyback can teach the
+	// clients' router a handoff before any of them reaches the old owner), so
+	// the run ends by reading every key through this one, which must be
+	// NACKed onto the final owner.
+	stale := NewRouter(lc.router.Node(), m)
+	defer stale.Close()
+	done := make(chan struct{})
+	running := func(i int) bool {
+		select {
+		case <-done:
+			return i <= opsEach
+		default:
+			return true
+		}
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			rt := lc.router.Thread()
-			for i := 1; i <= opsEach; i++ {
-				key := uint64(w*keysEach + i%keysEach)
-				val := uint64(i) // monotonic per key per sole writer
+			for i := 1; running(i); i++ {
+				key := keys[w+writers*(i%keysEach)] // writer w owns the indices ≡ w mod writers
+				val := uint64(i)                    // monotonic per key per sole writer
 				call := rec.Begin()
 				if err := rt.Put(key, val); err != nil {
 					rec.EndPending(w, call, check.KVIn{Key: key, Put: true, Val: val})
@@ -393,8 +502,8 @@ func TestMigrationChaosLinearizable(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			rt := lc.router.Thread()
-			for i := 0; i < readerOps; i++ {
-				key := uint64((r*7 + i) % (writers * keysEach))
+			for i := 0; running(i); i++ {
+				key := keys[(r*7+i)%len(keys)]
 				call := rec.Begin()
 				v, ok, err := rt.Get(key)
 				if err != nil {
@@ -406,14 +515,12 @@ func TestMigrationChaosLinearizable(t *testing.T) {
 		}(r)
 	}
 
-	// Meanwhile: migrate the shard 0→2, back 2→0, and again, through the
-	// flapping link.
+	// Meanwhile: migrate the shard to the target, back, and again, through
+	// the flapping link.
 	migrations := 0
-	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		targets := []fabric.NodeID{2, 0, 2}
-		for _, to := range targets {
+		for _, to := range []fabric.NodeID{plan.target, plan.source, plan.target} {
 			if err := lc.coord.MigrateShard(shard, to); err != nil {
 				t.Errorf("migrate shard %d -> %d: %v", shard, to, err)
 				return
@@ -422,7 +529,16 @@ func TestMigrationChaosLinearizable(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	<-done
+	st := stale.Thread()
+	for _, key := range keys {
+		call := rec.Begin()
+		v, ok, err := st.Get(key)
+		if err != nil {
+			rec.EndPending(writers+readers, call, check.KVIn{Key: key})
+			continue
+		}
+		rec.End(writers+readers, call, check.KVIn{Key: key}, check.KVOut{Val: v, Found: ok})
+	}
 
 	if migrations == 0 {
 		t.Fatal("no migration completed; chaos run is vacuous")
@@ -431,10 +547,13 @@ func TestMigrationChaosLinearizable(t *testing.T) {
 	if !res.Ok {
 		t.Fatalf("history not linearizable across live migration:\n%s", res)
 	}
-	moves := lc.services[0].Node().Telemetry().Counter("cluster.shard_moves").Load() +
-		lc.services[2].Node().Telemetry().Counter("cluster.shard_moves").Load()
+	moves := lc.services[plan.source].Node().Telemetry().Counter("cluster.shard_moves").Load() +
+		lc.services[plan.target].Node().Telemetry().Counter("cluster.shard_moves").Load()
 	if moves < uint64(migrations) {
 		t.Fatalf("shard_moves = %d, migrations = %d", moves, migrations)
+	}
+	if lc.router.Redirects()+stale.Redirects() == 0 {
+		t.Fatal("no client was redirected; chaos run is vacuous")
 	}
 	if lc.nw.Fabric().FaultCounters().LinkDownDrops == 0 {
 		t.Fatal("the flap windows never dropped anything; chaos run is vacuous")

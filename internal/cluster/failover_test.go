@@ -9,50 +9,9 @@ import (
 	"time"
 
 	"flock/internal/check"
-	"flock/internal/core"
 	"flock/internal/fabric"
 	"flock/internal/resilience"
 )
-
-// newReplicatedCluster is newLiveCluster with a replica factor: every
-// shard gets a primary plus R backups, and every put synchronously
-// replicates before acking.
-func newReplicatedCluster(t *testing.T, n, shards, replicas int, fcfg fabric.Config) *liveCluster {
-	t.Helper()
-	nw := core.NewNetwork(fcfg)
-	t.Cleanup(nw.Close)
-	members := make([]fabric.NodeID, n)
-	for i := range members {
-		members[i] = fabric.NodeID(i)
-	}
-	m, err := NewReplicated(members, shards, 8, replicas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lc := &liveCluster{nw: nw, coord: NewCoordinator(m)}
-	for _, id := range members {
-		node, err := nw.NewNode(id, core.Options{Workers: 2}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := node.Serve(); err != nil {
-			t.Fatal(err)
-		}
-		svc, err := NewService(node, m, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lc.services = append(lc.services, svc)
-		lc.coord.AddService(svc)
-	}
-	client, err := nw.NewNode(testClientID, core.Options{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lc.router = NewRouter(client, m)
-	lc.mems = NewMembership(lc.router)
-	return lc
-}
 
 // TestForwardLinkRedialsAfterClose: a primary→backup connection handle
 // that failed for good — what quarantine does to it under an overload storm
@@ -62,7 +21,7 @@ func newReplicatedCluster(t *testing.T, n, shards, replicas int, fcfg fabric.Con
 // most the frames in flight at the close NACK (at the parent commit the
 // handle was cached for ever and 250 of 250 later puts NACKed).
 func TestForwardLinkRedialsAfterClose(t *testing.T) {
-	lc := newReplicatedCluster(t, 3, 8, 1, fabric.Config{})
+	lc := newCluster(t, 3, 8, 1, 2)
 	rt := lc.router.Thread()
 	const keys = 250
 	for key := uint64(0); key < keys; key++ { // dials every forward link
@@ -105,7 +64,7 @@ func TestForwardLinkRedialsAfterClose(t *testing.T) {
 // live path — an acked put is on every backup (fingerprints equal after
 // a quiesce), and the replica_forwards counter moved.
 func TestReplicatedPutReachesBackups(t *testing.T) {
-	lc := newReplicatedCluster(t, 3, 8, 1, fabric.Config{})
+	lc := newCluster(t, 3, 8, 1, 2)
 	rt := lc.router.Thread()
 	for key := uint64(0); key < 100; key++ {
 		if err := rt.Put(key, key+1); err != nil {
@@ -130,17 +89,66 @@ func TestReplicatedPutReachesBackups(t *testing.T) {
 	}
 }
 
-// TestFailoverPreservesAckedWrites is the tentpole's live acceptance
-// run: concurrent clients write monotonic values into a replicated
-// cluster, a shard primary is killed mid-traffic (links cut both
-// directions to everyone), the detector walks it to dead, the
-// coordinator promotes backups — and afterwards every write that was
-// ever acknowledged is still readable, the whole history is
-// linearizable, replicas fingerprint equal, and Repair restores the
-// replica factor. The package leak gate (TestMain) asserts the pooled
-// buffers all came home afterwards.
+// killPlan is one run of the kill pool, derived from its seed: which member
+// dies, how long traffic flows before it does, and the fault plan the fabric
+// runs under throughout — seeded RC loss, and on even seeds the client's
+// link to a survivor flapping in windows the NIC's retransmissions ride out.
+type killPlan struct {
+	seed   uint64
+	victim fabric.NodeID
+	after  time.Duration
+	faults fabric.FaultPlan
+}
+
+func killPlanFromSeed(seed uint64, members int) killPlan {
+	p := killPlan{
+		seed:   seed,
+		victim: fabric.NodeID(seed % uint64(members)),
+		after:  time.Duration(20+seed*37%60) * time.Millisecond,
+		faults: fabric.FaultPlan{Seed: seed, RCLossProb: 0.01},
+	}
+	if seed%2 == 0 {
+		survivor := (p.victim + 1 + fabric.NodeID(seed/2%3)) % fabric.NodeID(members)
+		p.faults.Links = []fabric.LinkFault{{Src: testClientID, Dst: survivor, DownAfter: 8 + seed%8, DownFor: 2, Repeat: true}}
+	}
+	return p
+}
+
+func (p killPlan) String() string {
+	return fmt.Sprintf("seed=%d victim=n%d kill-after=%v faults=%+v", p.seed, p.victim, p.after, p.faults)
+}
+
+// TestFailoverPreservesAckedWrites is the kill pool: for each of its seeds,
+// concurrent clients write monotonic values into a replicated cluster, a
+// member is killed mid-traffic (links cut both directions to everyone), the
+// detector walks it to dead, the coordinator promotes backups — and
+// afterwards every write that was ever acknowledged is still readable, the
+// whole history is linearizable, replicas fingerprint equal, and Repair
+// restores the replica factor. Each run must have promoted and, where its
+// plan flaps a link, dropped on it; somewhere in the pool a frame must have
+// carried more than one put. The package leak gate (TestMain) asserts the
+// pooled buffers all came home afterwards.
 func TestFailoverPreservesAckedWrites(t *testing.T) {
-	lc := newReplicatedCluster(t, 4, 16, 2, fabric.Config{})
+	const members = 4
+	multi := false
+	for seed := uint64(1); seed <= 8; seed++ {
+		plan := killPlanFromSeed(seed, members)
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			logPlanOnFailure(t, plan)
+			if failoverPreservesAckedWrites(t, members, plan) {
+				multi = true
+			}
+		})
+	}
+	if !t.Failed() && !multi {
+		t.Fatal("no replication frame of the kill pool carried more than one put")
+	}
+}
+
+// failoverPreservesAckedWrites runs one seed of the kill pool and reports
+// whether any replication frame carried more than one put.
+func failoverPreservesAckedWrites(t *testing.T, members int, plan killPlan) bool {
+	lc := newCluster(t, members, 16, 2, 2)
 	lc.coord.AddRouter(lc.router)
 	// Budgets bound how long calls into the (soon-to-be) dead victim can
 	// hang; generous enough that healthy-path RPCs never trip them, even
@@ -150,8 +158,10 @@ func TestFailoverPreservesAckedWrites(t *testing.T) {
 		svc.fwdBudget = 200 * time.Millisecond
 	}
 	lc.mems.ProbeTimeout = 100 * time.Millisecond
+	fab := lc.nw.Fabric()
+	fab.SetFaultPlan(&plan.faults)
 
-	victim := lc.coord.Map().Owner(0)
+	victim := plan.victim
 	victimShards := lc.coord.Map().ShardsOwnedBy(victim)
 	if len(victimShards) == 0 {
 		t.Fatal("victim owns nothing; kill would be vacuous")
@@ -232,17 +242,16 @@ func TestFailoverPreservesAckedWrites(t *testing.T) {
 		}
 	}()
 
-	// Mid-traffic: the victim drops off the network entirely.
-	time.Sleep(50 * time.Millisecond)
-	fab := lc.nw.Fabric()
-	peers := append([]fabric.NodeID{testClientID}, lc.coord.Map().Members...)
-	for _, id := range peers {
-		if id == victim {
-			continue
+	// Mid-traffic: the victim drops off the network entirely, once a planned
+	// flap has dropped something.
+	time.Sleep(plan.after)
+	for deadline := time.Now().Add(5 * time.Second); len(plan.faults.Links) > 0 && fab.FaultCounters().LinkDownDrops == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the planned flap never dropped anything")
 		}
-		fab.SetLinkDown(victim, id, true)
-		fab.SetLinkDown(id, victim, true)
+		time.Sleep(time.Millisecond)
 	}
+	killMember(lc, m0.Members, victim)
 	// Probe until the victim is dead AND every survivor is live again: a
 	// healthy member can transiently miss a probe under traffic, and one
 	// good round revives it — without this, FailOver/Repair could run on
@@ -274,8 +283,12 @@ func TestFailoverPreservesAckedWrites(t *testing.T) {
 		}
 	}
 	promotions := uint64(0)
+	multi := false
 	for _, svc := range lc.services {
 		promotions += svc.Node().Telemetry().Counter("cluster.promotions").Load()
+		if h := svc.Node().Telemetry().Hist("cluster.repl_batch_entries").Snapshot(); h.Sum > h.Count {
+			multi = true
+		}
 	}
 	if promotions == 0 {
 		t.Fatal("cluster.promotions never bumped")
@@ -324,6 +337,106 @@ func TestFailoverPreservesAckedWrites(t *testing.T) {
 		}
 	}
 	assertReplicasConverged(t, lc, m)
+	return multi
+}
+
+// cutBackupsRun is what one run of the premature-ack scenario observed.
+type cutBackupsRun struct {
+	res   check.Result // the recorded history under MonotonicKVModel
+	acked int          // puts acknowledged while their primary reached no backup
+	lost  []uint64     // keys that read back below their acknowledged value
+}
+
+// cutBackupsThenFailOver is the directed premature-ack scenario. With every
+// link between one primary and the other members cut, the router puts a
+// newer value to two keys of each shard that primary serves. The ack rule
+// says none of those puts may be acknowledged, since no backup can hold it,
+// so each is NACKed and recorded pending. Then the primary dies, FailOver
+// promotes its backups, and every key is read back. A put acknowledged
+// early — by either premature-ack mutant — is lost with the primary, and the
+// read after it makes the history non-linearizable.
+func cutBackupsThenFailOver(t *testing.T) cutBackupsRun {
+	lc := newCluster(t, 3, 4, 2, 2)
+	lc.coord.AddRouter(lc.router)
+	// The router waits out a frame's failure: the put is NACKed, not timed
+	// out and re-sent.
+	lc.router.callBudget = time.Second
+	for _, svc := range lc.services {
+		svc.fwdBudget = 50 * time.Millisecond
+	}
+	m := lc.coord.Map()
+	primary := m.Owner(0)
+	var keys []uint64
+	for _, s := range m.ShardsOwnedBy(primary) {
+		keys = append(keys, shardKeys(m, s, 2)...)
+	}
+	rec := check.NewRecorder()
+	rt := lc.router.Thread()
+	ackedVal := make(map[uint64]uint64, len(keys))
+	put := func(key, val uint64) {
+		call := rec.Begin()
+		if err := rt.Put(key, val); err != nil {
+			rec.EndPending(0, call, check.KVIn{Key: key, Put: true, Val: val})
+			return
+		}
+		rec.End(0, call, check.KVIn{Key: key, Put: true, Val: val}, nil)
+		ackedVal[key] = val
+	}
+	for _, k := range keys {
+		if put(k, 1); ackedVal[k] != 1 {
+			t.Fatalf("put %d before the cut was not acknowledged", k)
+		}
+	}
+	fab := lc.nw.Fabric()
+	var live []fabric.NodeID
+	for _, id := range m.Members {
+		if id != primary {
+			fab.SetLinkDown(primary, id, true)
+			fab.SetLinkDown(id, primary, true)
+			live = append(live, id)
+		}
+	}
+	var run cutBackupsRun
+	for _, k := range keys {
+		if put(k, 2); ackedVal[k] == 2 {
+			run.acked++
+		}
+	}
+	killMember(lc, m.Members, primary)
+	if _, err := lc.coord.FailOver(primary, live); err != nil {
+		t.Fatalf("failover: %v", err)
+	}
+	for _, k := range keys {
+		call := rec.Begin()
+		v, ok, err := rt.Get(k)
+		if err != nil {
+			t.Fatalf("get %d after failover: %v", k, err)
+		}
+		rec.End(0, call, check.KVIn{Key: k}, check.KVOut{Val: v, Found: ok})
+		if !ok || v < ackedVal[k] {
+			run.lost = append(run.lost, k)
+		}
+	}
+	run.res = check.Check(check.MonotonicKVModel(), rec.History())
+	return run
+}
+
+// TestCutBackupsAckNothing is the ack rule on the shipped code: with every
+// primary→backup link cut no put is acknowledged, and after failover every
+// acknowledged write reads back. The flockmut build runs the same scenario
+// with each premature-ack mutant switched on, and requires the history to
+// be rejected.
+func TestCutBackupsAckNothing(t *testing.T) {
+	run := cutBackupsThenFailOver(t)
+	if run.acked != 0 {
+		t.Fatalf("%d puts acknowledged while their primary could reach no backup", run.acked)
+	}
+	if len(run.lost) != 0 {
+		t.Fatalf("keys %v read back below their acknowledged value after failover", run.lost)
+	}
+	if !run.res.Ok {
+		t.Fatalf("history not linearizable:\n%s", run.res)
+	}
 }
 
 func assertReplicasConverged(t *testing.T, lc *liveCluster, m *ShardMap) {
@@ -377,7 +490,7 @@ func (s *Service) pendingOps(key uint64) []*replOp {
 // fence that keeps a slow pre-failover primary from resurrecting
 // overwritten state on a backup.
 func TestReplicationEpochFence(t *testing.T) {
-	lc := newReplicatedCluster(t, 3, 8, 1, fabric.Config{})
+	lc := newCluster(t, 3, 8, 1, 2)
 	m := lc.coord.Map()
 	shard := 0
 	backup := m.BackupsOf(shard)[0]
@@ -422,7 +535,7 @@ func shortOneBackup(t *testing.T, lc *liveCluster, shard int) fabric.NodeID {
 // write a later promotion loses. The test holds the read lock as that put
 // would and requires the recruit to stay unpublished until it is released.
 func TestRecruitInstallWaitsOutInFlightRequests(t *testing.T) {
-	lc := newReplicatedCluster(t, 4, 8, 1, fabric.Config{})
+	lc := newCluster(t, 4, 8, 1, 2)
 	shard := 0
 	m := lc.coord.Map()
 	primary := lc.services[m.Owner(shard)]
@@ -469,7 +582,7 @@ func TestRecruitInstallWaitsOutInFlightRequests(t *testing.T) {
 // shard would owe an ack to the unreachable recruit and NACK until a
 // failover pruned it.
 func TestRepairDropsRecruitWhenCopyFails(t *testing.T) {
-	lc := newReplicatedCluster(t, 4, 8, 1, fabric.Config{})
+	lc := newCluster(t, 4, 8, 1, 2)
 	lc.router.callBudget = 200 * time.Millisecond
 	for _, svc := range lc.services {
 		svc.fwdBudget = 30 * time.Millisecond
@@ -532,7 +645,7 @@ func killMember(lc *liveCluster, members []fabric.NodeID, victim fabric.NodeID) 
 // ring pointed. Every map published must decode, name no dead member, and
 // keep every acknowledged write readable.
 func TestRebalanceFailsOverDeadPrimary(t *testing.T) {
-	lc := newReplicatedCluster(t, 4, 8, 2, fabric.Config{})
+	lc := newCluster(t, 4, 8, 2, 2)
 	lc.coord.AddRouter(lc.router)
 	lc.mems.ProbeTimeout = 100 * time.Millisecond
 	m0 := lc.coord.Map()
@@ -597,26 +710,49 @@ func TestRebalanceFailsOverDeadPrimary(t *testing.T) {
 //   - recruit dies: MigrateShard fails having dropped the recruit and the
 //     shard keeps serving from its original replica set.
 //
-// R=2 on five members, three recorded writers and a reader throughout, the
-// shard prefilled to several snapshot frames. The source→recruit link
-// carries two transmissions and then goes down for longer than the test
-// runs, so the copy has started and cannot finish before the kill lands,
-// whenever that is. The window is finite on purpose: a link the fabric
-// reports cut for good fails the copy at its first recycle, on its own and
-// before any kill (TestRepairDropsRecruitWhenCopyFails), while a stalled
-// one leaves the copy retrying until the kill cuts the link.
+// It is the move pool's double-fault half: four seeds per victim, each
+// picking the shard that moves and how long after the copy stalls the kill
+// lands. R=2 on five members, three recorded writers and a reader
+// throughout, the shard prefilled to several snapshot frames. The
+// source→recruit link carries two transmissions and then goes down for
+// longer than the test runs, so the copy has started and cannot finish
+// before the kill lands, whenever that is. The window is finite on
+// purpose: a link the fabric reports cut for good fails the copy at its
+// first recycle, on its own and before any kill
+// (TestRepairDropsRecruitWhenCopyFails), while a stalled one leaves the
+// copy retrying until the kill cuts the link.
 func TestMemberDiesMidMove(t *testing.T) {
 	for _, killSource := range []bool{true, false} {
-		name := "recruit dies"
+		name, first := "recruit dies", uint64(2)
 		if killSource {
-			name = "source dies"
+			name, first = "source dies", 1
 		}
-		t.Run(name, func(t *testing.T) { memberDiesMidMove(t, killSource) })
+		t.Run(name, func(t *testing.T) {
+			for seed := first; seed <= 8; seed += 2 {
+				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { memberDiesMidMove(t, killSource, seed) })
+			}
+		})
 	}
 }
 
-func memberDiesMidMove(t *testing.T, killSource bool) {
-	lc := newReplicatedCluster(t, 5, 8, 2, fabric.Config{})
+// midMovePlan is one run of the move pool's double-fault half, derived from
+// its seed: the shard that moves, whether its source or its recruit dies,
+// how long after the copy first meets the stalled link the kill lands, and
+// the fault plan — seeded RC loss, and the link that stalls the copy.
+type midMovePlan struct {
+	seed       uint64
+	shard      int
+	killSource bool
+	after      time.Duration
+	faults     fabric.FaultPlan
+}
+
+func (p midMovePlan) String() string {
+	return fmt.Sprintf("seed=%d shard=%d kill-source=%v kill-after=%v faults=%+v", p.seed, p.shard, p.killSource, p.after, p.faults)
+}
+
+func memberDiesMidMove(t *testing.T, killSource bool, seed uint64) {
+	lc := newCluster(t, 5, 8, 2, 2)
 	lc.coord.AddRouter(lc.router)
 	lc.router.callBudget = 200 * time.Millisecond
 	for _, svc := range lc.services {
@@ -625,31 +761,29 @@ func memberDiesMidMove(t *testing.T, killSource bool) {
 	lc.mems.ProbeTimeout = 100 * time.Millisecond
 
 	m0 := lc.coord.Map()
-	shard := 0
+	plan := midMovePlan{seed: seed, shard: int(seed) % m0.Shards, killSource: killSource, after: time.Duration(seed%4) * time.Millisecond}
+	shard := plan.shard
 	source, standing := m0.Owner(shard), m0.BackupsOf(shard)
 	recruit := m0.ReplacementBackup(shard, m0.Members)
 	if len(standing) != 2 || recruit < 0 {
 		t.Fatalf("shard %d: backups %v, recruit %d", shard, standing, recruit)
 	}
-
-	// Several frames' worth of keys in the moving shard, disjoint from the
-	// checked working set below.
-	rt := lc.router.Thread()
-	filled := 0
-	for key := uint64(1 << 20); filled < 700; key++ {
-		if m0.ShardOf(key) != shard {
-			continue
-		}
-		if err := rt.Put(key, 1); err != nil {
-			t.Fatalf("prefill put: %v", err)
-		}
-		filled++
+	// The source→recruit link carries two transmissions and then goes down
+	// for longer than the test runs.
+	plan.faults = fabric.FaultPlan{
+		Seed:       seed,
+		RCLossProb: 0.01,
+		Links:      []fabric.LinkFault{{Src: source, Dst: recruit, DownAfter: 2, DownFor: 1 << 40}},
 	}
+	logPlanOnFailure(t, plan)
+
+	prefillShard(t, lc, m0, shard, 700)
+	rt := lc.router.Thread()
 
 	// Working set: half the keys in the moving shard. Every key gets one
 	// recorded acked write before anything goes wrong.
 	const writers, keysEach = 3, 4
-	keys := append(shardKeys(m0, shard, writers*keysEach/2), shardKeys(m0, shard+1, writers*keysEach/2)...)
+	keys := append(shardKeys(m0, shard, writers*keysEach/2), shardKeys(m0, (shard+1)%m0.Shards, writers*keysEach/2)...)
 	rec := check.NewRecorder()
 	for _, k := range keys {
 		call := rec.Begin()
@@ -699,10 +833,7 @@ func memberDiesMidMove(t *testing.T, killSource bool) {
 		wg.Wait()
 	}()
 
-	lc.nw.Fabric().SetFaultPlan(&fabric.FaultPlan{
-		Seed:  2,
-		Links: []fabric.LinkFault{{Src: source, Dst: recruit, DownAfter: 2, DownFor: 1 << 40}},
-	})
+	lc.nw.Fabric().SetFaultPlan(&plan.faults)
 	moved := make(chan error, 1)
 	go func() { moved <- lc.coord.MigrateShard(shard, recruit) }()
 	// The source serving under the recruit's epoch means the copy is next.
@@ -716,6 +847,15 @@ func memberDiesMidMove(t *testing.T, killSource bool) {
 	if killSource {
 		victim = source
 	}
+	// The kill lands the plan's offset after the copy first meets the
+	// stalled link.
+	for deadline := time.Now().Add(5 * time.Second); lc.nw.Fabric().FaultCounters().LinkDownDrops == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the copy never reached the stalled link")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	time.Sleep(plan.after)
 	killMember(lc, m0.Members, victim)
 	if err := <-moved; err == nil {
 		t.Fatal("MigrateShard completed a move whose copy could not finish")

@@ -325,9 +325,11 @@ func (sl *shardSlot) resolve(op *replOp, err error) {
 	op.gets = op.gets[:0]
 	sl.freeOps = append(sl.freeOps, op)
 	sl.gateMu.Unlock()
-	if err != nil {
+	switch {
+	case ackedEarly(reply): // a premature-ack mutant has answered it
+	case err != nil:
 		sl.answer(reply, nil, core.StatusOverloaded)
-	} else {
+	default:
 		sl.answer(reply, appendEpoch(reply.Buf(), epoch), core.StatusOK)
 	}
 	for _, g := range ready {
@@ -404,6 +406,11 @@ func (st *replStream) submit(f *replFrame) {
 			break
 		}
 		f.calls = append(f.calls, replCall{to: to, p: p})
+	}
+	if mutantOn(mutAckBeforeBatchDurable) && f.err == nil {
+		for _, op := range f.ops {
+			op.slot.ackEarly(op)
+		}
 	}
 }
 

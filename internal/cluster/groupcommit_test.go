@@ -11,47 +11,6 @@ import (
 	"flock/internal/fabric"
 )
 
-// newGroupCommitCluster is newReplicatedCluster with a configurable
-// worker count: group-commit tests park many concurrent puts on one
-// primary, so two workers would serialize the very coalescing under
-// test.
-func newGroupCommitCluster(t *testing.T, n, shards, replicas, workers int) *liveCluster {
-	t.Helper()
-	nw := core.NewNetwork(fabric.Config{})
-	t.Cleanup(nw.Close)
-	members := make([]fabric.NodeID, n)
-	for i := range members {
-		members[i] = fabric.NodeID(i)
-	}
-	m, err := NewReplicated(members, shards, 8, replicas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lc := &liveCluster{nw: nw, coord: NewCoordinator(m)}
-	for _, id := range members {
-		node, err := nw.NewNode(id, core.Options{Workers: workers}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := node.Serve(); err != nil {
-			t.Fatal(err)
-		}
-		svc, err := NewService(node, m, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lc.services = append(lc.services, svc)
-		lc.coord.AddService(svc)
-	}
-	client, err := nw.NewNode(testClientID, core.Options{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lc.router = NewRouter(client, m)
-	lc.mems = NewMembership(lc.router)
-	return lc
-}
-
 // shardKeys returns n distinct keys that all route to shard.
 func shardKeys(m *ShardMap, shard, n int) []uint64 {
 	keys := make([]uint64, 0, n)
@@ -159,7 +118,7 @@ func TestReplFrameMultiEntry(t *testing.T) {
 // of frames F, and the primary counted F × backups acked batches.
 func TestGroupCommitCoalesces(t *testing.T) {
 	const writers = 8
-	lc := newGroupCommitCluster(t, 3, 4, 2, writers+2)
+	lc := newCluster(t, 3, 4, 2, writers+2)
 	// No attempt wait shorter than the flush window plus the lazy dials: a
 	// re-sent put would be a ninth entry and the counts below are exact.
 	lc.router.callBudget = 4 * time.Second
@@ -222,7 +181,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 // NACK (none ack), because a group commit is all-or-nothing per backup.
 func TestGroupCommitBackupDeathMidBatch(t *testing.T) {
 	const writers = 4
-	lc := newGroupCommitCluster(t, 3, 4, 1, writers+2)
+	lc := newCluster(t, 3, 4, 1, writers+2)
 	m := lc.coord.Map()
 	shard := 0
 	primary, backup := m.Owner(shard), m.BackupsOf(shard)[0]
@@ -316,7 +275,7 @@ func stagedAndApplied(svc *Service, shard int, key uint64) bool {
 // then fails must be answered StatusOverloaded — never the value no backup
 // holds — and so must the put; each exactly once.
 func TestReadGateNACKsWhenFrameFails(t *testing.T) {
-	lc := newGroupCommitCluster(t, 3, 4, 1, 4)
+	lc := newCluster(t, 3, 4, 1, 4)
 	m := lc.coord.Map()
 	shard := 0
 	primary, backup := m.Owner(shard), m.BackupsOf(shard)[0]
@@ -361,7 +320,7 @@ func TestReadGateNACKsWhenFrameFails(t *testing.T) {
 // others in flight in a frame answers every one of them with the retryable
 // NACK, exactly once, and leaves the log empty.
 func TestServiceCloseAnswersEveryPut(t *testing.T) {
-	lc := newGroupCommitCluster(t, 3, 4, 1, 6)
+	lc := newCluster(t, 3, 4, 1, 6)
 	m := lc.coord.Map()
 	shard := 0
 	primary, backup := m.Owner(shard), m.BackupsOf(shard)[0]
@@ -426,7 +385,7 @@ func TestServiceCloseAnswersEveryPut(t *testing.T) {
 // been answered.
 func TestInstallWaitsForUnansweredPut(t *testing.T) {
 	const delay = 400 * time.Millisecond
-	lc := newGroupCommitCluster(t, 3, 4, 1, 4)
+	lc := newCluster(t, 3, 4, 1, 4)
 	m := lc.coord.Map()
 	shard := 0
 	svc := lc.services[m.Owner(shard)]
@@ -467,7 +426,7 @@ func TestInstallWaitsForUnansweredPut(t *testing.T) {
 // still answers its request, frees the lock and leaves the read gate's index
 // empty, so the next install returns and the next get on the key is not gated.
 func TestKVHandlerPanicReleasesShard(t *testing.T) {
-	lc := newGroupCommitCluster(t, 3, 4, 1, 4)
+	lc := newCluster(t, 3, 4, 1, 4)
 	m := lc.coord.Map()
 	shard := 0
 	svc := lc.services[m.Owner(shard)]
@@ -542,7 +501,7 @@ func TestRepliesFitReplyBuf(t *testing.T) {
 // deadline path must both fire and succeed with exactly one op aboard.
 func TestGroupCommitFlushDeadlineSingleWaiter(t *testing.T) {
 	const delay = 40 * time.Millisecond
-	lc := newGroupCommitCluster(t, 3, 4, 1, 4)
+	lc := newCluster(t, 3, 4, 1, 4)
 	for _, svc := range lc.services {
 		svc.Repl = ReplTuning{flushDelay: delay}
 	}
@@ -580,7 +539,7 @@ func TestGroupCommitFlushDeadlineSingleWaiter(t *testing.T) {
 // errors.As exposes which backup refused; a transport failure carries
 // no status and is not a fence.
 func TestReplicateTypedErrors(t *testing.T) {
-	lc := newReplicatedCluster(t, 3, 8, 1, fabric.Config{})
+	lc := newCluster(t, 3, 8, 1, 2)
 	m := lc.coord.Map()
 	shard := 0
 	primary, backup := m.Owner(shard), m.BackupsOf(shard)[0]
@@ -655,7 +614,7 @@ func TestGroupCommitReadGate(t *testing.T) {
 	// goroutine: the read below must start inside it and is required to
 	// have been held for a quarter of it.
 	const delay = 300 * time.Millisecond
-	lc := newGroupCommitCluster(t, 3, 4, 1, 6)
+	lc := newCluster(t, 3, 4, 1, 6)
 	lc.router.callBudget = 10 * delay // a put or a gated get takes the whole window
 	for _, svc := range lc.services {
 		svc.Repl = ReplTuning{flushDelay: delay}
@@ -731,7 +690,7 @@ func twoShardPrimary(t *testing.T, m *ShardMap) (fabric.NodeID, int, int) {
 // rides one frame to each backup: two acked batches of two entries, not four
 // of one. Both shards are then equal on both backups.
 func TestFrameCarriesEveryShardOfItsSet(t *testing.T) {
-	lc := newGroupCommitCluster(t, 3, 4, 2, 4)
+	lc := newCluster(t, 3, 4, 2, 4)
 	lc.router.callBudget = 4 * time.Second
 	m := lc.coord.Map()
 	primary, shardA, shardB := twoShardPrimary(t, m)
@@ -796,7 +755,7 @@ func TestFrameCarriesEveryShardOfItsSet(t *testing.T) {
 // down breaks and quarantines the connection's queue pairs within
 // milliseconds, which fails the frame long before its budget.
 func TestStragglerSetDoesNotStallOtherSets(t *testing.T) {
-	lc := newGroupCommitCluster(t, 4, 16, 2, 4)
+	lc := newCluster(t, 4, 16, 2, 4)
 	m := lc.coord.Map()
 	primary, stalled, free, straggler := fabric.NodeID(-1), -1, -1, fabric.NodeID(-1)
 search:
@@ -872,7 +831,7 @@ func TestReplicateMultiShardFrames(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			lc := newReplicatedCluster(t, 3, 8, 1, fabric.Config{})
+			lc := newCluster(t, 3, 8, 1, 2)
 			m := lc.coord.Map()
 			backup := m.Members[0]
 			var backed []int

@@ -69,7 +69,7 @@ func (p *scriptedProbe) probe(id fabric.NodeID) error {
 // the dead threshold: "after 2 missed rounds: dead, want suspect", 2 of 40 runs
 // under -race on a loaded box.)
 func TestMembershipEscalatesOnVirtualClock(t *testing.T) {
-	lc := newLiveCluster(t, 3, 8, fabric.Config{})
+	lc := newCluster(t, 3, 8, 0, 2)
 	probe := &scriptedProbe{down: map[fabric.NodeID]bool{}, drng: map[fabric.NodeID]bool{}, last: 2}
 	clk := NewSimClock()
 	lc.mems.clock = clk
@@ -128,7 +128,7 @@ func TestMembershipEscalatesOnVirtualClock(t *testing.T) {
 // TestMembershipOnChangeVirtualClock: state transitions fan out exactly
 // once per change, in probe order, on the virtual timeline.
 func TestMembershipOnChangeVirtualClock(t *testing.T) {
-	lc := newLiveCluster(t, 2, 8, fabric.Config{})
+	lc := newCluster(t, 2, 8, 0, 2)
 	probe := &scriptedProbe{down: map[fabric.NodeID]bool{}, drng: map[fabric.NodeID]bool{}}
 	clk := NewSimClock()
 	lc.mems.clock = clk

@@ -219,7 +219,7 @@ func (s *Service) handleKV(req []byte, r *core.Reply) {
 	// exclusively, so the map read here — owner and backup set — is the one
 	// this request is served under until it is answered.
 	m := s.cur.Load()
-	if m.Table[shard] != s.node.ID() {
+	if m.Table[shard] != s.node.ID() && !(mutantOn(mutStaleShardServe) && s.Keys(shard) > 0) {
 		slot.answer(r, m.Encode(), core.StatusWrongShard)
 		return
 	}
@@ -262,6 +262,9 @@ func (s *Service) handleKV(req []byte, r *core.Reply) {
 		if _, err := slot.store.UpdateMax64(key, val); err != nil {
 			slot.resolve(op, errStoreFull)
 			return
+		}
+		if mutantOn(mutAckBeforeReplicate) {
+			slot.ackEarly(op)
 		}
 		op.stream.enqueue(op)
 	default:

@@ -338,7 +338,7 @@ func TestEpochRegressedMapRefused(t *testing.T) {
 		t.Fatalf("wire layer rejected an old-epoch map: %v", err)
 	}
 
-	lc := newLiveCluster(t, 2, 8, fabric.Config{})
+	lc := newCluster(t, 2, 8, 0, 2)
 	lc.router.Install(newer)
 	if lc.router.Install(regressed) {
 		t.Fatal("router installed an epoch-regressed map")

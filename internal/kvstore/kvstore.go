@@ -332,8 +332,8 @@ func (s *Store) Apply(key uint64, val []byte) error {
 // guarded-apply primitive shard migration relies on: snapshot chunks,
 // dual-written forwards and client retries may arrive in any order and
 // any multiplicity, and the slot still ends at the newest value. The
-// store must have ValSize >= 8; the version word is left alone (the
-// value is a single word, so readers don't need the seqlock).
+// store must have ValSize >= 8. The value is a single word, so readers
+// don't need the seqlock; the version word only publishes the slot.
 func (s *Store) UpdateMax64(key uint64, val uint64) (bool, error) {
 	if s.valSize < 8 {
 		return false, fmt.Errorf("kvstore: UpdateMax64 needs ValSize >= 8, have %d", s.valSize)
@@ -342,23 +342,34 @@ func (s *Store) UpdateMax64(key uint64, val uint64) (bool, error) {
 	if err != nil {
 		return false, err
 	}
+	adv := false
 	for {
 		cur := s.mem.Load64(off + 16)
 		if cur >= val {
-			return false, nil
+			break
 		}
 		if s.mem.CAS64(off+16, cur, val) {
-			return true, nil
+			adv = true
+			break
 		}
 	}
+	// findSlot claims a new key's slot before any value is in it. The
+	// version word leaves 0 — the first bump Insert makes too — only once
+	// the value is, and before this call returns: until then Value64 and
+	// Scan treat the key as absent, not as holding a value nobody wrote.
+	if s.mem.Load64(off+8) == 0 {
+		s.mem.CAS64(off+8, 0, 2)
+	}
+	return adv, nil
 }
 
 // Value64 reads key's value as one little-endian uint64 word; ok is
-// false when the key has no slot. Like UpdateMax64 it bypasses the
-// seqlock — a single word loads atomically.
+// false when the key has no slot, or has one whose first write is still
+// in progress. Like UpdateMax64 it bypasses the seqlock — a single word
+// loads atomically.
 func (s *Store) Value64(key uint64) (val uint64, ok bool) {
 	off, err := s.findSlot(key, false)
-	if err != nil {
+	if err != nil || s.mem.Load64(off+8) == 0 {
 		return 0, false
 	}
 	return s.mem.Load64(off + 16), true
@@ -408,7 +419,8 @@ func (s *Store) Fingerprint64() uint64 {
 }
 
 // Scan iterates every occupied slot in arena order, calling fn with the
-// key and a copy of its value. Returning false from fn stops the scan.
+// key and a copy of its value; a slot whose first write is still in
+// progress is skipped. Returning false from fn stops the scan.
 // Scan uses the seqlock protocol per slot, so it tolerates concurrent
 // writers; it is the snapshot primitive shard migration copies from. The
 // iteration is not a point-in-time snapshot — concurrent writes may or
@@ -416,6 +428,7 @@ func (s *Store) Fingerprint64() uint64 {
 // receiving side.
 func (s *Store) Scan(fn func(key uint64, val []byte) bool) {
 	val := make([]byte, s.valSize)
+slots:
 	for i := uint64(0); i < s.capacity; i++ {
 		off := s.slotOff(i)
 		stored := s.mem.Load64(off)
@@ -424,6 +437,9 @@ func (s *Store) Scan(fn func(key uint64, val []byte) bool) {
 		}
 		for {
 			v1 := s.mem.Load64(off + 8)
+			if v1 == 0 {
+				continue slots
+			}
 			if v1&lockBit != 0 {
 				continue // writer mid-commit; it finishes promptly
 			}

@@ -52,6 +52,33 @@ func TestGetMissing(t *testing.T) {
 	}
 }
 
+// TestFirstPutPublishesAfterItsValue: UpdateMax64 claims a new key's slot
+// before it writes the value, so a reader racing a key's first put can find
+// the key with nothing in it yet. Value64 and Scan must report the key
+// absent then, not present with a value no put wrote (a cluster get read
+// (0, found) that way). A first put of 0 still makes the key present.
+func TestFirstPutPublishesAfterItsValue(t *testing.T) {
+	s := newStore(t, 16, 8)
+	if _, err := s.findSlot(7, true); err != nil { // the first put, claimed and not yet written
+		t.Fatal(err)
+	}
+	if v, ok := s.Value64(7); ok {
+		t.Fatalf("a claimed, unwritten key reads (%d, found)", v)
+	}
+	s.Scan(func(key uint64, _ []byte) bool {
+		t.Fatalf("Scan lists key %d before its first write", key)
+		return false
+	})
+	for _, val := range []uint64{0, 5} {
+		if _, err := s.UpdateMax64(7, val); err != nil {
+			t.Fatal(err)
+		}
+		if v, ok := s.Value64(7); !ok || v != val {
+			t.Fatalf("after UpdateMax64(7, %d): Value64 = (%d, %v)", val, v, ok)
+		}
+	}
+}
+
 func TestKeyZeroWorks(t *testing.T) {
 	s := newStore(t, 16, 8)
 	if err := s.Insert(0, []byte{1, 2, 3, 4, 5, 6, 7, 8}); err != nil {
