@@ -97,24 +97,35 @@ gate -race -count=10 -run 'TestRingViewsFinishOutOfOrder|TestRingFullOfHeldViews
 # land, and a link cut for good fails the connection at its first recycle.
 # The link-wide outages (which must recycle and quarantine nothing), the
 # flapping QP (which must be quarantined), the linearizable KV under faults,
-# the recovery edge cases (the cut link among them) and a slow server beside
-# live echoes (which must break nothing) are timing-bound, so one pass proves
-# little: they are repeated twenty times.
-gate -count=20 -run 'TestChaosMatrix|TestChaosRetryExhaustionRecycles|TestChaosLinkFlapQuarantine|TestLinearizableKVUnderFaults|TestRecoveryEdgeCases|TestSlowServerIsNotADeadQP' ./internal/core
+# the recovery edge cases (the cut link among them), a slow server beside
+# live echoes (which must break nothing) and the calls abandoned behind a
+# wedged leader (each must execute exactly once) are timing-bound, so one
+# pass proves little: they are repeated twenty times.
+gate -count=20 -run 'TestChaosMatrix|TestChaosRetryExhaustionRecycles|TestChaosLinkFlapQuarantine|TestLinearizableKVUnderFaults|TestRecoveryEdgeCases|TestSlowServerIsNotADeadQP|TestAbandonedNodeNeverExecutes' ./internal/core
 
-# Mutation self-test: a checker that passes known-bad protocol variants is
-# itself broken, so the flockmut build compiles eight of them in and each
-# must be caught. Five mutate the combining-path simulator (tcqsim.go) and
-# run its seeded schedule pools in internal/check, which must flag each one
-# as non-linearizable and assert that exactly five are compiled in. Three are
-# hooks in the shipped replica plane (internal/cluster): a member serving a
-# shard it handed off (stale-shard-serve), a primary acknowledging a put
-# right after its local apply (ack-before-replicate) or once its frame is
-# posted rather than acked by every backup (ack-before-batch-durable). Each
-# runs a directed live-cluster scenario — a move under a stale router, puts
-# with the primary cut off from its backups followed by a failover — whose
-# history the checker must reject in every one of 20 runs.
-go test -tags flockmut -race ./internal/check
+# Mutation self-test: tests that pass known-bad protocol variants are
+# themselves broken, so the flockmut build compiles eight of them into the
+# shipped code and each must be caught in every one of 20 runs. Five are
+# hooks in the combining path (internal/core): a leader staging a node whose
+# follower timed out (claim-timed-out), a batch's last payload never staged
+# (batch-drop-tail), a broken QP's calls answered with an empty OK
+# (recycle-ack-inflight), a keyed retry run past the dedup window
+# (dedup-skip) and a response completing the thread's newest call
+# (pipeline-misroute). Their scenarios — calls abandoned behind a wedged
+# leader, concurrent echoes, KV traffic over a link outage, a keyed retry
+# while its original executes, async calls interleaved with sync ones —
+# must count more executions than acknowledged calls or record a history
+# the checker rejects. Three are hooks in the replica plane
+# (internal/cluster): a member serving a shard it handed off
+# (stale-shard-serve), a primary acknowledging a put right after its local
+# apply (ack-before-replicate) or once its frame is posted rather than acked
+# by every backup (ack-before-batch-durable). Each runs a directed
+# live-cluster scenario — a move under a stale router, puts with the primary
+# cut off from its backups followed by a failover — whose history the
+# checker must reject. Each package asserts how many are compiled in. The
+# misroute mutant must also survive the synchronous concurrent echo, or it
+# is no pipelining bug.
+gate -tags flockmut -race -count=20 -run 'TestMutantsAreCaught|TestMisrouteInvisibleWithoutPipelining' ./internal/core
 gate -tags flockmut -race -count=20 -run TestMutantsAreCaught ./internal/cluster
 
 # Coverage floor for the FLock core: internal/core must keep at least 70%

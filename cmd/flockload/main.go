@@ -12,15 +12,6 @@
 //	flockload -faults rc-loss=0.01,flap=1  # lossy fabric + flapping QP
 //	flockload -overload 16 -retry 4        # admission control + budgeted retries
 //
-// The -check flag switches to flockcheck mode: instead of driving load, it
-// runs the internal/check schedule explorer — seed-derived adversarial
-// schedules against the simulated combining path, every history verified
-// by the linearizability checker. A failure prints the seed and the
-// minimal failing schedule, ready to paste into a replay:
-//
-//	flockload -check -check-seeds 5000            # all three workloads
-//	flockload -check -check-workload counter -check-seed 41 -check-seeds 1
-//
 // The -cluster flag switches to cluster mode: N member nodes serve the
 // sharded KV behind the epoch-routing client, a live shard migration
 // runs mid-window, and the report shows per-shard routing stats,
@@ -53,7 +44,6 @@ import (
 	"time"
 
 	"flock"
-	"flock/internal/check"
 	"flock/internal/loadgen"
 	mempool "flock/internal/mem"
 )
@@ -82,16 +72,9 @@ func main() {
 		clusterN   = flag.Int("cluster", 0, "cluster mode: this many member nodes serve the sharded KV behind the shard router (0 = off)")
 		shardsN    = flag.Int("shards", 16, "shard count in -cluster mode")
 		replicasN  = flag.Int("replicas", 0, "backups per shard in -cluster mode; >0 replaces the mid-window migrations with a primary kill + failover (0 = unreplicated)")
-		checkMode  = flag.Bool("check", false, "flockcheck mode: explore schedules and verify linearizability instead of driving load")
-		checkSeeds = flag.Int("check-seeds", 1000, "schedules to explore per workload in -check mode")
-		checkSeed  = flag.Uint64("check-seed", 1, "first seed in -check mode (replay a CI failure with -check-seeds 1)")
-		checkWork  = flag.String("check-workload", "all", "workload to check: counter, echo, kv, or all")
 	)
 	flag.Parse()
 
-	if *checkMode {
-		os.Exit(runCheck(*checkWork, *checkSeed, *checkSeeds, *threads, *qps))
-	}
 	if *clusterN > 0 {
 		os.Exit(runCluster(*clusterN, *shardsN, *replicasN, *threads, *dur, *faults))
 	}
@@ -537,39 +520,4 @@ func runCluster(nMembers, nShards, replicas, nThreads int, dur time.Duration, fa
 		return 1
 	}
 	return 0
-}
-
-// runCheck is flockcheck mode: sweep seed-derived adversarial schedules
-// through the simulated combining path and verify every recorded history
-// with the linearizability checker. Returns the process exit code.
-func runCheck(workload string, startSeed uint64, seeds, threads, qps int) int {
-	var workloads []check.Workload
-	switch workload {
-	case "counter":
-		workloads = []check.Workload{check.WorkloadCounter}
-	case "echo":
-		workloads = []check.Workload{check.WorkloadEcho}
-	case "kv":
-		workloads = []check.Workload{check.WorkloadKV}
-	case "all":
-		workloads = []check.Workload{check.WorkloadCounter, check.WorkloadEcho, check.WorkloadKV}
-	default:
-		log.Fatalf("unknown -check-workload %q (counter, echo, kv, all)", workload)
-	}
-	code := 0
-	for _, w := range workloads {
-		cfg := check.SimConfig{Threads: threads, QPs: qps, Workload: w}
-		start := time.Now()
-		res := check.Explore(cfg, check.MutNone, startSeed, seeds)
-		elapsed := time.Since(start)
-		if res.Failures == 0 {
-			fmt.Printf("flockcheck %-8s %d schedules (seeds %d..%d): all linearizable (%v)\n",
-				w, res.Runs, startSeed, startSeed+uint64(seeds)-1, elapsed.Round(time.Millisecond))
-			continue
-		}
-		code = 1
-		fmt.Printf("flockcheck %-8s %d/%d schedules FAILED (%v)\n%s\n",
-			w, res.Failures, res.Runs, elapsed.Round(time.Millisecond), res.First)
-	}
-	return code
 }

@@ -1,23 +1,21 @@
-// Package check is FLock's concurrency-correctness harness. It has three
+// Package check is FLock's concurrency-correctness harness. It has two
 // parts:
 //
 //   - A linearizability checker (this file): the Wing & Gong algorithm
 //     with Lowe's just-in-time memoization and P-compositional
 //     partitioning, in the style of porcupine. Histories of concurrent
-//     operations — recorded from real traffic or from the simulated
-//     combining path — are checked against a sequential model.
+//     operations, recorded from real traffic with a Recorder, are checked
+//     against a sequential model.
 //   - Ready-made models (models.go) for the workloads the repository
 //     serves: the echo RPC, the kvstore put/get contract, and fetch-add
 //     counters.
-//   - A deterministic schedule explorer (explore.go, tcqsim.go) that
-//     replays the thread-combining-queue protocol on internal/sim virtual
-//     time under seed-derived adversarial schedules, and shrinks a failing
-//     schedule to a minimal reproducer.
 //
-// The harness validates itself: known-bad protocol variants behind the
-// `flockmut` build tag (mutants.go) must be flagged non-linearizable by
-// the checker, so a silent checker regression fails CI rather than
-// silently passing broken code.
+// The harness is validated on the code that ships: known-bad variants of
+// the combining path (internal/core) and of the replica plane
+// (internal/cluster), compiled in behind the `flockmut` build tag, must
+// each be rejected by a scenario whose history this checker judges or
+// whose handler executions it counts, so a blind checker fails CI rather
+// than silently passing broken code.
 package check
 
 import (

@@ -335,6 +335,91 @@ func TestChaosLeaderStallReelection(t *testing.T) {
 	}
 }
 
+// abandonRun is what one run of the abandoned-node scenario observed.
+type abandonRun struct {
+	acked, execs int64  // calls answered OK; handler executions
+	migrations   uint64 // re-elections onto the other QP
+}
+
+// abandonBehindWedgedLeader is the directed stall-guard scenario. Four
+// threads make eight calls each to a counting handler over two QPs, and every
+// leader of QP 0 is wedged for 10 ms before it claims its batch — five times
+// the followers' 2 ms StallTimeout. The followers queued behind it abandon
+// their nodes and re-submit on QP 1; when the leader wakes, its
+// waiting→claimed CAS fails on each abandoned node and it stages none of
+// them, so every call executes exactly once. A leader that stages an
+// abandoned node (mutClaimTimedOut) executes its call a second time. The
+// executions are counted once the server has received every item the
+// client posted.
+func abandonBehindWedgedLeader(t *testing.T) abandonRun {
+	leaderStallHook = func(c *Conn, q *connQP) {
+		if q.idx == 0 {
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	defer func() { leaderStallHook = nil }()
+
+	const countID = 13
+	var execs, acked atomic.Int64
+	tc := newTestCluster(t, 1, Options{QPsPerConn: 2},
+		Options{QPsPerConn: 2, StallTimeout: 2 * time.Millisecond})
+	tc.server.RegisterHandler(countID, func(req []byte) []byte {
+		execs.Add(1)
+		return nil
+	})
+	conn, err := tc.clients[0].Connect(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nThreads, perThread = 4, 8
+	var wg sync.WaitGroup
+	for g := 0; g < nThreads; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			th := conn.RegisterThread()
+			for i := 0; i < perThread; i++ {
+				r, err := th.Call(countID, []byte(fmt.Sprintf("t%d-%d", g, i)))
+				if err != nil {
+					t.Errorf("call: %v", err)
+					return
+				}
+				if r.Status == StatusOK {
+					acked.Add(1)
+				}
+				r.Release()
+			}
+		}(g)
+	}
+	wg.Wait()
+	client, server := tc.clients[0], tc.server
+	waitFor(t, "the server to receive every posted item", func() bool {
+		return server.Metrics().ItemsIn >= client.Metrics().ItemsOut
+	})
+	return abandonRun{acked: acked.Load(), execs: execs.Load(), migrations: client.Metrics().ThreadMigrations}
+}
+
+// TestAbandonedNodeNeverExecutes is the stall guard's claim rule on the
+// shipped code: around wedged leaders, every acknowledged call executed
+// once and no abandoned node executed at all. The flockmut build runs the
+// same scenario with mutClaimTimedOut switched on and requires more
+// executions than acknowledged calls.
+func TestAbandonedNodeNeverExecutes(t *testing.T) {
+	run := abandonBehindWedgedLeader(t)
+	if t.Failed() {
+		return
+	}
+	if run.acked != 32 {
+		t.Fatalf("%d of 32 calls acknowledged", run.acked)
+	}
+	if run.execs != run.acked {
+		t.Fatalf("%d handler executions for %d acknowledged calls", run.execs, run.acked)
+	}
+	if run.migrations == 0 {
+		t.Fatal("no thread re-elected around a wedged leader — the run was vacuous")
+	}
+}
+
 // qpnOfQP reads a connQP's current queue pair number using the pollers'
 // exclusion protocol, so it cannot race the recycler's swap of q.qp:
 // holding the poll role with broken unset pins the QP.

@@ -64,7 +64,9 @@ func (c *Conn) processBatch(th *Thread, q *connQP, batch []*tcqNode) uint32 {
 	rpc, mem := q.rpcScratch[:0], q.memScratch[:0]
 	for _, n := range batch {
 		if n != batch[0] && !n.state.CompareAndSwap(stateWaiting, stateClaimed) {
-			continue // timed out and gone
+			if !mutantOn(mutClaimTimedOut) || n.state.Load() != stateTimedOut {
+				continue // timed out and gone
+			}
 		}
 		if n.kind == opRPC {
 			rpc = append(rpc, n)
@@ -119,7 +121,9 @@ func (c *Conn) processBatch(th *Thread, q *connQP, batch []*tcqNode) uint32 {
 			q.reqStaging.WriteAt(metaBuf[:], cursor) //nolint:errcheck // reserved span
 			n.bufOff = cursor + itemMetaBytes
 			cursor += itemSpace(len(n.payload))
-			if n == batch[0] || n.leaderCopies || len(n.payload) <= leaderCopyMax {
+			if mutantOn(mutBatchDropTail) && len(rpc) > 1 && n == rpc[len(rpc)-1] {
+				n.copied.Store(1) // marked copied, never staged
+			} else if n == batch[0] || n.leaderCopies || len(n.payload) <= leaderCopyMax {
 				// Our own node, or a batch-submission node whose submitter
 				// polls a whole chain at once: the leader copies the payload
 				// itself — asking such a node's owner to copy could be asking

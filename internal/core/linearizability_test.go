@@ -57,12 +57,23 @@ func assertTelemetryInvariants(t *testing.T, tc *testCluster) {
 	}
 }
 
-// TestLinearizableEchoConcurrent drives concurrent echo traffic through
-// shared QPs and checks the recorded history against EchoModel: every
-// response must be the caller's own payload, never a cross-wired or stale
-// buffer from the coalescing path.
-func TestLinearizableEchoConcurrent(t *testing.T) {
-	tc := newTestCluster(t, 1, Options{QPsPerConn: 2}, Options{QPsPerConn: 2})
+// checkedRun is a scenario's cluster and the checker's verdict on the
+// history it recorded.
+type checkedRun struct {
+	tc  *testCluster
+	res check.Result
+}
+
+// sharedQPs is the concurrent echo scenario's default input: two QPs shared
+// by eight threads, so leaders coalesce multi-item batches.
+var sharedQPs = Options{QPsPerConn: 2}
+
+// echoConcurrently drives eight threads of synchronous echo calls through
+// one connection built from sOpts and cOpts and checks the recorded history
+// against EchoModel. A leader that posts a batch item it never staged
+// (mutBatchDropTail) answers that call with the ring's stale bytes.
+func echoConcurrently(t *testing.T, sOpts, cOpts Options) checkedRun {
+	tc := newTestCluster(t, 1, sOpts, cOpts)
 	registerEcho(tc.server)
 	conn, err := tc.clients[0].Connect(0)
 	if err != nil {
@@ -91,13 +102,41 @@ func TestLinearizableEchoConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if t.Failed() {
-		return
+	return checkedRun{tc: tc, res: check.Check(check.EchoModel(), rec.History())}
+}
+
+// TestLinearizableEchoConcurrent drives concurrent echo traffic through
+// shared QPs and checks the recorded history against EchoModel: every
+// response must be the caller's own payload, never a cross-wired or stale
+// buffer from the coalescing path. The second input starves the leaders of
+// credits (C = 2) and lets the server keep one of the connection's two QPs
+// active (MAX_AQP = 1), so the QP scheduler redistributes threads while
+// they combine.
+func TestLinearizableEchoConcurrent(t *testing.T) {
+	for _, c := range []struct {
+		name         string
+		sOpts, cOpts Options
+	}{
+		{"shared-qps", sharedQPs, sharedQPs},
+		{"starved-redistributed", Options{QPsPerConn: 2, Credits: 2, MaxActiveQPs: 1}, Options{QPsPerConn: 2, Credits: 2}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			run := echoConcurrently(t, c.sOpts, c.cOpts)
+			if t.Failed() {
+				return
+			}
+			if !run.res.Ok {
+				t.Fatalf("echo history not linearizable:\n%s", run.res)
+			}
+			if c.sOpts.MaxActiveQPs == 1 {
+				deact, migr := run.tc.server.Metrics().QPDeactivations, run.tc.clients[0].Metrics().ThreadMigrations
+				if deact == 0 || migr == 0 {
+					t.Fatalf("%d QP deactivations, %d thread migrations — the redistribution was vacuous", deact, migr)
+				}
+			}
+			assertTelemetryInvariants(t, run.tc)
+		})
 	}
-	if res := check.Check(check.EchoModel(), rec.History()); !res.Ok {
-		t.Fatalf("echo history not linearizable:\n%s", res)
-	}
-	assertTelemetryInvariants(t, tc)
 }
 
 // TestLinearizableFetchAdd checks the one-sided fetch-add verb under
@@ -152,13 +191,15 @@ func TestLinearizableFetchAdd(t *testing.T) {
 	assertTelemetryInvariants(t, tc)
 }
 
-// TestLinearizableKVUnderFaults records put/get traffic against the
-// kvstore handlers while a seeded fault plan breaks QPs underneath, and
-// checks the history against MonotonicKVModel — the at-least-once
-// contract the guarded put handler provides. Calls that fail with an
-// ambiguous error are recorded as pending (they may or may not have
-// applied); a lost acknowledged put or a stale read is still a violation.
-func TestLinearizableKVUnderFaults(t *testing.T) {
+// kvUnderFaults records put/get traffic against the kvstore handlers while
+// a seeded fault plan breaks QPs underneath, and checks the history against
+// MonotonicKVModel — the at-least-once contract the guarded put handler
+// provides. Calls that fail with an ambiguous error are recorded as pending
+// (they may or may not have applied); a lost acknowledged put or a stale
+// read is still a violation. Recovery that answers the calls riding a
+// broken QP with an empty OK (mutRecycleAckInflight) makes a get read
+// nothing after a put was acknowledged.
+func kvUnderFaults(t *testing.T) checkedRun {
 	sOpts := Options{QPsPerConn: 2}
 	cOpts := Options{
 		QPsPerConn:   2,
@@ -237,18 +278,25 @@ func TestLinearizableKVUnderFaults(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	return checkedRun{tc: tc, res: check.CheckTimeout(check.MonotonicKVModel(), rec.History(), 30*time.Second)}
+}
+
+// TestLinearizableKVUnderFaults runs the kv-under-faults scenario on the
+// shipped recovery path: the plan must inject faults and the history must
+// be linearizable.
+func TestLinearizableKVUnderFaults(t *testing.T) {
+	run := kvUnderFaults(t)
 	if t.Failed() {
 		return
 	}
-	if fs := tc.net.Fabric().FaultCounters(); fs.RCDropped == 0 && fs.LinkDownDrops == 0 {
+	if fs := run.tc.net.Fabric().FaultCounters(); fs.RCDropped == 0 && fs.LinkDownDrops == 0 {
 		t.Fatal("fault plan injected nothing — the checked run was vacuous")
 	}
-	res := check.CheckTimeout(check.MonotonicKVModel(), rec.History(), 30*time.Second)
-	if !res.Ok {
-		t.Fatalf("kv history under faults not linearizable:\n%s", res)
+	if !run.res.Ok {
+		t.Fatalf("kv history under faults not linearizable:\n%s", run.res)
 	}
-	if res.TimedOut {
+	if run.res.TimedOut {
 		t.Log("checker hit its time budget; no violation found")
 	}
-	assertTelemetryInvariants(t, tc)
+	assertTelemetryInvariants(t, run.tc)
 }

@@ -95,7 +95,12 @@ func TestDedupSingleExecution(t *testing.T) {
 	var execs atomic.Uint64
 	entered := make(chan struct{})
 	release := make(chan struct{})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
 	tc := newTestCluster(t, 1, Options{Workers: 2}, Options{})
+	// Before the nodes close: a failed assertion below would otherwise
+	// leave the original's handler blocked, and Close waiting on it.
+	t.Cleanup(unblock)
 	tc.server.RegisterHandler(countID, func(req []byte) []byte {
 		if execs.Add(1) == 1 {
 			close(entered)
@@ -127,7 +132,7 @@ func TestDedupSingleExecution(t *testing.T) {
 		t.Fatalf("racing duplicate: %v, want the StatusOverloaded NACK as ErrOverloaded", err)
 	}
 
-	close(release)
+	unblock()
 	rA, err := pA.Wait()
 	if err != nil {
 		t.Fatal(err)

@@ -186,6 +186,9 @@ func (p *pendingTable) expire(now time.Time) {
 func (p *pendingTable) complete(seq, mask uint64, r Response) bool {
 	p.mu.Lock()
 	seq = p.seq - (p.seq-seq)&mask
+	if mutantOn(mutPipelineMisroute) && mask == wholeSeq {
+		seq = p.newestOutstanding(seq)
+	}
 	rec := p.recs[seq]
 	if rec == nil || rec.done {
 		p.mu.Unlock()

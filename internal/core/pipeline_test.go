@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"flock/internal/check"
 	"flock/internal/fabric"
 )
 
@@ -272,13 +273,17 @@ func TestOverloadAbandonAccountingRace(t *testing.T) {
 	callUntilOK(t, threads[0], []byte("post-race"))
 }
 
-// TestCallInterleavesWithAsync drives a mixed workload on one thread — a
-// window of CallAsync futures with synchronous Calls issued between them —
-// over a seeded lossy fabric, and asserts every response routes to exactly
-// the request that owns it. Under the old respCh scan this interleaving
-// was a documented footgun; the completion table must make it correct by
-// construction.
-func TestCallInterleavesWithAsync(t *testing.T) {
+// interleaveAsyncAndSync drives a mixed workload on one thread — a window
+// of CallAsync futures with synchronous Calls issued between them — over a
+// seeded lossy fabric, and checks the recorded history against EchoModel:
+// every response must route to exactly the request that owns it. A call
+// that fails transiently is recorded pending and offered again, as a call
+// of its own, until it lands. Every call is its own checker client, since
+// the window overlaps the thread's calls. The history is checked once the
+// thread's pending-call table is empty. A completion path that hands a
+// response to the thread's newest outstanding call (mutPipelineMisroute)
+// answers one call with another's payload.
+func interleaveAsyncAndSync(t *testing.T) checkedRun {
 	sOpts := Options{Workers: 4}
 	cOpts := Options{RPCTimeout: 250 * time.Millisecond}
 	retry := CallOptions{MaxAttempts: 6}
@@ -292,72 +297,91 @@ func TestCallInterleavesWithAsync(t *testing.T) {
 	}
 	th := conn.RegisterThread()
 
-	verify := func(payload []byte, r Response, err error) {
+	rec := check.NewRecorder()
+	client := 0
+	settle := func(call int64, payload []byte, r Response, err error) {
 		t.Helper()
-		if err != nil {
+		in := check.EchoIn{Payload: string(payload)}
+		deadline := time.Now().Add(chaosDeadline)
+		for err != nil {
 			if err != ErrOverloaded && !errors.Is(err, ErrTimeout) && !errors.Is(err, ErrQPBroken) {
 				t.Fatalf("fatal error for %q: %v", payload, err)
 			}
-			// Transient exhaustion under loss: re-offer until it lands.
-			deadline := time.Now().Add(chaosDeadline)
-			for {
-				r, err = th.CallOpts(echoID, payload, retry)
-				if err == nil {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("%q never completed: %v", payload, err)
-				}
-				time.Sleep(200 * time.Microsecond)
+			if time.Now().After(deadline) {
+				t.Fatalf("%q never completed: %v", payload, err)
 			}
+			client++
+			rec.EndPending(client, call, in)
+			time.Sleep(200 * time.Microsecond)
+			call = rec.Begin()
+			r, err = th.CallOpts(echoID, payload, retry)
 		}
-		if !bytes.Equal(r.Data, payload) {
-			t.Fatalf("response misrouted: got %q, want %q", r.Data, payload)
-		}
+		client++
+		rec.End(client, call, in, check.EchoOut{Payload: string(r.Data), Status: r.Status})
 		r.Release()
 	}
 
 	type inflight struct {
 		p       *Pending
+		call    int64
 		payload []byte
 	}
 	const total, depth = 160, 8
 	var window []inflight
 	for i := 0; i < total; i++ {
 		payload := []byte(fmt.Sprintf("async-%03d", i))
+		call := rec.Begin()
 		p, err := th.CallAsync(echoID, payload, retry)
 		if err != nil {
 			t.Fatalf("CallAsync: %v", err)
 		}
-		window = append(window, inflight{p, payload})
+		window = append(window, inflight{p, call, payload})
 		if len(window) >= depth {
 			f := window[0]
 			window = window[:copy(window, window[1:])]
 			r, err := f.p.Wait()
-			verify(f.payload, r, err)
+			settle(f.call, f.payload, r, err)
 		}
 		if i%5 == 0 {
 			// A synchronous call right through the middle of the async
 			// window, on the same thread.
 			sp := []byte(fmt.Sprintf("sync-%03d", i))
+			call := rec.Begin()
 			r, err := th.CallOpts(echoID, sp, retry)
-			verify(sp, r, err)
+			settle(call, sp, r, err)
 		}
 	}
 	for _, f := range window {
 		r, err := f.p.Wait()
-		verify(f.payload, r, err)
+		settle(f.call, f.payload, r, err)
 	}
 	waitFor(t, "pending table to empty", func() bool { return th.Outstanding() == 0 })
+	return checkedRun{tc: tc, res: check.Check(check.EchoModel(), rec.History())}
 }
 
-// TestDedupAsyncRetrySingleExecution is the async parity check for
-// idempotent dedup: a CallAsync whose first attempt times out client-side
-// while the handler is still executing must retry under the same
-// idempotency key, get NACKed or served from the dedup window, and
-// resolve with the first execution's bytes — the handler runs exactly
-// once.
-func TestDedupAsyncRetrySingleExecution(t *testing.T) {
+// TestCallInterleavesWithAsync runs the interleaving scenario on the
+// shipped completion table: the history must be linearizable.
+func TestCallInterleavesWithAsync(t *testing.T) {
+	if res := interleaveAsyncAndSync(t).res; !res.Ok {
+		t.Fatalf("interleaved history not linearizable:\n%s", res)
+	}
+}
+
+// dedupRun is what one run of the keyed-retry scenario observed.
+type dedupRun struct {
+	tc    *testCluster
+	th    *Thread
+	resp  Response // the call's answer; the caller releases it
+	execs uint64   // handler executions when the call was answered
+}
+
+// retryWhileOriginalExecutes is the keyed-retry scenario: a CallAsync whose
+// first attempt times out client-side while the handler is still executing
+// must retry under the same idempotency key, get NACKed or served from the
+// dedup window, and resolve with the first execution's bytes — the handler
+// runs once. A server that skips the dedup window (mutDedupSkip) runs the
+// retry as well.
+func retryWhileOriginalExecutes(t *testing.T) dedupRun {
 	const countID = 22
 	var execs atomic.Uint64
 	cOpts := Options{
@@ -390,23 +414,32 @@ func TestDedupAsyncRetrySingleExecution(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
+	return dedupRun{tc: tc, th: th, resp: r, execs: execs.Load()}
+}
+
+// TestDedupAsyncRetrySingleExecution is the async parity check for
+// idempotent dedup, on the keyed-retry scenario: the call resolves with the
+// first execution's bytes and the handler executed exactly once.
+func TestDedupAsyncRetrySingleExecution(t *testing.T) {
+	run := retryWhileOriginalExecutes(t)
+	r := run.resp
+	defer r.Release()
 	if r.Status != StatusOK {
 		t.Fatalf("status %d, want StatusOK", r.Status)
 	}
 	if !bytes.Equal(r.Data, []byte{1}) {
 		t.Fatalf("got %v, want the first execution's bytes", r.Data)
 	}
-	r.Release()
-	if n := execs.Load(); n != 1 {
-		t.Fatalf("handler executed %d times, want exactly 1 — retries must dedup", n)
+	if run.execs != 1 {
+		t.Fatalf("handler executed %d times, want exactly 1 — retries must dedup", run.execs)
 	}
-	if m := tc.clients[0].Metrics(); m.Retries == 0 {
+	if m := run.tc.clients[0].Metrics(); m.Retries == 0 {
 		t.Fatal("no retry recorded — the dedup run was vacuous")
 	}
-	if m := tc.server.Metrics(); m.DedupHits == 0 {
+	if m := run.tc.server.Metrics(); m.DedupHits == 0 {
 		t.Fatalf("no dedup hit recorded (metrics %+v)", m)
 	}
-	waitFor(t, "straggler responses to resolve", func() bool { return th.Outstanding() == 0 })
+	waitFor(t, "straggler responses to resolve", func() bool { return run.th.Outstanding() == 0 })
 }
 
 // TestAsyncRetryDrivenByDone drives a keyed CallAsync through an attempt

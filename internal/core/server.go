@@ -494,7 +494,7 @@ func nackOut(m itemMeta, status uint32) respOut {
 // or running twice. The window commits when the reply is sent (Reply.Send).
 func (n *Node) execute(r *Reply) bool {
 	m := &r.out.meta
-	if m.idemKey != 0 {
+	if m.idemKey != 0 && !mutantOn(mutDedupSkip) {
 		res, verdict := r.sqp.sc.dedup.Begin(resilience.DedupKey{Thread: m.threadID, Key: m.idemKey})
 		switch verdict {
 		case resilience.DedupHit:
