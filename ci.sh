@@ -61,8 +61,12 @@ go test -race ./internal/cluster
 # with no pool lease, one version per chunk, and copies running both ways
 # between the same two regions on two devices' units (plus a copy within one
 # region) finish, because a copy takes the two region locks in one global
-# order.
-gate -race -count=10 -run 'TestPostSendNeverBlocks|TestDoorbellStress|TestCloseDuringDrain|TestRCVerbsLeaseNoBuffer|TestOpposedRegionCopies' ./internal/rnic
+# order. So are the three that pin the completion channel a parked poller
+# sleeps on: an armed region or CQ signals exactly once for what lands between
+# the arm and the block, an unarmed one (an exported region taking one-sided
+# writes and atomics) never, and a poller that arms and looks once more before
+# it blocks loses no wake to a writer on another goroutine.
+gate -race -count=10 -run 'TestPostSendNeverBlocks|TestDoorbellStress|TestCloseDuringDrain|TestRCVerbsLeaseNoBuffer|TestOpposedRegionCopies|TestArmedRegionSignalsOnce|TestArmedCQSignalsOnce|TestArmThenLookLosesNoWake' ./internal/rnic
 # The receive paths have the same shape: on a client whoever waits on a
 # completion drains its QP, and on a server the request dispatcher and any
 # idle pool goroutine pump the request rings through one function, each
@@ -90,7 +94,11 @@ gate -race -count=10 -run 'TestPostSendNeverBlocks|TestDoorbellStress|TestCloseD
 # unchanged until its finish — a ring full of held views included, and in a
 # node's echoes with and without a pool; a recycle must wait for a blocked
 # worker-lane handler, which must still read its request byte for byte.
-gate -race -count=10 -run 'TestRingViewsFinishOutOfOrder|TestRingFullOfHeldViews|TestRingHeldViewsBackPressureProducer|TestEchoReadsRequestsInPlace|TestRecycleWaitsOutWorkerHandler|TestPollRoleVersusRecycle|TestServerPollRoleVersusRecycle|TestServeOutcomes|TestInlineLaneAnswersWhileEveryWorkerBlocks|TestLateReplyRecyclesHandlesOnce|TestConnectRacingServe|TestCreditStarvedLeaderIsRenewed|TestCreditWatermark|TestNodeBackgroundGoroutines|TestCreditRenewalFlows|TestCreditRenewalSurvivesLoss|TestQPSchedulerDeactivatesUnderBudget|TestCloseRacingServeAndConnect|TestOneLoopServesBothRoles|TestBidirectionalNodes|TestWaiterDrainsItsOwnQP|TestDeadlineExpiresBySweep' ./internal/core
+# Idle is a wait: an idle connected pair's loops park on their devices'
+# completion channels and wake about once a schedule interval, and a waiter
+# parked on a late reply is woken by its armed response ring, not by the
+# schedule.
+gate -race -count=10 -run 'TestIdlePairParksItsLoops|TestParkedWaiterWokenByItsRing|TestRingViewsFinishOutOfOrder|TestRingFullOfHeldViews|TestRingHeldViewsBackPressureProducer|TestEchoReadsRequestsInPlace|TestRecycleWaitsOutWorkerHandler|TestPollRoleVersusRecycle|TestServerPollRoleVersusRecycle|TestServeOutcomes|TestInlineLaneAnswersWhileEveryWorkerBlocks|TestLateReplyRecyclesHandlesOnce|TestConnectRacingServe|TestCreditStarvedLeaderIsRenewed|TestCreditWatermark|TestNodeBackgroundGoroutines|TestCreditRenewalFlows|TestCreditRenewalSurvivesLoss|TestQPSchedulerDeactivatesUnderBudget|TestCloseRacingServeAndConnect|TestOneLoopServesBothRoles|TestBidirectionalNodes|TestWaiterDrainsItsOwnQP|TestDeadlineExpiresBySweep' ./internal/core
 # The recovery rules run as shipped in every fault test: a deadline expiry
 # strikes its QP only if no response arrived on it during the wait, a QP is
 # quarantined only for breaking again and again where its siblings' sends

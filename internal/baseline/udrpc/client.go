@@ -1,6 +1,7 @@
 package udrpc
 
 import (
+	"encoding/binary"
 	"time"
 
 	"flock/internal/rnic"
@@ -218,9 +219,9 @@ func (c *ClientThread) handleBatch(h pktHeader, payload []byte) *Response {
 	var first *Response
 	off := 0
 	for n := 0; n < int(h.fragCnt) && off+12 <= len(payload); n++ {
-		seq := getLE32(payload[off:])
-		rpcID := getLE32(payload[off+4:])
-		size := int(getLE32(payload[off+8:]))
+		seq := binary.LittleEndian.Uint32(payload[off:])
+		rpcID := binary.LittleEndian.Uint32(payload[off+4:])
+		size := int(binary.LittleEndian.Uint32(payload[off+8:]))
 		if off+12+size > len(payload) {
 			break
 		}

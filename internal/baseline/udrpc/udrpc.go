@@ -380,9 +380,9 @@ func (s *Server) flushResponses(qp *rnic.QP, out []pendingResp) {
 			pkt := b.Data()
 			off := hdrBytes
 			for _, q := range group[:n] {
-				putLE32(pkt[off:], q.seq)
-				putLE32(pkt[off+4:], q.rpcID)
-				putLE32(pkt[off+8:], uint32(len(q.data)))
+				binary.LittleEndian.PutUint32(pkt[off:], q.seq)
+				binary.LittleEndian.PutUint32(pkt[off+4:], q.rpcID)
+				binary.LittleEndian.PutUint32(pkt[off+8:], uint32(len(q.data)))
 				copy(pkt[off+12:], q.data)
 				off += 12 + len(q.data)
 			}
@@ -397,17 +397,6 @@ func (s *Server) flushResponses(qp *rnic.QP, out []pendingResp) {
 			group = group[n:]
 		}
 	}
-}
-
-func putLE32(b []byte, v uint32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
-
-func getLE32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }
 
 // handlePacket processes one inbound request datagram, returning the

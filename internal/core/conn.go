@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"flock/internal/fabric"
 	"flock/internal/resilience"
@@ -93,6 +92,9 @@ type Conn struct {
 	// pushback vs "give up" closure) instead of a generic ErrConnClosed.
 	failed  atomic.Bool
 	failErr atomic.Pointer[error]
+	// dead is closed by the fail that sets failed, for what blocks on the
+	// handle alone (RecvRes with nothing outstanding).
+	dead chan struct{}
 
 	// retryBudget is the connection-wide token bucket gating the retries
 	// of calls that asked for more than one attempt.
@@ -140,14 +142,9 @@ type connQP struct {
 	// and the send CQ, and only the holder touches respCons or cqBuf.
 	polling atomic.Bool
 	cqBuf   [16]rnic.Completion
-	// What the node's loop reads to leave the QP to its waiters: parked
-	// counts the waiters blocked on an attempt that rode it, served is bumped
-	// by the waiters polling it. reliefMark and reliefAt are the loop's own:
-	// the served value it saw last and when it changed.
-	parked     atomic.Int32
-	served     atomic.Uint32
-	reliefMark uint32
-	reliefAt   time.Duration
+	// parked counts the waiters blocked on an attempt that rode the QP: while
+	// it is nonzero the QP is the node's loop's (relieveConns).
+	parked atomic.Int32
 
 	// Fault state. broken marks the QP failed and under recycle: leaders
 	// bail out via active(), pollers skip it, and the recycler owns all of
@@ -228,6 +225,7 @@ func (n *Node) Connect(remote fabric.NodeID) (*Conn, error) {
 		node:        n,
 		remote:      remote,
 		retryBudget: resilience.NewBudget(DefaultRetryBudgetRatio, n.opts.test.retryBudgetBurst),
+		dead:        make(chan struct{}),
 	}
 	args := connectArgs{clientNode: n.id}
 	for i := 0; i < n.opts.QPsPerConn; i++ {
@@ -342,8 +340,8 @@ func (c *Conn) isClosed() bool {
 }
 
 // Close tears down the connection handle: subsequent operations return
-// ErrClosed, threads blocked in RecvRes are released once the node's loop
-// notices, and the handle is removed from the node's relief set.
+// ErrClosed, threads blocked on it — in a wait or in RecvRes — are released
+// at once, and the handle is removed from the node's relief set.
 // Server-side resources are reclaimed when the server node closes
 // (connection-level teardown messages are future work, as in the paper's
 // prototype).
@@ -372,6 +370,7 @@ func (c *Conn) fail(err error) {
 	if c.failed.Swap(true) {
 		return
 	}
+	close(c.dead)
 	for _, t := range c.snapshotThreads() {
 		t.pend.failMatching(-1, Response{Status: StatusConnClosed, err: err})
 	}

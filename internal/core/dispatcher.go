@@ -9,68 +9,85 @@ import (
 	"flock/internal/telemetry"
 )
 
-// This file is the client-side completion drain (§4.3): pollQP, the one
-// function that empties a QP's response ring and send CQ — relaying
-// responses to application threads by their tagged thread ID and
-// demultiplexing memory-operation completions by wr_id — and relieveConns,
-// the client half of the node's loop (run), which runs it for the QPs
-// nobody else is draining.
+// This file is the client-side completion drain (§4.3) — pollQP, the one
+// function that empties a QP's response ring and send CQ, routing responses
+// by their tagged thread ID and memory-operation completions by wr_id — and
+// the idle rule every poller of a node follows.
 //
 // The waiter is the poller. A thread waiting on a completion polls the QP its
 // attempt rode (Pending.awaitAttempt), and a leader starved of ring space
-// polls its own QP for the head refresh (awaitSpace), so the common
-// completion reaches its record on the goroutine that wants it, with no
-// hand-off. Each QP has a poll role taken with one CAS, as the software
-// RNIC's processing unit is (rnic.Device.unit): the holder drains the QP for
-// everyone — other threads' records included, through the same table and
-// token protocol — and a caller that loses the CAS leaves, because the holder
-// is draining for it. The node's loop is relief: it skips a QP a waiter is
-// serving and drains the rest — windows nobody waits on, QPs with a parked
-// waiter, a leader's head refresh, everything at close.
+// polls its own QP for the head refresh (awaitSpace). Each QP has a poll role
+// taken with one CAS, as the software RNIC's processing unit is: the holder
+// drains the QP for everyone, and a caller that loses the CAS leaves.
+//
+// Idle is a wait, as on a verbs completion channel: a poller that finds
+// nothing — a waiter, a pool goroutine (pool.go), the node's loop (run) —
+// polls on for its stint, then arms what it reads, polls once more and
+// blocks. An armed ring or CQ signals its device's channel (rnic.Device.Wake)
+// when the NIC next lands something there, and the node's loop, parked on it,
+// drains or pumps what the parked waiter or pool goroutine left armed. Only
+// what a parked poller reads is armed, so one-sided traffic into exported
+// regions wakes nobody. A wait no landing ends pauses instead.
 
-// putLE64 writes v little-endian into b[:8].
-func putLE64(b []byte, v uint64) {
-	_ = b[7]
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
-}
+// Bounds of a poller's stint: a waiter's in polls of its attempt's QP, a pool
+// goroutine's in rounds over the rings, the loop's in passes. A one-sided
+// op's completion is usually there on the first poll and a loopback echo's a
+// few dozen polls later (a poll and a yield cost about 0.15 us here), while a
+// key-value call waits ~100 us behind a worker, so its caller parks after
+// stintMin polls.
+const (
+	stintMin = 4
+	stintMax = 256
+)
 
-// idleBackoff cooperatively de-schedules a polling loop that found no
-// work: first yields, then sleeps briefly so idle nodes don't spin a core.
-// The 2 us rung (about 8 us on this VM) stays: without it, eight quick
-// sync-micro runs a side spread 246–308 K ops/s against 280–294 K with it,
-// and echo_unloaded's median moved 4.9 → 5.3 us (EXPERIMENTS.md, PR 25).
-func idleBackoff(idleRounds int) {
-	switch {
-	case idleRounds < 64:
+// stint is a poller's budget of empty polls before it parks: doubled after a
+// stint that found work, halved after one that ran out.
+type stint int
+
+func (s *stint) found()  { *s = min(2**s, stintMax) }
+func (s *stint) ranOut() { *s = max(*s/2, stintMin) }
+
+// idleNap is the package's one nap: a wait no landing ends (Drain, a pipeline
+// slot, a re-election round, room on a full response ring) yields for
+// stintMax rounds and then naps (pause), and the node's loop parks no longer
+// while its hand-off backlog holds messages.
+const idleNap = 20 * time.Microsecond
+
+// pause is round i of a wait no landing ends.
+func pause(i int) {
+	if i < stintMax {
 		runtime.Gosched()
-	case idleRounds < 1024:
-		time.Sleep(2 * time.Microsecond)
-	default:
-		time.Sleep(50 * time.Microsecond)
+	} else {
+		time.Sleep(idleNap)
 	}
 }
 
-// pollQP drains q if its poll role is free: the response ring into
+// pollQP drains q under its poll role: the response ring into
 // deliverResponse, the send CQ into routeSendCompletion. A pass that routed
 // a response moves q.heard, one that routed an OK send completion q.sent:
-// the evidence recovery.go judges the QP by. A broken QP
-// belongs to its recycler, which waits for the role to be free and is
-// excluded by the broken check made under it. It returns how many
-// completions it routed and counts them in by — the waiter or the relief
-// counter.
-func (c *Conn) pollQP(q *connQP, by *telemetry.Counter) int {
-	if !q.polling.CompareAndSwap(false, true) {
-		return 0 // the holder is draining for us
+// the evidence recovery.go judges the QP by. A broken QP belongs to its
+// recycler, which waits for the role to be free and is excluded by the
+// broken check made under it. It returns how many completions it routed and
+// counts them in by — the waiter or the relief counter.
+//
+// A caller that loses the role's CAS leaves, since the holder is draining
+// for it — unless it is about to block on q (arm): then it waits for the role,
+// as the holder may have looked before the arm, and arms q's response ring
+// and send CQ before it drains. A broken QP is not armed (its recycler
+// poisons every record that rode it), nor a closing node's.
+func (c *Conn) pollQP(q *connQP, by *telemetry.Counter, arm bool) int {
+	for !q.polling.CompareAndSwap(false, true) {
+		if !arm || c.node.closing() {
+			return 0
+		}
+		runtime.Gosched()
 	}
 	n := 0
 	if !q.broken.Load() {
+		if arm {
+			q.respRing.Arm()
+			q.qp.SendCQ().Arm()
+		}
 		// Response ring: the poll buffer is retained once per delivered
 		// response and the poller's own reference dropped after the fan-out.
 		for {
@@ -113,53 +130,21 @@ func (c *Conn) pollQP(q *connQP, by *telemetry.Counter) int {
 	return n
 }
 
-// reliefPeriod is how long the node's loop leaves a QP to the waiters after
-// one of them was last seen polling it. Waiters mark themselves every few
-// dozen polls, so a waiter that is still at it is never out of date; the
-// period only decides how soon a window nobody waits on is relieved.
-const reliefPeriod = 200 * time.Microsecond
-
-// reliefNap is how long the node's loop sleeps after a pass that found
-// nothing while pollers serve every QP it has: waiters theirs with none
-// parked, the pool its rings.
-const reliefNap = 50 * time.Microsecond
-
-// leftToWaiter reports whether the node's loop may skip q this pass: no
-// waiter is parked on it, no leader waits for a head refresh on it, and a
-// waiter polled it within reliefPeriod. now is the loop's clock.
-func (q *connQP) leftToWaiter(now time.Duration) bool {
-	if q.parked.Load() != 0 || q.refreshPending.Load() {
-		return false
-	}
-	if s := q.served.Load(); s != q.reliefMark {
-		q.reliefMark, q.reliefAt = s, now
-		return true
-	}
-	return q.reliefAt != 0 && now-q.reliefAt < reliefPeriod
-}
-
-// relieveConns is run's client half: it drains every outbound QP no waiter
-// serves, and all of them when closing. busy reports that it drained
-// something; left that it skipped a QP a waiter serves and found none
-// parked on, or that the node has no outbound QP — either way a waiter is
-// already polling, and spinning beside it would only take its processor.
-func (n *Node) relieveConns(clk *passClock, closing bool) (busy, left bool) {
-	conns := n.snapshotConns()
-	parked, served := false, false
-	for _, c := range conns {
+// relieveConns is run's client half. A QP is the loop's while a waiter is
+// parked on it: relieveConns drains those, with arm set before the loop
+// parks (one landing spends an arm, and the waiter may be waiting still),
+// and every QP once the node is closing. The rest are their waiters', and
+// the loop leaves them to the schedule's pass, which relieves the windows
+// nobody waits on. It reports whether it drained something.
+func (n *Node) relieveConns(all, arm bool) (busy bool) {
+	for _, c := range n.snapshotConns() {
 		for _, q := range c.qps {
-			if q.parked.Load() != 0 {
-				parked = true
-			} else if !closing && q.leftToWaiter(clk.since()) {
-				served = true
-				continue
-			}
-			if c.pollQP(q, &n.metrics.reliefCompletions) > 0 {
+			if (all || q.parked.Load() != 0) && c.pollQP(q, &n.metrics.reliefCompletions, arm) > 0 {
 				busy = true
 			}
 		}
 	}
-	return busy, len(conns) == 0 || served && !parked
+	return busy
 }
 
 // deliverResponse routes one decoded response to its completion record in

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -63,7 +64,7 @@ func TestRingGarbageIsNotConsumed(t *testing.T) {
 	garbage := make([]byte, msgSpace([]int{0}))
 	putHeader(garbage, header{totalLen: uint32(len(garbage)), count: 1, canary: 0xABCD, flags: flagItemMetaV2})
 	putItemMeta(garbage[headerBytes:], itemMeta{threadID: th.ID(), seqID: p.rec.seq, rpcID: blockID})
-	putLE64(garbage[len(garbage)-trailerBytes:], 0x9999) // trailing canary differs
+	binary.LittleEndian.PutUint64(garbage[len(garbage)-trailerBytes:], 0x9999) // trailing canary differs
 	if err := q.respRing.WriteAt(garbage, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -444,17 +445,24 @@ func TestConnCloseReleasesAndRejects(t *testing.T) {
 	if err := callDrop(th, echoID, []byte("pre-close")); err != nil {
 		t.Fatal(err)
 	}
-	blocked := make(chan error, 1)
-	go func() {
-		err := recvDrop(th)
-		blocked <- err
-	}()
+	blocked := make(chan error, 2)
+	for _, rt := range []*Thread{th, conn.RegisterThread()} { // the second never sent
+		go func() { blocked <- recvDrop(rt) }()
+	}
 	time.Sleep(2 * time.Millisecond)
 	conn.Close()
 	// Close poisons in-flight waiters with the typed ErrConnClosed, which
-	// wraps ErrClosed for legacy callers.
-	if err := <-blocked; !errors.Is(err, ErrClosed) {
-		t.Fatalf("blocked RecvRes after Close: %v", err)
+	// wraps ErrClosed for legacy callers, and releases a RecvRes with nothing
+	// outstanding on its own: the node stays up.
+	for range 2 {
+		select {
+		case err := <-blocked:
+			if !errors.Is(err, ErrConnClosed) {
+				t.Fatalf("blocked RecvRes after Close: %v", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a RecvRes with nothing outstanding outlived Conn.Close")
+		}
 	}
 	if _, err := th.SendRPC(echoID, []byte("x")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("SendRPC after Close: %v", err)

@@ -244,7 +244,7 @@ func (c *Conn) awaitSpace(q *connQP, msgLen int) (reservation, uint32) {
 		// The refresh completes on our own QP's send CQ: poll it here rather
 		// than wait for another goroutine to be scheduled. The poll role is
 		// not the leader role, so holding q.leaders cannot deadlock it.
-		c.pollQP(q, &c.node.metrics.waiterCompletions)
+		c.pollQP(q, &c.node.metrics.waiterCompletions, false)
 		spins++
 		if spins%256 == 0 && time.Now().After(deadline) {
 			c.noteLeaderStall(q)

@@ -281,15 +281,14 @@ type Node struct {
 
 	// Worker pool (Options.Workers > 0; pool.go). workCh carries the
 	// worker-lane messages relief pumped to parked pool goroutines; pumpers
-	// counts the pool goroutines in a polling stint and poolServed is their
-	// stamp, bumped every 32 rounds, that relief reads to leave the rings to
-	// them. replyFree, with or without a pool, recycles the reply-handle
-	// blocks nobody holds any more (server.go's replyBlock). newNode makes
-	// both channels, so nothing the node's loop reads is written later.
-	workCh     chan workUnit
-	replyFree  chan *replyBlock
-	pumpers    atomic.Int32
-	poolServed atomic.Uint64
+	// counts the pool goroutines in a polling stint, and relief leaves the
+	// rings to them while there is one. replyFree, with or without a pool,
+	// recycles the reply-handle blocks nobody holds any more (server.go's
+	// replyBlock). newNode makes both channels, so nothing the node's loop
+	// reads is written later.
+	workCh    chan workUnit
+	replyFree chan *replyBlock
+	pumpers   atomic.Int32
 
 	// Client role.
 	connMu    sync.Mutex
@@ -324,6 +323,9 @@ type Node struct {
 		// Worker-lane requests pumped by the pool goroutine that then
 		// executes them, and by relief, which hands them off.
 		workerPumped, reliefPumped telemetry.Counter
+		// Parks of the node's loop that ended: a landing on what it or a
+		// parked poller armed, its next due work, or close.
+		loopWakes telemetry.Counter
 	}
 
 	// tel is the node's telemetry registry; the histograms and the trace
@@ -396,6 +398,7 @@ func (n *Node) publishTelemetry() {
 	cf("completions_relief", &n.metrics.reliefCompletions)
 	cf("requests_pumped_worker", &n.metrics.workerPumped)
 	cf("requests_pumped_relief", &n.metrics.reliefPumped)
+	cf("loop_wakes", &n.metrics.loopWakes)
 
 	n.degOut = n.tel.Hist("core.coalesce_degree_out")
 	n.degIn = n.tel.Hist("core.coalesce_degree_in")
@@ -624,7 +627,7 @@ func (n *Node) Drain(ctx context.Context) error {
 			default:
 			}
 		}
-		idleBackoff(i)
+		pause(i)
 	}
 }
 
@@ -705,58 +708,46 @@ func (n *Node) startLocked() {
 	}
 }
 
-// passClock is run's clock, read at most once a pass and only by what needs
-// it: a Workers 0 server's loop that only pumps its rings reads it once in
-// 32 passes and messages.
-type passClock struct {
-	start time.Time
-	now   time.Duration
-	read  bool
-}
-
-// since returns the time since start, read on the pass's first call.
-func (c *passClock) since() time.Duration {
-	if !c.read {
-		c.now, c.read = time.Since(c.start), true
-	}
-	return c.now
-}
-
 // run is the node's one goroutine (§4.3's dispatcher, §5's schedulers). Each
-// pass relieves the outbound QPs no waiter serves (relieveConns), then the
-// request rings no pool goroutine polls (relieveRings), and every
-// DefaultSchedInterval runs schedule. A pass that found work starts the
-// next at once; one whose halves both left every QP to its pollers naps
-// reliefNap, since a poller is already at it; any other backs off. Once the
-// node is closing it makes one last pass over every outbound QP, drops the
-// messages it could not hand off, and leaves.
+// pass relieves the outbound QPs a waiter is parked on (relieveConns), then
+// the request rings no pool goroutine polls (relieveRings), and every
+// DefaultSchedInterval runs schedule. A pass that found work starts the next
+// at once. Idle passes are the loop's stint; when it runs out the loop arms
+// what it relieves (relieveConns with arm, armRings) and, if that last look
+// found nothing, parks on the device's completion channel until a landing
+// there, close or its next due work: the schedule or, while messages wait in
+// its hand-off backlog, idleNap. Once the node is closing it makes one last
+// pass over every outbound QP, drops the messages it could not hand off, and
+// leaves.
 func (n *Node) run() {
 	defer n.wg.Done()
-	clk := passClock{start: time.Now()}
+	start := time.Now()
+	timer := time.NewTimer(time.Hour) // the park timer: stopped and empty between parks
+	timer.Stop()
 	var rings ringRelief
-	var schedAt time.Duration
+	var now, schedAt time.Duration
+	s := stint(stintMin)
 	idle, unclocked := 0, 0
 	for {
-		clk.read = false
 		closing := n.closing()
-		connsBusy, connsLeft := n.relieveConns(&clk, closing)
+		busy := n.relieveConns(closing, false)
 		if closing {
 			for _, u := range rings.backlog {
 				n.dropUnit(u)
 			}
 			return
 		}
-		pumped, ringsLeft := n.relieveRings(&rings, &clk)
-		busy := connsBusy || pumped > 0
+		pumped := n.relieveRings(&rings)
+		busy = busy || pumped > 0
 		// An idle pass looks at the clock for the schedule, and so does a
 		// busy one once 32 passes and messages went by unclocked: a Workers
 		// 0 server under continuous load has no idle pass, and its sweep
 		// must still run.
-		if unclocked += 1 + pumped; clk.read || !busy || unclocked >= 32 {
+		if unclocked += 1 + pumped; !busy || unclocked >= 32 {
 			unclocked = 0
-			if now := clk.since(); now-schedAt >= DefaultSchedInterval {
+			if now = time.Since(start); now-schedAt >= DefaultSchedInterval {
 				schedAt = now
-				n.schedule(clk.start.Add(now))
+				n.schedule(start.Add(now))
 				// A waiter the sweep resolved is readied onto this
 				// goroutine's processor, and a busy loop would keep it
 				// there until the runtime preempts the loop, 10 ms on.
@@ -767,23 +758,59 @@ func (n *Node) run() {
 		}
 		switch {
 		case busy:
+			if idle > 0 {
+				s.found()
+			}
 			idle = 0
-		case connsLeft && ringsLeft:
-			idle = 0
-			time.Sleep(reliefNap)
-		default:
+		case idle < int(s):
 			idle++
-			idleBackoff(idle)
+			runtime.Gosched()
+		default:
+			s.ranOut()
+			idle = 0
+			if n.relieveConns(false, true) || n.pumpers.Load() == 0 && n.armRings() {
+				continue // the last look found something
+			}
+			wait := schedAt + DefaultSchedInterval - now
+			if len(rings.backlog) > 0 {
+				wait = min(wait, idleNap)
+			}
+			timer.Reset(wait)
+			select {
+			case <-n.dev.Wake():
+			case <-timer.C:
+			case <-n.done:
+			}
+			if !timer.Stop() {
+				select { // fired, and not received above
+				case <-timer.C:
+				default:
+				}
+			}
+			n.metrics.loopWakes.Add(1)
 		}
 	}
 }
 
-// schedule is the node's periodic work: it sweeps its outbound connections'
-// pending-call tables for overdue attempts (so no call arms a timer of its
-// own) and runs the thread scheduler on each, then the QP scheduler's
-// redistribute over the inbound ones.
+// kick makes the node's loop look: a pass now if it is parked, or one more
+// before it parks next.
+func (n *Node) kick() {
+	select {
+	case n.dev.Wake() <- struct{}{}:
+	default:
+	}
+}
+
+// schedule is the node's periodic work: it drains its outbound QPs — the
+// relief of windows nobody waits on — and sweeps their pending-call tables
+// for overdue attempts (so no call arms a timer of its own), runs the thread
+// scheduler on each connection, then the QP scheduler's redistribute over
+// the inbound ones.
 func (n *Node) schedule(now time.Time) {
 	for _, c := range n.snapshotConns() {
+		for _, q := range c.qps {
+			c.pollQP(q, &n.metrics.reliefCompletions, false)
+		}
 		for _, t := range c.snapshotThreads() {
 			t.pend.expire(now)
 		}

@@ -474,25 +474,13 @@ func (p *Pending) armAttempt() {
 	p.phase = pendInflight
 }
 
-// Bounds of a thread's polling stint, in polls of its attempt's QP: the
-// stint halves after one that ended in parking and doubles after one that
-// collected its token, so it follows what the thread sees of its own round
-// trips. A memory operation's completion is usually on the CQ by the time
-// its leader returns and a loopback echo's a few dozen polls later, while a
-// key-value call waits a hundred microseconds behind a worker; stintMax is
-// well short of that (a poll and a yield cost about 0.15 us here), so such
-// a caller parks after stintMin polls.
-const (
-	stintMin = 4
-	stintMax = 256
-)
-
 // awaitAttempt waits for the in-flight attempt to resolve: its completion
 // token, whichever completer sends it — the attempt's deadline included,
 // which the sweep delivers as an expiry poison. The waiter is the poller:
 // before it parks it drains the QP its attempt rode for a stint, completing
-// its own record and any other thread's it finds there; Done makes one
-// such pass. It returns false when nothing is ready and block is false.
+// its own record and any other thread's it finds there, and then arms the
+// QP for the node's loop (see stint); Done makes one such pass. It returns
+// false when nothing is ready and block is false.
 func (p *Pending) awaitAttempt(block bool) bool {
 	t := p.t
 	c := t.conn
@@ -502,8 +490,7 @@ func (p *Pending) awaitAttempt(block bool) bool {
 	}
 	q := c.qps[p.rec.qp.Load()]
 	if !block {
-		q.served.Add(1)
-		c.pollQP(q, &c.node.metrics.waiterCompletions)
+		c.pollQP(q, &c.node.metrics.waiterCompletions, false)
 		if p.tokenReady() {
 			return p.onToken()
 		}
@@ -516,24 +503,20 @@ func (p *Pending) awaitAttempt(block bool) bool {
 			return false
 		}
 	}
-	for i := 0; i < t.stint; i++ {
-		if i%32 == 0 {
-			q.served.Add(1) // still here: the node's loop keeps out
-		}
-		c.pollQP(q, &c.node.metrics.waiterCompletions)
+	for range t.stint {
+		c.pollQP(q, &c.node.metrics.waiterCompletions, false)
 		if p.tokenReady() {
-			t.stint = min(2*t.stint, stintMax)
+			t.stint.found()
 			return p.onToken()
 		}
 		runtime.Gosched()
 	}
-	t.stint = max(t.stint/2, stintMin)
-	// Park. The parked count hands the QP back to the node's loop; one more
-	// pass covers a completion that landed before the loop could see the
-	// count.
+	t.stint.ranOut()
+	// Park: the parked count makes the QP the node's loop's, and the last
+	// poll arms it, so a completion that lands later wakes the loop.
 	q.parked.Add(1)
 	defer q.parked.Add(-1)
-	c.pollQP(q, &c.node.metrics.waiterCompletions)
+	c.pollQP(q, &c.node.metrics.waiterCompletions, true)
 	select {
 	case <-p.rec.ch:
 		return p.onToken()

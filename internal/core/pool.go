@@ -2,7 +2,6 @@ package core
 
 import (
 	"runtime"
-	"time"
 
 	"flock/internal/rnic"
 )
@@ -15,9 +14,9 @@ import (
 // (dispatcher.go).
 //
 // The worker is the poller. A pool goroutine with nothing to execute polls
-// the node's request rings for a stint. When it wins a QP's poll role it
-// pulls one message, runs admission control and the inline lane, releases
-// the role so a sibling can pull the next message, and executes the
+// the node's request rings for a stint (see stint). When it wins a QP's poll
+// role it pulls one message, runs admission control and the inline lane,
+// releases the role so a sibling can pull the next message, and executes the
 // message's worker-lane handlers itself (runUnit) — no channel, no wake-up,
 // and reply handles it reuses. The node's loop pumps the same way
 // (relieveRings). Without a pool (Workers 0) it is the only pump and runs
@@ -25,7 +24,8 @@ import (
 // the rings it leaves them alone, and otherwise — every goroutine busy in a
 // handler or parked — it pumps them and hands each worker-lane message to a
 // parked goroutine through workCh, the one hand-off left, which it never
-// blocks on.
+// blocks on. The last pool goroutine to stop polling arms the rings, so what
+// lands after it wakes the loop.
 
 // pumpQP grants the credit renewals on sqp's receive CQ, pulls at most one
 // message off its request ring (its worker-lane reply handles built in
@@ -123,7 +123,7 @@ func (u workUnit) finish() {
 // pumper is one pool goroutine's reusable state.
 type pumper struct {
 	id    int         // rotates where its rounds start within a connection
-	stint int         // rounds of the next stint, between stintMin and stintMax
+	stint stint       // rounds of the next stint
 	blk   *replyBlock // the reply handles of the messages it pulls
 	out   []respOut
 	cqBuf [16]rnic.Completion
@@ -173,19 +173,13 @@ const maxPollers = 2
 // message with worker-lane requests, which it returns for the caller to
 // execute. It gives up at once when maxPollers siblings are polling, when
 // relief has handed a message off or when the node closes, and after
-// w.stint rounds in a row that found no message. The stint doubles after it
-// yields a unit and halves after it runs out, so it follows what this
-// goroutine sees of the offered load.
+// w.stint rounds in a row that found no message.
 func (n *Node) pumpStint(w *pumper) (workUnit, bool) {
+	defer n.leaveRings()
 	if n.pumpers.Add(1) > maxPollers {
-		n.pumpers.Add(-1)
 		return workUnit{}, false
 	}
-	defer n.pumpers.Add(-1)
-	for round, idle := 0, 0; idle < w.stint; round++ {
-		if round%32 == 0 {
-			n.poolServed.Add(1) // still here: relief keeps out
-		}
+	for idle := 0; idle < int(w.stint); {
 		if n.closing() {
 			return workUnit{}, false
 		}
@@ -201,7 +195,7 @@ func (n *Node) pumpStint(w *pumper) (workUnit, bool) {
 				}
 				if u.blk != nil {
 					n.metrics.workerPumped.Add(uint64(len(u.blk.replies)))
-					w.stint = min(2*w.stint, stintMax)
+					w.stint.found()
 					return u, true
 				}
 				idle = 0 // a message with nothing left for a worker is still work
@@ -209,37 +203,43 @@ func (n *Node) pumpStint(w *pumper) (workUnit, bool) {
 		}
 		runtime.Gosched()
 	}
-	w.stint = max(w.stint/2, stintMin)
+	w.stint.ranOut()
 	return workUnit{}, false
 }
 
-// leftToPool reports whether relief may leave every request ring to the
-// pool this pass: a pool goroutine is in its stint, and the pool's served
-// stamp moved within reliefPeriod. A pool goroutine's round covers every QP,
-// so one stamp per node says what a stamp per QP would. The loop's clock is
-// read only while a pool goroutine is in its stint.
-func (n *Node) leftToPool(r *ringRelief, clk *passClock) bool {
-	if n.pumpers.Load() == 0 {
-		return false
+// leaveRings ends a pool goroutine's stint. The last one to leave hands the
+// rings to the node's loop: it arms them, and kicks the loop itself if one
+// already holds something, which nobody may be polling for.
+func (n *Node) leaveRings() {
+	if n.pumpers.Add(-1) == 0 && n.armRings() {
+		n.kick()
 	}
-	now := clk.since()
-	if s := n.poolServed.Load(); s != r.mark {
-		r.mark, r.markAt = s, now
-		return true
+}
+
+// armRings arms every request ring and receive CQ for the node's loop and
+// then looks once more, without the poll role: it reports whether one of
+// them (of a QP not under recycle) has something a pump has not seen.
+func (n *Node) armRings() (ready bool) {
+	for _, sc := range n.snapshotSconns() {
+		for _, sqp := range sc.qps {
+			sqp.reqRing.Arm()
+			sqp.recvCQ.Arm()
+			if !sqp.broken.Load() && (!sqp.reqCons.idle() || sqp.recvCQ.Len() > 0) {
+				ready = true
+			}
+		}
 	}
-	return now-r.markAt < reliefPeriod
+	return ready
 }
 
 // ringRelief is what run's server half keeps from pass to pass: the pump's
-// scratch, the reply handles it builds the next message's in, the hand-off
-// backlog and the pool stamp it saw last, with when that changed.
+// scratch, the reply handles it builds the next message's in, and the
+// hand-off backlog.
 type ringRelief struct {
 	cqBuf   [64]rnic.Completion
 	out     []respOut
 	backlog []workUnit
 	spare   *replyBlock
-	mark    uint64
-	markAt  time.Duration
 }
 
 // pumpBurst bounds the messages a pass of the node's loop pulls off one ring.
@@ -258,16 +258,14 @@ const pumpBurst = 16
 // waits in r's backlog, oldest first, offered again before every pass, so
 // the pump — and the inline lane with it — never stops behind a blocked
 // pool. What clients have outstanding bounds the backlog, and so does
-// AdmissionLimit when set; Close drops what is left. pumped counts the
-// messages it pulled; left reports that it left the rings to the pool, or
-// that the node has none.
-func (n *Node) relieveRings(r *ringRelief, clk *passClock) (pumped int, left bool) {
+// AdmissionLimit when set; Close drops what is left. It returns how many
+// messages it pulled.
+func (n *Node) relieveRings(r *ringRelief) (pumped int) {
 	r.backlog = n.handOff(r.backlog)
-	if n.leftToPool(r, clk) {
-		return 0, true
+	if n.pumpers.Load() > 0 {
+		return 0 // a pool goroutine is polling them
 	}
-	sconns := n.snapshotSconns()
-	for _, sc := range sconns {
+	for _, sc := range n.snapshotSconns() {
 		for _, sqp := range sc.qps {
 			for range pumpBurst {
 				u, found := n.pumpQP(sqp, &r.spare, r.cqBuf[:])
@@ -289,7 +287,7 @@ func (n *Node) relieveRings(r *ringRelief, clk *passClock) (pumped int, left boo
 			}
 		}
 	}
-	return pumped, len(sconns) == 0
+	return pumped
 }
 
 // handOff offers backlog to parked pool goroutines, oldest first, without

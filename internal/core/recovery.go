@@ -340,6 +340,7 @@ func (n *Node) recycleAccept(a recycleArgs) (recycleReply, error) {
 func (n *Node) recycleResume(serverQPN int) {
 	if sqp := n.byQPN.Load().(map[int]*serverQP)[serverQPN]; sqp != nil {
 		sqp.broken.Store(false)
+		n.kick() // the rebuilt ring is the pumps' again: a parked loop looks
 	}
 }
 

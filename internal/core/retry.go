@@ -63,10 +63,10 @@ func (t *Thread) CallAsync(rpcID uint32, payload []byte, opts CallOptions) (*Pen
 
 // gatePipeline blocks until the thread's pending-call table has room for
 // extra more submissions under the pipeline depth — or is empty, which is
-// all the room a submission larger than the depth can ever get. The wait
-// spins with the submit loop's backoff — depth-limited callers are by
-// definition waiting on their own earlier responses, which arrive on
-// poller timescales.
+// all the room a submission larger than the depth can ever get. Nothing
+// signals a freed slot, so the wait pauses — depth-limited callers are by
+// definition waiting on their own earlier responses, which arrive on poller
+// timescales.
 func (t *Thread) gatePipeline(extra int) error {
 	limit := t.conn.node.opts.test.pipelineDepth
 	for i := 0; ; i++ {
@@ -76,6 +76,6 @@ func (t *Thread) gatePipeline(extra int) error {
 		if t.conn.isClosed() {
 			return t.conn.closedErr()
 		}
-		idleBackoff(i)
+		pause(i)
 	}
 }

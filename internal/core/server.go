@@ -309,6 +309,7 @@ func (n *Node) accept(args connectArgs) (connectReply, error) {
 	snap := make([]*serverConn, len(n.sconns))
 	copy(snap, n.sconns)
 	n.sconnsSnap.Store(snap)
+	n.kick() // a parked loop arms the new rings before anything lands there
 	return reply, nil
 }
 
@@ -571,7 +572,7 @@ func (n *Node) flushResponses(sqp *serverQP, out []respOut, life uint32) {
 				sqp.routeCompletion(comp)
 			}
 		}
-		idleBackoff(i)
+		pause(i)
 	}
 
 	staging := sqp.respProd.staging

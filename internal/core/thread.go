@@ -33,7 +33,7 @@ type Thread struct {
 	unreceived []*Pending
 	// stint is how many polls of its attempt's QP the thread makes before it
 	// parks, adapted to its own round trips (see awaitAttempt).
-	stint int
+	stint stint
 	// A thread runs one memory operation at a time: memWR is its work
 	// request (parked here, already on the heap, so that submitting it
 	// allocates nothing beyond the queue node) and scratch is the local
@@ -367,7 +367,7 @@ func (t *Thread) submit(pends []*Pending) error {
 			}
 			break
 		}
-		idleBackoff(round)
+		pause(round)
 	}
 	for _, p := range pends {
 		if p.phase != pendDone {
@@ -472,12 +472,13 @@ func pushbackErr(status uint32) error {
 // broken QP (retry at the caller's discretion), ErrOverloaded / ErrDraining
 // for server pushback, ErrConnClosed when the handle failed. Callers that
 // want responses in completion order use CallAsync and poll Pending.Done.
-// With nothing outstanding RecvRes parks until the handle closes and
-// reports why.
+// With nothing outstanding RecvRes blocks until the handle fails or is
+// closed, or its node closes, and reports why.
 func (t *Thread) RecvRes() (Response, error) {
 	if len(t.unreceived) == 0 {
-		for i := 0; !t.conn.isClosed(); i++ {
-			idleBackoff(i)
+		select {
+		case <-t.conn.dead:
+		case <-t.conn.closedCh():
 		}
 		return Response{}, t.conn.closedErr()
 	}

@@ -80,7 +80,7 @@ func putHeader(b []byte, h header) {
 func (p *ringProducer) seal(wrs []rnic.SendWR, res reservation, count int, random, piggyHead uint64, signalEvery int) []rnic.SendWR {
 	canary := random | 1
 	var b [headerBytes]byte
-	putLE64(b[:], canary)
+	binary.LittleEndian.PutUint64(b[:], canary)
 	p.staging.WriteAt(b[:trailerBytes], res.msgOff+res.msgLen-trailerBytes) //nolint:errcheck // reserved span
 	putHeader(b[:], header{
 		totalLen:  uint32(res.msgLen),

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -43,7 +44,7 @@ func buildMessage(items []itemMeta, payloads [][]byte, canary, piggy uint64) []b
 		copy(buf[off+itemMetaBytes:], payloads[i])
 		off += itemSpace(len(payloads[i]))
 	}
-	putLE64(buf[msgLen-trailerBytes:], canary)
+	binary.LittleEndian.PutUint64(buf[msgLen-trailerBytes:], canary)
 	return buf
 }
 
@@ -114,7 +115,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 
 	badCanary := append([]byte(nil), good...)
-	putLE64(badCanary[len(badCanary)-8:], 12345)
+	binary.LittleEndian.PutUint64(badCanary[len(badCanary)-8:], 12345)
 	if _, _, err := decodeMessage(badCanary); err == nil {
 		t.Error("canary mismatch accepted")
 	}

@@ -74,44 +74,28 @@ func (m *byteMem) WriteAt(src []byte, off int) error {
 
 func (m *byteMem) Load64(off int) uint64 {
 	m.mu.Lock()
-	v := le64(m.b[off : off+8])
+	v := binary.LittleEndian.Uint64(m.b[off : off+8])
 	m.mu.Unlock()
 	return v
 }
 
 func (m *byteMem) Store64(off int, v uint64) {
 	m.mu.Lock()
-	putLE64(m.b[off:off+8], v)
+	binary.LittleEndian.PutUint64(m.b[off:off+8], v)
 	m.mu.Unlock()
 }
 
 func (m *byteMem) CAS64(off int, old, new uint64) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if le64(m.b[off:off+8]) != old {
+	if binary.LittleEndian.Uint64(m.b[off:off+8]) != old {
 		return false
 	}
-	putLE64(m.b[off:off+8], new)
+	binary.LittleEndian.PutUint64(m.b[off:off+8], new)
 	return true
 }
 
 func (m *byteMem) Len() int { return len(m.b) }
-
-func le64(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-func putLE64(b []byte, v uint64) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
-}
 
 // Errors.
 var (

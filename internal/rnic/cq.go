@@ -19,6 +19,8 @@ type CQ struct {
 	// queue — what a dispatcher does most of the time — is one atomic load,
 	// as a poll of an empty hardware CQ is one cache hit.
 	n atomic.Int32
+
+	notifier // its channel is nil for a CQ made with NewCQ
 }
 
 // NewCQ returns a completion queue that holds up to depth outstanding
@@ -32,7 +34,7 @@ func NewCQ(depth int) *CQ {
 	return &CQ{depth: depth}
 }
 
-// push appends a completion (RNIC side).
+// push appends a completion (RNIC side) and signals an armed CQ.
 func (cq *CQ) push(c Completion) {
 	cq.mu.Lock()
 	defer cq.mu.Unlock()
@@ -42,6 +44,7 @@ func (cq *CQ) push(c Completion) {
 	}
 	cq.entries = append(cq.entries, c)
 	cq.n.Store(int32(len(cq.entries)))
+	cq.signal()
 }
 
 // Poll moves up to len(dst) completions into dst and returns how many were

@@ -171,6 +171,8 @@ type Device struct {
 	drainScratch [drainBudget]SendWR
 
 	counters Counters
+
+	wake chan struct{} // the completion channel (Wake)
 }
 
 // NewDevice creates a device and registers it on the fabric. Close detaches
@@ -191,6 +193,7 @@ func NewDevice(fab *fabric.Fabric, cfg Config) (*Device, error) {
 		cache:   newConnCache(cfg.CacheSize),
 		nextQPN: 1,
 		nextKey: 1,
+		wake:    make(chan struct{}, 1),
 	}
 	if err := fab.Register(d); err != nil {
 		return nil, err
@@ -260,7 +263,16 @@ func (d *Device) Close() {
 }
 
 // CreateCQ makes a completion queue with the device default depth.
-func (d *Device) CreateCQ() *CQ { return NewCQ(d.cfg.cqDepth) }
+func (d *Device) CreateCQ() *CQ {
+	cq := NewCQ(d.cfg.cqDepth)
+	cq.wake = d.wake
+	return cq
+}
+
+// Wake returns the device's completion channel, capacity one, which its armed
+// regions and CQs signal: one receive may stand for several landings. Its
+// owner may send on it too, to make its receiver look.
+func (d *Device) Wake() chan struct{} { return d.wake }
 
 // CreateQP creates a queue pair of the given transport bound to the two
 // completion queues (which may be the same). UD QPs are immediately ready;
@@ -332,6 +344,7 @@ func (d *Device) RegisterMR(size int, perms Perm) (*MemRegion, error) {
 		perms: perms,
 		node:  int(d.cfg.Node),
 	}
+	mr.wake = d.wake
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed.Load() {

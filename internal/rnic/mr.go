@@ -43,6 +43,8 @@ type MemRegion struct {
 	// version counts the writes applied to buf, host and NIC alike, one per
 	// chunk. It is bumped under mu after the bytes are in place.
 	version atomic.Uint64
+
+	notifier // armed by a poller about to block on the region
 }
 
 // mrSeq numbers registered regions across every device in the process.
@@ -55,6 +57,30 @@ var mrSeq atomic.Uint64
 // software stand-in for the cache line a polling core keeps until the NIC's
 // DMA invalidates it.
 func (mr *MemRegion) Version() uint64 { return mr.version.Load() }
+
+// notifier is verbs' completion channel, shared by a CQ and — so that a FLock
+// poller can block on the ring it reads — a region: Arm asks for one
+// non-blocking signal on the creating device's channel (Device.Wake) at the
+// next completion the NIC pushes or write it places. A poller that arms and
+// then looks once more before it blocks misses nothing: what its look did
+// not see finds the flag set. Host writes signal nothing.
+type notifier struct {
+	armed atomic.Bool
+	wake  chan struct{}
+}
+
+// Arm asks for one signal at the next landing.
+func (n *notifier) Arm() { n.armed.Store(true) }
+
+// signal spends a set arm on one signal; a clear one costs an atomic load.
+func (n *notifier) signal() {
+	if n.armed.Load() && n.armed.Swap(false) {
+		select {
+		case n.wake <- struct{}{}:
+		default:
+		}
+	}
+}
 
 // Len returns the size of the region in bytes.
 func (mr *MemRegion) Len() int { return len(mr.buf) }

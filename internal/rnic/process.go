@@ -1,6 +1,7 @@
 package rnic
 
 import (
+	"encoding/binary"
 	"time"
 
 	"flock/internal/fabric"
@@ -247,14 +248,15 @@ func (d *Device) gatherPayload(wr *SendWR) ([]byte, *mem.Buf) {
 	return b.Data(), b
 }
 
-// place performs a write's DMA into mr at wr.RemoteOff: the Inline bytes,
-// or n bytes straight out of the local MR.
+// place performs a write's DMA into mr at wr.RemoteOff — the Inline bytes,
+// or n bytes straight out of the local MR — and then signals an armed mr.
 func (d *Device) place(mr *MemRegion, wr *SendWR, n int) {
 	if wr.Inline != nil {
 		mr.dmaWriteChunked(wr.Inline, wr.RemoteOff, d.fab.MTU())
 	} else if n > 0 {
 		copyChunked(mr, wr.RemoteOff, wr.LocalMR, wr.LocalOff, n, d.fab.MTU())
 	}
+	mr.signal()
 }
 
 // execWrite places the n payload bytes of wr into the responder's region.
@@ -294,7 +296,6 @@ func (d *Device) execWrite(peer *Device, dstQPN int, wr *SendWR, n int) Status {
 		ImmValid: true,
 		QPN:      dq.qpn,
 		SrcNode:  int(d.cfg.Node),
-		SrcQPN:   wr.sourceQPN(),
 	})
 	return StatusOK
 }
@@ -398,7 +399,7 @@ func (d *Device) execAtomic(peer *Device, wr *SendWR) Status {
 	}
 	d.counters.add(&d.counters.AtomicOps, 1)
 	var out [8]byte
-	putLE64(out[:], old)
+	binary.LittleEndian.PutUint64(out[:], old)
 	if err := wr.LocalMR.WriteAt(out[:], wr.LocalOff); err != nil {
 		return StatusRemoteAccess
 	}
@@ -419,22 +420,4 @@ func (d *Device) complete(q *QP, wr *SendWR, status Status, byteLen int) {
 		ByteLen: byteLen,
 		QPN:     q.qpn,
 	})
-}
-
-// sourceQPN lets write-imm receivers learn the sender QP; connected
-// transports know it implicitly, so 0 suffices here (the receive path
-// fills SrcQPN from the executing QP for sends).
-func (wr *SendWR) sourceQPN() int { return 0 }
-
-// putLE64 writes v little-endian into b[:8].
-func putLE64(b []byte, v uint64) {
-	_ = b[7]
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
 }

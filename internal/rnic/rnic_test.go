@@ -2,6 +2,7 @@ package rnic
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"time"
 
@@ -616,7 +617,7 @@ func TestPerQPOrdering(t *testing.T) {
 	remote, _ := d2.RegisterMR(8, PermRemoteWrite)
 	for i := uint64(1); i <= 500; i++ {
 		var b [8]byte
-		putLE64(b[:], i)
+		binary.LittleEndian.PutUint64(b[:], i)
 		if err := qa.PostSend(SendWR{Op: OpWrite, Inline: b[:], RKey: remote.RKey()}); err != nil {
 			t.Fatal(err)
 		}
