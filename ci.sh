@@ -97,8 +97,14 @@ gate -race -count=10 -run 'TestPostSendNeverBlocks|TestDoorbellStress|TestCloseD
 # Idle is a wait: an idle connected pair's loops park on their devices'
 # completion channels and wake about once a schedule interval, and a waiter
 # parked on a late reply is woken by its armed response ring, not by the
-# schedule.
-gate -race -count=10 -run 'TestIdlePairParksItsLoops|TestParkedWaiterWokenByItsRing|TestRingViewsFinishOutOfOrder|TestRingFullOfHeldViews|TestRingHeldViewsBackPressureProducer|TestEchoReadsRequestsInPlace|TestRecycleWaitsOutWorkerHandler|TestPollRoleVersusRecycle|TestServerPollRoleVersusRecycle|TestServeOutcomes|TestInlineLaneAnswersWhileEveryWorkerBlocks|TestLateReplyRecyclesHandlesOnce|TestConnectRacingServe|TestCreditStarvedLeaderIsRenewed|TestCreditWatermark|TestNodeBackgroundGoroutines|TestCreditRenewalFlows|TestCreditRenewalSurvivesLoss|TestQPSchedulerDeactivatesUnderBudget|TestCloseRacingServeAndConnect|TestOneLoopServesBothRoles|TestBidirectionalNodes|TestWaiterDrainsItsOwnQP|TestDeadlineExpiresBySweep' ./internal/core
+# schedule. A call pays its bookkeeping only when it waits: on a quiet pair
+# a memory op reads no clock, sends no completion token and makes one locked
+# control-region read, an RPC two clock reads and two control reads
+# (TestCallFastPathInventory); and waiters that spin, park, cancel, expire
+# or never wait race every completer — poller, loop, sweep, recycle, handle
+# failure, close-time drain — with each call resolved once and every lease
+# back (TestTokenStress).
+gate -race -count=10 -run 'TestCallFastPathInventory|TestTokenStress|TestIdlePairParksItsLoops|TestParkedWaiterWokenByItsRing|TestRingViewsFinishOutOfOrder|TestRingFullOfHeldViews|TestRingHeldViewsBackPressureProducer|TestEchoReadsRequestsInPlace|TestRecycleWaitsOutWorkerHandler|TestPollRoleVersusRecycle|TestServerPollRoleVersusRecycle|TestServeOutcomes|TestInlineLaneAnswersWhileEveryWorkerBlocks|TestLateReplyRecyclesHandlesOnce|TestConnectRacingServe|TestCreditStarvedLeaderIsRenewed|TestCreditWatermark|TestNodeBackgroundGoroutines|TestCreditRenewalFlows|TestCreditRenewalSurvivesLoss|TestQPSchedulerDeactivatesUnderBudget|TestCloseRacingServeAndConnect|TestOneLoopServesBothRoles|TestBidirectionalNodes|TestWaiterDrainsItsOwnQP|TestDeadlineExpiresBySweep' ./internal/core
 # The recovery rules run as shipped in every fault test: a deadline expiry
 # strikes its QP only if no response arrived on it during the wait, a QP is
 # quarantined only for breaking again and again where its siblings' sends

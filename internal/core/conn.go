@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -125,6 +126,11 @@ type connQP struct {
 	askMark     uint64 // consumed value at the last renewal request
 	askOut      bool   // a renewal is outstanding
 	askSnapshot uint64 // granted value when the renewal was posted
+	// The control words as the leader last read them (see leaderView), and
+	// the region's Version before that read.
+	ctrlSeen    uint64
+	ctrlGranted uint64
+	ctrlActive  bool
 	degrees     *stats.RunningMedian
 	degHist     *telemetry.Hist // coalescing degree of every posted message
 
@@ -176,11 +182,42 @@ type connQP struct {
 // active reports whether leaders may use the QP: the scheduler-controlled
 // activation flag (§5.1) gated by the local fault state.
 func (q *connQP) active() bool {
-	return !q.broken.Load() && !q.disabled.Load() && q.ctrl.Load64(ctrlActiveOff) == 1
+	if q.broken.Load() || q.disabled.Load() {
+		return false
+	}
+	var w [8]byte
+	q.readCtrl(w[:], ctrlActiveOff)
+	return binary.LittleEndian.Uint64(w[:]) == 1
 }
 
-// granted reports the total credits granted by the server.
-func (q *connQP) granted() uint64 { return q.ctrl.Load64(ctrlGrantedOff) }
+// leaderView is the total credits granted by the server and active, as the
+// leader sees them: it reads the control region — both words in one locked
+// read — only when the region's Version moved since its last read, so a
+// leader turn over a control region nobody wrote takes no lock. The Version
+// is read first, so a write the read misses moves it past ctrlSeen.
+// Leader-owned, like the cache it keeps.
+func (q *connQP) leaderView() (granted uint64, active bool) {
+	if v := q.ctrl.Version(); v != q.ctrlSeen {
+		var w [16]byte
+		q.readCtrl(w[:], ctrlGrantedOff)
+		q.ctrlSeen = v
+		q.ctrlGranted = binary.LittleEndian.Uint64(w[:8])
+		q.ctrlActive = binary.LittleEndian.Uint64(w[8:]) == 1
+	}
+	return q.ctrlGranted, q.ctrlActive && !q.broken.Load() && !q.disabled.Load()
+}
+
+// readCtrl is every locked read of the client control region.
+func (q *connQP) readCtrl(dst []byte, off int) {
+	if ctrlReadHook != nil {
+		ctrlReadHook()
+	}
+	q.ctrl.ReadAt(dst, off) //nolint:errcheck // fixed layout inside the region
+}
+
+// ctrlReadHook, when non-nil, runs at every locked control-region read, so
+// tests can count them; production leaves it nil.
+var ctrlReadHook func()
 
 // connectArgs is the client half of the out-of-band handshake.
 type connectArgs struct {
@@ -305,6 +342,7 @@ func (n *Node) newConnQP(c *Conn, idx int) (*connQP, error) {
 	}
 	q.prod = &ringProducer{staging: staging, size: n.opts.test.ringBytes}
 	q.respCons = newRingConsumer(respRing, 0, n.opts.test.ringBytes, ctrl, ctrlRespHeadOff)
+	q.ctrlSeen = noVersion
 	// Bootstrap: C credits (§5.1), QP active.
 	ctrl.Store64(ctrlGrantedOff, uint64(n.opts.Credits))
 	ctrl.Store64(ctrlActiveOff, 1)

@@ -13,6 +13,11 @@ import (
 // credit management, ring-space reservation, message staging, and the
 // single linked post (§4.2, §6, §7).
 
+// tenureEvery is the sampling period of the leader-tenure histogram: a
+// thread times one leadership in tenureEvery, since a tenure is a few
+// microseconds and its two clock reads would be a tenth of it.
+const tenureEvery = 64
+
 // lead executes the leader protocol for the batch headed by own. The
 // leaders counter tells a QP recycler when straggling leaders have left;
 // verdicts are only stored on nodes still owned by this leader (claimed
@@ -24,7 +29,12 @@ func (c *Conn) lead(th *Thread, q *connQP, own *tcqNode) uint32 {
 	if leaderStallHook != nil {
 		leaderStallHook(c, q)
 	}
-	start := time.Now()
+	var start time.Time
+	timed := th.leads%tenureEvery == 0
+	th.leads++
+	if timed {
+		start = c.node.clock()
+	}
 	batch := q.tcq.claimBatch(own, c.node.opts.MaxBatch)
 	verdict := c.processBatch(th, q, batch)
 	for _, n := range batch {
@@ -33,7 +43,9 @@ func (c *Conn) lead(th *Thread, q *connQP, own *tcqNode) uint32 {
 		}
 	}
 	q.tcq.handoff(batch[len(batch)-1])
-	c.node.tenure.Observe(uint64(time.Since(start)))
+	if timed {
+		c.node.tenure.Observe(uint64(c.node.clock().Sub(start)))
+	}
 	return verdict
 }
 
@@ -53,7 +65,10 @@ func (c *Conn) processBatch(th *Thread, q *connQP, batch []*tcqNode) uint32 {
 	if c.isClosed() {
 		return stateAborted
 	}
-	if !q.active() {
+	// The control words, read at most once a batch unless a wait below
+	// needs them again.
+	granted, active := q.leaderView()
+	if !active {
 		return stateMigrate
 	}
 
@@ -91,7 +106,8 @@ func (c *Conn) processBatch(th *Thread, q *connQP, batch []*tcqNode) uint32 {
 	if len(rpc) > 0 {
 		// Credits gate RPC load on the server (§5.1); memory operations
 		// bypass them since they consume no server CPU.
-		if v := c.awaitCredits(q, len(rpc)); v != stateSent {
+		var v uint32
+		if granted, v = c.awaitCredits(q, len(rpc), granted); v != stateSent {
 			return v
 		}
 
@@ -146,7 +162,7 @@ func (c *Conn) processBatch(th *Thread, q *connQP, batch []*tcqNode) uint32 {
 			n.copied.Store(0)
 		}
 
-		wrs = q.prod.seal(wrs, res, len(rpc), th.rng.Uint64(), q.ctrl.Load64(ctrlRespHeadOff), opts.SignalEvery)
+		wrs = q.prod.seal(wrs, res, len(rpc), th.rng.Uint64(), q.respCons.consumed(), opts.SignalEvery)
 
 		q.consumed += uint64(len(rpc))
 		q.degrees.Add(uint64(len(rpc)))
@@ -158,7 +174,7 @@ func (c *Conn) processBatch(th *Thread, q *connQP, batch []*tcqNode) uint32 {
 	}
 
 	// Proactive renewal: ask for C more after consuming half (§5.1).
-	if wr, ok := c.maybeRenew(q); ok {
+	if wr, ok := c.maybeRenew(q, granted); ok {
 		wrs = append(wrs, wr)
 	}
 
@@ -185,40 +201,51 @@ func (c *Conn) postFailure(q *connQP, err error) uint32 {
 }
 
 // awaitCredits blocks (spinning) until the QP has `need` credits,
-// requesting renewal as required. Returns stateSent on success or a
-// failure verdict. The wait is bounded by StallTimeout: a server whose QP
-// end died stops granting, and the only way out is breaking the QP so the
-// recycle re-bootstraps credits on both ends.
-func (c *Conn) awaitCredits(q *connQP, need int) uint32 {
-	deadline := time.Now().Add(c.node.opts.StallTimeout)
-	spins := 0
-	for {
-		granted := q.granted()
+// requesting renewal as required, starting from granted, the batch's read
+// of the control region. It returns the credits granted as it last saw
+// them and stateSent on success, or a failure verdict. The wait is bounded
+// by StallTimeout, counted from its first miss: a server whose QP end died
+// stops granting, and the only way out is breaking the QP so the recycle
+// re-bootstraps credits on both ends.
+func (c *Conn) awaitCredits(q *connQP, need int, granted uint64) (uint64, uint32) {
+	var deadline time.Time
+	for spins := 0; ; spins++ {
 		if q.askOut && granted > q.askSnapshot {
 			q.askOut = false
 		}
 		if granted-q.consumed >= uint64(need) {
-			return stateSent
+			return granted, stateSent
 		}
 		if c.isClosed() {
-			return stateAborted
-		}
-		if !q.active() {
-			return stateMigrate // credit request declined / QP deactivated
+			return granted, stateAborted
 		}
 		if !q.askOut {
 			// No message to piggyback the ask on: post it alone.
 			if err := q.qp.PostSend(q.renewalWR(granted)); err != nil {
-				return c.postFailure(q, err)
+				return granted, c.postFailure(q, err)
 			}
 		}
-		spins++
-		if spins%256 == 0 && time.Now().After(deadline) {
+		if c.stalled(&deadline, spins) {
 			c.noteLeaderStall(q)
-			return stateMigrate
+			return granted, stateMigrate
 		}
 		runtime.Gosched()
+		var active bool
+		if granted, active = q.leaderView(); !active {
+			return granted, stateMigrate // credit request declined / QP deactivated
+		}
 	}
+}
+
+// stalled is the stall guard of a leader's wait, asked once per spin: the
+// first ask reads the clock to set the deadline StallTimeout away, and
+// after that one spin in 256 reads it against the deadline.
+func (c *Conn) stalled(deadline *time.Time, spins int) bool {
+	if deadline.IsZero() {
+		*deadline = c.node.clock().Add(c.node.opts.StallTimeout)
+		return false
+	}
+	return spins%256 == 255 && c.node.clock().After(*deadline)
 }
 
 // awaitSpace reserves ring space, triggering a one-sided head refresh when
@@ -227,9 +254,8 @@ func (c *Conn) awaitCredits(q *connQP, need int) uint32 {
 // hole the strictly-in-order server consumer can never pass, so a full
 // ring that never drains means the QP needs a recycle.
 func (c *Conn) awaitSpace(q *connQP, msgLen int) (reservation, uint32) {
-	deadline := time.Now().Add(c.node.opts.StallTimeout)
-	spins := 0
-	for {
+	var deadline time.Time
+	for spins := 0; ; spins++ {
 		res, ok := q.prod.reserve(msgLen)
 		if ok {
 			return res, stateSent
@@ -237,7 +263,7 @@ func (c *Conn) awaitSpace(q *connQP, msgLen int) (reservation, uint32) {
 		if c.isClosed() {
 			return res, stateAborted
 		}
-		if !q.active() {
+		if _, active := q.leaderView(); !active {
 			return res, stateMigrate
 		}
 		c.requestHeadRefresh(q)
@@ -245,8 +271,7 @@ func (c *Conn) awaitSpace(q *connQP, msgLen int) (reservation, uint32) {
 		// than wait for another goroutine to be scheduled. The poll role is
 		// not the leader role, so holding q.leaders cannot deadlock it.
 		c.pollQP(q, &c.node.metrics.waiterCompletions, false)
-		spins++
-		if spins%256 == 0 && time.Now().After(deadline) {
+		if c.stalled(&deadline, spins) {
 			c.noteLeaderStall(q)
 			return res, stateMigrate
 		}
@@ -274,18 +299,18 @@ func (c *Conn) requestHeadRefresh(q *connQP) {
 }
 
 // maybeRenew builds a credit-renewal write-imm (§7) when the leader has
-// consumed C/2 since the last ask and headroom is shrinking.
-func (c *Conn) maybeRenew(q *connQP) (rnic.SendWR, bool) {
+// consumed C/2 since the last ask and headroom, by the batch's read of
+// granted, is shrinking. A leader that has not consumed C/2 since has
+// nothing to ask.
+func (c *Conn) maybeRenew(q *connQP, granted uint64) (rnic.SendWR, bool) {
 	credits := uint64(c.node.opts.Credits)
-	granted := q.granted()
+	if q.consumed-q.askMark < credits/2 {
+		return rnic.SendWR{}, false
+	}
 	if q.askOut && granted > q.askSnapshot {
 		q.askOut = false
 	}
-	if q.askOut {
-		return rnic.SendWR{}, false
-	}
-	avail := granted - q.consumed
-	if avail >= credits || q.consumed-q.askMark < credits/2 {
+	if q.askOut || granted-q.consumed >= credits {
 		return rnic.SendWR{}, false
 	}
 	return q.renewalWR(granted), true

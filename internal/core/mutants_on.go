@@ -47,7 +47,7 @@ func mutantOn(m mutant) bool { return mutant(selectedMutant.Load()) == m }
 func (p *pendingTable) newestOutstanding(seq uint64) uint64 {
 	newest := uint64(0)
 	for s, rec := range p.recs {
-		if !rec.done && s > newest {
+		if !rec.resolved() && s > newest {
 			newest = s
 		}
 	}

@@ -339,18 +339,26 @@ type Node struct {
 	completionNS *telemetry.Hist // call completion latency, nanoseconds
 	trace        *telemetry.TraceRing
 
-	done chan struct{}
-	wg   sync.WaitGroup
+	// closed is set as done is closed, for the checks that only ask: a load,
+	// where a select on done takes the channel's lock.
+	closed atomic.Bool
+	done   chan struct{}
+	wg     sync.WaitGroup
+
+	// clock is every clock read the node makes; time.Now, and a test's
+	// counting stand-in.
+	clock func() time.Time
 }
 
 func newNode(nw *Network, id fabric.NodeID, dev *rnic.Device, opts Options) *Node {
 	n := &Node{
-		net:  nw,
-		id:   id,
-		opts: opts.withDefaults(),
-		dev:  dev,
-		tel:  telemetry.New(),
-		done: make(chan struct{}),
+		net:   nw,
+		id:    id,
+		opts:  opts.withDefaults(),
+		dev:   dev,
+		tel:   telemetry.New(),
+		done:  make(chan struct{}),
+		clock: time.Now,
 	}
 	n.handlers.Store(&handlerTable{})
 	n.byQPN.Store(map[int]*serverQP{})
@@ -572,6 +580,7 @@ func (n *Node) Close() {
 		n.connMu.Unlock()
 		return
 	}
+	n.closed.Store(true)
 	close(n.done)
 	n.connMu.Unlock()
 	n.wg.Wait()
@@ -689,14 +698,7 @@ func (n *Node) drainLeases() {
 
 // closing reports whether Close has begun. A goroutine is added to wg only
 // under connMu after this check, so none is added after Close's Wait.
-func (n *Node) closing() bool {
-	select {
-	case <-n.done:
-		return true
-	default:
-		return false
-	}
-}
+func (n *Node) closing() bool { return n.closed.Load() }
 
 // startLocked starts the node's loop once; caller holds connMu and has
 // checked closing.
@@ -721,7 +723,7 @@ func (n *Node) startLocked() {
 // leaves.
 func (n *Node) run() {
 	defer n.wg.Done()
-	start := time.Now()
+	start := n.clock()
 	timer := time.NewTimer(time.Hour) // the park timer: stopped and empty between parks
 	timer.Stop()
 	var rings ringRelief
@@ -745,7 +747,7 @@ func (n *Node) run() {
 		// must still run.
 		if unclocked += 1 + pumped; !busy || unclocked >= 32 {
 			unclocked = 0
-			if now = time.Since(start); now-schedAt >= DefaultSchedInterval {
+			if now = n.clock().Sub(start); now-schedAt >= DefaultSchedInterval {
 				schedAt = now
 				n.schedule(start.Add(now))
 				// A waiter the sweep resolved is readied onto this

@@ -23,19 +23,28 @@ import (
 // riding a broken QP.
 //
 // Ownership protocol. A record lives in the table from registration until
-// exactly one party removes it:
+// exactly one party removes it, and its state word says where it is:
+// pending, parked (its waiter blocked on the token channel), done (response
+// stored, unclaimed), or drained (released by the close-time drain).
 //
 //   - A completer (a poller's delivery, QP poisoning, connection failure,
-//     the deadline sweep) that finds the record in the table marks it done,
-//     stores the response, and sends the record's token — all under the
-//     table lock, so "done" and "token present" are never observed apart.
-//   - The waiter consumes the token and removes the record; abandoning a
-//     wait (cancel, failed submit) removes the record first, and if a
-//     completer already marked it done, consumes the guaranteed token and
-//     releases the response's pooled lease.
-//   - Close-time draining walks the tables and releases responses whose
-//     tokens no waiter has claimed, so leases held by unwaited Pendings
-//     never outlive the node.
+//     the deadline sweep) that finds the record in the table and not done
+//     stores the response and swaps the state to done, under the table
+//     lock. Only when the swap finds the waiter parked does it send the
+//     record's token, so completing a call nobody blocks on is a store.
+//   - The waiter reads the state without the lock. To block it moves the
+//     state from pending to parked by CAS; to stop blocking (shutdown) it
+//     moves it back, and if that CAS fails a completer got there first and
+//     its token is in the channel, which the waiter receives. Outside a park
+//     the channel is empty, so no other party touches it.
+//   - The waiter that sees done removes the record and takes the response
+//     under the lock; abandoning a wait (cancel, failed submit, shutdown)
+//     removes the record too, releasing the response's pooled lease if a
+//     completer already stored one.
+//   - Close-time draining marks the done records no waiter has removed
+//     drained and releases their leases, so leases held by unwaited Pendings
+//     never outlive the node. A waiter that finds its record drained owns
+//     nothing and walks away.
 
 // callRec is one entry in a thread's pending-call table: the completion
 // future for a single submitted attempt.
@@ -44,19 +53,35 @@ type callRec struct {
 	// qp is the QP index the attempt was last pushed on (-1 before the
 	// first push). The submitter stores it outside the table lock while
 	// recovery reads it under the lock, hence atomic.
-	qp   atomic.Int32
-	done bool // completed; resp valid and token sent (guarded by table mu)
-	resp Response
+	qp atomic.Int32
+	// state is the completion word (recPending, recParked, recDone,
+	// recDrained). Completers and the drain write it under the table lock;
+	// the waiter reads it without the lock and parks and unparks by CAS.
+	state atomic.Uint32
+	resp  Response
 	// deadline is when the attempt expires, zero for an unbounded wait
 	// (guarded by table mu). The waiter arms no timer for it: the deadline
 	// sweep completes an overdue record with an expiry poison.
 	deadline time.Time
-	// ch carries the completion token. Capacity one and reused across
-	// recycles; the ownership protocol guarantees at most one send per
-	// table residence and that it is drained before reuse.
+	// ch carries the completion token to a parked waiter. Capacity one and
+	// reused across recycles: a completer sends only on finding the state
+	// parked, at most once per table residence, and the waiter receives it
+	// before it leaves the park.
 	ch   chan struct{}
 	next *callRec // freelist link
 }
+
+// Record states; a record is resolved from recDone on.
+const (
+	recPending uint32 = iota
+	recParked
+	recDone
+	recDrained
+)
+
+// resolved reports whether a completer or the drain has finished with rec,
+// so its waiter neither polls nor parks for it any more.
+func (rec *callRec) resolved() bool { return rec.state.Load() >= recDone }
 
 // pendingTable is the per-thread pending-call table plus its record
 // freelist. One table is owned by one application thread, but completers
@@ -83,6 +108,9 @@ type pendingTable struct {
 	// sweep passes a table with none at the cost of one atomic load. Mutated
 	// under mu like inflight.
 	bounded atomic.Int32
+	// signals counts the tokens completers sent to parked waiters (guarded
+	// by mu): the one channel send a call can cost.
+	signals uint64
 }
 
 // register publishes a record (recycled from the freelist) under the next
@@ -98,12 +126,10 @@ func (p *pendingTable) register() (*callRec, int) {
 		r = &callRec{ch: make(chan struct{}, 1)}
 	}
 	r.qp.Store(-1)
-	r.done = false
-	select {
-	case <-r.ch:
+	if r.state.Load() == recParked || len(r.ch) != 0 {
 		panic("flock: recycled callRec holds a stale completion token")
-	default:
 	}
+	r.state.Store(recPending)
 	p.seq++
 	r.seq = p.seq
 	p.recs[r.seq] = r
@@ -136,20 +162,23 @@ func (p *pendingTable) disarmLocked(rec *callRec) {
 	}
 }
 
-// completeLocked is the one completion step every completer shares: done,
-// response and token change together under mu.
+// completeLocked is the one completion step every completer shares: the
+// response is stored, then the state swapped to done, and a waiter the swap
+// finds parked is sent its token — all under mu.
 func (p *pendingTable) completeLocked(rec *callRec, r Response) {
 	p.inflight.Add(-1)
-	rec.done = true
 	rec.resp = r
-	rec.ch <- struct{}{}
+	if rec.state.Swap(recDone) == recParked {
+		p.signals++
+		rec.ch <- struct{}{}
+	}
 }
 
 // arm gives rec, the attempt its caller just submitted, a deadline. A record
 // the close-time drain already removed stays unarmed.
 func (p *pendingTable) arm(rec *callRec, deadline time.Time) {
 	p.mu.Lock()
-	if p.recs[rec.seq] == rec {
+	if rec.state.Load() != recDrained {
 		rec.deadline = deadline
 		p.bounded.Add(1)
 	}
@@ -166,7 +195,7 @@ func (p *pendingTable) expire(now time.Time) {
 	}
 	p.mu.Lock()
 	for _, rec := range p.recs {
-		if !rec.done && !rec.deadline.IsZero() && !now.Before(rec.deadline) {
+		if !rec.resolved() && !rec.deadline.IsZero() && !now.Before(rec.deadline) {
 			p.completeLocked(rec, Response{err: ErrTimeout})
 		}
 	}
@@ -175,9 +204,7 @@ func (p *pendingTable) expire(now time.Time) {
 
 // complete resolves the record registered under seq with r. It reports
 // whether a record was found (a miss means the completion is stale — its
-// attempt was abandoned — and the caller drops it). The record is marked
-// done with the token sent under the lock, so any later observer holding
-// the lock sees the token as already present.
+// attempt was abandoned — and the caller drops it).
 //
 // mask says how many low bits of seq the caller actually has: wholeSeq for
 // a response off the wire, memSeqMask for a memory-op WRID. IDs are
@@ -190,7 +217,7 @@ func (p *pendingTable) complete(seq, mask uint64, r Response) bool {
 		seq = p.newestOutstanding(seq)
 	}
 	rec := p.recs[seq]
-	if rec == nil || rec.done {
+	if rec == nil || rec.resolved() {
 		p.mu.Unlock()
 		return false
 	}
@@ -199,33 +226,36 @@ func (p *pendingTable) complete(seq, mask uint64, r Response) bool {
 	return true
 }
 
-// takeDone removes a record whose token the caller just consumed and
-// returns its response. Consuming the token is what excludes every other
-// remover, so the record is guaranteed present and done.
-func (p *pendingTable) takeDone(rec *callRec) Response {
+// takeDone removes a record its waiter saw done and returns its response.
+// Only the waiter removes a done record, except the close-time drain, which
+// marks it drained instead: then the response is gone and takeDone reports
+// false.
+func (p *pendingTable) takeDone(rec *callRec) (Response, bool) {
 	p.mu.Lock()
+	if rec.state.Load() == recDrained {
+		p.mu.Unlock()
+		return Response{}, false
+	}
 	r := rec.resp
 	p.removeLocked(rec)
 	p.mu.Unlock()
-	return r
+	return r, true
 }
 
 // abandon removes a record the waiter no longer wants (cancel, submit
-// failure, shutdown mid-wait). If a completer got there first
-// the token is already in the channel — consume it and recycle the lease;
-// if the close-time drain got there even earlier the record is simply
-// gone and must not be recycled (the drain may still hold it).
+// failure, shutdown mid-wait), outside any park. If a completer got there
+// first its response lease is recycled; if the close-time drain got there
+// even earlier the record is simply gone and must not be recycled (the
+// drain may still hold it).
 func (p *pendingTable) abandon(rec *callRec) {
 	p.mu.Lock()
-	cur, ok := p.recs[rec.seq]
-	if !ok || cur != rec {
+	switch rec.state.Load() {
+	case recDrained:
 		p.mu.Unlock()
 		return
-	}
-	if rec.done {
-		<-rec.ch
+	case recDone:
 		rec.resp.Release()
-	} else {
+	default:
 		p.inflight.Add(-1)
 	}
 	p.removeLocked(rec)
@@ -239,7 +269,7 @@ func (p *pendingTable) abandon(rec *callRec) {
 func (p *pendingTable) failMatching(qp int32, r Response) {
 	p.mu.Lock()
 	for _, rec := range p.recs {
-		if rec.done || (qp >= 0 && rec.qp.Load() != qp) {
+		if rec.resolved() || (qp >= 0 && rec.qp.Load() != qp) {
 			continue
 		}
 		p.completeLocked(rec, r)
@@ -249,24 +279,20 @@ func (p *pendingTable) failMatching(qp int32, r Response) {
 
 // drain releases the pooled leases of completed records no waiter has
 // claimed. It runs at node close, after the node's loop and pollers are
-// gone; a waiter racing it either wins the token (and owns the response) or
-// finds its record gone and walks away. Drained records are not recycled — their
-// waiter may still hold the pointer.
+// gone; a waiter racing it either removes its record first (and owns the
+// response) or finds it drained and walks away. Drained records are not
+// recycled — their waiter may still hold the pointer.
 func (p *pendingTable) drain() {
 	p.mu.Lock()
 	for seq, rec := range p.recs {
-		if !rec.done {
+		if rec.state.Load() != recDone {
 			continue
 		}
-		select {
-		case <-rec.ch:
-			rec.resp.Release()
-			rec.resp = Response{}
-			delete(p.recs, seq)
-			p.disarmLocked(rec)
-		default:
-			// The waiter holds the token; the response is theirs.
-		}
+		rec.state.Store(recDrained)
+		rec.resp.Release()
+		rec.resp = Response{}
+		delete(p.recs, seq)
+		p.disarmLocked(rec)
 	}
 	p.mu.Unlock()
 }
@@ -293,11 +319,12 @@ type Pending struct {
 	size    int    // bytes moved, for the thread scheduler's statistics
 
 	// Plan (fixed at creation).
-	attempts int       // total attempt cap, at least 1
-	deadline time.Time // whole-call budget; zero = unbounded
-	idemKey  uint64    // nonzero iff attempts > 1: copies are dedup-safe on the server
+	attempts int           // total attempt cap, at least 1
+	budget   time.Duration // whole-call budget; zero = unbounded
+	idemKey  uint64        // nonzero iff attempts > 1: copies are dedup-safe on the server
 
 	// Engine state.
+	deadline    time.Time // end of the budget, from the first submission; zero = unbounded
 	phase       uint8
 	heard       uint32 // the attempt's QP's heard stamp when a bounded attempt was armed
 	attempt     int
@@ -331,7 +358,8 @@ const (
 // recognises the copies, is backed off and charged to the retry budget
 // between attempts, and starts at a quarter of its budget — 4 ×
 // DefaultStallTimeout without one — doubling: the bounded wait is what
-// drives resubmission and strikes a dead server end.
+// drives resubmission and strikes a dead server end. The budget runs from the
+// first submission, whose one clock read it shares (see Thread.submit).
 func (t *Thread) newPending(p *Pending, rpcID uint32, payload []byte, opts CallOptions) error {
 	o := &t.conn.node.opts
 	*p = Pending{t: t, rpcID: rpcID, payload: payload, size: len(payload), attempts: max(opts.MaxAttempts, 1)}
@@ -344,7 +372,7 @@ func (t *Thread) newPending(p *Pending, rpcID uint32, payload []byte, opts CallO
 		budget = o.RPCTimeout
 	}
 	if budget > 0 {
-		p.deadline = time.Now().Add(budget)
+		p.budget = budget
 		p.attemptWait = budget
 	}
 	if p.attempts > 1 {
@@ -432,7 +460,7 @@ func (p *Pending) abandonAttempt() {
 // pending).
 func (p *Pending) startAttempt(block bool) bool {
 	if !p.retryAt.IsZero() {
-		if d := time.Until(p.retryAt); d > 0 {
+		if d := p.retryAt.Sub(p.t.conn.node.clock()); d > 0 {
 			if !block {
 				return false
 			}
@@ -450,9 +478,10 @@ func (p *Pending) startAttempt(block bool) bool {
 	return true
 }
 
-// armAttempt starts the clock of the attempt just submitted as p.rec: its
-// response deadline goes on the record, where the deadline sweep finds it.
-func (p *Pending) armAttempt() {
+// armAttempt starts the clock of the attempt just submitted as p.rec at now,
+// submit's one clock read: its response deadline goes on the record, where
+// the deadline sweep finds it.
+func (p *Pending) armAttempt(now time.Time) {
 	if c := p.t.conn; c.failed.Load() {
 		// The handle failed while this attempt was being submitted. Its
 		// poison burst may have walked the table before the record was in
@@ -465,7 +494,7 @@ func (p *Pending) armAttempt() {
 	}
 	if p.attemptWait > 0 {
 		p.heard = p.t.conn.qps[p.rec.qp.Load()].heard.Load()
-		d := time.Now().Add(p.attemptWait)
+		d := now.Add(p.attemptWait)
 		if !p.deadline.IsZero() && d.After(p.deadline) {
 			d = p.deadline
 		}
@@ -474,91 +503,91 @@ func (p *Pending) armAttempt() {
 	p.phase = pendInflight
 }
 
-// awaitAttempt waits for the in-flight attempt to resolve: its completion
-// token, whichever completer sends it — the attempt's deadline included,
-// which the sweep delivers as an expiry poison. The waiter is the poller:
-// before it parks it drains the QP its attempt rode for a stint, completing
-// its own record and any other thread's it finds there, and then arms the
-// QP for the node's loop (see stint); Done makes one such pass. It returns
-// false when nothing is ready and block is false.
+// awaitAttempt waits for the in-flight attempt to resolve: its record's
+// state turning done, whichever completer does it — the attempt's deadline
+// included, which the sweep delivers as an expiry poison. The waiter is the
+// poller: before it parks it drains the QP its attempt rode for a stint,
+// completing its own record and any other thread's it finds there, and then
+// arms the QP for the node's loop (see stint) and blocks on the record's
+// token; Done makes one such pass. It returns false when nothing is ready
+// and block is false.
 func (p *Pending) awaitAttempt(block bool) bool {
 	t := p.t
 	c := t.conn
-	// A token already there is collected without parking.
-	if p.tokenReady() {
-		return p.onToken()
+	rec := p.rec
+	if rec.resolved() {
+		return p.onDone()
 	}
-	q := c.qps[p.rec.qp.Load()]
+	q := c.qps[rec.qp.Load()]
 	if !block {
 		c.pollQP(q, &c.node.metrics.waiterCompletions, false)
-		if p.tokenReady() {
-			return p.onToken()
+		if rec.resolved() {
+			return p.onDone()
 		}
 		// The sweep stops with the node, so a poll must see the shutdown
 		// itself or a bounded call would never resolve.
-		select {
-		case <-c.closedCh():
+		if c.node.closing() {
 			return p.onClosed()
-		default:
-			return false
 		}
+		return false
 	}
 	for range t.stint {
 		c.pollQP(q, &c.node.metrics.waiterCompletions, false)
-		if p.tokenReady() {
+		if rec.resolved() {
 			t.stint.found()
-			return p.onToken()
+			return p.onDone()
 		}
 		runtime.Gosched()
 	}
 	t.stint.ranOut()
 	// Park: the parked count makes the QP the node's loop's, and the last
-	// poll arms it, so a completion that lands later wakes the loop.
+	// poll arms it, so a completion that lands later wakes the loop. The
+	// CAS to parked is what makes the completer send the token.
 	q.parked.Add(1)
 	defer q.parked.Add(-1)
 	c.pollQP(q, &c.node.metrics.waiterCompletions, true)
+	if !rec.state.CompareAndSwap(recPending, recParked) {
+		return p.onDone()
+	}
 	select {
-	case <-p.rec.ch:
-		return p.onToken()
+	case <-rec.ch:
 	case <-c.closedCh():
-		return p.onClosed()
+		if rec.state.CompareAndSwap(recParked, recPending) {
+			return p.onClosed()
+		}
+		// A completer swapped the state first; its token is sent under the
+		// same lock hold.
+		<-rec.ch
 	}
-}
-
-// tokenReady consumes the in-flight attempt's completion token if it is
-// there, without blocking.
-func (p *Pending) tokenReady() bool {
-	select {
-	case <-p.rec.ch:
-		return true
-	default:
-		return false
-	}
+	return p.onDone()
 }
 
 // onClosed resolves the call when the node shut down mid-wait: a
 // completion that raced the shutdown still wins, otherwise the attempt is
 // abandoned and the closure surfaced.
 func (p *Pending) onClosed() bool {
-	select {
-	case <-p.rec.ch:
-		return p.onToken()
-	default:
+	if p.rec.resolved() {
+		return p.onDone()
 	}
 	p.abandonAttempt()
 	p.fail(p.t.conn.closedErr())
 	return true
 }
 
-// onToken consumes the in-flight attempt's completion.
-func (p *Pending) onToken() bool {
+// onDone takes the in-flight attempt's completion, once its record is
+// resolved.
+func (p *Pending) onDone() bool {
 	t := p.t
 	c := t.conn
 	// The QP the attempt rode, read before takeDone recycles the record: the
 	// thread may have moved to another QP since.
 	q := c.qps[p.rec.qp.Load()]
-	r := t.pend.takeDone(p.rec)
+	r, ok := t.pend.takeDone(p.rec)
 	p.rec = nil
+	if !ok {
+		p.fail(c.closedErr()) // drained: the node is closed
+		return true
+	}
 	if r.err != nil {
 		if r.err == ErrTimeout {
 			// Attempt expired (a late response becomes a stale drop): strike
@@ -593,7 +622,7 @@ func (p *Pending) onToken() bool {
 		c.retryBudget.OnSuccess()
 	}
 	if p.kind == opRPC {
-		c.node.completionNS.Observe(uint64(time.Since(p.started)))
+		c.node.completionNS.Observe(uint64(c.node.clock().Sub(p.started)))
 	}
 	p.finish(r)
 	return true
@@ -606,7 +635,8 @@ func (p *Pending) onToken() bool {
 func (p *Pending) attemptFailed(err error) bool {
 	t := p.t
 	c := t.conn
-	if p.attempt+1 >= p.attempts || (!p.deadline.IsZero() && !time.Now().Before(p.deadline)) {
+	now := c.node.clock()
+	if p.attempt+1 >= p.attempts || (!p.deadline.IsZero() && !now.Before(p.deadline)) {
 		p.fail(err)
 		return true
 	}
@@ -619,10 +649,10 @@ func (p *Pending) attemptFailed(err error) bool {
 	backoff := resilience.Backoff{Base: DefaultRetryBaseBackoff, Cap: DefaultRetryMaxBackoff}
 	if d := backoff.Delay(p.attempt, t.rng); d > 0 {
 		if !p.deadline.IsZero() {
-			d = min(d, time.Until(p.deadline))
+			d = min(d, p.deadline.Sub(now))
 		}
 		if d > 0 {
-			p.retryAt = time.Now().Add(d)
+			p.retryAt = now.Add(d)
 		}
 	}
 	p.attempt++

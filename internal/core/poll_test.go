@@ -89,7 +89,7 @@ func unwaitedWindowRow(t *testing.T, tc *testCluster, conn *Conn) {
 			ps[i] = p
 		}
 		for _, p := range ps {
-			for len(p.rec.ch) == 0 { // delivered = the record's token is in its channel
+			for !p.rec.resolved() { // delivered = the record is done
 				if time.Since(start) > 5*time.Second {
 					t.Fatal("an unwaited window was never relieved")
 				}

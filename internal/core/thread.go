@@ -25,6 +25,7 @@ type Thread struct {
 	rng  *stats.RNG
 
 	idemSeq uint64 // idempotency-key counter for plans of more than one attempt
+	leads   uint32 // leaderships run, for the tenure sample (see lead)
 	// pend is the thread's pending-call table: one completion record per
 	// submitted operation, resolved directly by sequence ID (see pending.go).
 	pend pendingTable
@@ -275,19 +276,24 @@ func (t *Thread) submit(pends []*Pending) error {
 	if c.isClosed() {
 		return c.closedErr()
 	}
-	var started time.Time
-	if p := pends[0]; p.attempt == 0 && p.kind == opRPC {
-		// The latency probe times RPCs only: a memory operation is over in
-		// a few microseconds, and two clock reads are a tenth of that.
-		started = time.Now()
+	// One clock read serves the latency probe, the budget and the attempt
+	// deadline, and a call that needs none of them makes none. The probe
+	// times RPCs only: a memory operation is over in a few microseconds, and
+	// two clock reads are a tenth of that.
+	var now time.Time
+	if p := pends[0]; p.attempt == 0 && p.kind == opRPC || p.attemptWait > 0 {
+		now = c.node.clock()
 	}
 	for _, p := range pends {
 		var depth int
 		p.rec, depth = t.pend.register()
 		c.node.pipeDepth.Observe(uint64(depth))
 		p.verdict = stateWaiting
-		if !started.IsZero() {
-			p.started = started
+		if p.attempt == 0 {
+			p.started = now
+			if p.budget > 0 {
+				p.deadline = now.Add(p.budget)
+			}
 		}
 	}
 	for round, unsent := 0, len(pends); ; round++ {
@@ -358,7 +364,7 @@ func (t *Thread) submit(pends []*Pending) error {
 		if unsent == 0 {
 			break
 		}
-		if d := pends[0].deadline; !d.IsZero() && time.Now().After(d) {
+		if d := pends[0].deadline; !d.IsZero() && c.node.clock().After(d) {
 			for _, p := range pends {
 				if p.verdict == stateWaiting {
 					p.abandonAttempt()
@@ -371,7 +377,7 @@ func (t *Thread) submit(pends []*Pending) error {
 	}
 	for _, p := range pends {
 		if p.phase != pendDone {
-			p.armAttempt() // made it onto the wire
+			p.armAttempt(now) // made it onto the wire
 		}
 	}
 	return nil
@@ -393,7 +399,7 @@ func (t *Thread) awaitChain(q *connQP, pends []*Pending, waiting int) {
 	c := t.conn
 	var deadline time.Time
 	for spins := 0; waiting > 0; {
-		expired := !deadline.IsZero() && spins%256 == 255 && time.Now().After(deadline)
+		expired := !deadline.IsZero() && spins%256 == 255 && c.node.clock().After(deadline)
 		progressed := false
 		for _, p := range pends {
 			if p.verdict != stateWaiting {
@@ -414,7 +420,7 @@ func (t *Thread) awaitChain(q *connQP, pends []*Pending, waiting int) {
 				continue
 			case stateWaiting:
 				if deadline.IsZero() {
-					deadline = time.Now().Add(c.node.opts.StallTimeout)
+					deadline = c.node.clock().Add(c.node.opts.StallTimeout)
 				}
 				if !expired || !n.state.CompareAndSwap(stateWaiting, stateTimedOut) {
 					continue

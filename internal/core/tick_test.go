@@ -166,14 +166,15 @@ func TestCreditWatermark(t *testing.T) {
 	// renew posts one renewal, as a starved leader does, and returns what it
 	// granted and what it withheld. The thread has nothing in its TCQ, so no
 	// leader touches q's renewal state meanwhile.
-	renew := func() (granted, kept uint64) {
+	granted := func() uint64 { return q.ctrl.Load64(ctrlGrantedOff) }
+	renew := func() (got, kept uint64) {
 		t.Helper()
-		g0, w0 := q.granted(), withheld()
+		g0, w0 := granted(), withheld()
 		if err := q.qp.PostSend(q.renewalWR(g0)); err != nil {
 			t.Fatal(err)
 		}
-		waitFor("a grant", func() bool { return q.granted() != g0 })
-		return q.granted() - g0, withheld() - w0
+		waitFor("a grant", func() bool { return granted() != g0 })
+		return granted() - g0, withheld() - w0
 	}
 
 	// Three admitted requests against a limit of 4: past the watermark. With
@@ -468,7 +469,7 @@ func TestOneLoopServesBothRoles(t *testing.T) {
 			}
 			for _, p := range ps {
 				// delivered = the record's token is in its channel
-				waitFor(t, "the unwaited window", func() bool { return len(p.rec.ch) != 0 })
+				waitFor(t, "the unwaited window", func() bool { return p.rec.resolved() })
 			}
 			for _, p := range ps {
 				r, err := p.Wait()
