@@ -8,6 +8,7 @@ package flock_test
 // pressure under load.
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -334,5 +335,49 @@ func TestEchoPoolGetsGate(t *testing.T) {
 		if gets != n {
 			t.Fatalf("Workers %d: %d echoes took %d pool gets, want exactly %d (the response lease only)", workers, n, gets, n)
 		}
+	}
+}
+
+// TestMemOpAllocGate: a memory op's work request is written once, into its
+// thread's slot, and the combining-queue node points at it, so a
+// synchronous Read allocates exactly one object — the node — of at most
+// memOpNodeBytes. The node carrying the request by value was a 224-byte
+// object.
+func TestMemOpAllocGate(t *testing.T) {
+	const (
+		n              = 2000
+		memOpNodeBytes = 96
+	)
+	star, err := loadgen.NewStar(flock.Options{}, flock.Options{}, 1, 0, loadgen.Echo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer star.Close()
+	region, err := star.Conns[0].AttachMemRegion(4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := star.Conns[0].RegisterThread()
+	dst := make([]byte, 64)
+	read := func() {
+		if err := th.Read(region, 0, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		read()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		read()
+	}
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / n
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / n
+	t.Logf("Read: %.3f allocs, %.1f B per op", allocs, bytes)
+	if allocs < 0.99 || allocs > 1.01 || bytes > memOpNodeBytes+1 {
+		t.Fatalf("a synchronous Read allocates %.3f objects and %.1f B per op, want its one queue node of at most %d B",
+			allocs, bytes, memOpNodeBytes)
 	}
 }

@@ -103,8 +103,12 @@ gate -race -count=10 -run 'TestPostSendNeverBlocks|TestDoorbellStress|TestCloseD
 # (TestCallFastPathInventory); and waiters that spin, park, cancel, expire
 # or never wait race every completer — poller, loop, sweep, recycle, handle
 # failure, close-time drain — with each call resolved once and every lease
-# back (TestTokenStress).
-gate -race -count=10 -run 'TestCallFastPathInventory|TestTokenStress|TestIdlePairParksItsLoops|TestParkedWaiterWokenByItsRing|TestRingViewsFinishOutOfOrder|TestRingFullOfHeldViews|TestRingHeldViewsBackPressureProducer|TestEchoReadsRequestsInPlace|TestRecycleWaitsOutWorkerHandler|TestPollRoleVersusRecycle|TestServerPollRoleVersusRecycle|TestServeOutcomes|TestInlineLaneAnswersWhileEveryWorkerBlocks|TestLateReplyRecyclesHandlesOnce|TestConnectRacingServe|TestCreditStarvedLeaderIsRenewed|TestCreditWatermark|TestNodeBackgroundGoroutines|TestCreditRenewalFlows|TestCreditRenewalSurvivesLoss|TestQPSchedulerDeactivatesUnderBudget|TestCloseRacingServeAndConnect|TestOneLoopServesBothRoles|TestBidirectionalNodes|TestWaiterDrainsItsOwnQP|TestDeadlineExpiresBySweep' ./internal/core
+# back (TestTokenStress). A call record is a slot whose word carries a
+# generation: a completion naming the slot's earlier call, off the wire or
+# as a memory-op WRID, or a slot on a page never allocated, is dropped as
+# stale and leaves the live call untouched, and a window of 200 calls grows
+# the table past a page and gives every slot back (TestSlotRejectsStaleIDs).
+gate -race -count=10 -run 'TestCallFastPathInventory|TestTokenStress|TestSlotRejectsStaleIDs|TestIdlePairParksItsLoops|TestParkedWaiterWokenByItsRing|TestRingViewsFinishOutOfOrder|TestRingFullOfHeldViews|TestRingHeldViewsBackPressureProducer|TestEchoReadsRequestsInPlace|TestRecycleWaitsOutWorkerHandler|TestPollRoleVersusRecycle|TestServerPollRoleVersusRecycle|TestServeOutcomes|TestInlineLaneAnswersWhileEveryWorkerBlocks|TestLateReplyRecyclesHandlesOnce|TestConnectRacingServe|TestCreditStarvedLeaderIsRenewed|TestCreditWatermark|TestNodeBackgroundGoroutines|TestCreditRenewalFlows|TestCreditRenewalSurvivesLoss|TestQPSchedulerDeactivatesUnderBudget|TestCloseRacingServeAndConnect|TestOneLoopServesBothRoles|TestBidirectionalNodes|TestWaiterDrainsItsOwnQP|TestDeadlineExpiresBySweep' ./internal/core
 # The recovery rules run as shipped in every fault test: a deadline expiry
 # strikes its QP only if no response arrived on it during the wait, a QP is
 # quarantined only for breaking again and again where its siblings' sends
@@ -171,10 +175,11 @@ gate -run TestEveryKnobHasACaller -count=1 .
 # Pendings, its queue nodes and two slices (a batch is a chain through the
 # one submit path, with no side slices of its own); an echo behind a worker pool allocates no more than the inline echo (the
 # pool goroutine that pulls a message serves it, in reply handles it reuses);
-# and N echo round trips take exactly N pool leases, on the inline lane and
+# N echo round trips take exactly N pool leases, on the inline lane and
 # the worker lane alike — the client's copy of each response, as the server
-# reads requests in place.
-gate -run 'TestEchoAllocRegressionGate|TestDeadlineCallAllocGate|TestKeyedCallAllocGate|TestReplyLaterAllocGate|TestReplicatedPutAllocGate|TestSendBatchAllocGate|TestWorkerEchoAllocGate|TestEchoPoolGetsGate' -count=1 .
+# reads requests in place; and a synchronous Read allocates exactly its one
+# queue node, of at most 96 B (the node points at the thread's work request).
+gate -run 'TestEchoAllocRegressionGate|TestDeadlineCallAllocGate|TestKeyedCallAllocGate|TestReplyLaterAllocGate|TestReplicatedPutAllocGate|TestSendBatchAllocGate|TestWorkerEchoAllocGate|TestEchoPoolGetsGate|TestMemOpAllocGate' -count=1 .
 
 # Telemetry-overhead gate: a counter increment stays in the
 # tens-of-nanoseconds range (measured ~9ns, gated at 50ns for CI noise)

@@ -53,18 +53,25 @@ const (
 	tagMask   uint64 = 0xff << tagShift
 )
 
-// memSeqMask selects the sequence bits of a memory-op WRID: the low 28 of
-// the operation's sequence ID (pendingTable.complete widens them back).
-const memSeqMask = 1<<28 - 1
+// A memory-op WRID is tag (8 bits) | thread ID (12) | call ID's low 44
+// bits: its slot (slotBits, 16) and the low 28 bits of its generation. A
+// stale completion can name a live call only after its slot was reused
+// 1<<28 times, as rarely as a 28-bit sequence number wraps.
+const (
+	memSeqBits    = 44
+	memSeqMask    = 1<<memSeqBits - 1 // the call-ID bits a memory-op WRID carries
+	memThreadMask = 1<<(tagShift-memSeqBits) - 1
+)
 
-// memWRID packs a memory-op completion identity: tag | threadID | seq.
+// memWRID packs a memory-op completion identity: tag | threadID | the
+// call ID's low bits (pendingTable.complete matches them against the slot).
 func memWRID(threadID uint32, seq uint64) uint64 {
-	return tagMem | uint64(threadID)<<28 | seq&memSeqMask
+	return tagMem | uint64(threadID)<<memSeqBits | seq&memSeqMask
 }
 
 // memWRThread recovers the thread ID from a memory-op WRID.
 func memWRThread(wrid uint64) uint32 {
-	return uint32(wrid>>28) & (1<<28 - 1)
+	return uint32(wrid>>memSeqBits) & memThreadMask
 }
 
 // Conn is the connection handle (§3): the client side of a FLock
@@ -410,7 +417,7 @@ func (c *Conn) fail(err error) {
 	}
 	close(c.dead)
 	for _, t := range c.snapshotThreads() {
-		t.pend.failMatching(-1, Response{Status: StatusConnClosed, err: err})
+		t.pend.failMatching(-1, &Response{Status: StatusConnClosed, err: err})
 	}
 }
 
@@ -508,6 +515,9 @@ func (o Options) maxMsgBytes() int {
 
 // validate checks option consistency for ring geometry.
 func (o Options) validate() error {
+	if o.QPsPerConn > qpMask+1 {
+		return fmt.Errorf("flock: %d QPs per connection, past the %d a call record can name", o.QPsPerConn, qpMask+1)
+	}
 	if o.test.ringBytes < 2*o.maxMsgBytes() {
 		return fmt.Errorf("flock: a %d-byte ring cannot hold two max messages (%d); lower MaxBatch",
 			o.test.ringBytes, o.maxMsgBytes())

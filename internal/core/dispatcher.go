@@ -169,7 +169,7 @@ func (c *Conn) deliverResponse(it *decodedItem, mbuf *mem.Buf) {
 		buf:    mbuf,
 		trace:  c.node.trace,
 	}
-	if !t.pend.complete(it.meta.seqID, wholeSeq, r) {
+	if !t.pend.complete(it.meta.seqID, wholeSeq, &r) {
 		c.node.metrics.staleDrops.Add(1)
 		r.Release()
 	}
@@ -190,7 +190,7 @@ func (c *Conn) routeSendCompletion(q *connQP, comp rnic.Completion) {
 		// gave up (deadline) or was already poisoned: dropped, like a
 		// stale response.
 		if t := c.thread(memWRThread(comp.WRID)); t != nil &&
-			!t.pend.complete(comp.WRID, memSeqMask, Response{err: statusError(comp.Status)}) {
+			!t.pend.complete(comp.WRID, memSeqMask, &Response{err: statusError(comp.Status)}) {
 			c.node.metrics.staleDrops.Add(1)
 		}
 		if qpFailureStatus(comp.Status) {

@@ -26,9 +26,7 @@ func goid() uint64 {
 
 // tokenSends reads how many completion tokens th's table has sent.
 func tokenSends(th *Thread) uint64 {
-	th.pend.mu.Lock()
-	defer th.pend.mu.Unlock()
-	return th.pend.signals
+	return th.pend.signals.Load()
 }
 
 // TestCallFastPathInventory pins what a call costs its caller besides the
@@ -123,19 +121,19 @@ func TestCallFastPathInventory(t *testing.T) {
 	// The token itself: a record completed while its waiter polls costs no
 	// send; one completed while its waiter is parked costs exactly one.
 	p := &th.pend
-	rec, _ := p.register()
+	rec, _ := p.register(0)
 	s0 := tokenSends(th)
-	if !p.complete(rec.seq, wholeSeq, Response{}) || !rec.resolved() || len(rec.ch) != 0 {
+	if !p.complete(rec.seq, wholeSeq, &Response{}) || !rec.resolved() || len(rec.ch) != 0 {
 		t.Fatal("a record completed while its waiter polled was not resolved without a token")
 	}
 	if _, ok := p.takeDone(rec); !ok {
 		t.Fatal("takeDone lost a completed record")
 	}
-	rec, _ = p.register()
-	if !rec.state.CompareAndSwap(recPending, recParked) {
+	rec, _ = p.register(0)
+	if !rec.park() {
 		t.Fatal("a fresh record could not park")
 	}
-	p.complete(rec.seq, wholeSeq, Response{})
+	p.complete(rec.seq, wholeSeq, &Response{})
 	<-rec.ch
 	if got := tokenSends(th) - s0; got != 1 {
 		t.Fatalf("one parked completion sent %d tokens, want 1", got)

@@ -263,16 +263,17 @@ func TestStaleMemCompletionDropped(t *testing.T) {
 	th := conn.RegisterThread()
 	region, _ := conn.AttachMemRegion(64)
 	src := []byte("its own data")
-	if err := th.Write(region, 0, src); err != nil { // the thread's sequence ID 1
+	if err := th.Write(region, 0, src); err != nil { // slot 0, generation 1
 		t.Fatal(err)
 	}
+	writeID := uint64(1) << slotBits
 
-	// As the Read below takes leadership — registered and parked, not yet
-	// posted — a failed completion arrives under the Write's sequence ID.
+	// As the Read below takes leadership — registered in the Write's slot,
+	// not yet posted — a failed completion arrives under the Write's ID.
 	var once sync.Once
 	leaderStallHook = func(c *Conn, q *connQP) {
 		once.Do(func() {
-			c.routeSendCompletion(q, rnic.Completion{WRID: memWRID(th.ID(), 1), Status: rnic.StatusRemoteAccess})
+			c.routeSendCompletion(q, rnic.Completion{WRID: memWRID(th.ID(), writeID), Status: rnic.StatusRemoteAccess})
 		})
 	}
 	defer func() { leaderStallHook = nil }()

@@ -95,12 +95,13 @@ func (c *Conn) processBatch(th *Thread, q *connQP, batch []*tcqNode) uint32 {
 	wrs := q.wrScratch[:0]
 	defer func() { q.wrScratch = wrs[:0] }()
 
-	// Memory operations: link each thread's prepared work request (§6).
+	// Memory operations: link each thread's prepared work request (§6),
+	// stamped on the batch's copy.
 	for _, n := range mem {
-		wr := n.wr
+		wrs = append(wrs, *n.wr)
+		wr := &wrs[len(wrs)-1]
 		wr.WRID = memWRID(n.threadID, n.seqID)
 		wr.Signaled = true
-		wrs = append(wrs, wr)
 	}
 
 	if len(rpc) > 0 {

@@ -30,7 +30,7 @@ const (
 	// runs a second time.
 	mutDedupSkip
 	// mutPipelineMisroute: a response off the wire completes the thread's
-	// newest outstanding call instead of the call whose sequence ID it
+	// outstanding call in its highest slot instead of the call whose ID it
 	// carries (pendingTable.complete). A thread with one call in flight
 	// cannot tell; only a pipelined thread can.
 	mutPipelineMisroute
@@ -39,6 +39,6 @@ const (
 // mutantOn reports whether m is switched on: never, in this build.
 func mutantOn(m mutant) bool { return false }
 
-// newestOutstanding is the misroute hook; unreachable here, since mutantOn
+// lastOutstanding is the misroute hook; unreachable here, since mutantOn
 // is false.
-func (p *pendingTable) newestOutstanding(seq uint64) uint64 { return seq }
+func (p *pendingTable) lastOutstanding(id uint64) uint64 { return id }

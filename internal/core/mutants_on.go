@@ -41,18 +41,18 @@ var selectedMutant atomic.Int32
 
 func mutantOn(m mutant) bool { return mutant(selectedMutant.Load()) == m }
 
-// newestOutstanding returns the newest sequence ID whose record is still
-// waiting — where the misroute mutant sends a response — or seq when none
-// is; caller holds p.mu.
-func (p *pendingTable) newestOutstanding(seq uint64) uint64 {
-	newest := uint64(0)
-	for s, rec := range p.recs {
-		if !rec.resolved() && s > newest {
-			newest = s
+// lastOutstanding returns the ID of the thread's outstanding call in its
+// highest slot — where the misroute mutant sends a response — or id when
+// none is outstanding.
+func (p *pendingTable) lastOutstanding(id uint64) uint64 {
+	last := id
+	slot := uint64(0)
+	p.each(func(rec *callRec) {
+		w := rec.word.Load()
+		if st := w & stateMask; st == recPending || st == recParked {
+			last = (w>>genShift)<<slotBits | slot
 		}
-	}
-	if newest == 0 {
-		return seq
-	}
-	return newest
+		slot++
+	})
+	return last
 }

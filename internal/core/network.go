@@ -346,8 +346,10 @@ type Node struct {
 	wg     sync.WaitGroup
 
 	// clock is every clock read the node makes; time.Now, and a test's
-	// counting stand-in.
+	// counting stand-in. start is its reading when the node was made, the
+	// origin of the pending tables' deadlines (see sinceStart).
 	clock func() time.Time
+	start time.Time
 }
 
 func newNode(nw *Network, id fabric.NodeID, dev *rnic.Device, opts Options) *Node {
@@ -360,6 +362,7 @@ func newNode(nw *Network, id fabric.NodeID, dev *rnic.Device, opts Options) *Nod
 		done:  make(chan struct{}),
 		clock: time.Now,
 	}
+	n.start = n.clock()
 	n.handlers.Store(&handlerTable{})
 	n.byQPN.Store(map[int]*serverQP{})
 	n.connsSnap.Store([]*Conn{})
@@ -814,12 +817,16 @@ func (n *Node) schedule(now time.Time) {
 			c.pollQP(q, &n.metrics.reliefCompletions, false)
 		}
 		for _, t := range c.snapshotThreads() {
-			t.pend.expire(now)
+			t.pend.expire(n.sinceStart(now))
 		}
 		n.scheduleConn(c)
 	}
 	n.redistribute()
 }
+
+// sinceStart is t in nanoseconds since the node was made: a deadline or a
+// sweep's now as the pending tables keep it, in one atomic word.
+func (n *Node) sinceStart(t time.Time) int64 { return int64(t.Sub(n.start)) }
 
 // snapshotConns returns the current outbound connections. The returned
 // slice is a shared immutable snapshot — callers must not mutate it. The

@@ -2,7 +2,6 @@ package core
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -13,7 +12,7 @@ import (
 // pending-call table in which every submitted operation — RPC or one-sided
 // memory op — owns a completion record that whoever drains its QP (the
 // waiter itself, another thread's waiter, the node's loop; see
-// pollQP) completes directly by sequence ID, and one attempt engine
+// pollQP) completes directly by call ID, and one attempt engine
 // (Pending) that every entry point — Call, CallWithDeadline, CallOpts,
 // CallAsync, SendBatch, SendRPC/RecvRes, Read/Write/FetchAdd/CompareSwap —
 // parameterizes instead of reimplementing. Completions are routed to their exact caller, so
@@ -22,279 +21,419 @@ import (
 // per-caller drop heuristics), and recovery poisons exactly the records
 // riding a broken QP.
 //
-// Ownership protocol. A record lives in the table from registration until
-// exactly one party removes it, and its state word says where it is:
-// pending, parked (its waiter blocked on the token channel), done (response
-// stored, unclaimed), or drained (released by the close-time drain).
+// A record is a slot (§4.1: a response echoes its request's ID, and the ID
+// indexes the slot). The table is pages of slots under a fixed directory;
+// pages are added by the owning thread as its window grows and never move,
+// so a completer indexes a slot with no lock. A call's ID is
+// generation<<slotBits | slot, and each slot's word packs its generation
+// with the QP the call rides and its state, so a completion meant for an
+// earlier occupant of the slot fails the same compare-and-swap that claims
+// a live one.
+//
+// Ownership protocol. A slot's word says where its record is: free, pending,
+// parked (its waiter blocked on the token channel), claimed (a completer is
+// storing the response), done (response stored, unclaimed) or drained
+// (released by the close-time drain). Every move but the owner's store
+// publishing a free slot, which nobody else touches, is a CAS on the word,
+// so each record has exactly one completer and, once done, exactly one
+// consumer.
 //
 //   - A completer (a poller's delivery, QP poisoning, connection failure,
-//     the deadline sweep) that finds the record in the table and not done
-//     stores the response and swaps the state to done, under the table
-//     lock. Only when the swap finds the waiter parked does it send the
-//     record's token, so completing a call nobody blocks on is a store.
-//   - The waiter reads the state without the lock. To block it moves the
-//     state from pending to parked by CAS; to stop blocking (shutdown) it
-//     moves it back, and if that CAS fails a completer got there first and
-//     its token is in the channel, which the waiter receives. Outside a park
-//     the channel is empty, so no other party touches it.
-//   - The waiter that sees done removes the record and takes the response
-//     under the lock; abandoning a wait (cancel, failed submit, shutdown)
-//     removes the record too, releasing the response's pooled lease if a
-//     completer already stored one.
-//   - Close-time draining marks the done records no waiter has removed
-//     drained and releases their leases, so leases held by unwaited Pendings
-//     never outlive the node. A waiter that finds its record drained owns
-//     nothing and walks away.
+//     the deadline sweep) claims the record by CAS from pending or parked —
+//     only if the word carries the generation of the ID it holds — stores
+//     the response and publishes done; a response with nothing to store is
+//     claimed straight to done. Only when it claimed from parked does it
+//     send the record's token, so completing a call nobody blocks on is one
+//     or two atomic writes.
+//   - The waiter reads the word. To block it moves it from pending to parked
+//     by CAS; to stop blocking (shutdown) it moves it back, and if that CAS
+//     fails a completer got there first and its token is coming, which the
+//     waiter receives. Outside a park the channel is empty, so no other party
+//     touches it. A claimed record is done a few instructions later: the
+//     waiter yields until it is.
+//   - The waiter that sees done frees the slot by CAS and takes the
+//     response; abandoning a wait (cancel, failed submit, shutdown) frees it
+//     from pending, or from done releasing the response's pooled lease. Only
+//     the owning thread frees slots and reuses them, so its free-slot stack
+//     and page count need no lock.
+//   - Close-time draining moves done records no waiter has freed to drained
+//     and releases their leases, so leases held by unwaited Pendings never
+//     outlive the node. A waiter that finds its record drained owns nothing
+//     and walks away; a drained slot is never reused.
 
-// callRec is one entry in a thread's pending-call table: the completion
-// future for a single submitted attempt.
-type callRec struct {
-	seq uint64
-	// qp is the QP index the attempt was last pushed on (-1 before the
-	// first push). The submitter stores it outside the table lock while
-	// recovery reads it under the lock, hence atomic.
-	qp atomic.Int32
-	// state is the completion word (recPending, recParked, recDone,
-	// recDrained). Completers and the drain write it under the table lock;
-	// the waiter reads it without the lock and parks and unparks by CAS.
-	state atomic.Uint32
-	resp  Response
-	// deadline is when the attempt expires, zero for an unbounded wait
-	// (guarded by table mu). The waiter arms no timer for it: the deadline
-	// sweep completes an overdue record with an expiry poison.
-	deadline time.Time
-	// ch carries the completion token to a parked waiter. Capacity one and
-	// reused across recycles: a completer sends only on finding the state
-	// parked, at most once per table residence, and the waiter receives it
-	// before it leaves the park.
-	ch   chan struct{}
-	next *callRec // freelist link
-}
-
-// Record states; a record is resolved from recDone on.
+// Table geometry. A thread holds at most 1<<slotBits records at once —
+// calls submitted and not yet waited out or canceled — in pages of
+// pageSlots; register panics past that, since only a caller that never
+// waits its calls gets there.
 const (
-	recPending uint32 = iota
+	slotBits  = 16
+	pageBits  = 6
+	pageSlots = 1 << pageBits
+	slotMask  = 1<<slotBits - 1
+)
+
+// A slot's word is generation<<genShift | qp<<stateBits | state: the
+// generation of the slot's call (its ID's bits above the slot), the QP
+// index the call was last pushed on, and one of the states below.
+const (
+	recFree uint64 = iota
+	recPending
 	recParked
+	recClaimed
 	recDone
 	recDrained
+
+	stateBits = 3
+	stateMask = 1<<stateBits - 1
+	qpBits    = 16 // Options.validate bounds QPsPerConn by it
+	qpMask    = 1<<qpBits - 1
+	genShift  = stateBits + qpBits
+	genMask   = 1<<(64-genShift) - 1
 )
+
+// callRec is one slot of a thread's pending-call table: the completion
+// future for a single submitted attempt.
+type callRec struct {
+	// word is the slot's generation, QP and state; every change is a CAS,
+	// or the owner's store as it publishes a registration.
+	word atomic.Uint64
+	// deadline is when the attempt expires, in nanoseconds of the node's
+	// clock since the node started; zero for an unbounded wait. Only the
+	// owner writes it. The waiter arms no timer for it: the deadline sweep
+	// completes an overdue record with an expiry poison.
+	deadline atomic.Int64
+	// seq is the call's ID, the owner's copy (completers read the word).
+	seq  uint64
+	resp Response
+	// ch carries the completion token to a parked waiter, made by its first
+	// park. Capacity one and reused by the slot's later calls: a completer
+	// sends only on claiming the record from parked, and the waiter receives
+	// the token before it leaves the park.
+	ch chan struct{}
+}
+
+// recPage is one page of slots.
+type recPage [pageSlots]callRec
+
+// state is the record's state.
+func (rec *callRec) state() uint64 { return rec.word.Load() & stateMask }
 
 // resolved reports whether a completer or the drain has finished with rec,
 // so its waiter neither polls nor parks for it any more.
-func (rec *callRec) resolved() bool { return rec.state.Load() >= recDone }
+func (rec *callRec) resolved() bool { return rec.state() >= recDone }
 
-// pendingTable is the per-thread pending-call table plus its record
-// freelist. One table is owned by one application thread, but completers
-// (pollers, recovery, connection failure) reach into it concurrently, hence
-// the lock. The map is insert/delete-heavy at a
-// steady-state size of the pipeline depth, so it never grows past warmup
-// and the hot path stays allocation-free.
+// qp is the QP index the call was last pushed on.
+func (rec *callRec) qp() int32 { return qpOf(rec.word.Load()) }
+
+// qpOf is the QP index in a slot word.
+func qpOf(w uint64) int32 { return int32((w >> stateBits) & qpMask) }
+
+// setQP records that the owner pushes the call on QP qp.
+func (rec *callRec) setQP(qp int32) {
+	for {
+		w := rec.word.Load()
+		if rec.word.CompareAndSwap(w, w&^(qpMask<<stateBits)|uint64(qp)<<stateBits) {
+			return
+		}
+	}
+}
+
+// move changes rec's state from from to to, leaving the rest of the word,
+// and reports whether rec was in from.
+func (rec *callRec) move(from, to uint64) bool {
+	w := rec.word.Load()
+	return w&stateMask == from && rec.word.CompareAndSwap(w, w&^stateMask|to)
+}
+
+// park moves rec from pending to parked, its waiter's word that it blocks
+// on the token; false means a completer claimed the record first.
+func (rec *callRec) park() bool {
+	if rec.ch == nil {
+		rec.ch = make(chan struct{}, 1)
+	}
+	return rec.move(recPending, recParked)
+}
+
+// unpark moves rec back from parked to pending; false means a completer
+// claimed the record first, and its token follows done.
+func (rec *callRec) unpark() bool { return rec.move(recParked, recPending) }
+
+// claim is a completer's right to rec: the CAS from pending or parked to
+// to (claimed, or done for a response with nothing to store), made only
+// while the word's generation, under gmask, is gen. It reports whether it
+// won and whether it found the waiter parked.
+func (rec *callRec) claim(gen, gmask, to uint64) (won, parked bool) {
+	for {
+		w := rec.word.Load()
+		st := w & stateMask
+		if (st != recPending && st != recParked) || (w>>genShift)&gmask != gen {
+			return false, false
+		}
+		if rec.word.CompareAndSwap(w, w&^stateMask|to) {
+			return true, st == recParked
+		}
+	}
+}
+
+// pendingTable is the per-thread pending-call table. One table is owned by
+// one application thread, which alone registers and frees records (so
+// pages and free are its own); completers — pollers, recovery, connection
+// failure, the sweep, the drain — reach in through the directory and the
+// slot words.
 type pendingTable struct {
-	mu   sync.Mutex
-	recs map[uint64]*callRec
-	free *callRec
-	// seq is the newest sequence ID handed out. The table assigns them, in
-	// order and under mu, so a completer holding only an ID's low bits (a
-	// memory-op WRID) can recover the full ID from it.
-	seq uint64
-	// inflight counts registered-but-not-completed records. It is the
-	// successor of the old per-thread outstanding counter: pickQP's
-	// migration rule, Drain quiescence, and the pipeline-depth gate all
-	// read it, and unlike the counter it can never drift from the table —
-	// every mutation happens under mu alongside the map it mirrors, the
-	// atomic only making lock-free reads possible.
-	inflight atomic.Int32
-	// bounded counts the records in the table that carry a deadline, so the
-	// sweep passes a table with none at the cost of one atomic load. Mutated
-	// under mu like inflight.
+	dir   [1 << (slotBits - pageBits)]atomic.Pointer[recPage]
+	pages int      // pages in dir, the owner's
+	free  []uint32 // free slots, the owner's; the last freed on top
+	// live counts the records registered and not yet freed, the owner's:
+	// the pipeline-depth sample, and an upper bound on depth that costs the
+	// pipeline gate no walk.
+	live int
+	// bounded counts the records that carry a deadline, so the sweep passes
+	// a table with none at the cost of one atomic load.
 	bounded atomic.Int32
-	// signals counts the tokens completers sent to parked waiters (guarded
-	// by mu): the one channel send a call can cost.
-	signals uint64
+	// signals counts the tokens completers sent to parked waiters: the one
+	// channel send a call can cost.
+	signals atomic.Uint64
 }
 
-// register publishes a record (recycled from the freelist) under the next
-// sequence ID and returns it with the table depth after insertion (the
+// register takes the slot freed last — from a new page when none is free —
+// and publishes it pending under the slot's next generation, riding QP qp.
+// It returns the record and the number of live records with it (the
 // pipeline-depth sample).
-func (p *pendingTable) register() (*callRec, int) {
-	p.mu.Lock()
-	r := p.free
-	if r != nil {
-		p.free = r.next
-		r.next = nil
-	} else {
-		r = &callRec{ch: make(chan struct{}, 1)}
+func (p *pendingTable) register(qp int32) (*callRec, int) {
+	if len(p.free) == 0 {
+		p.grow()
 	}
-	r.qp.Store(-1)
-	if r.state.Load() == recParked || len(r.ch) != 0 {
-		panic("flock: recycled callRec holds a stale completion token")
+	s := p.free[len(p.free)-1]
+	p.free = p.free[:len(p.free)-1]
+	rec := &p.dir[s>>pageBits].Load()[s&(pageSlots-1)]
+	w := rec.word.Load()
+	if w&stateMask != recFree || rec.ch != nil && len(rec.ch) != 0 {
+		panic("flock: reused call slot is not free or holds a stale completion token")
 	}
-	r.state.Store(recPending)
-	p.seq++
-	r.seq = p.seq
-	p.recs[r.seq] = r
-	d := p.inflight.Add(1)
-	p.mu.Unlock()
-	return r, int(d)
+	gen := (w>>genShift + 1) & genMask
+	if gen == 0 {
+		gen = 1 // generation 0 is a slot never used, which no ID names
+	}
+	rec.seq = gen<<slotBits | uint64(s)
+	rec.word.Store(gen<<genShift | uint64(qp)<<stateBits | recPending)
+	p.live++
+	return rec, p.live
 }
 
-// depth reports the number of in-flight (uncompleted) records.
-func (p *pendingTable) depth() int { return int(p.inflight.Load()) }
+// grow adds a page of free slots.
+func (p *pendingTable) grow() {
+	if p.pages == len(p.dir) {
+		panic("flock: a thread holds 65536 calls nobody waited out or canceled")
+	}
+	base := uint32(p.pages * pageSlots)
+	for i := pageSlots - 1; i >= 0; i-- {
+		p.free = append(p.free, base+uint32(i))
+	}
+	p.dir[p.pages].Store(new(recPage))
+	p.pages++
+}
 
-// wholeSeq is complete's mask for a sequence ID that arrived untruncated.
-const wholeSeq = ^uint64(0)
+// slot returns the record of the slot id names, nil when its page was
+// never allocated.
+func (p *pendingTable) slot(id uint64) *callRec {
+	s := id & slotMask
+	page := p.dir[s>>pageBits].Load()
+	if page == nil {
+		return nil
+	}
+	return &page[s&(pageSlots-1)]
+}
 
-// removeLocked takes rec out of the table and pushes it onto the freelist;
-// caller holds mu.
-func (p *pendingTable) removeLocked(rec *callRec) {
-	delete(p.recs, rec.seq)
-	p.disarmLocked(rec)
+// each calls f on every slot of the table. Pages are added in order and
+// never move, so the walk needs no lock beside a growing owner.
+func (p *pendingTable) each(f func(*callRec)) {
+	for i := range p.dir {
+		page := p.dir[i].Load()
+		if page == nil {
+			return
+		}
+		for j := range page {
+			f(&page[j])
+		}
+	}
+}
+
+// release puts the slot of a record its owner freed back on the stack.
+func (p *pendingTable) release(rec *callRec) {
 	rec.resp = Response{}
-	rec.next = p.free
-	p.free = rec
+	p.free = append(p.free, uint32(rec.seq&slotMask))
+	p.live--
 }
 
-// disarmLocked clears rec's deadline as it leaves the table; caller holds mu.
-func (p *pendingTable) disarmLocked(rec *callRec) {
-	if !rec.deadline.IsZero() {
-		rec.deadline = time.Time{}
+// depth reports the number of in-flight records, those no completer has
+// finished with: pickQP's migration rule, the pipeline gate and Drain
+// quiescence read it. It walks the table, so no completion pays for a
+// counter; the pipeline gate reads live first.
+func (p *pendingTable) depth() int {
+	n := 0
+	p.each(func(rec *callRec) {
+		if st := rec.state(); st >= recPending && st <= recClaimed {
+			n++
+		}
+	})
+	return n
+}
+
+// wholeSeq is complete's mask for a call ID that arrived untruncated.
+const wholeSeq = genMask<<slotBits | slotMask
+
+// resolve is the one completion step every completer shares: it claims
+// rec if the word still carries generation gen (under gmask) and a waiting
+// record, stores r and publishes done, and sends the token to a waiter the
+// claim found parked. A response with nothing in it — a memory op that
+// succeeded — has nothing to store over a freed slot's zero response, so
+// its claim publishes done at once. It reports whether it claimed rec.
+func (p *pendingTable) resolve(rec *callRec, gen, gmask uint64, r *Response) bool {
+	bare := r.buf == nil && r.err == nil && r.Data == nil && r.trace == nil &&
+		r.Seq == 0 && r.RPCID == 0 && r.Status == 0
+	to := recClaimed
+	if bare {
+		to = recDone
+	}
+	won, parked := rec.claim(gen, gmask, to)
+	if !won {
+		return false
+	}
+	if !bare {
+		rec.resp = *r
+		for !rec.move(recClaimed, recDone) {
+			// The owner's setQP moved the word; nothing else can.
+		}
+	}
+	if parked {
+		p.signals.Add(1)
+		rec.ch <- struct{}{}
+	}
+	return true
+}
+
+// arm gives rec, the attempt its caller just submitted, a deadline in
+// nanoseconds since the node started.
+func (p *pendingTable) arm(rec *callRec, deadline int64) {
+	rec.deadline.Store(max(deadline, 1))
+	p.bounded.Add(1)
+}
+
+// disarm clears rec's deadline as its owner takes it out of the table.
+func (p *pendingTable) disarm(rec *callRec) {
+	if rec.deadline.Load() != 0 {
+		rec.deadline.Store(0)
 		p.bounded.Add(-1)
 	}
 }
 
-// completeLocked is the one completion step every completer shares: the
-// response is stored, then the state swapped to done, and a waiter the swap
-// finds parked is sent its token — all under mu.
-func (p *pendingTable) completeLocked(rec *callRec, r Response) {
-	p.inflight.Add(-1)
-	rec.resp = r
-	if rec.state.Swap(recDone) == recParked {
-		p.signals++
-		rec.ch <- struct{}{}
-	}
-}
-
-// arm gives rec, the attempt its caller just submitted, a deadline. A record
-// the close-time drain already removed stays unarmed.
-func (p *pendingTable) arm(rec *callRec, deadline time.Time) {
-	p.mu.Lock()
-	if rec.state.Load() != recDrained {
-		rec.deadline = deadline
-		p.bounded.Add(1)
-	}
-	p.mu.Unlock()
-}
-
 // expire is the deadline sweep's visit to one table: every uncompleted
-// record whose deadline has passed is completed with the expiry poison, so
-// expiry reaches the waiter as a token exactly like QP poison and connection
-// failure do. An expiry is late by at most the sweep period, never early.
-func (p *pendingTable) expire(now time.Time) {
+// record whose deadline (nanoseconds since the node started) has passed by
+// now is completed with the expiry poison, so expiry reaches the waiter as
+// a token exactly like QP poison and connection failure do. An expiry is
+// late by at most the sweep period, never early. The deadline read belongs
+// to the generation the claim names: a slot the owner reused since has
+// moved its word on, and the claim fails.
+func (p *pendingTable) expire(now int64) {
 	if p.bounded.Load() == 0 {
 		return
 	}
-	p.mu.Lock()
-	for _, rec := range p.recs {
-		if !rec.resolved() && !rec.deadline.IsZero() && !now.Before(rec.deadline) {
-			p.completeLocked(rec, Response{err: ErrTimeout})
+	p.each(func(rec *callRec) {
+		w := rec.word.Load()
+		if st := w & stateMask; st != recPending && st != recParked {
+			return
 		}
-	}
-	p.mu.Unlock()
+		if d := rec.deadline.Load(); d != 0 && now >= d {
+			p.resolve(rec, w>>genShift, genMask, &Response{err: ErrTimeout})
+		}
+	})
 }
 
-// complete resolves the record registered under seq with r. It reports
-// whether a record was found (a miss means the completion is stale — its
-// attempt was abandoned — and the caller drops it).
+// complete resolves the record registered under id with r. It reports
+// whether the record was live (a miss means the completion is stale — its
+// attempt was abandoned and the slot freed or reused — or misrouted, and
+// the caller drops it).
 //
-// mask says how many low bits of seq the caller actually has: wholeSeq for
-// a response off the wire, memSeqMask for a memory-op WRID. IDs are
-// assigned in order and the table is shallow, so the ID meant is the
-// newest assigned one ending in those bits.
-func (p *pendingTable) complete(seq, mask uint64, r Response) bool {
-	p.mu.Lock()
-	seq = p.seq - (p.seq-seq)&mask
+// mask says which bits of id the caller actually has: wholeSeq for a
+// response off the wire, memSeqMask for a memory-op WRID, which carries
+// the slot and the generation's low bits.
+func (p *pendingTable) complete(id, mask uint64, r *Response) bool {
 	if mutantOn(mutPipelineMisroute) && mask == wholeSeq {
-		seq = p.newestOutstanding(seq)
+		id = p.lastOutstanding(id)
 	}
-	rec := p.recs[seq]
-	if rec == nil || rec.resolved() {
-		p.mu.Unlock()
-		return false
-	}
-	p.completeLocked(rec, r)
-	p.mu.Unlock()
-	return true
+	rec := p.slot(id)
+	return rec != nil && p.resolve(rec, (id&mask)>>slotBits, mask>>slotBits, r)
 }
 
-// takeDone removes a record its waiter saw done and returns its response.
-// Only the waiter removes a done record, except the close-time drain, which
-// marks it drained instead: then the response is gone and takeDone reports
-// false.
+// takeDone frees a record its waiter saw resolved and returns its
+// response. Only the waiter frees a done record, except the close-time
+// drain, which marks it drained instead: then the response is gone and
+// takeDone reports false.
 func (p *pendingTable) takeDone(rec *callRec) (Response, bool) {
-	p.mu.Lock()
-	if rec.state.Load() == recDrained {
-		p.mu.Unlock()
-		return Response{}, false
+	p.disarm(rec)
+	w := rec.word.Load()
+	if w&stateMask != recDone || !rec.word.CompareAndSwap(w, w&^stateMask|recFree) {
+		return Response{}, false // drained
 	}
 	r := rec.resp
-	p.removeLocked(rec)
-	p.mu.Unlock()
+	p.release(rec)
 	return r, true
 }
 
-// abandon removes a record the waiter no longer wants (cancel, submit
-// failure, shutdown mid-wait), outside any park. If a completer got there
-// first its response lease is recycled; if the close-time drain got there
-// even earlier the record is simply gone and must not be recycled (the
-// drain may still hold it).
+// abandon frees a record the waiter no longer wants (cancel, submit
+// failure, shutdown mid-wait), outside any park: from pending, or from done
+// recycling the response lease a completer stored, once a completer that
+// has claimed it is done. If the close-time drain got there first the
+// record is simply gone and its slot is not reused (the drain may still
+// hold it).
 func (p *pendingTable) abandon(rec *callRec) {
-	p.mu.Lock()
-	switch rec.state.Load() {
-	case recDrained:
-		p.mu.Unlock()
-		return
-	case recDone:
-		rec.resp.Release()
-	default:
-		p.inflight.Add(-1)
+	p.disarm(rec)
+	for {
+		w := rec.word.Load()
+		switch st := w & stateMask; st {
+		case recDrained:
+			return
+		case recClaimed:
+			runtime.Gosched() // the completer publishes done next
+		default: // pending or done
+			if !rec.word.CompareAndSwap(w, w&^stateMask|recFree) {
+				continue
+			}
+			if st == recDone {
+				rec.resp.Release()
+			}
+			p.release(rec)
+			return
+		}
 	}
-	p.removeLocked(rec)
-	p.mu.Unlock()
 }
 
 // failMatching completes every record riding QP qp (all records when qp is
 // negative) with the poison response r. This is how recovery's poison burst
 // is sized from the table: exactly the in-flight attempts on the broken
 // QP, not a thread-wide counter that may have drifted.
-func (p *pendingTable) failMatching(qp int32, r Response) {
-	p.mu.Lock()
-	for _, rec := range p.recs {
-		if rec.resolved() || (qp >= 0 && rec.qp.Load() != qp) {
-			continue
+func (p *pendingTable) failMatching(qp int32, r *Response) {
+	p.each(func(rec *callRec) {
+		w := rec.word.Load()
+		if st := w & stateMask; (st == recPending || st == recParked) && (qp < 0 || qpOf(w) == qp) {
+			p.resolve(rec, w>>genShift, genMask, r)
 		}
-		p.completeLocked(rec, r)
-	}
-	p.mu.Unlock()
+	})
 }
 
 // drain releases the pooled leases of completed records no waiter has
 // claimed. It runs at node close, after the node's loop and pollers are
-// gone; a waiter racing it either removes its record first (and owns the
-// response) or finds it drained and walks away. Drained records are not
-// recycled — their waiter may still hold the pointer.
+// gone; a waiter racing it either frees its record first (and owns the
+// response) or finds it drained and walks away.
 func (p *pendingTable) drain() {
-	p.mu.Lock()
-	for seq, rec := range p.recs {
-		if rec.state.Load() != recDone {
-			continue
+	p.each(func(rec *callRec) {
+		w := rec.word.Load()
+		if w&stateMask == recDone && rec.word.CompareAndSwap(w, w&^stateMask|recDrained) {
+			rec.resp.Release()
+			rec.resp = Response{}
 		}
-		rec.state.Store(recDrained)
-		rec.resp.Release()
-		rec.resp = Response{}
-		delete(p.recs, seq)
-		p.disarmLocked(rec)
-	}
-	p.mu.Unlock()
+	})
 }
 
 // Pending is one in-flight operation: the future returned by CallAsync and
@@ -315,7 +454,7 @@ type Pending struct {
 	t       *Thread
 	rpcID   uint32
 	payload []byte
-	kind    opKind // opMem: the work request waits in the thread's memWR slot
+	kind    opKind // opMem: the work request waits in the thread's memWR
 	size    int    // bytes moved, for the thread scheduler's statistics
 
 	// Plan (fixed at creation).
@@ -362,7 +501,8 @@ const (
 // first submission, whose one clock read it shares (see Thread.submit).
 func (t *Thread) newPending(p *Pending, rpcID uint32, payload []byte, opts CallOptions) error {
 	o := &t.conn.node.opts
-	*p = Pending{t: t, rpcID: rpcID, payload: payload, size: len(payload), attempts: max(opts.MaxAttempts, 1)}
+	*p = Pending{}
+	p.t, p.rpcID, p.payload, p.size, p.attempts = t, rpcID, payload, len(payload), max(opts.MaxAttempts, 1)
 	if len(payload) > o.test.maxPayload {
 		p.fail(ErrPayloadTooLarge)
 		return ErrPayloadTooLarge
@@ -493,12 +633,12 @@ func (p *Pending) armAttempt(now time.Time) {
 		return
 	}
 	if p.attemptWait > 0 {
-		p.heard = p.t.conn.qps[p.rec.qp.Load()].heard.Load()
+		p.heard = p.t.conn.qps[p.rec.qp()].heard.Load()
 		d := now.Add(p.attemptWait)
 		if !p.deadline.IsZero() && d.After(p.deadline) {
 			d = p.deadline
 		}
-		p.t.pend.arm(p.rec, d)
+		p.t.pend.arm(p.rec, p.t.conn.node.sinceStart(d))
 	}
 	p.phase = pendInflight
 }
@@ -518,7 +658,7 @@ func (p *Pending) awaitAttempt(block bool) bool {
 	if rec.resolved() {
 		return p.onDone()
 	}
-	q := c.qps[rec.qp.Load()]
+	q := c.qps[rec.qp()]
 	if !block {
 		c.pollQP(q, &c.node.metrics.waiterCompletions, false)
 		if rec.resolved() {
@@ -546,17 +686,19 @@ func (p *Pending) awaitAttempt(block bool) bool {
 	q.parked.Add(1)
 	defer q.parked.Add(-1)
 	c.pollQP(q, &c.node.metrics.waiterCompletions, true)
-	if !rec.state.CompareAndSwap(recPending, recParked) {
+	if !rec.park() {
+		// A completer claimed the record: it publishes done at once.
+		for !rec.resolved() {
+			runtime.Gosched()
+		}
 		return p.onDone()
 	}
 	select {
 	case <-rec.ch:
 	case <-c.closedCh():
-		if rec.state.CompareAndSwap(recParked, recPending) {
+		if rec.unpark() {
 			return p.onClosed()
 		}
-		// A completer swapped the state first; its token is sent under the
-		// same lock hold.
 		<-rec.ch
 	}
 	return p.onDone()
@@ -581,7 +723,7 @@ func (p *Pending) onDone() bool {
 	c := t.conn
 	// The QP the attempt rode, read before takeDone recycles the record: the
 	// thread may have moved to another QP since.
-	q := c.qps[p.rec.qp.Load()]
+	q := c.qps[p.rec.qp()]
 	r, ok := t.pend.takeDone(p.rec)
 	p.rec = nil
 	if !ok {

@@ -281,8 +281,8 @@ func TestOverloadAbandonAccountingRace(t *testing.T) {
 // of its own, until it lands. Every call is its own checker client, since
 // the window overlaps the thread's calls. The history is checked once the
 // thread's pending-call table is empty. A completion path that hands a
-// response to the thread's newest outstanding call (mutPipelineMisroute)
-// answers one call with another's payload.
+// response to another of the thread's outstanding calls
+// (mutPipelineMisroute) answers one call with another's payload.
 func interleaveAsyncAndSync(t *testing.T) checkedRun {
 	sOpts := Options{Workers: 4}
 	cOpts := Options{RPCTimeout: 250 * time.Millisecond}

@@ -209,7 +209,7 @@ func TestTimeoutStrikesTheAttemptsQP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.rec.qp.Load(); got != 0 {
+	if got := p.rec.qp(); got != 0 {
 		t.Fatalf("the silent call rode QP %d, want 0", got)
 	}
 	conn.qps[0].ctrl.Store64(ctrlActiveOff, 0)

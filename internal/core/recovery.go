@@ -94,7 +94,7 @@ func (c *Conn) failInflight(q *connQP, err error) {
 		err = nil // an empty OK, as if the server had answered
 	}
 	for _, t := range c.snapshotThreads() {
-		t.pend.failMatching(int32(q.idx), Response{err: err})
+		t.pend.failMatching(int32(q.idx), &Response{err: err})
 	}
 }
 

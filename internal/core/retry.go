@@ -70,6 +70,11 @@ func (t *Thread) CallAsync(rpcID uint32, payload []byte, opts CallOptions) (*Pen
 func (t *Thread) gatePipeline(extra int) error {
 	limit := t.conn.node.opts.test.pipelineDepth
 	for i := 0; ; i++ {
+		// The live records bound the in-flight ones from above, and count
+		// without a walk.
+		if l := t.pend.live; l == 0 || l+extra <= limit {
+			return nil
+		}
 		if d := t.pend.depth(); d == 0 || d+extra <= limit {
 			return nil
 		}

@@ -196,9 +196,7 @@ func TestSubmitChain(t *testing.T) {
 					(dm != row.wantMsgs || di != wantItems) {
 					t.Errorf("%d messages carrying %d requests, want %d and %d", dm, di, row.wantMsgs, wantItems)
 				}
-				th.pend.mu.Lock()
-				left := len(th.pend.recs)
-				th.pend.mu.Unlock()
+				left := liveSlots(th)
 				if left != 0 || th.Outstanding() != 0 {
 					t.Errorf("pending-call table holds %d records (depth %d), want empty", left, th.Outstanding())
 				}

@@ -74,8 +74,9 @@ type tcqNode struct {
 	payload  []byte
 	bufOff   int // absolute staging offset assigned by the leader
 
-	// opMem fields.
-	wr rnic.SendWR
+	// opMem fields: the submitting thread's memWR, which it does not touch
+	// again until the node's verdict, so the leader reads it in place.
+	wr *rnic.SendWR
 }
 
 // tcq is the per-QP combining queue; Flock Tail in Figure 5.

@@ -26,8 +26,8 @@ type Thread struct {
 
 	idemSeq uint64 // idempotency-key counter for plans of more than one attempt
 	leads   uint32 // leaderships run, for the tenure sample (see lead)
-	// pend is the thread's pending-call table: one completion record per
-	// submitted operation, resolved directly by sequence ID (see pending.go).
+	// pend is the thread's pending-call table: one completion slot per
+	// submitted operation, resolved directly by call ID (see pending.go).
 	pend pendingTable
 	// unreceived holds the SendRPC calls RecvRes has not returned yet,
 	// oldest first.
@@ -36,9 +36,9 @@ type Thread struct {
 	// parks, adapted to its own round trips (see awaitAttempt).
 	stint stint
 	// A thread runs one memory operation at a time: memWR is its work
-	// request (parked here, already on the heap, so that submitting it
-	// allocates nothing beyond the queue node) and scratch is the local
-	// region its data lands in.
+	// request, written once per operation by Read/Write/FetchAdd/CompareSwap
+	// and read in place by the leader that posts it (the queue node points
+	// here), and scratch is the local region its data lands in.
 	memWR   rnic.SendWR
 	scratch *rnic.MemRegion
 
@@ -103,7 +103,10 @@ func (r *Response) Release() {
 }
 
 // RegisterThread creates a thread handle. The initial QP assignment is
-// round-robin; the thread scheduler refines it from observed behaviour.
+// round-robin; the thread scheduler refines it from observed behaviour. A
+// memory op's work-request ID has room for 12 bits of thread ID, so a
+// connection holds at most 4 096 threads, and RegisterThread panics past
+// that.
 func (c *Conn) RegisterThread() *Thread {
 	scratch, err := c.node.dev.RegisterMR(max(c.node.opts.test.maxPayload, 64), 0)
 	if err != nil {
@@ -113,6 +116,9 @@ func (c *Conn) RegisterThread() *Thread {
 	defer c.threadMu.Unlock()
 	old := c.snapshotThreads()
 	id := uint32(len(old))
+	if id > memThreadMask {
+		panic("flock: a connection holds at most 4096 threads")
+	}
 	t := &Thread{
 		conn:    c,
 		id:      id,
@@ -121,7 +127,6 @@ func (c *Conn) RegisterThread() *Thread {
 		median:  stats.NewRunningMedian(32),
 		stint:   stintMax,
 	}
-	t.pend.recs = make(map[uint64]*callRec)
 	t.assigned.Store(int32(int(id) % len(c.qps)))
 	t.curQP.Store(t.assigned.Load())
 	t.avoidQP = -1
@@ -152,9 +157,9 @@ func (t *Thread) pickQP(placing int) *connQP {
 	}
 	cur := t.curQP.Load()
 	if cur != idx && t.pend.depth() > placing && c.qps[cur].active() {
-		// Finish in-flight traffic on the old QP before migrating. The
-		// caller has already counted the operations being placed, so only
-		// a count above theirs means earlier responses are still due.
+		// Finish in-flight traffic on the old QP before migrating. placing
+		// is how many of the in-flight operations are the caller's own, so
+		// only a count above theirs means earlier responses are still due.
 		idx = cur
 	}
 	q := c.qps[idx]
@@ -259,15 +264,15 @@ func (t *Thread) popUnreceived() *Pending {
 // a one-sided memory operation — enters as a chain of nodes pushed with one
 // tail swap, and a single call is a chain of one. pends share one plan.
 //
-// submit registers a record per call, then runs rounds: choose a QP, link one
-// fresh node per call still unsent (a consumed node's state and link are
-// dirty), push the chain, drive it to verdicts, and go round again with the
-// calls told to migrate or abandoned by a stalled leader. The plan's deadline,
-// when set, bounds the rounds. Every call leaves resolved — failed, its record
-// removed again (or, if a completer raced the failing submit, its response
-// lease recycled), so no error path leaks a table entry — or posted and armed.
-// The error return is for a submission refused whole, before anything was
-// registered.
+// submit chooses a QP and registers a record per call riding it, then runs
+// rounds: link one fresh node per call still unsent (a consumed node's state
+// and link are dirty), push the chain, drive it to verdicts, and go round
+// again, on a QP chosen anew, with the calls told to migrate or abandoned by
+// a stalled leader. The plan's deadline, when set, bounds the rounds. Every
+// call leaves resolved — failed, its record removed again (or, if a
+// completer raced the failing submit, its response lease recycled), so no
+// error path leaks a table entry — or posted and armed. The error return is
+// for a submission refused whole, before anything was registered.
 func (t *Thread) submit(pends []*Pending) error {
 	c := t.conn
 	if c.node.draining.Load() {
@@ -284,10 +289,13 @@ func (t *Thread) submit(pends []*Pending) error {
 	if p := pends[0]; p.attempt == 0 && p.kind == opRPC || p.attemptWait > 0 {
 		now = c.node.clock()
 	}
+	// The first round's QP is chosen before the records count as in
+	// flight, so each is registered riding it.
+	q := t.pickQP(0)
 	for _, p := range pends {
-		var depth int
-		p.rec, depth = t.pend.register()
-		c.node.pipeDepth.Observe(uint64(depth))
+		var live int
+		p.rec, live = t.pend.register(int32(q.idx))
+		c.node.pipeDepth.Observe(uint64(live))
 		p.verdict = stateWaiting
 		if p.attempt == 0 {
 			p.started = now
@@ -297,13 +305,17 @@ func (t *Thread) submit(pends []*Pending) error {
 		}
 	}
 	for round, unsent := 0, len(pends); ; round++ {
-		q := t.pickQP(unsent)
+		if round > 0 {
+			q = t.pickQP(unsent)
+		}
 		var first, last *tcqNode
 		for _, p := range pends {
 			if p.verdict != stateWaiting {
 				continue // posted or failed in an earlier round
 			}
-			p.rec.qp.Store(int32(q.idx))
+			if qp := int32(q.idx); p.rec.qp() != qp {
+				p.rec.setQP(qp)
+			}
 			c.node.trace.Record(telemetry.EvEnqueue, q.idx, t.id, p.rec.seq, uint64(p.size))
 			p.node = &tcqNode{
 				kind:     p.kind,
@@ -319,7 +331,7 @@ func (t *Thread) submit(pends []*Pending) error {
 				leaderCopies: unsent > 1,
 			}
 			if p.kind == opMem {
-				p.node.wr = t.memWR
+				p.node.wr = &t.memWR
 			}
 			if last == nil {
 				first = p.node
@@ -496,7 +508,7 @@ func (t *Thread) RecvRes() (Response, error) {
 // caller's stack — MaxAttempts attempts inside Budget, see CallOptions for
 // the delivery contract of each — and waits it out. It may be freely
 // interleaved with outstanding CallAsync/SendBatch requests on the same
-// thread: every request owns a completion record resolved by sequence ID, so
+// thread: every request owns a completion record resolved by call ID, so
 // responses can never be misdelivered between waiters.
 func (t *Thread) CallOpts(rpcID uint32, payload []byte, opts CallOptions) (Response, error) {
 	var p Pending
@@ -526,18 +538,27 @@ func (t *Thread) CallWithDeadline(rpcID uint32, payload []byte, budget time.Dura
 	return t.CallOpts(rpcID, payload, CallOptions{Budget: max(budget, 0)})
 }
 
-// memOp runs one one-sided operation through FLock synchronization and
-// waits for its completion (§6): the default plan over the same record,
-// submit loop and wait as an RPC — one attempt, since an atomic that timed
-// out may still have executed, bounded by Options.RPCTimeout when that is
-// set. size is the byte count the thread scheduler sees.
-func (t *Thread) memOp(wr rnic.SendWR, size int) error {
-	t.memWR = wr
+// memOp runs the one-sided operation in t.memWR through FLock
+// synchronization and waits for its completion (§6): the default plan over
+// the same record, submit loop and wait as an RPC — one attempt, since an
+// atomic that timed out may still have executed, bounded by
+// Options.RPCTimeout when that is set. size is the byte count the thread
+// scheduler sees.
+func (t *Thread) memOp(size int) error {
 	var p Pending
 	t.newPending(&p, 0, nil, CallOptions{}) //nolint:errcheck // no payload to be too large
 	p.kind, p.size = opMem, size
 	_, err := p.Wait()
 	return err
+}
+
+// memWRFor clears the thread's work request for an op on r at off and
+// returns it for the caller to fill in.
+func (t *Thread) memWRFor(op rnic.Opcode, r *RemoteRegion, off int) *rnic.SendWR {
+	wr := &t.memWR
+	*wr = rnic.SendWR{}
+	wr.Op, wr.RKey, wr.RemoteOff = op, r.rkey, off
+	return wr
 }
 
 // Read performs a one-sided RDMA read of len(dst) bytes from the remote
@@ -546,10 +567,9 @@ func (t *Thread) Read(r *RemoteRegion, off int, dst []byte) error {
 	if t.scratch == nil || len(dst) > t.scratch.Len() {
 		return ErrReadTooLarge
 	}
-	if err := t.memOp(rnic.SendWR{
-		Op: rnic.OpRead, LocalMR: t.scratch, LocalOff: 0, LocalLen: len(dst),
-		RKey: r.rkey, RemoteOff: off,
-	}, len(dst)); err != nil {
+	wr := t.memWRFor(rnic.OpRead, r, off)
+	wr.LocalMR, wr.LocalLen = t.scratch, len(dst)
+	if err := t.memOp(len(dst)); err != nil {
 		return err
 	}
 	return t.scratch.ReadAt(dst, 0)
@@ -558,10 +578,8 @@ func (t *Thread) Read(r *RemoteRegion, off int, dst []byte) error {
 // Write performs a one-sided RDMA write of src to the remote region at
 // off (fl_write).
 func (t *Thread) Write(r *RemoteRegion, off int, src []byte) error {
-	return t.memOp(rnic.SendWR{
-		Op: rnic.OpWrite, Inline: src,
-		RKey: r.rkey, RemoteOff: off,
-	}, len(src))
+	t.memWRFor(rnic.OpWrite, r, off).Inline = src
+	return t.memOp(len(src))
 }
 
 // FetchAdd atomically adds delta to the 64-bit word at off in the remote
@@ -570,10 +588,9 @@ func (t *Thread) FetchAdd(r *RemoteRegion, off int, delta uint64) (uint64, error
 	if t.scratch == nil {
 		return 0, ErrClosed
 	}
-	if err := t.memOp(rnic.SendWR{
-		Op: rnic.OpFetchAdd, LocalMR: t.scratch, LocalOff: 0,
-		RKey: r.rkey, RemoteOff: off, CompareAdd: delta,
-	}, 8); err != nil {
+	wr := t.memWRFor(rnic.OpFetchAdd, r, off)
+	wr.LocalMR, wr.CompareAdd = t.scratch, delta
+	if err := t.memOp(8); err != nil {
 		return 0, err
 	}
 	return t.scratch.Load64(0), nil
@@ -586,10 +603,9 @@ func (t *Thread) CompareSwap(r *RemoteRegion, off int, expect, swap uint64) (uin
 	if t.scratch == nil {
 		return 0, ErrClosed
 	}
-	if err := t.memOp(rnic.SendWR{
-		Op: rnic.OpCmpSwap, LocalMR: t.scratch, LocalOff: 0,
-		RKey: r.rkey, RemoteOff: off, CompareAdd: expect, Swap: swap,
-	}, 8); err != nil {
+	wr := t.memWRFor(rnic.OpCmpSwap, r, off)
+	wr.LocalMR, wr.CompareAdd, wr.Swap = t.scratch, expect, swap
+	if err := t.memOp(8); err != nil {
 		return 0, err
 	}
 	return t.scratch.Load64(0), nil

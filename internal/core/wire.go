@@ -19,7 +19,8 @@ import (
 //	item (32 B metadata, then payload padded to 8 B):
 //	  +0  size     uint32  payload bytes
 //	  +4  threadID uint32
-//	  +8  seqID    uint64  thread-local monotonically increasing (§4.1)
+//	  +8  seqID    uint64  call ID within the thread, echoed (§4.1):
+//	                       generation<<16 | slot of its pending table
 //	  +16 rpcID    uint32  handler ID (requests) / echoed (responses)
 //	  +20 status   uint32  response status
 //	  +24 idemKey  uint64  idempotency key; 0 = not idempotent
