@@ -98,8 +98,8 @@ gate -race -count=10 -run 'TestPostSendNeverBlocks|TestDoorbellStress|TestCloseD
 # completion channels and wake about once a schedule interval, and a waiter
 # parked on a late reply is woken by its armed response ring, not by the
 # schedule. A call pays its bookkeeping only when it waits: on a quiet pair
-# a memory op reads no clock, sends no completion token and makes one locked
-# control-region read, an RPC two clock reads and two control reads
+# a memory op reads no clock, sends no completion token and makes no locked
+# control-region read, an RPC two clock reads and one control read
 # (TestCallFastPathInventory); and waiters that spin, park, cancel, expire
 # or never wait race every completer — poller, loop, sweep, recycle, handle
 # failure, close-time drain — with each call resolved once and every lease
@@ -108,7 +108,10 @@ gate -race -count=10 -run 'TestPostSendNeverBlocks|TestDoorbellStress|TestCloseD
 # as a memory-op WRID, or a slot on a page never allocated, is dropped as
 # stale and leaves the live call untouched, and a window of 200 calls grows
 # the table past a page and gives every slot back (TestSlotRejectsStaleIDs).
-gate -race -count=10 -run 'TestCallFastPathInventory|TestTokenStress|TestSlotRejectsStaleIDs|TestIdlePairParksItsLoops|TestParkedWaiterWokenByItsRing|TestRingViewsFinishOutOfOrder|TestRingFullOfHeldViews|TestRingHeldViewsBackPressureProducer|TestEchoReadsRequestsInPlace|TestRecycleWaitsOutWorkerHandler|TestPollRoleVersusRecycle|TestServerPollRoleVersusRecycle|TestServeOutcomes|TestInlineLaneAnswersWhileEveryWorkerBlocks|TestLateReplyRecyclesHandlesOnce|TestConnectRacingServe|TestCreditStarvedLeaderIsRenewed|TestCreditWatermark|TestNodeBackgroundGoroutines|TestCreditRenewalFlows|TestCreditRenewalSurvivesLoss|TestQPSchedulerDeactivatesUnderBudget|TestCloseRacingServeAndConnect|TestOneLoopServesBothRoles|TestBidirectionalNodes|TestWaiterDrainsItsOwnQP|TestDeadlineExpiresBySweep' ./internal/core
+# A server whose response flush finds the client's response ring full reads
+# the client's published head itself, and every reply of the window still
+# arrives, with and without a pool (TestStarvedFlushRefreshesHead).
+gate -race -count=10 -run 'TestStarvedFlushRefreshesHead|TestCallFastPathInventory|TestTokenStress|TestSlotRejectsStaleIDs|TestIdlePairParksItsLoops|TestParkedWaiterWokenByItsRing|TestRingViewsFinishOutOfOrder|TestRingFullOfHeldViews|TestRingHeldViewsBackPressureProducer|TestEchoReadsRequestsInPlace|TestRecycleWaitsOutWorkerHandler|TestPollRoleVersusRecycle|TestServerPollRoleVersusRecycle|TestServeOutcomes|TestInlineLaneAnswersWhileEveryWorkerBlocks|TestLateReplyRecyclesHandlesOnce|TestConnectRacingServe|TestCreditStarvedLeaderIsRenewed|TestCreditWatermark|TestNodeBackgroundGoroutines|TestCreditRenewalFlows|TestCreditRenewalSurvivesLoss|TestQPSchedulerDeactivatesUnderBudget|TestCloseRacingServeAndConnect|TestOneLoopServesBothRoles|TestBidirectionalNodes|TestWaiterDrainsItsOwnQP|TestDeadlineExpiresBySweep' ./internal/core
 # The recovery rules run as shipped in every fault test: a deadline expiry
 # strikes its QP only if no response arrived on it during the wait, a QP is
 # quarantined only for breaking again and again where its siblings' sends

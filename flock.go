@@ -73,9 +73,10 @@ type (
 	// "Configuration surface").
 	Options = core.Options
 	// Handler processes one RPC request and returns the response payload.
-	// It must not retain req past its return: req views a pooled receive
-	// buffer that is recycled as soon as the handlers of the message it
-	// arrived in have returned.
+	// It must not retain req past its return: req views the request ring
+	// itself, whose space goes back to the client as soon as the handlers
+	// of the message it arrived in have returned and their replies are
+	// flushed.
 	Handler = core.Handler
 	// NodeMetrics aggregates a node's activity counters.
 	NodeMetrics = core.NodeMetrics

@@ -115,15 +115,9 @@ type connQP struct {
 	conn *Conn
 	qp   *rnic.QP
 
-	reqStaging *rnic.MemRegion // local mirror of the server's request ring
-	prod       *ringProducer   // request producer → server request ring
-	respRing   *rnic.MemRegion // response ring (server writes into it)
-	respCons   *ringConsumer   // owned by the poll role's holder
-	ctrl       *rnic.MemRegion // client control region (server writes it)
-	readback   *rnic.MemRegion // 8-byte landing zone for head-refresh reads
-
-	serverCtrlRKey uint32
-	reqRingRKey    uint32
+	prod     *ringProducer   // request producer → server request ring
+	respCons *ringConsumer   // response ring's consumer, the poll role's
+	ctrl     *rnic.MemRegion // client control region (server writes it)
 
 	tcq tcq
 
@@ -133,11 +127,6 @@ type connQP struct {
 	askMark     uint64 // consumed value at the last renewal request
 	askOut      bool   // a renewal is outstanding
 	askSnapshot uint64 // granted value when the renewal was posted
-	// The control words as the leader last read them (see leaderView), and
-	// the region's Version before that read.
-	ctrlSeen    uint64
-	ctrlGranted uint64
-	ctrlActive  bool
 	degrees     *stats.RunningMedian
 	degHist     *telemetry.Hist // coalescing degree of every posted message
 
@@ -148,7 +137,10 @@ type connQP struct {
 	rpcScratch []*tcqNode
 	memScratch []*tcqNode
 
-	refreshPending atomic.Bool
+	// ctrlWord is the control words as last read (ctrlView), packed for any
+	// goroutine to load: the low 32 bits of the region's Version before that
+	// read, granted's low 31 bits, and active in bit 0.
+	ctrlWord atomic.Uint64
 
 	// The poll role (see pollQP): polling is true while some goroutine — a
 	// waiter, a starved leader or the node's loop — drains the response ring
@@ -187,31 +179,52 @@ type connQP struct {
 }
 
 // active reports whether leaders may use the QP: the scheduler-controlled
-// activation flag (§5.1) gated by the local fault state.
+// activation flag (§5.1) gated by the local fault state, for any goroutine.
 func (q *connQP) active() bool {
-	if q.broken.Load() || q.disabled.Load() {
-		return false
-	}
-	var w [8]byte
-	q.readCtrl(w[:], ctrlActiveOff)
-	return binary.LittleEndian.Uint64(w[:]) == 1
+	return !q.broken.Load() && !q.disabled.Load() && q.ctrlView()&1 == 1
 }
 
-// leaderView is the total credits granted by the server and active, as the
-// leader sees them: it reads the control region — both words in one locked
-// read — only when the region's Version moved since its last read, so a
-// leader turn over a control region nobody wrote takes no lock. The Version
-// is read first, so a write the read misses moves it past ctrlSeen.
-// Leader-owned, like the cache it keeps.
+// leaderView is active() and the total credits granted by the server,
+// rebuilt from ctrlWord's low 31 bits: granted is never behind the credits
+// consumed, nor 1<<31 ahead (validate bounds Credits). A grant past the
+// outstanding renewal's snapshot answers it, so the view clears askOut.
+// Leader-owned, like the state it reads and writes — and which a broken
+// QP's recycler owns, so the fault state is checked first.
 func (q *connQP) leaderView() (granted uint64, active bool) {
-	if v := q.ctrl.Version(); v != q.ctrlSeen {
-		var w [16]byte
-		q.readCtrl(w[:], ctrlGrantedOff)
-		q.ctrlSeen = v
-		q.ctrlGranted = binary.LittleEndian.Uint64(w[:8])
-		q.ctrlActive = binary.LittleEndian.Uint64(w[8:]) == 1
+	if q.broken.Load() || q.disabled.Load() {
+		return 0, false
 	}
-	return q.ctrlGranted, q.ctrlActive && !q.broken.Load() && !q.disabled.Load()
+	w := q.ctrlView()
+	granted = q.consumed + uint64((uint32(w>>1)-uint32(q.consumed))&grantedMask)
+	if q.askOut && granted > q.askSnapshot {
+		q.askOut = false
+	}
+	return granted, w&1 == 1
+}
+
+// grantedMask keeps the bits of granted that ctrlWord holds.
+const grantedMask = 1<<31 - 1
+
+// ctrlView returns ctrlWord as of the control region's current Version,
+// refilled by one locked read of both words when the Version moved, so a
+// call over a region nobody wrote takes no lock. The Version is read first,
+// so a write the read misses moves it past the word's tag, and concurrent
+// refills each store a whole word tagged with its own read. A stale word
+// would need 1<<32 writes to the region with no call in between.
+func (q *connQP) ctrlView() uint64 {
+	v := q.ctrl.Version()
+	w := q.ctrlWord.Load()
+	if uint32(w>>32) == uint32(v) {
+		return w
+	}
+	var b [16]byte
+	q.readCtrl(b[:], ctrlGrantedOff)
+	w = v<<32 | (binary.LittleEndian.Uint64(b[:8])&grantedMask)<<1
+	if binary.LittleEndian.Uint64(b[8:]) == 1 {
+		w |= 1
+	}
+	q.ctrlWord.Store(w)
+	return w
 }
 
 // readCtrl is every locked read of the client control region.
@@ -280,7 +293,7 @@ func (n *Node) Connect(remote fabric.NodeID) (*Conn, error) {
 		c.qps = append(c.qps, q)
 		args.qps = append(args.qps, connectQPArgs{
 			qpn:            q.qp.QPN(),
-			respRingRKey:   q.respRing.RKey(),
+			respRingRKey:   q.respCons.mr.RKey(),
 			clientCtrlRKey: q.ctrl.RKey(),
 		})
 	}
@@ -294,9 +307,7 @@ func (n *Node) Connect(remote fabric.NodeID) (*Conn, error) {
 		if err := q.qp.Connect(int(remote), r.qpn); err != nil {
 			return nil, err
 		}
-		q.prod.rkey = r.reqRingRKey
-		q.reqRingRKey = r.reqRingRKey
-		q.serverCtrlRKey = r.serverCtrlRKey
+		q.prod.rkey, q.prod.headRKey = r.reqRingRKey, r.serverCtrlRKey
 	}
 
 	n.connMu.Lock()
@@ -311,14 +322,14 @@ func (n *Node) Connect(remote fabric.NodeID) (*Conn, error) {
 	return c, nil
 }
 
-// newConnQP builds the client end of one QP: queue pair, staging region,
-// response ring, control region, and readback slot.
+// newConnQP builds the client end of one QP: queue pair, request-ring
+// producer, response ring and control region.
 func (n *Node) newConnQP(c *Conn, idx int) (*connQP, error) {
 	qp, err := n.dev.CreateQP(rnic.RC, n.dev.CreateCQ(), n.dev.CreateCQ())
 	if err != nil {
 		return nil, err
 	}
-	staging, err := n.dev.RegisterMR(n.opts.test.ringBytes, 0)
+	prod, err := newRingProducer(n.dev, n.opts.test.ringBytes, srvCtrlReqHeadOff)
 	if err != nil {
 		return nil, err
 	}
@@ -330,26 +341,18 @@ func (n *Node) newConnQP(c *Conn, idx int) (*connQP, error) {
 	if err != nil {
 		return nil, err
 	}
-	readback, err := n.dev.RegisterMR(8, 0)
-	if err != nil {
-		return nil, err
-	}
 	q := &connQP{
-		idx:        idx,
-		conn:       c,
-		qp:         qp,
-		reqStaging: staging,
-		respRing:   respRing,
-		ctrl:       ctrl,
-		readback:   readback,
-		degrees:    stats.NewRunningMedian(32),
+		idx:      idx,
+		conn:     c,
+		qp:       qp,
+		prod:     prod,
+		respCons: newRingConsumer(respRing, ctrl, ctrlRespHeadOff),
+		ctrl:     ctrl,
+		degrees:  stats.NewRunningMedian(32),
 		// Get-or-create so a recycled QP keeps accumulating into the same
 		// series (the per-QP view Figure 10's analysis wants).
 		degHist: n.tel.Hist(fmt.Sprintf("conn%d.qp%d.coalesce_degree", c.remote, idx)),
 	}
-	q.prod = &ringProducer{staging: staging, size: n.opts.test.ringBytes}
-	q.respCons = newRingConsumer(respRing, 0, n.opts.test.ringBytes, ctrl, ctrlRespHeadOff)
-	q.ctrlSeen = noVersion
 	// Bootstrap: C credits (§5.1), QP active.
 	ctrl.Store64(ctrlGrantedOff, uint64(n.opts.Credits))
 	ctrl.Store64(ctrlActiveOff, 1)
@@ -517,6 +520,9 @@ func (o Options) maxMsgBytes() int {
 func (o Options) validate() error {
 	if o.QPsPerConn > qpMask+1 {
 		return fmt.Errorf("flock: %d QPs per connection, past the %d a call record can name", o.QPsPerConn, qpMask+1)
+	}
+	if o.Credits >= 1<<29 {
+		return fmt.Errorf("flock: %d credits per QP, more than the %d a QP's cached control words count", o.Credits, 1<<29-1)
 	}
 	if o.test.ringBytes < 2*o.maxMsgBytes() {
 		return fmt.Errorf("flock: a %d-byte ring cannot hold two max messages (%d); lower MaxBatch",

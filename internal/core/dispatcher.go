@@ -85,7 +85,7 @@ func (c *Conn) pollQP(q *connQP, by *telemetry.Counter, arm bool) int {
 	n := 0
 	if !q.broken.Load() {
 		if arm {
-			q.respRing.Arm()
+			q.respCons.mr.Arm()
 			q.qp.SendCQ().Arm()
 		}
 		// Response ring: the poll buffer is retained once per delivered
@@ -108,11 +108,7 @@ func (c *Conn) pollQP(q *connQP, by *telemetry.Counter, arm bool) int {
 		}
 		// Send CQ: memory-op and refresh completions, message-write errors.
 		landed := false
-		for {
-			k := q.qp.SendCQ().Poll(q.cqBuf[:])
-			if k == 0 {
-				break
-			}
+		for k := q.qp.SendCQ().Poll(q.cqBuf[:]); k > 0; k = q.qp.SendCQ().Poll(q.cqBuf[:]) {
 			for _, comp := range q.cqBuf[:k] {
 				landed = landed || comp.Status == rnic.StatusOK
 				c.routeSendCompletion(q, comp)
@@ -177,10 +173,8 @@ func (c *Conn) deliverResponse(it *decodedItem, mbuf *mem.Buf) {
 
 // routeSendCompletion demultiplexes one send-side completion by wr_id tag
 // (§6): memory operations to their completion record, head refreshes to
-// the producer cache. Error completions are classified: a QP failure (retry
-// exhaustion, flush) triggers the recycle path, anything else — a
-// protocol-level error that a fresh QP would just reproduce — fails the
-// connection.
+// the request-ring producer. Any other failed send is classified by
+// sendFailed.
 func (c *Conn) routeSendCompletion(q *connQP, comp rnic.Completion) {
 	switch comp.WRID & tagMask {
 	case tagMem:
@@ -188,7 +182,7 @@ func (c *Conn) routeSendCompletion(q *connQP, comp rnic.Completion) {
 		// own completion is not counted stale behind the poison burst it
 		// triggers. A miss is a completion for an operation whose waiter
 		// gave up (deadline) or was already poisoned: dropped, like a
-		// stale response.
+		// stale response. Any other error is the operation's own.
 		if t := c.thread(memWRThread(comp.WRID)); t != nil &&
 			!t.pend.complete(comp.WRID, memSeqMask, &Response{err: statusError(comp.Status)}) {
 			c.node.metrics.staleDrops.Add(1)
@@ -196,27 +190,12 @@ func (c *Conn) routeSendCompletion(q *connQP, comp rnic.Completion) {
 		if qpFailureStatus(comp.Status) {
 			c.markBroken(q)
 		}
+		return
 	case tagFresh:
-		if comp.Status == rnic.StatusOK {
-			q.prod.updateCached(q.readback.Load64(0))
-			q.refreshPending.Store(false)
-			return
-		}
-		q.refreshPending.Store(false)
-		if qpFailureStatus(comp.Status) {
-			c.markBroken(q)
-		} else {
-			c.fail(ErrConnClosed)
-		}
-	default:
-		// Message writes, markers, renewals: only errors matter.
-		if comp.Status == rnic.StatusOK {
-			return
-		}
-		if qpFailureStatus(comp.Status) {
-			c.markBroken(q)
-		} else {
-			c.fail(ErrConnClosed)
-		}
+		q.prod.applyRefresh(comp)
+	}
+	// Refreshes, message writes, markers, renewals: only errors matter.
+	if comp.Status != rnic.StatusOK {
+		c.sendFailed(q, qpFailureStatus(comp.Status))
 	}
 }

@@ -32,13 +32,18 @@ func tokenSends(th *Thread) uint64 {
 // TestCallFastPathInventory pins what a call costs its caller besides the
 // NIC's work, on a quiet client/server pair: a memory op reads no clock,
 // sends no token (its waiter never parks: the completion is on the CQ by the
-// first poll) and makes at most one locked read of the control region; an
-// RPC, plain or with a deadline, reads the clock twice — the latency probe's
-// pair, which the deadline's arming shares — and makes at most two locked
-// control reads per message. Leader tenure is sampled, one leadership in
-// tenureEvery, and its pair of reads is the only other clock read allowed.
-// Only the calling goroutine's reads count: the node's loop reads the clock
-// and the control region on its own schedule.
+// first poll) and makes no locked read of the control region, which nobody
+// writes while it runs; an RPC, plain or with a deadline, reads the clock
+// twice — the latency probe's pair, which the deadline's arming shares — and
+// makes at most one locked control read per message: its response's
+// consumed head, published into the region, moves the region's Version once,
+// and the QP pick and the leader share the one refill that follows. The
+// server's credit grants are the other writes to the region: one that lands
+// between a call's QP pick and its leader's view costs one read more, so
+// each grant made during the count allows one. Leader tenure is sampled, one
+// leadership in tenureEvery, and its pair of reads is the only other clock
+// read allowed. Only the calling goroutine's reads count: the node's loop
+// reads the clock and the control region on its own schedule.
 func TestCallFastPathInventory(t *testing.T) {
 	var me atomic.Uint64
 	var clocks, ctrlReads atomic.Int64
@@ -50,7 +55,7 @@ func TestCallFastPathInventory(t *testing.T) {
 	t.Cleanup(func() { ctrlReadHook = nil }) // after the network's Close below
 	tc := newTestCluster(t, 1, Options{}, Options{})
 	registerEcho(tc.server)
-	cl := tc.clients[0]
+	srv, cl := tc.server, tc.clients[0]
 	cl.clock = func() time.Time { // before Connect starts the node's loop
 		if goid() == me.Load() {
 			clocks.Add(1)
@@ -87,31 +92,34 @@ func TestCallFastPathInventory(t *testing.T) {
 		clocks, ctrl    int64 // per op, besides the tenure sample
 		tokenSendsAllow bool
 	}{
-		{"Read", read, 0, 1, false},
-		{"Write", write, 0, 1, false},
-		{"FetchAdd", fetchAdd, 0, 1, false},
-		{"Call", call, 2, 2, true},
-		{"CallWithDeadline", callDeadline, 2, 2, true},
+		{"Read", read, 0, 0, false},
+		{"Write", write, 0, 0, false},
+		{"FetchAdd", fetchAdd, 0, 0, false},
+		{"Call", call, 2, 1, true},
+		{"CallWithDeadline", callDeadline, 2, 1, true},
 	} {
 		for i := 0; i < n; i++ { // warm: the control cache, the stint, the pools
 			if err := tc.op(); err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
 		}
-		c0, r0, s0 := clocks.Load(), ctrlReads.Load(), tokenSends(th)
+		c0, r0, s0, g0 := clocks.Load(), ctrlReads.Load(), tokenSends(th), srv.Metrics().CreditRenewals
 		for i := 0; i < n; i++ {
 			if err := tc.op(); err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
 		}
 		c, r, s := clocks.Load()-c0, ctrlReads.Load()-r0, tokenSends(th)-s0
-		t.Logf("%s: %d ops, %d clock reads, %d locked control reads, %d token sends", tc.name, n, c, r, s)
+		g := int64(srv.Metrics().CreditRenewals - g0)
+		t.Logf("%s: %d ops, %d clock reads, %d locked control reads, %d token sends, %d credit grants",
+			tc.name, n, c, r, s, g)
 		if c > tc.clocks*n+tenureReads {
 			t.Errorf("%s: %d clock reads in %d ops, want at most %d per op and the tenure sample's %d",
 				tc.name, c, n, tc.clocks, tenureReads)
 		}
-		if r > tc.ctrl*n {
-			t.Errorf("%s: %d locked control-region reads in %d ops, want at most %d per op", tc.name, r, n, tc.ctrl)
+		if r > tc.ctrl*n+g {
+			t.Errorf("%s: %d locked control-region reads in %d ops, want at most %d per op and one per credit grant (%d)",
+				tc.name, r, n, tc.ctrl, g)
 		}
 		if s != 0 && !tc.tokenSendsAllow {
 			t.Errorf("%s: %d token sends in %d ops whose waiters never park, want 0", tc.name, s, n)

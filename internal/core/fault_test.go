@@ -65,7 +65,7 @@ func TestRingGarbageIsNotConsumed(t *testing.T) {
 	putHeader(garbage, header{totalLen: uint32(len(garbage)), count: 1, canary: 0xABCD, flags: flagItemMetaV2})
 	putItemMeta(garbage[headerBytes:], itemMeta{threadID: th.ID(), seqID: p.rec.seq, rpcID: blockID})
 	binary.LittleEndian.PutUint64(garbage[len(garbage)-trailerBytes:], 0x9999) // trailing canary differs
-	if err := q.respRing.WriteAt(garbage, 0); err != nil {
+	if err := q.respCons.mr.WriteAt(garbage, 0); err != nil {
 		t.Fatal(err)
 	}
 	// The dispatcher polls this position first; with mismatched canaries
@@ -80,7 +80,7 @@ func TestRingGarbageIsNotConsumed(t *testing.T) {
 	}
 	// Clean the injected bytes (as if the write never happened); real
 	// traffic then flows, the parked call's own response first.
-	if err := q.respRing.WriteAt(make([]byte, len(garbage)), 0); err != nil {
+	if err := q.respCons.mr.WriteAt(make([]byte, len(garbage)), 0); err != nil {
 		t.Fatal(err)
 	}
 	close(release)

@@ -135,7 +135,7 @@ func (c *Conn) processBatch(th *Thread, q *connQP, batch []*tcqNode) uint32 {
 				rpcID:    n.rpcID,
 				idemKey:  n.idemKey,
 			})
-			q.reqStaging.WriteAt(metaBuf[:], cursor) //nolint:errcheck // reserved span
+			q.prod.staging.WriteAt(metaBuf[:], cursor) //nolint:errcheck // reserved span
 			n.bufOff = cursor + itemMetaBytes
 			cursor += itemSpace(len(n.payload))
 			if mutantOn(mutBatchDropTail) && len(rpc) > 1 && n == rpc[len(rpc)-1] {
@@ -147,7 +147,7 @@ func (c *Conn) processBatch(th *Thread, q *connQP, batch []*tcqNode) uint32 {
 				// this very goroutine, which is busy leading. A small payload
 				// it copies too: see leaderCopyMax.
 				if len(n.payload) > 0 {
-					q.reqStaging.WriteAt(n.payload, n.bufOff) //nolint:errcheck
+					q.prod.staging.WriteAt(n.payload, n.bufOff) //nolint:errcheck
 				}
 				n.copied.Store(1)
 			} else {
@@ -190,10 +190,17 @@ func (c *Conn) processBatch(th *Thread, q *connQP, batch []*tcqNode) uint32 {
 }
 
 // postFailure classifies a PostSend error: a QP in (or entering) the error
-// state is recoverable by recycle and the batch migrates; anything else is
-// fatal to the connection.
+// state is a QP failure (see sendFailed).
 func (c *Conn) postFailure(q *connQP, err error) uint32 {
-	if errors.Is(err, rnic.ErrQPErrorState) || errors.Is(err, rnic.ErrQPNotReady) {
+	return c.sendFailed(q, errors.Is(err, rnic.ErrQPErrorState) || errors.Is(err, rnic.ErrQPNotReady))
+}
+
+// sendFailed is the one verdict on a failed send, posted or completed: a
+// failure of the QP itself (qpFailure) is recoverable by recycle, so the QP
+// breaks and the batch migrates; anything else — a protocol-level error a
+// fresh QP would just reproduce — is fatal to the connection.
+func (c *Conn) sendFailed(q *connQP, qpFailure bool) uint32 {
+	if qpFailure {
 		c.markBroken(q)
 		return stateMigrate
 	}
@@ -211,9 +218,6 @@ func (c *Conn) postFailure(q *connQP, err error) uint32 {
 func (c *Conn) awaitCredits(q *connQP, need int, granted uint64) (uint64, uint32) {
 	var deadline time.Time
 	for spins := 0; ; spins++ {
-		if q.askOut && granted > q.askSnapshot {
-			q.askOut = false
-		}
 		if granted-q.consumed >= uint64(need) {
 			return granted, stateSent
 		}
@@ -226,8 +230,7 @@ func (c *Conn) awaitCredits(q *connQP, need int, granted uint64) (uint64, uint32
 				return granted, c.postFailure(q, err)
 			}
 		}
-		if c.stalled(&deadline, spins) {
-			c.noteLeaderStall(q)
+		if c.stalled(q, &deadline, spins) {
 			return granted, stateMigrate
 		}
 		runtime.Gosched()
@@ -238,64 +241,51 @@ func (c *Conn) awaitCredits(q *connQP, need int, granted uint64) (uint64, uint32
 	}
 }
 
-// stalled is the stall guard of a leader's wait, asked once per spin: the
-// first ask reads the clock to set the deadline StallTimeout away, and
-// after that one spin in 256 reads it against the deadline.
-func (c *Conn) stalled(deadline *time.Time, spins int) bool {
+// stalled is the stall guard of a leader's wait on q, asked once per spin:
+// the first ask reads the clock to set the deadline StallTimeout away, and
+// after that one spin in 256 reads it against the deadline. A wait past it
+// means credits or ring-head updates stopped flowing, which a recycle
+// resolves by re-bootstrapping both ends: stalled counts it and breaks q.
+func (c *Conn) stalled(q *connQP, deadline *time.Time, spins int) bool {
 	if deadline.IsZero() {
 		*deadline = c.node.clock().Add(c.node.opts.StallTimeout)
 		return false
 	}
-	return spins%256 == 255 && c.node.clock().After(*deadline)
+	if spins%256 != 255 || !c.node.clock().After(*deadline) {
+		return false
+	}
+	c.node.metrics.stalls.Add(1)
+	c.markBroken(q)
+	return true
 }
 
-// awaitSpace reserves ring space, triggering a one-sided head refresh when
-// the cached head is stale (§4.1: "the sender rarely reads"). Like
+// awaitSpace reserves ring space, refreshing the cached head with a
+// one-sided read while the ring is full (reserveOrRefresh). Like
 // awaitCredits the wait is stall-bounded: a flushed message write leaves a
 // hole the strictly-in-order server consumer can never pass, so a full
 // ring that never drains means the QP needs a recycle.
 func (c *Conn) awaitSpace(q *connQP, msgLen int) (reservation, uint32) {
 	var deadline time.Time
 	for spins := 0; ; spins++ {
-		res, ok := q.prod.reserve(msgLen)
-		if ok {
+		res, ok, err := q.prod.reserveOrRefresh(q.qp, msgLen)
+		switch {
+		case ok:
 			return res, stateSent
-		}
-		if c.isClosed() {
+		case err != nil:
+			return res, c.postFailure(q, err)
+		case c.isClosed():
 			return res, stateAborted
-		}
-		if _, active := q.leaderView(); !active {
+		case !q.active():
 			return res, stateMigrate
 		}
-		c.requestHeadRefresh(q)
 		// The refresh completes on our own QP's send CQ: poll it here rather
 		// than wait for another goroutine to be scheduled. The poll role is
 		// not the leader role, so holding q.leaders cannot deadlock it.
 		c.pollQP(q, &c.node.metrics.waiterCompletions, false)
-		if c.stalled(&deadline, spins) {
-			c.noteLeaderStall(q)
+		if c.stalled(q, &deadline, spins) {
 			return res, stateMigrate
 		}
 		runtime.Gosched()
-	}
-}
-
-// requestHeadRefresh posts an RDMA read of the server's published consumed
-// head into the QP's readback slot. Whoever polls the QP next routes the
-// completion and advances prod.cached — the starved leader itself, usually.
-func (c *Conn) requestHeadRefresh(q *connQP) {
-	if q.refreshPending.Swap(true) {
-		return
-	}
-	err := q.qp.PostSend(rnic.SendWR{
-		WRID: tagFresh | uint64(q.idx), Op: rnic.OpRead,
-		LocalMR: q.readback, LocalOff: 0, LocalLen: 8,
-		RKey: q.serverCtrlRKey, RemoteOff: srvCtrlReqHeadOff,
-		Signaled: true,
-	})
-	if err != nil {
-		q.refreshPending.Store(false)
-		c.postFailure(q, err)
 	}
 }
 
@@ -305,13 +295,7 @@ func (c *Conn) requestHeadRefresh(q *connQP) {
 // nothing to ask.
 func (c *Conn) maybeRenew(q *connQP, granted uint64) (rnic.SendWR, bool) {
 	credits := uint64(c.node.opts.Credits)
-	if q.consumed-q.askMark < credits/2 {
-		return rnic.SendWR{}, false
-	}
-	if q.askOut && granted > q.askSnapshot {
-		q.askOut = false
-	}
-	if q.askOut || granted-q.consumed >= credits {
+	if q.consumed-q.askMark < credits/2 || q.askOut || granted-q.consumed >= credits {
 		return rnic.SendWR{}, false
 	}
 	return q.renewalWR(granted), true
@@ -328,7 +312,7 @@ func (q *connQP) renewalWR(granted uint64) rnic.SendWR {
 	degree := min(max(q.degrees.Median(), 1), 0xFFFFFFFF)
 	return rnic.SendWR{
 		WRID: tagRenew, Op: rnic.OpWriteImm,
-		RKey: q.reqRingRKey, RemoteOff: 0,
+		RKey: q.prod.rkey, RemoteOff: 0,
 		Imm: uint32(degree), ImmValid: true,
 	}
 }

@@ -44,11 +44,7 @@ func (n *Node) pumpQP(sqp *serverQP, scratch **replyBlock, cqBuf []rnic.Completi
 	if sqp.pumping.CompareAndSwap(false, true) {
 		n.drainRenewals(sqp, cqBuf)
 		u, found = n.pumpOne(sqp, scratch)
-		for k := sqp.qp.SendCQ().Poll(cqBuf); k > 0; k = sqp.qp.SendCQ().Poll(cqBuf) {
-			for _, comp := range cqBuf[:k] {
-				sqp.routeCompletion(comp)
-			}
-		}
+		sqp.drainSendCQ(cqBuf)
 		sqp.pumping.Store(false)
 	}
 	sqp.exit()
@@ -222,7 +218,7 @@ func (n *Node) leaveRings() {
 func (n *Node) armRings() (ready bool) {
 	for _, sc := range n.snapshotSconns() {
 		for _, sqp := range sc.qps {
-			sqp.reqRing.Arm()
+			sqp.reqCons.mr.Arm()
 			sqp.recvCQ.Arm()
 			if !sqp.broken.Load() && (!sqp.reqCons.idle() || sqp.recvCQ.Len() > 0) {
 				ready = true

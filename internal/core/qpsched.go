@@ -74,7 +74,7 @@ func (n *Node) writeClientCtrl(sqp *serverQP, off int, val uint64) {
 	sqp.qp.PostSend(rnic.SendWR{ //nolint:errcheck // device closing is benign
 		WRID: tagCtrl, Op: rnic.OpWrite,
 		Inline: buf[:],
-		RKey:   sqp.clientCtrlRKey, RemoteOff: off,
+		RKey:   sqp.respProd.headRKey, RemoteOff: off, // the client's control region
 	})
 }
 

@@ -122,14 +122,6 @@ func (c *Conn) noteTimeout(q *connQP, heard uint32) {
 	}
 }
 
-// noteLeaderStall records a leader credit/space wait that hit StallTimeout
-// and breaks the QP — the stall means credits or ring-head updates stopped
-// flowing, which a recycle resolves by re-bootstrapping both ends.
-func (c *Conn) noteLeaderStall(q *connQP) {
-	c.node.metrics.stalls.Add(1)
-	c.markBroken(q)
-}
-
 // recycleQP is the background recovery goroutine for one broken QP.
 func (c *Conn) recycleQP(q *connQP) {
 	n := c.node
@@ -179,11 +171,9 @@ func (c *Conn) recycleQP(q *connQP) {
 
 	// Re-bootstrap the client end: empty rings, position zero, C credits,
 	// QP active. MRs and rkeys are stable across the recycle.
-	zeroMR(q.respRing)
 	q.prod.reset()
 	q.respCons.reset()
 	q.consumed, q.askMark, q.askOut, q.askSnapshot = 0, 0, false, 0
-	q.refreshPending.Store(false)
 	q.strikeMu.Lock()
 	q.strikes = 0
 	q.strikeMu.Unlock()
@@ -250,18 +240,6 @@ func (c *Conn) quarantine(q *connQP) {
 	c.fail(ErrConnClosed)
 }
 
-// zeroMR clears an entire memory region (ring reset during recycle) using
-// the package's shared zero page instead of allocating a slab per recycle.
-func zeroMR(mr *rnic.MemRegion) {
-	for off := 0; off < mr.Len(); off += len(zeroPage) {
-		k := mr.Len() - off
-		if k > len(zeroPage) {
-			k = len(zeroPage)
-		}
-		mr.WriteAt(zeroPage[:k], off) //nolint:errcheck // in range by construction
-	}
-}
-
 // recycleArgs is the client half of the out-of-band recycle handshake; it
 // identifies the server QP by the number the client was connected to.
 type recycleArgs struct {
@@ -288,7 +266,7 @@ func (n *Node) recycleAccept(a recycleArgs) (recycleReply, error) {
 		return recycleReply{}, ErrNotServing
 	}
 	sqp := n.byQPN.Load().(map[int]*serverQP)[a.oldServerQPN]
-	if sqp == nil || sqp.sender != a.clientNode {
+	if sqp == nil || sqp.sc.sender != a.clientNode {
 		return recycleReply{}, ErrNoSuchNode
 	}
 	sqp.broken.Store(true)
@@ -306,22 +284,12 @@ func (n *Node) recycleAccept(a recycleArgs) (recycleReply, error) {
 	sqp.life.Add(1) // replies still owed to the old life's requests are dropped
 
 	n.dev.DestroyQP(a.oldServerQPN) // flush stragglers before ring zeroing
-	qp, err := n.dev.CreateQP(rnic.RC, n.dev.CreateCQ(), sqp.recvCQ)
+	qp, err := n.newServerQP(sqp.recvCQ, a.clientNode, a.newClientQPN)
 	if err != nil {
 		return recycleReply{}, err
 	}
-	if err := qp.Connect(int(a.clientNode), a.newClientQPN); err != nil {
-		return recycleReply{}, err
-	}
-	for r := 0; r < recvDepth; r++ {
-		if err := qp.PostRecv(rnic.RecvWR{WRID: uint64(qp.QPN())}); err != nil {
-			return recycleReply{}, err
-		}
-	}
-	zeroMR(sqp.reqRing)
 	sqp.reqCons.reset()
 	sqp.respProd.reset()
-	sqp.refresh.Store(false)
 	sqp.granted = uint64(n.opts.Credits)
 	sqp.active.Store(true)
 	n.sconnMu.Lock()

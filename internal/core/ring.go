@@ -10,42 +10,63 @@ import (
 )
 
 // zeroPage is a shared read-only slab of zeros used to clear consumed ring
-// space and reset regions during QP recycle. One page for the whole
+// space and whole rings during QP recycle. One page for the whole
 // package: the writers only ever read from it.
 var zeroPage [4096]byte
 
-// ringProducer is the sender's view of one ring buffer (§4): a local
-// staging region mirroring the receiver's ring, a monotonic tail, and a
-// cached copy of the receiver's consumed Head. The producer reserves
-// space, lets threads stage their payloads, and the leader ships the span
-// with a single RDMA write to the same offset in the remote ring.
+// ringProducer is the sender's end of one ring buffer (§4), the client's
+// request ring or the server's response ring: a local staging region
+// mirroring the receiver's ring, a monotonic tail, and a cached copy of the
+// receiver's consumed Head. The producer reserves space, lets threads stage
+// their payloads, and the leader ships the span with a single RDMA write to
+// the same offset in the remote ring.
 type ringProducer struct {
 	staging *rnic.MemRegion // local mirror of the remote ring
-	base    int             // ring base offset inside staging and remote MR
-	size    int
-	rkey    uint32 // remote ring MR
-	tail    uint64 // monotonic bytes produced; current-leader-owned
-	msgSeq  uint64 // messages sealed, the selective-signalling counter; owned like tail
+	size    int             // staging's length (see ringConsumer.size)
+	rkey    uint32          // remote ring MR
+	tail    uint64          // monotonic bytes produced; current-leader-owned
+	msgSeq  uint64          // messages sealed, the selective-signalling counter; owned like tail
 
 	// cached is the monotonic consumed head as last learned (the
 	// "sender's copy of Head", §4.1). Whoever polls the response ring advances
 	// it from piggybacked headers concurrently with the leader reading it,
 	// hence atomic.
 	cached atomic.Uint64
+
+	// The starved producer's step (§4.1: "the sender rarely reads"): one
+	// RDMA read at a time of the consumer's published head — headOff in the
+	// peer's control region headRKey — into readback. refreshing is set from
+	// the read's post until its completion is applied.
+	readback   *rnic.MemRegion
+	headRKey   uint32
+	headOff    int
+	refreshing atomic.Bool
 }
 
-// free reports how many ring bytes are available given the cached head.
-func (p *ringProducer) free() int {
-	return p.size - int(p.tail-p.cached.Load())
+// newRingProducer registers a producer's staging region, ringBytes long, and
+// its readback region on dev. The caller sets rkey and headRKey from the
+// peer's half of the bootstrap.
+func newRingProducer(dev *rnic.Device, ringBytes, headOff int) (*ringProducer, error) {
+	staging, err := dev.RegisterMR(ringBytes, 0)
+	if err != nil {
+		return nil, err
+	}
+	readback, err := dev.RegisterMR(8, 0)
+	if err != nil {
+		return nil, err
+	}
+	return &ringProducer{staging: staging, size: staging.Len(), readback: readback, headOff: headOff}, nil
 }
 
 // reset returns the producer to the fresh-ring state after a QP recycle:
-// nothing produced, nothing known consumed. The caller must have excluded
-// every concurrent producer and cache-updater first.
+// nothing produced, nothing known consumed, no refresh in flight (nobody
+// polls the destroyed QP's CQ). The caller must have excluded every
+// concurrent producer and cache-updater first.
 func (p *ringProducer) reset() {
 	p.tail = 0
 	p.msgSeq = 0
 	p.cached.Store(0)
+	p.refreshing.Store(false)
 }
 
 // updateCached advances the cached consumed head (monotonic, so stale
@@ -64,13 +85,12 @@ type reservation struct {
 	msgOff    int // staging/remote offset where the message goes
 	msgLen    int // its length, header and trailing canary included
 	markerOff int // offset of a wrap marker to transmit, or -1
-	markerLen int // bytes the marker occupies on the ring (skipped region)
 }
 
 // reserve allocates space for a message of msgLen bytes, returning false
-// if the ring lacks room (the caller refreshes the cached head and
-// retries). If the message would straddle the ring end, an 8-byte wrap
-// marker is staged at the current tail and the message starts at offset 0.
+// if the ring lacks room by the cached head. If the message would straddle
+// the ring end, an 8-byte wrap marker is staged at the current tail and the
+// message starts at offset 0.
 func (p *ringProducer) reserve(msgLen int) (reservation, bool) {
 	r := reservation{msgLen: msgLen, markerOff: -1}
 	off := int(p.tail) % p.size
@@ -80,7 +100,7 @@ func (p *ringProducer) reserve(msgLen int) (reservation, bool) {
 		rem = p.size - off
 		need += rem
 	}
-	if need > p.free() {
+	if need > p.size-int(p.tail-p.cached.Load()) {
 		return r, false
 	}
 	if rem > 0 {
@@ -88,15 +108,44 @@ func (p *ringProducer) reserve(msgLen int) (reservation, bool) {
 		// the message so the receiver skips to offset zero.
 		var marker [8]byte
 		binary.LittleEndian.PutUint32(marker[0:], wrapMarker)
-		p.staging.WriteAt(marker[:], p.base+off) //nolint:errcheck // in range by construction
+		p.staging.WriteAt(marker[:], off) //nolint:errcheck // in range by construction
 		r.markerOff = off
-		r.markerLen = rem
 		p.tail += uint64(rem)
 		off = 0
 	}
 	r.msgOff = off
 	p.tail += uint64(msgLen)
 	return r, true
+}
+
+// reserveOrRefresh is reserve for a producer that may be starved: when the
+// ring lacks room it posts, on qp, the head refresh — unless one is in flight
+// — and returns false and the post's error. Whoever polls qp's send CQ next
+// applies the refresh (applyRefresh), and a later call finds the room.
+func (p *ringProducer) reserveOrRefresh(qp *rnic.QP, msgLen int) (reservation, bool, error) {
+	if res, ok := p.reserve(msgLen); ok || p.refreshing.Swap(true) {
+		return res, ok, nil
+	}
+	err := qp.PostSend(rnic.SendWR{
+		WRID: tagFresh, Op: rnic.OpRead,
+		LocalMR: p.readback, LocalLen: 8,
+		RKey: p.headRKey, RemoteOff: p.headOff,
+		Signaled: true,
+	})
+	if err != nil {
+		p.refreshing.Store(false)
+	}
+	return reservation{}, false, err
+}
+
+// applyRefresh applies a head refresh's completion: an OK read advances the
+// cached head to the one read, a failed one leaves it to the QP's recovery.
+// Either way the next starved reservation may post another.
+func (p *ringProducer) applyRefresh(comp rnic.Completion) {
+	if comp.Status == rnic.StatusOK {
+		p.updateCached(p.readback.Load64(0))
+	}
+	p.refreshing.Store(false)
 }
 
 // ringConsumer is the receiver's view of one ring buffer: it polls the
@@ -110,9 +159,8 @@ func (p *ringProducer) reserve(msgLen int) (reservation, bool) {
 // a message not yet finished cannot be overwritten; a full ring back-pressures
 // the producer instead.
 type ringConsumer struct {
-	mr   *rnic.MemRegion
-	base int
-	size int
+	mr   *rnic.MemRegion // the ring, the whole region
+	size int             // mr's length, kept off the region's contended lock line
 
 	// head is the monotonic consumed counter: every byte before it is
 	// finished and zeroed. finish advances it, under mu; response-flush
@@ -155,15 +203,10 @@ type ringSpan struct {
 // noVersion is an emptyAt no region reaches: the next poll looks.
 const noVersion = ^uint64(0)
 
-// newRingConsumer builds a consumer over mr[base : base+size].
-func newRingConsumer(mr *rnic.MemRegion, base, size int, publishMR *rnic.MemRegion, publishOff int) *ringConsumer {
-	c := &ringConsumer{
-		mr:         mr,
-		base:       base,
-		size:       size,
-		publishMR:  publishMR,
-		publishOff: publishOff,
-	}
+// newRingConsumer builds a consumer of the ring mr that publishes its
+// consumed head at publishOff of publishMR.
+func newRingConsumer(mr, publishMR *rnic.MemRegion, publishOff int) *ringConsumer {
+	c := &ringConsumer{mr: mr, size: mr.Len(), publishMR: publishMR, publishOff: publishOff}
 	c.emptyAt.Store(noVersion)
 	return c
 }
@@ -171,15 +214,17 @@ func newRingConsumer(mr *rnic.MemRegion, base, size int, publishMR *rnic.MemRegi
 // consumed returns the monotonic consumed-head counter.
 func (c *ringConsumer) consumed() uint64 { return c.head.Load() }
 
-// reset rewinds the consumer to offset zero and republishes, matching a
-// recycled producer that restarts at tail zero. The caller must have
-// excluded every poller and every holder of an unfinished message first: on
-// a client, broken is set and the QP's poll role is free, so whoever takes
-// the role next leaves without polling (and a client finishes each message
-// as it reads it); on a server, broken is set and the QP's inuse count has
-// drained, and the poll role is only ever taken, and a pulled message only
-// ever held, inside that count.
+// reset zeroes the ring, rewinds the consumer to offset zero and
+// republishes, matching a recycled producer that restarts at tail zero. The
+// caller must have destroyed the QP first, which flushes every write still
+// queued for the ring, and excluded every poller and every holder of an
+// unfinished message: on a client, broken is set and the QP's poll role is
+// free, so whoever takes the role next leaves without polling (and a client
+// finishes each message as it reads it); on a server, broken is set and the
+// QP's inuse count has drained, and the poll role is only ever taken, and a
+// pulled message only ever held, inside that count.
 func (c *ringConsumer) reset() {
+	c.zeroRange(0, c.size)
 	c.next = 0
 	c.window = c.window[:0]
 	c.head.Store(0)
@@ -202,7 +247,7 @@ func (c *ringConsumer) pollView() (header, []decodedItem, uint64, bool) {
 		if !ok {
 			return header{}, nil, 0, false
 		}
-		h, items, err := decodeMessageInto(c.mr.View(c.base+off, n), c.items)
+		h, items, err := decodeMessageInto(c.mr.View(off, n), c.items)
 		c.items = items[:0]
 		if err == nil {
 			return h, items, end, true
@@ -230,7 +275,7 @@ func (c *ringConsumer) poll() (header, []decodedItem, *mem.Buf, bool) {
 		}
 		mbuf := mem.Get(n)
 		buf := mbuf.Data()
-		copy(buf, c.mr.View(c.base+off, n))
+		copy(buf, c.mr.View(off, n))
 		c.finish(end)
 		h, items, err := decodeMessageInto(buf, c.items)
 		c.items = items[:0]
@@ -282,7 +327,7 @@ func (c *ringConsumer) frame() (off, n int, ok bool) {
 		return 0, 0, false
 	}
 	off = int(c.next % uint64(c.size))
-	totalLen := uint32(c.mr.Load64(c.base + off))
+	totalLen := uint32(c.mr.Load64(off))
 	if totalLen == 0 {
 		return 0, 0, false
 	}
@@ -296,7 +341,7 @@ func (c *ringConsumer) frame() (off, n int, ok bool) {
 			return 0, 0, false
 		}
 		off = 0
-		totalLen = uint32(c.mr.Load64(c.base))
+		totalLen = uint32(c.mr.Load64(0))
 		if totalLen == 0 || totalLen == wrapMarker {
 			return 0, 0, false
 		}
@@ -306,11 +351,11 @@ func (c *ringConsumer) frame() (off, n int, ok bool) {
 		// never be valid will be caught by decode once canaries match.
 		return 0, 0, false
 	}
-	canary := c.mr.Load64(c.base + off + 8)
+	canary := c.mr.Load64(off + 8)
 	if canary == 0 {
 		return 0, 0, false
 	}
-	if c.mr.Load64(c.base+off+int(totalLen)-trailerBytes) != canary {
+	if c.mr.Load64(off+int(totalLen)-trailerBytes) != canary {
 		return 0, 0, false // incomplete: trailing canary not placed yet
 	}
 	return off, int(totalLen), true
@@ -368,7 +413,7 @@ func (c *ringConsumer) zeroRange(off, n int) {
 		if k > len(zeroPage) {
 			k = len(zeroPage)
 		}
-		c.mr.WriteAt(zeroPage[:k], c.base+off) //nolint:errcheck // in range by construction
+		c.mr.WriteAt(zeroPage[:k], off) //nolint:errcheck // in range by construction
 		off += k
 		n -= k
 	}
@@ -376,7 +421,5 @@ func (c *ringConsumer) zeroRange(off, n int) {
 
 // publish stores the consumed head into the control region.
 func (c *ringConsumer) publish() {
-	if c.publishMR != nil {
-		c.publishMR.Store64(c.publishOff, c.head.Load())
-	}
+	c.publishMR.Store64(c.publishOff, c.head.Load())
 }

@@ -33,7 +33,7 @@ func newRingPair(t *testing.T, size int) *ringPair {
 		t.Fatal(err)
 	}
 	t.Cleanup(dev.Close)
-	staging, err := dev.RegisterMR(size, 0)
+	prod, err := newRingProducer(dev, size, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,8 +47,8 @@ func newRingPair(t *testing.T, size int) *ringPair {
 	}
 	return &ringPair{
 		dev:  dev,
-		prod: &ringProducer{staging: staging, size: size},
-		cons: newRingConsumer(dst, 0, size, ctrl, 0),
+		prod: prod,
+		cons: newRingConsumer(dst, ctrl, 0),
 		dst:  dst,
 	}
 }
@@ -184,7 +184,7 @@ func TestRingIncompleteMessageNotConsumed(t *testing.T) {
 // TestRingPollSeesWritesBetweenPolls pins the contract of the version gate:
 // an empty poll may be answered from the remembered region version, but a
 // message — or the rest of one — written between two polls is seen by the
-// second, and reset() forgets what the old head position looked like.
+// second, and reset() wipes the ring and looks at offset zero again.
 func TestRingPollSeesWritesBetweenPolls(t *testing.T) {
 	rp := newRingPair(t, 4096)
 	mustPoll := func(what string) {
@@ -222,20 +222,24 @@ func TestRingPollSeesWritesBetweenPolls(t *testing.T) {
 	rp.shuttle(res.msgOff+len(msg)-trailerBytes, trailerBytes)
 	mustPoll("tail of a torn message between polls")
 
-	// A recycled producer restarts at offset zero and may get there before
-	// the consumer is reset. The consumer's last look, at its old head, saw
-	// nothing, and nothing is written after it — the gate is armed — yet
-	// the poll right after reset() must look at offset zero.
+	// A recycle zeroes the ring as it rewinds the consumer: what the old
+	// life left there — here a message at offset zero, which the consumer,
+	// gated at its old head, never looked at — is gone. The rewound producer
+	// writes again only after the reset, at offset zero, where the next poll
+	// looks.
 	if rp.cons.consumed() == 0 {
 		t.Fatal("test needs a head away from zero")
 	}
 	rp.prod.reset()
-	rp.produce(t, 17, []byte("at zero before the consumer rewinds"))
+	rp.produce(t, 17, []byte("left at zero by the old life"))
 	mustBeEmpty("old head position")
 	rp.cons.reset()
-	mustPoll("message at zero right after reset")
+	mustBeEmpty("a ring the reset wiped")
+	rp.prod.reset()
+	rp.produce(t, 19, []byte("at zero after the reset"))
+	mustPoll("message at zero after the reset")
 	mustBeEmpty("drained")
-	rp.produce(t, 19, []byte("and the one after"))
+	rp.produce(t, 23, []byte("and the one after"))
 	mustPoll("message after a reset and an empty poll")
 }
 
@@ -705,7 +709,7 @@ func locateRequest(n *Node, req []byte) (*serverQP, int) {
 	p := uintptr(unsafe.Pointer(unsafe.SliceData(req)))
 	for _, sc := range n.snapshotSconns() {
 		for _, sqp := range sc.qps {
-			ring := sqp.reqRing.View(0, sqp.reqRing.Len())
+			ring := sqp.reqCons.mr.View(0, sqp.reqCons.mr.Len())
 			base := uintptr(unsafe.Pointer(unsafe.SliceData(ring)))
 			if p >= base && p < base+uintptr(len(ring)) {
 				return sqp, int(p - base)
@@ -713,4 +717,58 @@ func locateRequest(n *Node, req []byte) (*serverQP, int) {
 		}
 	}
 	return nil, 0
+}
+
+// TestStarvedFlushRefreshesHead drives the server's response flush into a
+// full response ring: the client submits a window of small calls whose
+// large replies fill its response ring, with nobody draining it — the
+// window is in flight before anything waits, and the requests piggyback the
+// consumed head of an untouched ring. The flush can learn that the client
+// made room only from its own RDMA read of the client's published head,
+// applied by the drain of the server QP's send CQ. Every call must complete
+// with its reply, the server producer's readback region must have taken
+// reads, and every pooled lease must come back. Inline (Workers 0) the
+// starved flush holds the node's loop; behind a pool, a pool goroutine.
+func TestStarvedFlushRefreshesHead(t *testing.T) {
+	const bigID, window, replyBytes = 9, 48, 480
+	for _, workers := range []int{0, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			opts := Options{MaxBatch: 4, QPsPerConn: 1, test: testKnobs{ringBytes: 8192, maxPayload: 512}}
+			srvOpts := opts
+			srvOpts.Workers = workers
+			tc := newTestCluster(t, 1, srvOpts, opts)
+			tc.server.RegisterHandler(bigID, func(req []byte) []byte {
+				return bytes.Repeat(req[:1], replyBytes)
+			})
+			conn, err := tc.clients[0].Connect(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			readback := tc.server.snapshotSconns()[0].qps[0].respProd.readback
+			th := conn.RegisterThread()
+			calls := make([]*Pending, window)
+			for i := range calls {
+				if calls[i], err = th.CallAsync(bigID, []byte{byte(i)}, CallOptions{}); err != nil {
+					t.Fatalf("call %d: %v", i, err)
+				}
+			}
+			// window × (replyBytes + framing) is about three rings: the
+			// flush starves before the client's schedule pass first drains.
+			waitFor(t, "the starved flush's head refresh", func() bool { return readback.Version() > 0 })
+			for i, p := range calls {
+				r, err := p.Wait()
+				if err != nil {
+					t.Fatalf("call %d: %v", i, err)
+				}
+				if !bytes.Equal(r.Data, bytes.Repeat([]byte{byte(i)}, replyBytes)) {
+					t.Fatalf("call %d: a %d-byte reply that is not its own", i, len(r.Data))
+				}
+				r.Release()
+			}
+			t.Logf("%d head refreshes read", readback.Version())
+			if n := awaitLeaseDrain(3 * time.Second); n != 0 {
+				t.Fatalf("%d pooled leases outstanding after every reply was released", n)
+			}
+		})
+	}
 }

@@ -32,22 +32,14 @@ type serverConn struct {
 
 // serverQP is the server end of one shared queue pair.
 type serverQP struct {
-	idx    int // index within the connection
-	sc     *serverConn
-	qp     *rnic.QP
-	sender fabric.NodeID
+	sc *serverConn
+	qp *rnic.QP
 
-	reqRing    *rnic.MemRegion // clients RDMA-write coalesced requests here
-	reqCons    *ringConsumer
-	serverCtrl *rnic.MemRegion // publishes the request-ring consumed head
-	respProd   *ringProducer   // writes responses into the client's ring
-	readback   *rnic.MemRegion
+	reqCons  *ringConsumer // clients RDMA-write coalesced requests into its ring
+	respProd *ringProducer // writes responses into the client's ring
 
-	clientCtrlRKey uint32
-
-	respMu  sync.Mutex // guards respProd (geometry, message count) and rng
-	rng     *stats.RNG
-	refresh atomic.Bool
+	respMu sync.Mutex // guards respProd (geometry, message count) and rng
+	rng    *stats.RNG
 	// life counts the QP's recycles (recycleAccept bumps it under respMu). A
 	// request remembers the life it arrived in, and a reply that comes after
 	// the QP was rebuilt is dropped: its client already failed the call.
@@ -70,16 +62,16 @@ type serverQP struct {
 	// goroutines) and redistribute's control writes while recycleAccept
 	// rebuilds the QP (inuse counts them in their critical sections, and
 	// each pulled worker-lane message until it is finished, since its
-	// handlers read it on reqRing); quarantined permanently retires the QP
-	// from scheduling.
+	// handlers read it on the request ring); quarantined permanently retires
+	// the QP from scheduling.
 	broken      atomic.Bool
 	inuse       atomic.Int32
 	quarantined atomic.Bool
 
 	// pumping is the QP's poll role (see pumpQP): true while a pool goroutine
-	// or the node's loop pulls a message off reqRing. It is taken inside
-	// enter/exit, and only its holder touches reqCons, recvCQ's entries,
-	// granted or the pump scratch.
+	// or the node's loop pulls a message off the request ring. It is taken
+	// inside enter/exit, and only its holder touches reqCons, recvCQ's
+	// entries, granted or the pump scratch.
 	pumping atomic.Bool
 
 	// outScratch is the inline-lane response batch and replyScratch the reply
@@ -251,9 +243,9 @@ func (n *Node) accept(args connectArgs) (connectReply, error) {
 
 	n.sconnMu.Lock()
 	defer n.sconnMu.Unlock()
-	for i, qa := range args.qps {
+	for _, qa := range args.qps {
 		recvCQ := n.dev.CreateCQ()
-		qp, err := n.dev.CreateQP(rnic.RC, n.dev.CreateCQ(), recvCQ)
+		qp, err := n.newServerQP(recvCQ, args.clientNode, qa.qpn)
 		if err != nil {
 			return connectReply{}, err
 		}
@@ -265,37 +257,20 @@ func (n *Node) accept(args connectArgs) (connectReply, error) {
 		if err != nil {
 			return connectReply{}, err
 		}
-		respStaging, err := n.dev.RegisterMR(n.opts.test.ringBytes, 0)
+		respProd, err := newRingProducer(n.dev, n.opts.test.ringBytes, ctrlRespHeadOff)
 		if err != nil {
 			return connectReply{}, err
 		}
-		readback, err := n.dev.RegisterMR(8, 0)
-		if err != nil {
-			return connectReply{}, err
-		}
-		if err := qp.Connect(int(args.clientNode), qa.qpn); err != nil {
-			return connectReply{}, err
-		}
-		for r := 0; r < recvDepth; r++ {
-			if err := qp.PostRecv(rnic.RecvWR{WRID: uint64(qp.QPN())}); err != nil {
-				return connectReply{}, err
-			}
-		}
+		respProd.rkey, respProd.headRKey = qa.respRingRKey, qa.clientCtrlRKey
 		sqp := &serverQP{
-			idx:            i,
-			sc:             sc,
-			qp:             qp,
-			sender:         args.clientNode,
-			reqRing:        reqRing,
-			reqCons:        newRingConsumer(reqRing, 0, n.opts.test.ringBytes, serverCtrl, srvCtrlReqHeadOff),
-			serverCtrl:     serverCtrl,
-			readback:       readback,
-			recvCQ:         recvCQ,
-			clientCtrlRKey: qa.clientCtrlRKey,
-			rng:            stats.NewRNG(uint64(qp.QPN())*0x9E3779B9 + 7),
-			granted:        uint64(n.opts.Credits),
+			sc:       sc,
+			qp:       qp,
+			reqCons:  newRingConsumer(reqRing, serverCtrl, srvCtrlReqHeadOff),
+			respProd: respProd,
+			recvCQ:   recvCQ,
+			rng:      stats.NewRNG(uint64(qp.QPN())*0x9E3779B9 + 7),
+			granted:  uint64(n.opts.Credits),
 		}
-		sqp.respProd = &ringProducer{staging: respStaging, size: n.opts.test.ringBytes, rkey: qa.respRingRKey}
 		sqp.active.Store(true)
 		sc.qps = append(sc.qps, sqp)
 		reply.qps = append(reply.qps, connectQPReply{
@@ -311,6 +286,25 @@ func (n *Node) accept(args connectArgs) (connectReply, error) {
 	n.sconnsSnap.Store(snap)
 	n.kick() // a parked loop arms the new rings before anything lands there
 	return reply, nil
+}
+
+// newServerQP builds the server end of a queue pair on recvCQ, with a send
+// CQ of its own, connected to the client's QP clientQPN and with recvDepth
+// receives posted for the client's credit renewals.
+func (n *Node) newServerQP(recvCQ *rnic.CQ, client fabric.NodeID, clientQPN int) (*rnic.QP, error) {
+	qp, err := n.dev.CreateQP(rnic.RC, n.dev.CreateCQ(), recvCQ)
+	if err != nil {
+		return nil, err
+	}
+	if err := qp.Connect(int(client), clientQPN); err != nil {
+		return nil, err
+	}
+	for range recvDepth {
+		if err := qp.PostRecv(rnic.RecvWR{WRID: uint64(qp.QPN())}); err != nil {
+			return nil, err
+		}
+	}
+	return qp, nil
 }
 
 // rebuildQPNIndexLocked refreshes the QPN → serverQP snapshot the recycle
@@ -545,10 +539,8 @@ func (n *Node) flushResponses(sqp *serverQP, out []respOut, life uint32) {
 
 	var res reservation
 	for i := 0; ; i++ {
-		select {
-		case <-n.done:
-			return // the node closed: nobody is left to read a response
-		default:
+		if n.closing() {
+			return // nobody is left to read a response
 		}
 		if sqp.broken.Load() || sqp.life.Load() != life {
 			// QP under recycle, or rebuilt since the requests arrived: the
@@ -558,20 +550,16 @@ func (n *Node) flushResponses(sqp *serverQP, out []respOut, life uint32) {
 			// started over.
 			return
 		}
+		// A refresh that fails to post is retried until the checks above
+		// see the recycle.
 		var ok bool
-		res, ok = sqp.respProd.reserve(msgLen)
-		if ok {
+		if res, ok, _ = sqp.respProd.reserveOrRefresh(sqp.qp, msgLen); ok {
 			break
 		}
-		sqp.requestRespHeadRefresh()
-		// Poll our own send CQ so the refresh completion can land even
+		// Drain our own send CQ so the refresh completion can land even
 		// while we hold the flush path.
 		var cqBuf [16]rnic.Completion
-		if k := sqp.qp.SendCQ().Poll(cqBuf[:]); k > 0 {
-			for _, comp := range cqBuf[:k] {
-				sqp.routeCompletion(comp)
-			}
-		}
+		sqp.drainSendCQ(cqBuf[:])
 		pause(i)
 	}
 
@@ -593,31 +581,16 @@ func (n *Node) flushResponses(sqp *serverQP, out []respOut, life uint32) {
 	sqp.qp.PostSend(wrs...) //nolint:errcheck // device closing is benign here
 }
 
-// requestRespHeadRefresh posts a one-sided read of the client's published
-// response-ring consumed head.
-func (sqp *serverQP) requestRespHeadRefresh() {
-	if sqp.refresh.Swap(true) {
-		return
-	}
-	err := sqp.qp.PostSend(rnic.SendWR{
-		WRID: tagFresh, Op: rnic.OpRead,
-		LocalMR: sqp.readback, LocalOff: 0, LocalLen: 8,
-		RKey: sqp.clientCtrlRKey, RemoteOff: ctrlRespHeadOff,
-		Signaled: true,
-	})
-	if err != nil {
-		sqp.refresh.Store(false)
-	}
-}
-
-// routeCompletion handles one server-side send completion. A failed
-// refresh read leaves the cached head alone (the readback slot holds
-// garbage); the client-driven recycle heals the QP.
-func (sqp *serverQP) routeCompletion(comp rnic.Completion) {
-	if comp.WRID&tagMask == tagFresh {
-		if comp.Status == rnic.StatusOK {
-			sqp.respProd.updateCached(sqp.readback.Load64(0))
+// drainSendCQ empties the QP's send CQ, whose only completion that matters
+// is a head refresh's: a failed response or control write is the client's to
+// notice, by the silence of its response ring. The pump and a starved flush
+// call it.
+func (sqp *serverQP) drainSendCQ(buf []rnic.Completion) {
+	for k := sqp.qp.SendCQ().Poll(buf); k > 0; k = sqp.qp.SendCQ().Poll(buf) {
+		for _, comp := range buf[:k] {
+			if comp.WRID&tagMask == tagFresh {
+				sqp.respProd.applyRefresh(comp)
+			}
 		}
-		sqp.refresh.Store(false)
 	}
 }

@@ -425,7 +425,7 @@ func (t *Thread) awaitChain(q *connQP, pends []*Pending, waiting int) {
 			case stateCopy:
 				// Leader assigned our slot and sized it.
 				if len(n.payload) > 0 {
-					q.reqStaging.WriteAt(n.payload, n.bufOff) //nolint:errcheck // leader sized the slot
+					q.prod.staging.WriteAt(n.payload, n.bufOff) //nolint:errcheck // leader sized the slot
 				}
 				n.copied.Store(1)
 				n.state.CompareAndSwap(stateCopy, stateClaimed)
